@@ -15,6 +15,7 @@ from pathlib import Path
 from . import solver as _solver
 from .constructions import GENERATORS, circulant_123
 from .corners import find_k_temporal_corners, find_temporal_corners
+from .graphs import LimitError
 from .instancefile import InstanceError, dump_json, parse, serialize
 from .periodic import footprint, is_temporally_connected
 from .search import (
@@ -71,24 +72,15 @@ def _emit(args, obj, human_lines=None):
 
 def cmd_solve(args):
     pg, meta = _load_instance(args.file)
-    cap = _solver.cop_number_cap(pg)
-    if args.max_cops is not None:
-        cap = min(cap, args.max_cops)
-    copnum = None
-    result = None
-    for k in range(1, cap + 1):
-        res = _solver.is_k_copwin(pg, k)
-        if res.copwin:
-            copnum = k
-            result = res
-            break
+    # no cop number comes back only when --max-cops stopped the ascent
+    copnum, result = _solver.solve_cop_number(pg, max_cops=args.max_cops)
     out = {
         "file": str(args.file),
         "n": pg.n,
         "period": pg.period,
         "temporally_connected": is_temporally_connected(pg),
         "cop_number": copnum,
-        "searched_up_to": cap if copnum is None else copnum,
+        "searched_up_to": args.max_cops if copnum is None else copnum,
         "initial_placement": list(result.initial_placement) if result else None,
     }
     if meta["expected"] and "copnum" in meta["expected"]:
@@ -369,11 +361,13 @@ def main(argv=None):
     except _solver.BudgetError as e:
         sys.stdout.write(dump_json({"error": "budget", "detail": str(e)}))
         return 3
-    except ValueError as e:
-        # contract violations from the library (limits, malformed arguments)
-        code = 3 if "limit" in str(e) or "budget" in str(e) else 2
+    except LimitError as e:
         sys.stdout.write(dump_json({"error": "invalid", "detail": str(e)}))
-        return code
+        return 3
+    except ValueError as e:
+        # contract violations from the library (malformed arguments)
+        sys.stdout.write(dump_json({"error": "invalid", "detail": str(e)}))
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
+from .graphs import LimitError
+
 
 @dataclass(frozen=True, order=True)
 class CornerWitness:
@@ -62,7 +64,7 @@ def find_k_temporal_corners(pg, k, budget=10**7):
         return []
     candidates = pg.period * n * comb(n - 1, size)
     if candidates > budget:
-        raise ValueError(
+        raise LimitError(
             "corner search budget exceeded: %d candidate tuples > %d"
             % (candidates, budget)
         )

@@ -11,6 +11,10 @@ import itertools
 from collections import deque
 
 
+class LimitError(ValueError):
+    """An input is larger than an exact routine's documented size limit."""
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
@@ -206,7 +210,7 @@ def domination_number(g):
     if g.n == 0:
         return 0
     if g.n > 20:
-        raise ValueError("exact domination limit exceeded: n=%d > 20" % g.n)
+        raise LimitError("exact domination limit exceeded: n=%d > 20" % g.n)
     full = (1 << g.n) - 1
     masks = [g.nbr_mask(u) for u in range(g.n)]
     # greedy upper bound to prime the branch-and-bound

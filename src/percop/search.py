@@ -17,6 +17,7 @@ from importlib import resources
 
 from .graphs import (
     Graph,
+    LimitError,
     PETERSEN_EDGES,
     Retraction,
     check_retraction,
@@ -789,7 +790,7 @@ def smallest_3copwin_scan(max_n, max_p, state_budget=None):
     reported with full enumeration counts.
     """
     if max_n > 5 or max_p > 4:
-        raise ValueError("scan limits exceeded: need max_n <= 5, max_p <= 4")
+        raise LimitError("scan limits exceeded: need max_n <= 5, max_p <= 4")
     report = {
         "max_n": max_n,
         "max_p": max_p,

@@ -1,10 +1,26 @@
 """Exact k-copwin decision by backward induction on the configuration game.
 
 States are C((t,c_1..c_k),(t',r)) with a side-to-move bit: the cops move first
-in G_t, then the robber moves in G_t, then the layer advances.  The cop-win
-region is the least fixpoint computed by a queue-based attractor over integer
-encoded states; ranks count cop moves to capture and are exact under optimal
-play (FIFO processing yields the min-max value).
+in G_t, then the robber moves in G_t, then the layer advances.  The solver
+keys the game by (t, cop configuration) and carries the robber as an n-bit
+vertex mask, as in the Nowakowski-Winkler relation iteration (extended to k
+cops by Clarke & MacGillivray): cw[t][c] holds the robber vertices won with
+the cops to move, rw[t][c] those won with the robber to move.  Both start as
+the capture set mask(c), and each level applies
+
+    cw[t][c] |= rw[t][c'] bits new at the last level, for c' in succ_t(c)
+    rw[t][c] |= V \\ N_t[V \\ cw[t+1][c]]
+
+to the keys whose inputs changed, where N_t[Y] is the closed neighbourhood of
+a vertex set, read from per-snapshot tables of 8-vertex chunks.  A state first
+won at level i has rank i, the number of cop moves to capture under optimal
+play (min over cop moves, max over robber escapes).
+
+Cop configurations are sorted multisets.  The k-cop move relation of a
+snapshot is built from the (k-1)-cop one: a configuration moves by moving its
+(k-1)-prefix and then adding a neighbour of its last cop.  solve_cop_number
+shares these relations between the k = 1, 2, ... solves of one ascent and
+drops them when the ascent ends.
 
 Capture convention: any co-location ends the game for the cops, including the
 robber stepping onto a cop.  The stricter rule (only a cop moving onto the
@@ -15,14 +31,17 @@ share a vertex (multisets); pass allow_stacking=False to forbid it.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import os
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from . import periodic as _periodic
-from .graphs import Graph, domination_number
+from .graphs import Graph, LimitError, domination_number
 
 DEFAULT_STATE_BUDGET = 10**8
 
@@ -48,54 +67,138 @@ def _state_budget(explicit):
     return DEFAULT_STATE_BUDGET
 
 
+class _Level(NamedTuple):
+    """The k-cop configurations and their move relation in each snapshot."""
+
+    cfgs: list  # sorted tuples, in lexicographic order
+    index: dict  # configuration -> position in cfgs
+    succ: list  # succ[unique snapshot][ci]: configurations one cop move away
+
+
+class _MoveTables:
+    """Move relations and neighbourhood tables of one periodic graph.
+
+    Level k of the relation is built from level k-1 and kept, so an ascent
+    over k builds each level once.
+    """
+
+    def __init__(self, pg, allow_stacking):
+        self.pg = pg
+        self.allow_stacking = allow_stacking
+        n = pg.n
+        snaps = pg.unique_snapshots
+        self.nbrs = [[g.closed_nbrs(v) for v in range(n)] for g in snaps]
+        # nbhd[s][j][b]: N[Y] for the vertex set Y = b << 8j in snapshot s
+        self.nbhd = []
+        for g in snaps:
+            chunks = []
+            for lo in range(0, n, 8):
+                table = [0]
+                for v in range(lo, min(lo + 8, n)):
+                    m = g.nbr_mask(v)
+                    table += [y | m for y in table]
+                chunks.append(table)
+            self.nbhd.append(chunks)
+        # one cop moves to its closed neighbourhood
+        self.levels = [None, _Level(
+            [(v,) for v in range(n)], {(v,): v for v in range(n)}, self.nbrs
+        )]
+
+    def level(self, k):
+        while len(self.levels) <= k:
+            self.levels.append(self._extend(self.levels[-1]))
+        return self.levels[k]
+
+    def _extend(self, prev):
+        n = self.pg.n
+        step = 0 if self.allow_stacking else 1
+        cfgs, prefix, index = [], [], {}
+        for j, d in enumerate(prev.cfgs):
+            for x in range(d[-1] + step, n):
+                index[d + (x,)] = len(cfgs)
+                cfgs.append(d + (x,))
+                prefix.append(j)
+        # insert[x][j]: configuration j of the previous level plus a cop on x,
+        # or -1 where stacking forbids it
+        insert = [
+            [index.get(tuple(sorted(d + (x,))), -1) for d in prev.cfgs]
+            for x in range(n)
+        ]
+        succ = []
+        for nbrs, prev_succ in zip(self.nbrs, prev.succ):
+            rel = []
+            for c, j in zip(cfgs, prefix):
+                moved = prev_succ[j]
+                out = set()
+                for x in nbrs[c[-1]]:
+                    out.update(map(insert[x].__getitem__, moved))
+                out.discard(-1)
+                rel.append(list(out))
+            succ.append(rel)
+        return _Level(cfgs, index, succ)
+
+
+# The move tables of the cop-number ascent in progress.  solve_cop_number
+# sets it for the length of its loop, so that the is_k_copwin calls it makes
+# share one _MoveTables; nothing outlives the ascent.
+_ASCENT_TABLES = contextvars.ContextVar("percop_ascent_tables", default=None)
+
+
+def _move_tables(pg, allow_stacking):
+    tables = _ASCENT_TABLES.get()
+    if tables is None or tables.pg is not pg or tables.allow_stacking != allow_stacking:
+        tables = _MoveTables(pg, allow_stacking)
+    return tables
+
+
 class SolveResult:
     """Outcome of one is_k_copwin run, with the full win region and ranks."""
 
     def __init__(self, pg, k, allow_stacking, copwin, initial_placement,
-                 encoder, win, rank):
+                 level, cw, rw, rank):
         self.pg = pg
         self.k = k
         self.allow_stacking = allow_stacking
         self.copwin = copwin
         self.initial_placement = initial_placement
-        self._enc = encoder
-        self._win = win
-        self._rank = rank
+        self._level = level
+        self._won = (cw, rw)  # indexed by side, then by key t * nc + ci
+        self._rank = rank  # indexed by ((key * n + robber) << 1) | side
+
+    def _key(self, t, cops):
+        lv = self._level
+        return (t % self.pg.period) * len(lv.cfgs) + lv.index[tuple(sorted(cops))]
 
     def is_cop_win(self, t, cops, robber, side=COPS_TO_MOVE):
-        return self._win[self._enc.state_id(t, cops, robber, side)] == 1
+        return (self._won[side][self._key(t, cops)] >> robber) & 1 == 1
 
     def rank_of(self, t, cops, robber, side=COPS_TO_MOVE):
         """Cop moves to capture from a cop-winning state; None outside the region."""
-        s = self._enc.state_id(t, cops, robber, side)
-        if not self._win[s]:
+        key = self._key(t, cops)
+        if not (self._won[side][key] >> robber) & 1:
             return None
-        return self._rank[s]
+        return self._rank[((key * self.pg.n + robber) << 1) | side]
 
     def win_count(self):
-        return sum(self._win)
+        return sum(m.bit_count() for masks in self._won for m in masks)
 
     def state_count(self):
-        return len(self._win)
+        return len(self._rank)
 
     def optimal_cop_move(self, t, cops, robber):
         """Rank-minimizing feasible cop move, capture first, lex tie-break."""
-        enc = self._enc
-        t %= enc.p
-        ci = enc.cfg_index[tuple(sorted(cops))]
+        pg, lv = self.pg, self._level
+        t %= pg.period
+        base = t * len(lv.cfgs)
+        rw = self._won[ROBBER_TO_MOVE]
         best = None
-        for cj in enc.cop_succ(enc.us[t], ci):
-            cfg = enc.cfgs[cj]
-            if robber in cfg:
-                move_rank = 0
-            else:
-                s = enc.raw_id(t, cj, robber, ROBBER_TO_MOVE)
-                if not self._win[s]:
-                    continue
-                move_rank = self._rank[s]
-            key = (move_rank, cfg)
-            if best is None or key < best[0]:
-                best = (key, cfg)
+        for cj in lv.succ[pg.usnap[t]][lv.index[tuple(sorted(cops))]]:
+            key = base + cj
+            if (rw[key] >> robber) & 1:  # a capture is a won state of rank 0
+                move = (self._rank[((key * pg.n + robber) << 1) | ROBBER_TO_MOVE],
+                        lv.cfgs[cj])
+                if best is None or move < best:
+                    best = move
         if best is None:
             raise ValueError("no winning cop move from this state")
         return best[1]
@@ -114,65 +217,6 @@ class SolveResult:
         )
 
 
-class _Encoder:
-    """Integer state encoding plus cached move generation per unique snapshot."""
-
-    def __init__(self, pg, k, allow_stacking):
-        self.pg = pg
-        self.k = k
-        self.p = pg.period
-        self.n = pg.n
-        self.us = pg.usnap
-        if allow_stacking:
-            cfgs = list(itertools.combinations_with_replacement(range(self.n), k))
-        else:
-            cfgs = list(itertools.combinations(range(self.n), k))
-        self.cfgs = cfgs
-        self.cfg_index = {c: i for i, c in enumerate(cfgs)}
-        self.nc = len(cfgs)
-        masks = []
-        for c in cfgs:
-            m = 0
-            for v in c:
-                m |= 1 << v
-            masks.append(m)
-        self.cfg_masks = masks
-        self.nbrs = [
-            [g.closed_nbrs(v) for v in range(self.n)]
-            for g in pg.unique_snapshots
-        ]
-        self._succ_cache = {}
-        self._allow_stacking = allow_stacking
-
-    def raw_id(self, t, ci, r, side):
-        return (((t * self.nc + ci) * self.n + r) << 1) | side
-
-    def state_id(self, t, cops, robber, side):
-        t %= self.p
-        ci = self.cfg_index[tuple(sorted(cops))]
-        return self.raw_id(t, ci, robber, side)
-
-    def cop_succ(self, snap, ci):
-        """Successor cop configs in a snapshot; the relation is symmetric."""
-        key = (snap, ci)
-        got = self._succ_cache.get(key)
-        if got is not None:
-            return got
-        nbrs = self.nbrs[snap]
-        options = [nbrs[c] for c in self.cfgs[ci]]
-        seen = set()
-        for moved in itertools.product(*options):
-            tup = tuple(sorted(moved))
-            if not self._allow_stacking and any(
-                tup[i] == tup[i + 1] for i in range(len(tup) - 1)
-            ):
-                continue
-            seen.add(self.cfg_index[tup])
-        out = sorted(seen)
-        self._succ_cache[key] = out
-        return out
-
-
 def is_k_copwin(pg, k, state_budget=None, allow_stacking=True):
     """Decide whether k cops win on pg, returning the full SolveResult.
 
@@ -187,95 +231,77 @@ def is_k_copwin(pg, k, state_budget=None, allow_stacking=True):
     if estimate > budget:
         raise BudgetError(estimate, budget)
 
-    enc = _Encoder(pg, k, allow_stacking)
-    nc = enc.nc
-    ns = p * nc * n * 2
-    win = bytearray(ns)
-    rank = [0] * ns
-    # robber escape counters, indexed by state_id >> 1
-    counter = [0] * (ns >> 1)
-    us = enc.us
-    nbrs = enc.nbrs
-    for t in range(p):
-        deg = [len(nbrs[us[t]][r]) for r in range(n)]
-        base_t = t * nc
-        for ci in range(nc):
-            base = (base_t + ci) * n
-            for r in range(n):
-                counter[base + r] = deg[r]
+    tables = _move_tables(pg, allow_stacking)
+    lv = tables.level(k)
+    succ, nbhd, us = lv.succ, tables.nbhd, pg.usnap
+    full = (1 << n) - 1
+    masks = []
+    for c in lv.cfgs:
+        m = 0
+        for v in c:
+            m |= 1 << v
+        masks.append(m)
+    cw = masks * p
+    rw = [0] * (p * nc)
+    rank = array("B", bytes(estimate))
 
-    queue = deque()
-    for t in range(p):
-        base_t = t * nc
-        for ci, mask in enumerate(enc.cfg_masks):
-            base = (base_t + ci) * n
-            m = mask
-            while m:
-                r = (m & -m).bit_length() - 1
-                m &= m - 1
-                idx = base + r
-                s_cop = idx << 1
-                win[s_cop] = 1
-                win[s_cop | 1] = 1
-                queue.append(s_cop)
-                queue.append(s_cop | 1)
+    level = 0
+    # stale[key]: the layer of a key whose cw changed at this level
+    stale = {t * nc + ci: t for t in range(p) for ci in range(nc)}
+    while True:
+        # robber step: rw[t0][c] for the layer t0 before each stale key
+        drw = []
+        for key1, t1 in stale.items():
+            ci = key1 - t1 * nc
+            t0 = t1 - 1 if t1 else p - 1
+            key = t0 * nc + ci
+            y = full & ~cw[key1]
+            m = 0
+            for table in nbhd[us[t0]]:
+                m |= table[y & 255]
+                y >>= 8
+            new = ((full & ~m) | masks[ci]) & ~rw[key]
+            if new:
+                rw[key] |= new
+                drw.append((t0, ci, new))
+                b = key * n
+                while level and new:
+                    low = new & -new
+                    rank[((b + low.bit_length() - 1) << 1) | 1] = level
+                    new ^= low
+        if not drw:
+            break
+        level += 1
+        if level == 256:
+            rank = array("H", rank)
+        elif level == 65536:
+            rank = array("I", rank)
+        # cop step: a move into a robber state won at the last level
+        stale = {}
+        for t, ci, bits in drw:
+            base = t * nc
+            for cj in succ[us[t]][ci]:
+                key = base + cj
+                new = bits & ~cw[key]
+                if new:
+                    cw[key] |= new
+                    stale[key] = t
+                    b = key * n
+                    while new:
+                        low = new & -new
+                        rank[(b + low.bit_length() - 1) << 1] = level
+                        new ^= low
 
-    cop_succ = enc.cop_succ
-    while queue:
-        s = queue.popleft()
-        side = s & 1
-        idx = s >> 1
-        r = idx % n
-        tc = idx // n
-        ci = tc % nc
-        t = tc // nc
-        rs = rank[s]
-        if side == ROBBER_TO_MOVE:
-            # cop predecessors at the same layer can move into this config
-            rk = rs + 1
-            for cj in cop_succ(us[t], ci):
-                s2 = ((tc - ci + cj) * n + r) << 1
-                if not win[s2]:
-                    win[s2] = 1
-                    rank[s2] = rk
-                    queue.append(s2)
-        else:
-            # robber predecessors in the previous layer lose one escape each
-            t0 = t - 1 if t else p - 1
-            base = (t0 * nc + ci) * n
-            for rr in nbrs[us[t0]][r]:
-                idx2 = base + rr
-                s2 = (idx2 << 1) | 1
-                if not win[s2]:
-                    c = counter[idx2] - 1
-                    counter[idx2] = c
-                    if c == 0:
-                        win[s2] = 1
-                        rank[s2] = rs
-                        queue.append(s2)
-
-    copwin = False
     best = None
-    for ci, mask in enumerate(enc.cfg_masks):
-        base = ci * n
-        worst = 0
-        ok = True
-        for r in range(n):
-            if (mask >> r) & 1:
-                continue
-            s = (base + r) << 1
-            if not win[s]:
-                ok = False
-                break
-            if rank[s] > worst:
-                worst = rank[s]
-        if ok:
-            copwin = True
-            key = (worst, enc.cfgs[ci])
-            if best is None or key < best[0]:
-                best = (key, enc.cfgs[ci])
+    for ci, cfg in enumerate(lv.cfgs):
+        if cw[ci] == full:
+            b = 2 * ci * n
+            worst = max(rank[b:b + 2 * n:2])  # cops-to-move ranks at layer 0
+            if best is None or (worst, cfg) < best:
+                best = (worst, cfg)
     placement = best[1] if best else None
-    return SolveResult(pg, k, allow_stacking, copwin, placement, enc, win, rank)
+    return SolveResult(pg, k, allow_stacking, best is not None, placement,
+                       lv, cw, rw, rank)
 
 
 def cop_number_cap(pg):
@@ -287,14 +313,22 @@ def cop_number_cap(pg):
 
 
 def solve_cop_number(pg, state_budget=None, max_cops=None):
-    """(cop number, SolveResult at that k), ascending from k=1."""
+    """(cop number, SolveResult at that k), ascending from k=1.
+
+    (None, None) when max_cops stops the ascent below the dominating-set cap.
+    """
     cap = cop_number_cap(pg)
-    if max_cops is not None:
-        cap = min(cap, max_cops)
-    for k in range(1, cap + 1):
-        res = is_k_copwin(pg, k, state_budget=state_budget)
-        if res.copwin:
-            return k, res
+    stop = cap if max_cops is None else min(cap, max_cops)
+    token = _ASCENT_TABLES.set(_MoveTables(pg, True))
+    try:
+        for k in range(1, stop + 1):
+            res = is_k_copwin(pg, k, state_budget=state_budget)
+            if res.copwin:
+                return k, res
+    finally:
+        _ASCENT_TABLES.reset(token)
+    if stop < cap:
+        return None, None
     raise RuntimeError(
         "cop number ascent exhausted its cap %d; this contradicts the "
         "dominating-set argument" % cap
@@ -351,10 +385,8 @@ def extract_trace(result, robber_policy="optimal", cops_start=None):
     if not result.copwin and cops_start is None:
         raise ValueError("extract_trace requires a copwin result")
     pg = result.pg
-    enc = result._enc
     p, n = pg.period, pg.n
     cops = tuple(sorted(cops_start)) if cops_start else result.initial_placement
-    ci = enc.cfg_index[cops]
     occupied = set(cops)
 
     # robber picks the worst start for the cops
@@ -363,14 +395,14 @@ def extract_trace(result, robber_policy="optimal", cops_start=None):
     for r in range(n):
         if r in occupied:
             continue
-        s = enc.raw_id(0, ci, r, COPS_TO_MOVE)
-        if not result._win[s]:
+        rank = result.rank_of(0, cops, r)
+        if rank is None:
             raise ValueError(
                 "cop placement %s does not win against robber start %d"
                 % (list(cops), r)
             )
-        if result._rank[s] > start_rank:
-            start_rank = result._rank[s]
+        if rank > start_rank:
+            start_rank = rank
             robber = r
     rounds = []
     trace = {
@@ -397,7 +429,6 @@ def extract_trace(result, robber_policy="optimal", cops_start=None):
             trace["captured"] = True
             return trace
         entry["captured"] = False
-        ci = enc.cfg_index[cops]
         if robber_policy == "optimal":
             best = None
             t1 = (t + 1) % p
@@ -405,7 +436,7 @@ def extract_trace(result, robber_policy="optimal", cops_start=None):
                 if r2 in cops:
                     move_rank = 0
                 else:
-                    move_rank = result._rank[enc.raw_id(t1, ci, r2, COPS_TO_MOVE)]
+                    move_rank = result.rank_of(t1, cops, r2)
                 key = (-move_rank, r2)
                 if best is None or key < best[0]:
                     best = (key, r2)
@@ -421,6 +452,7 @@ def extract_trace(result, robber_policy="optimal", cops_start=None):
             return trace
         t = (t + 1) % p
     raise AssertionError("capture did not occur within the reported rank")
+
 
 
 @dataclass
@@ -598,11 +630,11 @@ def ctmax_bounded(g, max_period, sequence_limit=300_000, state_budget=None):
     if not g.is_connected():
         raise ValueError("ctmax_bounded requires a connected footprint")
     if g.n > 6 or max_period > 3:
-        raise ValueError("ctmax_bounded limits exceeded: need n <= 6, period <= 3")
+        raise LimitError("ctmax_bounded limits exceeded: need n <= 6, period <= 3")
     m = len(g.edges)
     total = sum(((1 << q) - 1) ** m for q in range(1, max_period + 1))
     if total > sequence_limit:
-        raise ValueError(
+        raise LimitError(
             "ctmax enumeration limit exceeded: %d sequences > %d"
             % (total, sequence_limit)
         )

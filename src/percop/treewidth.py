@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, LimitError
 from .periodic import footprint, foremost_journey, is_temporally_connected
 from .solver import CopPolicy
 
@@ -124,7 +124,7 @@ def exact_treewidth(g, limit=13):
     if g.n == 0:
         raise ValueError("treewidth undefined for the empty graph")
     if g.n > limit:
-        raise ValueError("exact treewidth limit exceeded: n=%d > %d" % (g.n, limit))
+        raise LimitError("exact treewidth limit exceeded: n=%d > %d" % (g.n, limit))
     n = g.n
     open_adj = [g.nbr_mask(v) & ~(1 << v) for v in range(n)]
     full = (1 << n) - 1

@@ -58,3 +58,70 @@ def reference_cop_number(pg, max_k=None):
         k += 1
         if max_k is not None and k > max_k:
             return None
+
+
+def reference_ranks(pg, k, allow_stacking=True):
+    """Every state's rank, and the initial placement, by value iteration.
+
+    Follows the production solver's conventions, not the strict rules above:
+    cops are sorted multisets (distinct sets without stacking), and any
+    co-location of a cop and the robber is a capture, of rank 0 whichever side
+    is to move.  A cop-to-move state (side 0) has rank 1 + the min over cop
+    moves, a robber-to-move state (side 1) the max over robber escapes into the
+    next layer.  Starting from "no state won", iteration i gives the values of
+    the game cut off after i cop moves, so the fixpoint holds the exact ranks;
+    states the cops do not win map to None.  The placement is the first
+    configuration, in sorted order, among those that win against every robber
+    start with the fewest cop moves in the worst case.
+    """
+    n, p = pg.n, pg.period
+    nbrs = [
+        [pg.snapshots[t].closed_nbrs(v) for v in range(n)] for t in range(p)
+    ]
+    if allow_stacking:
+        configs = list(itertools.combinations_with_replacement(range(n), k))
+    else:
+        configs = list(itertools.combinations(range(n), k))
+
+    def moves(t, c):
+        out = set()
+        for moved in itertools.product(*[nbrs[t][v] for v in c]):
+            if allow_stacking or len(set(moved)) == k:
+                out.add(tuple(sorted(moved)))
+        return out
+
+    succ = {(t, c): moves(t, c) for t in range(p) for c in configs}
+    states = [
+        (t, c, r, side)
+        for t in range(p) for c in configs for r in range(n) for side in (0, 1)
+    ]
+    rank = {s: (0 if s[2] in s[1] else None) for s in states}
+    changed = True
+    while changed:
+        changed = False
+        new = {}
+        for (t, c, r, side) in states:
+            if r in c:
+                new[(t, c, r, side)] = 0
+                continue
+            if side == 0:
+                vals = [rank[(t, c2, r, 1)] for c2 in succ[(t, c)]]
+                vals = [v for v in vals if v is not None]
+                value = 1 + min(vals) if vals else None
+            else:
+                vals = [rank[((t + 1) % p, c, r2, 0)] for r2 in nbrs[t][r]]
+                value = None if None in vals else max(vals)
+            new[(t, c, r, side)] = value
+            if value != rank[(t, c, r, side)]:
+                changed = True
+        rank = new
+    placement = None
+    best = None
+    for c in configs:
+        starts = [rank[(0, c, r, 0)] for r in range(n)]
+        if None in starts:
+            continue
+        if best is None or max(starts) < best:
+            best = max(starts)
+            placement = c
+    return rank, placement

@@ -155,6 +155,37 @@ class TestErrorSurface:
         assert code == 3
         assert out["error"] == "invalid"
 
+    def test_plain_value_error_exits_2(self, capsys, bowtie_file, monkeypatch):
+        # exit 3 comes from the LimitError type, not from words in a message
+        from percop import cli
+
+        def plain_error(_g):
+            raise ValueError("not a limit or budget error")
+
+        monkeypatch.setattr(cli, "exact_treewidth", plain_error)
+        code, out = run_json(capsys, "treewidth", str(bowtie_file))
+        assert code == 2 and out["error"] == "invalid"
+
+    def test_library_limits_raise_limit_error(self):
+        from percop.corners import find_k_temporal_corners
+        from percop.graphs import Graph, LimitError, complete_graph, domination_number
+        from percop.periodic import constant
+        from percop.search import smallest_3copwin_scan
+        from percop.solver import ctmax_bounded
+        from percop.treewidth import exact_treewidth
+
+        limited = [
+            lambda: exact_treewidth(Graph(14)),
+            lambda: domination_number(Graph(21)),
+            lambda: ctmax_bounded(complete_graph(7), 2),
+            lambda: ctmax_bounded(complete_graph(6), 3),
+            lambda: smallest_3copwin_scan(6, 2),
+            lambda: find_k_temporal_corners(constant(complete_graph(24), 1), 12),
+        ]
+        for call in limited:
+            with pytest.raises(LimitError):
+                call()
+
     def test_corner_budget_becomes_json(self, capsys, tmp_path):
         from percop.graphs import complete_graph
         from percop.periodic import constant

@@ -26,14 +26,15 @@ from percop.solver import (
     triple,
     verify_policy,
 )
-from percop.constructions import q3_rotation, bowtie_221, circulant_123
+from percop.constructions import GENERATORS, q3_rotation, bowtie_221, circulant_123
+from percop.search import load_witness
 from percop.treewidth import exact_treewidth
 from conftest import (
     random_connected_graph,
     random_periodic,
     random_temporally_connected,
 )
-from reference import reference_is_k_copwin
+from reference import reference_is_k_copwin, reference_ranks
 
 
 class TestStaticBasics:
@@ -77,6 +78,38 @@ class TestReferenceAgreement:
             pg = random_periodic(rng, 5, 2, 0.4)
             for k in (1, 2):
                 assert is_k_copwin(pg, k).copwin == reference_is_k_copwin(pg, k)
+
+
+class TestRankOracle:
+    """Every state's win bit and rank, and the placement, against value iteration."""
+
+    @staticmethod
+    def check(pg, k, allow_stacking=True):
+        ranks, placement = reference_ranks(pg, k, allow_stacking)
+        res = is_k_copwin(pg, k, allow_stacking=allow_stacking)
+        assert res.state_count() == len(ranks)
+        for (t, c, r, side), want in ranks.items():
+            assert res.rank_of(t, c, r, side) == want, (t, c, r, side)
+            assert res.is_cop_win(t, c, r, side) == (want is not None)
+        assert res.win_count() == sum(v is not None for v in ranks.values())
+        assert res.initial_placement == placement
+        assert res.copwin == (placement is not None)
+
+    def test_seeded_corpus(self, rng):
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            pg = random_periodic(rng, n, rng.randint(1, 3), rng.choice((0.3, 0.5, 0.7)))
+            for k in (1, 2):
+                for allow_stacking in (True, False):
+                    self.check(pg, k, allow_stacking)
+
+    @pytest.mark.parametrize("name", ["diagonal_222", "lem122", "prop3_retract"])
+    def test_at_cop_number(self, name):
+        if name in GENERATORS:
+            pg = GENERATORS[name]().instance
+        else:
+            pg, _meta = load_witness(name)
+        self.check(pg, cop_number(pg))
 
 
 class TestDismantleEquivalence:
@@ -146,6 +179,28 @@ class TestSolveResult:
         assert trace["captured"]
         start = res.rank_of(0, res.initial_placement, trace["initial_robber"])
         assert trace["cop_moves"] <= start
+
+    def test_max_cops_cuts_the_ascent_short(self):
+        pg = q3_rotation().instance
+        assert solve_cop_number(pg, max_cops=2) == (None, None)
+        k, res = solve_cop_number(pg, max_cops=3)
+        assert k == 3 and res.copwin
+
+    def test_ascent_matches_single_solves(self):
+        pg = q3_rotation().instance
+        k, res = solve_cop_number(pg)
+        alone = is_k_copwin(pg, k)
+        assert res.initial_placement == alone.initial_placement
+        assert res.win_count() == alone.win_count()
+        assert extract_trace(res) == extract_trace(alone)
+
+    def test_ranks_beyond_one_byte(self):
+        # the only edge appears in the last of 300 layers: the cop waits
+        pg = PeriodicGraph([Graph(2)] * 299 + [Graph(2, [(0, 1)])])
+        res = is_k_copwin(pg, 1)
+        assert res.initial_placement == (0,)
+        for t in range(300):
+            assert res.rank_of(t, (0,), 1) == 300 - t
 
     def test_budget_error(self):
         pg = constant(complete_graph(10), 1)
