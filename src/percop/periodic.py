@@ -1,4 +1,4 @@
-"""Periodic temporal graphs, their footprints, arenas, journeys and padding."""
+"""Periodic temporal graphs, their footprints, journeys and padding."""
 
 from __future__ import annotations
 
@@ -62,43 +62,6 @@ class PeriodicGraph:
 
     def __repr__(self):
         return "PeriodicGraph(n=%d, p=%d)" % (self.n, self.period)
-
-
-class Arena:
-    """Layered directed view of a periodic graph: nodes are (layer, vertex).
-
-    Every edge goes from layer t to layer [t+1]_p and ((t,u),(t+1,v)) is
-    present exactly when v lies in the closed neighborhood of u at time t,
-    so (t,u) always has the reflexive out-edge to (t+1,u).
-    """
-
-    __slots__ = ("p", "n", "edges")
-
-    def __init__(self, p, n, edges):
-        self.p = p
-        self.n = n
-        self.edges = frozenset(edges)
-
-    def out_vertices(self, t, u):
-        """Vertex projection of the out-neighborhood of temporal node (t,u)."""
-        t1 = (t + 1) % self.p
-        return sorted(v for ((a, b), (c, v)) in self.edges if (a, b, c) == (t, u, t1))
-
-
-def build_arena(pg):
-    edges = []
-    p = pg.period
-    for t in range(p):
-        t1 = (t + 1) % p
-        g = pg.snapshots[t]
-        for u in range(pg.n):
-            m = g.nbr_mask(u)
-            v = m
-            while v:
-                w = (v & -v).bit_length() - 1
-                edges.append(((t, u), (t1, w)))
-                v &= v - 1
-    return Arena(p, pg.n, edges)
 
 
 def footprint(pg):

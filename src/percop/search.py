@@ -1,9 +1,11 @@
 """Property-directed reconstruction of instances known only by their properties.
 
-Some target instances have no explicit edge lists, only constraints: snapshot shape, footprint facts, corner-freeness and
-the solver-verified triple.  A search candidate counts as found only after an
-independent re-verification pass (fresh solver and corner runs) certifies all
-of it; witnesses ship as data files and regenerate from (spec, seed).
+Some target instances have no explicit edge lists, only constraints: snapshot
+shape, footprint facts, corner-freeness and the solver-verified triple.  One
+list of target predicates, cheapest first, decides them: `check_targets`
+stops at the first failure to screen candidates, and `certify` runs the whole
+list on a found witness and records what each predicate computed.  Witnesses
+ship as data files and regenerate from (spec, seed).
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from .graphs import (
     PETERSEN_EDGES,
     Retraction,
     check_retraction,
-    dismantle,
+    dismantle,  # unused here; perfbench/probes.py wraps search.dismantle
     domination_number,
     girth,
     petersen_graph,
 )
-from .periodic import PeriodicGraph, constant, footprint, induced
+from .periodic import PeriodicGraph, footprint, induced
 from .corners import find_k_temporal_corners, find_temporal_corners
 from .constructions import ConstructionSpecimen, circulant_123
 from . import solver as _solver
@@ -83,6 +85,13 @@ class SearchOutcome:
         return out
 
 
+# the targets `_predicates` evaluates
+_TARGET_KEYS = frozenset({
+    "no_corner_k", "gamma_g0", "snapshot_copnums_all", "copnum",
+    "footprint_copnum", "triple", "induced_copnum", "retract_premise_fails",
+})
+
+
 def spec_from_dict(d):
     known = {
         "name", "n", "p", "family", "snapshot_constraint",
@@ -92,6 +101,9 @@ def spec_from_dict(d):
     unknown = set(d) - known
     if unknown:
         raise ValueError("unknown search spec fields: %s" % sorted(unknown))
+    unknown = set(d.get("targets", {})) - _TARGET_KEYS
+    if unknown:
+        raise ValueError("unknown search targets: %s" % sorted(unknown))
     return SearchSpec(**d)
 
 
@@ -118,17 +130,6 @@ def _check_footprint(pg, constraint):
     raise ValueError("unknown footprint constraint kind: %s" % kind)
 
 
-def _static_copnum_is(g, value, state_budget=None):
-    if value == 1:
-        return dismantle(g)
-    if dismantle(g):
-        return False
-    below = _solver.is_k_copwin(constant(g, 1), value - 1, state_budget) if value > 2 else None
-    if below is not None and below.copwin:
-        return False
-    return _solver.is_k_copwin(constant(g, 1), value, state_budget).copwin
-
-
 def _retract_premise_fails(pg, target):
     """Every listed retraction must hold on the footprint but break on a snapshot."""
     removed = target["removed"]
@@ -144,97 +145,6 @@ def _retract_premise_fails(pg, target):
         ):
             return False
     return True
-
-
-def check_targets(pg, spec, state_budget=None):
-    """Cheap-first evaluation of every target predicate."""
-    t = spec.targets
-    if not _check_footprint(pg, spec.footprint_constraint):
-        return False
-    for k in t.get("no_corner_k", ()):
-        if k == 1:
-            if find_temporal_corners(pg):
-                return False
-        elif find_k_temporal_corners(pg, k):
-            return False
-    if "gamma_g0" in t:
-        if domination_number(pg.snapshots[0]) != t["gamma_g0"]:
-            return False
-    if "snapshot_copnums_all" in t:
-        v = t["snapshot_copnums_all"]
-        for g in pg.unique_snapshots:
-            if not _static_copnum_is(g, v, state_budget):
-                return False
-    if "copnum" in t:
-        c = t["copnum"]
-        ruled_out = max(t.get("no_corner_k", ()), default=0)
-        if c > 1 and ruled_out < c - 1:
-            if _solver.is_k_copwin(pg, c - 1, state_budget).copwin:
-                return False
-        if not _solver.is_k_copwin(pg, c, state_budget).copwin:
-            return False
-    if "induced_copnum" in t:
-        sub, _ = induced(pg, t["induced_copnum"]["vertices"])
-        if _solver.cop_number(sub, state_budget) != t["induced_copnum"]["value"]:
-            return False
-    if "footprint_copnum" in t:
-        if not _static_copnum_is(footprint(pg), t["footprint_copnum"], state_budget):
-            return False
-    if "triple" in t:
-        want = tuple(t["triple"])
-        got = _solver.triple(pg, state_budget).abc
-        if any(w is not None and w != g for w, g in zip(want, got)):
-            return False
-    if "retract_premise_fails" in t:
-        if not _retract_premise_fails(pg, t["retract_premise_fails"]):
-            return False
-    return True
-
-
-def certify(pg, spec, state_budget=None):
-    """Independent re-verification of a found witness: fresh solver runs,
-    fresh corner scans, and a structural re-check of the snapshot family.
-    Every target predicate of the spec participates in the verdict."""
-    t = spec.targets
-    certs = {}
-    ok = True
-    tr = _solver.triple(pg, state_budget)
-    certs["triple"] = list(tr.abc)
-    certs["min_snapshot_copnum"] = tr.min_snapshot_copnum
-    for k in t.get("no_corner_k", ()):
-        found = (
-            find_temporal_corners(pg) if k == 1 else find_k_temporal_corners(pg, k)
-        )
-        certs["corners_k%d" % k] = len(found)
-        ok = ok and not found
-    certs["footprint_ok"] = _check_footprint(pg, spec.footprint_constraint)
-    certs["snapshots_ok"] = _snapshots_satisfy(pg, spec)
-    ok = ok and certs["footprint_ok"] and certs["snapshots_ok"]
-    if "triple" in t:
-        ok = ok and all(
-            w is None or w == g for w, g in zip(t["triple"], tr.abc)
-        )
-    if "copnum" in t:
-        ok = ok and tr.copnum == t["copnum"]
-    if "footprint_copnum" in t:
-        ok = ok and tr.footprint_copnum == t["footprint_copnum"]
-    if "snapshot_copnums_all" in t:
-        v = t["snapshot_copnums_all"]
-        ok = ok and tr.max_snapshot_copnum == v and tr.min_snapshot_copnum == v
-    if "gamma_g0" in t:
-        certs["gamma_g0"] = domination_number(pg.snapshots[0])
-        ok = ok and certs["gamma_g0"] == t["gamma_g0"]
-    if "induced_copnum" in t:
-        sub, _ = induced(pg, t["induced_copnum"]["vertices"])
-        certs["induced_copnum"] = _solver.cop_number(sub, state_budget)
-        ok = ok and certs["induced_copnum"] == t["induced_copnum"]["value"]
-    if "retract_premise_fails" in t:
-        certs["retract_premise_fails"] = _retract_premise_fails(
-            pg, t["retract_premise_fails"]
-        )
-        ok = ok and certs["retract_premise_fails"]
-    certs["verified"] = ok
-    return certs
 
 
 def _is_hamiltonian_path(g):
@@ -275,6 +185,63 @@ def _snapshots_satisfy(pg, spec):
                 return False
         return True
     raise ValueError("unknown snapshot constraint kind: %s" % kind)
+
+
+def _predicates(pg, spec, state_budget):
+    """Yield (passed, certificate entries) once per target, cheapest first.
+
+    Nothing is computed before its predicate is reached, so a caller that
+    stops at the first failure pays only for the predicates up to it.  One
+    `triple()` serves every cop-number target.
+    """
+    t = spec.targets
+    ok = _check_footprint(pg, spec.footprint_constraint)
+    yield ok, {"footprint_ok": ok}
+    for k in t.get("no_corner_k", ()):
+        found = (
+            find_temporal_corners(pg) if k == 1 else find_k_temporal_corners(pg, k)
+        )
+        yield not found, {"corners_k%d" % k: len(found)}
+    if "gamma_g0" in t:
+        gamma = domination_number(pg.snapshots[0])
+        yield gamma == t["gamma_g0"], {"gamma_g0": gamma}
+    tr = _solver.triple(pg, state_budget)
+    yield True, {"triple": list(tr.abc), "min_snapshot_copnum": tr.min_snapshot_copnum}
+    if "snapshot_copnums_all" in t:
+        v = t["snapshot_copnums_all"]
+        yield tr.min_snapshot_copnum == v == tr.max_snapshot_copnum, {}
+    if "copnum" in t:
+        yield tr.copnum == t["copnum"], {}
+    if "footprint_copnum" in t:
+        yield tr.footprint_copnum == t["footprint_copnum"], {}
+    if "triple" in t:
+        yield all(w is None or w == g for w, g in zip(t["triple"], tr.abc)), {}
+    if "induced_copnum" in t:
+        sub, _ = induced(pg, t["induced_copnum"]["vertices"])
+        got = _solver.cop_number(sub, state_budget)
+        yield got == t["induced_copnum"]["value"], {"induced_copnum": got}
+    if "retract_premise_fails" in t:
+        ok = _retract_premise_fails(pg, t["retract_premise_fails"])
+        yield ok, {"retract_premise_fails": ok}
+    # last: the generators already enforce it, and girth is costly
+    ok = _snapshots_satisfy(pg, spec)
+    yield ok, {"snapshots_ok": ok}
+
+
+def check_targets(pg, spec, state_budget=None):
+    """Cheap-first: stop at the first target predicate that fails."""
+    return all(ok for ok, _ in _predicates(pg, spec, state_budget))
+
+
+def certify(pg, spec, state_budget=None):
+    """Evaluate every target predicate and record what each one computed."""
+    certs = {}
+    ok = True
+    for passed, entries in _predicates(pg, spec, state_budget):
+        ok = ok and passed
+        certs.update(entries)
+    certs["verified"] = ok
+    return certs
 
 
 # ---------------------------------------------------------------------------
@@ -709,45 +676,8 @@ def get_spec(name):
     return specs[name]
 
 
-def search_321(budget=1800.0, seed=0, state_budget=None):
-    spec = get_spec("search_321")
-    spec.budget_seconds = budget
-    spec.seed = seed
-    return search(spec, state_budget)
-
-
 # ---------------------------------------------------------------------------
 # canonical forms and the bounded smallest-3-copwin scan
-
-
-def canonical_form(pg):
-    """Minimum over vertex relabelings of the concatenated snapshot bitmasks."""
-    n = pg.n
-    pairs = list(itertools.combinations(range(n), 2))
-    idx = {e: i for i, e in enumerate(pairs)}
-    masks = []
-    for g in pg.snapshots:
-        m = 0
-        for e in g.edges:
-            m |= 1 << idx[e]
-        masks.append(m)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        out = []
-        for m in masks:
-            pm = 0
-            mm = m
-            while mm:
-                i = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                u, v = pairs[i]
-                a, b = perm[u], perm[v]
-                pm |= 1 << idx[(min(a, b), max(a, b))]
-            out.append(pm)
-        key = tuple(out)
-        if best is None or key < best:
-            best = key
-    return (n, pg.period, best)
 
 
 def _canonical_graph_masks(n):

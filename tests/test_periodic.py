@@ -6,7 +6,6 @@ from percop.graphs import Graph, check_retraction, Retraction, path_graph
 from percop.periodic import (
     PeriodicGraph,
     arrival_time,
-    build_arena,
     constant,
     footprint,
     foremost_journey,
@@ -17,13 +16,6 @@ from percop.periodic import (
 )
 from percop.constructions import q3_rotation, petersen_132, bowtie_221
 from conftest import random_periodic, random_temporally_connected
-
-
-def fig2_instance():
-    # a=0, b=1, c=2; N_0[c]={b,c}, N_1[a]={a,b,c}
-    g0 = Graph(3, [(0, 1), (1, 2)])
-    g1 = Graph(3, [(0, 1), (0, 2)])
-    return PeriodicGraph([g0, g1])
 
 
 class TestFootprint:
@@ -42,33 +34,6 @@ class TestFootprint:
 
         foot = footprint(circulant_123([5, 2, 3, 1, 4]).instance)
         assert len(foot.edges) == 55  # complete graph on 11 vertices
-
-
-class TestArena:
-    def test_fig2_out_edges(self):
-        arena = build_arena(fig2_instance())
-        assert arena.out_vertices(0, 2) == [1, 2]
-        assert arena.out_vertices(1, 0) == [0, 1, 2]
-
-    def test_period1_k1_loop(self):
-        arena = build_arena(constant(Graph(1), 1))
-        assert arena.edges == frozenset({((0, 0), (0, 0))})
-
-    def test_edge_count_formula(self, rng):
-        for _ in range(10):
-            pg = random_periodic(rng, rng.randint(1, 6), rng.randint(1, 3))
-            arena = build_arena(pg)
-            want = sum(
-                pg.n + 2 * len(g.edges) for g in pg.snapshots
-            )
-            assert len(arena.edges) == want
-
-    def test_reflexive_stay_edges(self, rng):
-        pg = random_periodic(rng, 5, 2)
-        arena = build_arena(pg)
-        for t in range(pg.period):
-            for u in range(pg.n):
-                assert ((t, u), ((t + 1) % pg.period, u)) in arena.edges
 
 
 class TestTemporalConnectivity:

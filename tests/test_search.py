@@ -3,20 +3,18 @@ import json
 
 import pytest
 
-from percop.graphs import Graph, dismantle, girth, petersen_graph, PETERSEN_EDGES
-from percop.periodic import PeriodicGraph, footprint, induced
+from percop.graphs import dismantle, girth, petersen_graph, PETERSEN_EDGES
+from percop.periodic import footprint, induced
 from percop.corners import find_k_temporal_corners, find_temporal_corners
 from percop.solver import cop_number, is_k_copwin, static_cop_number
 from percop.search import (
     SearchSpec,
-    canonical_form,
     certify,
     get_spec,
     load_witness,
     load_witness_certificate,
     named_specs,
     search,
-    search_321,
     smallest_3copwin_scan,
     spec_from_dict,
 )
@@ -40,6 +38,11 @@ class TestSpecPlumbing:
             spec_from_dict({"name": "x", "n": 3, "p": 1, "family": "circulant",
                             "bogus": 1})
 
+    def test_unknown_targets_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown search targets: \['copnun'\]"):
+            spec_from_dict({"name": "x", "n": 3, "p": 1, "family": "circulant",
+                            "targets": {"copnum": 3, "copnun": 3}})
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown spec"):
             get_spec("nope")
@@ -61,6 +64,31 @@ class TestExhaustiveMode:
         out = search(spec)
         assert out.status == "exhausted"
         assert out.tried == (2 ** 2 - 1) ** 2  # nonempty layer sets per edge
+
+    def test_snapshot_constraint_is_a_target(self):
+        # the only candidate is the path 0-1-2, cop-win but without a 3-cycle
+        spec = SearchSpec(
+            name="acyclic",
+            n=3,
+            p=1,
+            family="subgraph_assignment",
+            snapshot_constraint={"kind": "spanning_subgraph_with_cycle",
+                                 "edges": [[0, 1], [1, 2]], "cycle_length": 3},
+            targets={"copnum": 1},
+        )
+        assert search(spec).status == "exhausted"
+
+    def test_corner_freeness_does_not_rule_out_fewer_cops(self):
+        # two isolated vertices: no 2-corners, yet two cops win, so not 3
+        spec = SearchSpec(
+            name="disconnected",
+            n=2,
+            p=1,
+            family="subgraph_assignment",
+            snapshot_constraint={"kind": "subgraph_of", "edges": []},
+            targets={"no_corner_k": [2], "copnum": 3},
+        )
+        assert search(spec).status == "exhausted"
 
     def test_prop3_found_and_certified(self):
         out = search(get_spec("prop3_retract"))
@@ -96,7 +124,7 @@ class TestRandomizedMode:
         assert footprint(pg).degree(8) == 8
 
     def test_search_321(self):
-        out = search_321(seed=0)
+        out = search(get_spec("search_321"))
         assert out.status == "found"
         pg = out.witness.instance
         assert out.certificates["triple"] == [3, 2, 1]
@@ -122,26 +150,6 @@ class TestCertify:
         bad = circulant_123([2, 3, 5, 1, 4]).instance  # has 2-corners
         certs = certify(bad, spec)
         assert not certs["verified"]
-
-
-class TestCanonicalForm:
-    def test_invariant_under_relabeling(self, rng):
-        for _ in range(10):
-            n = rng.randint(2, 5)
-            snaps = []
-            for _p in range(rng.randint(1, 2)):
-                edges = [
-                    (u, v)
-                    for u in range(n)
-                    for v in range(u + 1, n)
-                    if rng.random() < 0.5
-                ]
-                snaps.append(Graph(n, edges))
-            pg = PeriodicGraph(snaps)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            relabeled = PeriodicGraph([g.relabel(perm) for g in snaps])
-            assert canonical_form(pg) == canonical_form(relabeled)
 
 
 class TestScan:
@@ -172,6 +180,7 @@ class TestShippedWitnesses:
             want["max_snapshot_copnum"],
             want["copnum"],
         ]
+        assert certify(pg, get_spec(name)) == cert["certificates"]
 
     def test_shipped_witnesses_regenerate(self):
         # (spec, seed) determines the witness; shipped files must match
