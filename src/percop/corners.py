@@ -30,22 +30,27 @@ class CornerWitness:
         }
 
 
-def find_temporal_corners(pg):
-    """All ((t,u), v) with u != v and N_t[u] <= N_{t+1}[v].
+def _pair_corners(gt, gn):
+    """Every (u, v) with u != v and N[u] in gt contained in N[v] in gn.
 
-    Since u covers itself, only v with u in N_{t+1}[v] can work, which
-    restricts the inner scan to the next layer's neighbors of u.
+    Since u covers itself, only v with u in N[v] can work, which restricts
+    the inner scan to gn's neighbors of u.
     """
-    out = []
+    for u in range(gt.n):
+        mu = gt.nbr_mask(u)
+        for v in gn.closed_nbrs(u):
+            if v != u and mu & ~gn.nbr_mask(v) == 0:
+                yield u, v
+
+
+def find_temporal_corners(pg):
+    """All ((t,u), v) with u != v and N_t[u] <= N_{t+1}[v]."""
     p = pg.period
-    for t in range(p):
-        gt = pg.snapshots[t]
-        gn = pg.snapshots[(t + 1) % p]
-        for u in range(pg.n):
-            mu = gt.nbr_mask(u)
-            for v in gn.closed_nbrs(u):
-                if v != u and mu & ~gn.nbr_mask(v) == 0:
-                    out.append(CornerWitness(t, u, (v,)))
+    out = [
+        CornerWitness(t, u, (v,))
+        for t in range(p)
+        for u, v in _pair_corners(pg.snapshots[t], pg.snapshots[(t + 1) % p])
+    ]
     out.sort()
     return out
 

@@ -43,13 +43,6 @@ class PeriodicGraph:
     def period(self):
         return len(self.snapshots)
 
-    def snapshot(self, t):
-        return self.snapshots[t % self.period]
-
-    def nbr_mask(self, t, u):
-        """Closed neighborhood of u at time t, as a bitmask."""
-        return self.snapshots[t % self.period].nbr_mask(u)
-
     def __eq__(self, other):
         return (
             isinstance(other, PeriodicGraph)

@@ -1,11 +1,13 @@
 """Property-directed reconstruction of instances known only by their properties.
 
 Some target instances have no explicit edge lists, only constraints: snapshot
-shape, footprint facts, corner-freeness and the solver-verified triple.  One
-list of target predicates, cheapest first, decides them: `check_targets`
-stops at the first failure to screen candidates, and `certify` runs the whole
-list on a found witness and records what each predicate computed.  Witnesses
-ship as data files and regenerate from (spec, seed).
+shape, footprint facts, corner-freeness and the solver-verified triple.  Each
+search family is a stream of candidates, and one loop in `search` drives
+every stream under the same `max_tries` and deadline.  One list of target
+predicates, cheapest first, decides the candidates: `check_targets` stops at
+the first failure to screen them, and `certify` runs the whole list on a
+found witness and records what each predicate computed.  Witnesses ship as
+data files and regenerate from (spec, seed).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .graphs import (
@@ -29,9 +31,16 @@ from .graphs import (
     petersen_graph,
 )
 from .periodic import PeriodicGraph, footprint, induced
-from .corners import find_k_temporal_corners, find_temporal_corners
+from .corners import find_k_temporal_corners, find_temporal_corners, _pair_corners
 from .constructions import ConstructionSpecimen, circulant_123
 from . import solver as _solver
+
+
+# the targets `_predicates` evaluates
+_TARGET_KEYS = frozenset({
+    "no_corner_k", "gamma_g0", "snapshot_copnums_all", "copnum",
+    "footprint_copnum", "triple", "induced_copnum", "retract_premise_fails",
+})
 
 
 @dataclass
@@ -47,6 +56,11 @@ class SearchSpec:
     seed: int = 0
     budget_seconds: float = 1800.0
     max_tries: int = 500_000
+
+    def __post_init__(self):
+        unknown = set(self.targets) - _TARGET_KEYS
+        if unknown:
+            raise ValueError("unknown search targets: %s" % sorted(unknown))
 
     def as_dict(self):
         return {
@@ -85,25 +99,10 @@ class SearchOutcome:
         return out
 
 
-# the targets `_predicates` evaluates
-_TARGET_KEYS = frozenset({
-    "no_corner_k", "gamma_g0", "snapshot_copnums_all", "copnum",
-    "footprint_copnum", "triple", "induced_copnum", "retract_premise_fails",
-})
-
-
 def spec_from_dict(d):
-    known = {
-        "name", "n", "p", "family", "snapshot_constraint",
-        "footprint_constraint", "targets", "hints", "seed",
-        "budget_seconds", "max_tries",
-    }
-    unknown = set(d) - known
+    unknown = set(d) - {f.name for f in fields(SearchSpec)}
     if unknown:
         raise ValueError("unknown search spec fields: %s" % sorted(unknown))
-    unknown = set(d.get("targets", {})) - _TARGET_KEYS
-    if unknown:
-        raise ValueError("unknown search targets: %s" % sorted(unknown))
     return SearchSpec(**d)
 
 
@@ -205,6 +204,9 @@ def _predicates(pg, spec, state_budget):
     if "gamma_g0" in t:
         gamma = domination_number(pg.snapshots[0])
         yield gamma == t["gamma_g0"], {"gamma_g0": gamma}
+    # after the cheap tests (girth is costly), before the far costlier triple
+    ok = _snapshots_satisfy(pg, spec)
+    yield ok, {"snapshots_ok": ok}
     tr = _solver.triple(pg, state_budget)
     yield True, {"triple": list(tr.abc), "min_snapshot_copnum": tr.min_snapshot_copnum}
     if "snapshot_copnums_all" in t:
@@ -223,9 +225,6 @@ def _predicates(pg, spec, state_budget):
     if "retract_premise_fails" in t:
         ok = _retract_premise_fails(pg, t["retract_premise_fails"])
         yield ok, {"retract_premise_fails": ok}
-    # last: the generators already enforce it, and girth is costly
-    ok = _snapshots_satisfy(pg, spec)
-    yield ok, {"snapshots_ok": ok}
 
 
 def check_targets(pg, spec, state_budget=None):
@@ -246,16 +245,6 @@ def certify(pg, spec, state_budget=None):
 
 # ---------------------------------------------------------------------------
 # candidate generation per family
-
-
-def _corner_free_pair(gt, gn, n):
-    """No temporal corner between a snapshot and its successor."""
-    for u in range(n):
-        mu = gt.nbr_mask(u)
-        for v in gn.closed_nbrs(u):
-            if v != u and mu & ~gn.nbr_mask(v) == 0:
-                return False
-    return True
 
 
 def _path_from_perm(n, perm):
@@ -309,9 +298,9 @@ def _gen_hamiltonian(spec, rng):
                     perm = list(range(n))
                     rng.shuffle(perm)
                 g = _path_from_perm(n, perm)
-                if not _corner_free_pair(graphs[-1], g, n):
+                if next(_pair_corners(graphs[-1], g), None):
                     continue
-                if t == p - 1 and not _corner_free_pair(g, graphs[0], n):
+                if t == p - 1 and next(_pair_corners(g, graphs[0]), None):
                     continue
                 if hub is not None:
                     nbrs = hub_nbrs(perm)
@@ -426,37 +415,6 @@ def _gen_petersen_blocks(spec, rng):
         yield PeriodicGraph([per_group[gid] for gid in pattern])
 
 
-def _subgraph_assignment_space(spec):
-    m = len(spec.snapshot_constraint["edges"])
-    return ((1 << spec.p) - 1) ** m
-
-
-def _iter_subgraph_assignments(spec):
-    """Deterministic exhaustive order: hinted sub-space first, then everything."""
-    p = spec.p
-    edges = _edge_list(spec.snapshot_constraint["edges"])
-    subs = [frozenset(t for t in range(p) if (s >> t) & 1) for s in range(1, 1 << p)]
-    hint = {
-        tuple(k): v
-        for k, v in (
-            (e["edge"], e) for e in spec.hints.get("edge_layers", ())
-        )
-    }
-
-    def options(e, hinted):
-        if not hinted or tuple(e) not in hint:
-            return subs
-        h = hint[tuple(e)]
-        req = set(h.get("require", ()))
-        forb = set(h.get("forbid", ()))
-        return [s for s in subs if req <= s and not (forb & s)]
-
-    phases = ([True, False] if hint else [False])
-    for hinted in phases:
-        for assign in itertools.product(*[options(e, hinted) for e in edges]):
-            yield edges, assign
-
-
 def _pg_from_assignment(n, p, edges, assign):
     layer_edges = [[] for _ in range(p)]
     for e, layers in zip(edges, assign):
@@ -465,89 +423,72 @@ def _pg_from_assignment(n, p, edges, assign):
     return PeriodicGraph([Graph(n, le) for le in layer_edges])
 
 
+def _iter_subgraph_assignments(spec):
+    """Deterministic exhaustive order: hinted sub-space first, then the rest."""
+    n, p = spec.n, spec.p
+    edges = _edge_list(spec.snapshot_constraint["edges"])
+    subs = [frozenset(t for t in range(p) if (s >> t) & 1) for s in range(1, 1 << p)]
+    hint = {tuple(h["edge"]): h for h in spec.hints.get("edge_layers", ())}
+
+    def options(e):
+        h = hint.get(e)
+        if h is None:
+            return subs
+        req = set(h.get("require", ()))
+        forb = set(h.get("forbid", ()))
+        return [s for s in subs if req <= s and not (forb & s)]
+
+    hinted = [options(e) for e in edges] if hint else None
+    if hinted:
+        for assign in itertools.product(*hinted):
+            yield _pg_from_assignment(n, p, edges, assign), {}
+    for assign in itertools.product(subs, repeat=len(edges)):
+        if hinted and all(s in h for s, h in zip(assign, hinted)):
+            continue  # tried in the hinted phase
+        yield _pg_from_assignment(n, p, edges, assign), {}
+
+
+def _local_moves(spec, rng):
+    """Random walk over layer assignments: toggle one layer of one edge a step."""
+    n, p = spec.n, spec.p
+    edges = _edge_list(spec.snapshot_constraint["edges"])
+    assign = [frozenset(rng.sample(range(p), rng.randint(1, p))) for _ in edges]
+    while True:
+        yield _pg_from_assignment(n, p, edges, assign), {}
+        i = rng.randrange(len(edges))
+        s = set(assign[i])
+        s.symmetric_difference_update({rng.randrange(p)})
+        if s:
+            assign[i] = frozenset(s)
+
+
 def _iter_circulant(spec):
+    """Stride orders, hinted suffix first; None where circulant_123 rejects one."""
     strides = spec.snapshot_constraint.get("strides", [1, 2, 3, 4, 5])
-    hint_suffix = tuple(spec.hints.get("suffix", ()))
-    perms = sorted(itertools.permutations(strides))
-    ordered = [q for q in perms if q[len(q) - len(hint_suffix):] == hint_suffix]
-    ordered += [q for q in perms if q not in set(ordered)]
-    for q in ordered:
-        yield list(q)
+    suffix = tuple(spec.hints.get("suffix", ()))
+    for q in sorted(
+        itertools.permutations(strides),
+        key=lambda q: (q[len(q) - len(suffix):] != suffix, q),
+    ):
+        steps = list(q)
+        try:
+            specimen = circulant_123(steps)
+        except ValueError:
+            yield None
+            continue
+        yield specimen.instance, {"steps": steps}
 
 
-def search(spec, state_budget=None):
-    """Run a reconstruction search; (spec, seed) fully determines the outcome.
-
-    Exhaustive families iterate a fixed candidate order; randomized families
-    draw from random.Random(seed).  The wall-clock budget only truncates, so
-    a found witness never depends on machine speed.
-    """
-    rng = random.Random(spec.seed)
-    deadline = time.monotonic() + spec.budget_seconds
-    tried = 0
-
-    def finish(pg):
-        certs = certify(pg, spec, state_budget)
-        if not certs["verified"]:
-            raise AssertionError(
-                "witness failed independent re-verification: %s" % certs
-            )
-        tr = tuple(certs["triple"])
-        witness = ConstructionSpecimen(
-            name=spec.name,
-            instance=pg,
-            expected_triple=tr,
-            provenance="reconstruction-required",
-            params={"seed": spec.seed, "tried": tried},
-        )
-        return SearchOutcome("found", spec, witness, certs, tried)
-
+def _candidates(spec, rng):
+    """The family's candidate stream: (instance, witness params) or None."""
     if spec.family == "subgraph_assignment":
-        space = _subgraph_assignment_space(spec)
+        space = ((1 << spec.p) - 1) ** len(spec.snapshot_constraint["edges"])
         if space <= 10**7:
-            for edges, assign in _iter_subgraph_assignments(spec):
-                if tried % 256 == 0 and time.monotonic() > deadline:
-                    return SearchOutcome("budget", spec, tried=tried)
-                tried += 1
-                pg = _pg_from_assignment(spec.n, spec.p, edges, assign)
-                if check_targets(pg, spec, state_budget):
-                    return finish(pg)
-            return SearchOutcome("exhausted", spec, tried=tried)
-        # local-move fallback for oversized subgraph spaces
-        edges = _edge_list(spec.snapshot_constraint["edges"])
-        assign = [frozenset(rng.sample(range(spec.p), rng.randint(1, spec.p)))
-                  for _ in edges]
-        while tried < spec.max_tries:
-            if time.monotonic() > deadline:
-                return SearchOutcome("budget", spec, tried=tried)
-            tried += 1
-            pg = _pg_from_assignment(spec.n, spec.p, edges, assign)
-            if check_targets(pg, spec, state_budget):
-                return finish(pg)
-            i = rng.randrange(len(edges))
-            t = rng.randrange(spec.p)
-            s = set(assign[i])
-            s.symmetric_difference_update({t})
-            if s:
-                assign[i] = frozenset(s)
-        return SearchOutcome("budget", spec, tried=tried)
-
+            return _iter_subgraph_assignments(spec)
+        return _local_moves(spec, rng)
     if spec.family == "circulant":
-        for steps in _iter_circulant(spec):
-            if time.monotonic() > deadline:
-                return SearchOutcome("budget", spec, tried=tried)
-            tried += 1
-            try:
-                specimen = circulant_123(steps)
-            except ValueError:
-                continue
-            pg = specimen.instance
-            if check_targets(pg, spec, state_budget):
-                out = finish(pg)
-                out.witness.params["steps"] = steps
-                return out
-        return SearchOutcome("exhausted", spec, tried=tried)
-
+        return _iter_circulant(spec)
+    # looked up per call: the benchmark wraps the module-level _gen_girth
     generators = {
         "hamiltonian_path": _gen_hamiltonian,
         "girth_snapshots": _gen_girth,
@@ -555,16 +496,48 @@ def search(spec, state_budget=None):
     }
     if spec.family not in generators:
         raise ValueError("unknown search family: %s" % spec.family)
-    stream = generators[spec.family](spec, rng)
-    for pg in stream:
+    return (
+        None if pg is None else (pg, {})
+        for pg in generators[spec.family](spec, rng)
+    )
+
+
+def search(spec, state_budget=None):
+    """Run a reconstruction search; (spec, seed) fully determines the outcome.
+
+    Every family is a stream of candidates: exhaustive families a fixed
+    order, randomized ones draws from random.Random(seed).  One loop counts
+    each candidate drawn as a try, screens it with `check_targets` and
+    certifies the first that passes.  `max_tries` and `budget_seconds`
+    only truncate ("budget"), so a found witness never depends on machine
+    speed; a stream that runs out is "exhausted".
+    """
+    rng = random.Random(spec.seed)
+    deadline = time.monotonic() + spec.budget_seconds
+    tried = 0
+    for candidate in _candidates(spec, rng):
         if tried >= spec.max_tries or time.monotonic() > deadline:
             return SearchOutcome("budget", spec, tried=tried)
         tried += 1
-        if pg is None:
+        if candidate is None:
             continue
-        if check_targets(pg, spec, state_budget):
-            return finish(pg)
-    return SearchOutcome("budget", spec, tried=tried)
+        pg, params = candidate
+        if not check_targets(pg, spec, state_budget):
+            continue
+        certs = certify(pg, spec, state_budget)
+        if not certs["verified"]:
+            raise AssertionError(
+                "witness failed independent re-verification: %s" % certs
+            )
+        witness = ConstructionSpecimen(
+            name=spec.name,
+            instance=pg,
+            expected_triple=tuple(certs["triple"]),
+            provenance="reconstruction-required",
+            params={"seed": spec.seed, "tried": tried, **params},
+        )
+        return SearchOutcome("found", spec, witness, certs, tried)
+    return SearchOutcome("exhausted", spec, tried=tried)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from percop.graphs import dismantle, girth, petersen_graph, PETERSEN_EDGES
+from percop.graphs import (
+    dismantle, domination_number, girth, petersen_graph, PETERSEN_EDGES,
+)
 from percop.periodic import footprint, induced
 from percop.corners import find_k_temporal_corners, find_temporal_corners
 from percop.solver import cop_number, is_k_copwin, static_cop_number
@@ -43,27 +45,66 @@ class TestSpecPlumbing:
             spec_from_dict({"name": "x", "n": 3, "p": 1, "family": "circulant",
                             "targets": {"copnum": 3, "copnun": 3}})
 
+    def test_unknown_targets_rejected_on_direct_construction(self):
+        with pytest.raises(ValueError, match=r"unknown search targets: \['copnun'\]"):
+            SearchSpec(name="x", n=3, p=1, family="subgraph_assignment",
+                       snapshot_constraint={"kind": "subgraph_of", "edges": [[0, 1]]},
+                       targets={"copnun": 3})
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown spec"):
             get_spec("nope")
 
 
+def _tiny_spec(**kw):
+    """Two edges over two layers: nine assignments, none with cop number 3."""
+    return SearchSpec(
+        name="tiny",
+        n=3,
+        p=2,
+        family="subgraph_assignment",
+        snapshot_constraint={"kind": "subgraph_of", "edges": [[0, 1], [1, 2]]},
+        footprint_constraint={"kind": "equals", "edges": [[0, 1], [1, 2]]},
+        targets={"copnum": 3},  # impossible on three vertices
+        budget_seconds=60,
+        **kw,
+    )
+
+
 class TestExhaustiveMode:
     def test_impossible_target_reports_exhausted_with_full_count(self):
         # tiny subgraph space: the count must equal the naive product size
-        spec = SearchSpec(
-            name="tiny",
-            n=3,
-            p=2,
-            family="subgraph_assignment",
-            snapshot_constraint={"kind": "subgraph_of", "edges": [[0, 1], [1, 2]]},
-            footprint_constraint={"kind": "equals", "edges": [[0, 1], [1, 2]]},
-            targets={"copnum": 3},  # impossible on three vertices
-            budget_seconds=60,
-        )
-        out = search(spec)
+        out = search(_tiny_spec())
         assert out.status == "exhausted"
         assert out.tried == (2 ** 2 - 1) ** 2  # nonempty layer sets per edge
+
+    def test_hinted_assignments_tried_once(self):
+        hints = {"edge_layers": [{"edge": [0, 1], "require": [0]}]}
+        out = search(_tiny_spec(hints=hints))
+        assert out.status == "exhausted"
+        assert out.tried == (2 ** 2 - 1) ** 2
+
+    def test_snapshot_constraint_checked_before_triple(self, monkeypatch):
+        # K_{2,3} has no 3-cycle, so no candidate meets the snapshot constraint
+        from percop import solver
+
+        calls = []
+        triple = solver.triple
+        monkeypatch.setattr(solver, "triple",
+                            lambda *a, **kw: calls.append(1) or triple(*a, **kw))
+        k23 = [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4]]
+        spec = SearchSpec(
+            name="k23",
+            n=5,
+            p=2,
+            family="subgraph_assignment",
+            snapshot_constraint={"kind": "spanning_subgraph_with_cycle",
+                                 "edges": k23, "cycle_length": 3},
+            targets={"copnum": 3},
+        )
+        out = search(spec)
+        assert (out.status, out.tried) == ("exhausted", 3 ** 6)
+        assert calls == []
 
     def test_snapshot_constraint_is_a_target(self):
         # the only candidate is the path 0-1-2, cop-win but without a 3-cycle
@@ -110,6 +151,33 @@ class TestExhaustiveMode:
         assert out.certificates["triple"] == [1, 2, 3]
 
 
+def _walk_spec(seed, **kw):
+    """An assignment space of 15**6 > 10**7, so the search walks it."""
+    return SearchSpec(
+        name="walk",
+        n=5,
+        p=4,
+        family="subgraph_assignment",
+        snapshot_constraint={"kind": "subgraph_of", "edges":
+                             [[0, 1], [0, 2], [0, 4], [1, 2], [2, 3], [3, 4]]},
+        seed=seed,
+        **kw,
+    )
+
+
+class TestLocalMoves:
+    @pytest.mark.parametrize("seed,tried", [(0, 64), (1, 6)])
+    def test_same_seed_same_walk(self, seed, tried):
+        # the pinned counts fix the order of the walk's random draws
+        a = search(_walk_spec(seed, targets={"gamma_g0": 4}))
+        b = search(_walk_spec(seed, targets={"gamma_g0": 4}))
+        assert (a.status, a.tried) == ("found", tried)
+        assert a.witness.params == {"seed": seed, "tried": tried}
+        assert (b.status, b.tried, b.witness.instance) == (
+            a.status, a.tried, a.witness.instance)
+        assert domination_number(a.witness.instance.snapshots[0]) == 4
+
+
 class TestRandomizedMode:
     def test_thm112(self):
         out = search(get_spec("thm112"))
@@ -139,6 +207,41 @@ class TestRandomizedMode:
         b = search(get_spec("thm112"))
         assert a.witness.instance == b.witness.instance
         assert a.tried == b.tried
+
+
+class TestTruncation:
+    """max_tries and budget_seconds end every family's search alike."""
+
+    def test_exhaustive_max_tries(self):
+        out = search(_tiny_spec(max_tries=4))
+        assert (out.status, out.tried) == ("budget", 4)
+        out = search(_tiny_spec(max_tries=9))  # the space ends first
+        assert (out.status, out.tried) == ("exhausted", 9)
+
+    def test_circulant_max_tries(self):
+        spec = get_spec("circulant_123")  # found on the fifth stride order
+        spec.max_tries = 3
+        out = search(spec)
+        assert (out.status, out.tried) == ("budget", 3)
+
+    def test_local_moves_max_tries(self):
+        out = search(_walk_spec(0, targets={"gamma_g0": 9}, max_tries=500))
+        assert (out.status, out.tried) == ("budget", 500)
+
+    def test_generator_max_tries(self):
+        spec = get_spec("lem122")  # found after 24588 candidates at seed 0
+        spec.max_tries = 50
+        out = search(spec)
+        assert (out.status, out.tried) == ("budget", 50)
+
+    @pytest.mark.parametrize(
+        "name", ["thm112", "lem122", "circulant_123", "prop3_retract", "search_321"]
+    )
+    def test_spent_deadline(self, name):
+        spec = get_spec(name)
+        spec.budget_seconds = -1
+        out = search(spec)
+        assert (out.status, out.tried) == ("budget", 0)
 
 
 class TestCertify:
