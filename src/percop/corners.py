@@ -15,6 +15,9 @@ from math import comb
 
 from .graphs import LimitError
 
+# candidate (t, u, cover set) tuples find_k_temporal_corners may enumerate
+CORNER_CANDIDATE_LIMIT = 10**7
+
 
 @dataclass(frozen=True, order=True)
 class CornerWitness:
@@ -55,7 +58,7 @@ def find_temporal_corners(pg):
     return out
 
 
-def find_k_temporal_corners(pg, k, budget=10**7):
+def find_k_temporal_corners(pg, k):
     """All k-temporal corner witnesses, covers as sorted distinct k-sets.
 
     Repetition in a cover never enlarges the union, so only distinct cover
@@ -68,10 +71,10 @@ def find_k_temporal_corners(pg, k, budget=10**7):
     if size <= 0:
         return []
     candidates = pg.period * n * comb(n - 1, size)
-    if candidates > budget:
+    if candidates > CORNER_CANDIDATE_LIMIT:
         raise LimitError(
             "corner search budget exceeded: %d candidate tuples > %d"
-            % (candidates, budget)
+            % (candidates, CORNER_CANDIDATE_LIMIT)
         )
     out = []
     p = pg.period

@@ -157,28 +157,6 @@ def check_retraction(r):
     return True
 
 
-def compose(g1, g2, mode, offset=None):
-    """Union or join of two graphs on disjoint index ranges.
-
-    g2's vertices are shifted to start at ``offset`` (default: right after g1).
-    ``join`` additionally connects every g1 vertex with every shifted g2 vertex.
-    """
-    if mode not in ("union", "join"):
-        raise ValueError("mode must be union or join")
-    if offset is None:
-        offset = g1.n
-    if offset < g1.n:
-        raise ValueError("vertex collision: offset %d < %d" % (offset, g1.n))
-    n = offset + g2.n
-    edges = list(g1.edges)
-    edges += [(u + offset, v + offset) for (u, v) in g2.edges]
-    if mode == "join":
-        edges += [(u, v + offset) for u in range(g1.n) for v in range(g2.n)]
-    labels = dict(g1.labels)
-    labels.update({v + offset: s for v, s in g2.labels.items()})
-    return Graph(n, edges, labels)
-
-
 def girth(g):
     """Length of a shortest cycle; float('inf') for forests.
 
@@ -251,10 +229,6 @@ def radius(g):
     if g.n == 0:
         raise ValueError("radius undefined: empty graph")
     return min(eccentricity(g, u) for u in range(g.n))
-
-
-def diameter(g):
-    return max(eccentricity(g, u) for u in range(g.n))
 
 
 def dismantle(g):

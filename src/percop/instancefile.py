@@ -19,6 +19,11 @@ _TOP_FIELDS = {"version", "n", "period", "snapshots", "labels", "expected"}
 _EXPECTED_FIELDS = {"footprint_copnum", "max_snapshot_copnum", "copnum"}
 
 
+def _is_int(x):
+    """A JSON integer: bool is an int in Python and 1.0 == 1, neither counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class InstanceError(ValueError):
     """Malformed instance file; ``code`` is a stable machine-readable tag."""
 
@@ -50,14 +55,16 @@ def parse(data):
     for req in ("version", "n", "period", "snapshots"):
         if req not in obj:
             raise InstanceError("missing-field", "missing field %r" % req)
-    if obj["version"] != FORMAT_VERSION:
+    if not _is_int(obj["version"]) or obj["version"] != FORMAT_VERSION:
         raise InstanceError(
             "version", "unsupported version %r" % obj["version"]
         )
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InstanceError("field-type", "n must be a positive integer")
     period = obj["period"]
+    if not _is_int(period):
+        raise InstanceError("field-type", "period must be an integer")
     snapshots = obj["snapshots"]
     if not isinstance(snapshots, list) or not all(
         isinstance(s, list) for s in snapshots
@@ -76,9 +83,11 @@ def parse(data):
             try:
                 vi = int(k)
             except ValueError:
+                vi = None
+            if vi is None or str(vi) != k:
                 raise InstanceError(
                     "field-type", "label key %r is not a vertex" % k
-                ) from None
+                )
             if not (0 <= vi < n) or not isinstance(v, str):
                 raise InstanceError(
                     "index-range", "label %r out of range or not a string" % k
@@ -93,7 +102,7 @@ def parse(data):
             if (
                 not isinstance(e, list)
                 or len(e) != 2
-                or not all(isinstance(x, int) for x in e)
+                or not all(_is_int(x) for x in e)
             ):
                 raise InstanceError("field-type", "edge %r malformed" % (e,), ctx)
             u, v = e
@@ -126,7 +135,7 @@ def parse(data):
                 "unknown-field", "unknown expected fields %s" % sorted(unknown)
             )
         for k, v in obj["expected"].items():
-            if not isinstance(v, int):
+            if not _is_int(v):
                 raise InstanceError("field-type", "expected.%s must be int" % k)
         expected = dict(obj["expected"])
     return PeriodicGraph(graphs), {"labels": labels, "expected": expected}

@@ -118,10 +118,6 @@ def foremost_journey(pg, t_start, u, v):
     return None
 
 
-def arrival_time(t_start, journey):
-    return t_start + len(journey) - 1
-
-
 def induced(pg, vertices):
     """Induced periodic subgraph with vertices relabeled 0..|vs|-1.
 

@@ -111,7 +111,8 @@ def spec_from_dict(d):
 
 
 def _edge_list(edges):
-    return [tuple(e) for e in edges]
+    """Spec edges as Graph stores them: (min, max) pairs."""
+    return [(min(u, v), max(u, v)) for u, v in edges]
 
 
 def _check_footprint(pg, constraint):
@@ -186,7 +187,7 @@ def _snapshots_satisfy(pg, spec):
     raise ValueError("unknown snapshot constraint kind: %s" % kind)
 
 
-def _predicates(pg, spec, state_budget):
+def _predicates(pg, spec):
     """Yield (passed, certificate entries) once per target, cheapest first.
 
     Nothing is computed before its predicate is reached, so a caller that
@@ -207,7 +208,7 @@ def _predicates(pg, spec, state_budget):
     # after the cheap tests (girth is costly), before the far costlier triple
     ok = _snapshots_satisfy(pg, spec)
     yield ok, {"snapshots_ok": ok}
-    tr = _solver.triple(pg, state_budget)
+    tr = _solver.triple(pg)
     yield True, {"triple": list(tr.abc), "min_snapshot_copnum": tr.min_snapshot_copnum}
     if "snapshot_copnums_all" in t:
         v = t["snapshot_copnums_all"]
@@ -220,23 +221,23 @@ def _predicates(pg, spec, state_budget):
         yield all(w is None or w == g for w, g in zip(t["triple"], tr.abc)), {}
     if "induced_copnum" in t:
         sub, _ = induced(pg, t["induced_copnum"]["vertices"])
-        got = _solver.cop_number(sub, state_budget)
+        got = _solver.cop_number(sub)
         yield got == t["induced_copnum"]["value"], {"induced_copnum": got}
     if "retract_premise_fails" in t:
         ok = _retract_premise_fails(pg, t["retract_premise_fails"])
         yield ok, {"retract_premise_fails": ok}
 
 
-def check_targets(pg, spec, state_budget=None):
+def check_targets(pg, spec):
     """Cheap-first: stop at the first target predicate that fails."""
-    return all(ok for ok, _ in _predicates(pg, spec, state_budget))
+    return all(ok for ok, _ in _predicates(pg, spec))
 
 
-def certify(pg, spec, state_budget=None):
+def certify(pg, spec):
     """Evaluate every target predicate and record what each one computed."""
     certs = {}
     ok = True
-    for passed, entries in _predicates(pg, spec, state_budget):
+    for passed, entries in _predicates(pg, spec):
         ok = ok and passed
         certs.update(entries)
     certs["verified"] = ok
@@ -323,8 +324,8 @@ def _gen_hamiltonian(spec, rng):
         yield PeriodicGraph(graphs)
 
 
-def _sample_girth4(rng, n, p_edge, attempts=200):
-    for _ in range(attempts):
+def _sample_girth4(rng, n, p_edge):
+    for _ in range(200):
         side = [rng.random() < 0.5 for _ in range(n)]
         if all(side) or not any(side):
             continue
@@ -428,7 +429,8 @@ def _iter_subgraph_assignments(spec):
     n, p = spec.n, spec.p
     edges = _edge_list(spec.snapshot_constraint["edges"])
     subs = [frozenset(t for t in range(p) if (s >> t) & 1) for s in range(1, 1 << p)]
-    hint = {tuple(h["edge"]): h for h in spec.hints.get("edge_layers", ())}
+    layers = spec.hints.get("edge_layers", ())
+    hint = dict(zip(_edge_list(h["edge"] for h in layers), layers))
 
     def options(e):
         h = hint.get(e)
@@ -502,7 +504,7 @@ def _candidates(spec, rng):
     )
 
 
-def search(spec, state_budget=None):
+def search(spec):
     """Run a reconstruction search; (spec, seed) fully determines the outcome.
 
     Every family is a stream of candidates: exhaustive families a fixed
@@ -522,9 +524,9 @@ def search(spec, state_budget=None):
         if candidate is None:
             continue
         pg, params = candidate
-        if not check_targets(pg, spec, state_budget):
+        if not check_targets(pg, spec):
             continue
-        certs = certify(pg, spec, state_budget)
+        certs = certify(pg, spec)
         if not certs["verified"]:
             raise AssertionError(
                 "witness failed independent re-verification: %s" % certs
@@ -684,7 +686,7 @@ def _canonical_graph_masks(n):
     return pairs, reps
 
 
-def smallest_3copwin_scan(max_n, max_p, state_budget=None):
+def smallest_3copwin_scan(max_n, max_p):
     """Exhaustively scan small temporally connected instances for cop number 3.
 
     The first snapshot ranges over canonical representatives only (every
@@ -723,7 +725,7 @@ def smallest_3copwin_scan(max_n, max_p, state_budget=None):
                     pg = PeriodicGraph(
                         [by_mask[g0m]] + [by_mask[mk] for mk in rest]
                     )
-                    if not _solver.is_k_copwin(pg, 2, state_budget).copwin:
+                    if not _solver.is_k_copwin(pg, 2).copwin:
                         report["witnesses"].append(
                             {
                                 "n": n,

@@ -26,7 +26,10 @@ Capture convention: any co-location ends the game for the cops, including the
 robber stepping onto a cop.  The stricter rule (only a cop moving onto the
 robber captures) gives the same winner since a co-located cop can stand still
 on its next move; the relaxation just shaves a ply off some ranks.  Cops may
-share a vertex (multisets); pass allow_stacking=False to forbid it.
+share a vertex (multisets), as in the paper's game.
+
+The one resource limit is the state budget: PERCOP_STATE_BUDGET in the
+environment (default 1e8 states), checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from . import periodic as _periodic
 from .graphs import Graph, LimitError, domination_number
 
 DEFAULT_STATE_BUDGET = 10**8
+CTMAX_SEQUENCE_LIMIT = 300_000
 
 COPS_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
@@ -58,9 +62,7 @@ class BudgetError(RuntimeError):
         self.budget = budget
 
 
-def _state_budget(explicit):
-    if explicit is not None:
-        return int(explicit)
+def _state_budget():
     env = os.environ.get("PERCOP_STATE_BUDGET")
     if env:
         return int(env)
@@ -82,9 +84,8 @@ class _MoveTables:
     over k builds each level once.
     """
 
-    def __init__(self, pg, allow_stacking):
+    def __init__(self, pg):
         self.pg = pg
-        self.allow_stacking = allow_stacking
         n = pg.n
         snaps = pg.unique_snapshots
         self.nbrs = [[g.closed_nbrs(v) for v in range(n)] for g in snaps]
@@ -111,17 +112,15 @@ class _MoveTables:
 
     def _extend(self, prev):
         n = self.pg.n
-        step = 0 if self.allow_stacking else 1
         cfgs, prefix, index = [], [], {}
         for j, d in enumerate(prev.cfgs):
-            for x in range(d[-1] + step, n):
+            for x in range(d[-1], n):
                 index[d + (x,)] = len(cfgs)
                 cfgs.append(d + (x,))
                 prefix.append(j)
-        # insert[x][j]: configuration j of the previous level plus a cop on x,
-        # or -1 where stacking forbids it
+        # insert[x][j]: configuration j of the previous level plus a cop on x
         insert = [
-            [index.get(tuple(sorted(d + (x,))), -1) for d in prev.cfgs]
+            [index[tuple(sorted(d + (x,)))] for d in prev.cfgs]
             for x in range(n)
         ]
         succ = []
@@ -132,7 +131,6 @@ class _MoveTables:
                 out = set()
                 for x in nbrs[c[-1]]:
                     out.update(map(insert[x].__getitem__, moved))
-                out.discard(-1)
                 rel.append(list(out))
             succ.append(rel)
         return _Level(cfgs, index, succ)
@@ -144,21 +142,19 @@ class _MoveTables:
 _ASCENT_TABLES = contextvars.ContextVar("percop_ascent_tables", default=None)
 
 
-def _move_tables(pg, allow_stacking):
+def _move_tables(pg):
     tables = _ASCENT_TABLES.get()
-    if tables is None or tables.pg is not pg or tables.allow_stacking != allow_stacking:
-        tables = _MoveTables(pg, allow_stacking)
+    if tables is None or tables.pg is not pg:
+        tables = _MoveTables(pg)
     return tables
 
 
 class SolveResult:
     """Outcome of one is_k_copwin run, with the full win region and ranks."""
 
-    def __init__(self, pg, k, allow_stacking, copwin, initial_placement,
-                 level, cw, rw, rank):
+    def __init__(self, pg, k, copwin, initial_placement, level, cw, rw, rank):
         self.pg = pg
         self.k = k
-        self.allow_stacking = allow_stacking
         self.copwin = copwin
         self.initial_placement = initial_placement
         self._level = level
@@ -213,25 +209,24 @@ class SolveResult:
             initial_cops=self.initial_placement,
             step=step,
             initial_memory=None,
-            origin="optimal",
         )
 
 
-def is_k_copwin(pg, k, state_budget=None, allow_stacking=True):
+def is_k_copwin(pg, k):
     """Decide whether k cops win on pg, returning the full SolveResult.
 
     copwin means: some initial cop placement beats every robber placement.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    budget = _state_budget(state_budget)
+    budget = _state_budget()
     n, p = pg.n, pg.period
-    nc = comb(n + k - 1, k) if allow_stacking else comb(n, k)
+    nc = comb(n + k - 1, k)
     estimate = p * nc * n * 2
     if estimate > budget:
         raise BudgetError(estimate, budget)
 
-    tables = _move_tables(pg, allow_stacking)
+    tables = _move_tables(pg)
     lv = tables.level(k)
     succ, nbhd, us = lv.succ, tables.nbhd, pg.usnap
     full = (1 << n) - 1
@@ -300,8 +295,7 @@ def is_k_copwin(pg, k, state_budget=None, allow_stacking=True):
             if best is None or (worst, cfg) < best:
                 best = (worst, cfg)
     placement = best[1] if best else None
-    return SolveResult(pg, k, allow_stacking, best is not None, placement,
-                       lv, cw, rw, rank)
+    return SolveResult(pg, k, best is not None, placement, lv, cw, rw, rank)
 
 
 def cop_number_cap(pg):
@@ -312,17 +306,17 @@ def cop_number_cap(pg):
     return g0.n
 
 
-def solve_cop_number(pg, state_budget=None, max_cops=None):
+def solve_cop_number(pg, max_cops=None):
     """(cop number, SolveResult at that k), ascending from k=1.
 
     (None, None) when max_cops stops the ascent below the dominating-set cap.
     """
     cap = cop_number_cap(pg)
     stop = cap if max_cops is None else min(cap, max_cops)
-    token = _ASCENT_TABLES.set(_MoveTables(pg, True))
+    token = _ASCENT_TABLES.set(_MoveTables(pg))
     try:
         for k in range(1, stop + 1):
-            res = is_k_copwin(pg, k, state_budget=state_budget)
+            res = is_k_copwin(pg, k)
             if res.copwin:
                 return k, res
     finally:
@@ -335,13 +329,13 @@ def solve_cop_number(pg, state_budget=None, max_cops=None):
     )
 
 
-def cop_number(pg, state_budget=None):
-    return solve_cop_number(pg, state_budget=state_budget)[0]
+def cop_number(pg):
+    return solve_cop_number(pg)[0]
 
 
-def static_cop_number(g, state_budget=None):
+def static_cop_number(g):
     """Cop number of a static graph (period-1 periodic graph)."""
-    return cop_number(_periodic.constant(g, 1), state_budget=state_budget)
+    return cop_number(_periodic.constant(g, 1))
 
 
 @dataclass(frozen=True)
@@ -364,23 +358,21 @@ class TripleResult:
         }
 
 
-def triple(pg, state_budget=None):
+def triple(pg):
     """(a,b,c): footprint cop number, max snapshot cop number, periodic cop number."""
     foot = _periodic.footprint(pg)
-    a = static_cop_number(foot, state_budget)
-    snap_nums = [
-        static_cop_number(g, state_budget) for g in pg.unique_snapshots
-    ]
-    c = cop_number(pg, state_budget)
+    a = static_cop_number(foot)
+    snap_nums = [static_cop_number(g) for g in pg.unique_snapshots]
+    c = cop_number(pg)
     return TripleResult(a, max(snap_nums), c, min(snap_nums))
 
 
-def extract_trace(result, robber_policy="optimal", cops_start=None):
+def extract_trace(result, cops_start=None):
     """Move-by-move transcript ending in capture.
 
-    The robber plays rank-maximizing replies when robber_policy is "optimal";
-    otherwise robber_policy is a callable (t, cops, robber, pg) -> next vertex
-    whose choices are validated against the snapshot.
+    The cops play optimal_cop_move from cops_start (default: the result's
+    placement); the robber starts where the cops' rank is highest and plays
+    rank-maximizing replies, the lowest vertex on ties.
     """
     if not result.copwin and cops_start is None:
         raise ValueError("extract_trace requires a copwin result")
@@ -429,23 +421,14 @@ def extract_trace(result, robber_policy="optimal", cops_start=None):
             trace["captured"] = True
             return trace
         entry["captured"] = False
-        if robber_policy == "optimal":
-            best = None
-            t1 = (t + 1) % p
-            for r2 in pg.snapshots[t].closed_nbrs(robber):
-                if r2 in cops:
-                    move_rank = 0
-                else:
-                    move_rank = result.rank_of(t1, cops, r2)
-                key = (-move_rank, r2)
-                if best is None or key < best[0]:
-                    best = (key, r2)
-            robber = best[1]
-        else:
-            r2 = robber_policy(t, cops, robber, pg)
-            if r2 not in pg.snapshots[t].closed_nbrs(robber):
-                raise ValueError("scripted robber made an infeasible move")
-            robber = r2
+        best = None
+        t1 = (t + 1) % p
+        for r2 in pg.snapshots[t].closed_nbrs(robber):
+            move_rank = 0 if r2 in cops else result.rank_of(t1, cops, r2)
+            key = (-move_rank, r2)
+            if best is None or key < best[0]:
+                best = (key, r2)
+        robber = best[1]
         entry["robber_after"] = robber
         if robber in cops:
             trace["captured"] = True
@@ -467,7 +450,6 @@ class CopPolicy:
     initial_cops: tuple
     step: object
     initial_memory: object = None
-    origin: str = "scripted"
 
 
 @dataclass
@@ -501,7 +483,7 @@ def _multiset_move_feasible(g, old, new):
     return match(0)
 
 
-def verify_policy(pg, policy, check_feasibility=True):
+def verify_policy(pg, policy):
     """Explore every robber line against a fixed cop policy.
 
     A node is a (t, cops, robber, memory) position with the cops to move; the
@@ -533,7 +515,7 @@ def verify_policy(pg, policy, check_feasibility=True):
             g = pg.snapshots[t]
             new_cops, new_mem = policy.step(memory, t, cops, robber)
             new_cops = tuple(sorted(new_cops))
-            if check_feasibility and not _multiset_move_feasible(g, cops, new_cops):
+            if not _multiset_move_feasible(g, cops, new_cops):
                 raise ValueError(
                     "infeasible policy move at t=%d cops=%s robber=%d: %s"
                     % (t, list(cops), robber, list(new_cops))
@@ -620,7 +602,7 @@ class CtmaxReport:
     sequences_checked: int = 0
 
 
-def ctmax_bounded(g, max_period, sequence_limit=300_000, state_budget=None):
+def ctmax_bounded(g, max_period):
     """Max cop number over periodic graphs with footprint exactly g, p <= max_period.
 
     Enumerates every assignment of each footprint edge to a nonempty set of
@@ -633,10 +615,10 @@ def ctmax_bounded(g, max_period, sequence_limit=300_000, state_budget=None):
         raise LimitError("ctmax_bounded limits exceeded: need n <= 6, period <= 3")
     m = len(g.edges)
     total = sum(((1 << q) - 1) ** m for q in range(1, max_period + 1))
-    if total > sequence_limit:
+    if total > CTMAX_SEQUENCE_LIMIT:
         raise LimitError(
             "ctmax enumeration limit exceeded: %d sequences > %d"
-            % (total, sequence_limit)
+            % (total, CTMAX_SEQUENCE_LIMIT)
         )
     edges = g.sorted_edges()
     best = 0
@@ -655,7 +637,7 @@ def ctmax_bounded(g, max_period, sequence_limit=300_000, state_budget=None):
             pg = _periodic.PeriodicGraph(
                 [Graph(g.n, le) for le in layer_edges]
             )
-            c = cop_number(pg, state_budget=state_budget)
+            c = cop_number(pg)
             if c > best:
                 best = c
                 best_pg = pg

@@ -386,5 +386,4 @@ def bag_strategy(pg, td):
         initial_cops=initial,
         step=step,
         initial_memory=(start, None),
-        origin="bag-strategy",
     )

@@ -9,9 +9,7 @@ from percop.graphs import (
     Retraction,
     check_retraction,
     complete_graph,
-    compose,
     cycle_graph,
-    diameter,
     dismantle,
     domination_number,
     girth,
@@ -75,31 +73,6 @@ class TestGraphBasics:
             Graph(3, [(0, 3)])
 
 
-class TestCompose:
-    def test_join_petersen_apex(self):
-        g = compose(petersen_graph(), Graph(1, labels={0: "x"}), "join")
-        assert g.n == 11
-        assert g.degree(10) == 10
-        assert g.labels[10] == "x"
-
-    def test_union_two_singletons(self):
-        g = compose(Graph(1), Graph(1), "union")
-        assert g.n == 2 and len(g.edges) == 0
-
-    def test_vertex_collision(self):
-        with pytest.raises(ValueError, match="vertex collision"):
-            compose(Graph(3), Graph(2), "union", offset=2)
-
-    def test_prop4_footprint_domination(self):
-        # Petersen with x joined over the outer cycle, y over the inner one
-        pet = petersen_graph()
-        edges = list(pet.edges)
-        edges += [(v, 10) for v in range(5)]
-        edges += [(v, 11) for v in range(5, 10)]
-        g = Graph(12, edges)
-        assert domination_number(g) == 2
-
-
 class TestGirth:
     def test_c4(self):
         assert girth(cycle_graph(4)) == 4
@@ -137,6 +110,15 @@ class TestDomination:
             g = random_graph(rng, rng.randint(1, 8), 0.4)
             assert domination_number(g) == brute_force_domination(g)
 
+    def test_prop4_footprint_domination(self):
+        # Petersen with x joined over the outer cycle, y over the inner one
+        pet = petersen_graph()
+        edges = list(pet.edges)
+        edges += [(v, 10) for v in range(5)]
+        edges += [(v, 11) for v in range(5, 10)]
+        g = Graph(12, edges)
+        assert domination_number(g) == 2
+
 
 class TestRadius:
     def test_path(self):
@@ -157,8 +139,7 @@ class TestRadius:
     def test_radius_diameter_sandwich(self, rng):
         for _ in range(20):
             g = random_connected_graph(rng, rng.randint(2, 8))
-            r, d = radius(g), diameter(g)
-            assert r <= d <= 2 * r
+            assert radius(g) == nx.radius(to_nx(g))
 
 
 class TestRetraction:

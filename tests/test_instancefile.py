@@ -136,3 +136,36 @@ class TestErrors:
         obj = base_obj()
         obj["labels"] = {"7": "a"}
         self.expect(obj, "index-range")
+
+    # bool is an int in Python and 2.0 == 2: neither is a JSON integer
+
+    def test_bool_n(self):
+        obj = base_obj()
+        obj["n"] = True
+        obj["snapshots"] = [[], []]
+        self.expect(obj, "field-type")
+
+    def test_float_period(self):
+        obj = base_obj()
+        obj["period"] = 2.0
+        self.expect(obj, "field-type")
+
+    def test_float_version(self):
+        obj = base_obj()
+        obj["version"] = 1.0
+        self.expect(obj, "version")
+
+    def test_bool_edge(self):
+        obj = base_obj()
+        obj["snapshots"][1].append([False, True])
+        self.expect(obj, "field-type")
+
+    def test_bool_expected(self):
+        obj = base_obj()
+        obj["expected"] = {"copnum": True}
+        self.expect(obj, "field-type")
+
+    def test_non_canonical_label_key(self):
+        obj = base_obj()
+        obj["labels"] = {"01": "a"}  # would re-serialize as "1"
+        self.expect(obj, "field-type")

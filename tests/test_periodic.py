@@ -5,7 +5,6 @@ import pytest
 from percop.graphs import Graph, check_retraction, Retraction, path_graph
 from percop.periodic import (
     PeriodicGraph,
-    arrival_time,
     constant,
     footprint,
     foremost_journey,
@@ -80,18 +79,18 @@ class TestForemostJourney:
         pg = constant(path_graph(3), 1)
         j = foremost_journey(pg, 0, 0, 2)
         assert j == [0, 1, 2]
-        assert arrival_time(0, j) == 2
+        assert len(j) - 1 == 2
 
     def test_self_journey(self):
         pg = constant(path_graph(3), 1)
         j = foremost_journey(pg, 5, 1, 1)
         assert j == [1]
-        assert arrival_time(5, j) == 5
+        assert 5 + len(j) - 1 == 5
 
     def test_q3_rotation_antipodal(self):
         pg = q3_rotation().instance
         j = foremost_journey(pg, 0, 0, 7)
-        assert arrival_time(0, j) == 3
+        assert len(j) - 1 == 3
         assert j == [0, 1, 3, 7]  # flip bit 0, then 1, then 2
 
     def test_journey_steps_are_snapshot_edges(self, rng):
@@ -113,7 +112,7 @@ class TestForemostJourney:
             if want is None:
                 assert j is None
             else:
-                assert j is not None and arrival_time(t0, j) == want
+                assert j is not None and t0 + len(j) - 1 == want
 
     def test_connected_arrival_bound(self, rng):
         for _ in range(20):
@@ -122,7 +121,7 @@ class TestForemostJourney:
                 for v in range(pg.n):
                     j = foremost_journey(pg, 0, u, v)
                     assert j is not None
-                    assert arrival_time(0, j) <= pg.n * pg.period
+                    assert len(j) - 1 <= pg.n * pg.period
 
 
 class TestInduced:

@@ -84,6 +84,35 @@ class TestExhaustiveMode:
         assert out.status == "exhausted"
         assert out.tried == (2 ** 2 - 1) ** 2
 
+    def test_reversed_spec_edges_match(self):
+        # Graph stores (min, max); spec edges may be written either way round
+        edges = [[1, 0], [2, 1]]
+        spec = SearchSpec(
+            name="reversed",
+            n=3,
+            p=1,
+            family="subgraph_assignment",
+            snapshot_constraint={"kind": "subgraph_of", "edges": edges},
+            footprint_constraint={"kind": "equals", "edges": edges},
+            targets={"copnum": 1},
+        )
+        out = search(spec)
+        assert (out.status, out.tried) == ("found", 1)
+        assert spec.as_dict()["footprint_constraint"]["edges"] == [[1, 0], [2, 1]]
+
+    def test_reversed_hint_edge_is_honoured(self):
+        spec = SearchSpec(
+            name="hinted",
+            n=3,
+            p=2,
+            family="subgraph_assignment",
+            snapshot_constraint={"kind": "subgraph_of", "edges": [[0, 1], [1, 2]]},
+            hints={"edge_layers": [{"edge": [1, 0], "require": [1], "forbid": [0]}]},
+        )
+        out = search(spec)  # no targets: the first candidate is found
+        g0, g1 = out.witness.instance.snapshots
+        assert not g0.has_edge(0, 1) and g1.has_edge(0, 1)
+
     def test_snapshot_constraint_checked_before_triple(self, monkeypatch):
         # K_{2,3} has no 3-cycle, so no candidate meets the snapshot constraint
         from percop import solver
