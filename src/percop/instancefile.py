@@ -63,8 +63,8 @@ def parse(data):
     if not _is_int(n) or n < 1:
         raise InstanceError("field-type", "n must be a positive integer")
     period = obj["period"]
-    if not _is_int(period):
-        raise InstanceError("field-type", "period must be an integer")
+    if not _is_int(period) or period < 1:
+        raise InstanceError("field-type", "period must be a positive integer")
     snapshots = obj["snapshots"]
     if not isinstance(snapshots, list) or not all(
         isinstance(s, list) for s in snapshots
@@ -88,9 +88,11 @@ def parse(data):
                 raise InstanceError(
                     "field-type", "label key %r is not a vertex" % k
                 )
-            if not (0 <= vi < n) or not isinstance(v, str):
+            if not (0 <= vi < n):
+                raise InstanceError("index-range", "label %r out of range" % k)
+            if not isinstance(v, str):
                 raise InstanceError(
-                    "index-range", "label %r out of range or not a string" % k
+                    "field-type", "label %r must be a string" % k
                 )
             labels[vi] = v
     graphs = []
@@ -135,8 +137,10 @@ def parse(data):
                 "unknown-field", "unknown expected fields %s" % sorted(unknown)
             )
         for k, v in obj["expected"].items():
-            if not _is_int(v):
-                raise InstanceError("field-type", "expected.%s must be int" % k)
+            if not _is_int(v) or v < 1:
+                raise InstanceError(
+                    "field-type", "expected.%s must be a positive integer" % k
+                )
         expected = dict(obj["expected"])
     return PeriodicGraph(graphs), {"labels": labels, "expected": expected}
 

@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 from .graphs import (
@@ -63,19 +63,7 @@ class SearchSpec:
             raise ValueError("unknown search targets: %s" % sorted(unknown))
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "n": self.n,
-            "p": self.p,
-            "family": self.family,
-            "snapshot_constraint": self.snapshot_constraint,
-            "footprint_constraint": self.footprint_constraint,
-            "targets": self.targets,
-            "hints": self.hints,
-            "seed": self.seed,
-            "budget_seconds": self.budget_seconds,
-            "max_tries": self.max_tries,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -691,8 +679,12 @@ def smallest_3copwin_scan(max_n, max_p):
 
     The first snapshot ranges over canonical representatives only (every
     instance is isomorphic to one whose G_0 is canonical), the rest over all
-    subgraphs; this is bounded evidence about the smallest 3-copwin order,
-    reported with full enumeration counts.
+    subgraphs.  An instance whose G_0 has domination number at most 2 is
+    certified, not solved: two cops on a dominating set of G_0 capture on
+    their first move.  Only the rest reach the k = 2 solver.  This is bounded
+    evidence about the smallest 3-copwin order, reported with full
+    enumeration counts: per (n, p), the instances enumerated, those
+    temporally connected and those solved.
     """
     if max_n > 5 or max_p > 4:
         raise LimitError("scan limits exceeded: need max_n <= 5, max_p <= 4")
@@ -710,8 +702,10 @@ def smallest_3copwin_scan(max_n, max_p):
             for mk in range(1 << m)
         ]
         connected = [g.is_connected() for g in by_mask]
+        certified = {g0m for g0m in reps if domination_number(by_mask[g0m]) <= 2}
         for p in range(1, max_p + 1):
             enumerated = 0
+            temporally_connected = 0
             solved = 0
             for g0m in reps:
                 for rest in itertools.product(range(1 << m), repeat=p - 1):
@@ -720,6 +714,9 @@ def smallest_3copwin_scan(max_n, max_p):
                     for mk in rest:
                         union |= mk
                     if not connected[union]:
+                        continue
+                    temporally_connected += 1
+                    if g0m in certified:
                         continue
                     solved += 1
                     pg = PeriodicGraph(
@@ -742,7 +739,8 @@ def smallest_3copwin_scan(max_n, max_p):
                     "p": p,
                     "canonical_g0": len(reps),
                     "enumerated": enumerated,
-                    "temporally_connected": solved,
+                    "temporally_connected": temporally_connected,
+                    "solved": solved,
                 }
             )
     report["three_copwin_found"] = len(report["witnesses"])

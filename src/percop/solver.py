@@ -35,19 +35,17 @@ environment (default 1e8 states), checked before anything is allocated.
 from __future__ import annotations
 
 import contextvars
-import itertools
 import os
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
 from . import periodic as _periodic
-from .graphs import Graph, LimitError, domination_number
+from .graphs import domination_number
 
 DEFAULT_STATE_BUDGET = 10**8
-CTMAX_SEQUENCE_LIMIT = 300_000
 
 COPS_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
@@ -591,59 +589,4 @@ def verify_policy(pg, policy):
     worst = max((value[nd] for nd in starts), default=0)
     return PolicyVerification(
         wins=True, max_capture_moves=worst, states_explored=len(children)
-    )
-
-
-@dataclass
-class CtmaxReport:
-    value: int
-    instance: object
-    periods_checked: list = field(default_factory=list)
-    sequences_checked: int = 0
-
-
-def ctmax_bounded(g, max_period):
-    """Max cop number over periodic graphs with footprint exactly g, p <= max_period.
-
-    Enumerates every assignment of each footprint edge to a nonempty set of
-    layers; a bounded under-approximation of the true footprint maximum, and
-    documented as such.
-    """
-    if not g.is_connected():
-        raise ValueError("ctmax_bounded requires a connected footprint")
-    if g.n > 6 or max_period > 3:
-        raise LimitError("ctmax_bounded limits exceeded: need n <= 6, period <= 3")
-    m = len(g.edges)
-    total = sum(((1 << q) - 1) ** m for q in range(1, max_period + 1))
-    if total > CTMAX_SEQUENCE_LIMIT:
-        raise LimitError(
-            "ctmax enumeration limit exceeded: %d sequences > %d"
-            % (total, CTMAX_SEQUENCE_LIMIT)
-        )
-    edges = g.sorted_edges()
-    best = 0
-    best_pg = None
-    count = 0
-    for q in range(1, max_period + 1):
-        subsets = [
-            [t for t in range(q) if (s >> t) & 1] for s in range(1, 1 << q)
-        ]
-        for assign in itertools.product(range(len(subsets)), repeat=m):
-            count += 1
-            layer_edges = [[] for _ in range(q)]
-            for e_idx, s_idx in enumerate(assign):
-                for t in subsets[s_idx]:
-                    layer_edges[t].append(edges[e_idx])
-            pg = _periodic.PeriodicGraph(
-                [Graph(g.n, le) for le in layer_edges]
-            )
-            c = cop_number(pg)
-            if c > best:
-                best = c
-                best_pg = pg
-    return CtmaxReport(
-        value=best,
-        instance=best_pg,
-        periods_checked=list(range(1, max_period + 1)),
-        sequences_checked=count,
     )

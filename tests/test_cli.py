@@ -171,14 +171,11 @@ class TestErrorSurface:
         from percop.graphs import Graph, LimitError, complete_graph, domination_number
         from percop.periodic import constant
         from percop.search import smallest_3copwin_scan
-        from percop.solver import ctmax_bounded
         from percop.treewidth import exact_treewidth
 
         limited = [
             lambda: exact_treewidth(Graph(14)),
             lambda: domination_number(Graph(21)),
-            lambda: ctmax_bounded(complete_graph(7), 2),
-            lambda: ctmax_bounded(complete_graph(6), 3),
             lambda: smallest_3copwin_scan(6, 2),
             lambda: find_k_temporal_corners(constant(complete_graph(24), 1), 12),
         ]

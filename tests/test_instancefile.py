@@ -169,3 +169,19 @@ class TestErrors:
         obj = base_obj()
         obj["labels"] = {"01": "a"}  # would re-serialize as "1"
         self.expect(obj, "field-type")
+
+    def test_zero_period(self):
+        obj = base_obj()
+        obj["period"] = 0
+        obj["snapshots"] = []
+        self.expect(obj, "field-type")
+
+    def test_expected_below_one(self):
+        obj = base_obj()
+        obj["expected"] = {"copnum": -3}
+        self.expect(obj, "field-type")
+
+    def test_non_string_label_value(self):
+        obj = base_obj()
+        obj["labels"] = {"0": 5}
+        self.expect(obj, "field-type")

@@ -4,13 +4,15 @@ import json
 import pytest
 
 from percop.graphs import (
-    dismantle, domination_number, girth, petersen_graph, PETERSEN_EDGES,
+    Graph, complete_graph, cycle_graph, dismantle, domination_number, girth,
+    path_graph, petersen_graph, PETERSEN_EDGES,
 )
-from percop.periodic import footprint, induced
+from percop.periodic import PeriodicGraph, footprint, induced
 from percop.corners import find_k_temporal_corners, find_temporal_corners
 from percop.solver import cop_number, is_k_copwin, static_cop_number
 from percop.search import (
     SearchSpec,
+    _canonical_graph_masks,
     certify,
     get_spec,
     load_witness,
@@ -20,6 +22,7 @@ from percop.search import (
     smallest_3copwin_scan,
     spec_from_dict,
 )
+from percop.treewidth import exact_treewidth
 
 
 class TestSpecPlumbing:
@@ -284,12 +287,86 @@ class TestCertify:
         assert not certs["verified"]
 
 
+def _footprint_spec(g, p, c):
+    """Does some period-p instance with footprint exactly g have cop number c?"""
+    edges = [list(e) for e in g.sorted_edges()]
+    return SearchSpec(
+        name="footprint",
+        n=g.n,
+        p=p,
+        family="subgraph_assignment",
+        snapshot_constraint={"kind": "subgraph_of", "edges": edges},
+        footprint_constraint={"kind": "equals", "edges": edges},
+        targets={"copnum": c},
+    )
+
+
+class TestFootprintSearch:
+    """Bounded footprint questions, asked through the exhaustive search."""
+
+    def test_k2_single_edge(self):
+        for p in (1, 2, 3):
+            out = search(_footprint_spec(complete_graph(2), p, 2))
+            assert out.status == "exhausted"
+
+    def test_c4_reaches_two(self):
+        out = search(_footprint_spec(cycle_graph(4), 2, 2))
+        assert out.status == "found"
+        assert out.witness.expected_triple[2] == 2
+
+    def test_bounded_by_treewidth(self):
+        for g in (cycle_graph(4), path_graph(4), complete_graph(4)):
+            w, _ = exact_treewidth(g)
+            for p in (1, 2):
+                for c in range(w + 2, g.n + 1):
+                    assert search(_footprint_spec(g, p, c)).status == "exhausted"
+
+    @pytest.mark.parametrize("g, best", [
+        (complete_graph(2), 1),
+        (cycle_graph(4), 2),
+        (path_graph(4), 1),
+        (complete_graph(4), 1),
+    ], ids=["K2", "C4", "P4", "K4"])
+    def test_largest_cop_number_up_to_period_two(self, g, best):
+        found = {
+            c
+            for p in (1, 2)
+            for c in range(1, g.n + 1)
+            if search(_footprint_spec(g, p, c)).status == "found"
+        }
+        assert max(found) == best
+
+
 class TestScan:
     def test_tiny_scan_finds_nothing(self):
         report = smallest_3copwin_scan(3, 2)
         assert report["three_copwin_found"] == 0
         total = sum(c["enumerated"] for c in report["counts"])
         assert total > 0
+
+    def test_solved_counts(self):
+        report = smallest_3copwin_scan(3, 2)
+        assert [c["solved"] for c in report["counts"]] == [0, 0, 0, 0, 0, 4]
+        for row in smallest_3copwin_scan(4, 2)["counts"]:
+            assert row["solved"] <= row["temporally_connected"]
+
+    def test_dominated_first_snapshot_is_two_copwin(self):
+        # the scan certifies these without solving; the solver must agree
+        pairs, reps = _canonical_graph_masks(4)
+        graphs = [
+            Graph(4, [e for i, e in enumerate(pairs) if (mk >> i) & 1])
+            for mk in range(1 << len(pairs))
+        ]
+        checked = 0
+        for g0m in reps:
+            if domination_number(graphs[g0m]) > 2:
+                continue
+            for g1 in graphs:
+                pg = PeriodicGraph([graphs[g0m], g1])
+                if footprint(pg).is_connected():
+                    assert is_k_copwin(pg, 2).copwin
+                    checked += 1
+        assert checked > 0
 
     def test_limits(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from percop.solver import (
     CopPolicy,
     cop_number,
     cop_number_cap,
-    ctmax_bounded,
     extract_trace,
     is_k_copwin,
     solve_cop_number,
@@ -297,31 +296,6 @@ class TestVerifyPolicy:
         )
         with pytest.raises(ValueError, match="infeasible"):
             verify_policy(pg, pol)
-
-
-class TestCtmaxBounded:
-    def test_k2_single_edge(self):
-        rep = ctmax_bounded(Graph(2, [(0, 1)]), 3)
-        assert rep.value == 1
-
-    def test_c4_reaches_two(self):
-        rep = ctmax_bounded(cycle_graph(4), 2)
-        assert rep.value >= 2
-        assert rep.instance is not None
-
-    def test_bounded_by_treewidth(self):
-        for g in (cycle_graph(4), path_graph(4), complete_graph(4)):
-            rep = ctmax_bounded(g, 2)
-            w, _ = exact_treewidth(g)
-            assert rep.value <= w + 1
-
-    def test_limits(self):
-        with pytest.raises(ValueError):
-            ctmax_bounded(complete_graph(7), 2)
-        with pytest.raises(ValueError):
-            ctmax_bounded(cycle_graph(4), 4)
-        with pytest.raises(ValueError, match="enumeration limit"):
-            ctmax_bounded(complete_graph(6), 3)
 
 
 class TestDisconnectedConvention:
