@@ -16,7 +16,7 @@ from . import solver as _solver
 from .constructions import GENERATORS, circulant_123
 from .corners import find_k_temporal_corners, find_temporal_corners
 from .graphs import LimitError
-from .instancefile import InstanceError, dump_json, parse, serialize
+from .instancefile import InstanceError, dump_json, parse, serialize_specimen
 from .periodic import footprint, is_temporally_connected
 from .search import (
     get_spec,
@@ -149,12 +149,7 @@ def cmd_generate(args):
     else:
         known = sorted(GENERATORS) + ["circulant_123"]
         raise SystemExit("unknown construction %r; known: %s" % (name, known))
-    expected = {}
-    keys = ("footprint_copnum", "max_snapshot_copnum", "copnum")
-    for key, val in zip(keys, specimen.expected_triple):
-        if val is not None:
-            expected[key] = val
-    text = serialize(specimen.instance, expected=expected or None)
+    text = serialize_specimen(specimen)
     out = {
         "name": specimen.name,
         "n": specimen.instance.n,
@@ -185,14 +180,7 @@ def cmd_search(args):
     outcome = run_search(spec)
     out = outcome.as_dict()
     if outcome.witness is not None and args.out:
-        expected = {
-            "footprint_copnum": outcome.witness.expected_triple[0],
-            "max_snapshot_copnum": outcome.witness.expected_triple[1],
-            "copnum": outcome.witness.expected_triple[2],
-        }
-        Path(args.out).write_text(
-            serialize(outcome.witness.instance, expected=expected)
-        )
+        Path(args.out).write_text(serialize_specimen(outcome.witness))
         out["witness_written_to"] = str(args.out)
     _emit(args, out, [
         "search %s: %s after %d candidates" % (spec.name, outcome.status,

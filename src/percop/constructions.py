@@ -2,7 +2,9 @@
 
 Each generator returns a ConstructionSpecimen carrying the triple it is
 expected to realize; solver-verified equality of triple(instance) with that
-value is the repo's golden test.  Instances known only by their properties
+value is the repo's golden test.  The paper's vertex names (Petersen's a-j
+with the apexes x and y, Q3's bit strings) ride on the specimen as labels
+for its instance file.  Instances known only by their properties
 are not guessed here; the search module reconstructs them.
 """
 
@@ -29,6 +31,7 @@ class ConstructionSpecimen:
     expected_triple: tuple  # entries may be None when the statement leaves them open
     provenance: str         # "fully-specified" | "reconstruction-required"
     params: dict = field(default_factory=dict)
+    labels: dict = field(default_factory=dict)  # vertex -> name in the instance file
 
 
 def q3_rotation():
@@ -39,16 +42,16 @@ def q3_rotation():
     snapshots are disconnected and their static game value is a solver-level
     convention.
     """
-    labels = {u: format(u, "03b") for u in range(8)}
     snaps = []
     for bit in range(3):
         edges = [(u, u ^ (1 << bit)) for u in range(8) if u < (u ^ (1 << bit))]
-        snaps.append(Graph(8, edges, labels))
+        snaps.append(Graph(8, edges))
     return ConstructionSpecimen(
         name="q3_rotation",
         instance=PeriodicGraph(snaps),
         expected_triple=(2, None, 3),
         provenance="fully-specified",
+        labels={u: format(u, "03b") for u in range(8)},
     )
 
 
@@ -84,16 +87,14 @@ def petersen_132():
     """
     n = 11
     x = 10
-    labels = dict(PETERSEN_LABELS)
-    labels[x] = "x"
     outer = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
     spokes = [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
-    h = Graph(n, outer + spokes + [(0, x)], labels)
+    h = Graph(n, outer + spokes + [(0, x)])
     snaps = []
     for t in range(50):
         if t % 5 == 0:
             w = t // 5
-            snaps.append(Graph(n, list(PETERSEN_EDGES) + [(w, x)], labels))
+            snaps.append(Graph(n, list(PETERSEN_EDGES) + [(w, x)]))
         else:
             snaps.append(h)
     return ConstructionSpecimen(
@@ -101,6 +102,7 @@ def petersen_132():
         instance=PeriodicGraph(snaps),
         expected_triple=(1, 3, 2),
         provenance="fully-specified",
+        labels={**PETERSEN_LABELS, x: "x"},
     )
 
 
@@ -113,12 +115,9 @@ def petersen_231():
     """
     n = 12
     x, y = 10, 11
-    labels = dict(PETERSEN_LABELS)
-    labels[x] = "x"
-    labels[y] = "y"
     # BFS tree of Petersen from vertex a, plus x hung on b and y on f
     tree = [(0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (3, 4), (4, 9), (5, 7), (5, 8)]
-    t_snap = Graph(n, tree + [(1, x), (5, y)], labels)
+    t_snap = Graph(n, tree + [(1, x), (5, y)])
     ecc_center = min(max(t_snap.bfs_dist(u)) for u in range(n))
     if ecc_center > 4:
         raise AssertionError(
@@ -128,9 +127,7 @@ def petersen_231():
     for t in range(55):
         if t % 11 == 0:
             j = t // 11
-            snaps.append(
-                Graph(n, list(PETERSEN_EDGES) + [(j, x), (5 + j, y)], labels)
-            )
+            snaps.append(Graph(n, list(PETERSEN_EDGES) + [(j, x), (5 + j, y)]))
         else:
             snaps.append(t_snap)
     return ConstructionSpecimen(
@@ -138,6 +135,7 @@ def petersen_231():
         instance=PeriodicGraph(snaps),
         expected_triple=(2, 3, 1),
         provenance="fully-specified",
+        labels={**PETERSEN_LABELS, x: "x", y: "y"},
     )
 
 
@@ -156,6 +154,7 @@ def petersen_311():
         expected_triple=(3, 1, 1),
         provenance="fully-specified",
         params={"tree_block": block, "cover_size": len(cover)},
+        labels=dict(PETERSEN_LABELS),
     )
 
 
@@ -240,7 +239,9 @@ def diagonal_222():
 
 
 def diagonal_333():
-    return constant_specimen("diagonal_333", petersen_graph(), 2, (3, 3, 3))
+    specimen = constant_specimen("diagonal_333", petersen_graph(), 2, (3, 3, 3))
+    specimen.labels = dict(PETERSEN_LABELS)
+    return specimen
 
 
 GENERATORS = {

@@ -22,9 +22,9 @@ class Graph:
     neighborhood N[u] (bit u always set).
     """
 
-    __slots__ = ("n", "edges", "labels", "_masks")
+    __slots__ = ("n", "edges", "_masks")
 
-    def __init__(self, n, edges=(), labels=None):
+    def __init__(self, n, edges=()):
         self.n = int(n)
         norm = set()
         masks = [1 << v for v in range(self.n)]
@@ -38,7 +38,6 @@ class Graph:
             masks[a] |= 1 << b
             masks[b] |= 1 << a
         self.edges = frozenset(norm)
-        self.labels = dict(labels) if labels else {}
         self._masks = tuple(masks)
 
     def nbr_mask(self, u):
@@ -95,17 +94,13 @@ class Graph:
         return dist
 
     def subgraph_edges(self, vertices):
-        """Edges of the induced subgraph on a vertex subset (original labels)."""
+        """Edges of the induced subgraph on a vertex subset (original numbering)."""
         vs = set(vertices)
         return [(u, v) for (u, v) in self.edges if u in vs and v in vs]
 
     def relabel(self, perm):
         """Graph with vertex u renamed perm[u]."""
-        return Graph(
-            self.n,
-            [(perm[u], perm[v]) for (u, v) in self.edges],
-            {perm[u]: s for u, s in self.labels.items()},
-        )
+        return Graph(self.n, [(perm[u], perm[v]) for (u, v) in self.edges])
 
     def __eq__(self, other):
         return (
@@ -280,7 +275,7 @@ def spanning_tree_cover(g):
                 seen.add(v)
                 tree_edges.append((min(u, v), max(u, v)))
                 q.append(v)
-    trees = [Graph(g.n, tree_edges, g.labels)]
+    trees = [Graph(g.n, tree_edges)]
     covered = set(tree_edges)
     all_edges = sorted(g.edges)
     while covered != g.edges:
@@ -299,7 +294,7 @@ def spanning_tree_cover(g):
             if ru != rv:
                 parent[ru] = rv
                 chosen.append((u, v))
-        trees.append(Graph(g.n, chosen, g.labels))
+        trees.append(Graph(g.n, chosen))
         covered.update(chosen)
     return trees
 
@@ -331,15 +326,15 @@ PETERSEN_EDGES = (
 
 
 def petersen_graph():
-    return Graph(10, PETERSEN_EDGES, PETERSEN_LABELS)
+    return Graph(10, PETERSEN_EDGES)
 
 
 def hypercube_q3():
-    """Q3 with vertices as 3-bit integers, labeled by their bit strings."""
+    """Q3 with vertices as 3-bit integers; u ~ v iff they differ in one bit."""
     edges = [
         (u, u ^ (1 << b))
         for u in range(8)
         for b in range(3)
         if u < (u ^ (1 << b))
     ]
-    return Graph(8, edges, {u: format(u, "03b") for u in range(8)})
+    return Graph(8, edges)

@@ -2,8 +2,11 @@
 
 A file holds one periodic graph: vertex count, period, per-snapshot edge
 lists with u < v, optional vertex labels and an optional expected block of
-cop numbers.  Serialization sorts edges and keys with fixed spacing so that
-parse/serialize round-trips are byte-identical on canonical files.
+cop numbers.  Labels and the expected block are file metadata: `parse`
+returns them beside the graph, and `serialize_specimen` writes both for a
+construction or found witness.  Serialization sorts edges and keys with
+fixed spacing so that parse/serialize round-trips are byte-identical on
+canonical files.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from .periodic import PeriodicGraph
 FORMAT_VERSION = 1
 
 _TOP_FIELDS = {"version", "n", "period", "snapshots", "labels", "expected"}
-_EXPECTED_FIELDS = {"footprint_copnum", "max_snapshot_copnum", "copnum"}
+# the expected block's keys, in the order of a triple (a, b, c)
+_EXPECTED_FIELDS = ("footprint_copnum", "max_snapshot_copnum", "copnum")
 
 
 def _is_int(x):
@@ -37,7 +41,8 @@ class InstanceError(ValueError):
 def parse(data):
     """Parse instance bytes/text; returns (PeriodicGraph, meta).
 
-    meta carries 'labels' (dict vertex->str) and 'expected' (dict or None).
+    meta carries 'labels' (dict vertex->str) and 'expected' (dict or None);
+    the graph carries neither.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -126,12 +131,12 @@ def parse(data):
                 )
             seen.add((u, v))
             edges.append((u, v))
-        graphs.append(Graph(n, edges, labels))
+        graphs.append(Graph(n, edges))
     expected = None
     if "expected" in obj:
         if not isinstance(obj["expected"], dict):
             raise InstanceError("field-type", "expected must be an object")
-        unknown = set(obj["expected"]) - _EXPECTED_FIELDS
+        unknown = set(obj["expected"]).difference(_EXPECTED_FIELDS)
         if unknown:
             raise InstanceError(
                 "unknown-field", "unknown expected fields %s" % sorted(unknown)
@@ -146,11 +151,10 @@ def parse(data):
 
 
 def serialize(pg, labels=None, expected=None):
-    """Canonical text form: sorted edges, sorted keys, two-space indent."""
-    if labels is None:
-        labels = {}
-        for g in pg.snapshots:
-            labels.update(g.labels)
+    """Canonical text form: sorted edges, sorted keys, two-space indent.
+
+    Labels and the expected block are written only when given.
+    """
     obj = {
         "version": FORMAT_VERSION,
         "n": pg.n,
@@ -164,6 +168,16 @@ def serialize(pg, labels=None, expected=None):
     if expected:
         obj["expected"] = dict(expected)
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def serialize_specimen(specimen):
+    """The instance file of a construction or found witness: its instance,
+    its labels and the entries of its expected triple that are not None."""
+    expected = {
+        k: v for k, v in zip(_EXPECTED_FIELDS, specimen.expected_triple)
+        if v is not None
+    }
+    return serialize(specimen.instance, specimen.labels, expected)
 
 
 def dump_json(obj):

@@ -61,10 +61,7 @@ def footprint(pg):
     edges = set()
     for g in pg.unique_snapshots:
         edges |= g.edges
-    labels = {}
-    for g in pg.snapshots:
-        labels.update(g.labels)
-    return Graph(pg.n, edges, labels)
+    return Graph(pg.n, edges)
 
 
 def is_temporally_connected(pg):
@@ -119,7 +116,7 @@ def foremost_journey(pg, t_start, u, v):
 
 
 def induced(pg, vertices):
-    """Induced periodic subgraph with vertices relabeled 0..|vs|-1.
+    """Induced periodic subgraph with vertices renumbered 0..|vs|-1.
 
     Returns (subgraph, mapping) where mapping sends old vertex -> new index.
     """
@@ -132,8 +129,7 @@ def induced(pg, vertices):
     snaps = []
     for g in pg.snapshots:
         edges = [(remap[u], remap[v]) for (u, v) in g.subgraph_edges(vs)]
-        labels = {remap[u]: s for u, s in g.labels.items() if u in remap}
-        snaps.append(Graph(len(vs), edges, labels))
+        snaps.append(Graph(len(vs), edges))
     return PeriodicGraph(snaps), remap
 
 
@@ -157,7 +153,7 @@ def pad(pg, target_n, attach):
     path_edges = [(chain[i], chain[i + 1]) for i in range(extra)]
     snaps = []
     for g in pg.snapshots:
-        snaps.append(Graph(target_n, list(g.edges) + path_edges, g.labels))
+        snaps.append(Graph(target_n, list(g.edges) + path_edges))
     return PeriodicGraph(snaps)
 
 

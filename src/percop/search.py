@@ -33,6 +33,7 @@ from .graphs import (
 from .periodic import PeriodicGraph, footprint, induced
 from .corners import find_k_temporal_corners, find_temporal_corners, _pair_corners
 from .constructions import ConstructionSpecimen, circulant_123
+from .instancefile import parse
 from . import solver as _solver
 
 
@@ -41,6 +42,8 @@ _TARGET_KEYS = frozenset({
     "no_corner_k", "gamma_g0", "snapshot_copnums_all", "copnum",
     "footprint_copnum", "triple", "induced_copnum", "retract_premise_fails",
 })
+# the hints the candidate streams read
+_HINT_KEYS = frozenset({"g0_path", "g1_fragments", "suffix", "edge_layers"})
 
 
 @dataclass
@@ -58,9 +61,13 @@ class SearchSpec:
     max_tries: int = 500_000
 
     def __post_init__(self):
-        unknown = set(self.targets) - _TARGET_KEYS
-        if unknown:
-            raise ValueError("unknown search targets: %s" % sorted(unknown))
+        for what, given, known in (
+            ("targets", self.targets, _TARGET_KEYS),
+            ("hints", self.hints, _HINT_KEYS),
+        ):
+            unknown = set(given) - known
+            if unknown:
+                raise ValueError("unknown search %s: %s" % (what, sorted(unknown)))
 
     def as_dict(self):
         return asdict(self)
@@ -251,7 +258,7 @@ def _gen_hamiltonian(spec, rng):
     hub = spec.footprint_constraint.get("vertex")
     g0_hint = spec.hints.get("g0_path")
     g1_frags = spec.hints.get("g1_fragments")
-    hint_rounds = spec.hints.get("hint_rounds", 10_000)
+    hint_rounds = 10_000
     tries_per_slot = 300
     round_no = 0
     while True:
@@ -312,7 +319,7 @@ def _gen_hamiltonian(spec, rng):
         yield PeriodicGraph(graphs)
 
 
-def _sample_girth4(rng, n, p_edge):
+def _sample_girth4(rng, n):
     for _ in range(200):
         side = [rng.random() < 0.5 for _ in range(n)]
         if all(side) or not any(side):
@@ -321,7 +328,7 @@ def _sample_girth4(rng, n, p_edge):
             (u, v)
             for u in range(n)
             for v in range(u + 1, n)
-            if side[u] != side[v] and rng.random() < p_edge
+            if side[u] != side[v] and rng.random() < 0.5
         ]
         g = Graph(n, edges)
         if g.is_connected() and girth(g) == 4:
@@ -331,12 +338,11 @@ def _sample_girth4(rng, n, p_edge):
 
 def _gen_girth(spec, rng):
     n, p = spec.n, spec.p
-    p_edge = spec.hints.get("edge_prob", 0.5)
     gamma0 = spec.targets.get("gamma_g0")
     while True:
         g0 = None
         for _ in range(200):
-            g = _sample_girth4(rng, n, p_edge)
+            g = _sample_girth4(rng, n)
             if g is not None and (
                 gamma0 is None or domination_number(g) == gamma0
             ):
@@ -345,7 +351,7 @@ def _gen_girth(spec, rng):
         if g0 is None:
             yield None
             continue
-        rest = [_sample_girth4(rng, n, p_edge) for _ in range(p - 1)]
+        rest = [_sample_girth4(rng, n) for _ in range(p - 1)]
         if any(g is None for g in rest):
             yield None
             continue
@@ -373,7 +379,6 @@ def _gen_petersen_blocks(spec, rng):
     cycles = _petersen_five_cycles()
     pattern = spec.snapshot_constraint["pattern"]
     groups = sorted(set(pattern))
-    prefer = spec.hints.get("cover_bias", 0.8)
     while True:
         want = set(PETERSEN_EDGES)
         per_group = {}
@@ -390,7 +395,7 @@ def _gen_petersen_blocks(spec, rng):
                 wanted = [e for e in cands if e in want]
                 e = (
                     rng.choice(wanted)
-                    if wanted and rng.random() < prefer
+                    if wanted and rng.random() < 0.8
                     else rng.choice(cands)
                 )
                 edges.add(e)
@@ -751,25 +756,19 @@ def smallest_3copwin_scan(max_n, max_p):
 # shipped witnesses
 
 
-def witness_path(name):
-    return resources.files("percop").joinpath("data/witnesses/%s.json" % name)
+def _read_witness(name, suffix, what):
+    path = resources.files("percop").joinpath(
+        "data/witnesses/%s%s" % (name, suffix)
+    )
+    if not path.is_file():
+        raise FileNotFoundError("missing witness %s for spec %r" % (what, name))
+    return path.read_bytes()
 
 
 def load_witness(name):
-    """Parse a shipped witness instance file into a PeriodicGraph."""
-    from .instancefile import parse
-
-    path = witness_path(name)
-    if not path.is_file():
-        raise FileNotFoundError("missing witness file for spec %r" % name)
-    pg, meta = parse(path.read_bytes())
-    return pg, meta
+    """Parse a shipped witness instance file: (PeriodicGraph, meta)."""
+    return parse(_read_witness(name, ".json", "file"))
 
 
 def load_witness_certificate(name):
-    path = resources.files("percop").joinpath(
-        "data/witnesses/%s.cert.json" % name
-    )
-    if not path.is_file():
-        raise FileNotFoundError("missing witness certificate for spec %r" % name)
-    return json.loads(path.read_bytes())
+    return json.loads(_read_witness(name, ".cert.json", "certificate"))

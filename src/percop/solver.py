@@ -38,7 +38,7 @@ import contextvars
 import os
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import NamedTuple
 
@@ -348,12 +348,7 @@ class TripleResult:
         return (self.footprint_copnum, self.max_snapshot_copnum, self.copnum)
 
     def as_dict(self):
-        return {
-            "footprint_copnum": self.footprint_copnum,
-            "max_snapshot_copnum": self.max_snapshot_copnum,
-            "copnum": self.copnum,
-            "min_snapshot_copnum": self.min_snapshot_copnum,
-        }
+        return asdict(self)
 
 
 def triple(pg):

@@ -4,6 +4,8 @@ import os
 import pytest
 
 from percop.cli import main
+from percop.constructions import GENERATORS
+from percop.instancefile import serialize_specimen
 
 
 def run(capsys, *argv):
@@ -102,6 +104,12 @@ class TestGenerate:
         )
         assert code == 0
         assert out["period"] == 5
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_stdout_is_the_specimen_file(self, capsys, name):
+        code, out = run(capsys, "generate", name)
+        assert code == 0
+        assert out == serialize_specimen(GENERATORS[name]())
 
     def test_circulant_explicit_steps(self, capsys, tmp_path):
         path = tmp_path / "c.json"

@@ -23,8 +23,8 @@ class TestRoundTrip:
         assert serialize(back) == text  # byte-identical on canonical files
 
     def test_labels_preserved(self):
-        pg = petersen_132().instance
-        text, back, meta = roundtrip(pg)
+        specimen = petersen_132()
+        text, back, meta = roundtrip(specimen.instance, labels=specimen.labels)
         assert meta["labels"][10] == "x"
         assert serialize(back, labels=meta["labels"]) == text
 

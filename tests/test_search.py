@@ -1,5 +1,6 @@
 import itertools
 import json
+from importlib import resources
 
 import pytest
 
@@ -8,6 +9,7 @@ from percop.graphs import (
     path_graph, petersen_graph, PETERSEN_EDGES,
 )
 from percop.periodic import PeriodicGraph, footprint, induced
+from percop.instancefile import serialize_specimen
 from percop.corners import find_k_temporal_corners, find_temporal_corners
 from percop.solver import cop_number, is_k_copwin, static_cop_number
 from percop.search import (
@@ -53,6 +55,16 @@ class TestSpecPlumbing:
             SearchSpec(name="x", n=3, p=1, family="subgraph_assignment",
                        snapshot_constraint={"kind": "subgraph_of", "edges": [[0, 1]]},
                        targets={"copnun": 3})
+
+    @pytest.mark.parametrize("name, hints", [
+        ("thm112", {"g0path": [7, 0, 2, 6, 5, 3, 1, 4, 8]}),
+        ("lem122", {"edge_prob": 0.3}),
+    ])
+    def test_unknown_hints_rejected(self, name, hints):
+        d = get_spec(name).as_dict()
+        d["hints"] = hints
+        with pytest.raises(ValueError, match="unknown search hints"):
+            spec_from_dict(d)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown spec"):
@@ -393,10 +405,13 @@ class TestShippedWitnesses:
 
     def test_shipped_witnesses_regenerate(self):
         # (spec, seed) determines the witness; shipped files must match
+        folder = resources.files("percop").joinpath("data/witnesses")
         for name in ("prop3_retract", "circulant_123", "thm112", "search_321"):
             out = search(get_spec(name))
             shipped, _meta = load_witness(name)
             assert out.witness.instance == shipped, name
+            text = folder.joinpath("%s.json" % name).read_text()
+            assert serialize_specimen(out.witness) == text, name
 
     def test_missing_witness_raises(self):
         with pytest.raises(FileNotFoundError):
