@@ -118,7 +118,7 @@ def petersen_231():
     # BFS tree of Petersen from vertex a, plus x hung on b and y on f
     tree = [(0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (3, 4), (4, 9), (5, 7), (5, 8)]
     t_snap = Graph(n, tree + [(1, x), (5, y)])
-    ecc_center = min(max(t_snap.bfs_dist(u)) for u in range(n))
+    ecc_center = radius(t_snap)
     if ecc_center > 4:
         raise AssertionError(
             "petersen_231 self-check failed: tree eccentricity %d > 4" % ecc_center

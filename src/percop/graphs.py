@@ -178,12 +178,18 @@ def girth(g):
     return best
 
 
+# the largest graph `domination_number` will branch on
+DOMINATION_LIMIT = 20
+
+
 def domination_number(g):
     """Exact minimum dominating set size (closed neighborhoods cover V)."""
     if g.n == 0:
         return 0
-    if g.n > 20:
-        raise LimitError("exact domination limit exceeded: n=%d > 20" % g.n)
+    if g.n > DOMINATION_LIMIT:
+        raise LimitError(
+            "exact domination limit exceeded: n=%d > %d" % (g.n, DOMINATION_LIMIT)
+        )
     full = (1 << g.n) - 1
     masks = [g.nbr_mask(u) for u in range(g.n)]
     # greedy upper bound to prime the branch-and-bound

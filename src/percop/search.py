@@ -44,6 +44,8 @@ _TARGET_KEYS = frozenset({
 })
 # the hints the candidate streams read
 _HINT_KEYS = frozenset({"g0_path", "g1_fragments", "suffix", "edge_layers"})
+# the keys of one `edge_layers` hint
+_EDGE_LAYER_KEYS = frozenset({"edge", "require", "forbid"})
 
 
 @dataclass
@@ -64,6 +66,8 @@ class SearchSpec:
         for what, given, known in (
             ("targets", self.targets, _TARGET_KEYS),
             ("hints", self.hints, _HINT_KEYS),
+            *(("edge_layers keys", h, _EDGE_LAYER_KEYS)
+              for h in self.hints.get("edge_layers", ())),
         ):
             unknown = set(given) - known
             if unknown:
@@ -186,8 +190,9 @@ def _predicates(pg, spec):
     """Yield (passed, certificate entries) once per target, cheapest first.
 
     Nothing is computed before its predicate is reached, so a caller that
-    stops at the first failure pays only for the predicates up to it.  One
-    `triple()` serves every cop-number target.
+    stops at the first failure pays only for the predicates up to it.  A
+    `copnum` target needs only the periodic ascent, so it is decided before
+    `triple()`, which serves every other cop-number target.
     """
     t = spec.targets
     ok = _check_footprint(pg, spec.footprint_constraint)
@@ -203,13 +208,13 @@ def _predicates(pg, spec):
     # after the cheap tests (girth is costly), before the far costlier triple
     ok = _snapshots_satisfy(pg, spec)
     yield ok, {"snapshots_ok": ok}
+    if "copnum" in t:
+        yield _solver.cop_number(pg) == t["copnum"], {}
     tr = _solver.triple(pg)
     yield True, {"triple": list(tr.abc), "min_snapshot_copnum": tr.min_snapshot_copnum}
     if "snapshot_copnums_all" in t:
         v = t["snapshot_copnums_all"]
         yield tr.min_snapshot_copnum == v == tr.max_snapshot_copnum, {}
-    if "copnum" in t:
-        yield tr.copnum == t["copnum"], {}
     if "footprint_copnum" in t:
         yield tr.footprint_copnum == t["footprint_copnum"], {}
     if "triple" in t:

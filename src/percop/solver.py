@@ -43,7 +43,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import periodic as _periodic
-from .graphs import domination_number
+from .graphs import DOMINATION_LIMIT, domination_number
 
 DEFAULT_STATE_BUDGET = 10**8
 
@@ -299,7 +299,7 @@ def is_k_copwin(pg, k):
 def cop_number_cap(pg):
     """Safe upper bound for the ascent: cops on a dominating set of G_0 win."""
     g0 = pg.snapshots[0]
-    if g0.n <= 20:
+    if g0.n <= DOMINATION_LIMIT:
         return domination_number(g0)
     return g0.n
 

@@ -1,8 +1,10 @@
 """Exact tree decompositions for small graphs and the bag-based cop strategy.
 
-The width bound transfers to periodic play: width+1 cops holding a bag of the
-footprint, with one cop at a time walking stubbornly to the next bag, capture
-the robber on any temporally connected periodic graph over that footprint.
+One primitive, the back set Q(S, v), gives the elimination DP its costs and
+the decomposition its bags.  The width bound transfers to periodic play:
+width+1 cops holding a bag of the footprint, with one cop at a time walking
+stubbornly to the next bag, capture the robber on any temporally connected
+periodic graph over that footprint.
 """
 
 from __future__ import annotations
@@ -73,30 +75,21 @@ def validate_decomposition(td, g):
     for u, v in g.edges:
         if not any(u in b and v in b for b in td.bags):
             return "some edge has no common bag"
+    # in a tree, h bags induce a subtree exactly when they span h - 1 edges
     for u in range(g.n):
-        holders = [i for i, b in enumerate(td.bags) if u in b]
-        # the bags holding u must induce a connected subtree
-        hold = set(holders)
-        seen = {holders[0]}
-        stack = [holders[0]]
-        while stack:
-            x = stack.pop()
-            for a, b in td.tree_edges:
-                y = None
-                if a == x and b in hold:
-                    y = b
-                elif b == x and a in hold:
-                    y = a
-                if y is not None and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != hold:
+        held = sum(u in b for b in td.bags)
+        spanned = sum(u in td.bags[a] and u in td.bags[b] for a, b in td.tree_edges)
+        if spanned != held - 1:
             return "bags of vertex %d do not induce a subtree" % u
     return None
 
 
-def _back_degree(open_adj, S, v):
-    """Vertices outside S reachable from v by paths with interior inside S."""
+def _back_set(open_adj, S, v):
+    """Q(S, v): vertices outside S reachable from v by paths with interior in S.
+
+    This is v's neighbourhood in the graph left after eliminating S (Rose,
+    Tarjan & Lueker 1976), so it is both v's elimination cost and its bag.
+    """
     visited = 1 << v
     frontier = 1 << v
     out = 0
@@ -111,15 +104,16 @@ def _back_degree(open_adj, S, v):
         visited |= nxt
         out |= nxt & ~S
         frontier = nxt & S
-    return bin(out).count("1")
+    return out
 
 
 def exact_treewidth(g, limit=13):
     """(treewidth, minimal TreeDecomposition) by DP over elimination prefixes.
 
-    f(S) = cheapest max back-degree over orderings eliminating S first; the
-    optimum ordering is recovered by backtracking and turned into bags the
-    usual way (bag of v = v plus its not-yet-eliminated fill neighbors).
+    f(S) = cheapest max |Q(S - v, v)| over orderings eliminating S first, and
+    last[S] is the lowest v reaching it.  Walking `last` down from the full
+    set gives an optimal ordering; bag i is order[i] plus its back set
+    Q(order[:i], order[i]), joined to the bag of its earliest back-set member.
     """
     if g.n == 0:
         raise ValueError("treewidth undefined for the empty graph")
@@ -129,63 +123,48 @@ def exact_treewidth(g, limit=13):
     open_adj = [g.nbr_mask(v) & ~(1 << v) for v in range(n)]
     full = (1 << n) - 1
     f = [0] * (1 << n)
+    last = [0] * (1 << n)
     f[0] = -1
-    # subsets in increasing popcount order
-    by_count = [[] for _ in range(n + 1)]
-    for S in range(1 << n):
-        by_count[bin(S).count("1")].append(S)
-    for size in range(1, n + 1):
-        for S in by_count[size]:
-            best = n + 1
-            m = S
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                Sv = S & ~(1 << v)
-                cost = f[Sv]
-                bd = _back_degree(open_adj, Sv, v)
-                if bd > cost:
-                    cost = bd
-                if cost < best:
-                    best = cost
-            f[S] = best
-    width = f[full]
-
-    # recover an optimal elimination ordering, back to front
-    order = [0] * n
-    S = full
-    for pos in range(n - 1, -1, -1):
+    # S - v < S, so increasing S sees every f it reads
+    for S in range(1, full + 1):
+        best = n + 1
         m = S
         while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            Sv = S & ~(1 << v)
-            if max(f[Sv], _back_degree(open_adj, Sv, v)) == f[S] and f[Sv] <= f[S]:
-                order[pos] = v
-                S = Sv
-                break
-        else:
-            raise AssertionError("elimination backtrack failed")
+            low = m & -m
+            m ^= low
+            Sv = S ^ low
+            cost = f[Sv]
+            if cost >= best:
+                continue  # v cannot lower the minimum, so skip its back set
+            v = low.bit_length() - 1
+            bd = _back_set(open_adj, Sv, v).bit_count()
+            if bd > cost:
+                cost = bd
+            if cost < best:
+                best = cost
+                last[S] = v
+        f[S] = best
+    width = f[full]
 
-    # build bags along the ordering, adding fill edges as we go
+    order = []
+    S = full
+    while S:
+        order.append(last[S])
+        S ^= 1 << last[S]
+    order.reverse()
+
     pos_of = {v: i for i, v in enumerate(order)}
-    adj = [set(g.open_nbrs(v)) for v in range(n)]
-    bag_of = [None] * n
-    for i, v in enumerate(order):
-        later = [u for u in adj[v] if pos_of[u] > i]
-        bag_of[i] = frozenset([v] + later)
-        for a in later:
-            for b in later:
-                if a != b:
-                    adj[a].add(b)
-        for u in later:
-            adj[u].discard(v)
+    bags = []
     tree_edges = []
     roots = []
-    for i in range(n):
-        later = [pos_of[u] for u in bag_of[i] if pos_of[u] > i]
+    S = 0
+    for i, v in enumerate(order):
+        back = _back_set(open_adj, S, v)
+        S |= 1 << v
+        later = [u for u in range(n) if (back >> u) & 1]
+        bags.append(frozenset([v] + later))
         if later:
-            tree_edges.append((i, min(later)))
+            tree_edges.append((i, min(pos_of[u] for u in later)))
         else:
             # last bag of a connected component
             roots.append(i)
@@ -193,7 +172,7 @@ def exact_treewidth(g, limit=13):
     # cannot break any vertex's bag subtree
     for a, b in zip(roots, roots[1:]):
         tree_edges.append((a, b))
-    td = TreeDecomposition(bags=list(bag_of), tree_edges=tree_edges)
+    td = TreeDecomposition(bags=bags, tree_edges=tree_edges)
     bad = validate_decomposition(td, g)
     if bad is not None:
         raise AssertionError("constructed decomposition invalid: " + bad)
@@ -342,6 +321,14 @@ def bag_strategy(pg, td):
     start = 0
     initial = tuple(sorted(bags[start]))
 
+    def leg(cops, x, target):
+        """(anchors held across x-target, the traveler, its destination)."""
+        anchors = sorted(bags[x] & bags[target])
+        rest = list(cops)
+        for a in anchors:
+            rest.remove(a)
+        return anchors, rest[0], min(bags[target] - bags[x])
+
     def step(memory, t, cops, robber):
         x, target = memory
         g = pg.snapshots[t % pg.period]
@@ -353,12 +340,7 @@ def bag_strategy(pg, td):
                 moved.append(robber)
                 return tuple(sorted(moved)), (x, target)
         if target is not None:
-            anchors = sorted(bags[x] & bags[target])
-            rest = list(cops)
-            for a in anchors:
-                rest.remove(a)
-            traveler = rest[0]
-            dest = min(bags[target] - bags[x])
+            _, traveler, dest = leg(cops, x, target)
             if traveler == dest:
                 x, target = target, None
         if target is None:
@@ -371,12 +353,7 @@ def bag_strategy(pg, td):
                     break
             else:
                 raise AssertionError("robber vertex in no side component")
-        anchors = sorted(bags[x] & bags[target])
-        rest = list(cops)
-        for a in anchors:
-            rest.remove(a)
-        traveler = rest[0]
-        dest = min(bags[target] - bags[x])
+        anchors, traveler, dest = leg(cops, x, target)
         journey = foremost_journey(pg, t, traveler, dest)
         nxt = journey[1] if len(journey) > 1 else traveler
         return tuple(sorted(anchors + [nxt])), (x, target)

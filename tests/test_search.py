@@ -66,6 +66,15 @@ class TestSpecPlumbing:
         with pytest.raises(ValueError, match="unknown search hints"):
             spec_from_dict(d)
 
+    def test_unknown_edge_layer_keys_rejected(self):
+        # a misspelt key would otherwise drop the constraint silently
+        with pytest.raises(ValueError,
+                           match=r"unknown search edge_layers keys: \['forbidd'\]"):
+            SearchSpec(name="x", n=3, p=2, family="subgraph_assignment",
+                       snapshot_constraint={"kind": "subgraph_of",
+                                            "edges": [[0, 1], [1, 2]]},
+                       hints={"edge_layers": [{"edge": [0, 1], "forbidd": [0]}]})
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown spec"):
             get_spec("nope")
@@ -332,6 +341,18 @@ class TestFootprintSearch:
             for p in (1, 2):
                 for c in range(w + 2, g.n + 1):
                     assert search(_footprint_spec(g, p, c)).status == "exhausted"
+
+    def test_copnum_target_skips_the_triple(self, monkeypatch):
+        # deciding copnum == 2 needs the periodic ascent, not the whole triple
+        from percop import solver
+
+        calls = []
+        inner = solver.is_k_copwin
+        monkeypatch.setattr(solver, "is_k_copwin",
+                            lambda *a, **kw: calls.append(1) or inner(*a, **kw))
+        out = search(_footprint_spec(complete_graph(4), 2, 2))
+        assert (out.status, out.tried) == ("exhausted", 729)
+        assert len(calls) <= 729
 
     @pytest.mark.parametrize("g, best", [
         (complete_graph(2), 1),

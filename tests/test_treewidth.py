@@ -19,8 +19,8 @@ from percop.treewidth import (
     smooth,
     validate_decomposition,
 )
-from percop.constructions import bowtie_221, q3_rotation
-from conftest import random_connected_graph, random_temporally_connected
+from percop.constructions import GENERATORS, bowtie_221, q3_rotation
+from conftest import random_connected_graph, random_graph, random_temporally_connected
 
 
 def width_at_most(g, k):
@@ -97,6 +97,60 @@ class TestExactTreewidth:
         w, td = exact_treewidth(g)
         assert w == 2
         assert validate_decomposition(td, g) is None
+
+
+def _fill_bags(g, order):
+    """Bags of a fill-edge elimination along `order`: v plus its later neighbours."""
+    adj = [set(g.open_nbrs(v)) for v in range(g.n)]
+    bags = []
+    for v in order:
+        later = adj[v]  # eliminated vertices have been removed from it
+        bags.append(frozenset(later | {v}))
+        for u in later:
+            adj[u] |= later - {u}
+            adj[u].discard(v)
+    return bags
+
+
+class TestBagsFromBackSets:
+    def check(self, g):
+        _w, td = exact_treewidth(g)
+        # bag i holds order[i] and vertices eliminated after it
+        order = []
+        for i, bag in enumerate(td.bags):
+            (v,) = bag - set().union(*td.bags[i + 1:])
+            order.append(v)
+        assert sorted(order) == list(range(g.n))
+        assert td.bags == _fill_bags(g, order)
+
+    def test_random_graphs(self, rng):
+        for _ in range(60):
+            self.check(random_graph(rng, rng.randint(1, 10), rng.random()))
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_generator_footprints(self, name):
+        self.check(footprint(GENERATORS[name]().instance))
+
+
+class TestValidateDecomposition:
+    @pytest.mark.parametrize("g, bags, tree_edges, message", [
+        (path_graph(2), [{0, 1}], [(0, 1)], "tree edge references a missing bag"),
+        (path_graph(3), [{0, 1}, {1, 2}], [], "bag graph is not a tree (edge count)"),
+        (path_graph(3), [{0, 1}, {1, 2}, {2}], [(0, 1), (1, 0)],
+         "bag graph is not a tree (cycle)"),
+        (path_graph(3), [{0, 1}], [], "some vertex appears in no bag"),
+        (path_graph(3), [{0, 1}, {2}], [(0, 1)], "some edge has no common bag"),
+        (path_graph(3), [{0, 1}, {2}, {1, 2}], [(0, 1), (1, 2)],
+         "bags of vertex 1 do not induce a subtree"),
+    ], ids=["missing-bag", "edge-count", "cycle", "uncovered-vertex",
+            "uncovered-edge", "subtree"])
+    def test_each_violation_is_named(self, g, bags, tree_edges, message):
+        td = TreeDecomposition([frozenset(b) for b in bags], tree_edges)
+        assert validate_decomposition(td, g) == message
+
+    def test_valid_path_decomposition(self):
+        td = TreeDecomposition([frozenset({0, 1}), frozenset({1, 2})], [(0, 1)])
+        assert validate_decomposition(td, path_graph(3)) is None
 
 
 class TestSmooth:
