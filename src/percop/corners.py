@@ -37,13 +37,17 @@ def _pair_corners(gt, gn):
     """Every (u, v) with u != v and N[u] in gt contained in N[v] in gn.
 
     Since u covers itself, only v with u in N[v] can work, which restricts
-    the inner scan to gn's neighbors of u.
+    the inner scan to gn's neighbors of u, taken in ascending order.
     """
     for u in range(gt.n):
         mu = gt.nbr_mask(u)
-        for v in gn.closed_nbrs(u):
-            if v != u and mu & ~gn.nbr_mask(v) == 0:
+        vs = gn.nbr_mask(u) & ~(1 << u)
+        while vs:
+            low = vs & -vs
+            v = low.bit_length() - 1
+            if mu & ~gn.nbr_mask(v) == 0:
                 yield u, v
+            vs ^= low
 
 
 def find_temporal_corners(pg):

@@ -15,6 +15,27 @@ class LimitError(ValueError):
     """An input is larger than an exact routine's documented size limit."""
 
 
+def masks_connected(masks):
+    """True iff the graph with adjacency masks ``masks`` is connected.
+
+    ``masks[u]`` holds u's neighbors as bits (bit u itself may be set or
+    not); the graph on no vertices is not connected.
+    """
+    if not masks:
+        return False
+    seen = frontier = 1
+    while frontier:
+        nxt = 0
+        v = frontier
+        while v:
+            low = v & -v
+            nxt |= masks[low.bit_length() - 1]
+            v ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen == (1 << len(masks)) - 1
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
@@ -55,7 +76,7 @@ class Graph:
 
     def degree(self, u):
         """Number of open neighbors; self-loops are never counted."""
-        return bin(self._masks[u] & ~(1 << u)).count("1")
+        return (self._masks[u] & ~(1 << u)).bit_count()
 
     def has_edge(self, u, v):
         return u != v and (self._masks[u] >> v) & 1 == 1
@@ -64,21 +85,7 @@ class Graph:
         return sorted(self.edges)
 
     def is_connected(self):
-        if self.n == 0:
-            return False
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            v = frontier
-            while v:
-                u = (v & -v).bit_length() - 1
-                nxt |= self._masks[u]
-                v &= v - 1
-            nxt &= ~seen
-            seen |= nxt
-            frontier = nxt
-        return seen == (1 << self.n) - 1
+        return masks_connected(self._masks)
 
     def bfs_dist(self, source):
         """BFS distances from source; -1 for unreachable vertices."""
@@ -155,26 +162,46 @@ def check_retraction(r):
 def girth(g):
     """Length of a shortest cycle; float('inf') for forests.
 
-    For each edge, BFS in the graph without that edge gives the shortest cycle
-    through it.
+    Breadth-first search from each root r, one level at a time on adjacency
+    masks (Itai & Rodeh, SIAM J. Comput. 7(4), 1978).  With F the vertices
+    at distance d from r:
+
+    * an edge inside F closes a cycle of length at most 2d + 1;
+    * a vertex x at distance d + 1 with two neighbors in F closes one of
+      length at most 2d + 2: shortest paths from those two neighbors back
+      to r, followed until they first meet, make a cycle through x.
+
+    Both give upper bounds on the girth.  They are exact at a root on a
+    shortest cycle C: C has no chord or shortcut, so distances from r along
+    C are distances in g.  If |C| = 2d + 1, C's two vertices farthest from r
+    are adjacent at distance d; if |C| = 2d + 2, C's antipode of r is at
+    distance d + 1 with two C-neighbors at distance d.  A root is abandoned
+    once 2d + 1 reaches the best cycle found, since no deeper level can
+    beat it.
     """
+    nbrs = [g.nbr_mask(u) & ~(1 << u) for u in range(g.n)]
     best = float("inf")
-    for u, v in g.sorted_edges():
-        dist = [-1] * g.n
-        dist[u] = 0
-        q = deque([u])
-        while q:
-            x = q.popleft()
-            if dist[x] + 1 >= best:
-                continue
-            for y in g.open_nbrs(x):
-                if (x, y) in ((u, v), (v, u)):
-                    continue
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    q.append(y)
-        if dist[v] >= 0:
-            best = min(best, dist[v] + 1)
+    for root in range(g.n):
+        seen = frontier = 1 << root
+        d = 0
+        while frontier and 2 * d + 1 < best:
+            nxt = twice = 0
+            v = frontier
+            while v:
+                low = v & -v
+                nb = nbrs[low.bit_length() - 1]
+                if nb & frontier:
+                    best = 2 * d + 1
+                    break
+                new = nb & ~seen
+                twice |= nxt & new
+                nxt |= new
+                v ^= low
+            if twice:
+                best = min(best, 2 * d + 2)
+            seen |= nxt
+            frontier = nxt
+            d += 1
     return best
 
 
@@ -196,7 +223,7 @@ def domination_number(g):
     best = 0
     covered = 0
     while covered != full:
-        u = max(range(g.n), key=lambda w: bin(masks[w] & ~covered).count("1"))
+        u = max(range(g.n), key=lambda w: (masks[w] & ~covered).bit_count())
         covered |= masks[u]
         best += 1
 

@@ -28,6 +28,7 @@ from .graphs import (
     dismantle,  # unused here; perfbench/probes.py wraps search.dismantle
     domination_number,
     girth,
+    masks_connected,
     petersen_graph,
 )
 from .periodic import PeriodicGraph, footprint, induced
@@ -329,15 +330,19 @@ def _sample_girth4(rng, n):
         side = [rng.random() < 0.5 for _ in range(n)]
         if all(side) or not any(side):
             continue
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if side[u] != side[v] and rng.random() < 0.5
-        ]
-        g = Graph(n, edges)
-        if g.is_connected() and girth(g) == 4:
-            return g
+        # masks first: most draws are disconnected and never become a Graph
+        masks = [0] * n
+        edges = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                if side[u] != side[v] and rng.random() < 0.5:
+                    edges.append((u, v))
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+        if masks_connected(masks):
+            g = Graph(n, edges)
+            if girth(g) == 4:
+                return g
     return None
 
 

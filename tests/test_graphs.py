@@ -72,6 +72,14 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    def test_is_connected_against_networkx(self, rng):
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 11), rng.choice([0.1, 0.25, 0.5]))
+            assert g.is_connected() == nx.is_connected(to_nx(g))
+
+    def test_empty_graph_is_not_connected(self):
+        assert not Graph(0).is_connected()
+
 
 class TestGirth:
     def test_c4(self):
@@ -90,6 +98,52 @@ class TestGirth:
             got = girth(g)
             want = nx.girth(to_nx(g))
             assert got == want or (got == float("inf") and want == float("inf"))
+
+
+def _girth_family(rng, n):
+    """A random graph from one of the shapes whose girth is easy to get wrong."""
+    kind = rng.randrange(5)
+    if kind == 0:  # dense or sparse, mostly odd girth 3
+        return random_graph(rng, n, rng.choice([0.2, 0.4, 0.7]))
+    if kind == 1:  # forest: each vertex hangs off an earlier one, or not
+        return Graph(n, [(rng.randrange(v), v) for v in range(1, n)
+                         if rng.random() < 0.8])
+    if kind == 2:  # bipartite: every cycle is even
+        side = [rng.random() < 0.5 for _ in range(n)]
+        return Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                         if side[u] != side[v] and rng.random() < 0.5])
+    if kind == 3:  # one cycle of length c with trees hung on it
+        c = rng.randint(3, max(3, n)) if n >= 3 else 0
+        edges = [(i, (i + 1) % c) for i in range(c)]
+        edges += [(rng.randrange(v), v) for v in range(max(c, 1), n)]
+        return Graph(n, edges)
+    # a tree holding vertex 0, and the only cycle in another component
+    k = rng.randint(1, max(1, n - 3))
+    edges = [(rng.randrange(v), v) for v in range(1, k)]
+    c = rng.randint(3, n - k) if n - k >= 3 else 0
+    edges += [(k + i, k + (i + 1) % c) for i in range(c)]
+    return Graph(n, edges)
+
+
+class TestGirthFamilies:
+    def test_against_networkx(self):
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(500):
+            g = _girth_family(rng, rng.randint(0, 11))
+            got = girth(g)
+            assert got == nx.girth(to_nx(g)), sorted(g.edges)
+            seen.add(got)
+        # forests, odd and even girths all occurred
+        assert {float("inf"), 3, 4, 5, 6} <= seen
+
+    def test_cycle_outside_vertex_zeros_component(self):
+        g = Graph(9, [(0, 1), (1, 2)] + [(3 + i, 3 + (i + 1) % 6) for i in range(6)])
+        assert girth(g) == 6
+
+    def test_cycles_of_every_length(self):
+        for c in range(3, 12):
+            assert girth(cycle_graph(c)) == c
 
 
 class TestDomination:

@@ -1,7 +1,9 @@
 import itertools
 import json
+import random
 from importlib import resources
 
+import networkx as nx
 import pytest
 
 from percop.graphs import (
@@ -15,6 +17,7 @@ from percop.solver import cop_number, is_k_copwin, static_cop_number
 from percop.search import (
     SearchSpec,
     _canonical_graph_masks,
+    _sample_girth4,
     certify,
     get_spec,
     load_witness,
@@ -260,6 +263,38 @@ class TestRandomizedMode:
         b = search(get_spec("thm112"))
         assert a.witness.instance == b.witness.instance
         assert a.tried == b.tried
+
+
+def _old_sample_girth4(rng, n):
+    """The sampler as first written: a Graph per draw, then the two tests."""
+    for _ in range(200):
+        side = [rng.random() < 0.5 for _ in range(n)]
+        if all(side) or not any(side):
+            continue
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if side[u] != side[v] and rng.random() < 0.5
+        ]
+        g = Graph(n, edges)
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from(edges)
+        if g.is_connected() and nx.girth(G) == 4:
+            return g
+    return None
+
+
+class TestGirthSampler:
+    def test_same_draws_as_graph_first_sampler(self):
+        # lem122's witness depends on the exact RNG draw order
+        for n in range(4, 9):
+            for seed in range(200):
+                new_rng, old_rng = random.Random(seed), random.Random(seed)
+                got = _sample_girth4(new_rng, n)
+                assert got == _old_sample_girth4(old_rng, n), (n, seed)
+                assert new_rng.getstate() == old_rng.getstate(), (n, seed)
 
 
 class TestTruncation:
