@@ -167,7 +167,7 @@ def serialize(pg, labels=None, expected=None):
         obj["labels"] = {str(k): labels[k] for k in sorted(labels)}
     if expected:
         obj["expected"] = dict(expected)
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return dump_json(obj)
 
 
 def serialize_specimen(specimen):

@@ -47,6 +47,44 @@ _TARGET_KEYS = frozenset({
 _HINT_KEYS = frozenset({"g0_path", "g1_fragments", "suffix", "edge_layers"})
 # the keys of one `edge_layers` hint
 _EDGE_LAYER_KEYS = frozenset({"edge", "require", "forbid"})
+# constraint kind -> (fields it needs, fields it may have), besides `kind`
+_SNAPSHOT_KINDS = {
+    "subgraph_of": ({"edges"}, set()),
+    "hamiltonian_path": (set(), set()),
+    "girth": ({"girth"}, set()),
+    "circulant": (set(), {"strides"}),
+    "spanning_subgraph_with_cycle": ({"edges", "cycle_length"}, {"pattern"}),
+}
+_FOOTPRINT_KINDS = {
+    "equals": ({"edges"}, set()),
+    "universal_vertex": ({"vertex"}, set()),
+    "connected": (set(), set()),
+}
+# family -> the snapshot constraint field its candidate stream reads
+_FAMILIES = {
+    "subgraph_assignment": "edges",
+    "hamiltonian_path": None,
+    "girth_snapshots": None,
+    "circulant": None,
+    "petersen_blocks": "pattern",
+}
+
+
+def _check_constraint(what, constraint, kinds):
+    if not constraint:
+        return
+    kind = constraint.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError("unknown %s constraint kind: %s" % (what, kind))
+    need, may = kinds[kind]
+    given = set(constraint) - {"kind"}
+    missing, unknown = need - given, given - need - may
+    if missing:
+        raise ValueError("%s constraint %s is missing fields: %s"
+                         % (what, kind, sorted(missing)))
+    if unknown:
+        raise ValueError("unknown fields of %s constraint %s: %s"
+                         % (what, kind, sorted(unknown)))
 
 
 @dataclass
@@ -64,6 +102,9 @@ class SearchSpec:
     max_tries: int = 500_000
 
     def __post_init__(self):
+        for what in ("snapshot_constraint", "footprint_constraint", "targets", "hints"):
+            if not isinstance(getattr(self, what), dict):
+                raise ValueError("search spec %s must be an object" % what)
         for what, given, known in (
             ("targets", self.targets, _TARGET_KEYS),
             ("hints", self.hints, _HINT_KEYS),
@@ -73,6 +114,18 @@ class SearchSpec:
             unknown = set(given) - known
             if unknown:
                 raise ValueError("unknown search %s: %s" % (what, sorted(unknown)))
+        for what, value in (("n", self.n), ("p", self.p)):
+            if type(value) is not int or value < 1:
+                raise ValueError("search spec %s must be an int >= 1: %r"
+                                 % (what, value))
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
+            raise ValueError("unknown search family: %s" % self.family)
+        _check_constraint("snapshot", self.snapshot_constraint, _SNAPSHOT_KINDS)
+        _check_constraint("footprint", self.footprint_constraint, _FOOTPRINT_KINDS)
+        need = _FAMILIES[self.family]
+        if need is not None and need not in self.snapshot_constraint:
+            raise ValueError("search family %s needs snapshot constraint field %s"
+                             % (self.family, need))
 
     def as_dict(self):
         return asdict(self)
@@ -100,9 +153,14 @@ class SearchOutcome:
 
 
 def spec_from_dict(d):
+    if not isinstance(d, dict):
+        raise ValueError("search spec must be an object, not %s" % type(d).__name__)
     unknown = set(d) - {f.name for f in fields(SearchSpec)}
     if unknown:
         raise ValueError("unknown search spec fields: %s" % sorted(unknown))
+    missing = {"name", "n", "p", "family"} - set(d)
+    if missing:
+        raise ValueError("missing search spec fields: %s" % sorted(missing))
     return SearchSpec(**d)
 
 
@@ -125,9 +183,7 @@ def _check_footprint(pg, constraint):
     if kind == "universal_vertex":
         v = constraint["vertex"]
         return foot.degree(v) == pg.n - 1
-    if kind == "connected":
-        return foot.is_connected()
-    raise ValueError("unknown footprint constraint kind: %s" % kind)
+    return foot.is_connected()  # "connected", the one kind left
 
 
 def _retract_premise_fails(pg, target):
@@ -170,21 +226,20 @@ def _snapshots_satisfy(pg, spec):
         )
     if kind == "circulant":
         return True  # enforced by the generator's stride preconditions
-    if kind == "spanning_subgraph_with_cycle":
-        base = frozenset(_edge_list(spec.snapshot_constraint["edges"]))
-        clen = spec.snapshot_constraint["cycle_length"]
-        for g in pg.unique_snapshots:
-            if not (g.edges <= base and g.is_connected() and girth(g) == clen):
-                return False
-        pattern = spec.snapshot_constraint.get("pattern")
-        if pattern:
-            groups = {}
-            for t, gid in enumerate(pattern):
-                groups.setdefault(gid, set()).add(pg.snapshots[t].edges)
-            if any(len(v) != 1 for v in groups.values()):
-                return False
-        return True
-    raise ValueError("unknown snapshot constraint kind: %s" % kind)
+    # "spanning_subgraph_with_cycle", the one kind left
+    base = frozenset(_edge_list(spec.snapshot_constraint["edges"]))
+    clen = spec.snapshot_constraint["cycle_length"]
+    for g in pg.unique_snapshots:
+        if not (g.edges <= base and g.is_connected() and girth(g) == clen):
+            return False
+    pattern = spec.snapshot_constraint.get("pattern")
+    if pattern:
+        groups = {}
+        for t, gid in enumerate(pattern):
+            groups.setdefault(gid, set()).add(pg.snapshots[t].edges)
+        if any(len(v) != 1 for v in groups.values()):
+            return False
+    return True
 
 
 def _predicates(pg, spec):
@@ -499,8 +554,6 @@ def _candidates(spec, rng):
         "girth_snapshots": _gen_girth,
         "petersen_blocks": _gen_petersen_blocks,
     }
-    if spec.family not in generators:
-        raise ValueError("unknown search family: %s" % spec.family)
     return (
         None if pg is None else (pg, {})
         for pg in generators[spec.family](spec, rng)

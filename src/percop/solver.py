@@ -18,9 +18,10 @@ play (min over cop moves, max over robber escapes).
 
 Cop configurations are sorted multisets.  The k-cop move relation of a
 snapshot is built from the (k-1)-cop one: a configuration moves by moving its
-(k-1)-prefix and then adding a neighbour of its last cop.  solve_cop_number
-shares these relations between the k = 1, 2, ... solves of one ascent and
-drops them when the ascent ends.
+(k-1)-prefix and then adding a neighbour of its last cop.  Each thread keeps
+the relations of the last periodic graph it solved, so repeated solves of one
+graph (an ascent, or k = 1 then k = 2) build each level once; solving another
+graph drops them.
 
 Capture convention: any co-location ends the game for the cops, including the
 robber stepping onto a cop.  The stricter rule (only a cop moving onto the
@@ -34,8 +35,8 @@ environment (default 1e8 states), checked before anything is allocated.
 
 from __future__ import annotations
 
-import contextvars
 import os
+import threading
 from array import array
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -73,6 +74,7 @@ class _Level(NamedTuple):
     cfgs: list  # sorted tuples, in lexicographic order
     index: dict  # configuration -> position in cfgs
     succ: list  # succ[unique snapshot][ci]: configurations one cop move away
+    masks: list  # masks[ci]: the vertices configuration ci occupies
 
 
 class _MoveTables:
@@ -100,7 +102,8 @@ class _MoveTables:
             self.nbhd.append(chunks)
         # one cop moves to its closed neighbourhood
         self.levels = [None, _Level(
-            [(v,) for v in range(n)], {(v,): v for v in range(n)}, self.nbrs
+            [(v,) for v in range(n)], {(v,): v for v in range(n)}, self.nbrs,
+            [1 << v for v in range(n)],
         )]
 
     def level(self, k):
@@ -110,12 +113,13 @@ class _MoveTables:
 
     def _extend(self, prev):
         n = self.pg.n
-        cfgs, prefix, index = [], [], {}
+        cfgs, prefix, index, masks = [], [], {}, []
         for j, d in enumerate(prev.cfgs):
             for x in range(d[-1], n):
                 index[d + (x,)] = len(cfgs)
                 cfgs.append(d + (x,))
                 prefix.append(j)
+                masks.append(prev.masks[j] | 1 << x)
         # insert[x][j]: configuration j of the previous level plus a cop on x
         insert = [
             [index[tuple(sorted(d + (x,)))] for d in prev.cfgs]
@@ -131,19 +135,21 @@ class _MoveTables:
                     out.update(map(insert[x].__getitem__, moved))
                 rel.append(list(out))
             succ.append(rel)
-        return _Level(cfgs, index, succ)
+        return _Level(cfgs, index, succ, masks)
 
 
-# The move tables of the cop-number ascent in progress.  solve_cop_number
-# sets it for the length of its loop, so that the is_k_copwin calls it makes
-# share one _MoveTables; nothing outlives the ascent.
-_ASCENT_TABLES = contextvars.ContextVar("percop_ascent_tables", default=None)
+# The move tables of the last periodic graph solved on this thread: one
+# graph's tables at most, never shared between threads.  Thread-local rather
+# than a ContextVar, whose value the thread's context keeps alive even after
+# this module is re-imported.
+_LAST = threading.local()
 
 
 def _move_tables(pg):
-    tables = _ASCENT_TABLES.get()
+    tables = getattr(_LAST, "tables", None)
     if tables is None or tables.pg is not pg:
-        tables = _MoveTables(pg)
+        _LAST.tables = None  # free the old tables before building
+        tables = _LAST.tables = _MoveTables(pg)
     return tables
 
 
@@ -228,13 +234,8 @@ def is_k_copwin(pg, k):
     lv = tables.level(k)
     succ, nbhd, us = lv.succ, tables.nbhd, pg.usnap
     full = (1 << n) - 1
-    masks = []
-    for c in lv.cfgs:
-        m = 0
-        for v in c:
-            m |= 1 << v
-        masks.append(m)
-    cw = masks * p
+    masks = lv.masks
+    cw = masks * p  # a copy: lv.masks is shared with later solves
     rw = [0] * (p * nc)
     rank = array("B", bytes(estimate))
 
@@ -311,14 +312,10 @@ def solve_cop_number(pg, max_cops=None):
     """
     cap = cop_number_cap(pg)
     stop = cap if max_cops is None else min(cap, max_cops)
-    token = _ASCENT_TABLES.set(_MoveTables(pg))
-    try:
-        for k in range(1, stop + 1):
-            res = is_k_copwin(pg, k)
-            if res.copwin:
-                return k, res
-    finally:
-        _ASCENT_TABLES.reset(token)
+    for k in range(1, stop + 1):
+        res = is_k_copwin(pg, k)
+        if res.copwin:
+            return k, res
     if stop < cap:
         return None, None
     raise RuntimeError(

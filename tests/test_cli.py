@@ -151,6 +151,23 @@ class TestSearchCommand:
 
 
 class TestErrorSurface:
+    @pytest.mark.parametrize("spec", [
+        [],
+        {"name": "x"},
+        {"name": "x", "n": 4, "p": 2, "family": "subgraph_assignment",
+         "snapshot_constraint": {"kind": "subgraph_of"}},
+        {"name": "x", "n": 6, "p": 3, "family": "girth_snapshots",
+         "snapshot_constraint": {"kind": "girth"}},
+        {"name": "x", "n": 4, "p": 1, "family": "subgraph_assignment",
+         "snapshot_constraint": {"kind": "subgraph_off", "edges": [[0, 1]]},
+         "footprint_constraint": {"kind": "connected"}},
+    ])
+    def test_malformed_spec_file(self, capsys, tmp_path, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out = run_json(capsys, "search", "--spec", str(spec_path))
+        assert code == 2 and out["error"] == "invalid"
+
     def test_limit_errors_become_json(self, capsys, tmp_path):
         # treewidth limit (n > 13) surfaces as a JSON error, exit 3
         from percop.graphs import complete_graph

@@ -83,6 +83,82 @@ class TestSpecPlumbing:
             get_spec("nope")
 
 
+# the README's footprint question, as a spec file would hold it
+C4_SPEC = {
+    "name": "c4_copnum2",
+    "n": 4,
+    "p": 2,
+    "family": "subgraph_assignment",
+    "snapshot_constraint": {"kind": "subgraph_of",
+                            "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]},
+    "footprint_constraint": {"kind": "equals",
+                             "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]},
+    "targets": {"copnum": 2},
+}
+
+
+def _c4_with(**fields):
+    return {**C4_SPEC, **fields}
+
+
+class TestSpecValidation:
+    """A malformed spec is rejected where it is built, not when a candidate
+    first reaches the field it lacks."""
+
+    def test_valid_specs_construct(self):
+        for spec in named_specs().values():
+            spec_from_dict(json.loads(json.dumps(spec.as_dict())))
+        spec_from_dict(C4_SPEC)
+
+    @pytest.mark.parametrize("d, match", [
+        ([], "must be an object"),
+        ({"name": "x"}, r"missing search spec fields: \['family', 'n', 'p'\]"),
+        (_c4_with(snapshot_constraint={"kind": "subgraph_of"}),
+         r"snapshot constraint subgraph_of is missing fields: \['edges'\]"),
+        (_c4_with(family="girth_snapshots", snapshot_constraint={"kind": "girth"}),
+         r"snapshot constraint girth is missing fields: \['girth'\]"),
+        # every candidate fails the footprint before the kind is read, so
+        # only construction can catch it
+        (_c4_with(n=4, p=1, snapshot_constraint={"kind": "subgraph_off",
+                                                 "edges": [[0, 1]]},
+                  footprint_constraint={"kind": "connected"}),
+         "unknown snapshot constraint kind: subgraph_off"),
+    ])
+    def test_reported_cases(self, d, match):
+        with pytest.raises(ValueError, match=match):
+            spec_from_dict(d)
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"n": 0}, "n must be an int >= 1: 0"),
+        ({"n": True}, "n must be an int >= 1: True"),
+        ({"p": 2.0}, "p must be an int >= 1: 2.0"),
+        ({"family": "subgraph"}, "unknown search family: subgraph"),
+        ({"snapshot_constraint": {"edges": [[0, 1]]}},
+         "unknown snapshot constraint kind: None"),
+        ({"snapshot_constraint": {"kind": "hamiltonian_path", "edges": [[0, 1]]}},
+         r"unknown fields of snapshot constraint hamiltonian_path: \['edges'\]"),
+        ({"snapshot_constraint": []}, "snapshot_constraint must be an object"),
+        ({"footprint_constraint": {"kind": "equal", "edges": [[0, 1]]}},
+         "unknown footprint constraint kind: equal"),
+        ({"footprint_constraint": {"kind": "universal_vertex"}},
+         r"footprint constraint universal_vertex is missing fields: \['vertex'\]"),
+        ({"footprint_constraint": {"kind": "connected", "vertex": 0}},
+         r"unknown fields of footprint constraint connected: \['vertex'\]"),
+        ({"snapshot_constraint": {"kind": "hamiltonian_path"}},
+         "search family subgraph_assignment needs snapshot constraint field edges"),
+        ({"family": "petersen_blocks", "snapshot_constraint": {
+            "kind": "spanning_subgraph_with_cycle", "edges": [[0, 1]],
+            "cycle_length": 5}},
+         "search family petersen_blocks needs snapshot constraint field pattern"),
+    ])
+    def test_field_rules(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            spec_from_dict(_c4_with(**fields))
+        # the dataclass checks the same, whatever builds it
+        with pytest.raises(ValueError, match=match):
+            SearchSpec(**_c4_with(**fields))
+
+
 def _tiny_spec(**kw):
     """Two edges over two layers: nine assignments, none with cop number 3."""
     return SearchSpec(

@@ -1,4 +1,7 @@
+import gc
 import itertools
+import threading
+import weakref
 
 import pytest
 
@@ -12,6 +15,7 @@ from percop.graphs import (
     path_graph,
     petersen_graph,
 )
+from percop import solver
 from percop.periodic import PeriodicGraph, constant, footprint
 from percop.solver import (
     BudgetError,
@@ -195,6 +199,81 @@ class TestSolveResult:
         pg = constant(complete_graph(10), 1)
         with pytest.raises(BudgetError):
             is_k_copwin(pg, 3)
+
+
+def _counting_tables(monkeypatch):
+    """Record a weak reference to every _MoveTables the solver builds."""
+    built = []
+
+    class Counting(solver._MoveTables):
+        def __init__(self, pg):
+            built.append(weakref.ref(self))
+            super().__init__(pg)
+
+    monkeypatch.setattr(solver, "_MoveTables", Counting)
+    return built
+
+
+def _answers(res):
+    """Everything a solve reports: verdict, placement, every state's rank."""
+    pg, cfgs = res.pg, res._level.cfgs
+    ranks = [
+        res.rank_of(t, c, r, side)
+        for t in range(pg.period) for c in cfgs
+        for r in range(pg.n) for side in (0, 1)
+    ]
+    trace = extract_trace(res) if res.copwin else None
+    return res.copwin, res.initial_placement, res.win_count(), ranks, trace
+
+
+class TestMoveTableSlot:
+    """Repeated solves of one graph share its move tables; nothing else does."""
+
+    def test_k1_then_k2_build_once(self, monkeypatch):
+        built = _counting_tables(monkeypatch)
+        pg = q3_rotation().instance
+        is_k_copwin(pg, 1)
+        is_k_copwin(pg, 2)
+        assert len(built) == 1
+
+    def test_interleaved_solves_match_fresh_ones(self, monkeypatch):
+        built = _counting_tables(monkeypatch)
+        pg1, pg2 = q3_rotation().instance, bowtie_221().instance
+        got = []
+        for pg in (pg1, pg2, pg1):
+            for k in (1, 2, 3):
+                got.append(_answers(is_k_copwin(pg, k)))
+        # equal but distinct graphs never match the slot, so each builds anew
+        fresh = []
+        for pg in (pg1, pg2, pg1):
+            for k in (1, 2, 3):
+                fresh.append(_answers(is_k_copwin(PeriodicGraph(pg.snapshots), k)))
+        assert got == fresh
+        assert len(built) == 3 + 9
+
+    def test_old_tables_freed(self, monkeypatch):
+        built = _counting_tables(monkeypatch)
+        is_k_copwin(q3_rotation().instance, 2)
+        is_k_copwin(bowtie_221().instance, 1)
+        gc.collect()
+        assert built[0]() is None and built[1]() is not None
+
+    def test_threads_keep_their_own_tables(self, rng):
+        instances = [q3_rotation().instance, random_periodic(rng, 6, 3, 0.4)]
+        serial = [[_answers(is_k_copwin(pg, k)) for k in (1, 2)] for pg in instances]
+        got = [[], []]
+
+        def work(i):
+            for _ in range(50):
+                got[i].append([_answers(is_k_copwin(instances[i], k))
+                               for k in (1, 2)])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert got == [[serial[0]] * 50, [serial[1]] * 50]
 
 
 class TestTriple:
