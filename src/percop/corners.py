@@ -53,13 +53,11 @@ def _pair_corners(gt, gn):
 def find_temporal_corners(pg):
     """All ((t,u), v) with u != v and N_t[u] <= N_{t+1}[v]."""
     p = pg.period
-    out = [
+    return [
         CornerWitness(t, u, (v,))
         for t in range(p)
         for u, v in _pair_corners(pg.snapshots[t], pg.snapshots[(t + 1) % p])
     ]
-    out.sort()
-    return out
 
 
 def find_k_temporal_corners(pg, k):
@@ -95,7 +93,6 @@ def find_k_temporal_corners(pg, k):
                     union |= next_masks[y]
                 if mu & ~union == 0:
                     out.append(CornerWitness(t, u, ys))
-    out.sort()
     return out
 
 

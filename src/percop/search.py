@@ -4,10 +4,13 @@ Some target instances have no explicit edge lists, only constraints: snapshot
 shape, footprint facts, corner-freeness and the solver-verified triple.  Each
 search family is a stream of candidates, and one loop in `search` drives
 every stream under the same `max_tries` and deadline.  One list of target
-predicates, cheapest first, decides the candidates: `check_targets` stops at
-the first failure to screen them, and `certify` runs the whole list on a
-found witness and records what each predicate computed.  Witnesses ship as
-data files and regenerate from (spec, seed).
+predicates, cheapest first, decides the candidates.  `check_targets` screens
+a candidate in one pass: it stops at the first failure, and for a candidate
+that passes it returns the certificate, what each predicate computed.
+`certify` re-evaluates the whole list on a given instance, such as a shipped
+witness.  Each snapshot and footprint constraint kind is declared once, with
+its fields and its test.  Witnesses ship as data files and regenerate from
+(spec, seed).
 """
 
 from __future__ import annotations
@@ -47,19 +50,8 @@ _TARGET_KEYS = frozenset({
 _HINT_KEYS = frozenset({"g0_path", "g1_fragments", "suffix", "edge_layers"})
 # the keys of one `edge_layers` hint
 _EDGE_LAYER_KEYS = frozenset({"edge", "require", "forbid"})
-# constraint kind -> (fields it needs, fields it may have), besides `kind`
-_SNAPSHOT_KINDS = {
-    "subgraph_of": ({"edges"}, set()),
-    "hamiltonian_path": (set(), set()),
-    "girth": ({"girth"}, set()),
-    "circulant": (set(), {"strides"}),
-    "spanning_subgraph_with_cycle": ({"edges", "cycle_length"}, {"pattern"}),
-}
-_FOOTPRINT_KINDS = {
-    "equals": ({"edges"}, set()),
-    "universal_vertex": ({"vertex"}, set()),
-    "connected": (set(), set()),
-}
+# the circulant strides when a spec lists none
+_STRIDES = (1, 2, 3, 4, 5)
 # family -> the snapshot constraint field its candidate stream reads
 _FAMILIES = {
     "subgraph_assignment": "edges",
@@ -76,7 +68,7 @@ def _check_constraint(what, constraint, kinds):
     kind = constraint.get("kind")
     if not isinstance(kind, str) or kind not in kinds:
         raise ValueError("unknown %s constraint kind: %s" % (what, kind))
-    need, may = kinds[kind]
+    need, may, _test = kinds[kind]
     given = set(constraint) - {"kind"}
     missing, unknown = need - given, given - need - may
     if missing:
@@ -126,6 +118,27 @@ class SearchSpec:
         if need is not None and need not in self.snapshot_constraint:
             raise ValueError("search family %s needs snapshot constraint field %s"
                              % (self.family, need))
+        if type(self.seed) is not int:
+            raise ValueError("search spec seed must be an int: %r" % (self.seed,))
+        if type(self.max_tries) is not int or self.max_tries < 0:
+            raise ValueError("search spec max_tries must be an int >= 0: %r"
+                             % (self.max_tries,))
+        if type(self.budget_seconds) not in (int, float):
+            raise ValueError("search spec budget_seconds must be an int or a "
+                             "float: %r" % (self.budget_seconds,))
+        if "vertex" in self.footprint_constraint:
+            v = self.footprint_constraint["vertex"]
+            if type(v) is not int or not 0 <= v < self.n:
+                raise ValueError("footprint constraint vertex must be an int in "
+                                 "[0, %d): %r" % (self.n, v))
+        if "pattern" in self.snapshot_constraint:
+            pattern = self.snapshot_constraint["pattern"]
+            if not isinstance(pattern, (list, tuple)) or len(pattern) != self.p:
+                raise ValueError("snapshot constraint pattern must be a list of "
+                                 "length p = %d: %r" % (self.p, pattern))
+        if self.family == "petersen_blocks" and self.n != 10:
+            raise ValueError("search family petersen_blocks needs n = 10: %d"
+                             % self.n)
 
     def as_dict(self):
         return asdict(self)
@@ -173,19 +186,6 @@ def _edge_list(edges):
     return [(min(u, v), max(u, v)) for u, v in edges]
 
 
-def _check_footprint(pg, constraint):
-    if not constraint:
-        return True
-    foot = footprint(pg)
-    kind = constraint["kind"]
-    if kind == "equals":
-        return foot.edges == frozenset(_edge_list(constraint["edges"]))
-    if kind == "universal_vertex":
-        v = constraint["vertex"]
-        return foot.degree(v) == pg.n - 1
-    return foot.is_connected()  # "connected", the one kind left
-
-
 def _retract_premise_fails(pg, target):
     """Every listed retraction must hold on the footprint but break on a snapshot."""
     removed = target["removed"]
@@ -210,36 +210,56 @@ def _is_hamiltonian_path(g):
     return degs[0] == 1 and degs[1] == 1 and all(d == 2 for d in degs[2:])
 
 
-def _snapshots_satisfy(pg, spec):
-    kind = spec.snapshot_constraint.get("kind")
-    if kind is None:
-        return True
-    if kind == "subgraph_of":
-        allowed = frozenset(_edge_list(spec.snapshot_constraint["edges"]))
-        return all(g.edges <= allowed for g in pg.snapshots)
-    if kind == "hamiltonian_path":
-        return all(_is_hamiltonian_path(g) for g in pg.snapshots)
-    if kind == "girth":
-        want = spec.snapshot_constraint["girth"]
-        return all(
-            g.is_connected() and girth(g) == want for g in pg.snapshots
-        )
-    if kind == "circulant":
-        return True  # enforced by the generator's stride preconditions
-    # "spanning_subgraph_with_cycle", the one kind left
-    base = frozenset(_edge_list(spec.snapshot_constraint["edges"]))
-    clen = spec.snapshot_constraint["cycle_length"]
+def _subgraphs_of(pg, c):
+    allowed = frozenset(_edge_list(c["edges"]))
+    return all(g.edges <= allowed for g in pg.snapshots)
+
+
+def _stride_cycles(pg, c):
+    """Every snapshot is the stride-s cycle on Z_n for a listed stride s."""
+    n = pg.n
+    cycles = [frozenset(_edge_list((u, (u + s) % n) for u in range(n)))
+              for s in c.get("strides", _STRIDES)]
+    return all(g.edges in cycles for g in pg.unique_snapshots)
+
+
+def _spanning_with_cycle(pg, c):
+    base = frozenset(_edge_list(c["edges"]))
+    clen = c["cycle_length"]
     for g in pg.unique_snapshots:
         if not (g.edges <= base and g.is_connected() and girth(g) == clen):
             return False
-    pattern = spec.snapshot_constraint.get("pattern")
-    if pattern:
-        groups = {}
-        for t, gid in enumerate(pattern):
-            groups.setdefault(gid, set()).add(pg.snapshots[t].edges)
-        if any(len(v) != 1 for v in groups.values()):
-            return False
-    return True
+    # each snapshot equals the first one of its pattern group
+    first = {}
+    return all(first.setdefault(gid, g.edges) == g.edges
+               for gid, g in zip(c.get("pattern", ()), pg.snapshots))
+
+
+# constraint kind -> (fields it needs besides `kind`, fields it may have, its
+# test on (instance, constraint)).  The tests name `girth` and `footprint` in
+# their bodies, so a wrapper put on either module attribute sees every call.
+_SNAPSHOT_KINDS = {
+    "subgraph_of": ({"edges"}, set(), _subgraphs_of),
+    "hamiltonian_path": (set(), set(), lambda pg, c: all(
+        _is_hamiltonian_path(g) for g in pg.snapshots)),
+    "girth": ({"girth"}, set(), lambda pg, c: all(
+        g.is_connected() and girth(g) == c["girth"] for g in pg.snapshots)),
+    "circulant": (set(), {"strides"}, _stride_cycles),
+    "spanning_subgraph_with_cycle": ({"edges", "cycle_length"}, {"pattern"},
+                                     _spanning_with_cycle),
+}
+_FOOTPRINT_KINDS = {
+    "equals": ({"edges"}, set(), lambda pg, c:
+               footprint(pg).edges == frozenset(_edge_list(c["edges"]))),
+    "universal_vertex": ({"vertex"}, set(), lambda pg, c:
+                         footprint(pg).degree(c["vertex"]) == pg.n - 1),
+    "connected": (set(), set(), lambda pg, c: footprint(pg).is_connected()),
+}
+
+
+def _holds(pg, constraint, kinds):
+    """Whether `pg` meets a snapshot or footprint constraint; none always holds."""
+    return not constraint or kinds[constraint["kind"]][2](pg, constraint)
 
 
 def _predicates(pg, spec):
@@ -251,7 +271,7 @@ def _predicates(pg, spec):
     `triple()`, which serves every other cop-number target.
     """
     t = spec.targets
-    ok = _check_footprint(pg, spec.footprint_constraint)
+    ok = _holds(pg, spec.footprint_constraint, _FOOTPRINT_KINDS)
     yield ok, {"footprint_ok": ok}
     for k in t.get("no_corner_k", ()):
         found = (
@@ -262,7 +282,7 @@ def _predicates(pg, spec):
         gamma = domination_number(pg.snapshots[0])
         yield gamma == t["gamma_g0"], {"gamma_g0": gamma}
     # after the cheap tests (girth is costly), before the far costlier triple
-    ok = _snapshots_satisfy(pg, spec)
+    ok = _holds(pg, spec.snapshot_constraint, _SNAPSHOT_KINDS)
     yield ok, {"snapshots_ok": ok}
     if "copnum" in t:
         yield _solver.cop_number(pg) == t["copnum"], {}
@@ -285,12 +305,20 @@ def _predicates(pg, spec):
 
 
 def check_targets(pg, spec):
-    """Cheap-first: stop at the first target predicate that fails."""
-    return all(ok for ok, _ in _predicates(pg, spec))
+    """Screen cheap-first: None at the first target predicate that fails,
+    else the certificate, every predicate's entries and `verified`."""
+    certs = {}
+    for passed, entries in _predicates(pg, spec):
+        if not passed:
+            return None
+        certs.update(entries)
+    certs["verified"] = True
+    return certs
 
 
 def certify(pg, spec):
-    """Evaluate every target predicate and record what each one computed."""
+    """Re-evaluate a given instance: every target predicate, what each one
+    computed, and whether all passed."""
     certs = {}
     ok = True
     for passed, entries in _predicates(pg, spec):
@@ -424,19 +452,18 @@ def _gen_girth(spec, rng):
 
 
 def _petersen_five_cycles():
+    """Petersen's twelve 5-cycles as sorted edge lists, in sorted order.
+
+    Petersen has girth 5, so five vertices that span five edges form a
+    5-cycle.
+    """
     pet = petersen_graph()
-    out = set()
+    cycles = []
     for combo in itertools.combinations(range(10), 5):
-        for perm in itertools.permutations(combo[1:]):
-            cyc = (combo[0],) + perm
-            if all(pet.has_edge(cyc[i], cyc[(i + 1) % 5]) for i in range(5)):
-                out.add(
-                    frozenset(
-                        (min(cyc[i], cyc[(i + 1) % 5]), max(cyc[i], cyc[(i + 1) % 5]))
-                        for i in range(5)
-                    )
-                )
-    return [sorted(k) for k in sorted(out, key=sorted)]
+        edges = [e for e in itertools.combinations(combo, 2) if pet.has_edge(*e)]
+        if len(edges) == 5:
+            cycles.append(edges)
+    return sorted(cycles)
 
 
 def _gen_petersen_blocks(spec, rng):
@@ -524,7 +551,7 @@ def _local_moves(spec, rng):
 
 def _iter_circulant(spec):
     """Stride orders, hinted suffix first; None where circulant_123 rejects one."""
-    strides = spec.snapshot_constraint.get("strides", [1, 2, 3, 4, 5])
+    strides = spec.snapshot_constraint.get("strides", _STRIDES)
     suffix = tuple(spec.hints.get("suffix", ()))
     for q in sorted(
         itertools.permutations(strides),
@@ -565,10 +592,11 @@ def search(spec):
 
     Every family is a stream of candidates: exhaustive families a fixed
     order, randomized ones draws from random.Random(seed).  One loop counts
-    each candidate drawn as a try, screens it with `check_targets` and
-    certifies the first that passes.  `max_tries` and `budget_seconds`
-    only truncate ("budget"), so a found witness never depends on machine
-    speed; a stream that runs out is "exhausted".
+    each candidate drawn as a try and screens it once with `check_targets`:
+    the first that passes is the witness, and the screen's dict is its
+    certificate.  `max_tries` and `budget_seconds` only truncate ("budget"),
+    so a found witness never depends on machine speed; a stream that runs
+    out is "exhausted".
     """
     rng = random.Random(spec.seed)
     deadline = time.monotonic() + spec.budget_seconds
@@ -580,13 +608,9 @@ def search(spec):
         if candidate is None:
             continue
         pg, params = candidate
-        if not check_targets(pg, spec):
+        certs = check_targets(pg, spec)
+        if certs is None:
             continue
-        certs = certify(pg, spec)
-        if not certs["verified"]:
-            raise AssertionError(
-                "witness failed independent re-verification: %s" % certs
-            )
         witness = ConstructionSpecimen(
             name=spec.name,
             instance=pg,

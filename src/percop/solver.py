@@ -310,6 +310,8 @@ def solve_cop_number(pg, max_cops=None):
 
     (None, None) when max_cops stops the ascent below the dominating-set cap.
     """
+    if max_cops is not None and max_cops < 1:
+        raise ValueError("max_cops must be >= 1: %r" % (max_cops,))
     cap = cop_number_cap(pg)
     stop = cap if max_cops is None else min(cap, max_cops)
     for k in range(1, stop + 1):

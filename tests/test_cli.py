@@ -53,6 +53,10 @@ class TestSolve:
         assert out["cop_number"] is None
         assert out["searched_up_to"] == 2
 
+    def test_max_cops_below_one_rejected(self, capsys, q3_file):
+        code, out = run_json(capsys, "solve", str(q3_file), "--max-cops", "-3")
+        assert code == 2 and out["error"] == "invalid"
+
     def test_state_budget_env(self, capsys, q3_file, monkeypatch):
         monkeypatch.setenv("PERCOP_STATE_BUDGET", "10")
         code, out = run_json(capsys, "solve", str(q3_file))

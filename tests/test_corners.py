@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from percop.graphs import Graph, complete_graph
@@ -122,3 +124,21 @@ class TestNecessityBoundary:
                 if is_k_copwin(pg, k).copwin:
                     assert find_k_temporal_corners(pg, k), (pg.snapshots, k)
         assert checked > 50
+
+
+class TestWitnessOrder:
+    def test_enumeration_is_already_sorted(self):
+        # both scans enumerate t, then u, then covers in lexicographic order,
+        # so their lists come out sorted without a sort
+        rng = random.Random(11)
+        nonempty = 0
+        for n in range(1, 7):
+            for _ in range(40):
+                pg = random_periodic(rng, n, rng.randint(1, 3), 0.5)
+                lists = [find_temporal_corners(pg)] + [
+                    find_k_temporal_corners(pg, k) for k in (1, 2, 3)
+                ]
+                for got in lists:
+                    assert got == sorted(got), (n, pg)
+                    nonempty += len(got) > 1
+        assert nonempty > 100

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from importlib import resources
 
 import networkx as nx
@@ -12,13 +13,16 @@ from percop.graphs import (
 )
 from percop.periodic import PeriodicGraph, footprint, induced
 from percop.instancefile import serialize_specimen
+from percop.constructions import circulant_123
 from percop.corners import find_k_temporal_corners, find_temporal_corners
 from percop.solver import cop_number, is_k_copwin, static_cop_number
 from percop.search import (
     SearchSpec,
     _canonical_graph_masks,
+    _petersen_five_cycles,
     _sample_girth4,
     certify,
+    check_targets,
     get_spec,
     load_witness,
     load_witness_certificate,
@@ -157,6 +161,67 @@ class TestSpecValidation:
         # the dataclass checks the same, whatever builds it
         with pytest.raises(ValueError, match=match):
             SearchSpec(**_c4_with(**fields))
+
+
+def _named_with(name, **fields):
+    return {**get_spec(name).as_dict(), **fields}
+
+
+class TestSpecValues:
+    """Values the search loop and the candidate streams read are checked
+    when the spec is built, not where they are first used."""
+
+    @pytest.mark.parametrize("d, match", [
+        (_c4_with(seed="1"), r"seed must be an int: '1'"),
+        (_c4_with(seed=True), "seed must be an int: True"),
+        (_c4_with(max_tries="10"), r"max_tries must be an int >= 0: '10'"),
+        (_c4_with(max_tries=-1), "max_tries must be an int >= 0: -1"),
+        (_c4_with(max_tries=False), "max_tries must be an int >= 0: False"),
+        (_c4_with(max_tries=10.0), r"max_tries must be an int >= 0: 10\.0"),
+        (_c4_with(budget_seconds="60"),
+         r"budget_seconds must be an int or a float: '60'"),
+        (_c4_with(budget_seconds=True),
+         "budget_seconds must be an int or a float: True"),
+        (_c4_with(footprint_constraint={"kind": "universal_vertex", "vertex": 9}),
+         r"vertex must be an int in \[0, 4\): 9"),
+        (_c4_with(footprint_constraint={"kind": "universal_vertex", "vertex": -1}),
+         r"vertex must be an int in \[0, 4\): -1"),
+        (_c4_with(footprint_constraint={"kind": "universal_vertex", "vertex": True}),
+         r"vertex must be an int in \[0, 4\): True"),
+        (_named_with("thm112", footprint_constraint={"kind": "universal_vertex",
+                                                     "vertex": 9}),
+         r"vertex must be an int in \[0, 9\): 9"),
+        (_named_with("search_321", p=4, snapshot_constraint={
+            **get_spec("search_321").snapshot_constraint,
+            "pattern": [0, 0, 0, 1, 1, 1]}),
+         r"pattern must be a list of length p = 4: \[0, 0, 0, 1, 1, 1\]"),
+        (_named_with("search_321", snapshot_constraint={
+            **get_spec("search_321").snapshot_constraint, "pattern": 20}),
+         "pattern must be a list of length p = 20: 20"),
+        (_named_with("search_321", n=6), "petersen_blocks needs n = 10: 6"),
+    ])
+    def test_value_rules(self, d, match, tmp_path, capsys):
+        with pytest.raises(ValueError, match=match):
+            SearchSpec(**d)
+        # a spec file with the same value fails before the first candidate
+        from percop.cli import main
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(d))
+        code = main(["search", "--spec", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2 and out["error"] == "invalid"
+        assert re.search(match, out["detail"])
+
+    @pytest.mark.parametrize("fields", [
+        {"seed": -3},
+        {"max_tries": 0},
+        {"budget_seconds": 60},
+        {"budget_seconds": 0.5},
+        {"footprint_constraint": {"kind": "universal_vertex", "vertex": 3}},
+    ])
+    def test_accepted_values(self, fields):
+        SearchSpec(**_c4_with(**fields))
 
 
 def _tiny_spec(**kw):
@@ -548,3 +613,141 @@ class TestShippedWitnesses:
     def test_missing_witness_raises(self):
         with pytest.raises(FileNotFoundError):
             load_witness("never_shipped")
+
+
+WITNESS_NAMES = ("thm112", "lem122", "circulant_123", "prop3_retract", "search_321")
+
+
+class TestSinglePass:
+    """A search screens each candidate once; the screen's dict is the
+    certificate, and `certify` re-evaluates a given instance to the same."""
+
+    # lem122's search takes 24,588 candidates; its witness is checked below
+    @pytest.mark.parametrize(
+        "name", ["thm112", "circulant_123", "prop3_retract", "search_321"]
+    )
+    def test_search_certificate(self, name):
+        spec = get_spec(name)
+        out = search(spec)
+        assert out.certificates == certify(out.witness.instance, spec)
+        assert out.certificates == load_witness_certificate(name)["certificates"]
+
+    def test_screen_fails_with_none(self):
+        bad = circulant_123([2, 3, 5, 1, 4]).instance  # has 2-corners
+        assert check_targets(bad, get_spec("circulant_123")) is None
+
+    @pytest.mark.parametrize("name", WITNESS_NAMES)
+    def test_screen_of_shipped_witness(self, name):
+        pg, _meta = load_witness(name)
+        spec = get_spec(name)
+        certs = check_targets(pg, spec)
+        assert certs == certify(pg, spec)
+        assert certs["verified"] is True
+
+    def test_wrapped_generator_is_called(self, monkeypatch):
+        import percop.search
+
+        calls = []
+        inner = percop.search._gen_girth
+
+        def wrapped(spec, rng):
+            calls.append(spec.name)
+            return inner(spec, rng)
+
+        monkeypatch.setattr(percop.search, "_gen_girth", wrapped)
+        spec = get_spec("lem122")
+        spec.max_tries = 50
+        out = search(spec)
+        assert (out.status, out.tried) == ("budget", 50)
+        assert calls == ["lem122"]
+
+    @pytest.mark.parametrize("name", WITNESS_NAMES)
+    def test_kind_tests_call_the_module_names(self, name, monkeypatch):
+        # wrappers put on percop.search.girth and .footprint see the calls
+        import percop.search
+
+        calls = []
+        for attr in ("girth", "footprint"):
+            inner = getattr(percop.search, attr)
+            monkeypatch.setattr(percop.search, attr,
+                                lambda g, a=attr, f=inner: calls.append(a) or f(g))
+        pg, _meta = load_witness(name)
+        certify(pg, get_spec(name))
+        assert "footprint" in calls
+        assert ("girth" in calls) == (name in ("lem122", "search_321"))
+
+
+def _cycle(n, stride=1):
+    return Graph(n, [(u, (u + stride) % n) for u in range(n)])
+
+
+PATH3 = Graph(3, [(0, 1), (1, 2)])
+PATH4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+# (constraint side, constraint, an instance that meets it, one that does not)
+KIND_CASES = [
+    ("snapshot", {"kind": "subgraph_of", "edges": [[1, 0], [2, 1]]},
+     [PATH3, Graph(3, [(0, 1)])], [PATH3, complete_graph(3)]),
+    ("snapshot", {"kind": "hamiltonian_path"},
+     [PATH4, Graph(4, [(1, 0), (0, 3), (3, 2)])],
+     [PATH4, Graph(4, [(0, 1), (0, 2), (0, 3)])]),
+    ("snapshot", {"kind": "girth", "girth": 4},
+     [cycle_graph(4), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])],
+     [cycle_graph(4), complete_graph(4)]),
+    ("snapshot", {"kind": "circulant", "strides": [1, 2]},
+     [_cycle(5, 1), _cycle(5, 2)], [_cycle(5, 1), path_graph(5)]),
+    ("snapshot", {"kind": "spanning_subgraph_with_cycle",
+                  "edges": [list(e) for e in complete_graph(5).sorted_edges()],
+                  "cycle_length": 5, "pattern": [0, 0]},
+     [_cycle(5, 2), _cycle(5, 2)], [_cycle(5, 1), _cycle(5, 2)]),
+    ("footprint", {"kind": "equals", "edges": [[0, 1], [2, 1]]},
+     [Graph(3, [(0, 1)]), Graph(3, [(1, 2)])], [Graph(3, [(0, 1)]), Graph(3)]),
+    ("footprint", {"kind": "universal_vertex", "vertex": 1},
+     [Graph(3, [(0, 1)]), Graph(3, [(1, 2)])],
+     [Graph(3, [(0, 1)]), Graph(3, [(0, 2)])]),
+    ("footprint", {"kind": "connected"},
+     [Graph(3, [(0, 1)]), Graph(3, [(1, 2)])], [Graph(3, [(0, 1)]), Graph(3)]),
+]
+
+
+class TestConstraintKinds:
+    def test_every_kind_has_a_case(self):
+        from percop.search import _FOOTPRINT_KINDS, _SNAPSHOT_KINDS
+
+        assert sorted(c["kind"] for _, c, _, _ in KIND_CASES) == sorted(
+            [*_SNAPSHOT_KINDS, *_FOOTPRINT_KINDS])
+
+    @pytest.mark.parametrize("side, constraint, good, bad", KIND_CASES,
+                             ids=[c["kind"] for _, c, _, _ in KIND_CASES])
+    def test_kind(self, side, constraint, good, bad):
+        spec = SearchSpec(name="kind", n=good[0].n, p=len(good), family="circulant",
+                          **{"%s_constraint" % side: constraint})
+        key = "snapshots_ok" if side == "snapshot" else "footprint_ok"
+        assert certify(PeriodicGraph(good), spec)[key] is True
+        assert certify(PeriodicGraph(bad), spec)[key] is False
+
+
+def _brute_force_five_cycles():
+    """Petersen's 5-cycles as first found: every vertex order of every
+    5-subset, kept when consecutive vertices are adjacent."""
+    pet = petersen_graph()
+    out = set()
+    for combo in itertools.combinations(range(10), 5):
+        for perm in itertools.permutations(combo[1:]):
+            cyc = (combo[0],) + perm
+            if all(pet.has_edge(cyc[i], cyc[(i + 1) % 5]) for i in range(5)):
+                out.add(
+                    frozenset(
+                        (min(cyc[i], cyc[(i + 1) % 5]), max(cyc[i], cyc[(i + 1) % 5]))
+                        for i in range(5)
+                    )
+                )
+    return [sorted(k) for k in sorted(out, key=sorted)]
+
+
+class TestPetersenFiveCycles:
+    def test_same_cycles_in_the_same_order(self):
+        # search_321's random draws index into this list
+        cycles = _petersen_five_cycles()
+        assert len(cycles) == 12
+        assert cycles == _brute_force_five_cycles()

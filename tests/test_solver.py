@@ -178,6 +178,11 @@ class TestSolveResult:
         k, res = solve_cop_number(pg, max_cops=3)
         assert k == 3 and res.copwin
 
+    @pytest.mark.parametrize("max_cops", [0, -3])
+    def test_max_cops_below_one_rejected(self, max_cops):
+        with pytest.raises(ValueError, match="max_cops must be >= 1: %d" % max_cops):
+            solve_cop_number(bowtie_221().instance, max_cops=max_cops)
+
     def test_ascent_matches_single_solves(self):
         pg = q3_rotation().instance
         k, res = solve_cop_number(pg)
