@@ -2,14 +2,16 @@
 
 Every subcommand prints a single JSON object (canonical key order) unless
 --human is given.  PERCOP_STATE_BUDGET in the environment overrides the
-solver's state-count cap.  verify-table exits 0 when all in-scope rows pass,
-2 on a mismatch or missing witness, 3 on budget or limit errors.
+solver's state-count cap.  verify-table renders the rows that
+`search.verify_table` checks and exits 3 if any row hit the state budget,
+else 2 if any row failed or misses its witness, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import solver as _solver
@@ -20,43 +22,12 @@ from .instancefile import InstanceError, dump_json, parse, serialize_specimen
 from .periodic import footprint, is_temporally_connected
 from .search import (
     get_spec,
-    load_witness,
     load_witness_certificate,
     search as run_search,
     spec_from_dict,
+    verify_table,
 )
 from .treewidth import bag_strategy, exact_treewidth, smooth
-
-
-TABLE_ROWS = [
-    ((1, 1, 1), "diagonal", "diagonal_111"),
-    ((1, 1, 2), "search", "thm112"),
-    ((1, 1, 3), "undetermined", None),
-    ((1, 2, 1), "external", None),
-    ((1, 2, 2), "search", "lem122"),
-    ((1, 2, 3), "search", "circulant_123"),
-    ((1, 3, 1), "external", None),
-    ((1, 3, 2), "generator", "petersen_132"),
-    ((1, 3, 3), "external", None),
-    ((2, 1, 1), "external", None),
-    ((2, 1, 2), "external", None),
-    ((2, 1, 3), "undetermined", None),
-    ((2, 2, 1), "generator", "bowtie_221"),
-    ((2, 2, 2), "diagonal", "diagonal_222"),
-    ((2, 2, 3), "external", None),
-    ((2, 3, 1), "generator", "petersen_231"),
-    ((2, 3, 2), "external", None),
-    ((2, 3, 3), "external", None),
-    ((3, 1, 1), "generator", "petersen_311"),
-    ((3, 1, 2), "external", None),
-    ((3, 1, 3), "undetermined", None),
-    ((3, 2, 1), "search", "search_321"),
-    ((3, 2, 2), "external", None),
-    ((3, 2, 3), "external", None),
-    ((3, 3, 1), "external", None),
-    ((3, 3, 2), "external", None),
-    ((3, 3, 3), "diagonal", "diagonal_333"),
-]
 
 
 def _load_instance(path):
@@ -223,55 +194,15 @@ def cmd_tw_bound(args):
     return 0
 
 
-def _table_source_instance(kind, name, skip_search):
-    if kind == "diagonal" or kind == "generator":
-        return GENERATORS[name]().instance, None
-    if kind == "search":
-        if skip_search:
-            return None, "skipped"
-        try:
-            pg, _meta = load_witness(name)
-        except FileNotFoundError:
-            return None, "missing-witness"
-        return pg, None
-    return None, None
-
-
 def cmd_verify_table(args):
-    rows = []
-    exit_code = 0
-    budget_hit = False
-    for abc, kind, name in TABLE_ROWS:
-        row = {"a": abc[0], "b": abc[1], "c": abc[2], "source": name or kind}
-        if kind == "external":
-            row["status"] = "external"
-        elif kind == "undetermined":
-            row["status"] = "UNDETERMINED"
-        else:
-            pg, sentinel = _table_source_instance(kind, name, args.skip_search_rows)
-            if sentinel is not None:
-                row["status"] = sentinel
-                if sentinel == "missing-witness":
-                    exit_code = 2
-            else:
-                try:
-                    got = _solver.triple(pg).abc
-                    row["computed"] = list(got)
-                    if got == abc:
-                        row["status"] = "PASS"
-                    else:
-                        row["status"] = "FAIL"
-                        exit_code = 2
-                except _solver.BudgetError as e:
-                    row["status"] = "budget-error"
-                    row["detail"] = str(e)
-                    budget_hit = True
-        rows.append(row)
-    if budget_hit:
+    rows = verify_table(skip_search=args.skip_search_rows)
+    counts = dict(Counter(r["status"] for r in rows))
+    if "budget-error" in counts:
         exit_code = 3
-    counts = {}
-    for r in rows:
-        counts[r["status"]] = counts.get(r["status"], 0) + 1
+    elif "FAIL" in counts or "missing-witness" in counts:
+        exit_code = 2
+    else:
+        exit_code = 0
     out = {"rows": rows, "summary": counts, "exit_code": exit_code}
     human = ["a b c  status        source"]
     for r in rows:

@@ -10,7 +10,9 @@ that passes it returns the certificate, what each predicate computed.
 `certify` re-evaluates the whole list on a given instance, such as a shipped
 witness.  Each snapshot and footprint constraint kind is declared once, with
 its fields and its test.  Witnesses ship as data files and regenerate from
-(spec, seed).
+(spec, seed).  `verify_table` checks the paper's 27-row (a, b, c) table: each
+row comes from the generator or named spec that states its triple, and a
+named spec's shipped witness is checked by `certify`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .graphs import (
 )
 from .periodic import PeriodicGraph, footprint, induced
 from .corners import find_k_temporal_corners, find_temporal_corners, _pair_corners
-from .constructions import ConstructionSpecimen, circulant_123
+from .constructions import GENERATORS, ConstructionSpecimen, circulant_123
 from .instancefile import parse
 from . import solver as _solver
 
@@ -97,11 +99,15 @@ class SearchSpec:
         for what in ("snapshot_constraint", "footprint_constraint", "targets", "hints"):
             if not isinstance(getattr(self, what), dict):
                 raise ValueError("search spec %s must be an object" % what)
+        layers = self.hints.get("edge_layers", ())
+        if not (isinstance(layers, (list, tuple))
+                and all(isinstance(h, dict) for h in layers)):
+            raise ValueError("search hint edge_layers must be a list of "
+                             "objects: %r" % (layers,))
         for what, given, known in (
             ("targets", self.targets, _TARGET_KEYS),
             ("hints", self.hints, _HINT_KEYS),
-            *(("edge_layers keys", h, _EDGE_LAYER_KEYS)
-              for h in self.hints.get("edge_layers", ())),
+            *(("edge_layers keys", h, _EDGE_LAYER_KEYS) for h in layers),
         ):
             unknown = set(given) - known
             if unknown:
@@ -139,6 +145,19 @@ class SearchSpec:
         if self.family == "petersen_blocks" and self.n != 10:
             raise ValueError("search family petersen_blocks needs n = 10: %d"
                              % self.n)
+        for what, edges in (
+            ("snapshot constraint", self.snapshot_constraint.get("edges", ())),
+            ("footprint constraint", self.footprint_constraint.get("edges", ())),
+            ("edge_layers hint", [h.get("edge") for h in layers]),
+        ):
+            if not isinstance(edges, (list, tuple)):
+                raise ValueError("%s edges must be a list: %r" % (what, edges))
+            for e in edges:
+                if not (isinstance(e, (list, tuple)) and len(e) == 2
+                        and all(type(v) is int and 0 <= v < self.n for v in e)
+                        and e[0] != e[1]):
+                    raise ValueError("%s edge must be two distinct ints in "
+                                     "[0, %d): %r" % (what, self.n, e))
 
     def as_dict(self):
         return asdict(self)
@@ -574,6 +593,13 @@ def _candidates(spec, rng):
             return _iter_subgraph_assignments(spec)
         return _local_moves(spec, rng)
     if spec.family == "circulant":
+        # its stream builds circulant_123 instances: Z_11, one stride a step
+        strides = spec.snapshot_constraint.get("strides", _STRIDES)
+        if not isinstance(strides, (list, tuple)) or (spec.n, spec.p) != (
+                11, len(strides)):
+            raise ValueError("search family circulant needs n = 11 and p = the "
+                             "number of strides: n = %d, p = %d, strides %r"
+                             % (spec.n, spec.p, strides))
         return _iter_circulant(spec)
     # looked up per call: the benchmark wraps the module-level _gen_girth
     generators = {
@@ -729,6 +755,65 @@ def get_spec(name):
             "unknown spec %r; known: %s" % (name, sorted(specs))
         )
     return specs[name]
+
+
+# ---------------------------------------------------------------------------
+# the paper's (a, b, c) table
+
+# the rows no construction settles either way: (x, 1, 3)
+UNDETERMINED = ((1, 1, 3), (2, 1, 3), (3, 1, 3))
+
+
+def verify_table(skip_search=False):
+    """The 27 (a, b, c) rows, each checked against the one source stating it.
+
+    A generator whose expected triple has no `None` is the source of that
+    row, which passes when `triple` of its instance equals it.  A named spec
+    with a `triple` target is the source of that row, which passes when
+    `certify` accepts its shipped witness (`skipped` under `skip_search`,
+    `missing-witness` when none ships).  A solve over the state budget makes
+    the row `budget-error`.  Every other row is `UNDETERMINED` or `external`.
+    """
+    sources = {}
+    for name, make in GENERATORS.items():
+        specimen = make()
+        if None not in specimen.expected_triple:
+            sources[specimen.expected_triple] = (name, specimen.instance, None)
+    for name, spec in named_specs().items():
+        if "triple" in spec.targets:
+            sources[tuple(spec.targets["triple"])] = (name, None, spec)
+    rows = []
+    for abc in itertools.product((1, 2, 3), repeat=3):
+        row = {"a": abc[0], "b": abc[1], "c": abc[2]}
+        rows.append(row)
+        if abc in UNDETERMINED:
+            row.update(source="undetermined", status="UNDETERMINED")
+            continue
+        if abc not in sources:
+            row.update(source="external", status="external")
+            continue
+        row["source"], pg, spec = sources[abc]
+        if spec is not None:
+            if skip_search:
+                row["status"] = "skipped"
+                continue
+            try:
+                pg, _meta = load_witness(row["source"])
+            except FileNotFoundError:
+                row["status"] = "missing-witness"
+                continue
+        try:
+            if spec is None:
+                computed = list(_solver.triple(pg).abc)
+                passed = computed == list(abc)
+            else:
+                certs = certify(pg, spec)
+                computed, passed = certs["triple"], certs["verified"]
+        except _solver.BudgetError as e:
+            row.update(status="budget-error", detail=str(e))
+            continue
+        row.update(computed=computed, status="PASS" if passed else "FAIL")
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -247,3 +247,105 @@ class TestVerifyTable:
         code, out = run(capsys, "--human", "verify-table", "--skip-search-rows")
         assert code == 0
         assert "a b c" in out and "external" in out
+
+
+# (a, b, c, source) of every row, as cli.py once listed them by hand; the rows
+# now come from the generators and named specs that state each triple
+FORMER_TABLE = [
+    (1, 1, 1, "diagonal_111"), (1, 1, 2, "thm112"), (1, 1, 3, "undetermined"),
+    (1, 2, 1, "external"), (1, 2, 2, "lem122"), (1, 2, 3, "circulant_123"),
+    (1, 3, 1, "external"), (1, 3, 2, "petersen_132"), (1, 3, 3, "external"),
+    (2, 1, 1, "external"), (2, 1, 2, "external"), (2, 1, 3, "undetermined"),
+    (2, 2, 1, "bowtie_221"), (2, 2, 2, "diagonal_222"), (2, 2, 3, "external"),
+    (2, 3, 1, "petersen_231"), (2, 3, 2, "external"), (2, 3, 3, "external"),
+    (3, 1, 1, "petersen_311"), (3, 1, 2, "external"), (3, 1, 3, "undetermined"),
+    (3, 2, 1, "search_321"), (3, 2, 2, "external"), (3, 2, 3, "external"),
+    (3, 3, 1, "external"), (3, 3, 2, "external"), (3, 3, 3, "diagonal_333"),
+]
+
+
+class TestVerifyTableSources:
+    def test_rows_match_the_former_table(self):
+        from percop.search import verify_table
+
+        rows = verify_table(skip_search=True)
+        assert [(r["a"], r["b"], r["c"], r["source"]) for r in rows] == FORMER_TABLE
+
+    def test_search_rows_are_decided_by_certify(self, capsys, monkeypatch):
+        # vertices 0 and 8 swapped keep thm112's triple (1, 1, 2) but move
+        # the universal footprint vertex the spec names
+        from percop import search as search_mod
+        from percop.periodic import PeriodicGraph
+
+        real = search_mod.load_witness
+
+        def swapped(name):
+            pg, meta = real(name)
+            if name == "thm112":
+                perm = list(range(pg.n))
+                perm[0], perm[8] = 8, 0
+                pg = PeriodicGraph([g.relabel(perm) for g in pg.snapshots])
+            return pg, meta
+
+        monkeypatch.setattr(search_mod, "load_witness", swapped)
+        code, out = run_json(capsys, "verify-table")
+        row = out["rows"][1]
+        assert (row["a"], row["b"], row["c"], row["source"]) == (1, 1, 2, "thm112")
+        assert row["status"] == "FAIL" and row["computed"] == [1, 1, 2]
+        assert out["summary"]["PASS"] == 10
+        assert code == out["exit_code"] == 2
+
+    def test_missing_witness(self, capsys, monkeypatch):
+        from percop import search as search_mod
+
+        def missing(name):
+            raise FileNotFoundError("missing witness file for spec %r" % name)
+
+        monkeypatch.setattr(search_mod, "load_witness", missing)
+        code, out = run_json(capsys, "verify-table")
+        gone = [r for r in out["rows"] if r["status"] == "missing-witness"]
+        assert [r["source"] for r in gone] == [
+            "thm112", "lem122", "circulant_123", "search_321"]
+        assert all("computed" not in r for r in gone)
+        assert out["summary"]["PASS"] == 7
+        assert code == out["exit_code"] == 2
+
+    def test_state_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("PERCOP_STATE_BUDGET", "100")
+        code, out = run_json(capsys, "verify-table")
+        solved = [r for r in out["rows"]
+                  if r["status"] not in ("external", "UNDETERMINED")]
+        over = [r for r in solved if r["status"] == "budget-error"]
+        assert len(solved) == 11
+        # diagonal_111's games fit in 100 states; every other row's do not
+        assert [r["source"] for r in solved if r not in over] == ["diagonal_111"]
+        assert all("solver state budget exceeded" in r["detail"]
+                   and "computed" not in r for r in over)
+        assert code == out["exit_code"] == 3
+
+
+# the README's footprint question as a spec file
+C4_FILE = {
+    "name": "c4_copnum2", "n": 4, "p": 2, "family": "subgraph_assignment",
+    "snapshot_constraint": {"kind": "subgraph_of",
+                            "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]},
+    "footprint_constraint": {"kind": "equals",
+                             "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]},
+    "targets": {"copnum": 2},
+}
+
+
+class TestSpecFileChecks:
+    @pytest.mark.parametrize("spec", [
+        {"name": "x", "n": 4, "p": 1, "family": "circulant"},
+        {**C4_FILE, "footprint_constraint": {"kind": "equals", "edges": [[0, 9]]}},
+        {**C4_FILE, "footprint_constraint": {"kind": "equals", "edges": [[2, 2]]}},
+        {**C4_FILE, "snapshot_constraint": {"kind": "subgraph_of", "edges": [[0, 9]]}},
+        {**C4_FILE, "hints": {"edge_layers": [{"edge": [0, 4], "require": [0]}]}},
+        {**C4_FILE, "hints": {"edge_layers": [{"edge": [0, True]}]}},
+    ])
+    def test_rejected_before_the_first_candidate(self, capsys, tmp_path, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out = run_json(capsys, "search", "--spec", str(spec_path))
+        assert code == 2 and out["error"] == "invalid"

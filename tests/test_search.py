@@ -751,3 +751,61 @@ class TestPetersenFiveCycles:
         cycles = _petersen_five_cycles()
         assert len(cycles) == 12
         assert cycles == _brute_force_five_cycles()
+
+
+class TestSpecEdgesAndCirculant:
+    """Every edge a spec names is checked where the spec is built; the
+    circulant family's n and p are checked before its first candidate."""
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"footprint_constraint": {"kind": "equals", "edges": [[0, 9]]}},
+         r"footprint constraint edge must be two distinct ints in \[0, 4\): \[0, 9\]"),
+        ({"footprint_constraint": {"kind": "equals", "edges": [[2, 2]]}},
+         r"footprint constraint edge .*: \[2, 2\]"),
+        ({"snapshot_constraint": {"kind": "subgraph_of", "edges": [[0, 9]]}},
+         r"snapshot constraint edge .*: \[0, 9\]"),
+        ({"snapshot_constraint": {"kind": "subgraph_of", "edges": [[-1, 1]]}},
+         r"snapshot constraint edge .*: \[-1, 1\]"),
+        ({"snapshot_constraint": {"kind": "subgraph_of", "edges": [[0, True]]}},
+         r"snapshot constraint edge .*: \[0, True\]"),
+        ({"snapshot_constraint": {"kind": "subgraph_of", "edges": [[0, 1.0]]}},
+         r"snapshot constraint edge .*: \[0, 1.0\]"),
+        ({"snapshot_constraint": {"kind": "subgraph_of", "edges": [[0, 1, 2]]}},
+         r"snapshot constraint edge .*: \[0, 1, 2\]"),
+        ({"snapshot_constraint": {"kind": "subgraph_of", "edges": [5]}},
+         r"snapshot constraint edge .*: 5"),
+        ({"snapshot_constraint": {"kind": "subgraph_of", "edges": "01"}},
+         "snapshot constraint edges must be a list: '01'"),
+        ({"family": "petersen_blocks", "n": 10, "p": 1, "snapshot_constraint": {
+            "kind": "spanning_subgraph_with_cycle", "edges": [[0, 10]],
+            "cycle_length": 5, "pattern": [0]}},
+         r"snapshot constraint edge .*: \[0, 10\]"),
+        ({"hints": {"edge_layers": [{"edge": [0, 4], "require": [0]}]}},
+         r"edge_layers hint edge .*: \[0, 4\]"),
+        ({"hints": {"edge_layers": [{"edge": [1, 1]}]}},
+         r"edge_layers hint edge .*: \[1, 1\]"),
+        ({"hints": {"edge_layers": [{"require": [0]}]}},
+         "edge_layers hint edge .*: None"),
+        ({"hints": {"edge_layers": [[0, 1]]}},
+         "edge_layers must be a list of objects"),
+    ])
+    def test_bad_edges(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            SearchSpec(**_c4_with(**fields))
+
+    @pytest.mark.parametrize("fields", [
+        {"n": 4, "p": 1},
+        {"n": 11, "p": 3},
+        {"n": 10, "p": 5},
+        {"n": 11, "p": 5, "snapshot_constraint": {"kind": "circulant",
+                                                  "strides": [1, 2, 3, 4, 5, 1, 4]}},
+    ])
+    def test_circulant_needs_z11_and_one_stride_a_step(self, fields):
+        spec = SearchSpec(name="x", family="circulant", **fields)
+        with pytest.raises(ValueError, match="circulant needs n = 11 and p = the "
+                                             "number of strides"):
+            search(spec)
+
+    def test_circulant_123_still_found_at_try_5(self):
+        out = search(get_spec("circulant_123"))
+        assert (out.status, out.tried) == ("found", 5)
