@@ -38,9 +38,10 @@ def q3_rotation():
     """Footprint Q3, period 3; snapshot t holds exactly the edges flipping bit t.
 
     Each snapshot is a perfect matching, yet three cops are needed and two
-    never suffice.  The max-snapshot entry of the triple is left open: the
-    snapshots are disconnected and their static game value is a solver-level
-    convention.
+    never suffice.  The max-snapshot entry of the triple is not stated: the
+    snapshots are disconnected, and a disconnected graph's cop number is the
+    sum over its components (Bonato & Nowakowski 2011), which `triple`
+    computes as 4, one cop per edge of the matching.
     """
     snaps = []
     for bit in range(3):

@@ -15,25 +15,29 @@ class LimitError(ValueError):
     """An input is larger than an exact routine's documented size limit."""
 
 
-def masks_connected(masks):
-    """True iff the graph with adjacency masks ``masks`` is connected.
+def mask_closure(masks, seen):
+    """The vertices reachable from the vertex set ``seen``, as a mask.
 
     ``masks[u]`` holds u's neighbors as bits (bit u itself may be set or
-    not); the graph on no vertices is not connected.
+    not).  ``todo`` holds the reached vertices whose neighbors are not yet
+    added, so each vertex is expanded once.
     """
+    todo = seen
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = masks[low.bit_length() - 1] & ~seen
+        seen |= new
+        todo |= new
+    return seen
+
+
+def masks_connected(masks):
+    """True iff the graph with adjacency masks ``masks`` (as in
+    `mask_closure`) is connected; the graph on no vertices is not."""
     if not masks:
         return False
-    seen = frontier = 1
-    while frontier:
-        nxt = 0
-        v = frontier
-        while v:
-            low = v & -v
-            nxt |= masks[low.bit_length() - 1]
-            v ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << len(masks)) - 1
+    return mask_closure(masks, 1) == (1 << len(masks)) - 1
 
 
 class Graph:
@@ -86,6 +90,16 @@ class Graph:
 
     def is_connected(self):
         return masks_connected(self._masks)
+
+    def components(self):
+        """Vertex lists of the connected components, by lowest vertex."""
+        left = (1 << self.n) - 1
+        out = []
+        while left:
+            comp = mask_closure(self._masks, left & -left)
+            out.append([v for v in range(self.n) if (comp >> v) & 1])
+            left &= ~comp
+        return out
 
     def bfs_dist(self, source):
         """BFS distances from source; -1 for unreachable vertices."""

@@ -158,6 +158,13 @@ class SearchSpec:
                         and e[0] != e[1]):
                     raise ValueError("%s edge must be two distinct ints in "
                                      "[0, %d): %r" % (what, self.n, e))
+        # the hints steer the layers of the snapshot constraint's edges only
+        allowed = set(_edge_list(self.snapshot_constraint.get("edges", ())))
+        for h in layers:
+            u, v = h["edge"]
+            if (min(u, v), max(u, v)) not in allowed:
+                raise ValueError("edge_layers hint edge is not among the snapshot "
+                                 "constraint's edges: %r" % (h["edge"],))
 
     def as_dict(self):
         return asdict(self)
@@ -287,7 +294,8 @@ def _predicates(pg, spec):
     Nothing is computed before its predicate is reached, so a caller that
     stops at the first failure pays only for the predicates up to it.  A
     `copnum` target needs only the periodic ascent, so it is decided before
-    `triple()`, which serves every other cop-number target.
+    `triple()`, which serves every other cop-number target; the instance
+    keeps its decided cop number, so the triple does not solve it again.
     """
     t = spec.targets
     ok = _holds(pg, spec.footprint_constraint, _FOOTPRINT_KINDS)
@@ -593,12 +601,21 @@ def _candidates(spec, rng):
             return _iter_subgraph_assignments(spec)
         return _local_moves(spec, rng)
     if spec.family == "circulant":
-        # its stream builds circulant_123 instances: Z_11, one stride a step
+        # its stream builds circulant_123 instances: Z_11, one stride a step,
+        # an odd number of strides covering 1..5 exactly, and some order with
+        # no two cyclically consecutive strides equal, which exists iff no
+        # stride fills more than half of the steps
         strides = spec.snapshot_constraint.get("strides", _STRIDES)
-        if not isinstance(strides, (list, tuple)) or (spec.n, spec.p) != (
-                11, len(strides)):
+        if not (isinstance(strides, (list, tuple))
+                and (spec.n, spec.p) == (11, len(strides))
+                and len(strides) % 2
+                and all(type(s) is int for s in strides)
+                and set(strides) == set(_STRIDES)
+                and max(map(strides.count, _STRIDES)) <= len(strides) // 2):
             raise ValueError("search family circulant needs n = 11 and p = the "
-                             "number of strides: n = %d, p = %d, strides %r"
+                             "number of strides, an odd number >= 5 of strides "
+                             "covering 1..5, none in more than half the steps: "
+                             "n = %d, p = %d, strides %r"
                              % (spec.n, spec.p, strides))
         return _iter_circulant(spec)
     # looked up per call: the benchmark wraps the module-level _gen_girth

@@ -29,6 +29,13 @@ robber captures) gives the same winner since a co-located cop can stand still
 on its next move; the relaxation just shaves a ply off some ranks.  Cops may
 share a vertex (multisets), as in the paper's game.
 
+A graph whose footprint is disconnected is one game per component: cops
+cannot leave their component, each component needs a cop, and the robber
+picks the component, so its cop number is the sum of theirs.  `cop_number`
+solves each component on its own and sums; `solve_cop_number` and
+`is_k_copwin` solve the whole graph, since their results carry the ranks
+that traces and policies read.
+
 The one resource limit is the state budget: PERCOP_STATE_BUDGET in the
 environment (default 1e8 states), checked before anything is allocated.
 """
@@ -327,11 +334,29 @@ def solve_cop_number(pg, max_cops=None):
 
 
 def cop_number(pg):
-    return solve_cop_number(pg)[0]
+    """Cop number of pg: the sum of its footprint components' cop numbers.
+
+    No edge of any snapshot joins two components of the footprint, so cops
+    never leave their component, each component needs a cop, and the robber
+    picks the component to hide in: c(G) = sum of c(C_i) (Bonato & Nowakowski,
+    The Game of Cops and Robbers on Graphs, 2011; Erlebach & Spooner, SOFSEM
+    2020, for periodic graphs).  A connected footprint is one ascent on pg,
+    any other one ascent per induced component.  pg keeps the answer, so a
+    second call on the same instance solves nothing.
+    """
+    if pg._copnum is None:
+        comps = _periodic.footprint(pg).components()
+        if len(comps) < 2:
+            pg._copnum = solve_cop_number(pg)[0]
+        else:
+            pg._copnum = sum(solve_cop_number(_periodic.induced(pg, c)[0])[0]
+                            for c in comps)
+    return pg._copnum
 
 
 def static_cop_number(g):
-    """Cop number of a static graph (period-1 periodic graph)."""
+    """Cop number of a static graph (period-1 periodic graph), summed over
+    its components."""
     return cop_number(_periodic.constant(g, 1))
 
 

@@ -343,6 +343,7 @@ class TestSpecFileChecks:
         {**C4_FILE, "snapshot_constraint": {"kind": "subgraph_of", "edges": [[0, 9]]}},
         {**C4_FILE, "hints": {"edge_layers": [{"edge": [0, 4], "require": [0]}]}},
         {**C4_FILE, "hints": {"edge_layers": [{"edge": [0, True]}]}},
+        {**C4_FILE, "hints": {"edge_layers": [{"edge": [0, 2], "require": [0]}]}},
     ])
     def test_rejected_before_the_first_candidate(self, capsys, tmp_path, spec):
         spec_path = tmp_path / "spec.json"

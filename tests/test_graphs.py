@@ -80,6 +80,12 @@ class TestGraphBasics:
     def test_empty_graph_is_not_connected(self):
         assert not Graph(0).is_connected()
 
+    def test_components_against_networkx(self, rng):
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 11), rng.choice([0.1, 0.25, 0.5]))
+            want = sorted(sorted(c) for c in nx.connected_components(to_nx(g)))
+            assert g.components() == want
+
 
 class TestGirth:
     def test_c4(self):

@@ -18,6 +18,7 @@ from percop.corners import find_k_temporal_corners, find_temporal_corners
 from percop.solver import cop_number, is_k_copwin, static_cop_number
 from percop.search import (
     SearchSpec,
+    _candidates,
     _canonical_graph_masks,
     _petersen_five_cycles,
     _sample_girth4,
@@ -809,3 +810,63 @@ class TestSpecEdgesAndCirculant:
     def test_circulant_123_still_found_at_try_5(self):
         out = search(get_spec("circulant_123"))
         assert (out.status, out.tried) == ("found", 5)
+
+    @staticmethod
+    def _circulant(strides):
+        return SearchSpec(name="x", n=11, p=len(strides), family="circulant",
+                          snapshot_constraint={"kind": "circulant",
+                                               "strides": strides})
+
+    @pytest.mark.parametrize("strides", [
+        [1, 2, 3, 4, 6],               # a stride outside 1..5
+        [1, 2, 3, 4, 4],               # 5 missing
+        [1, 2, 3, 4, 5, 1],            # even length
+        [1, 2, 3],                     # shorter than 5
+        [1, 1, 1, 1, 1, 2, 3, 4, 5],   # 1 on more than half the steps
+        [1, 2, 3, 4, True],            # bool is not an int
+    ])
+    def test_circulant_strides_no_order_accepts(self, strides):
+        # a stream of rejected orders would end `exhausted`, which is false
+        for q in set(itertools.permutations(strides)):
+            with pytest.raises(ValueError):
+                circulant_123(q)
+        with pytest.raises(ValueError, match="circulant needs n = 11"):
+            search(self._circulant(strides))
+
+    @pytest.mark.parametrize("strides, order", [
+        ([5, 4, 3, 2, 1], [5, 4, 3, 2, 1]),
+        ([1, 1, 1, 2, 3, 4, 5], [1, 2, 1, 3, 1, 4, 5]),
+        ([1, 1, 1, 1, 2, 2, 3, 4, 5], [1, 2, 1, 2, 1, 3, 1, 4, 5]),
+    ])
+    def test_circulant_strides_some_order_accepts(self, strides, order):
+        assert sorted(order) == sorted(strides)
+        circulant_123(order)
+        _candidates(self._circulant(strides), None)  # the stream is lazy
+
+    def test_hint_edge_outside_snapshot_edges(self):
+        # the hint would steer no edge, and the search would run unhinted
+        with pytest.raises(ValueError, match=r"edge_layers hint edge is not among "
+                                             r"the snapshot constraint's edges: \[0, 2\]"):
+            SearchSpec(name="x", n=3, p=2, family="subgraph_assignment",
+                       snapshot_constraint={"kind": "subgraph_of",
+                                            "edges": [[0, 1], [1, 2]]},
+                       hints={"edge_layers": [
+                           {"edge": [0, 2], "require": [0], "forbid": [1]}]})
+
+
+class TestCopnumDecidedOnce:
+    def test_prop3_witness_ascended_once(self, monkeypatch):
+        # the `copnum` target decides c, and the triple reuses it
+        from percop import solver
+
+        pg, _ = load_witness("prop3_retract")
+        ascents, solves = [], []
+        ascend, solve = solver.solve_cop_number, solver.is_k_copwin
+        monkeypatch.setattr(solver, "solve_cop_number",
+                            lambda g: ascents.append(g is pg) or ascend(g))
+        monkeypatch.setattr(solver, "is_k_copwin",
+                            lambda g, k: solves.append((g is pg, k)) or solve(g, k))
+        certs = check_targets(pg, get_spec("prop3_retract"))
+        assert certs["verified"] and certs["triple"] == [2, 4, 1]
+        assert ascents.count(True) == 1
+        assert [k for on_pg, k in solves if on_pg] == [1]

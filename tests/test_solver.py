@@ -16,7 +16,7 @@ from percop.graphs import (
     petersen_graph,
 )
 from percop import solver
-from percop.periodic import PeriodicGraph, constant, footprint
+from percop.periodic import PeriodicGraph, constant, footprint, pad
 from percop.solver import (
     BudgetError,
     CopPolicy,
@@ -37,7 +37,7 @@ from conftest import (
     random_periodic,
     random_temporally_connected,
 )
-from reference import reference_is_k_copwin, reference_ranks
+from reference import reference_cop_number, reference_is_k_copwin, reference_ranks
 
 
 class TestStaticBasics:
@@ -390,3 +390,49 @@ class TestDisconnectedConvention:
     def test_cap_reaches_solution_for_disconnected(self):
         g = Graph(4, [(0, 1)])
         assert cop_number_cap(constant(g, 1)) >= static_cop_number(g)
+
+
+class TestComponentSum:
+    """cop_number sums over the footprint's components: c(G) = sum c(C_i)."""
+
+    @staticmethod
+    def disconnected(rng, n, p, p_edge, max_components):
+        while True:
+            pg = random_periodic(rng, n, p, p_edge)
+            if 2 <= len(footprint(pg).components()) <= max_components:
+                return pg
+
+    def test_static_disconnected_matches_reference(self, rng):
+        for _ in range(100):
+            g = self.disconnected(rng, rng.randint(2, 6), 1, 0.35, 4).snapshots[0]
+            got = static_cop_number(g)
+            assert got == reference_cop_number(constant(g, 1)), g.sorted_edges()
+            assert got == solve_cop_number(constant(g, 1))[0]
+
+    def test_periodic_disconnected_footprint_matches_reference(self, rng):
+        for _ in range(100):
+            pg = self.disconnected(rng, rng.randint(2, 5), rng.randint(1, 2), 0.25, 4)
+            got = cop_number(pg)
+            assert got == reference_cop_number(pg), pg.snapshots
+            assert got == solve_cop_number(pg)[0]
+
+    def test_padded_q3_snapshots_solve_per_component(self, monkeypatch):
+        # each snapshot: three K2s and an 8-vertex path, each won by one cop
+        calls = []
+        inner = solver.is_k_copwin
+        monkeypatch.setattr(solver, "is_k_copwin",
+                            lambda pg, k: calls.append((pg.n, k)) or inner(pg, k))
+        for attach in range(8):
+            pg = pad(q3_rotation().instance, 14, attach)
+            for g in pg.unique_snapshots:
+                assert static_cop_number(g) == 4
+        assert calls and all(k == 1 and n < 14 for n, k in calls)
+
+    def test_decided_once_per_instance(self, monkeypatch):
+        calls = []
+        inner = solver.solve_cop_number
+        monkeypatch.setattr(solver, "solve_cop_number",
+                            lambda pg: calls.append(pg) or inner(pg))
+        pg = q3_rotation().instance
+        assert cop_number(pg) == cop_number(pg) == 3
+        assert calls == [pg]
