@@ -15,20 +15,22 @@ class LimitError(ValueError):
     """An input is larger than an exact routine's documented size limit."""
 
 
-def mask_closure(masks, seen):
+def mask_closure(masks, seen, through=-1):
     """The vertices reachable from the vertex set ``seen``, as a mask.
 
     ``masks[u]`` holds u's neighbors as bits (bit u itself may be set or
-    not).  ``todo`` holds the reached vertices whose neighbors are not yet
-    added, so each vertex is expanded once.
+    not).  Only the vertices in the mask ``through`` (all by default) pass
+    reachability on: a reached vertex outside it is in the result, but its
+    neighbors are not added.  ``todo`` holds the reached vertices whose
+    neighbors are still to be added, so each vertex is expanded once.
     """
-    todo = seen
+    todo = seen & through
     while todo:
         low = todo & -todo
         todo ^= low
         new = masks[low.bit_length() - 1] & ~seen
         seen |= new
-        todo |= new
+        todo |= new & through
     return seen
 
 
@@ -312,34 +314,28 @@ def spanning_tree_cover(g):
     if g.n == 1:
         return [Graph(1)]
     center = min(range(g.n), key=lambda u: (eccentricity(g, u), u))
+    # BFS from the center hangs each vertex from the neighbor one level up
+    # that its queue reaches first: the one whose path of vertices from the
+    # center is lexicographically least
+    dist = g.bfs_dist(center)
+    path = {center: ()}
     tree_edges = []
-    seen = {center}
-    q = deque([center])
-    while q:
-        u = q.popleft()
-        for v in g.open_nbrs(u):
-            if v not in seen:
-                seen.add(v)
-                tree_edges.append((min(u, v), max(u, v)))
-                q.append(v)
+    for v in sorted(range(g.n), key=dist.__getitem__)[1:]:
+        u = min((w for w in g.open_nbrs(v) if dist[w] == dist[v] - 1),
+                key=path.__getitem__)
+        path[v] = path[u] + (v,)
+        tree_edges.append((min(u, v), max(u, v)))
     trees = [Graph(g.n, tree_edges)]
     covered = set(tree_edges)
     all_edges = sorted(g.edges)
     while covered != g.edges:
-        ordered = sorted(all_edges, key=lambda e: (e in covered, e))
-        parent = list(range(g.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        # Kruskal: keep an edge unless the forest so far already joins its ends
+        forest = [0] * g.n
         chosen = []
-        for u, v in ordered:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
+        for u, v in sorted(all_edges, key=lambda e: (e in covered, e)):
+            if not mask_closure(forest, 1 << u) >> v & 1:
+                forest[u] |= 1 << v
+                forest[v] |= 1 << u
                 chosen.append((u, v))
         trees.append(Graph(g.n, chosen))
         covered.update(chosen)

@@ -6,17 +6,24 @@ cop numbers.  Labels and the expected block are file metadata: `parse`
 returns them beside the graph, and `serialize_specimen` writes both for a
 construction or found witness.  Serialization sorts edges and keys with
 fixed spacing so that parse/serialize round-trips are byte-identical on
-canonical files.
+canonical files.  A file whose snapshots would need more than
+`MAX_ADJACENCY_BITS` bits of adjacency masks is refused before any graph
+is built.
 """
 
 from __future__ import annotations
 
 import json
 
-from .graphs import Graph
+from .graphs import Graph, LimitError
 from .periodic import PeriodicGraph
 
 FORMAT_VERSION = 1
+
+# the most adjacency-mask bits, period * n**2, that a file's snapshots may
+# take: every instance the default state budget can solve with one cop
+# (2 * period * n**2 <= 10**8 states) fits
+MAX_ADJACENCY_BITS = 5 * 10**7
 
 _TOP_FIELDS = {"version", "n", "period", "snapshots", "labels", "expected"}
 # the expected block's keys, in the order of a triple (a, b, c)
@@ -70,6 +77,11 @@ def parse(data):
     period = obj["period"]
     if not _is_int(period) or period < 1:
         raise InstanceError("field-type", "period must be a positive integer")
+    if period * n * n > MAX_ADJACENCY_BITS:
+        raise LimitError(
+            "instance size limit exceeded: period * n**2 = %d > %d"
+            % (period * n * n, MAX_ADJACENCY_BITS)
+        )
     snapshots = obj["snapshots"]
     if not isinstance(snapshots, list) or not all(
         isinstance(s, list) for s in snapshots

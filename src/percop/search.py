@@ -81,6 +81,61 @@ def _check_constraint(what, constraint, kinds):
                          % (what, kind, sorted(unknown)))
 
 
+def _ints(value, lo, hi=None):
+    """Whether ``value`` is a list of ints in [lo, hi), or >= lo when hi is
+    None (bool is not an int)."""
+    return isinstance(value, (list, tuple)) and all(
+        type(x) is int and lo <= x and (hi is None or x < hi) for x in value)
+
+
+def _is_order(value, n):
+    """Whether ``value`` lists 0..n-1, each once."""
+    return _ints(value, 0, n) and sorted(value) == list(range(n))
+
+
+def _check_values(spec):
+    """Raise ValueError at the first target, hint or constraint value, among
+    those given, that the search would misread."""
+    n, p = spec.n, spec.p
+    t, h, c = spec.targets, spec.hints, spec.snapshot_constraint
+
+    def need(what, where, key, ok, rule):
+        if key in where and not ok(where[key]):
+            raise ValueError("%s %s must be %s: %r" % (what, key, rule, where[key]))
+
+    for key in ("copnum", "footprint_copnum", "snapshot_copnums_all", "gamma_g0"):
+        need("search target", t, key, lambda v: _ints([v], 1), "an int >= 1")
+    need("search target", t, "no_corner_k", lambda v: _ints(v, 1),
+         "a list of ints >= 1")
+    need("search target", t, "triple", lambda v: isinstance(v, (list, tuple))
+         and len(v) == 3 and _ints([w for w in v if w is not None], 1),
+         "a list of three ints >= 1 or nulls")
+    need("search target", t, "induced_copnum", lambda v: isinstance(v, dict)
+         and set(v) == {"vertices", "value"} and _ints(v["vertices"], 0, n)
+         and len(v["vertices"]) > 0 and _ints([v["value"]], 1),
+         "{vertices: a non-empty list of ints in [0, %d), value: an int >= 1}" % n)
+    need("search target", t, "retract_premise_fails", lambda v: isinstance(v, dict)
+         and set(v) == {"removed", "kept", "images"}
+         and _ints([v["removed"]], 0, n) and _ints(v["kept"], 0, n)
+         and _ints(v["images"], 0, n),
+         "{removed: an int in [0, %d), kept and images: lists of ints in [0, %d)}"
+         % (n, n))
+    need("search hint", h, "g0_path", lambda v: _is_order(v, n),
+         "an order of 0..%d" % (n - 1))
+    need("search hint", h, "g1_fragments", lambda v: isinstance(v, (list, tuple))
+         and all(isinstance(f, (list, tuple)) for f in v)
+         and _is_order([u for f in v for u in f], n),
+         "lists that together order 0..%d" % (n - 1))
+    need("search hint", h, "suffix", lambda v: isinstance(v, (list, tuple))
+         and all(type(x) is int for x in v), "a list of ints")
+    for layer in h.get("edge_layers", ()):
+        for key in ("require", "forbid"):
+            need("edge_layers hint", layer, key, lambda v: _ints(v, 0, p),
+                 "a list of ints in [0, %d)" % p)
+    for key in ("girth", "cycle_length"):
+        need("snapshot constraint", c, key, lambda v: _ints([v], 3), "an int >= 3")
+
+
 @dataclass
 class SearchSpec:
     name: str
@@ -165,6 +220,7 @@ class SearchSpec:
             if (min(u, v), max(u, v)) not in allowed:
                 raise ValueError("edge_layers hint edge is not among the snapshot "
                                  "constraint's edges: %r" % (h["edge"],))
+        _check_values(self)
 
     def as_dict(self):
         return asdict(self)
@@ -576,14 +632,39 @@ def _local_moves(spec, rng):
             assign[i] = frozenset(s)
 
 
+def _distinct_orders(items):
+    """Each distinct order of ``items`` once, in lexicographic order, one at
+    a time (Knuth, TAOCP 7.2.1.2, Algorithm L)."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = len(a) - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
+
+
 def _iter_circulant(spec):
-    """Stride orders, hinted suffix first; None where circulant_123 rejects one."""
+    """Distinct stride orders, those ending in the hinted suffix first, each
+    phase lexicographic; None where circulant_123 rejects one."""
     strides = spec.snapshot_constraint.get("strides", _STRIDES)
     suffix = tuple(spec.hints.get("suffix", ()))
-    for q in sorted(
-        itertools.permutations(strides),
-        key=lambda q: (q[len(q) - len(suffix):] != suffix, q),
-    ):
+    rest = list(strides)
+    try:
+        for s in suffix:
+            rest.remove(s)
+    except ValueError:
+        rest = None  # no order ends in the suffix
+    hinted = () if rest is None else (q + suffix for q in _distinct_orders(rest))
+    unhinted = (q for q in _distinct_orders(strides)
+                if q[len(q) - len(suffix):] != suffix)
+    for q in itertools.chain(hinted, unhinted):
         steps = list(q)
         try:
             specimen = circulant_123(steps)

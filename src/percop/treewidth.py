@@ -1,7 +1,11 @@
 """Exact tree decompositions for small graphs and the bag-based cop strategy.
 
 One primitive, the back set Q(S, v), gives the elimination DP its costs and
-the decomposition its bags.  The width bound transfers to periodic play:
+the decomposition its bags.  Every reachability question here is one
+bitmask closure (`graphs.mask_closure`): a back set is the closure from v
+through S, the tree check asks whether the tree edges connect the bags, and
+the side of a bag-tree edge (x, y) is the closure from y with x cut out.
+The width bound transfers to periodic play:
 width+1 cops holding a bag of the footprint, with one cop at a time walking
 stubbornly to the next bag, capture the robber on any temporally connected
 periodic graph over that footprint.
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, LimitError
+from .graphs import LimitError, mask_closure, masks_connected
 from .periodic import footprint, foremost_journey, is_temporally_connected
 from .solver import CopPolicy
 
@@ -44,29 +48,28 @@ class TreeDecomposition:
         }
 
 
+def _tree_masks(td):
+    """The bag tree as adjacency masks over bag indexes."""
+    masks = [0] * len(td.bags)
+    for a, b in td.tree_edges:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return masks
+
+
 def validate_decomposition(td, g):
     """Return None if valid, else a string naming the violated condition."""
     nb = len(td.bags)
     for a, b in td.tree_edges:
         if not (0 <= a < nb and 0 <= b < nb):
             return "tree edge references a missing bag"
-    # the tree must be a tree
+    # the tree must be a tree: nb - 1 edges close a cycle iff they leave
+    # the nb bags disconnected
     if nb > 0:
         if len(td.tree_edges) != nb - 1:
             return "bag graph is not a tree (edge count)"
-        parent = list(range(nb))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in td.tree_edges:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return "bag graph is not a tree (cycle)"
-            parent[ra] = rb
+        if not masks_connected(_tree_masks(td)):
+            return "bag graph is not a tree (cycle)"
     covered = set()
     for b in td.bags:
         covered |= set(b)
@@ -90,21 +93,8 @@ def _back_set(open_adj, S, v):
     This is v's neighbourhood in the graph left after eliminating S (Rose,
     Tarjan & Lueker 1976), so it is both v's elimination cost and its bag.
     """
-    visited = 1 << v
-    frontier = 1 << v
-    out = 0
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            u = (f & -f).bit_length() - 1
-            f &= f - 1
-            nxt |= open_adj[u]
-        nxt &= ~visited
-        visited |= nxt
-        out |= nxt & ~S
-        frontier = nxt & S
-    return out
+    inner = S | 1 << v
+    return mask_closure(open_adj, 1 << v, inner) & ~inner
 
 
 def exact_treewidth(g, limit=13):
@@ -278,24 +268,17 @@ def smooth(td, g):
 
 
 def _side_vertices(td):
-    """For each directed tree edge (x,y): vertices in bags of y's component of T-x."""
+    """For each directed tree edge (x,y): vertices in bags of y's component of T-x.
+
+    That component is the closure from y over the bag tree with x cut out.
+    """
+    tree = _tree_masks(td)
     sides = {}
     for x in range(len(td.bags)):
         for y in td.neighbors(x):
-            seen = {x, y}
-            comp = [y]
-            stack = [y]
-            while stack:
-                z = stack.pop()
-                for w in td.neighbors(z):
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-            verts = set()
-            for z in comp:
-                verts |= set(td.bags[z])
-            sides[(x, y)] = verts
+            comp = mask_closure(tree, 1 << y, ~(1 << x)) & ~(1 << x)
+            sides[(x, y)] = {u for z, bag in enumerate(td.bags)
+                             if comp >> z & 1 for u in bag}
     return sides
 
 

@@ -184,6 +184,13 @@ class TestErrorSurface:
         assert code == 3
         assert out["error"] == "invalid"
 
+    def test_oversized_instance_file_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"version": 1, "n": 1000000, "period": 1, "snapshots": [[]]}')
+        code, out = run_json(capsys, "triple", str(path))
+        assert code == 3 and out["error"] == "invalid"
+        assert "instance size limit exceeded" in out["detail"]
+
     def test_plain_value_error_exits_2(self, capsys, bowtie_file, monkeypatch):
         # exit 3 comes from the LimitError type, not from words in a message
         from percop import cli

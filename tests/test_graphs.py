@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -14,6 +15,7 @@ from percop.graphs import (
     domination_number,
     girth,
     hypercube_q3,
+    mask_closure,
     path_graph,
     petersen_graph,
     radius,
@@ -85,6 +87,46 @@ class TestGraphBasics:
             g = random_graph(rng, rng.randint(0, 11), rng.choice([0.1, 0.25, 0.5]))
             want = sorted(sorted(c) for c in nx.connected_components(to_nx(g)))
             assert g.components() == want
+
+
+def reference_closure(g, seen, through):
+    """Queue BFS from the set `seen`: every vertex it reaches is kept, but
+    only those in `through` are expanded."""
+    out = set(seen)
+    queue = deque(sorted(out & through))
+    while queue:
+        for v in g.open_nbrs(queue.popleft()):
+            if v not in out:
+                out.add(v)
+                if v in through:
+                    queue.append(v)
+    return out
+
+
+def as_set(mask):
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
+class TestMaskClosure:
+    def test_against_reference_bfs(self, rng):
+        for _ in range(500):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, rng.choice([0.1, 0.25, 0.5]))
+            # closed or open neighborhoods: bit u itself may be set or not
+            masks = [g.nbr_mask(u) ^ (rng.random() < 0.5) << u for u in range(n)]
+            seen = rng.getrandbits(n) or 1
+            through = rng.getrandbits(n)
+            everything = set(range(n))
+            assert as_set(mask_closure(masks, seen)) == reference_closure(
+                g, as_set(seen), everything)
+            assert as_set(mask_closure(masks, seen, through)) == reference_closure(
+                g, as_set(seen), as_set(through))
+
+    def test_start_outside_through_is_not_expanded(self):
+        masks = [path_graph(3).nbr_mask(u) for u in range(3)]
+        assert mask_closure(masks, 0b001, 0b110) == 0b001
+        assert mask_closure(masks, 0b001, 0b001) == 0b011
+        assert mask_closure(masks, 0b001, 0b011) == 0b111
 
 
 class TestGirth:
@@ -297,3 +339,39 @@ class TestSpanningTreeCover:
     def test_disconnected_errors(self):
         with pytest.raises(ValueError):
             spanning_tree_cover(Graph(4, [(0, 1)]))
+
+    def test_against_queue_bfs_and_union_find(self, rng):
+        # the cover as a queue BFS tree and union-find Kruskal rounds build it
+        def reference_cover(g):
+            center = min(range(g.n), key=lambda u: (max(g.bfs_dist(u)), u))
+            tree_edges, seen, q = [], {center}, deque([center])
+            while q:
+                u = q.popleft()
+                for v in g.open_nbrs(u):
+                    if v not in seen:
+                        seen.add(v)
+                        tree_edges.append((min(u, v), max(u, v)))
+                        q.append(v)
+            trees = [Graph(g.n, tree_edges)]
+            covered = set(tree_edges)
+            while covered != g.edges:
+                parent = list(range(g.n))
+
+                def find(x):
+                    while parent[x] != x:
+                        x = parent[x]
+                    return x
+
+                chosen = []
+                for u, v in sorted(g.edges, key=lambda e: (e in covered, e)):
+                    ru, rv = find(u), find(v)
+                    if ru != rv:
+                        parent[ru] = rv
+                        chosen.append((u, v))
+                trees.append(Graph(g.n, chosen))
+                covered.update(chosen)
+            return trees
+
+        for _ in range(400):
+            g = random_connected_graph(rng, rng.randint(2, 11), rng.random() * 0.6 + 0.2)
+            assert spanning_tree_cover(g) == reference_cover(g)

@@ -1,10 +1,14 @@
 import json
+import math
+import time
+import tracemalloc
 
 import pytest
 
-from percop.graphs import Graph
+from percop.graphs import Graph, LimitError
 from percop.periodic import PeriodicGraph
-from percop.instancefile import InstanceError, parse, serialize
+from percop.instancefile import MAX_ADJACENCY_BITS, InstanceError, parse, serialize
+from percop.solver import DEFAULT_STATE_BUDGET
 from percop.constructions import q3_rotation, petersen_132
 from conftest import random_periodic
 
@@ -185,3 +189,33 @@ class TestErrors:
         obj = base_obj()
         obj["labels"] = {"0": 5}
         self.expect(obj, "field-type")
+
+
+class TestSizeLimit:
+    def test_huge_n_refused_before_allocating(self):
+        data = b'{"version": 1, "n": 1000000, "period": 1, "snapshots": [[]]}'
+        assert len(data) <= 64
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(LimitError, match="period \\* n\\*\\*2"):
+                parse(data)
+            elapsed = time.perf_counter() - start
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1 and peak < 10**6
+
+    def test_limit_counts_every_snapshot(self):
+        obj = {"version": 1, "n": 4000, "period": 4, "snapshots": [[]] * 4}
+        with pytest.raises(LimitError):
+            parse_obj(obj)
+
+    def test_bound_admits_every_one_cop_budget(self):
+        # the default state budget solves k = 1 while 2 * period * n**2 <= 1e8
+        assert 2 * MAX_ADJACENCY_BITS >= DEFAULT_STATE_BUDGET
+        n = math.isqrt(MAX_ADJACENCY_BITS)  # the largest n one snapshot may have
+        assert parse_obj({"version": 1, "n": n, "period": 1,
+                          "snapshots": [[]]})[0].n == n
+        with pytest.raises(LimitError):
+            parse_obj({"version": 1, "n": n + 1, "period": 1, "snapshots": [[]]})

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 from importlib import resources
 
 import networkx as nx
@@ -200,6 +201,59 @@ class TestSpecValues:
             **get_spec("search_321").snapshot_constraint, "pattern": 20}),
          "pattern must be a list of length p = 20: 20"),
         (_named_with("search_321", n=6), "petersen_blocks needs n = 10: 6"),
+        # each target, hint and constraint value a predicate or a stream reads
+        (_c4_with(targets={"copnum": "2"}), r"search target copnum must be an int >= 1: '2'"),
+        (_c4_with(targets={"copnum": True}), "search target copnum must be an int >= 1: True"),
+        (_c4_with(targets={"copnum": 0}), "search target copnum must be an int >= 1: 0"),
+        (_named_with("lem122", targets={**get_spec("lem122").targets, "gamma_g0": "2"}),
+         r"search target gamma_g0 must be an int >= 1: '2'"),
+        (_c4_with(targets={"footprint_copnum": 1.0}),
+         r"search target footprint_copnum must be an int >= 1: 1\.0"),
+        (_c4_with(targets={"snapshot_copnums_all": None}),
+         "search target snapshot_copnums_all must be an int >= 1: None"),
+        (_c4_with(targets={"triple": [2]}),
+         r"search target triple must be a list of three ints >= 1 or nulls: \[2\]"),
+        (_c4_with(targets={"triple": [2, 2, 2, 2]}), r"triple .*: \[2, 2, 2, 2\]"),
+        (_c4_with(targets={"triple": [2, 0, None]}), r"triple .*: \[2, 0, None\]"),
+        (_c4_with(targets={"no_corner_k": 2}),
+         "search target no_corner_k must be a list of ints >= 1: 2"),
+        (_c4_with(targets={"no_corner_k": [1, 0]}), r"no_corner_k .*: \[1, 0\]"),
+        (_c4_with(targets={"induced_copnum": {"vertices": [], "value": 1}}),
+         r"search target induced_copnum must be \{vertices: a non-empty list of "
+         r"ints in \[0, 4\), value: an int >= 1\}: \{'vertices': \[\], 'value': 1\}"),
+        (_c4_with(targets={"induced_copnum": {"vertices": [4], "value": 1}}),
+         r"induced_copnum .*: \{'vertices': \[4\], 'value': 1\}"),
+        (_c4_with(targets={"induced_copnum": {"vertices": 3, "value": 1}}),
+         r"induced_copnum .*: \{'vertices': 3, 'value': 1\}"),
+        (_c4_with(targets={"induced_copnum": {"vertices": [0], "value": 0}}),
+         r"induced_copnum .*: \{'vertices': \[0\], 'value': 0\}"),
+        (_c4_with(targets={"retract_premise_fails": {"removed": 0}}),
+         r"search target retract_premise_fails must be \{removed: an int in \[0, 4\), "
+         r"kept and images: lists of ints in \[0, 4\)\}: \{'removed': 0\}"),
+        (_named_with("prop3_retract", targets={"retract_premise_fails": {
+            "removed": 4, "kept": [0, 1, 2, 3], "images": [5]}}),
+         r"retract_premise_fails .*'images': \[5\]"),
+        (_named_with("thm112", hints={**get_spec("thm112").hints, "g0_path": [0, 1, 2]}),
+         r"search hint g0_path must be an order of 0\.\.8: \[0, 1, 2\]"),
+        (_named_with("thm112", hints={**get_spec("thm112").hints,
+                                      "g1_fragments": [[0, 3, 6], [1, 5], [7, 8], [2]]}),
+         r"search hint g1_fragments must be lists that together order 0\.\.8"),
+        (_named_with("circulant_123", hints={"suffix": "14"}),
+         "search hint suffix must be a list of ints: '14'"),
+        (_named_with("prop3_retract", hints={"edge_layers": [
+            {"edge": [1, 2], "require": 0}]}),
+         r"edge_layers hint require must be a list of ints in \[0, 3\): 0"),
+        (_named_with("prop3_retract", hints={"edge_layers": [
+            {"edge": [1, 2], "require": [7]}]}),
+         r"edge_layers hint require must be a list of ints in \[0, 3\): \[7\]"),
+        (_named_with("prop3_retract", hints={"edge_layers": [
+            {"edge": [1, 2], "forbid": [True]}]}),
+         r"edge_layers hint forbid must be a list of ints in \[0, 3\): \[True\]"),
+        (_named_with("lem122", snapshot_constraint={"kind": "girth", "girth": "4"}),
+         r"snapshot constraint girth must be an int >= 3: '4'"),
+        (_named_with("search_321", snapshot_constraint={
+            **get_spec("search_321").snapshot_constraint, "cycle_length": 2}),
+         "snapshot constraint cycle_length must be an int >= 3: 2"),
     ])
     def test_value_rules(self, d, match, tmp_path, capsys):
         with pytest.raises(ValueError, match=match):
@@ -220,6 +274,9 @@ class TestSpecValues:
         {"budget_seconds": 60},
         {"budget_seconds": 0.5},
         {"footprint_constraint": {"kind": "universal_vertex", "vertex": 3}},
+        {"targets": {"triple": [None, 2, None], "no_corner_k": []}},
+        {"targets": {"induced_copnum": {"vertices": [0, 1], "value": 1}}},
+        {"hints": {"suffix": [], "edge_layers": [{"edge": [0, 1], "require": []}]}},
     ])
     def test_accepted_values(self, fields):
         SearchSpec(**_c4_with(**fields))
@@ -842,6 +899,47 @@ class TestSpecEdgesAndCirculant:
         assert sorted(order) == sorted(strides)
         circulant_123(order)
         _candidates(self._circulant(strides), None)  # the stream is lazy
+
+    def test_circulant_stream_is_lazy(self):
+        spec = self._circulant([1, 2, 1, 2, 1, 3, 1, 4, 5])
+        spec.max_tries = 1
+        tracemalloc.start()
+        try:
+            out = search(spec)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (out.status, out.tried) == ("budget", 1)
+        assert peak < 5 * 10**6
+
+    @pytest.mark.parametrize("strides, suffix", [
+        ([1, 2, 3, 4, 5], [1, 4]),
+        ([1, 2, 3, 4, 5], []),
+        ([1, 2, 1, 3, 1, 4, 5], [1, 4]),
+        ([1, 2, 1, 3, 1, 4, 5], [1, 1, 1]),
+        ([1, 2, 1, 3, 1, 4, 5], [1, 1, 1, 1]),  # more 1s than the strides hold
+        ([1, 2, 1, 3, 1, 4, 5], [6]),
+    ])
+    def test_circulant_orders_each_tried_once(self, strides, suffix, monkeypatch):
+        # every order once, in the order of sorting all permutations with the
+        # hinted suffix first
+        from percop import search as search_module
+
+        def key(q):
+            return q[len(q) - len(suffix):] != tuple(suffix), q
+
+        want = list(dict.fromkeys(sorted(itertools.permutations(strides), key=key)))
+        tried = []
+
+        def record(steps):
+            tried.append(tuple(steps))
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(search_module, "circulant_123", record)
+        spec = self._circulant(strides)
+        spec.hints = {"suffix": suffix}
+        assert list(_candidates(spec, None)) == [None] * len(want)
+        assert tried == want
 
     def test_hint_edge_outside_snapshot_edges(self):
         # the hint would steer no edge, and the search would run unhinted

@@ -13,6 +13,7 @@ from percop.periodic import constant, footprint
 from percop.solver import cop_number, verify_policy
 from percop.treewidth import (
     TreeDecomposition,
+    _side_vertices,
     bag_strategy,
     exact_treewidth,
     is_smooth,
@@ -138,19 +139,72 @@ class TestValidateDecomposition:
         (path_graph(3), [{0, 1}, {1, 2}], [], "bag graph is not a tree (edge count)"),
         (path_graph(3), [{0, 1}, {1, 2}, {2}], [(0, 1), (1, 0)],
          "bag graph is not a tree (cycle)"),
+        (path_graph(3), [{0, 1}, {1, 2}, {2}], [(0, 1), (1, 1)],
+         "bag graph is not a tree (cycle)"),
         (path_graph(3), [{0, 1}], [], "some vertex appears in no bag"),
         (path_graph(3), [{0, 1}, {2}], [(0, 1)], "some edge has no common bag"),
         (path_graph(3), [{0, 1}, {2}, {1, 2}], [(0, 1), (1, 2)],
          "bags of vertex 1 do not induce a subtree"),
-    ], ids=["missing-bag", "edge-count", "cycle", "uncovered-vertex",
+    ], ids=["missing-bag", "edge-count", "cycle", "self-loop", "uncovered-vertex",
             "uncovered-edge", "subtree"])
     def test_each_violation_is_named(self, g, bags, tree_edges, message):
         td = TreeDecomposition([frozenset(b) for b in bags], tree_edges)
         assert validate_decomposition(td, g) == message
 
+    def test_tree_check_against_union_find(self, rng):
+        # nb - 1 edges form a tree exactly when no edge closes a cycle
+        def closes_cycle(nb, tree_edges):
+            parent = list(range(nb))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for a, b in tree_edges:
+                ra, rb = find(a), find(b)
+                if ra == rb:
+                    return True
+                parent[ra] = rb
+            return False
+
+        g = Graph(1)
+        for _ in range(1000):
+            nb = rng.randint(1, 7)
+            edges = [(rng.randrange(nb), rng.randrange(nb)) for _ in range(nb - 1)]
+            td = TreeDecomposition([frozenset({0})] * nb, edges)
+            cycle = validate_decomposition(td, g) == "bag graph is not a tree (cycle)"
+            assert cycle == closes_cycle(nb, edges)
+
     def test_valid_path_decomposition(self):
         td = TreeDecomposition([frozenset({0, 1}), frozenset({1, 2})], [(0, 1)])
         assert validate_decomposition(td, path_graph(3)) is None
+
+
+class TestSideVertices:
+    @staticmethod
+    def reference_sides(td):
+        # a DFS from y over the bag tree that never enters x
+        sides = {}
+        for x in range(len(td.bags)):
+            for y in td.neighbors(x):
+                seen, stack = {x, y}, [y]
+                while stack:
+                    for w in td.neighbors(stack.pop()):
+                        if w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+                sides[(x, y)] = set().union(*(td.bags[z] for z in seen - {x}))
+        return sides
+
+    def test_against_dfs(self, rng):
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 10), rng.random())
+            _w, td = exact_treewidth(g)
+            assert _side_vertices(td) == self.reference_sides(td)
+            if g.is_connected():
+                std = smooth(td, g)
+                assert _side_vertices(std) == self.reference_sides(std)
 
 
 class TestSmooth:
