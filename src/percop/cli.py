@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from . import solver as _solver
@@ -144,10 +145,9 @@ def cmd_search(args):
         spec = spec_from_dict(json.loads(Path(args.spec).read_text()))
     else:
         spec = get_spec(args.spec)
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.budget is not None:
-        spec.budget_seconds = args.budget
+    # rebuilt through the dataclass, so the overrides are checked like the file
+    overrides = {"seed": args.seed, "budget_seconds": args.budget}
+    spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     outcome = run_search(spec)
     out = outcome.as_dict()
     if outcome.witness is not None and args.out:
@@ -174,9 +174,9 @@ def cmd_tw_bound(args):
     pg, _meta = _load_instance(args.file)
     foot = footprint(pg)
     width, td = exact_treewidth(foot)
-    std = smooth(td, foot)
+    # the bag strategy refuses an instance it cannot play before any solve
+    policy = bag_strategy(pg, smooth(td, foot))
     copnum = _solver.cop_number(pg)
-    policy = bag_strategy(pg, std)
     verdict = _solver.verify_policy(pg, policy)
     out = {
         "file": str(args.file),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -126,8 +127,11 @@ def _check_values(spec):
          and all(isinstance(f, (list, tuple)) for f in v)
          and _is_order([u for f in v for u in f], n),
          "lists that together order 0..%d" % (n - 1))
-    need("search hint", h, "suffix", lambda v: isinstance(v, (list, tuple))
-         and all(type(x) is int for x in v), "a list of ints")
+    def ints(v):
+        return isinstance(v, (list, tuple)) and all(type(x) is int for x in v)
+
+    need("search hint", h, "suffix", ints, "a list of ints")
+    need("snapshot constraint", c, "pattern", ints, "a list of ints")
     for layer in h.get("edge_layers", ()):
         for key in ("require", "forbid"):
             need("edge_layers hint", layer, key, lambda v: _ints(v, 0, p),
@@ -187,6 +191,8 @@ class SearchSpec:
         if type(self.budget_seconds) not in (int, float):
             raise ValueError("search spec budget_seconds must be an int or a "
                              "float: %r" % (self.budget_seconds,))
+        if math.isnan(self.budget_seconds):
+            raise ValueError("search spec budget_seconds must not be NaN")
         if "vertex" in self.footprint_constraint:
             v = self.footprint_constraint["vertex"]
             if type(v) is not int or not 0 <= v < self.n:
@@ -215,11 +221,17 @@ class SearchSpec:
                                      "[0, %d): %r" % (what, self.n, e))
         # the hints steer the layers of the snapshot constraint's edges only
         allowed = set(_edge_list(self.snapshot_constraint.get("edges", ())))
+        hinted = set()
         for h in layers:
             u, v = h["edge"]
-            if (min(u, v), max(u, v)) not in allowed:
+            e = (min(u, v), max(u, v))
+            if e not in allowed:
                 raise ValueError("edge_layers hint edge is not among the snapshot "
                                  "constraint's edges: %r" % (h["edge"],))
+            if e in hinted:
+                raise ValueError("edge_layers hints name one edge twice: %r"
+                                 % (h["edge"],))
+            hinted.add(e)
         _check_values(self)
 
     def as_dict(self):

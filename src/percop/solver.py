@@ -45,7 +45,6 @@ from __future__ import annotations
 import os
 import threading
 from array import array
-from collections import deque
 from dataclasses import asdict, dataclass
 from math import comb
 from typing import NamedTuple
@@ -478,134 +477,79 @@ class PolicyVerification:
 
 
 def _multiset_move_feasible(g, old, new):
-    """Can the cop multiset ``old`` become ``new`` in one round of g?"""
-    remaining = list(new)
-
-    def match(i):
-        if i == len(old):
-            return True
-        m = g.nbr_mask(old[i])
-        tried = set()
-        for j, v in enumerate(remaining):
-            if v is None or v in tried:
-                continue
-            if (m >> v) & 1:
-                tried.add(v)
-                remaining[j] = None
-                if match(i + 1):
-                    return True
-                remaining[j] = v
-        return False
-
-    return match(0)
+    """Can the cop multiset ``old`` become the sorted multiset ``new`` in one
+    round of g?  The first cop takes each distinct value of ``new`` in its
+    closed neighbourhood, and the other cops must match what is left."""
+    if not old:
+        return not new
+    m = g.nbr_mask(old[0])
+    for j, v in enumerate(new):
+        if (m >> v) & 1 and (j == 0 or v != new[j - 1]):
+            if _multiset_move_feasible(g, old[1:], new[:j] + new[j + 1:]):
+                return True
+    return False
 
 
 def verify_policy(pg, policy):
-    """Explore every robber line against a fixed cop policy.
+    """Explore every robber line against a fixed cop policy, depth first.
 
     A node is a (t, cops, robber, memory) position with the cops to move; the
-    policy fixes the cop move, the robber branches.  wins=False comes with a
-    cycling robber witness; wins=True reports the worst-case number of cop
-    moves to capture.  Infeasible policy moves raise ValueError naming the
-    state.
+    policy fixes the cop move, so only the robber branches.  A node's value is
+    1 when the policy's move captures, and otherwise 1 + the worst value over
+    the robber's replies that do not step onto a cop.  A reply already on the
+    depth-first path closes a robber-safe cycle: the pass stops there with
+    wins=False, that cycle as the counterexample, and states_explored counting
+    the nodes entered so far.  Otherwise wins=True reports the worst start's
+    value as max_capture_moves and every reachable node as states_explored.
+    Infeasible policy moves raise ValueError naming the state.
     """
-    p, n = pg.period, pg.n
+    p = pg.period
     start_cops = tuple(sorted(policy.initial_cops))
     if len(start_cops) != policy.k:
         raise ValueError("policy initial placement has wrong size")
 
-    starts = [
-        (0, start_cops, r0, policy.initial_memory)
-        for r0 in range(n)
-        if r0 not in start_cops
-    ]
+    def replies(node):
+        t, cops, robber, memory = node
+        g = pg.snapshots[t]
+        new_cops, new_mem = policy.step(memory, t, cops, robber)
+        new_cops = tuple(sorted(new_cops))
+        if not _multiset_move_feasible(g, cops, new_cops):
+            raise ValueError(
+                "infeasible policy move at t=%d cops=%s robber=%d: %s"
+                % (t, list(cops), robber, list(new_cops))
+            )
+        if robber in new_cops:
+            return iter(())
+        t1 = (t + 1) % p
+        return iter([(t1, new_cops, r2, new_mem)
+                     for r2 in g.closed_nbrs(robber) if r2 not in new_cops])
 
-    # phase 1: forward reachability; record capture flags and robber options
-    children = {}
-    capturing = {}
-    frontier = [nd for nd in starts]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for node in frontier:
-            t, cops, robber, memory = node
-            g = pg.snapshots[t]
-            new_cops, new_mem = policy.step(memory, t, cops, robber)
-            new_cops = tuple(sorted(new_cops))
-            if not _multiset_move_feasible(g, cops, new_cops):
-                raise ValueError(
-                    "infeasible policy move at t=%d cops=%s robber=%d: %s"
-                    % (t, list(cops), robber, list(new_cops))
-                )
-            if robber in new_cops:
-                capturing[node] = True
-                children[node] = []
-                continue
-            capturing[node] = False
-            t1 = (t + 1) % p
-            kids = []
-            for r2 in g.closed_nbrs(robber):
-                if r2 in new_cops:
-                    continue  # suicide move; never optimal for the robber
-                kid = (t1, new_cops, r2, new_mem)
-                kids.append(kid)
-                if kid not in seen:
-                    seen.add(kid)
-                    nxt.append(kid)
-            children[node] = kids
-        frontier = nxt
-
-    # phase 2: resolve capture times bottom-up; unresolved nodes sit on or
-    # ahead of a robber-safe cycle
-    value = {}
-    pending_max = {}
-    remaining = {}
-    parents = {}
-    queue = deque()
-    for node, kids in children.items():
-        if capturing[node]:
-            value[node] = 1
-            queue.append(node)
-        else:
-            remaining[node] = len(kids)
-            pending_max[node] = 0
-            for kid in kids:
-                parents.setdefault(kid, []).append(node)
-    while queue:
-        node = queue.popleft()
-        v = value[node]
-        for par in parents.get(node, ()):
-            if par in value:
-                continue
-            if v > pending_max[par]:
-                pending_max[par] = v
-            remaining[par] -= 1
-            if remaining[par] == 0:
-                value[par] = 1 + pending_max[par]
-                queue.append(par)
-
-    unresolved = [nd for nd in starts if nd not in value]
-    if unresolved:
-        # walk unresolved children until a node repeats: that is the cycle
-        path = [unresolved[0]]
-        on_path = {unresolved[0]: 0}
-        while True:
-            cur = path[-1]
-            nxt = next(ch for ch in children[cur] if ch not in value)
-            if nxt in on_path:
-                cycle = path[on_path[nxt]:] + [nxt]
+    value = {}  # node -> cop moves to capture
+    # the depth-first path: [node, its unexplored replies, worst explored
+    # value], below a root whose replies are the robber's starts
+    path = [[None, iter([(0, start_cops, r0, policy.initial_memory)
+                         for r0 in range(pg.n) if r0 not in start_cops]), 0]]
+    on_path = {}  # node -> its index in path
+    while True:
+        node = next(path[-1][1], None)
+        if node is None:
+            node, _rest, worst = path.pop()
+            if not path:
                 return PolicyVerification(
-                    wins=False,
-                    counterexample=[
-                        {"t": t, "cops": list(c), "robber": r}
-                        for (t, c, r, _m) in cycle
-                    ],
-                    states_explored=len(children),
+                    wins=True, max_capture_moves=worst, states_explored=len(value)
                 )
-            on_path[nxt] = len(path)
-            path.append(nxt)
-
-    worst = max((value[nd] for nd in starts), default=0)
-    return PolicyVerification(
-        wins=True, max_capture_moves=worst, states_explored=len(children)
-    )
+            del on_path[node]
+            value[node] = 1 + worst  # and falls through to its parent's worst
+        if node in on_path:
+            cycle = [f[0] for f in path[on_path[node]:]] + [node]
+            return PolicyVerification(
+                wins=False,
+                counterexample=[{"t": t, "cops": list(c), "robber": r}
+                                for (t, c, r, _m) in cycle],
+                states_explored=len(value) + len(on_path),
+            )
+        if node in value:
+            path[-1][2] = max(path[-1][2], value[node])
+        else:
+            on_path[node] = len(path)
+            path.append([node, replies(node), 0])

@@ -240,6 +240,25 @@ class TestTreewidthCommands:
         assert code == 0
         assert out["bound_holds"] and out["bag_strategy_wins"]
 
+    def test_tw_bound_refuses_disconnected_before_solving(self, capsys, tmp_path,
+                                                          monkeypatch):
+        from percop import solver
+        from percop.graphs import PETERSEN_EDGES, Graph
+        from percop.instancefile import serialize
+        from percop.periodic import PeriodicGraph
+
+        g = Graph(12, list(PETERSEN_EDGES) + [(10, 11)])
+        path = tmp_path / "petersen_and_edge.json"
+        path.write_text(serialize(PeriodicGraph([g, g])))
+        calls = []
+        inner = solver.is_k_copwin
+        monkeypatch.setattr(solver, "is_k_copwin",
+                            lambda pg, k: calls.append(k) or inner(pg, k))
+        code, out = run_json(capsys, "tw-bound", str(path))
+        assert code == 2 and out["error"] == "invalid"
+        assert "temporally connected" in out["detail"]
+        assert calls == []
+
 
 class TestVerifyTable:
     def test_skip_search_rows(self, capsys):

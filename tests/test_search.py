@@ -254,6 +254,21 @@ class TestSpecValues:
         (_named_with("search_321", snapshot_constraint={
             **get_spec("search_321").snapshot_constraint, "cycle_length": 2}),
          "snapshot constraint cycle_length must be an int >= 3: 2"),
+        # pattern entries are group keys: ints only, never lists or a mix
+        (_named_with("search_321", snapshot_constraint={
+            **get_spec("search_321").snapshot_constraint,
+            "pattern": [[i // 4] for i in range(20)]}),
+         r"snapshot constraint pattern must be a list of ints: \[\[0\], \[0\], "),
+        (_named_with("search_321", snapshot_constraint={
+            **get_spec("search_321").snapshot_constraint,
+            "pattern": [0] * 10 + ["a"] * 10}),
+         r"snapshot constraint pattern must be a list of ints: \[0, .*'a'\]"),
+        # NaN never expires as a deadline
+        (_c4_with(budget_seconds=float("nan")), "budget_seconds must not be NaN"),
+        # two hints for one edge, in either orientation
+        (_named_with("prop3_retract", hints={"edge_layers": [
+            {"edge": [1, 2], "require": [0]}, {"edge": [2, 1], "forbid": [0]}]}),
+         r"edge_layers hints name one edge twice: \[2, 1\]"),
     ])
     def test_value_rules(self, d, match, tmp_path, capsys):
         with pytest.raises(ValueError, match=match):
@@ -277,9 +292,29 @@ class TestSpecValues:
         {"targets": {"triple": [None, 2, None], "no_corner_k": []}},
         {"targets": {"induced_copnum": {"vertices": [0, 1], "value": 1}}},
         {"hints": {"suffix": [], "edge_layers": [{"edge": [0, 1], "require": []}]}},
+        {"budget_seconds": float("inf")},  # no deadline
     ])
     def test_accepted_values(self, fields):
         SearchSpec(**_c4_with(**fields))
+
+    @pytest.mark.parametrize("argv, match", [
+        (["--budget", "nan"], "budget_seconds must not be NaN"),
+        (["--seed", "1", "--budget", "nan"], "budget_seconds must not be NaN"),
+    ])
+    def test_cli_overrides_are_checked(self, argv, match, capsys):
+        from percop.cli import main
+
+        code = main(["search", "--spec", "lem122", *argv])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2 and out["error"] == "invalid"
+        assert re.search(match, out["detail"])
+
+    def test_cli_overrides_apply(self, capsys):
+        from percop.cli import main
+
+        code = main(["search", "--spec", "lem122", "--seed", "5", "--budget", "0"])
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["status"], out["seed"]) == (1, "budget", 5)
 
 
 def _tiny_spec(**kw):

@@ -1,7 +1,9 @@
 import gc
 import itertools
+import random
 import threading
 import weakref
+from collections import deque
 
 import pytest
 
@@ -20,6 +22,7 @@ from percop.periodic import PeriodicGraph, constant, footprint, pad
 from percop.solver import (
     BudgetError,
     CopPolicy,
+    PolicyVerification,
     cop_number,
     cop_number_cap,
     extract_trace,
@@ -33,6 +36,7 @@ from percop.constructions import GENERATORS, q3_rotation, bowtie_221, circulant_
 from percop.search import load_witness
 from percop.treewidth import exact_treewidth
 from conftest import (
+    random_graph,
     random_connected_graph,
     random_periodic,
     random_temporally_connected,
@@ -380,6 +384,259 @@ class TestVerifyPolicy:
         )
         with pytest.raises(ValueError, match="infeasible"):
             verify_policy(pg, pol)
+
+
+def parent_multiset_move_feasible(g, old, new):
+    """The backtracking matcher verify_policy used before the depth-first
+    pass, kept as an oracle."""
+    remaining = list(new)
+
+    def match(i):
+        if i == len(old):
+            return True
+        m = g.nbr_mask(old[i])
+        tried = set()
+        for j, v in enumerate(remaining):
+            if v is None or v in tried:
+                continue
+            if (m >> v) & 1:
+                tried.add(v)
+                remaining[j] = None
+                if match(i + 1):
+                    return True
+                remaining[j] = v
+        return False
+
+    return match(0)
+
+
+def parent_verify_policy(pg, policy):
+    """The three-phase verify_policy (forward BFS, retrograde queue, cycle
+    walk) that the depth-first pass replaced, kept as an oracle."""
+    p, n = pg.period, pg.n
+    start_cops = tuple(sorted(policy.initial_cops))
+    starts = [(0, start_cops, r0, policy.initial_memory)
+              for r0 in range(n) if r0 not in start_cops]
+    children, capturing = {}, {}
+    frontier = list(starts)
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for node in frontier:
+            t, cops, robber, memory = node
+            g = pg.snapshots[t]
+            new_cops, new_mem = policy.step(memory, t, cops, robber)
+            new_cops = tuple(sorted(new_cops))
+            if not parent_multiset_move_feasible(g, cops, new_cops):
+                raise ValueError("infeasible policy move")
+            if robber in new_cops:
+                capturing[node] = True
+                children[node] = []
+                continue
+            capturing[node] = False
+            kids = []
+            for r2 in g.closed_nbrs(robber):
+                if r2 in new_cops:
+                    continue
+                kid = ((t + 1) % p, new_cops, r2, new_mem)
+                kids.append(kid)
+                if kid not in seen:
+                    seen.add(kid)
+                    nxt.append(kid)
+            children[node] = kids
+        frontier = nxt
+    value, pending_max, remaining, parents = {}, {}, {}, {}
+    queue = deque()
+    for node, kids in children.items():
+        if capturing[node]:
+            value[node] = 1
+            queue.append(node)
+        else:
+            remaining[node] = len(kids)
+            pending_max[node] = 0
+            for kid in kids:
+                parents.setdefault(kid, []).append(node)
+    while queue:
+        node = queue.popleft()
+        for par in parents.get(node, ()):
+            if par in value:
+                continue
+            pending_max[par] = max(pending_max[par], value[node])
+            remaining[par] -= 1
+            if remaining[par] == 0:
+                value[par] = 1 + pending_max[par]
+                queue.append(par)
+    if any(nd not in value for nd in starts):
+        return PolicyVerification(wins=False, states_explored=len(children))
+    return PolicyVerification(
+        wins=True, max_capture_moves=max((value[nd] for nd in starts), default=0),
+        states_explored=len(children))
+
+
+def legal_moves(g, cops):
+    """Every multiset the cops can reach in one round of g, sorted."""
+    return sorted({tuple(sorted(m))
+                   for m in itertools.product(*(g.closed_nbrs(c) for c in cops))})
+
+
+def random_policy(pg, k, seed):
+    """k memoryless cops, each position's move a seeded random legal one,
+    drawn the same whatever order a verifier asks in."""
+    def step(memory, t, cops, robber):
+        rng = random.Random(repr((seed, t, cops, robber)))
+        return rng.choice(legal_moves(pg.snapshots[t], cops)), memory
+
+    start = tuple(sorted(random.Random(seed).choices(range(pg.n), k=k)))
+    return CopPolicy(k=k, initial_cops=start, step=step)
+
+
+def teleporting_policy(pg, res, rng):
+    """res's optimal policy, except that at one position its play reaches a
+    cop jumps outside its closed neighbourhood; None if no jump is possible."""
+    optimal = res.policy().step
+    cops = res.initial_placement
+    robbers = [r for r in range(pg.n) if r not in cops]
+    if not robbers:
+        return None
+    robber = rng.choice(robbers)
+    t = 0
+    for _ in range(rng.randint(0, res.rank_of(0, cops, robber))):
+        new_cops = optimal(None, t, cops, robber)[0]
+        escapes = [r for r in pg.snapshots[t].closed_nbrs(robber) if r not in new_cops]
+        if robber in new_cops or not escapes:
+            break
+        t, cops, robber = (t + 1) % pg.period, new_cops, rng.choice(escapes)
+    g = pg.snapshots[t]
+    jumps = [tuple(sorted(cops[:i] + (x,) + cops[i + 1:]))
+             for i in range(len(cops)) for x in range(pg.n)
+             if not (g.nbr_mask(cops[i]) >> x) & 1]
+    jumps = [m for m in jumps if not parent_multiset_move_feasible(g, cops, m)]
+    if not jumps:
+        return None
+    jump, at = rng.choice(jumps), (t, cops, robber)
+
+    def step(memory, t, cops, robber):
+        if (t, cops, robber) == at:
+            return jump, memory
+        return optimal(memory, t, cops, robber)
+
+    return CopPolicy(k=res.k, initial_cops=res.initial_placement, step=step)
+
+
+class TestVerifyPolicyAgainstParent:
+    """The depth-first verify_policy against the three-phase one it replaced:
+    equal results on every winning policy, a real robber cycle on every
+    losing one, and every infeasible move refused."""
+
+    @staticmethod
+    def check(pg, policy):
+        want = parent_verify_policy(pg, policy)
+        got = verify_policy(pg, policy)
+        assert got.wins == want.wins
+        if got.wins:
+            assert got.max_capture_moves == want.max_capture_moves
+            assert got.states_explored == want.states_explored
+            assert got.counterexample is None
+        else:
+            assert 0 < got.states_explored <= want.states_explored
+            TestVerifyPolicyAgainstParent.check_cycle(pg, policy, got.counterexample)
+        return got.wins
+
+    @staticmethod
+    def check_cycle(pg, policy, cycle):
+        """Each step is the policy's non-capturing move and a legal robber
+        reply that avoids the cops, and the cycle closes."""
+        assert policy.initial_memory is None  # memoryless: positions suffice
+        assert len(cycle) >= 2 and cycle[-1] == cycle[0]
+        for here, there in zip(cycle, cycle[1:]):
+            t, cops, robber = here["t"], tuple(here["cops"]), here["robber"]
+            new_cops = tuple(sorted(policy.step(None, t, cops, robber)[0]))
+            assert robber not in new_cops
+            assert there["t"] == (t + 1) % pg.period
+            assert tuple(there["cops"]) == new_cops
+            assert there["robber"] in pg.snapshots[t].closed_nbrs(robber)
+            assert there["robber"] not in new_cops
+
+    def test_optimal_policies(self, rng):
+        wins = 0
+        for _ in range(150):
+            pg = random_periodic(rng, rng.randint(2, 8), rng.randint(1, 3),
+                                 rng.choice((0.25, 0.35, 0.5)))
+            k = solve_cop_number(pg)[0]
+            for kk in (k, k + 1):
+                res = is_k_copwin(pg, kk)
+                if res.copwin:
+                    assert self.check(pg, res.policy())
+                    wins += 1
+        assert wins >= 250
+
+    def test_bag_strategies(self, rng):
+        from percop.treewidth import bag_strategy, smooth
+
+        for _ in range(60):
+            pg = random_temporally_connected(rng, rng.randint(3, 9), rng.randint(1, 3),
+                                             rng.choice((0.25, 0.4)))
+            foot = footprint(pg)
+            policy = bag_strategy(pg, smooth(exact_treewidth(foot)[1], foot))
+            assert self.check(pg, policy)
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_generator_policies(self, name):
+        pg = GENERATORS[name]().instance
+        assert self.check(pg, solve_cop_number(pg)[1].policy())
+
+    def test_random_policies(self, rng):
+        outcomes = []
+        while len(outcomes) < 300:
+            pg = random_temporally_connected(rng, rng.randint(3, 6), rng.randint(1, 3),
+                                             rng.choice((0.3, 0.5)))
+            k = cop_number(pg)
+            if k >= 2:
+                seed = rng.randrange(1 << 30)
+                outcomes.append(self.check(pg, random_policy(pg, k - 1, seed)))
+                assert not outcomes[-1]  # k - 1 cops lose
+            seed = rng.randrange(1 << 30)
+            outcomes.append(self.check(pg, random_policy(pg, k, seed)))
+        assert outcomes.count(False) >= 150 and outcomes.count(True) >= 10
+
+    def test_infeasible_policies(self, rng):
+        refused = 0
+        while refused < 150:
+            pg = random_periodic(rng, rng.randint(3, 6), rng.randint(1, 3), 0.4)
+            _k, res = solve_cop_number(pg)
+            policy = teleporting_policy(pg, res, rng)
+            if policy is None:
+                continue
+            with pytest.raises(ValueError, match="infeasible"):
+                parent_verify_policy(pg, policy)
+            with pytest.raises(ValueError, match="infeasible"):
+                verify_policy(pg, policy)
+            refused += 1
+
+    def test_matcher_agrees_with_parent(self, rng):
+        graphs = [random_graph(rng, n, rng.choice((0.2, 0.4, 0.6)))
+                  for n in range(1, 9) for _ in range(20)]
+        feasible = 0
+        for _ in range(60_000):
+            g = rng.choice(graphs)
+            k = rng.randint(1, 5)
+            old = tuple(sorted(rng.choices(range(g.n), k=k)))
+            if rng.random() < 0.5:
+                new = [rng.choice(g.closed_nbrs(c)) for c in old]  # a legal move
+                if rng.random() < 0.5:
+                    new[rng.randrange(k)] = rng.randrange(g.n)
+            else:
+                new = rng.choices(range(g.n), k=k)
+            new = tuple(sorted(new))
+            want = parent_multiset_move_feasible(g, old, new)
+            assert solver._multiset_move_feasible(g, old, new) == want, (g, old, new)
+            feasible += want
+        assert 10_000 < feasible < 50_000  # both answers well represented
+
+    def test_matcher_refuses_a_changed_cop_count(self):
+        g = path_graph(3)
+        assert not solver._multiset_move_feasible(g, (0, 1), (0, 1, 2))
+        assert not solver._multiset_move_feasible(g, (0, 1), (1,))
 
 
 class TestDisconnectedConvention:
