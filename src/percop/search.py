@@ -9,9 +9,12 @@ a candidate in one pass: it stops at the first failure, and for a candidate
 that passes it returns the certificate, what each predicate computed.
 `certify` re-evaluates the whole list on a given instance, such as a shipped
 witness.  Each snapshot and footprint constraint kind is declared once, with
-its fields and its test.  Witnesses ship as data files and regenerate from
-(spec, seed).  `verify_table` checks the paper's 27-row (a, b, c) table: each
-row comes from the generator or named spec that states its triple, and a
+its fields and its test, and each rule a spec's values obey is one row of the
+`_RULES` table, which `SearchSpec` walks when it is built; a target, hint or
+`edge_layers` key is known exactly when it has a row.  Only the rules that
+compare fields are named checks.  Witnesses ship as data files and regenerate
+from (spec, seed).  `verify_table` checks the paper's 27-row (a, b, c) table:
+each row comes from the generator or named spec that states its triple, and a
 named spec's shipped witness is checked by `certify`.
 """
 
@@ -44,15 +47,6 @@ from .instancefile import parse
 from . import solver as _solver
 
 
-# the targets `_predicates` evaluates
-_TARGET_KEYS = frozenset({
-    "no_corner_k", "gamma_g0", "snapshot_copnums_all", "copnum",
-    "footprint_copnum", "triple", "induced_copnum", "retract_premise_fails",
-})
-# the hints the candidate streams read
-_HINT_KEYS = frozenset({"g0_path", "g1_fragments", "suffix", "edge_layers"})
-# the keys of one `edge_layers` hint
-_EDGE_LAYER_KEYS = frozenset({"edge", "require", "forbid"})
 # the circulant strides when a spec lists none
 _STRIDES = (1, 2, 3, 4, 5)
 # family -> the snapshot constraint field its candidate stream reads
@@ -82,11 +76,10 @@ def _check_constraint(what, constraint, kinds):
                          % (what, kind, sorted(unknown)))
 
 
-def _ints(value, lo, hi=None):
-    """Whether ``value`` is a list of ints in [lo, hi), or >= lo when hi is
-    None (bool is not an int)."""
+def _ints(value, lo=-math.inf, hi=math.inf):
+    """Whether ``value`` is a list of ints in [lo, hi) (bool is not an int)."""
     return isinstance(value, (list, tuple)) and all(
-        type(x) is int and lo <= x and (hi is None or x < hi) for x in value)
+        type(x) is int and lo <= x < hi for x in value)
 
 
 def _is_order(value, n):
@@ -94,50 +87,96 @@ def _is_order(value, n):
     return _ints(value, 0, n) and sorted(value) == list(range(n))
 
 
-def _check_values(spec):
-    """Raise ValueError at the first target, hint or constraint value, among
-    those given, that the search would misread."""
-    n, p = spec.n, spec.p
-    t, h, c = spec.targets, spec.hints, spec.snapshot_constraint
+def _is_edge(value, spec):
+    return _ints(value, 0, spec.n) and len(value) == 2 and value[0] != value[1]
 
-    def need(what, where, key, ok, rule):
-        if key in where and not ok(where[key]):
-            raise ValueError("%s %s must be %s: %r" % (what, key, rule, where[key]))
 
-    for key in ("copnum", "footprint_copnum", "snapshot_copnums_all", "gamma_g0"):
-        need("search target", t, key, lambda v: _ints([v], 1), "an int >= 1")
-    need("search target", t, "no_corner_k", lambda v: _ints(v, 1),
-         "a list of ints >= 1")
-    need("search target", t, "triple", lambda v: isinstance(v, (list, tuple))
-         and len(v) == 3 and _ints([w for w in v if w is not None], 1),
-         "a list of three ints >= 1 or nulls")
-    need("search target", t, "induced_copnum", lambda v: isinstance(v, dict)
-         and set(v) == {"vertices", "value"} and _ints(v["vertices"], 0, n)
-         and len(v["vertices"]) > 0 and _ints([v["value"]], 1),
-         "{vertices: a non-empty list of ints in [0, %d), value: an int >= 1}" % n)
-    need("search target", t, "retract_premise_fails", lambda v: isinstance(v, dict)
-         and set(v) == {"removed", "kept", "images"}
-         and _ints([v["removed"]], 0, n) and _ints(v["kept"], 0, n)
-         and _ints(v["images"], 0, n),
-         "{removed: an int in [0, %d), kept and images: lists of ints in [0, %d)}"
-         % (n, n))
-    need("search hint", h, "g0_path", lambda v: _is_order(v, n),
-         "an order of 0..%d" % (n - 1))
-    need("search hint", h, "g1_fragments", lambda v: isinstance(v, (list, tuple))
-         and all(isinstance(f, (list, tuple)) for f in v)
-         and _is_order([u for f in v for u in f], n),
-         "lists that together order 0..%d" % (n - 1))
-    def ints(v):
-        return isinstance(v, (list, tuple)) and all(type(x) is int for x in v)
+# The spec rules, one row each: (place, key, test on (value, spec), rule).
+# `SearchSpec` walks them in this order over each value given at a place and
+# raises "<place> <key> must <rule>: <value>" at the first that fails;
+# %(n)d, %(p)d and %(last)d in a rule stand for n, p and n - 1.  A key's
+# later rows read only what its earlier ones passed.  Each edge a constraint
+# lists is checked as that place's `edge`, after the constraint's own keys.
+_RULES = (
+    ("search spec", "n", lambda v, s: _ints([v], 1), "be an int >= 1"),
+    ("search spec", "p", lambda v, s: _ints([v], 1), "be an int >= 1"),
+    ("search spec", "seed", lambda v, s: _ints([v]), "be an int"),
+    ("search spec", "max_tries", lambda v, s: _ints([v], 0), "be an int >= 0"),
+    ("search spec", "budget_seconds", lambda v, s: type(v) in (int, float),
+     "be an int or a float"),
+    # NaN never expires as a deadline; infinity means none
+    ("search spec", "budget_seconds", lambda v, s: not math.isnan(v), "not be NaN"),
+    *(("search spec", key, lambda v, s: isinstance(v, dict), "be an object")
+      for key in ("snapshot_constraint", "footprint_constraint", "targets", "hints")),
+    *(("search target", key, lambda v, s: _ints([v], 1), "be an int >= 1")
+      for key in ("copnum", "footprint_copnum", "snapshot_copnums_all", "gamma_g0")),
+    ("search target", "no_corner_k", lambda v, s: _ints(v, 1),
+     "be a list of ints >= 1"),
+    ("search target", "triple", lambda v, s: isinstance(v, (list, tuple))
+     and len(v) == 3 and _ints([w for w in v if w is not None], 1),
+     "be a list of three ints >= 1 or nulls"),
+    ("search target", "induced_copnum", lambda v, s: isinstance(v, dict)
+     and set(v) == {"vertices", "value"} and _ints(v["vertices"], 0, s.n)
+     and len(v["vertices"]) > 0 and _ints([v["value"]], 1),
+     "be {vertices: a non-empty list of ints in [0, %(n)d), value: an int >= 1}"),
+    ("search target", "retract_premise_fails", lambda v, s: isinstance(v, dict)
+     and set(v) == {"removed", "kept", "images"} and _ints([v["removed"]], 0, s.n)
+     and _ints(v["kept"], 0, s.n) and _ints(v["images"], 0, s.n),
+     "be {removed: an int in [0, %(n)d), kept and images: lists of ints in "
+     "[0, %(n)d)}"),
+    # with no image no retraction is checked, and the target always holds
+    ("search target", "retract_premise_fails", lambda v, s: len(v["images"]) > 0,
+     "list at least one image"),
+    ("search hint", "g0_path", lambda v, s: _is_order(v, s.n),
+     "be an order of 0..%(last)d"),
+    ("search hint", "g1_fragments", lambda v, s: isinstance(v, (list, tuple))
+     and all(isinstance(f, (list, tuple)) for f in v)
+     and _is_order([u for f in v for u in f], s.n),
+     "be lists that together order 0..%(last)d"),
+    ("search hint", "suffix", lambda v, s: _ints(v), "be a list of ints"),
+    ("search hint", "edge_layers", lambda v, s: isinstance(v, (list, tuple))
+     and all(isinstance(h, dict) for h in v), "be a list of objects"),
+    ("edge_layers hint", "edge", _is_edge, "be two distinct ints in [0, %(n)d)"),
+    *(("edge_layers hint", key, lambda v, s: _ints(v, 0, s.p),
+       "be a list of ints in [0, %(p)d)") for key in ("require", "forbid")),
+    ("snapshot constraint", "edges", lambda v, s: isinstance(v, (list, tuple)),
+     "be a list"),
+    ("snapshot constraint", "pattern", lambda v, s: isinstance(v, (list, tuple))
+     and len(v) == s.p, "be a list of length p = %(p)d"),
+    # pattern entries are group keys: ints only, never lists or a mix
+    ("snapshot constraint", "pattern", lambda v, s: _ints(v), "be a list of ints"),
+    *(("snapshot constraint", key, lambda v, s: _ints([v], 3), "be an int >= 3")
+      for key in ("girth", "cycle_length")),
+    ("snapshot constraint", "strides", lambda v, s: _ints(v, 1, s.n),
+     "be a list of ints in [1, %(n)d)"),
+    ("snapshot constraint", "edge", _is_edge, "be two distinct ints in [0, %(n)d)"),
+    ("footprint constraint", "vertex", lambda v, s: _ints([v], 0, s.n),
+     "be an int in [0, %(n)d)"),
+    ("footprint constraint", "edges", lambda v, s: isinstance(v, (list, tuple)),
+     "be a list"),
+    ("footprint constraint", "edge", _is_edge, "be two distinct ints in [0, %(n)d)"),
+)
+# place -> its rows as (key, test, rule), in table order
+_PLACE_RULES = {place: [(k, t, r) for pl, k, t, r in _RULES if pl == place]
+                for place in dict.fromkeys(pl for pl, *_ in _RULES)}
+# the places whose keys are known exactly when they have a row -> what an
+# unknown one is called
+_KEYED = {"search target": "targets", "search hint": "hints",
+          "edge_layers hint": "edge_layers keys"}
 
-    need("search hint", h, "suffix", ints, "a list of ints")
-    need("snapshot constraint", c, "pattern", ints, "a list of ints")
-    for layer in h.get("edge_layers", ()):
-        for key in ("require", "forbid"):
-            need("edge_layers hint", layer, key, lambda v: _ints(v, 0, p),
-                 "a list of ints in [0, %d)" % p)
-    for key in ("girth", "cycle_length"):
-        need("snapshot constraint", c, key, lambda v: _ints([v], 3), "an int >= 3")
+
+def _given(spec):
+    """(place, the values given there) past the spec's own fields, in table
+    order; each is read only once the rows before it passed."""
+    yield "search target", spec.targets
+    yield "search hint", spec.hints
+    for h in spec.hints.get("edge_layers", ()):
+        yield "edge_layers hint", {"edge": None, **h}  # `edge` is required
+    for place, c in (("snapshot constraint", spec.snapshot_constraint),
+                     ("footprint constraint", spec.footprint_constraint)):
+        yield place, c
+        for e in c.get("edges", ()):
+            yield place, {"edge": e}
 
 
 @dataclass
@@ -155,26 +194,7 @@ class SearchSpec:
     max_tries: int = 500_000
 
     def __post_init__(self):
-        for what in ("snapshot_constraint", "footprint_constraint", "targets", "hints"):
-            if not isinstance(getattr(self, what), dict):
-                raise ValueError("search spec %s must be an object" % what)
-        layers = self.hints.get("edge_layers", ())
-        if not (isinstance(layers, (list, tuple))
-                and all(isinstance(h, dict) for h in layers)):
-            raise ValueError("search hint edge_layers must be a list of "
-                             "objects: %r" % (layers,))
-        for what, given, known in (
-            ("targets", self.targets, _TARGET_KEYS),
-            ("hints", self.hints, _HINT_KEYS),
-            *(("edge_layers keys", h, _EDGE_LAYER_KEYS) for h in layers),
-        ):
-            unknown = set(given) - known
-            if unknown:
-                raise ValueError("unknown search %s: %s" % (what, sorted(unknown)))
-        for what, value in (("n", self.n), ("p", self.p)):
-            if type(value) is not int or value < 1:
-                raise ValueError("search spec %s must be an int >= 1: %r"
-                                 % (what, value))
+        self._check("search spec", vars(self))
         if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ValueError("unknown search family: %s" % self.family)
         _check_constraint("snapshot", self.snapshot_constraint, _SNAPSHOT_KINDS)
@@ -183,48 +203,16 @@ class SearchSpec:
         if need is not None and need not in self.snapshot_constraint:
             raise ValueError("search family %s needs snapshot constraint field %s"
                              % (self.family, need))
-        if type(self.seed) is not int:
-            raise ValueError("search spec seed must be an int: %r" % (self.seed,))
-        if type(self.max_tries) is not int or self.max_tries < 0:
-            raise ValueError("search spec max_tries must be an int >= 0: %r"
-                             % (self.max_tries,))
-        if type(self.budget_seconds) not in (int, float):
-            raise ValueError("search spec budget_seconds must be an int or a "
-                             "float: %r" % (self.budget_seconds,))
-        if math.isnan(self.budget_seconds):
-            raise ValueError("search spec budget_seconds must not be NaN")
-        if "vertex" in self.footprint_constraint:
-            v = self.footprint_constraint["vertex"]
-            if type(v) is not int or not 0 <= v < self.n:
-                raise ValueError("footprint constraint vertex must be an int in "
-                                 "[0, %d): %r" % (self.n, v))
-        if "pattern" in self.snapshot_constraint:
-            pattern = self.snapshot_constraint["pattern"]
-            if not isinstance(pattern, (list, tuple)) or len(pattern) != self.p:
-                raise ValueError("snapshot constraint pattern must be a list of "
-                                 "length p = %d: %r" % (self.p, pattern))
         if self.family == "petersen_blocks" and self.n != 10:
             raise ValueError("search family petersen_blocks needs n = 10: %d"
                              % self.n)
-        for what, edges in (
-            ("snapshot constraint", self.snapshot_constraint.get("edges", ())),
-            ("footprint constraint", self.footprint_constraint.get("edges", ())),
-            ("edge_layers hint", [h.get("edge") for h in layers]),
-        ):
-            if not isinstance(edges, (list, tuple)):
-                raise ValueError("%s edges must be a list: %r" % (what, edges))
-            for e in edges:
-                if not (isinstance(e, (list, tuple)) and len(e) == 2
-                        and all(type(v) is int and 0 <= v < self.n for v in e)
-                        and e[0] != e[1]):
-                    raise ValueError("%s edge must be two distinct ints in "
-                                     "[0, %d): %r" % (what, self.n, e))
+        for place, given in _given(self):
+            self._check(place, given)
         # the hints steer the layers of the snapshot constraint's edges only
         allowed = set(_edge_list(self.snapshot_constraint.get("edges", ())))
         hinted = set()
-        for h in layers:
-            u, v = h["edge"]
-            e = (min(u, v), max(u, v))
+        for h in self.hints.get("edge_layers", ()):
+            (e,) = _edge_list([h["edge"]])
             if e not in allowed:
                 raise ValueError("edge_layers hint edge is not among the snapshot "
                                  "constraint's edges: %r" % (h["edge"],))
@@ -232,7 +220,20 @@ class SearchSpec:
                 raise ValueError("edge_layers hints name one edge twice: %r"
                                  % (h["edge"],))
             hinted.add(e)
-        _check_values(self)
+
+    def _check(self, place, given):
+        """Raise ValueError at the first unknown key or failing row of
+        ``given``, the values at ``place``."""
+        if place in _KEYED:
+            unknown = set(given) - {key for key, _t, _r in _PLACE_RULES[place]}
+            if unknown:
+                raise ValueError("unknown search %s: %s"
+                                 % (_KEYED[place], sorted(unknown)))
+        for key, test, rule in _PLACE_RULES[place]:
+            if key in given and not test(given[key], self):
+                if "%(" in rule:  # n and p passed their rows, which name neither
+                    rule %= {"n": self.n, "p": self.p, "last": self.n - 1}
+                raise ValueError("%s %s must %s: %r" % (place, key, rule, given[key]))
 
     def as_dict(self):
         return asdict(self)
@@ -699,10 +700,8 @@ def _candidates(spec, rng):
         # no two cyclically consecutive strides equal, which exists iff no
         # stride fills more than half of the steps
         strides = spec.snapshot_constraint.get("strides", _STRIDES)
-        if not (isinstance(strides, (list, tuple))
-                and (spec.n, spec.p) == (11, len(strides))
+        if not ((spec.n, spec.p) == (11, len(strides))
                 and len(strides) % 2
-                and all(type(s) is int for s in strides)
                 and set(strides) == set(_STRIDES)
                 and max(map(strides.count, _STRIDES)) <= len(strides) // 2):
             raise ValueError("search family circulant needs n = 11 and p = the "

@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -269,6 +270,23 @@ class TestSpecValues:
         (_named_with("prop3_retract", hints={"edge_layers": [
             {"edge": [1, 2], "require": [0]}, {"edge": [2, 1], "forbid": [0]}]}),
          r"edge_layers hints name one edge twice: \[2, 1\]"),
+        # strides are read as ints in Z_n by the kind's test, whatever the family
+        (_named_with("thm112", snapshot_constraint={"kind": "circulant",
+                                                    "strides": ["a"]}),
+         r"snapshot constraint strides must be a list of ints in \[1, 9\): \['a'\]"),
+        ({"name": "x", "n": 11, "p": 5, "family": "circulant",
+          "snapshot_constraint": {"kind": "circulant", "strides": [1, 2, 3, 4, True]}},
+         r"snapshot constraint strides .*: \[1, 2, 3, 4, True\]"),
+        # with no image no retraction is checked, so the target always held
+        (_c4_with(targets={"retract_premise_fails": {
+            "removed": 0, "kept": [1, 2], "images": []}}),
+         "search target retract_premise_fails must list at least one image: "),
+        (_c4_with(footprint_constraint=[]),
+         r"search spec footprint_constraint must be an object: \[\]"),
+        (_c4_with(targets=[["copnum", 2]]), "search spec targets must be an object: "),
+        (_c4_with(hints=None), "search spec hints must be an object: None"),
+        (_c4_with(footprint_constraint={"kind": "equals", "edges": "01"}),
+         "footprint constraint edges must be a list: '01'"),
     ])
     def test_value_rules(self, d, match, tmp_path, capsys):
         with pytest.raises(ValueError, match=match):
@@ -293,6 +311,7 @@ class TestSpecValues:
         {"targets": {"induced_copnum": {"vertices": [0, 1], "value": 1}}},
         {"hints": {"suffix": [], "edge_layers": [{"edge": [0, 1], "require": []}]}},
         {"budget_seconds": float("inf")},  # no deadline
+        {"targets": {"footprint_copnum": 2}},
     ])
     def test_accepted_values(self, fields):
         SearchSpec(**_c4_with(**fields))
@@ -915,7 +934,6 @@ class TestSpecEdgesAndCirculant:
         [1, 2, 3, 4, 5, 1],            # even length
         [1, 2, 3],                     # shorter than 5
         [1, 1, 1, 1, 1, 2, 3, 4, 5],   # 1 on more than half the steps
-        [1, 2, 3, 4, True],            # bool is not an int
     ])
     def test_circulant_strides_no_order_accepts(self, strides):
         # a stream of rejected orders would end `exhausted`, which is false
@@ -985,6 +1003,75 @@ class TestSpecEdgesAndCirculant:
                                             "edges": [[0, 1], [1, 2]]},
                        hints={"edge_layers": [
                            {"edge": [0, 2], "require": [0], "forbid": [1]}]})
+
+
+def _cases(test):
+    """The cases a test's parametrize decorator lists."""
+    (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+    return mark.args[1]
+
+
+def _rule_pattern(place, key, rule):
+    """A regex for the start of the message a rule's row raises, any n and p."""
+    text = r"\d+".join(re.escape(part) for part in re.split(r"%\(\w+\)d", rule))
+    return r"%s %s must %s: " % (re.escape(place), re.escape(key), text)
+
+
+class TestSpecRules:
+    """The table of spec rules states each rule once; the keys, the tests and
+    the README follow it."""
+
+    def test_every_key_has_a_row(self):
+        from percop.search import _FOOTPRINT_KINDS, _RULES, _SNAPSHOT_KINDS
+
+        rows = {(place, key) for place, key, _test, _rule in _RULES}
+        # the keys the target predicates and the candidate streams read
+        read = {
+            "search target": {"no_corner_k", "gamma_g0", "snapshot_copnums_all",
+                              "copnum", "footprint_copnum", "triple",
+                              "induced_copnum", "retract_premise_fails"},
+            "search hint": {"g0_path", "g1_fragments", "suffix", "edge_layers"},
+            "edge_layers hint": {"edge", "require", "forbid"},
+        }
+        for place, keys in read.items():
+            assert {key for pl, key in rows if pl == place} == keys
+        for place, kinds in (("snapshot constraint", _SNAPSHOT_KINDS),
+                             ("footprint constraint", _FOOTPRINT_KINDS)):
+            for need, may, _test in kinds.values():
+                assert {(place, key) for key in need | may} <= rows
+
+    def test_every_row_has_a_rejected_and_an_accepted_case(self):
+        from percop.search import _RULES, _given
+
+        rejected = [
+            *(d for d, _ in _cases(TestSpecValues.test_value_rules)),
+            *(d for d, _ in _cases(TestSpecValidation.test_reported_cases)),
+            *(_c4_with(**f) for f, _ in _cases(TestSpecValidation.test_field_rules)),
+            *(_c4_with(**f) for f, _ in _cases(TestSpecEdgesAndCirculant.test_bad_edges)),
+        ]
+        messages = []
+        for d in rejected:
+            with pytest.raises(ValueError) as e:
+                spec_from_dict(d)
+            messages.append(str(e.value))
+        accepted = [*named_specs().values(), *(
+            SearchSpec(**_c4_with(**f)) for f in _cases(TestSpecValues.test_accepted_values))]
+        given = {(place, key) for spec in accepted
+                 for place, values in [("search spec", vars(spec)), *_given(spec)]
+                 for key in values}
+        for place, key, _test, rule in _RULES:
+            pattern = _rule_pattern(place, key, rule)
+            assert any(re.match(pattern, m) for m in messages), (place, key, rule)
+            assert (place, key) in given
+
+    def test_readme_states_each_row_in_order(self):
+        from percop.search import _RULES
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        places = "|".join(dict.fromkeys(place for place, *_ in _RULES))
+        named = re.findall(r"^- (%s) `(\w+)`" % places, readme, re.M)
+        assert named == [(place, key) for place, key, _test, _rule in _RULES]
 
 
 class TestCopnumDecidedOnce:
