@@ -10,10 +10,10 @@ that passes it returns the certificate, what each predicate computed.
 `certify` re-evaluates the whole list on a given instance, such as a shipped
 witness.  Each snapshot and footprint constraint kind is declared once, with
 its fields and its test, and each rule a spec's values obey is one row of the
-`_RULES` table, which `SearchSpec` walks when it is built; a target, hint or
-`edge_layers` key is known exactly when it has a row.  Only the rules that
-compare fields are named checks.  Witnesses ship as data files and regenerate
-from (spec, seed).  `verify_table` checks the paper's 27-row (a, b, c) table:
+`_RULES` table, which `SearchSpec` walks when it is built and `search` and
+`certify` walk again on entry; a target, hint or `edge_layers` key is known
+exactly when it has a row.  Only the rules that compare fields are named
+checks.  Witnesses ship as data files and regenerate from (spec, seed).  `verify_table` checks the paper's 27-row (a, b, c) table:
 each row comes from the generator or named spec that states its triple, and a
 named spec's shipped witness is checked by `certify`.
 """
@@ -415,6 +415,7 @@ def check_targets(pg, spec):
 def certify(pg, spec):
     """Re-evaluate a given instance: every target predicate, what each one
     computed, and whether all passed."""
+    spec.__post_init__()  # a field may have been assigned since construction
     certs = {}
     ok = True
     for passed, entries in _predicates(pg, spec):
@@ -504,24 +505,101 @@ def _gen_hamiltonian(spec, rng):
         yield PeriodicGraph(graphs)
 
 
+# the largest n whose draws keep a verdict table: 2^n sides, each with one
+# byte per subset of its at most 12 cross pairs, 343 KB for n <= 7 together;
+# at n = 8 it would be 16 MB
+_GIRTH4_TABLE_MAX_N = 7
+_REJECTED, _ACCEPTED = 1, 2  # a draw not judged yet reads 0
+# n -> (cross pairs per side, offset per side, verdict per draw), built on
+# the first draw at that n
+_GIRTH4_TABLES = {}
+# a random() call's first 32-bit word's top byte -> b"1" iff random() < 0.5
+_BELOW_HALF = bytes.maketrans(bytes(range(256)), b"1" * 128 + b"0" * 128)
+
+
+def _coin_flips(rng, m):
+    """b"1"/b"0" for each of m `rng.random() < 0.5` draws, consuming the same
+    Mersenne-Twister words: random() reads two 32-bit words and is below 0.5
+    exactly when the first one's top bit is clear, and getrandbits(64 m)
+    packs the same 2m words least significant first."""
+    return rng.getrandbits(64 * m).to_bytes(8 * m, "little")[3::8].translate(_BELOW_HALF)
+
+
+def _cross_pairs(side):
+    """The pairs u < v that ``side`` (one entry per vertex) puts apart."""
+    return [(u, v) for u, v in itertools.combinations(range(len(side)), 2)
+            if side[u] != side[v]]
+
+
+def _girth4_table(n):
+    table = _GIRTH4_TABLES.get(n)
+    if table is None:
+        # int(pattern, 2) reads vertex 0 as the top bit
+        pairs = [_cross_pairs(format(s, "0%db" % n)) for s in range(1 << n)]
+        offsets = list(itertools.accumulate((1 << len(p) for p in pairs), initial=0))
+        table = _GIRTH4_TABLES[n] = (pairs, offsets, bytearray(offsets.pop()))
+    return table
+
+
+def _connected_girth4(n, edges):
+    """Graph(n, edges) if it is connected with girth 4, else None."""
+    # masks first: most draws are disconnected and never become a Graph
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    if masks_connected(masks):
+        g = Graph(n, edges)
+        if girth(g) == 4:
+            return g
+    return None
+
+
 def _sample_girth4(rng, n):
-    for _ in range(200):
-        side = [rng.random() < 0.5 for _ in range(n)]
-        if all(side) or not any(side):
-            continue
-        # masks first: most draws are disconnected and never become a Graph
-        masks = [0] * n
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if side[u] != side[v] and rng.random() < 0.5:
-                    edges.append((u, v))
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-        if masks_connected(masks):
-            g = Graph(n, edges)
-            if girth(g) == 4:
+    """A connected girth-4 graph on n vertices, or None after 200 draws.
+
+    A draw splits the vertices by one `random() < 0.5` each (both sides
+    non-empty) and keeps each pair across the split by another; lem122's
+    witness depends on exactly these draws.  `_coin_flips` makes each batch
+    one getrandbits call that leaves the RNG where the random() calls would.
+
+    For n <= 7 a draw is one of few: 2^n sides, each with at most 2^12
+    subsets of its cross pairs (18,306 draws in all at n = 6).  A search
+    samples far more draws than that (lem122's makes 555,197 at n = 6), so
+    most draws repeat.  A verdict table per n, one byte per draw, runs the
+    connectivity and girth tests once per draw; a rejected draw seen before
+    costs one read, and an accepted one only its Graph.  For n >= 8 the
+    table would take 16 MB or more, and the plain loop runs.
+    """
+    if n > _GIRTH4_TABLE_MAX_N:
+        for _ in range(200):
+            side = [rng.random() < 0.5 for _ in range(n)]
+            if all(side) or not any(side):
+                continue
+            g = _connected_girth4(
+                n, [e for e in _cross_pairs(side) if rng.random() < 0.5])
+            if g is not None:
                 return g
+        return None
+    pairs_by_side, offsets, verdicts = _girth4_table(n)
+    everyone = (1 << n) - 1
+    for _ in range(200):
+        s = int(_coin_flips(rng, n), 2)
+        if s == 0 or s == everyone:
+            continue
+        pairs = pairs_by_side[s]
+        cross = _coin_flips(rng, len(pairs))
+        at = offsets[s] + int(cross, 2)
+        verdict = verdicts[at]
+        if verdict == _REJECTED:
+            continue
+        edges = [e for e, c in zip(pairs, cross) if c == 49]  # b"1"
+        if verdict == _ACCEPTED:
+            return Graph(n, edges)
+        g = _connected_girth4(n, edges)
+        verdicts[at] = _REJECTED if g is None else _ACCEPTED
+        if g is not None:
+            return g
     return None
 
 
@@ -731,8 +809,10 @@ def search(spec):
     the first that passes is the witness, and the screen's dict is its
     certificate.  `max_tries` and `budget_seconds` only truncate ("budget"),
     so a found witness never depends on machine speed; a stream that runs
-    out is "exhausted".
+    out is "exhausted".  The spec's rules are checked again first, since a
+    field may have been assigned since construction.
     """
+    spec.__post_init__()
     rng = random.Random(spec.seed)
     deadline = time.monotonic() + spec.budget_seconds
     tried = 0

@@ -18,10 +18,12 @@ from percop.instancefile import serialize_specimen
 from percop.constructions import circulant_123
 from percop.corners import find_k_temporal_corners, find_temporal_corners
 from percop.solver import cop_number, is_k_copwin, static_cop_number
+from percop import search as search_module
 from percop.search import (
     SearchSpec,
     _candidates,
     _canonical_graph_masks,
+    _coin_flips,
     _petersen_five_cycles,
     _sample_girth4,
     certify,
@@ -549,6 +551,53 @@ class TestGirthSampler:
                 assert got == _old_sample_girth4(old_rng, n), (n, seed)
                 assert new_rng.getstate() == old_rng.getstate(), (n, seed)
 
+    def test_coin_flips_are_random_calls(self):
+        # the identity the sampler's decoding rests on: if CPython changes
+        # how getrandbits lays out its words, this fails before lem122 drifts
+        for m in (1, 2, 5, 6, 12, 16, 33):
+            for seed in range(200):
+                flips, twin = random.Random(seed), random.Random(seed)
+                want = b"".join(b"1" if twin.random() < 0.5 else b"0" for _ in range(m))
+                assert _coin_flips(flips, m) == want, (m, seed)
+                assert flips.getstate() == twin.getstate(), (m, seed)
+
+    def test_cold_and_warm_tables_agree(self, monkeypatch):
+        monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
+        for n in range(4, 8):
+            runs = []
+            for _ in ("cold", "warm"):
+                run = []
+                for seed in range(200):
+                    rng = random.Random(seed)
+                    run.append((_sample_girth4(rng, n), rng.getstate()))
+                runs.append(run)
+                verdicts = bytes(search_module._GIRTH4_TABLES[n][2])
+            cold, warm = runs
+            assert cold == warm, n
+            # the warm pass judged nothing anew: every draw was read
+            assert bytes(search_module._GIRTH4_TABLES[n][2]) == verdicts
+            assert search_module._ACCEPTED in verdicts
+            assert search_module._REJECTED in verdicts
+
+    def test_n8_takes_the_plain_loop(self, monkeypatch):
+        monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
+
+        def no_decoding(rng, m):
+            raise AssertionError("n = 8 decoded a draw")
+
+        monkeypatch.setattr(search_module, "_coin_flips", no_decoding)
+        found = [_sample_girth4(random.Random(seed), 8) for seed in range(20)]
+        assert any(g is not None for g in found)
+        assert search_module._GIRTH4_TABLES == {}
+
+    def test_tables_stay_within_512_kb(self, monkeypatch):
+        monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
+        for n in range(1, search_module._GIRTH4_TABLE_MAX_N + 1):
+            _sample_girth4(random.Random(0), n)
+        tables = search_module._GIRTH4_TABLES
+        assert sorted(tables) == list(range(1, 8))
+        assert sum(len(verdicts) for _p, _o, verdicts in tables.values()) <= 512 * 1024
+
 
 class TestTruncation:
     """max_tries and budget_seconds end every family's search alike."""
@@ -574,6 +623,22 @@ class TestTruncation:
         spec.max_tries = 50
         out = search(spec)
         assert (out.status, out.tried) == ("budget", 50)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("max_tries", "10", r"search spec max_tries must be an int >= 0: '10'"),
+        ("seed", 1.5, r"search spec seed must be an int: 1\.5"),
+        ("budget_seconds", float("nan"), "search spec budget_seconds must not be NaN"),
+        ("targets", {"gamma_g0": 0}, "search target gamma_g0 must be an int >= 1: 0"),
+    ])
+    def test_fields_assigned_after_construction(self, field, value, match):
+        # search and certify check the spec again, not only when it is built
+        pg, _meta = load_witness("lem122")
+        for run in (search, lambda spec: certify(pg, spec)):
+            spec = get_spec("lem122")
+            spec.max_tries = 0  # a search that skips the checks ends at once
+            setattr(spec, field, value)
+            with pytest.raises(ValueError, match=match):
+                run(spec)
 
     @pytest.mark.parametrize(
         "name", ["thm112", "lem122", "circulant_123", "prop3_retract", "search_321"]
