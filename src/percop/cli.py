@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import solver as _solver
 from .constructions import GENERATORS, circulant_123
-from .corners import find_k_temporal_corners, find_temporal_corners
+from .corners import find_k_temporal_corners
 from .graphs import LimitError
 from .instancefile import InstanceError, dump_json, parse, serialize_specimen
 from .periodic import footprint, is_temporally_connected
@@ -91,10 +91,7 @@ def cmd_triple(args):
 
 def cmd_corners(args):
     pg, _meta = _load_instance(args.file)
-    if args.k == 1:
-        ws = find_temporal_corners(pg)
-    else:
-        ws = find_k_temporal_corners(pg, args.k)
+    ws = find_k_temporal_corners(pg, args.k)
     out = {
         "file": str(args.file),
         "k": args.k,

@@ -5,13 +5,24 @@ u is none of the y_i and the closed neighborhood of u at time t is contained
 in the union of the closed neighborhoods of the y_i at time t+1.  Every
 k-copwin arena contains one, so an empty report rules k-copwin out; the
 converse does not hold, so presence proves nothing.
+
+One pruned scan, `layer_corners`, serves every k.  Repeating a cover never
+enlarges the union, so covers are distinct sets of min(k, n-1) vertices.
+For each layer t, each u and each prefix of all covers but the last, in
+lexicographic order and avoiding u, the last cover lies above the prefix
+and must hold every vertex of N_t[u] the prefix leaves uncovered, so it is
+a neighbor in G_{t+1} of each such vertex: of u when u is left, else of the
+lowest one.  At k = 1 the prefix is empty and the candidates are u's
+neighbors in G_{t+1}.  Witnesses come out sorted by (t, u, covers) without
+a sort.  Every candidate is a distinct cover set, so p*n*C(n-1, min(k, n-1))
+bounds the scan; that count is checked against CORNER_CANDIDATE_LIMIT for
+every k, k = 1 included, before anything is enumerated.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .graphs import LimitError
 
@@ -19,8 +30,7 @@ from .graphs import LimitError
 CORNER_CANDIDATE_LIMIT = 10**7
 
 
-@dataclass(frozen=True, order=True)
-class CornerWitness:
+class CornerWitness(NamedTuple):
     t: int
     corner_vertex: int
     covers: tuple
@@ -33,67 +43,65 @@ class CornerWitness:
         }
 
 
-def _pair_corners(gt, gn):
-    """Every (u, v) with u != v and N[u] in gt contained in N[v] in gn.
+def layer_corners(gt, gn, k=1):
+    """Every (u, covers) with N[u] in gt inside the union of N[y] in gn over
+    the covers, a sorted tuple of min(k, n-1) vertices other than u.
 
-    Since u covers itself, only v with u in N[v] can work, which restricts
-    the inner scan to gn's neighbors of u, taken in ascending order.
+    Pairs come in lexicographic order, lazily, so asking for the first one
+    asks whether gt has a k-corner into gn.
     """
-    for u in range(gt.n):
-        mu = gt.nbr_mask(u)
-        vs = gn.nbr_mask(u) & ~(1 << u)
-        while vs:
-            low = vs & -vs
-            v = low.bit_length() - 1
-            if mu & ~gn.nbr_mask(v) == 0:
-                yield u, v
-            vs ^= low
+    n = gt.n
+    nbr = gn.masks
+    full = (1 << n) - 1
+    # (covers but the last, their vertices, their union, the vertices above)
+    prefixes = [((), 0, 0, full)]
+    for _ in range(min(k, n - 1) - 1):
+        prefixes = [(ys + (y,), used | 1 << y, union | nbr[y], full >> y + 1 << y + 1)
+                    for ys, used, union, above in prefixes
+                    for y in range(n) if above >> y & 1]
+    for u, mu in enumerate(gt.masks):
+        bit = 1 << u
+        for ys, used, union, above in prefixes:
+            if used & bit:
+                continue
+            left = mu & ~union
+            vs = (nbr[u] if left & bit else nbr[(left & -left).bit_length() - 1]
+                  if left else full) & above & ~bit
+            while vs:
+                low = vs & -vs
+                v = low.bit_length() - 1
+                if left & ~nbr[v] == 0:
+                    yield u, ys + (v,)
+                vs ^= low
 
 
 def find_temporal_corners(pg):
     """All ((t,u), v) with u != v and N_t[u] <= N_{t+1}[v]."""
-    p = pg.period
-    return [
-        CornerWitness(t, u, (v,))
-        for t in range(p)
-        for u, v in _pair_corners(pg.snapshots[t], pg.snapshots[(t + 1) % p])
-    ]
+    return find_k_temporal_corners(pg, 1)
 
 
 def find_k_temporal_corners(pg, k):
-    """All k-temporal corner witnesses, covers as sorted distinct k-sets.
-
-    Repetition in a cover never enlarges the union, so only distinct cover
-    sets are enumerated (capped at n-1 candidates when k exceeds them).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = pg.n
+    """All k-temporal corner witnesses, covers as sorted distinct k-sets
+    (all of V - u when k >= n), sorted by (t, u, covers)."""
+    if type(k) is not int or k < 1:
+        raise ValueError("k must be an int >= 1: %r" % (k,))
+    n, p = pg.n, pg.period
     size = min(k, n - 1)
     if size <= 0:
         return []
-    candidates = pg.period * n * comb(n - 1, size)
+    candidates = p * n * comb(n - 1, size)
     if candidates > CORNER_CANDIDATE_LIMIT:
         raise LimitError(
             "corner search budget exceeded: %d candidate tuples > %d"
             % (candidates, CORNER_CANDIDATE_LIMIT)
         )
-    out = []
-    p = pg.period
-    for t in range(p):
-        gt = pg.snapshots[t]
-        gn = pg.snapshots[(t + 1) % p]
-        next_masks = [gn.nbr_mask(v) for v in range(n)]
-        for u in range(n):
-            mu = gt.nbr_mask(u)
-            others = [v for v in range(n) if v != u]
-            for ys in itertools.combinations(others, size):
-                union = 0
-                for y in ys:
-                    union |= next_masks[y]
-                if mu & ~union == 0:
-                    out.append(CornerWitness(t, u, ys))
-    return out
+    snaps = pg.snapshots
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
+    return [
+        new(CornerWitness, (t, u, ys))
+        for t in range(p)
+        for u, ys in layer_corners(snaps[t], snaps[(t + 1) % p], k)
+    ]
 
 
 def validate_witness(pg, w):

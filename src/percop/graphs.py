@@ -71,6 +71,11 @@ class Graph:
         """Closed neighborhood N[u] as a bitmask."""
         return self._masks[u]
 
+    @property
+    def masks(self):
+        """Every closed neighborhood, N[0] to N[n-1], as a tuple of bitmasks."""
+        return self._masks
+
     def closed_nbrs(self, u):
         """Closed neighborhood N[u] as a sorted list of vertices."""
         m = self._masks[u]

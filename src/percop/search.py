@@ -41,7 +41,8 @@ from .graphs import (
     petersen_graph,
 )
 from .periodic import PeriodicGraph, footprint, induced
-from .corners import find_k_temporal_corners, find_temporal_corners, _pair_corners
+# find_temporal_corners is unused here; perfbench/probes.py wraps it
+from .corners import find_k_temporal_corners, find_temporal_corners, layer_corners
 from .constructions import GENERATORS, ConstructionSpecimen, circulant_123
 from .instancefile import parse
 from . import solver as _solver
@@ -370,9 +371,7 @@ def _predicates(pg, spec):
     ok = _holds(pg, spec.footprint_constraint, _FOOTPRINT_KINDS)
     yield ok, {"footprint_ok": ok}
     for k in t.get("no_corner_k", ()):
-        found = (
-            find_temporal_corners(pg) if k == 1 else find_k_temporal_corners(pg, k)
-        )
+        found = find_k_temporal_corners(pg, k)
         yield not found, {"corners_k%d" % k: len(found)}
     if "gamma_g0" in t:
         gamma = domination_number(pg.snapshots[0])
@@ -480,9 +479,9 @@ def _gen_hamiltonian(spec, rng):
                     perm = list(range(n))
                     rng.shuffle(perm)
                 g = _path_from_perm(n, perm)
-                if next(_pair_corners(graphs[-1], g), None):
+                if next(layer_corners(graphs[-1], g), None):
                     continue
-                if t == p - 1 and next(_pair_corners(g, graphs[0]), None):
+                if t == p - 1 and next(layer_corners(g, graphs[0]), None):
                     continue
                 if hub is not None:
                     nbrs = hub_nbrs(perm)

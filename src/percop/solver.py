@@ -37,7 +37,8 @@ solves each component on its own and sums; `solve_cop_number` and
 that traces and policies read.
 
 The one resource limit is the state budget: PERCOP_STATE_BUDGET in the
-environment (default 1e8 states), checked before anything is allocated.
+environment (default 1e8 states, else an int >= 1 or a ValueError), checked
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -69,9 +70,15 @@ class BudgetError(RuntimeError):
 
 def _state_budget():
     env = os.environ.get("PERCOP_STATE_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_STATE_BUDGET
+    if not env:
+        return DEFAULT_STATE_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError("PERCOP_STATE_BUDGET must be an int >= 1: %r" % env)
+    return budget
 
 
 class _Level(NamedTuple):

@@ -125,3 +125,30 @@ def reference_ranks(pg, k, allow_stacking=True):
             best = max(starts)
             placement = c
     return rank, placement
+
+
+def reference_corners(pg, k):
+    """Every k-temporal corner as (t, u, covers), by brute force over sets.
+
+    Covers are the sorted (min(k, n-1))-subsets of V - {u}; one is a corner
+    when the closed neighborhoods at t+1 of its vertices together hold the
+    closed neighborhood of u at t.  Neighborhoods are rebuilt from the edge
+    sets, so nothing is shared with the production scan.
+    """
+    n, p = pg.n, pg.period
+    closed = []
+    for g in pg.snapshots:
+        nb = [{v} for v in range(n)]
+        for a, b in g.edges:
+            nb[a].add(b)
+            nb[b].add(a)
+        closed.append(nb)
+    out = []
+    for t in range(p):
+        now, nxt = closed[t], closed[(t + 1) % p]
+        for u in range(n):
+            others = [v for v in range(n) if v != u]
+            for ys in itertools.combinations(others, min(k, n - 1)):
+                if ys and now[u] <= set().union(*(nxt[y] for y in ys)):
+                    out.append((t, u, ys))
+    return out

@@ -63,6 +63,15 @@ class TestSolve:
         assert code == 3
         assert out["error"] == "budget"
 
+    @pytest.mark.parametrize("value", ["1e8", "abc", "0", "-5"])
+    def test_state_budget_env_must_be_positive_int(self, capsys, q3_file,
+                                                   monkeypatch, value):
+        monkeypatch.setenv("PERCOP_STATE_BUDGET", value)
+        code, out = run_json(capsys, "solve", str(q3_file))
+        assert code == 2 and out["error"] == "invalid"
+        assert out["detail"] == (
+            "PERCOP_STATE_BUDGET must be an int >= 1: '%s'" % value)
+
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 1, "n": 2, "period": 1, "snapshots": [[[0,0]]]}')

@@ -10,9 +10,13 @@ from percop.corners import (
     find_temporal_corners,
     validate_witness,
 )
-from percop.constructions import circulant_123
+from percop.constructions import GENERATORS, circulant_123
 from percop.search import load_witness
 from conftest import random_periodic
+from reference import reference_corners
+
+SHIPPED_WITNESSES = ["thm112", "lem122", "circulant_123", "search_321",
+                     "prop3_retract"]
 
 
 def fig2_instance():
@@ -82,9 +86,55 @@ class TestKTemporalCorners:
         with pytest.raises(ValueError, match="budget"):
             find_k_temporal_corners(pg, 12)
 
+    def test_budget_error_k1(self):
+        # k = 1 has the same limit: p * n * (n - 1) candidates
+        assert find_k_temporal_corners(constant(Graph(3162), 1), 1) == []
+        with pytest.raises(ValueError, match="budget"):
+            find_k_temporal_corners(constant(Graph(3163), 1), 1)
+        with pytest.raises(ValueError, match="budget"):
+            find_temporal_corners(constant(Graph(3163), 1))
+
     def test_k_must_be_positive(self, rng):
+        pg = random_periodic(rng, 4, 1)
         with pytest.raises(ValueError):
-            find_k_temporal_corners(random_periodic(rng, 4, 1), 0)
+            find_k_temporal_corners(pg, 0)
+        # an int >= 1, and bool is not an int
+        for k in (-1, 2.0, "2", True, False, None):
+            with pytest.raises(ValueError, match=r"^k must be an int >= 1: "):
+                find_k_temporal_corners(pg, k)
+
+
+class TestCompleteness:
+    """The scan finds every corner the brute-force reference finds, in the
+    same order: a dropped witness would pass `validate_witness`."""
+
+    @staticmethod
+    def assert_matches(pg, k):
+        got = [(w.t, w.corner_vertex, w.covers)
+               for w in find_k_temporal_corners(pg, k)]
+        assert got == reference_corners(pg, k), (pg.snapshots, k)
+
+    def test_random_instances_every_k(self):
+        # k = 1..4 against n = 1..7 covers k >= n, where covers are V - u
+        rng = random.Random(18)
+        for n in range(1, 8):
+            for p in range(1, 4):
+                for _ in range(6):
+                    pg = random_periodic(rng, n, p, rng.random())
+                    for k in (1, 2, 3, 4):
+                        self.assert_matches(pg, k)
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_generators(self, name):
+        pg = GENERATORS[name]().instance
+        for k in (1, 2):
+            self.assert_matches(pg, k)
+
+    @pytest.mark.parametrize("name", SHIPPED_WITNESSES)
+    def test_shipped_witnesses(self, name):
+        pg, _meta = load_witness(name)
+        for k in (1, 2):
+            self.assert_matches(pg, k)
 
 
 class TestNecessityBoundary:
