@@ -8,19 +8,24 @@ converse does not hold, so presence proves nothing.
 
 One pruned scan, `layer_corners`, serves every k.  Repeating a cover never
 enlarges the union, so covers are distinct sets of min(k, n-1) vertices.
-For each layer t, each u and each prefix of all covers but the last, in
-lexicographic order and avoiding u, the last cover lies above the prefix
-and must hold every vertex of N_t[u] the prefix leaves uncovered, so it is
-a neighbor in G_{t+1} of each such vertex: of u when u is left, else of the
-lowest one.  At k = 1 the prefix is empty and the candidates are u's
-neighbors in G_{t+1}.  Witnesses come out sorted by (t, u, covers) without
-a sort.  Every candidate is a distinct cover set, so p*n*C(n-1, min(k, n-1))
-bounds the scan; that count is checked against CORNER_CANDIDATE_LIMIT for
-every k, k = 1 included, before anything is enumerated.
+For each layer t, each prefix of all covers but the last, in lexicographic
+order and leaving a vertex above it, and each u outside the prefix, the
+last cover lies above the prefix and must hold every vertex of N_t[u] the
+prefix leaves uncovered, so it is a neighbor in G_{t+1} of each such
+vertex: of u when u is left, else of the lowest one.  At k = 1 the prefix
+is empty and the candidates are u's neighbors in G_{t+1}.  Each u's covers
+are kept in their own list, so witnesses come out sorted by (t, u, covers)
+without a sort.  Prefixes are drawn one at a time, so the scan holds O(n)
+beyond its output.  Every candidate is a distinct cover set, so
+p*n*C(n-1, min(k, n-1)) bounds them; that count is checked against
+CORNER_CANDIDATE_LIMIT for every k, k = 1 included, before anything is
+enumerated.  No more prefixes than candidates are made, and the scan's work
+is within a constant factor of checking the union of every candidate.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -44,35 +49,42 @@ class CornerWitness(NamedTuple):
 
 
 def layer_corners(gt, gn, k=1):
-    """Every (u, covers) with N[u] in gt inside the union of N[y] in gn over
-    the covers, a sorted tuple of min(k, n-1) vertices other than u.
-
-    Pairs come in lexicographic order, lazily, so asking for the first one
-    asks whether gt has a k-corner into gn.
+    """The k-corners of gt into gn: for each vertex u, the sorted list of its
+    covers, each a sorted tuple of min(k, n-1) vertices other than u whose
+    closed neighborhoods in gn together hold u's closed neighborhood in gt.
     """
-    n = gt.n
-    nbr = gn.masks
-    full = (1 << n) - 1
-    # (covers but the last, their vertices, their union, the vertices above)
-    prefixes = [((), 0, 0, full)]
-    for _ in range(min(k, n - 1) - 1):
-        prefixes = [(ys + (y,), used | 1 << y, union | nbr[y], full >> y + 1 << y + 1)
-                    for ys, used, union, above in prefixes
-                    for y in range(n) if above >> y & 1]
-    for u, mu in enumerate(gt.masks):
-        bit = 1 << u
-        for ys, used, union, above in prefixes:
+    n, nbr = gt.n, gn.masks
+    size = min(k, n - 1)
+    found = [[] for _ in range(n)]
+    if size < 1:
+        return found
+    # drawn from range(n-1), a prefix leaves a vertex above it for the last
+    # cover; its union is made once and serves every u outside it
+    for ys in combinations(range(n - 1), size - 1):
+        used = union = 0
+        for y in ys:
+            used |= 1 << y
+            union |= nbr[y]
+        start = ys[-1] + 1 if ys else 0
+        for u, mu in enumerate(gt.masks):
+            bit = 1 << u
             if used & bit:
                 continue
             left = mu & ~union
-            vs = (nbr[u] if left & bit else nbr[(left & -left).bit_length() - 1]
-                  if left else full) & above & ~bit
+            if left & bit:
+                vs = nbr[u]
+            elif left:
+                vs = nbr[(left & -left).bit_length() - 1]
+            else:
+                vs = (1 << n) - 1
+            vs = (vs >> start << start) & ~bit
             while vs:
                 low = vs & -vs
                 v = low.bit_length() - 1
                 if left & ~nbr[v] == 0:
-                    yield u, ys + (v,)
+                    found[u].append(ys + (v,))
                 vs ^= low
+    return found
 
 
 def find_temporal_corners(pg):
@@ -96,11 +108,12 @@ def find_k_temporal_corners(pg, k):
             % (candidates, CORNER_CANDIDATE_LIMIT)
         )
     snaps = pg.snapshots
-    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
     return [
-        new(CornerWitness, (t, u, ys))
+        CornerWitness(t, u, ys)
         for t in range(p)
-        for u, ys in layer_corners(snaps[t], snaps[(t + 1) % p], k)
+        for u, covers in enumerate(
+            layer_corners(snaps[t], snaps[(t + 1) % p], k))
+        for ys in covers
     ]
 
 

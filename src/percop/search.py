@@ -479,9 +479,9 @@ def _gen_hamiltonian(spec, rng):
                     perm = list(range(n))
                     rng.shuffle(perm)
                 g = _path_from_perm(n, perm)
-                if next(layer_corners(graphs[-1], g), None):
+                if any(layer_corners(graphs[-1], g)):
                     continue
-                if t == p - 1 and next(layer_corners(g, graphs[0]), None):
+                if t == p - 1 and any(layer_corners(g, graphs[0])):
                     continue
                 if hub is not None:
                     nbrs = hub_nbrs(perm)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from percop.graphs import Graph, complete_graph
+from percop.graphs import Graph, complete_graph, cycle_graph, path_graph
 from percop.periodic import PeriodicGraph, constant
 from percop.corners import (
     CornerWitness,
@@ -123,6 +123,15 @@ class TestCompleteness:
                     pg = random_periodic(rng, n, p, rng.random())
                     for k in (1, 2, 3, 4):
                         self.assert_matches(pg, k)
+
+    @pytest.mark.parametrize("k", [27, 28, 29, 40])
+    def test_thirty_vertices_k_near_n(self, k):
+        # at most 30 * C(29, 27) = 12,180 candidates per layer, but a scan
+        # whose prefixes of all covers but the last need not leave room for
+        # the last one makes every subset of up to k - 1 vertices on the way
+        self.assert_matches(constant(cycle_graph(30), 1), k)
+        self.assert_matches(PeriodicGraph([cycle_graph(30), path_graph(30),
+                                           Graph(30)]), k)
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_generators(self, name):
