@@ -16,6 +16,13 @@ a vertex set, read from per-snapshot tables of 8-vertex chunks.  A state first
 won at level i has rank i, the number of cop moves to capture under optimal
 play (min over cop moves, max over robber escapes).
 
+`is_k_copwin` runs this induction once and writes no rank: the verdict, the
+initial placement, the win count and the state count come from that decision
+pass alone.  The placement needs only each layer-0 configuration's worst
+rank, the level at which its cw mask fills.  A trace, a policy or a rank read
+from the result runs a second pass of the same induction, once per result,
+that writes every state's rank.
+
 Cop configurations are sorted multisets.  The k-cop move relation of a
 snapshot is built from the (k-1)-cop one: a configuration moves by moving its
 (k-1)-prefix and then adding a neighbour of its last cop.  Each thread keeps
@@ -33,8 +40,8 @@ A graph whose footprint is disconnected is one game per component: cops
 cannot leave their component, each component needs a cop, and the robber
 picks the component, so its cop number is the sum of theirs.  `cop_number`
 solves each component on its own and sums; `solve_cop_number` and
-`is_k_copwin` solve the whole graph, since their results carry the ranks
-that traces and policies read.
+`is_k_copwin` solve the whole graph, since traces and policies read the ranks
+of their results.
 
 The one resource limit is the state budget: PERCOP_STATE_BUDGET in the
 environment (default 1e8 states, else an int >= 1 or a ValueError), checked
@@ -167,16 +174,33 @@ def _move_tables(pg):
 
 
 class SolveResult:
-    """Outcome of one is_k_copwin run, with the full win region and ranks."""
+    """Outcome of one is_k_copwin run: the verdict and placement, the full win
+    region, and the ranks, which are built on first read."""
 
-    def __init__(self, pg, k, copwin, initial_placement, level, cw, rw, rank):
+    def __init__(self, pg, k, copwin, initial_placement, level, nbhd, cw, rw):
         self.pg = pg
         self.k = k
         self.copwin = copwin
         self.initial_placement = initial_placement
         self._level = level
+        self._nbhd = nbhd
         self._won = (cw, rw)  # indexed by side, then by key t * nc + ci
-        self._rank = rank  # indexed by ((key * n + robber) << 1) | side
+        self._rank = None  # indexed by ((key * n + robber) << 1) | side
+        self._rank_lock = threading.Lock()
+
+    def _ranks(self):
+        # The rank pass reruns the induction on this result's own tables, so
+        # it never touches the thread's move-table slot; the lock makes
+        # threads sharing the result run it once.
+        rank = self._rank
+        if rank is None:
+            with self._rank_lock:
+                rank = self._rank
+                if rank is None:
+                    rank = array("B", bytes(self.state_count()))
+                    rank = _propagate(self.pg, self._level, self._nbhd, rank)[2]
+                    self._rank = rank
+        return rank
 
     def _key(self, t, cops):
         lv = self._level
@@ -190,13 +214,13 @@ class SolveResult:
         key = self._key(t, cops)
         if not (self._won[side][key] >> robber) & 1:
             return None
-        return self._rank[((key * self.pg.n + robber) << 1) | side]
+        return self._ranks()[((key * self.pg.n + robber) << 1) | side]
 
     def win_count(self):
         return sum(m.bit_count() for masks in self._won for m in masks)
 
     def state_count(self):
-        return len(self._rank)
+        return len(self._won[COPS_TO_MOVE]) * self.pg.n * 2
 
     def optimal_cop_move(self, t, cops, robber):
         """Rank-minimizing feasible cop move, capture first, lex tie-break."""
@@ -204,11 +228,12 @@ class SolveResult:
         t %= pg.period
         base = t * len(lv.cfgs)
         rw = self._won[ROBBER_TO_MOVE]
+        rank = self._ranks()
         best = None
         for cj in lv.succ[pg.usnap[t]][lv.index[tuple(sorted(cops))]]:
             key = base + cj
             if (rw[key] >> robber) & 1:  # a capture is a won state of rank 0
-                move = (self._rank[((key * pg.n + robber) << 1) | ROBBER_TO_MOVE],
+                move = (rank[((key * pg.n + robber) << 1) | ROBBER_TO_MOVE],
                         lv.cfgs[cj])
                 if best is None or move < best:
                     best = move
@@ -229,28 +254,26 @@ class SolveResult:
         )
 
 
-def is_k_copwin(pg, k):
-    """Decide whether k cops win on pg, returning the full SolveResult.
+def _propagate(pg, lv, nbhd, rank):
+    """Grow the win region of the k-cop level lv to its fixpoint.
 
-    copwin means: some initial cop placement beats every robber placement.
+    Returns (cw, rw, rank, first).  first is the least (level, ci) over the
+    layer-0 configurations ci whose cw mask is full, where level is the one
+    at which the mask filled, that is the worst rank over the robber's starts;
+    None if no mask fills.  With rank None nothing else is recorded.  Given a
+    zeroed array("B") of p * nc * n * 2 entries, the level at which each state
+    is won is written to it, and the array is widened to "H" at level 256 and
+    to "I" at level 65536; the returned rank is the widened one.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    budget = _state_budget()
     n, p = pg.n, pg.period
-    nc = comb(n + k - 1, k)
-    estimate = p * nc * n * 2
-    if estimate > budget:
-        raise BudgetError(estimate, budget)
-
-    tables = _move_tables(pg)
-    lv = tables.level(k)
-    succ, nbhd, us = lv.succ, tables.nbhd, pg.usnap
+    nc = len(lv.cfgs)
+    succ, us = lv.succ, pg.usnap
     full = (1 << n) - 1
     masks = lv.masks
     cw = masks * p  # a copy: lv.masks is shared with later solves
     rw = [0] * (p * nc)
-    rank = array("B", bytes(estimate))
+    ranked = rank is not None
+    filled = []  # (level, ci): layer-0 keys whose cw filled at that level
 
     level = 0
     # stale[key]: the layer of a key whose cw changed at this level
@@ -263,6 +286,8 @@ def is_k_copwin(pg, k):
             t0 = t1 - 1 if t1 else p - 1
             key = t0 * nc + ci
             y = full & ~cw[key1]
+            if not (y or t1):
+                filled.append((level, ci))
             m = 0
             for table in nbhd[us[t0]]:
                 m |= table[y & 255]
@@ -271,17 +296,18 @@ def is_k_copwin(pg, k):
             if new:
                 rw[key] |= new
                 drw.append((t0, ci, new))
-                b = key * n
-                while level and new:
-                    low = new & -new
-                    rank[((b + low.bit_length() - 1) << 1) | 1] = level
-                    new ^= low
+                if ranked and level:
+                    b = key * n
+                    while new:
+                        low = new & -new
+                        rank[((b + low.bit_length() - 1) << 1) | 1] = level
+                        new ^= low
         if not drw:
             break
         level += 1
-        if level == 256:
+        if ranked and level == 256:
             rank = array("H", rank)
-        elif level == 65536:
+        elif ranked and level == 65536:
             rank = array("I", rank)
         # cop step: a move into a robber state won at the last level
         stale = {}
@@ -293,21 +319,36 @@ def is_k_copwin(pg, k):
                 if new:
                     cw[key] |= new
                     stale[key] = t
-                    b = key * n
-                    while new:
-                        low = new & -new
-                        rank[(b + low.bit_length() - 1) << 1] = level
-                        new ^= low
+                    if ranked:
+                        b = key * n
+                        while new:
+                            low = new & -new
+                            rank[(b + low.bit_length() - 1) << 1] = level
+                            new ^= low
+    return cw, rw, rank, min(filled, default=None)
 
-    best = None
-    for ci, cfg in enumerate(lv.cfgs):
-        if cw[ci] == full:
-            b = 2 * ci * n
-            worst = max(rank[b:b + 2 * n:2])  # cops-to-move ranks at layer 0
-            if best is None or (worst, cfg) < best:
-                best = (worst, cfg)
-    placement = best[1] if best else None
-    return SolveResult(pg, k, best is not None, placement, lv, cw, rw, rank)
+
+def is_k_copwin(pg, k):
+    """Decide whether k cops win on pg, returning the full SolveResult.
+
+    copwin means: some initial cop placement beats every robber placement.
+    The placement is the one whose worst robber start is captured soonest,
+    the lexicographically least on ties.
+    """
+    if type(k) is not int or k < 1:
+        raise ValueError("k must be an int >= 1: %r" % (k,))
+    budget = _state_budget()
+    n, p = pg.n, pg.period
+    nc = comb(n + k - 1, k)
+    estimate = p * nc * n * 2
+    if estimate > budget:
+        raise BudgetError(estimate, budget)
+
+    tables = _move_tables(pg)
+    lv = tables.level(k)
+    cw, rw, _rank, first = _propagate(pg, lv, tables.nbhd, None)
+    placement = lv.cfgs[first[1]] if first else None
+    return SolveResult(pg, k, first is not None, placement, lv, tables.nbhd, cw, rw)
 
 
 def cop_number_cap(pg):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import sys
 import threading
 import weakref
 from collections import deque
@@ -20,6 +21,7 @@ from percop.graphs import (
 from percop import solver
 from percop.periodic import PeriodicGraph, constant, footprint, pad
 from percop.solver import (
+    ROBBER_TO_MOVE,
     BudgetError,
     CopPolicy,
     PolicyVerification,
@@ -202,6 +204,23 @@ class TestSolveResult:
         assert res.initial_placement == (0,)
         for t in range(300):
             assert res.rank_of(t, (0,), 1) == 300 - t
+        # the rank pass widened its array past level 255
+        assert res._rank.typecode == "H"
+
+    @pytest.mark.parametrize("k", [0, -1, 2.0, "2", True])
+    def test_k_must_be_an_int(self, k):
+        # bool is not an int here, as in find_k_temporal_corners
+        with pytest.raises(ValueError, match=r"^k must be an int >= 1: %s$" % repr(k)):
+            is_k_copwin(q3_rotation().instance, k)
+
+    @pytest.mark.parametrize("n, k, placement", [(1, 1, (0,)), (2, 2, (0, 1))])
+    def test_placement_full_at_level_zero(self, n, k, placement):
+        # the cops cover every vertex, so the placement captures at once
+        pg = constant(path_graph(n), 1)
+        res = is_k_copwin(pg, k)
+        assert res.copwin and res.initial_placement == placement
+        assert [res.rank_of(0, placement, r) for r in range(n)] == [0] * n
+        TestRankOracle.check(pg, k)
 
     def test_budget_error(self, monkeypatch):
         monkeypatch.setenv("PERCOP_STATE_BUDGET", "100")
@@ -283,6 +302,103 @@ class TestMoveTableSlot:
         for th in threads:
             th.join()
         assert got == [[serial[0]] * 50, [serial[1]] * 50]
+
+
+def _spy_propagate(monkeypatch):
+    """Record the returns of every rank pass, that is every _propagate call
+    given a rank array."""
+    passes = []
+    inner = solver._propagate
+
+    def spy(pg, lv, nbhd, rank):
+        out = inner(pg, lv, nbhd, rank)
+        if rank is not None:
+            passes.append(out)
+        return out
+
+    monkeypatch.setattr(solver, "_propagate", spy)
+    return passes
+
+
+class TestLazyRanks:
+    """The decision pass writes no rank; the first read of one runs the rank
+    pass once, on the result's own tables."""
+
+    def test_verdict_reads_build_no_ranks(self, monkeypatch):
+        passes = _spy_propagate(monkeypatch)
+        res = is_k_copwin(q3_rotation().instance, 3)
+        assert res.copwin and res.initial_placement == (0, 0, 4)
+        assert res.win_count() > 0
+        assert res.state_count() == 3 * 120 * 8 * 2
+        assert res.is_cop_win(0, (0, 0, 4), 6)
+        assert res._rank is None and passes == []
+
+    @pytest.mark.parametrize("first", ["rank_of", "optimal_cop_move"])
+    def test_first_read_builds_once(self, monkeypatch, first):
+        passes = _spy_propagate(monkeypatch)
+        res = is_k_copwin(bowtie_221().instance, 1)
+        cops = res.initial_placement
+        robber = next(r for r in range(res.pg.n) if r not in cops)
+        if first == "rank_of":
+            res.rank_of(0, cops, robber)
+        else:
+            res.optimal_cop_move(0, cops, robber)
+        assert len(passes) == 1
+        built = res._rank
+        extract_trace(res)
+        verify_policy(res.pg, res.policy())
+        res.rank_of(0, cops, robber, ROBBER_TO_MOVE)
+        assert len(passes) == 1 and res._rank is built
+
+    def test_rank_pass_reaches_the_same_fixpoint(self, rng, monkeypatch):
+        passes = _spy_propagate(monkeypatch)
+        for _ in range(20):
+            pg = random_periodic(rng, rng.randint(1, 5), rng.randint(1, 3), 0.4)
+            for k in (1, 2):
+                res = is_k_copwin(pg, k)
+                res.rank_of(0, (0,) * k, 0)
+                cw, rw, rank, first = passes.pop()
+                assert (cw, rw) == res._won and rank is res._rank
+                placement = res._level.cfgs[first[1]] if first else None
+                assert placement == res.initial_placement
+
+    def test_rank_pass_leaves_the_table_slot(self, monkeypatch):
+        built = _counting_tables(monkeypatch)
+        pg1, pg2 = q3_rotation().instance, bowtie_221().instance
+        res = is_k_copwin(pg1, 3)
+        is_k_copwin(pg2, 1)
+        slot = solver._LAST.tables
+        trace = extract_trace(res)
+        # reading pg1's ranks neither evicted pg2's tables nor rebuilt pg1's
+        assert solver._LAST.tables is slot and len(built) == 2
+        assert trace == extract_trace(is_k_copwin(pg1, 3))
+
+    def test_threads_share_one_result(self, rng, monkeypatch):
+        passes = _spy_propagate(monkeypatch)
+        pg = random_periodic(rng, 6, 3, 0.4)
+        serial = _answers(is_k_copwin(pg, 2))
+        shared = is_k_copwin(pg, 2)
+        passes.clear()
+        got = [None] * 4
+        start = threading.Barrier(4, timeout=60)
+
+        def work(i):
+            start.wait()
+            got[i] = _answers(shared)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        assert got == [serial] * 4
+        assert len(passes) == 1
 
 
 class TestTriple:
