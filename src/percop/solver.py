@@ -16,12 +16,18 @@ a vertex set, read from per-snapshot tables of 8-vertex chunks.  A state first
 won at level i has rank i, the number of cop moves to capture under optimal
 play (min over cop moves, max over robber escapes).
 
-`is_k_copwin` runs this induction once and writes no rank: the verdict, the
-initial placement, the win count and the state count come from that decision
-pass alone.  The placement needs only each layer-0 configuration's worst
-rank, the level at which its cw mask fills.  A trace, a policy or a rank read
-from the result runs a second pass of the same induction, once per result,
-that writes every state's rank.
+`is_k_copwin` runs this induction as a decision pass that writes no rank and
+stops at the first level at which some layer-0 configuration's cw mask
+fills.  The verdict and the initial placement come from that pass alone: the
+placement needs only each layer-0 configuration's worst rank, the level at
+which its cw mask fills, and every configuration that fills at that first
+level is stale there, so the pass has seen them all.  A losing pass never
+fills and reaches the fixpoint, so its result keeps the win region.  A
+winning result settles its region on first read, once per result: a win
+count or a win-region query reruns the induction to its fixpoint without
+ranks, and a trace, a policy or a rank read runs the rank pass, which writes
+every state's rank and settles the region too.  The state count comes from
+the sizes.
 
 Cop configurations are sorted multisets.  The k-cop move relation of a
 snapshot is built from the (k-1)-cop one: a configuration moves by moving its
@@ -174,61 +180,71 @@ def _move_tables(pg):
 
 
 class SolveResult:
-    """Outcome of one is_k_copwin run: the verdict and placement, the full win
-    region, and the ranks, which are built on first read."""
+    """Outcome of one is_k_copwin run: the verdict and placement, and the win
+    region and ranks, which a winning result settles on first read."""
 
-    def __init__(self, pg, k, copwin, initial_placement, level, nbhd, cw, rw):
+    def __init__(self, pg, k, copwin, initial_placement, level, nbhd, won):
         self.pg = pg
         self.k = k
         self.copwin = copwin
         self.initial_placement = initial_placement
         self._level = level
         self._nbhd = nbhd
-        self._won = (cw, rw)  # indexed by side, then by key t * nc + ci
+        self._won = won  # (cw, rw) by side, then by key t * nc + ci; None until settled
         self._rank = None  # indexed by ((key * n + robber) << 1) | side
-        self._rank_lock = threading.Lock()
+        self._lock = threading.Lock()
+
+    def _settle(self, ranked):
+        # Reruns the induction to its fixpoint on this result's own tables,
+        # so it never touches the thread's move-table slot; the lock makes
+        # threads sharing the result run each pass at most once.  The region
+        # is published before the ranks, so whoever sees ranks sees a region.
+        with self._lock:
+            if self._won is None or (ranked and self._rank is None):
+                rank = array("B", bytes(self.state_count())) if ranked else None
+                cw, rw, rank, _first = _propagate(self.pg, self._level, self._nbhd, rank)
+                self._won = (cw, rw)
+                self._rank = rank
+
+    def _region(self):
+        if self._won is None:
+            self._settle(False)
+        return self._won
 
     def _ranks(self):
-        # The rank pass reruns the induction on this result's own tables, so
-        # it never touches the thread's move-table slot; the lock makes
-        # threads sharing the result run it once.
-        rank = self._rank
-        if rank is None:
-            with self._rank_lock:
-                rank = self._rank
-                if rank is None:
-                    rank = array("B", bytes(self.state_count()))
-                    rank = _propagate(self.pg, self._level, self._nbhd, rank)[2]
-                    self._rank = rank
-        return rank
+        if self._rank is None:
+            self._settle(True)
+        return self._rank
 
     def _key(self, t, cops):
         lv = self._level
         return (t % self.pg.period) * len(lv.cfgs) + lv.index[tuple(sorted(cops))]
 
     def is_cop_win(self, t, cops, robber, side=COPS_TO_MOVE):
-        return (self._won[side][self._key(t, cops)] >> robber) & 1 == 1
+        return (self._region()[side][self._key(t, cops)] >> robber) & 1 == 1
 
     def rank_of(self, t, cops, robber, side=COPS_TO_MOVE):
         """Cop moves to capture from a cop-winning state; None outside the region."""
         key = self._key(t, cops)
+        if self._won is None:
+            self._ranks()  # the rank pass settles the region as well
         if not (self._won[side][key] >> robber) & 1:
             return None
         return self._ranks()[((key * self.pg.n + robber) << 1) | side]
 
     def win_count(self):
-        return sum(m.bit_count() for masks in self._won for m in masks)
+        return sum(m.bit_count() for masks in self._region() for m in masks)
 
     def state_count(self):
-        return len(self._won[COPS_TO_MOVE]) * self.pg.n * 2
+        return self.pg.period * len(self._level.cfgs) * self.pg.n * 2
 
     def optimal_cop_move(self, t, cops, robber):
         """Rank-minimizing feasible cop move, capture first, lex tie-break."""
         pg, lv = self.pg, self._level
         t %= pg.period
         base = t * len(lv.cfgs)
-        rw = self._won[ROBBER_TO_MOVE]
         rank = self._ranks()
+        rw = self._won[ROBBER_TO_MOVE]
         best = None
         for cj in lv.succ[pg.usnap[t]][lv.index[tuple(sorted(cops))]]:
             key = base + cj
@@ -254,16 +270,19 @@ class SolveResult:
         )
 
 
-def _propagate(pg, lv, nbhd, rank):
+def _propagate(pg, lv, nbhd, rank, decide=False):
     """Grow the win region of the k-cop level lv to its fixpoint.
 
     Returns (cw, rw, rank, first).  first is the least (level, ci) over the
     layer-0 configurations ci whose cw mask is full, where level is the one
     at which the mask filled, that is the worst rank over the robber's starts;
-    None if no mask fills.  With rank None nothing else is recorded.  Given a
-    zeroed array("B") of p * nc * n * 2 entries, the level at which each state
-    is won is written to it, and the array is widened to "H" at level 256 and
-    to "I" at level 65536; the returned rank is the widened one.
+    None if no mask fills.  With decide true the pass ends after the robber
+    sweep of the first level at which a layer-0 mask fills: each key that
+    fills there is stale there, so first is already the least, but cw and rw
+    are short of the fixpoint.  With rank None nothing else is recorded.
+    Given a zeroed array("B") of p * nc * n * 2 entries, the level at which
+    each state is won is written to it, and the array is widened to "H" at
+    level 256 and to "I" at level 65536; the returned rank is the widened one.
     """
     n, p = pg.n, pg.period
     nc = len(lv.cfgs)
@@ -302,7 +321,7 @@ def _propagate(pg, lv, nbhd, rank):
                         low = new & -new
                         rank[((b + low.bit_length() - 1) << 1) | 1] = level
                         new ^= low
-        if not drw:
+        if not drw or (decide and filled):
             break
         level += 1
         if ranked and level == 256:
@@ -346,9 +365,10 @@ def is_k_copwin(pg, k):
 
     tables = _move_tables(pg)
     lv = tables.level(k)
-    cw, rw, _rank, first = _propagate(pg, lv, tables.nbhd, None)
-    placement = lv.cfgs[first[1]] if first else None
-    return SolveResult(pg, k, first is not None, placement, lv, tables.nbhd, cw, rw)
+    cw, rw, _rank, first = _propagate(pg, lv, tables.nbhd, None, True)
+    if first is None:  # a losing pass reached the fixpoint
+        return SolveResult(pg, k, False, None, lv, tables.nbhd, (cw, rw))
+    return SolveResult(pg, k, True, lv.cfgs[first[1]], lv, tables.nbhd, None)
 
 
 def cop_number_cap(pg):
@@ -363,8 +383,10 @@ def solve_cop_number(pg, max_cops=None):
     """(cop number, SolveResult at that k), ascending from k=1.
 
     (None, None) when max_cops stops the ascent below the dominating-set cap.
+    max_cops is None (no cap) or an int >= 1; anything else, bools included,
+    is a ValueError.
     """
-    if max_cops is not None and max_cops < 1:
+    if max_cops is not None and (type(max_cops) is not int or max_cops < 1):
         raise ValueError("max_cops must be >= 1: %r" % (max_cops,))
     cap = cop_number_cap(pg)
     stop = cap if max_cops is None else min(cap, max_cops)

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import weakref
+from array import array
 from collections import deque
 
 import pytest
@@ -189,6 +190,16 @@ class TestSolveResult:
         with pytest.raises(ValueError, match="max_cops must be >= 1: %d" % max_cops):
             solve_cop_number(bowtie_221().instance, max_cops=max_cops)
 
+    @pytest.mark.parametrize("max_cops", [2.5, "2", True])
+    def test_max_cops_must_be_an_int(self, max_cops):
+        with pytest.raises(ValueError, match="max_cops must be >= 1: %r" % (max_cops,)):
+            solve_cop_number(q3_rotation().instance, max_cops=max_cops)
+
+    def test_max_cops_none_means_no_cap(self):
+        pg = q3_rotation().instance
+        k, res = solve_cop_number(pg, max_cops=None)
+        assert k == 3 and res.copwin and res.initial_placement == (0, 0, 4)
+
     def test_ascent_matches_single_solves(self):
         pg = q3_rotation().instance
         k, res = solve_cop_number(pg)
@@ -310,8 +321,8 @@ def _spy_propagate(monkeypatch):
     passes = []
     inner = solver._propagate
 
-    def spy(pg, lv, nbhd, rank):
-        out = inner(pg, lv, nbhd, rank)
+    def spy(pg, lv, nbhd, rank, decide=False):
+        out = inner(pg, lv, nbhd, rank, decide)
         if rank is not None:
             passes.append(out)
         return out
@@ -320,9 +331,32 @@ def _spy_propagate(monkeypatch):
     return passes
 
 
+def _spy_passes(monkeypatch):
+    """Record the kind of every _propagate call, with its returns: "decide"
+    for the pass that stops at the first fill, "settle" for a full pass
+    without ranks, "rank" for the rank pass."""
+    passes = []
+    inner = solver._propagate
+
+    def spy(pg, lv, nbhd, rank, decide=False):
+        out = inner(pg, lv, nbhd, rank, decide)
+        kind = "decide" if decide else "settle" if rank is None else "rank"
+        passes.append((kind, out))
+        return out
+
+    monkeypatch.setattr(solver, "_propagate", spy)
+    return passes
+
+
+def _kinds(passes):
+    return [kind for kind, _out in passes]
+
+
 class TestLazyRanks:
-    """The decision pass writes no rank; the first read of one runs the rank
-    pass once, on the result's own tables."""
+    """The decision pass writes no rank and stops at the first filled
+    layer-0 configuration; a winning result settles its region on first
+    read, and the first rank read runs the rank pass once, on the result's
+    own tables."""
 
     def test_verdict_reads_build_no_ranks(self, monkeypatch):
         passes = _spy_propagate(monkeypatch)
@@ -399,6 +433,111 @@ class TestLazyRanks:
         assert not any(th.is_alive() for th in threads)
         assert got == [serial] * 4
         assert len(passes) == 1
+
+    def test_winner_holds_no_region(self, monkeypatch):
+        passes = _spy_passes(monkeypatch)
+        res = is_k_copwin(q3_rotation().instance, 3)
+        assert res.copwin and res.initial_placement == (0, 0, 4)
+        assert res.state_count() == 3 * 120 * 8 * 2
+        assert res._won is None and res._rank is None
+        assert _kinds(passes) == ["decide"]
+
+    @pytest.mark.parametrize("first", ["win_count", "is_cop_win"])
+    def test_first_region_read_settles_once(self, monkeypatch, first):
+        passes = _spy_passes(monkeypatch)
+        pg = q3_rotation().instance
+        res = is_k_copwin(pg, 3)
+        if first == "win_count":
+            res.win_count()
+        else:
+            res.is_cop_win(0, (0, 0, 4), 6)
+        assert _kinds(passes) == ["decide", "settle"] and res._rank is None
+        settled = res._won
+        assert settled == passes[-1][1][:2] != passes[0][1][:2]
+        assert settled == solver._propagate(pg, res._level, res._nbhd, None)[:2]
+        passes.pop()
+        count = res.win_count()
+        assert res.is_cop_win(0, (0, 0, 4), 6)
+        assert _kinds(passes) == ["decide", "settle"]
+        res.rank_of(0, (0, 0, 4), 6)
+        assert _kinds(passes) == ["decide", "settle", "rank"]
+        built = res._rank
+        extract_trace(res)
+        res.optimal_cop_move(0, (0, 0, 4), 6)
+        assert res.win_count() == count and res._won == settled
+        assert _kinds(passes) == ["decide", "settle", "rank"] and res._rank is built
+
+    def test_first_rank_read_settles_the_region(self, monkeypatch):
+        passes = _spy_passes(monkeypatch)
+        res = is_k_copwin(bowtie_221().instance, 1)
+        res.rank_of(0, res.initial_placement, 0)
+        assert _kinds(passes) == ["decide", "rank"]
+        assert res._won == passes[-1][1][:2] and res._rank is passes[-1][1][2]
+        res.win_count()
+        assert _kinds(passes) == ["decide", "rank"]
+
+    def test_loser_keeps_its_region(self, monkeypatch):
+        passes = _spy_passes(monkeypatch)
+        pg = q3_rotation().instance
+        res = is_k_copwin(pg, 2)
+        assert not res.copwin and res.initial_placement is None
+        assert res._won is not None
+        count = res.win_count()
+        assert not res.is_cop_win(0, (0, 1), 6)
+        assert _kinds(passes) == ["decide"]
+        full = solver._propagate(pg, res._level, res._nbhd, None)
+        assert res._won == full[:2] and full[3] is None
+        assert count == sum(m.bit_count() for masks in full[:2] for m in masks)
+
+    def test_early_stop_matches_the_full_pass(self, rng):
+        early = 0
+        for _ in range(40):
+            pg = random_periodic(rng, rng.randint(1, 6), rng.randint(1, 3),
+                                 rng.choice((0.3, 0.5, 0.7)))
+            for k in (1, 2, 3):
+                res = is_k_copwin(pg, k)
+                lv, nbhd = res._level, res._nbhd
+                cw, rw, _none, first = solver._propagate(pg, lv, nbhd, None)
+                assert res.copwin == (first is not None)
+                assert res.initial_placement == (lv.cfgs[first[1]] if first else None)
+                stopped = solver._propagate(pg, lv, nbhd, None, True)
+                assert stopped[3] == first
+                early += stopped[:2] != (cw, rw)
+                rank = array("B", bytes(res.state_count()))
+                ranked = solver._propagate(pg, lv, nbhd, rank)
+                assert ranked[3] == first
+                res.win_count()
+                assert res._won == (cw, rw) == ranked[:2]
+        assert early >= 40  # the stop cut many passes short
+
+    def test_threads_settle_then_rank_once(self, rng, monkeypatch):
+        passes = _spy_passes(monkeypatch)
+        pg = random_periodic(rng, 6, 3, 0.4)
+        serial = _answers(is_k_copwin(pg, 2))
+        shared = is_k_copwin(pg, 2)
+        assert shared.copwin and shared._won is None
+        passes.clear()
+        got = [None] * 4
+        start = threading.Barrier(4, timeout=60)
+
+        def work(i):
+            start.wait()
+            shared.win_count()
+            got[i] = _answers(shared)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        assert got == [serial] * 4
+        assert _kinds(passes) == ["settle", "rank"]
 
 
 class TestTriple:
