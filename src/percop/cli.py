@@ -108,12 +108,14 @@ def cmd_corners(args):
 def cmd_generate(args):
     name = args.name
     if name == "circulant_123":
-        if args.steps:
+        if args.steps is not None:
             steps = [int(x) for x in args.steps.split(",")]
         else:
             steps = load_witness_certificate(name)["params"]["steps"]
         specimen = circulant_123(steps)
     elif name in GENERATORS:
+        if args.steps is not None:
+            raise ValueError("--steps applies to circulant_123 only, not %r" % name)
         specimen = GENERATORS[name]()
     else:
         known = sorted(GENERATORS) + ["circulant_123"]

@@ -21,6 +21,7 @@ from .graphs import (
     spanning_tree_cover,
 )
 from .periodic import PeriodicGraph, constant
+# find_k_temporal_corners is unused here; perfbench/probes.py wraps it
 from .corners import find_k_temporal_corners
 
 
@@ -190,31 +191,6 @@ def circulant_123(steps):
         instance=PeriodicGraph(snaps),
         expected_triple=(1, 2, 3),
         provenance="reconstruction-required",
-        params={"steps": steps},
-    )
-
-
-def extend_odd(specimen, extra_pairs):
-    """Append copies of the last two stride-cycles, keeping the period odd.
-
-    Re-checks that no 2-temporal corner appears in the longer instance.
-    """
-    if "steps" not in specimen.params:
-        raise ValueError("extend_odd applies to circulant_123 specimens")
-    if extra_pairs < 0:
-        raise ValueError("extra_pairs must be >= 0")
-    if extra_pairs == 0:
-        return specimen
-    steps = list(specimen.params["steps"])
-    steps = steps + steps[-2:] * extra_pairs
-    out = circulant_123(steps)
-    if find_k_temporal_corners(out.instance, 2):
-        raise ValueError("extension introduced a 2-temporal corner")
-    return ConstructionSpecimen(
-        name="%s_ext%d" % (specimen.name, extra_pairs),
-        instance=out.instance,
-        expected_triple=specimen.expected_triple,
-        provenance=specimen.provenance,
         params={"steps": steps},
     )
 

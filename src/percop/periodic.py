@@ -22,6 +22,8 @@ class PeriodicGraph:
         if not snapshots:
             raise ValueError("period must be >= 1")
         n = snapshots[0].n
+        if n < 1:
+            raise ValueError("n must be >= 1")
         if any(g.n != n for g in snapshots):
             raise ValueError("snapshots disagree on vertex count")
         self.n = n

@@ -16,18 +16,17 @@ a vertex set, read from per-snapshot tables of 8-vertex chunks.  A state first
 won at level i has rank i, the number of cop moves to capture under optimal
 play (min over cop moves, max over robber escapes).
 
-`is_k_copwin` runs this induction as a decision pass that writes no rank and
-stops at the first level at which some layer-0 configuration's cw mask
-fills.  The verdict and the initial placement come from that pass alone: the
-placement needs only each layer-0 configuration's worst rank, the level at
-which its cw mask fills, and every configuration that fills at that first
-level is stale there, so the pass has seen them all.  A losing pass never
-fills and reaches the fixpoint, so its result keeps the win region.  A
-winning result settles its region on first read, once per result: a win
-count or a win-region query reruns the induction to its fixpoint without
-ranks, and a trace, a policy or a rank read runs the rank pass, which writes
-every state's rank and settles the region too.  The state count comes from
-the sizes.
+The induction runs as one of two passes.  `is_k_copwin` runs the decision
+pass, which writes no rank and stops at the first level at which some
+layer-0 configuration's cw mask fills.  The verdict and the initial placement
+come from that pass alone: the placement needs only each layer-0
+configuration's worst rank, the level at which its cw mask fills, and every
+configuration that fills at that first level is stale there, so the pass has
+seen them all.  A losing pass never fills and reaches the fixpoint, so its
+result keeps the win region.  A winning result reads its region from the
+rank pass, run once per result on first read of a rank, a trace, a policy or
+the region: it goes to the fixpoint, writes every state's rank and keeps the
+region too.  The state count comes from the sizes.
 
 Cop configurations are sorted multisets.  The k-cop move relation of a
 snapshot is built from the (k-1)-cop one: a configuration moves by moving its
@@ -181,7 +180,7 @@ def _move_tables(pg):
 
 class SolveResult:
     """Outcome of one is_k_copwin run: the verdict and placement, and the win
-    region and ranks, which a winning result settles on first read."""
+    region and ranks, which the rank pass builds on first read."""
 
     def __init__(self, pg, k, copwin, initial_placement, level, nbhd, won):
         self.pg = pg
@@ -190,31 +189,29 @@ class SolveResult:
         self.initial_placement = initial_placement
         self._level = level
         self._nbhd = nbhd
-        self._won = won  # (cw, rw) by side, then by key t * nc + ci; None until settled
+        self._won = won  # (cw, rw) by side, then by key t * nc + ci; None until ranked
         self._rank = None  # indexed by ((key * n + robber) << 1) | side
         self._lock = threading.Lock()
 
-    def _settle(self, ranked):
-        # Reruns the induction to its fixpoint on this result's own tables,
-        # so it never touches the thread's move-table slot; the lock makes
-        # threads sharing the result run each pass at most once.  The region
-        # is published before the ranks, so whoever sees ranks sees a region.
-        with self._lock:
-            if self._won is None or (ranked and self._rank is None):
-                rank = array("B", bytes(self.state_count())) if ranked else None
-                cw, rw, rank, _first = _propagate(self.pg, self._level, self._nbhd, rank)
-                self._won = (cw, rw)
-                self._rank = rank
+    def _ranks(self):
+        # The rank pass reruns the induction to its fixpoint on this result's
+        # own tables, so it never touches the thread's move-table slot; the
+        # lock makes threads sharing the result run it at most once.  The
+        # region is published before the ranks, so whoever sees ranks sees a
+        # region.
+        if self._rank is None:
+            with self._lock:
+                if self._rank is None:
+                    rank = array("B", bytes(self.state_count()))
+                    cw, rw, rank, _first = _propagate(self.pg, self._level, self._nbhd, rank)
+                    self._won = (cw, rw)
+                    self._rank = rank
+        return self._rank
 
     def _region(self):
         if self._won is None:
-            self._settle(False)
+            self._ranks()
         return self._won
-
-    def _ranks(self):
-        if self._rank is None:
-            self._settle(True)
-        return self._rank
 
     def _key(self, t, cops):
         lv = self._level
@@ -226,9 +223,7 @@ class SolveResult:
     def rank_of(self, t, cops, robber, side=COPS_TO_MOVE):
         """Cop moves to capture from a cop-winning state; None outside the region."""
         key = self._key(t, cops)
-        if self._won is None:
-            self._ranks()  # the rank pass settles the region as well
-        if not (self._won[side][key] >> robber) & 1:
+        if not (self._region()[side][key] >> robber) & 1:
             return None
         return self._ranks()[((key * self.pg.n + robber) << 1) | side]
 
@@ -270,19 +265,21 @@ class SolveResult:
         )
 
 
-def _propagate(pg, lv, nbhd, rank, decide=False):
-    """Grow the win region of the k-cop level lv to its fixpoint.
+def _propagate(pg, lv, nbhd, rank):
+    """Grow the win region of the k-cop level lv, by the decision pass (rank
+    None) or the rank pass (a rank array).
 
     Returns (cw, rw, rank, first).  first is the least (level, ci) over the
     layer-0 configurations ci whose cw mask is full, where level is the one
     at which the mask filled, that is the worst rank over the robber's starts;
-    None if no mask fills.  With decide true the pass ends after the robber
-    sweep of the first level at which a layer-0 mask fills: each key that
-    fills there is stale there, so first is already the least, but cw and rw
-    are short of the fixpoint.  With rank None nothing else is recorded.
-    Given a zeroed array("B") of p * nc * n * 2 entries, the level at which
-    each state is won is written to it, and the array is widened to "H" at
-    level 256 and to "I" at level 65536; the returned rank is the widened one.
+    None if no mask fills.  The decision pass records nothing else and ends
+    after the robber sweep of the first level at which a layer-0 mask fills:
+    each key that fills there is stale there, so first is already the least,
+    but cw and rw are short of the fixpoint.  A pass that never fills reaches
+    the fixpoint.  The rank pass is given a zeroed array("B") of
+    p * nc * n * 2 entries and runs to the fixpoint; the level at which each
+    state is won is written to it, and the array is widened to "H" at level
+    256 and to "I" at level 65536; the returned rank is the widened one.
     """
     n, p = pg.n, pg.period
     nc = len(lv.cfgs)
@@ -321,7 +318,7 @@ def _propagate(pg, lv, nbhd, rank, decide=False):
                         low = new & -new
                         rank[((b + low.bit_length() - 1) << 1) | 1] = level
                         new ^= low
-        if not drw or (decide and filled):
+        if not drw or (filled and not ranked):
             break
         level += 1
         if ranked and level == 256:
@@ -365,7 +362,7 @@ def is_k_copwin(pg, k):
 
     tables = _move_tables(pg)
     lv = tables.level(k)
-    cw, rw, _rank, first = _propagate(pg, lv, tables.nbhd, None, True)
+    cw, rw, _rank, first = _propagate(pg, lv, tables.nbhd, None)
     if first is None:  # a losing pass reached the fixpoint
         return SolveResult(pg, k, False, None, lv, tables.nbhd, (cw, rw))
     return SolveResult(pg, k, True, lv.cfgs[first[1]], lv, tables.nbhd, None)

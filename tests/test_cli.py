@@ -132,6 +132,24 @@ class TestGenerate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("name, steps", [
+        ("q3_rotation", "1,2"), ("bowtie_221", "zz"), ("diagonal_111", ""),
+    ])
+    def test_steps_refused_off_the_circulant(self, capsys, tmp_path, name, steps):
+        path = tmp_path / "x.json"
+        code, out = run_json(
+            capsys, "generate", name, "--steps", steps, "--out", str(path)
+        )
+        assert code == 2 and out["error"] == "invalid"
+        assert "--steps" in out["detail"] and not path.exists()
+
+    def test_circulant_empty_steps_refused(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        code, out = run_json(
+            capsys, "generate", "circulant_123", "--steps", "", "--out", str(path)
+        )
+        assert code == 2 and out["error"] == "invalid" and not path.exists()
+
 
 class TestSearchCommand:
     def test_named_spec_with_output(self, capsys, tmp_path):

@@ -10,7 +10,6 @@ from percop.constructions import (
     GENERATORS,
     bowtie_221,
     circulant_123,
-    extend_odd,
     petersen_132,
     petersen_231,
     petersen_311,
@@ -165,20 +164,15 @@ class TestCirculant:
         with pytest.raises(ValueError, match="strides"):
             circulant_123([1, 2, 3, 4, 6])
 
-    def test_extend_odd_identity(self):
-        s = circulant_123(self.STEPS)
-        assert extend_odd(s, 0) is s
-
     def test_extend_odd_grows_period(self):
-        s = circulant_123(self.STEPS)
-        bigger = extend_odd(s, 2)
+        bigger = circulant_123(self.STEPS + self.STEPS[-2:] * 2)
         assert bigger.instance.period == 9
         assert bigger.instance.period % 2 == 1
         assert find_k_temporal_corners(bigger.instance, 2) == []
 
     def test_extended_instance_keeps_triple(self):
-        s = circulant_123(self.STEPS)
-        bigger = extend_odd(s, 1)
+        bigger = circulant_123(self.STEPS + self.STEPS[-2:])
+        assert bigger.instance.period == 7
         assert not is_k_copwin(bigger.instance, 2).copwin
         assert is_k_copwin(bigger.instance, 3).copwin
 

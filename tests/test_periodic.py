@@ -17,6 +17,14 @@ from percop.constructions import q3_rotation, petersen_132, bowtie_221
 from conftest import random_periodic, random_temporally_connected
 
 
+class TestPeriodicGraph:
+    def test_zero_vertices_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            PeriodicGraph([Graph(0)])
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            constant(Graph(0), 3)
+
+
 class TestFootprint:
     def test_q3(self):
         foot = footprint(q3_rotation().instance)

@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 import weakref
 from array import array
 from collections import deque
@@ -315,33 +316,15 @@ class TestMoveTableSlot:
         assert got == [[serial[0]] * 50, [serial[1]] * 50]
 
 
-def _spy_propagate(monkeypatch):
-    """Record the returns of every rank pass, that is every _propagate call
-    given a rank array."""
-    passes = []
-    inner = solver._propagate
-
-    def spy(pg, lv, nbhd, rank, decide=False):
-        out = inner(pg, lv, nbhd, rank, decide)
-        if rank is not None:
-            passes.append(out)
-        return out
-
-    monkeypatch.setattr(solver, "_propagate", spy)
-    return passes
-
-
 def _spy_passes(monkeypatch):
     """Record the kind of every _propagate call, with its returns: "decide"
-    for the pass that stops at the first fill, "settle" for a full pass
-    without ranks, "rank" for the rank pass."""
+    for the decision pass (no rank array), "rank" for the rank pass."""
     passes = []
     inner = solver._propagate
 
-    def spy(pg, lv, nbhd, rank, decide=False):
-        out = inner(pg, lv, nbhd, rank, decide)
-        kind = "decide" if decide else "settle" if rank is None else "rank"
-        passes.append((kind, out))
+    def spy(pg, lv, nbhd, rank):
+        out = inner(pg, lv, nbhd, rank)
+        passes.append(("decide" if rank is None else "rank", out))
         return out
 
     monkeypatch.setattr(solver, "_propagate", spy)
@@ -354,22 +337,19 @@ def _kinds(passes):
 
 class TestLazyRanks:
     """The decision pass writes no rank and stops at the first filled
-    layer-0 configuration; a winning result settles its region on first
-    read, and the first rank read runs the rank pass once, on the result's
-    own tables."""
+    layer-0 configuration; a winning result's first read of its region or a
+    rank runs the rank pass once, on the result's own tables."""
 
     def test_verdict_reads_build_no_ranks(self, monkeypatch):
-        passes = _spy_propagate(monkeypatch)
+        passes = _spy_passes(monkeypatch)
         res = is_k_copwin(q3_rotation().instance, 3)
         assert res.copwin and res.initial_placement == (0, 0, 4)
-        assert res.win_count() > 0
         assert res.state_count() == 3 * 120 * 8 * 2
-        assert res.is_cop_win(0, (0, 0, 4), 6)
-        assert res._rank is None and passes == []
+        assert res._rank is None and _kinds(passes) == ["decide"]
 
     @pytest.mark.parametrize("first", ["rank_of", "optimal_cop_move"])
     def test_first_read_builds_once(self, monkeypatch, first):
-        passes = _spy_propagate(monkeypatch)
+        passes = _spy_passes(monkeypatch)
         res = is_k_copwin(bowtie_221().instance, 1)
         cops = res.initial_placement
         robber = next(r for r in range(res.pg.n) if r not in cops)
@@ -377,21 +357,22 @@ class TestLazyRanks:
             res.rank_of(0, cops, robber)
         else:
             res.optimal_cop_move(0, cops, robber)
-        assert len(passes) == 1
+        assert _kinds(passes) == ["decide", "rank"]
         built = res._rank
         extract_trace(res)
         verify_policy(res.pg, res.policy())
         res.rank_of(0, cops, robber, ROBBER_TO_MOVE)
-        assert len(passes) == 1 and res._rank is built
+        assert _kinds(passes) == ["decide", "rank"] and res._rank is built
 
     def test_rank_pass_reaches_the_same_fixpoint(self, rng, monkeypatch):
-        passes = _spy_propagate(monkeypatch)
+        passes = _spy_passes(monkeypatch)
         for _ in range(20):
             pg = random_periodic(rng, rng.randint(1, 5), rng.randint(1, 3), 0.4)
             for k in (1, 2):
                 res = is_k_copwin(pg, k)
                 res.rank_of(0, (0,) * k, 0)
-                cw, rw, rank, first = passes.pop()
+                kind, (cw, rw, rank, first) = passes.pop()
+                assert kind == "rank"
                 assert (cw, rw) == res._won and rank is res._rank
                 placement = res._level.cfgs[first[1]] if first else None
                 assert placement == res.initial_placement
@@ -407,18 +388,29 @@ class TestLazyRanks:
         assert solver._LAST.tables is slot and len(built) == 2
         assert trace == extract_trace(is_k_copwin(pg1, 3))
 
-    def test_threads_share_one_result(self, rng, monkeypatch):
-        passes = _spy_propagate(monkeypatch)
+    @pytest.mark.parametrize("first", ["rank_of", "win_count"])
+    def test_threads_share_one_result(self, rng, monkeypatch, first):
+        passes = _spy_passes(monkeypatch)
+        spy = solver._propagate
+
+        def stalled(*args):
+            time.sleep(0.05)  # hold each pass open, so every thread reaches it
+            return spy(*args)
+
+        monkeypatch.setattr(solver, "_propagate", stalled)
         pg = random_periodic(rng, 6, 3, 0.4)
         serial = _answers(is_k_copwin(pg, 2))
         shared = is_k_copwin(pg, 2)
+        assert shared.copwin and shared._won is None
         passes.clear()
         got = [None] * 4
         start = threading.Barrier(4, timeout=60)
 
         def work(i):
             start.wait()
-            got[i] = _answers(shared)
+            if first == "win_count":
+                shared.win_count()
+            got[i] = _answers(shared)  # its first read is a rank_of
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
         switch = sys.getswitchinterval()
@@ -432,7 +424,7 @@ class TestLazyRanks:
             sys.setswitchinterval(switch)
         assert not any(th.is_alive() for th in threads)
         assert got == [serial] * 4
-        assert len(passes) == 1
+        assert _kinds(passes) == ["rank"]
 
     def test_winner_holds_no_region(self, monkeypatch):
         passes = _spy_passes(monkeypatch)
@@ -445,27 +437,24 @@ class TestLazyRanks:
     @pytest.mark.parametrize("first", ["win_count", "is_cop_win"])
     def test_first_region_read_settles_once(self, monkeypatch, first):
         passes = _spy_passes(monkeypatch)
-        pg = q3_rotation().instance
-        res = is_k_copwin(pg, 3)
+        res = is_k_copwin(q3_rotation().instance, 3)
         if first == "win_count":
             res.win_count()
         else:
             res.is_cop_win(0, (0, 0, 4), 6)
-        assert _kinds(passes) == ["decide", "settle"] and res._rank is None
-        settled = res._won
-        assert settled == passes[-1][1][:2] != passes[0][1][:2]
-        assert settled == solver._propagate(pg, res._level, res._nbhd, None)[:2]
-        passes.pop()
+        assert _kinds(passes) == ["decide", "rank"]
+        region, built = res._won, res._rank
+        cw, rw, rank, _first = passes[-1][1]
+        assert region == (cw, rw) != passes[0][1][:2] and built is rank
         count = res.win_count()
         assert res.is_cop_win(0, (0, 0, 4), 6)
-        assert _kinds(passes) == ["decide", "settle"]
-        res.rank_of(0, (0, 0, 4), 6)
-        assert _kinds(passes) == ["decide", "settle", "rank"]
-        built = res._rank
+        assert res.rank_of(0, (0, 0, 4), 6) is not None
         extract_trace(res)
         res.optimal_cop_move(0, (0, 0, 4), 6)
-        assert res.win_count() == count and res._won == settled
-        assert _kinds(passes) == ["decide", "settle", "rank"] and res._rank is built
+        verify_policy(res.pg, res.policy())
+        assert res.win_count() == count
+        assert res._won is region and res._rank is built
+        assert _kinds(passes) == ["decide", "rank"]
 
     def test_first_rank_read_settles_the_region(self, monkeypatch):
         passes = _spy_passes(monkeypatch)
@@ -484,8 +473,9 @@ class TestLazyRanks:
         assert res._won is not None
         count = res.win_count()
         assert not res.is_cop_win(0, (0, 1), 6)
-        assert _kinds(passes) == ["decide"]
-        full = solver._propagate(pg, res._level, res._nbhd, None)
+        assert _kinds(passes) == ["decide"] and res._rank is None
+        rank = array("B", bytes(res.state_count()))
+        full = solver._propagate(pg, res._level, res._nbhd, rank)
         assert res._won == full[:2] and full[3] is None
         assert count == sum(m.bit_count() for masks in full[:2] for m in masks)
 
@@ -497,47 +487,16 @@ class TestLazyRanks:
             for k in (1, 2, 3):
                 res = is_k_copwin(pg, k)
                 lv, nbhd = res._level, res._nbhd
-                cw, rw, _none, first = solver._propagate(pg, lv, nbhd, None)
+                rank = array("B", bytes(res.state_count()))
+                cw, rw, _rank, first = solver._propagate(pg, lv, nbhd, rank)
                 assert res.copwin == (first is not None)
                 assert res.initial_placement == (lv.cfgs[first[1]] if first else None)
-                stopped = solver._propagate(pg, lv, nbhd, None, True)
+                stopped = solver._propagate(pg, lv, nbhd, None)
                 assert stopped[3] == first
                 early += stopped[:2] != (cw, rw)
-                rank = array("B", bytes(res.state_count()))
-                ranked = solver._propagate(pg, lv, nbhd, rank)
-                assert ranked[3] == first
                 res.win_count()
-                assert res._won == (cw, rw) == ranked[:2]
+                assert res._won == (cw, rw)
         assert early >= 40  # the stop cut many passes short
-
-    def test_threads_settle_then_rank_once(self, rng, monkeypatch):
-        passes = _spy_passes(monkeypatch)
-        pg = random_periodic(rng, 6, 3, 0.4)
-        serial = _answers(is_k_copwin(pg, 2))
-        shared = is_k_copwin(pg, 2)
-        assert shared.copwin and shared._won is None
-        passes.clear()
-        got = [None] * 4
-        start = threading.Barrier(4, timeout=60)
-
-        def work(i):
-            start.wait()
-            shared.win_count()
-            got[i] = _answers(shared)
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(th.is_alive() for th in threads)
-        assert got == [serial] * 4
-        assert _kinds(passes) == ["settle", "rank"]
 
 
 class TestTriple:
