@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import itertools
+import json
 import random
 import sys
 import threading
@@ -37,6 +39,7 @@ from percop.solver import (
     verify_policy,
 )
 from percop.constructions import GENERATORS, q3_rotation, bowtie_221, circulant_123
+from percop.instancefile import dump_json
 from percop.search import load_witness
 from percop.treewidth import exact_treewidth
 from conftest import (
@@ -497,6 +500,113 @@ class TestLazyRanks:
                 res.win_count()
                 assert res._won == (cw, rw)
         assert early >= 40  # the stop cut many passes short
+
+
+def _pinned_digests(pg):
+    """SHA-256 of a cop-number ascent's verdicts and placements, of the trace
+    of its winning result, and of that result's rank array and win region."""
+    ascent = []
+    for k in itertools.count(1):
+        res = is_k_copwin(pg, k)
+        placement = res.initial_placement
+        ascent.append([k, res.copwin, list(placement) if placement else None])
+        if res.copwin:
+            break
+    rank = res._ranks()
+    parts = (
+        json.dumps(ascent),
+        dump_json(extract_trace(res)),
+        "%s:%s|%s" % (rank.typecode, ",".join(map(str, rank)), res._won),
+    )
+    return [hashlib.sha256(part.encode()).hexdigest() for part in parts]
+
+
+# (ascent, trace, ranks and region) digests, taken before the first two
+# levels of the induction were computed in closed form
+PINNED = {
+    "bowtie_221": [
+        "cab118fc16c22aee7402ae10db26c214d411fe8176b143586929e8cb51d3f746",
+        "05bbfa0f5f6da8f126c4cd31d79ead8e767e04a18c38729f9b73ba0737b122fc",
+        "37a33cef785b329e0e51945b6449feb1597e9c46169b0cdc4a34ddfbe773ad26",
+    ],
+    "circulant_123": [
+        "0b3315a7f61eafab13660d4504bcf59fec9dfc9afbc97d179fe95315d252d0c9",
+        "c5f38cfc30f48f2c80648efe96054bd56f06662c54046255cddd82356d4e22a2",
+        "7f4a1c969780cc900855b05f9ad8f6986fc96835430c23438ddc78bd1971d04a",
+    ],
+    "diagonal_111": [
+        "cab118fc16c22aee7402ae10db26c214d411fe8176b143586929e8cb51d3f746",
+        "d69231a29dbc7145c34255542de3b4c0761a4cd439339bc963aa2840542dfa91",
+        "fd14589464a83cb0927d8539f107059e4b0c714144e5041d9d15c320c7f57466",
+    ],
+    "diagonal_222": [
+        "18e182fbad83579428032462dd3d1361011efc799b7b5edb729032f7a180e6fc",
+        "a03923fa41ba42f92d0091e7de67469dbefc083a1f56bf36b09aec9752d57436",
+        "80978b7160d95c3e5cf08ad5036ecf3389ed53960f4aa2ad643523115bb5b3c5",
+    ],
+    "diagonal_333": [
+        "ba6ba043936742e8acbbcf676d35a53dfba939774de2279bea23c4657e809ddd",
+        "3149ed3074c01769ffb8e1b6b63dc42d930b0bdb41b34544442848b2d450aab2",
+        "572201552ed437488d6e7b63a67e0b9a29b675fae9e4b3e97c4a73c6c6706690",
+    ],
+    "lem122": [
+        "69ea6edc9d4e4623465482b91c8b2ea64724efd8858a55ad6ed8c35e902d429f",
+        "4acadae49eeef4eacddbf6213ccdc7e2d4c07ce730bd227a5a6dd64aab13d0c4",
+        "e245b4bf5ceae26890e76bf9833575d88e18841020586b8a687ddee75a7652a6",
+    ],
+    "petersen_132": [
+        "8f8219ce8952f076d464aa4b3a643954868dfa26d13bd599f914c2394b0c99be",
+        "6fb77cde31ecd51988f01452e7e037f2716a42a0551ef9751bad7d43773633c4",
+        "0389c5cfe03109d68a42d97811b51e4fa470906be71f34a827e936fdc9321a56",
+    ],
+    "petersen_231": [
+        "cab118fc16c22aee7402ae10db26c214d411fe8176b143586929e8cb51d3f746",
+        "eb86b654706f6b1d8a8131e84dfe771f0303379ffa97adb1aefc300f7cbae934",
+        "dd357ba33e1c237d41d4b5cb283a72dbdefe69ff6c94cd75d5360fd5887bbb3f",
+    ],
+    "petersen_311": [
+        "cab118fc16c22aee7402ae10db26c214d411fe8176b143586929e8cb51d3f746",
+        "55c6442d267102f97dfe6d88eac50e9c43d80b38ceb28e208b7fcf90c9cee164",
+        "435abce3b6522895ad4be4f9c4944246c8f8fa666ab893dfca0dc63b708034dc",
+    ],
+    "prop3_retract": [
+        "cab118fc16c22aee7402ae10db26c214d411fe8176b143586929e8cb51d3f746",
+        "f909dd0671eb77829ab348efc6bd08c91c98eb67e44d25f4164c95fe2c7646fa",
+        "5b5ccaf4474e030a927f6e2f6dfcb41a09e55420621f7f61d98bd052cfc274b8",
+    ],
+    "q3_rotation": [
+        "71545284896bf19d419767d7327ed450fde2dcd4eec992ff75bd7b9d6af29b5b",
+        "dc46dbf329c801007bb27bdc375a2b698438b3e6f6218142194386cab455db3a",
+        "d845582ebc402742d81b56ceab0ed81ce58f307929a843463b67f81cdb3c5d93",
+    ],
+    "search_321": [
+        "cab118fc16c22aee7402ae10db26c214d411fe8176b143586929e8cb51d3f746",
+        "cf1e4fe56fa4f2e5c13d8d8c0bd66bb5acaf1eebf60fbbad9048b3809f36f4ab",
+        "33c59e898171affc6ba5d5d36c0077d6b62357b871f33a6cb39ab8ba252aa978",
+    ],
+    "thm112": [
+        "c601f38f6705c03be640db6b9f28097de1040a151cbebfd367b02eed5265efd9",
+        "ef3e91a82c110158e9df9afcb32b9d320f71ca858accfab6d9255e636ffd0bb5",
+        "3f09bfe1ee9416ce86c6b32fe91ab541e8bd03e930f6d439bb5e7fdf30e78062",
+    ],
+}
+
+
+class TestPinnedOutputs:
+    """The solver's answers on every generator and shipped witness, pinned."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_digests(self, name):
+        if name in GENERATORS:
+            pg = GENERATORS[name]().instance
+        else:
+            pg, _meta = load_witness(name)
+        assert _pinned_digests(pg) == PINNED[name]
+
+    def test_every_instance_is_pinned(self):
+        names = set(GENERATORS) | {"circulant_123", "lem122", "prop3_retract",
+                                   "search_321", "thm112"}
+        assert set(PINNED) == names
 
 
 class TestTriple:
