@@ -1,7 +1,8 @@
 """Command-line surface: solving, generation, search, treewidth, Table checks.
 
 Every subcommand prints a single JSON object (canonical key order) unless
---human is given.  PERCOP_STATE_BUDGET in the environment overrides the
+--human is given; a file that cannot be read or written is {"error": "io"}
+with exit 2.  PERCOP_STATE_BUDGET in the environment overrides the
 solver's state-count cap.  verify-table renders the rows that
 `search.verify_table` checks and exits 3 if any row hit the state budget,
 else 2 if any row failed or misses its witness, else 0.
@@ -119,7 +120,7 @@ def cmd_generate(args):
         specimen = GENERATORS[name]()
     else:
         known = sorted(GENERATORS) + ["circulant_123"]
-        raise SystemExit("unknown construction %r; known: %s" % (name, known))
+        raise ValueError("unknown construction %r; known: %s" % (name, known))
     text = serialize_specimen(specimen)
     out = {
         "name": specimen.name,
@@ -275,6 +276,10 @@ def main(argv=None):
         return args.func(args)
     except InstanceError as e:
         sys.stdout.write(dump_json({"error": e.code, "detail": str(e)}))
+        return 2
+    except OSError as e:
+        # a file that cannot be read or written, such as a missing instance
+        sys.stdout.write(dump_json({"error": "io", "detail": str(e)}))
         return 2
     except _solver.BudgetError as e:
         sys.stdout.write(dump_json({"error": "budget", "detail": str(e)}))

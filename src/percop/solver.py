@@ -16,24 +16,28 @@ a vertex set, read from per-snapshot tables of 8-vertex chunks.  A state first
 won at level i has rank i, the number of cop moves to capture under optimal
 play (min over cop moves, max over robber escapes).
 
-The induction runs as one of two passes.  `is_k_copwin` runs the decision
-pass, which writes no rank and stops at the first level at which some
-layer-0 configuration's cw mask fills.  The verdict and the initial placement
-come from that pass alone: the placement needs only each layer-0
-configuration's worst rank, the level at which its cw mask fills, and every
-configuration that fills at that first level is stale there, so the pass has
-seen them all.  A losing pass never fills and reaches the fixpoint, so its
-result keeps the win region.  A winning result reads its region from the
-rank pass, run once per result on first read of a rank, a trace, a policy or
-the region: it goes to the fixpoint, writes every state's rank and keeps the
-region too.  The state count comes from the sizes.
+Levels 0 and 1 need no move relation.  A robber's closed neighbourhood holds
+the robber, so level 0 leaves rw[t][c] = mask(c), and a layer-0 key fills when
+its cops cover every vertex.  Every cop move then ends on a state won at
+level 0, so level 1 gives cw[t][c] = N_t[mask(c)], once per unique snapshot.
+
+`is_k_copwin` runs the decision pass, which writes no rank and stops at the
+first level at which some layer-0 configuration's cw mask fills; every
+configuration that fills there is stale there, so the verdict and the
+placement (least worst rank, then lexicographic) come from it alone.  A
+losing pass never fills, reaches the fixpoint and keeps its win region.  A
+winning result runs the rank pass once, on first read of a rank, a trace, a
+policy or the region: it goes to the fixpoint, writes every state's rank and
+keeps the region.  The state count comes from the sizes.
 
 Cop configurations are sorted multisets.  The k-cop move relation of a
-snapshot is built from the (k-1)-cop one: a configuration moves by moving its
-(k-1)-prefix and then adding a neighbour of its last cop.  Each thread keeps
-the relations of the last periodic graph it solved, so repeated solves of one
-graph (an ascent, or k = 1 then k = 2) build each level once; solving another
-graph drops them.
+snapshot is built from the (k-1)-cop one on first read, at the first cop step
+of level 2 or the first optimal_cop_move, so a decision that ends at level 1
+builds none: a configuration moves by moving its (k-1)-prefix and then adding
+a neighbour of its last cop.  Each thread keeps the configurations and
+relations of the last periodic graph it solved, so repeated solves of one
+graph (an ascent, k = 1 then k = 2, a rank pass) build each once; solving
+another graph drops them.
 
 Capture convention: any co-location ends the game for the cops, including the
 robber stepping onto a cop.  The stricter rule (only a cop moving onto the
@@ -60,7 +64,6 @@ import threading
 from array import array
 from dataclasses import asdict, dataclass
 from math import comb
-from typing import NamedTuple
 
 from . import periodic as _periodic
 from .graphs import DOMINATION_LIMIT, domination_number
@@ -93,20 +96,50 @@ def _state_budget():
     return budget
 
 
-class _Level(NamedTuple):
-    """The k-cop configurations and their move relation in each snapshot."""
+class _Level:
+    """The k-cop configurations of one periodic graph, and their move relation
+    in each snapshot, built from the (k-1)-cop level on first read."""
 
-    cfgs: list  # sorted tuples, in lexicographic order
-    index: dict  # configuration -> position in cfgs
-    succ: list  # succ[unique snapshot][ci]: configurations one cop move away
-    masks: list  # masks[ci]: the vertices configuration ci occupies
+    def __init__(self, cfgs, index, masks, prev, nbrs, succ=None):
+        self.cfgs = cfgs  # sorted tuples, in lexicographic order
+        self.index = index  # configuration -> position in cfgs
+        self.masks = masks  # masks[ci]: the vertices configuration ci occupies
+        self._prev, self._nbrs, self._succ = prev, nbrs, succ
+        self._lock = threading.Lock()
+
+    @property
+    def succ(self):
+        """succ[unique snapshot][ci]: configurations one cop move away."""
+        if self._succ is None:
+            with self._lock:  # threads sharing a result build it once
+                if self._succ is None:
+                    self._succ = self._moves()
+        return self._succ
+
+    def _moves(self):
+        prev, index = self._prev, self.index
+        # insert[x][j]: configuration j of the previous level plus a cop on x
+        insert = [[index[tuple(sorted(d + (x,)))] for d in prev.cfgs]
+                  for x in range(len(self._nbrs[0]))]
+        prefix = [prev.index[c[:-1]] for c in self.cfgs]
+        succ = []
+        for nbrs, prev_succ in zip(self._nbrs, prev.succ):
+            rel = []
+            for c, j in zip(self.cfgs, prefix):
+                moved = prev_succ[j]
+                out = set()
+                for x in nbrs[c[-1]]:
+                    out.update(map(insert[x].__getitem__, moved))
+                rel.append(list(out))
+            succ.append(rel)
+        return succ
 
 
 class _MoveTables:
-    """Move relations and neighbourhood tables of one periodic graph.
+    """Configuration levels and neighbourhood tables of one periodic graph.
 
-    Level k of the relation is built from level k-1 and kept, so an ascent
-    over k builds each level once.
+    Level k is built from level k-1 and kept, as is each move relation read,
+    so an ascent builds each once.  Levels never refer to the tables: no cycle.
     """
 
     def __init__(self, pg):
@@ -127,8 +160,8 @@ class _MoveTables:
             self.nbhd.append(chunks)
         # one cop moves to its closed neighbourhood
         self.levels = [None, _Level(
-            [(v,) for v in range(n)], {(v,): v for v in range(n)}, self.nbrs,
-            [1 << v for v in range(n)],
+            [(v,) for v in range(n)], {(v,): v for v in range(n)},
+            [1 << v for v in range(n)], None, self.nbrs, self.nbrs,
         )]
 
     def level(self, k):
@@ -138,29 +171,13 @@ class _MoveTables:
 
     def _extend(self, prev):
         n = self.pg.n
-        cfgs, prefix, index, masks = [], [], {}, []
-        for j, d in enumerate(prev.cfgs):
+        cfgs, index, masks = [], {}, []
+        for d, m in zip(prev.cfgs, prev.masks):
             for x in range(d[-1], n):
                 index[d + (x,)] = len(cfgs)
                 cfgs.append(d + (x,))
-                prefix.append(j)
-                masks.append(prev.masks[j] | 1 << x)
-        # insert[x][j]: configuration j of the previous level plus a cop on x
-        insert = [
-            [index[tuple(sorted(d + (x,)))] for d in prev.cfgs]
-            for x in range(n)
-        ]
-        succ = []
-        for nbrs, prev_succ in zip(self.nbrs, prev.succ):
-            rel = []
-            for c, j in zip(cfgs, prefix):
-                moved = prev_succ[j]
-                out = set()
-                for x in nbrs[c[-1]]:
-                    out.update(map(insert[x].__getitem__, moved))
-                rel.append(list(out))
-            succ.append(rel)
-        return _Level(cfgs, index, succ, masks)
+                masks.append(m | 1 << x)
+        return _Level(cfgs, index, masks, prev, self.nbrs)
 
 
 # The move tables of the last periodic graph solved on this thread: one
@@ -270,30 +287,52 @@ def _propagate(pg, lv, nbhd, rank):
     None) or the rank pass (a rank array).
 
     Returns (cw, rw, rank, first).  first is the least (level, ci) over the
-    layer-0 configurations ci whose cw mask is full, where level is the one
-    at which the mask filled, that is the worst rank over the robber's starts;
-    None if no mask fills.  The decision pass records nothing else and ends
-    after the robber sweep of the first level at which a layer-0 mask fills:
-    each key that fills there is stale there, so first is already the least,
-    but cw and rw are short of the fixpoint.  A pass that never fills reaches
-    the fixpoint.  The rank pass is given a zeroed array("B") of
-    p * nc * n * 2 entries and runs to the fixpoint; the level at which each
-    state is won is written to it, and the array is widened to "H" at level
-    256 and to "I" at level 65536; the returned rank is the widened one.
+    layer-0 configurations ci whose cw mask filled at that level, the worst
+    rank over the robber's starts; None if none fills.  The decision pass
+    ends after the robber sweep of the first level at which one fills, short
+    of the fixpoint; a pass that never fills, and the rank pass, reach it.
+    The rank pass is given a zeroed array("B") of p * nc * n * 2 entries and
+    writes each state's level to it, widened to "H" at level 256 and to "I"
+    at level 65536; the returned rank is the widened one.
     """
     n, p = pg.n, pg.period
     nc = len(lv.cfgs)
-    succ, us = lv.succ, pg.usnap
+    us = pg.usnap
     full = (1 << n) - 1
     masks = lv.masks
-    cw = masks * p  # a copy: lv.masks is shared with later solves
-    rw = [0] * (p * nc)
     ranked = rank is not None
-    filled = []  # (level, ci): layer-0 keys whose cw filled at that level
-
-    level = 0
-    # stale[key]: the layer of a key whose cw changed at this level
-    stale = {t * nc + ci: t for t in range(p) for ci in range(nc)}
+    # level 0 (see the module docstring): rw[t][c] = mask(c)
+    rw = masks * p  # a copy: lv.masks is shared with later solves
+    filled = [(0, ci) for ci, m in enumerate(masks) if m == full]
+    if filled and not ranked:
+        return masks * p, rw, rank, filled[0]
+    # level 1: cw[t][c] = N_t[mask(c)]; stale[key]: the layer of a grown key
+    level = 1
+    cw, stale = [], {}
+    grown = [None] * len(nbhd)
+    for t in range(p):
+        if grown[us[t]] is None:
+            nb = []
+            for y in masks:
+                m = 0
+                for table in nbhd[us[t]]:
+                    m |= table[y & 255]
+                    y >>= 8
+                nb.append(m)
+            grown[us[t]] = nb, [(ci, m ^ masks[ci]) for ci, m in enumerate(nb)
+                                if m != masks[ci]]
+        nb, news = grown[us[t]]
+        cw += nb
+        base = t * nc
+        for ci, new in news:
+            key = base + ci
+            stale[key] = t
+            if ranked:
+                b = key * n
+                while new:
+                    low = new & -new
+                    rank[(b + low.bit_length() - 1) << 1] = 1
+                    new ^= low
     while True:
         # robber step: rw[t0][c] for the layer t0 before each stale key
         drw = []
@@ -312,7 +351,7 @@ def _propagate(pg, lv, nbhd, rank):
             if new:
                 rw[key] |= new
                 drw.append((t0, ci, new))
-                if ranked and level:
+                if ranked:
                     b = key * n
                     while new:
                         low = new & -new
@@ -327,6 +366,7 @@ def _propagate(pg, lv, nbhd, rank):
             rank = array("I", rank)
         # cop step: a move into a robber state won at the last level
         stale = {}
+        succ = lv.succ
         for t, ci, bits in drw:
             base = t * nc
             for cj in succ[us[t]][ci]:

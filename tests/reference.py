@@ -152,3 +152,79 @@ def reference_corners(pg, k):
                 if ys and now[u] <= set().union(*(nxt[y] for y in ys)):
                     out.append((t, u, ys))
     return out
+
+
+def reference_propagate(pg, k, ranked):
+    """The solver's induction loop as it ran before its first two levels were
+    computed in closed form: levels 0 and 1 run the robber sweep and the
+    succ-driven cop step like every later level.
+
+    Configurations, masks, moves and neighbourhoods are rebuilt here from the
+    snapshots.  Returns (cw, rw, rank, first) in the solver's layout: key
+    t * nc + ci, rank index ((key * n + robber) << 1) | side, rank a list (None
+    when not ranked), first the least (level, ci) of a filled layer-0 cw mask.
+    Unranked, the loop ends after the robber sweep of the first level at
+    which a layer-0 mask fills; ranked, or when none fills, at the fixpoint.
+    """
+    n, p = pg.n, pg.period
+    nbrs = [
+        [pg.snapshots[t].closed_nbrs(v) for v in range(n)] for t in range(p)
+    ]
+    cfgs = list(itertools.combinations_with_replacement(range(n), k))
+    index = {c: i for i, c in enumerate(cfgs)}
+    nc = len(cfgs)
+    masks = [sum(1 << v for v in set(c)) for c in cfgs]
+    succ = [
+        [
+            {index[tuple(sorted(moved))]
+             for moved in itertools.product(*[nbrs[t][v] for v in c])}
+            for c in cfgs
+        ]
+        for t in range(p)
+    ]
+
+    def closed(t, y):
+        return sum(1 << u for u in
+                   {u for v in range(n) if (y >> v) & 1 for u in nbrs[t][v]})
+
+    def write(key, bits, side, level):
+        for r in range(n):
+            if (bits >> r) & 1:
+                rank[((key * n + r) << 1) | side] = level
+
+    full = (1 << n) - 1
+    cw = masks * p
+    rw = [0] * (p * nc)
+    rank = [0] * (p * nc * n * 2) if ranked else None
+    filled = []
+    level = 0
+    stale = {t * nc + ci: t for t in range(p) for ci in range(nc)}
+    while True:
+        drw = []
+        for key1, t1 in stale.items():
+            ci = key1 - t1 * nc
+            t0 = (t1 - 1) % p
+            key = t0 * nc + ci
+            if t1 == 0 and cw[key1] == full:
+                filled.append((level, ci))
+            won = (full & ~closed(t0, full & ~cw[key1])) | masks[ci]
+            new = won & ~rw[key]
+            if new:
+                rw[key] |= new
+                drw.append((t0, ci, new))
+                if ranked:
+                    write(key, new, 1, level)
+        if not drw or (filled and not ranked):
+            break
+        level += 1
+        stale = {}
+        for t, ci, bits in drw:
+            for cj in succ[t][ci]:
+                key = t * nc + cj
+                new = bits & ~cw[key]
+                if new:
+                    cw[key] |= new
+                    stale[key] = t
+                    if ranked:
+                        write(key, new, 0, level)
+    return cw, rw, rank, min(filled, default=None)

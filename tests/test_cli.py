@@ -101,8 +101,9 @@ class TestCorners:
 
 class TestGenerate:
     def test_unknown_name(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["generate", "mystery_graph"])
+        code, out = run_json(capsys, "generate", "mystery_graph")
+        assert code == 2 and out["error"] == "invalid"
+        assert "unknown construction 'mystery_graph'" in out["detail"]
 
     def test_stdout_is_instance_format(self, capsys):
         code, out = run(capsys, "generate", "bowtie_221")
@@ -198,6 +199,13 @@ class TestErrorSurface:
         spec_path.write_text(json.dumps(spec))
         code, out = run_json(capsys, "search", "--spec", str(spec_path))
         assert code == 2 and out["error"] == "invalid"
+
+    @pytest.mark.parametrize("command", ["solve", "triple", "corners"])
+    def test_missing_instance_file_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "missing.json"
+        code, out = run_json(capsys, command, str(path))
+        assert code == 2 and out["error"] == "io"
+        assert str(path) in out["detail"]
 
     def test_limit_errors_become_json(self, capsys, tmp_path):
         # treewidth limit (n > 13) surfaces as a JSON error, exit 3

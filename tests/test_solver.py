@@ -48,7 +48,12 @@ from conftest import (
     random_periodic,
     random_temporally_connected,
 )
-from reference import reference_cop_number, reference_is_k_copwin, reference_ranks
+from reference import (
+    reference_cop_number,
+    reference_is_k_copwin,
+    reference_propagate,
+    reference_ranks,
+)
 
 
 class TestStaticBasics:
@@ -500,6 +505,142 @@ class TestLazyRanks:
                 res.win_count()
                 assert res._won == (cw, rw)
         assert early >= 40  # the stop cut many passes short
+
+
+def _spy_relations(monkeypatch):
+    """Record the k of every move relation the solver builds."""
+    built = []
+    inner = solver._Level._moves
+
+    def spy(lv):
+        built.append(len(lv.cfgs[0]))
+        return inner(lv)
+
+    monkeypatch.setattr(solver._Level, "_moves", spy)
+    return built
+
+
+class TestClosedFormLevels:
+    """Levels 0 and 1 come in closed form; the k-cop move relation is built
+    when a pass first reaches level 2 or a cop move is read, once per graph."""
+
+    def test_against_the_succ_driven_loop(self, rng):
+        for _ in range(60):
+            pg = random_periodic(rng, rng.randint(1, 6), rng.randint(1, 3),
+                                 rng.choice((0.2, 0.5, 0.8)))
+            for k in (1, 2, 3):
+                tables = solver._move_tables(pg)
+                lv, nbhd = tables.level(k), tables.nbhd
+                decided = solver._propagate(pg, lv, nbhd, None)
+                assert decided == reference_propagate(pg, k, False)
+                rank = array("B", bytes(pg.period * len(lv.cfgs) * pg.n * 2))
+                cw, rw, rank, first = solver._propagate(pg, lv, nbhd, rank)
+                assert (cw, rw, list(rank), first) == reference_propagate(pg, k, True)
+
+    @pytest.mark.parametrize("name, k", [("diagonal_222", 2), ("lem122", 2),
+                                         ("diagonal_333", 3)])
+    def test_early_fill_builds_no_relation(self, monkeypatch, name, k):
+        built = _spy_relations(monkeypatch)
+        passes = _spy_passes(monkeypatch)
+        pg = GENERATORS[name]().instance if name in GENERATORS else load_witness(name)[0]
+        res = is_k_copwin(pg, k)
+        assert res.copwin and passes[-1][1][3][0] == 1 and built == []
+        res.win_count()  # the rank pass reaches level 2 and builds 2 to k
+        assert sorted(built) == list(range(2, k + 1))
+        extract_trace(res)
+        verify_policy(pg, res.policy())
+        extract_trace(is_k_copwin(pg, k))
+        assert sorted(built) == list(range(2, k + 1))
+
+    def test_random_early_fills_build_nothing(self, rng, monkeypatch):
+        built = _spy_relations(monkeypatch)
+        passes = _spy_passes(monkeypatch)
+        early = 0
+        for _ in range(40):
+            pg = random_periodic(rng, rng.randint(2, 6), rng.randint(1, 3), 0.6)
+            for k in (2, 3):
+                built.clear()
+                is_k_copwin(pg, k)
+                first = passes[-1][1][3]
+                if first is not None and first[0] <= 1:
+                    early += 1
+                    assert built == []
+        assert early >= 20
+
+    def test_cop_move_builds_what_the_rank_pass_did_not(self, monkeypatch):
+        built = _spy_relations(monkeypatch)
+        pg = GENERATORS["diagonal_333"]().instance
+        res = is_k_copwin(pg, 2)
+        robber = pg.snapshots[0].closed_nbrs(0)[1]
+        # a loser whose pass reached its fixpoint at level 1
+        assert not res.copwin and res.rank_of(0, (0, 0), robber) == 1
+        assert built == []
+        assert robber in res.optimal_cop_move(0, (0, 0), robber)
+        assert built == [2]
+        res.optimal_cop_move(0, (0, 0), robber)
+        assert built == [2]
+
+    def test_threads_build_the_relation_once(self, monkeypatch):
+        built = _spy_relations(monkeypatch)
+        spy = solver._Level._moves
+
+        def stalled(lv):
+            time.sleep(0.05)  # hold the build open, so every thread reaches it
+            return spy(lv)
+
+        monkeypatch.setattr(solver._Level, "_moves", stalled)
+        pg = GENERATORS["diagonal_333"]().instance
+        res = is_k_copwin(pg, 2)
+        robber = pg.snapshots[0].closed_nbrs(0)[1]
+        res.rank_of(0, (0, 0), robber)  # a rank pass that reads no relation
+        got = [None] * 4
+        start = threading.Barrier(4, timeout=60)
+
+        def work(i):
+            start.wait()
+            got[i] = res.optimal_cop_move(0, (0, 0), robber)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        assert len(set(got)) == 1 and robber in got[0]
+        assert built == [2]
+
+    def test_ascent_builds_each_level_once(self, monkeypatch):
+        built = _spy_relations(monkeypatch)
+        pg = q3_rotation().instance
+        for _ in range(2):
+            for k in (1, 2, 3):
+                res = is_k_copwin(pg, k)
+                res.win_count()
+            extract_trace(res)
+            verify_policy(pg, res.policy())
+        # k = 1 moves are the neighbourhoods themselves, never built
+        assert built == [2, 3]
+
+    def test_dropped_result_and_slot_free_the_tables(self):
+        gc.collect()
+        gc.disable()
+        try:
+            res = is_k_copwin(q3_rotation().instance, 3)
+            extract_trace(res)  # reads the level-3 move relation
+            tables = weakref.ref(solver._LAST.tables)
+            levels = [weakref.ref(lv) for lv in solver._LAST.tables.levels[1:]]
+            assert res._level._succ is not None
+            del res
+            solver._LAST.tables = None
+            # reference counting alone frees them: nothing is a cycle
+            assert tables() is None and all(ref() is None for ref in levels)
+        finally:
+            gc.enable()
 
 
 def _pinned_digests(pg):
