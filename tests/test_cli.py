@@ -207,6 +207,17 @@ class TestErrorSurface:
         assert code == 2 and out["error"] == "io"
         assert str(path) in out["detail"]
 
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, bowtie_file):
+        # the write side: an --out or --trace path in a directory that is not there
+        target = tmp_path / "no_dir" / "x.json"
+        for argv in (["generate", "bowtie_221", "--out", str(target)],
+                     ["solve", str(bowtie_file), "--trace", str(target)],
+                     ["search", "--spec", "prop3_retract", "--out", str(target)]):
+            code, out = run_json(capsys, *argv)
+            assert code == 2 and out["error"] == "io"
+            assert str(target) in out["detail"]
+        assert not target.parent.exists()
+
     def test_limit_errors_become_json(self, capsys, tmp_path):
         # treewidth limit (n > 13) surfaces as a JSON error, exit 3
         from percop.graphs import complete_graph

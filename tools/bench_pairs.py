@@ -5,8 +5,9 @@ From the root of a checkout:
     python3 tools/bench_pairs.py --out BENCH_22.json --seeds 41-50
 
 The base revision (default HEAD) is exported with ``git archive`` into a
-temporary directory.  For each workload and seed, ``perfbench/run.py`` runs
-once on the base and once on the working tree, one after the other, and the
+temporary directory.  For each workload of ``BENCHMARK.json`` and each seed,
+``perfbench/run.py`` runs at the benchmark's ``run_seconds`` size once on the
+base and once on the working tree, one after the other, and the
 order flips from one seed to the next, so that a drift in machine speed
 favours neither side.  Each such pair of runs is one pair.  The output file
 holds, for every end-to-end metric of ``BENCHMARK.json``, the median and
@@ -31,11 +32,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_seeds(text):
-    """'41-50' or '1,3,5' -> a list of ints."""
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+    """'41-50' -> [41, ..., 50]."""
+    lo, hi = text.split("-")
+    return list(range(int(lo), int(hi) + 1))
 
 
 def export(rev, dest):
@@ -114,18 +113,12 @@ def compare(workload, seeds, seconds, base_tree, declared):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", default="HEAD", help="git revision to compare against")
-    ap.add_argument("--workloads", default=None,
-                    help="comma separated (default: every workload of BENCHMARK.json)")
-    ap.add_argument("--seeds", default="41-50", help="'41-50' or '1,3,5'")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="workload size (default: run_seconds of BENCHMARK.json)")
+    ap.add_argument("--seeds", default="41-50", help="a range such as '41-50'")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     seeds = parse_seeds(args.seeds)
     with tempfile.TemporaryDirectory() as tmp:
         commit, base_tree = export(args.base, tmp)
@@ -137,9 +130,9 @@ def main(argv=None):
                     "is one run of each side on one seed, in alternating order",
             "workloads": {},
         }
-        for workload in workloads:
-            report["workloads"][workload] = compare(
-                workload, seeds, seconds, base_tree, bench["end_to_end"])
+        for workload in bench["workloads"]:
+            report["workloads"][workload["name"]] = compare(
+                workload["name"], seeds, seconds, base_tree, bench["end_to_end"])
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     ok = all(w["answers_equal"] and not any(w["failed"].values())
              for w in report["workloads"].values())
