@@ -77,8 +77,12 @@ def foremost_journey(pg, t_start, u, v):
     Step i of the returned vertex list uses an edge of (or waits in) the
     snapshot at time t_start+i.  The search horizon is n*p steps: in a
     temporally connected periodic graph every vertex is reached within that
-    bound, so None only occurs for unreachable targets.
+    bound, so None only occurs for unreachable targets.  u and v outside
+    0..n-1 are a ValueError.
     """
+    for name, x in (("u", u), ("v", v)):
+        if not 0 <= x < pg.n:
+            raise ValueError("%s must be a vertex of 0..%d: %r" % (name, pg.n - 1, x))
     if u == v:
         return [u]
     p = pg.period

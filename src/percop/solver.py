@@ -30,14 +30,15 @@ winning result runs the rank pass once, on first read of a rank, a trace, a
 policy or the region: it goes to the fixpoint, writes every state's rank and
 keeps the region.  The state count comes from the sizes.
 
-Cop configurations are sorted multisets.  The k-cop move relation of a
-snapshot is built from the (k-1)-cop one on first read, at the first cop step
-of level 2 or the first optimal_cop_move, so a decision that ends at level 1
-builds none: a configuration moves by moving its (k-1)-prefix and then adding
-a neighbour of its last cop.  Each thread keeps the configurations and
-relations of the last periodic graph it solved, so repeated solves of one
-graph (an ascent, k = 1 then k = 2, a rank pass) build each once; solving
-another graph drops them.
+Cop configurations are sorted multisets; they depend on n and k alone.  The
+k-cop move relation of a snapshot is built from the (k-1)-cop one on first
+read, at the first cop step of level 2 or the first optimal_cop_move, so a
+decision that ends at level 1 builds none, the closed neighbour lists (k = 1)
+included: a configuration moves by moving its (k-1)-prefix and then adding a
+neighbour of its last cop.  Each thread keeps the configurations of the last
+n and the relations of the last periodic graph it solved, so graphs on n
+vertices share the first, and repeated solves of one graph (an ascent, a rank
+pass) build each once; another graph drops the second, another n the first.
 
 Capture convention: any co-location ends the game for the cops, including the
 robber stepping onto a cop.  The stricter rule (only a cop moving onto the
@@ -96,15 +97,47 @@ def _state_budget():
     return budget
 
 
-class _Level:
-    """The k-cop configurations of one periodic graph, and their move relation
-    in each snapshot, built from the (k-1)-cop level on first read."""
+class _Space:
+    """The k-cop configurations on n vertices, built from the (k-1)-cop ones.
+    Every graph on n vertices shares them, so nothing may mutate them."""
 
-    def __init__(self, cfgs, index, masks, prev, nbrs, succ=None):
-        self.cfgs = cfgs  # sorted tuples, in lexicographic order
-        self.index = index  # configuration -> position in cfgs
-        self.masks = masks  # masks[ci]: the vertices configuration ci occupies
-        self._prev, self._nbrs, self._succ = prev, nbrs, succ
+    def __init__(self, n, prev):
+        self.n, self._prev, self._joins = n, prev, None
+        self._lock = threading.Lock()
+        self.cfgs, self.masks = [], []  # sorted tuples, in lexicographic order
+        for d, m in zip(prev.cfgs, prev.masks) if prev else [((), 0)]:
+            for x in range(d[-1] if d else 0, n):
+                self.cfgs.append(d + (x,))
+                self.masks.append(m | 1 << x)  # the vertices it occupies
+        self.index = {c: ci for ci, c in enumerate(self.cfgs)}  # c -> position
+
+    @property
+    def joins(self):
+        """(insert, prefix): insert[x][j] is configuration j of the (k-1)-cop
+        space plus a cop on x; prefix[ci] is configuration ci less its last."""
+        if self._joins is None:
+            with self._lock:  # graphs solved on other threads share the space
+                if self._joins is None:
+                    self._joins = self._join()
+        return self._joins
+
+    def _join(self):
+        prev, index = self._prev, self.index
+        insert = [[index[tuple(sorted(d + (x,)))] for d in prev.cfgs]
+                  for x in range(self.n)]
+        return insert, [prev.index[c[:-1]] for c in self.cfgs]
+
+
+class _Level:
+    """One periodic graph's move relation on the configurations of a k-cop
+    space, in each unique snapshot, built on first read: the closed neighbour
+    lists at k = 1, and from the (k-1)-cop level above that."""
+
+    def __init__(self, space, snaps, prev=None):
+        self.space = space
+        self.cfgs, self.index, self.masks = space.cfgs, space.index, space.masks
+        self._snaps, self._prev, self._succ = snaps, prev, None
+        self._one = prev and (prev._one or prev)  # the 1-cop level
         self._lock = threading.Lock()
 
     @property
@@ -113,17 +146,15 @@ class _Level:
         if self._succ is None:
             with self._lock:  # threads sharing a result build it once
                 if self._succ is None:
-                    self._succ = self._moves()
+                    self._succ = self._moves() if self._prev else [
+                        [g.closed_nbrs(v) for v in range(self.space.n)]
+                        for g in self._snaps]
         return self._succ
 
     def _moves(self):
-        prev, index = self._prev, self.index
-        # insert[x][j]: configuration j of the previous level plus a cop on x
-        insert = [[index[tuple(sorted(d + (x,)))] for d in prev.cfgs]
-                  for x in range(len(self._nbrs[0]))]
-        prefix = [prev.index[c[:-1]] for c in self.cfgs]
+        insert, prefix = self.space.joins
         succ = []
-        for nbrs, prev_succ in zip(self._nbrs, prev.succ):
+        for nbrs, prev_succ in zip(self._one.succ, self._prev.succ):
             rel = []
             for c, j in zip(self.cfgs, prefix):
                 moved = prev_succ[j]
@@ -136,20 +167,16 @@ class _Level:
 
 
 class _MoveTables:
-    """Configuration levels and neighbourhood tables of one periodic graph.
-
-    Level k is built from level k-1 and kept, as is each move relation read,
-    so an ascent builds each once.  Levels never refer to the tables: no cycle.
-    """
+    """What one periodic graph decides: its neighbourhood tables, and its
+    level on the thread's space of each k, built on first read and kept, as is
+    each move relation read, so an ascent builds each once.  Levels never
+    refer to the tables, nor spaces to levels: no cycle."""
 
     def __init__(self, pg):
-        self.pg = pg
-        n = pg.n
-        snaps = pg.unique_snapshots
-        self.nbrs = [[g.closed_nbrs(v) for v in range(n)] for g in snaps]
+        self.pg, n = pg, pg.n
         # nbhd[s][j][b]: N[Y] for the vertex set Y = b << 8j in snapshot s
         self.nbhd = []
-        for g in snaps:
+        for g in pg.unique_snapshots:
             chunks = []
             for lo in range(0, n, 8):
                 table = [0]
@@ -158,33 +185,29 @@ class _MoveTables:
                     table += [y | m for y in table]
                 chunks.append(table)
             self.nbhd.append(chunks)
-        # one cop moves to its closed neighbourhood
-        self.levels = [None, _Level(
-            [(v,) for v in range(n)], {(v,): v for v in range(n)},
-            [1 << v for v in range(n)], None, self.nbrs, self.nbrs,
-        )]
+        self.levels = [None, _Level(_space(n, 1), pg.unique_snapshots)]
 
     def level(self, k):
         while len(self.levels) <= k:
-            self.levels.append(self._extend(self.levels[-1]))
+            self.levels.append(_Level(_space(self.pg.n, len(self.levels)),
+                                      self.pg.unique_snapshots, self.levels[-1]))
         return self.levels[k]
 
-    def _extend(self, prev):
-        n = self.pg.n
-        cfgs, index, masks = [], {}, []
-        for d, m in zip(prev.cfgs, prev.masks):
-            for x in range(d[-1], n):
-                index[d + (x,)] = len(cfgs)
-                cfgs.append(d + (x,))
-                masks.append(m | 1 << x)
-        return _Level(cfgs, index, masks, prev, self.nbrs)
 
-
-# The move tables of the last periodic graph solved on this thread: one
-# graph's tables at most, never shared between threads.  Thread-local rather
-# than a ContextVar, whose value the thread's context keeps alive even after
-# this module is re-imported.
+# The thread's slot: the move tables of the last periodic graph it solved
+# and the configuration spaces of its n, never shared between threads.
+# Thread-local rather than a ContextVar, whose value the thread's context
+# keeps alive even after this module is re-imported.
 _LAST = threading.local()
+
+
+def _space(n, k):
+    spaces = getattr(_LAST, "spaces", None)
+    if spaces is None or spaces[0].n != n:
+        spaces = _LAST.spaces = [_Space(n, None)]
+    while len(spaces) < k:
+        spaces.append(_Space(n, spaces[-1]))
+    return spaces[k - 1]
 
 
 def _move_tables(pg):
@@ -230,16 +253,22 @@ class SolveResult:
             self._ranks()
         return self._won
 
-    def _key(self, t, cops):
-        lv = self._level
-        return (t % self.pg.period) * len(lv.cfgs) + lv.index[tuple(sorted(cops))]
+    def _key(self, t, cops, robber):
+        lv, n = self._level, self.pg.n
+        ci = lv.index.get(tuple(sorted(cops)))
+        if ci is None:
+            raise ValueError("cops must be %d vertices of 0..%d: %r" % (self.k, n - 1, cops))
+        if not 0 <= robber < n:
+            raise ValueError("robber must be a vertex of 0..%d: %r" % (n - 1, robber))
+        return (t % self.pg.period) * len(lv.cfgs) + ci
 
     def is_cop_win(self, t, cops, robber, side=COPS_TO_MOVE):
-        return (self._region()[side][self._key(t, cops)] >> robber) & 1 == 1
+        key = self._key(t, cops, robber)
+        return (self._region()[side][key] >> robber) & 1 == 1
 
     def rank_of(self, t, cops, robber, side=COPS_TO_MOVE):
         """Cop moves to capture from a cop-winning state; None outside the region."""
-        key = self._key(t, cops)
+        key = self._key(t, cops, robber)
         if not (self._region()[side][key] >> robber) & 1:
             return None
         return self._ranks()[((key * self.pg.n + robber) << 1) | side]
@@ -253,12 +282,13 @@ class SolveResult:
     def optimal_cop_move(self, t, cops, robber):
         """Rank-minimizing feasible cop move, capture first, lex tie-break."""
         pg, lv = self.pg, self._level
+        ci = self._key(t, cops, robber) % len(lv.cfgs)
         t %= pg.period
         base = t * len(lv.cfgs)
         rank = self._ranks()
         rw = self._won[ROBBER_TO_MOVE]
         best = None
-        for cj in lv.succ[pg.usnap[t]][lv.index[tuple(sorted(cops))]]:
+        for cj in lv.succ[pg.usnap[t]][ci]:
             key = base + cj
             if (rw[key] >> robber) & 1:  # a capture is a won state of rank 0
                 move = (rank[((key * pg.n + robber) << 1) | ROBBER_TO_MOVE],

@@ -95,6 +95,12 @@ class TestForemostJourney:
         assert j == [1]
         assert 5 + len(j) - 1 == 5
 
+    @pytest.mark.parametrize("u, v, name", [(-1, 2, "u"), (99, 0, "u"),
+                                            (0, 99, "v"), (0, -1, "v")])
+    def test_vertex_out_of_range_refused(self, u, v, name):
+        with pytest.raises(ValueError, match="^%s must be a vertex of 0..7" % name):
+            foremost_journey(q3_rotation().instance, 0, u, v)
+
     def test_q3_rotation_antipodal(self):
         pg = q3_rotation().instance
         j = foremost_journey(pg, 0, 0, 7)

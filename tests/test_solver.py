@@ -233,6 +233,24 @@ class TestSolveResult:
         with pytest.raises(ValueError, match=r"^k must be an int >= 1: %s$" % repr(k)):
             is_k_copwin(q3_rotation().instance, k)
 
+    @pytest.mark.parametrize("query", ["rank_of", "is_cop_win", "optimal_cop_move"])
+    @pytest.mark.parametrize("cops, robber, bad", [
+        ((0, 1, 2), 99, "robber"), ((0, 1, 2), 8, "robber"), ((0, 1, 2), -1, "robber"),
+        ((0, 1), 6, "cops"), ((0, 1, 2, 3), 6, "cops"), ((0, 1, 99), 6, "cops"),
+        ((-1, 0, 1), 6, "cops"),
+    ])
+    def test_queries_refuse_vertices_not_in_the_graph(self, query, cops, robber, bad):
+        res = is_k_copwin(q3_rotation().instance, 3)
+        want = {"robber": r"^robber must be a vertex of 0\.\.7: %d$" % robber,
+                "cops": r"^cops must be 3 vertices of 0\.\.7: "}[bad]
+        with pytest.raises(ValueError, match=want):
+            getattr(res, query)(0, cops, robber)
+
+    def test_trace_refuses_a_start_of_the_wrong_size(self):
+        res = is_k_copwin(q3_rotation().instance, 3)
+        with pytest.raises(ValueError, match=r"^cops must be 3 vertices of 0\.\.7: \(0, 1\)$"):
+            extract_trace(res, cops_start=(0, 1))
+
     @pytest.mark.parametrize("n, k, placement", [(1, 1, (0,)), (2, 2, (0, 1))])
     def test_placement_full_at_level_zero(self, n, k, placement):
         # the cops cover every vertex, so the placement captures at once
@@ -641,6 +659,144 @@ class TestClosedFormLevels:
             assert tables() is None and all(ref() is None for ref in levels)
         finally:
             gc.enable()
+
+
+def _spy_spaces(monkeypatch):
+    """Clear the thread's spaces; record the (n, k) of every configuration
+    space the solver builds and of every space whose joins it builds."""
+    built, joined = [], []
+    inner = solver._Space._join
+
+    class Counting(solver._Space):
+        def __init__(self, n, prev):
+            super().__init__(n, prev)
+            built.append((n, len(self.cfgs[0])))
+
+    def spy(space):
+        joined.append((space.n, len(space.cfgs[0])))
+        return inner(space)
+
+    monkeypatch.setattr(solver, "_Space", Counting)
+    monkeypatch.setattr(solver._Space, "_join", spy)
+    monkeypatch.setattr(solver._LAST, "spaces", None, raising=False)
+    return built, joined
+
+
+class TestConfigurationSpaces:
+    """The configurations of each (n, k) are built once per thread and shared
+    by every graph on n vertices; a graph owns only its tables and relations."""
+
+    def test_same_n_builds_each_space_once(self, rng, monkeypatch):
+        built, joined = _spy_spaces(monkeypatch)
+        instances = [random_periodic(rng, 6, rng.randint(1, 3), 0.5) for _ in range(8)]
+        for pg in instances:
+            for k in (1, 2, 3):
+                res = is_k_copwin(pg, k)
+                res.win_count()
+                res._level.succ  # every graph builds its own relations
+        assert built == [(6, 1), (6, 2), (6, 3)]
+        assert joined == [(6, 2), (6, 3)]
+        assert res._level.space is solver._LAST.spaces[2]
+
+    def test_other_n_frees_the_old_chain(self, monkeypatch):
+        built, _joined = _spy_spaces(monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            res = is_k_copwin(q3_rotation().instance, 3)
+            extract_trace(res)  # reads the joins of the 2- and 3-cop spaces
+            spaces = solver._LAST.spaces
+            assert res._level.space is spaces[2] and len(spaces) == 3
+            refs = [weakref.ref(sp) for sp in spaces]
+            del res, spaces
+            twin = is_k_copwin(q3_rotation().instance, 1)  # same n: kept
+            assert all(ref() is not None for ref in refs)
+            del twin
+            is_k_copwin(bowtie_221().instance, 1)  # another n: replaced
+            # reference counting alone frees them: nothing is a cycle
+            assert all(ref() is None for ref in refs)
+            assert [sp.n for sp in solver._LAST.spaces] == [7]
+        finally:
+            gc.enable()
+        assert built == [(8, 1), (8, 2), (8, 3), (7, 1)]
+
+    def test_early_decisions_build_no_neighbour_lists(self, rng, monkeypatch):
+        passes = _spy_passes(monkeypatch)
+        early = late = 0
+        for _ in range(40):
+            pg = random_periodic(rng, rng.randint(2, 6), rng.randint(1, 3), 0.6)
+            for k in (1, 2, 3):
+                fresh = PeriodicGraph(pg.snapshots)  # tables of its own
+                is_k_copwin(fresh, k)
+                first = passes[-1][1][3]
+                one = solver._LAST.tables.levels[1]
+                if first is not None and first[0] <= 1:
+                    early += 1
+                    assert one._succ is None
+                elif first is not None:
+                    late += 1
+                    assert one._succ is not None
+        assert early >= 20 and late >= 5
+        # a loser whose pass reached its fixpoint at level 1
+        res = is_k_copwin(GENERATORS["diagonal_333"]().instance, 2)
+        assert not res.copwin and solver._LAST.tables.levels[1]._succ is None
+        robber = res.pg.snapshots[0].closed_nbrs(0)[1]
+        res.optimal_cop_move(0, (0, 0), robber)
+        assert solver._LAST.tables.levels[1]._succ is not None
+
+    @pytest.mark.parametrize("period", [1, 3])
+    def test_interleaved_graphs_match_a_cleared_slot(self, rng, period):
+        pair = [random_periodic(rng, 6, period, 0.4) for _ in range(2)]
+        while pair[0] == pair[1]:
+            pair[1] = random_periodic(rng, 6, period, 0.4)
+        got = []
+        for pg in pair + pair:
+            for k in (1, 2, 3):
+                got.append(_answers(is_k_copwin(pg, k)))
+        assert is_k_copwin(pair[0], 2)._level.space is is_k_copwin(pair[1], 2)._level.space
+        fresh = []
+        for pg in pair + pair:
+            for k in (1, 2, 3):
+                solver._LAST.tables = solver._LAST.spaces = None
+                fresh.append(_answers(is_k_copwin(pg, k)))
+        assert got == fresh
+
+    def test_threads_build_shared_joins_once(self, monkeypatch):
+        pg = GENERATORS["diagonal_222"]().instance
+        serial = _answers(is_k_copwin(PeriodicGraph(pg.snapshots), 2))
+        _built, joined = _spy_spaces(monkeypatch)
+        spy = solver._Space._join
+
+        def stalled(space):
+            time.sleep(0.05)  # hold the build open, so both graphs reach it
+            return spy(space)
+
+        monkeypatch.setattr(solver._Space, "_join", stalled)
+        # equal but distinct graphs: their own levels on one shared space,
+        # decided at level 1, so no relation is built yet
+        shared = [is_k_copwin(PeriodicGraph(pg.snapshots), 2) for _ in range(2)]
+        assert shared[0]._level is not shared[1]._level
+        assert shared[0]._level.space is shared[1]._level.space and joined == []
+        got = [None] * 4
+        start = threading.Barrier(4, timeout=60)
+
+        def work(i):
+            start.wait()
+            got[i] = _answers(shared[i % 2])  # the rank pass reaches level 2
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        assert got == [serial] * 4
+        assert joined == [(4, 2)]
 
 
 def _pinned_digests(pg):

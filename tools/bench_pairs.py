@@ -32,9 +32,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_seeds(text):
-    """'41-50' -> [41, ..., 50]."""
-    lo, hi = text.split("-")
-    return list(range(int(lo), int(hi) + 1))
+    """'41-50' -> [41, ..., 50].  A range of fewer than two seeds is an
+    argparse error, since the quartiles of one run a side are undefined."""
+    lo, _sep, hi = text.partition("-")
+    try:
+        seeds = list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        seeds = []
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(
+            "expected a range of at least two seeds, such as '41-50': %r" % text)
+    return seeds
 
 
 def export(rev, dest):
@@ -113,13 +121,14 @@ def compare(workload, seeds, seconds, base_tree, declared):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", default="HEAD", help="git revision to compare against")
-    ap.add_argument("--seeds", default="41-50", help="a range such as '41-50'")
+    ap.add_argument("--seeds", default="41-50", type=parse_seeds,
+                    help="a range of at least two seeds, such as '41-50'")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    seeds = parse_seeds(args.seeds)
+    seeds = args.seeds
     with tempfile.TemporaryDirectory() as tmp:
         commit, base_tree = export(args.base, tmp)
         report = {
