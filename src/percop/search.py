@@ -787,6 +787,13 @@ def _candidates(spec, rng):
                              "n = %d, p = %d, strides %r"
                              % (spec.n, spec.p, strides))
         return _iter_circulant(spec)
+    # girth_snapshots draws girth-4 snapshots and petersen_blocks builds its
+    # snapshots around Petersen's 5-cycles, so no other value can be met
+    for family, key, value in (("girth_snapshots", "girth", 4),
+                               ("petersen_blocks", "cycle_length", 5)):
+        if spec.family == family and spec.snapshot_constraint.get(key, value) != value:
+            raise ValueError("search family %s needs snapshot constraint %s = %d: %d"
+                             % (family, key, value, spec.snapshot_constraint[key]))
     # looked up per call: the benchmark wraps the module-level _gen_girth
     generators = {
         "hamiltonian_path": _gen_hamiltonian,
@@ -1009,33 +1016,27 @@ def verify_table(skip_search=False):
 
 
 def _canonical_graph_masks(n):
-    """Canonical representatives of all graphs on n labeled vertices."""
+    """The least edge mask of each isomorphism class of graphs on n vertices.
+
+    Bit i of a mask is the edge pairs[i].  One pass visits the masks in
+    increasing order and marks the images of each listed mask under all n!
+    relabellings, which is its whole class.  So a mask is marked exactly when
+    its class is already listed, and the first unmarked mask of a class is its
+    least: reps lists each class once, by its least mask, ascending.
+    """
     pairs = list(itertools.combinations(range(n), 2))
-    m = len(pairs)
     idx = {e: i for i, e in enumerate(pairs)}
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        t = [0] * m
-        for i, (u, v) in enumerate(pairs):
-            a, b = perm[u], perm[v]
-            t[i] = idx[(min(a, b), max(a, b))]
-        tables.append(t)
+    tables = [[idx[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+              for perm in itertools.permutations(range(n))]
+    marked = bytearray(1 << len(pairs))
     reps = []
-    for mask in range(1 << m):
-        best = mask
+    for mask in range(len(marked)):
+        if marked[mask]:
+            continue
+        reps.append(mask)
+        bits = [i for i in range(len(pairs)) if mask >> i & 1]
         for t in tables:
-            pm = 0
-            mm = mask
-            while mm:
-                i = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                pm |= 1 << t[i]
-            if pm < best:
-                best = pm
-                if best < mask:
-                    break
-        if best == mask:
-            reps.append(mask)
+            marked[sum(1 << t[i] for i in bits)] = 1
     return pairs, reps
 
 

@@ -75,6 +75,13 @@ COPS_TO_MOVE = 0
 ROBBER_TO_MOVE = 1
 
 
+def _check_side(side):
+    # bool is not an int here, as for k and max_cops
+    if type(side) is not int or side not in (COPS_TO_MOVE, ROBBER_TO_MOVE):
+        raise ValueError("side must be COPS_TO_MOVE (0) or ROBBER_TO_MOVE (1): %r"
+                         % (side,))
+
+
 class BudgetError(RuntimeError):
     def __init__(self, estimate, budget):
         super().__init__(
@@ -263,11 +270,13 @@ class SolveResult:
         return (t % self.pg.period) * len(lv.cfgs) + ci
 
     def is_cop_win(self, t, cops, robber, side=COPS_TO_MOVE):
+        _check_side(side)
         key = self._key(t, cops, robber)
         return (self._region()[side][key] >> robber) & 1 == 1
 
     def rank_of(self, t, cops, robber, side=COPS_TO_MOVE):
         """Cop moves to capture from a cop-winning state; None outside the region."""
+        _check_side(side)
         key = self._key(t, cops, robber)
         if not (self._region()[side][key] >> robber) & 1:
             return None
@@ -531,7 +540,8 @@ def extract_trace(result, cops_start=None):
         raise ValueError("extract_trace requires a copwin result")
     pg = result.pg
     p, n = pg.period, pg.n
-    cops = tuple(sorted(cops_start)) if cops_start else result.initial_placement
+    cops = (result.initial_placement if cops_start is None
+            else tuple(sorted(cops_start)))
     occupied = set(cops)
 
     # robber picks the worst start for the cops

@@ -228,3 +228,22 @@ def reference_propagate(pg, k, ranked):
                     if ranked:
                         write(key, new, 0, level)
     return cw, rw, rank, min(filled, default=None)
+
+
+def reference_graph_classes(n):
+    """(pairs, masks): every graph on n vertices up to isomorphism, by its
+    least edge mask, ascending.  Bit i of a mask is the edge pairs[i].
+
+    Per-mask minimisation: a mask is kept when no relabelling of its edges
+    gives a smaller mask.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    bit = {e: 1 << i for i, e in enumerate(pairs)}
+    perms = list(itertools.permutations(range(n)))
+    masks = []
+    for mask in range(1 << len(pairs)):
+        edges = [e for e in pairs if mask & bit[e]]
+        if all(sum(bit[tuple(sorted((q[u], q[v])))] for u, v in edges) >= mask
+               for q in perms):
+            masks.append(mask)
+    return pairs, masks

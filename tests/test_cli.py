@@ -6,6 +6,7 @@ import pytest
 from percop.cli import main
 from percop.constructions import GENERATORS
 from percop.instancefile import serialize_specimen
+from percop.search import get_spec
 
 
 def run(capsys, *argv):
@@ -416,6 +417,10 @@ class TestSpecFileChecks:
         {**C4_FILE, "hints": {"edge_layers": [{"edge": [0, 4], "require": [0]}]}},
         {**C4_FILE, "hints": {"edge_layers": [{"edge": [0, True]}]}},
         {**C4_FILE, "hints": {"edge_layers": [{"edge": [0, 2], "require": [0]}]}},
+        {"name": "x", "n": 5, "p": 2, "family": "girth_snapshots",
+         "snapshot_constraint": {"kind": "girth", "girth": 5}},
+        {**get_spec("search_321").as_dict(), "snapshot_constraint": {
+            **get_spec("search_321").snapshot_constraint, "cycle_length": 4}},
     ])
     def test_rejected_before_the_first_candidate(self, capsys, tmp_path, spec):
         spec_path = tmp_path / "spec.json"

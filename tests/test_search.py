@@ -37,6 +37,7 @@ from percop.search import (
     spec_from_dict,
 )
 from percop.treewidth import exact_treewidth
+from reference import reference_graph_classes
 
 
 class TestSpecPlumbing:
@@ -754,6 +755,15 @@ class TestScan:
                     checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 4), (4, 11),
+                                            (5, 34), (6, 156)])
+    def test_graph_classes_match_the_reference(self, n, classes):
+        # one class per graph on n vertices up to isomorphism (OEIS A000088),
+        # each by its least mask, ascending
+        got = _canonical_graph_masks(n)
+        assert got == reference_graph_classes(n)
+        assert len(got[1]) == classes
+
     def test_limits(self):
         with pytest.raises(ValueError):
             smallest_3copwin_scan(6, 2)
@@ -981,6 +991,20 @@ class TestSpecEdgesAndCirculant:
         spec = SearchSpec(name="x", family="circulant", **fields)
         with pytest.raises(ValueError, match="circulant needs n = 11 and p = the "
                                              "number of strides"):
+            search(spec)
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("lem122", "girth", 5), ("lem122", "girth", 3),
+        ("search_321", "cycle_length", 4), ("search_321", "cycle_length", 6),
+    ])
+    def test_family_refuses_a_constraint_its_snapshots_never_meet(self, name,
+                                                                  field, value):
+        # girth_snapshots draws girth-4 snapshots and petersen_blocks builds
+        # around 5-cycles, so such a search could only run to its budget
+        spec = get_spec(name)
+        spec.snapshot_constraint[field] = value
+        with pytest.raises(ValueError, match=r"^search family %s needs snapshot "
+                           r"constraint %s = \d: %d$" % (spec.family, field, value)):
             search(spec)
 
     def test_circulant_123_still_found_at_try_5(self):

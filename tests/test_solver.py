@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -245,6 +246,24 @@ class TestSolveResult:
                 "cops": r"^cops must be 3 vertices of 0\.\.7: "}[bad]
         with pytest.raises(ValueError, match=want):
             getattr(res, query)(0, cops, robber)
+
+    @pytest.mark.parametrize("query", ["rank_of", "is_cop_win"])
+    @pytest.mark.parametrize("side", [-1, 2, True, "0"])
+    def test_queries_refuse_a_side_that_is_not_0_or_1(self, query, side):
+        # -1 once read the robber region and the last rank entry, and 2 raised
+        # a bare IndexError; bool is not an int here, as for k
+        res = is_k_copwin(q3_rotation().instance, 3)
+        with pytest.raises(ValueError, match=r"^side must be COPS_TO_MOVE \(0\) or "
+                                             r"ROBBER_TO_MOVE \(1\): %s$" % re.escape(repr(side))):
+            getattr(res, query)(0, (0, 0, 4), 6, side)
+
+    @pytest.mark.parametrize("k", [3, 2])
+    @pytest.mark.parametrize("start", [[], ()])
+    def test_trace_refuses_an_empty_start(self, k, start):
+        # an empty start is a start of the wrong size, not "none given"
+        res = is_k_copwin(q3_rotation().instance, k)
+        with pytest.raises(ValueError, match=r"^cops must be %d vertices of 0\.\.7: \(\)$" % k):
+            extract_trace(res, cops_start=start)
 
     def test_trace_refuses_a_start_of_the_wrong_size(self):
         res = is_k_copwin(q3_rotation().instance, 3)
