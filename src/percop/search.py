@@ -788,11 +788,12 @@ def _candidates(spec, rng):
                              % (spec.n, spec.p, strides))
         return _iter_circulant(spec)
     # girth_snapshots draws girth-4 snapshots and petersen_blocks builds its
-    # snapshots around Petersen's 5-cycles, so no other value can be met
-    for family, key, value in (("girth_snapshots", "girth", 4),
+    # snapshots around Petersen's 5-cycles, so no other kind or value can be met
+    for family, key, value in (("girth_snapshots", "kind", "girth"),
+                               ("girth_snapshots", "girth", 4),
                                ("petersen_blocks", "cycle_length", 5)):
         if spec.family == family and spec.snapshot_constraint.get(key, value) != value:
-            raise ValueError("search family %s needs snapshot constraint %s = %d: %d"
+            raise ValueError("search family %s needs snapshot constraint %s = %r: %r"
                              % (family, key, value, spec.snapshot_constraint[key]))
     # looked up per call: the benchmark wraps the module-level _gen_girth
     generators = {

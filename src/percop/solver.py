@@ -21,14 +21,23 @@ the robber, so level 0 leaves rw[t][c] = mask(c), and a layer-0 key fills when
 its cops cover every vertex.  Every cop move then ends on a state won at
 level 0, so level 1 gives cw[t][c] = N_t[mask(c)], once per unique snapshot.
 
-`is_k_copwin` runs the decision pass, which writes no rank and stops at the
-first level at which some layer-0 configuration's cw mask fills; every
-configuration that fills there is stale there, so the verdict and the
-placement (least worst rank, then lexicographic) come from it alone.  A
-losing pass never fills, reaches the fixpoint and keeps its win region.  A
-winning result runs the rank pass once, on first read of a rank, a trace, a
-policy or the region: it goes to the fixpoint, writes every state's rank and
-keeps the region.  The state count comes from the sizes.
+`is_k_copwin` runs the decision pass, which stops after the first level at
+which some layer-0 configuration's cw mask fills; every configuration that
+fills there is stale there, so the verdict and the placement (least worst
+rank, then lexicographic) come from it alone.  A losing pass never fills and
+reaches the fixpoint.  Each level keeps the robber sweep's list of the rw
+bits new there, which its next cop step reads anyway, so a robber-to-move
+state's rank is the level whose list holds it: 0 on a capture, 1 for any
+other state of level 1 (whose list is not kept), and from level 2 read from
+the lists, folded on first read into one int per key with a lane per robber
+vertex.  A cops-to-move state's rank is 0 on a capture, 1 within
+N_t[mask(c)] (level 1 in closed form), and otherwise one more than the least
+rank of a robber state its moves reach.  A state the levels run so far have
+won is settled: every state they have not won ranks higher.  Only a read of
+a state they have not won (a win count, a trace from another start) runs
+the induction on, to the fixpoint, once per result; a trace or policy from
+the placement never does, since every state its play reaches ranks below
+the placement.  The state count comes from the sizes.
 
 Cop configurations are sorted multisets; they depend on n and k alone.  The
 k-cop move relation of a snapshot is built from the (k-1)-cop one on first
@@ -36,9 +45,10 @@ read, at the first cop step of level 2 or the first optimal_cop_move, so a
 decision that ends at level 1 builds none, the closed neighbour lists (k = 1)
 included: a configuration moves by moving its (k-1)-prefix and then adding a
 neighbour of its last cop.  Each thread keeps the configurations of the last
-n and the relations of the last periodic graph it solved, so graphs on n
-vertices share the first, and repeated solves of one graph (an ascent, a rank
-pass) build each once; another graph drops the second, another n the first.
+n, and the relations and results of the last periodic graph it solved, so
+graphs on n vertices share the first, an ascent builds each relation once,
+and a repeated is_k_copwin on that graph returns its kept result; another
+graph drops the second, another n the first.
 
 Capture convention: any co-location ends the game for the cops, including the
 robber stepping onto a cop.  The stricter rule (only a cop moving onto the
@@ -176,8 +186,9 @@ class _Level:
 class _MoveTables:
     """What one periodic graph decides: its neighbourhood tables, and its
     level on the thread's space of each k, built on first read and kept, as is
-    each move relation read, so an ascent builds each once.  Levels never
-    refer to the tables, nor spaces to levels: no cycle."""
+    each move relation read, so an ascent builds each once; and the result of
+    each k decided.  Levels and results never refer to the tables, nor spaces
+    to levels: no cycle."""
 
     def __init__(self, pg):
         self.pg, n = pg, pg.n
@@ -193,6 +204,7 @@ class _MoveTables:
                 chunks.append(table)
             self.nbhd.append(chunks)
         self.levels = [None, _Level(_space(n, 1), pg.unique_snapshots)]
+        self.results = {}  # k -> SolveResult
 
     def level(self, k):
         while len(self.levels) <= k:
@@ -225,40 +237,106 @@ def _move_tables(pg):
     return tables
 
 
-class SolveResult:
-    """Outcome of one is_k_copwin run: the verdict and placement, and the win
-    region and ranks, which the rank pass builds on first read."""
+class _Run:
+    """The induction after its last level run: the win region (cw, rw) so
+    far; the robber sweep's list of that level (drw), where going on starts;
+    and the robber ranks, as the lanes of the run it went on from (base, or
+    None) plus the lists of the levels since (history), until the first rank
+    read folds both into lanes of its own.  The region never changes once a
+    result holds the run: going on makes a new run."""
 
-    def __init__(self, pg, k, copwin, initial_placement, level, nbhd, won):
+    __slots__ = ("won", "level", "drw", "history", "base", "lanes", "first", "done")
+
+    def __init__(self, won, level, drw, history, base, first, done):
+        self.won, self.level, self.drw = won, level, drw
+        self.history, self.base = history, base
+        self.lanes = None  # (w, rw lanes), folded on first read
+        self.first, self.done = first, done  # done: at the fixpoint
+
+
+def _fold(run, n, nc):
+    """(w, lanes): bits r * w .. r * w + w - 1 of lanes[key] hold the rank of
+    robber vertex r, with the robber to move, where won at level 2 or later,
+    else 0.  Adds the history's drw lists, which it empties, to the base
+    lanes, widened if the run's last level needs it; one uint64 per key where
+    the lanes fit in one."""
+    w = run.level.bit_length() or 1  # no rank exceeds the last level
+    keys = len(run.won[1])
+    lanes = array("Q", bytes(8 * keys)) if n * w <= 64 else [0] * keys
+    if run.base is not None:
+        w0, old = run.base
+        if w0 == w:
+            lanes = old[:]
+        else:
+            lane = (1 << w0) - 1
+            for key, v in enumerate(old):
+                if v:
+                    lanes[key] = sum(((v >> r * w0) & lane) << r * w for r in range(n))
+    spread8 = [0]  # spread8[b]: bit i of the byte b moved to bit i * w
+    for i in range(8):
+        spread8 += [s | 1 << i * w for s in spread8]
+
+    def spread(m):  # bit r of the vertex set m moved to bit r * w
+        s = shift = 0
+        while m:
+            s |= spread8[m & 255] << shift
+            m >>= 8
+            shift += 8 * w
+        return s
+
+    history = run.history
+    level = run.level - len(history)
+    history.reverse()
+    while history:  # from the oldest level, each freed once folded
+        level += 1
+        for t, ci, new in history.pop():
+            lanes[t * nc + ci] |= spread(new) * level
+    return w, lanes
+
+
+class SolveResult:
+    """Outcome of one is_k_copwin run: the verdict and placement, and the
+    decision pass's run, from which the win region and ranks are read."""
+
+    def __init__(self, pg, k, copwin, initial_placement, level, nbhd, run):
         self.pg = pg
         self.k = k
         self.copwin = copwin
         self.initial_placement = initial_placement
         self._level = level
         self._nbhd = nbhd
-        self._won = won  # (cw, rw) by side, then by key t * nc + ci; None until ranked
-        self._rank = None  # indexed by ((key * n + robber) << 1) | side
+        self._run = run
         self._lock = threading.Lock()
 
-    def _ranks(self):
-        # The rank pass reruns the induction to its fixpoint on this result's
-        # own tables, so it never touches the thread's move-table slot; the
-        # lock makes threads sharing the result run it at most once.  The
-        # region is published before the ranks, so whoever sees ranks sees a
-        # region.
-        if self._rank is None:
+    def _finished(self):
+        # Runs the induction on to its fixpoint on this result's own tables,
+        # so it never touches the thread's move-table slot; the lock makes
+        # threads sharing the result run it at most once, and a reader of the
+        # old run keeps a consistent region.
+        run = self._run
+        if not run.done:
             with self._lock:
-                if self._rank is None:
-                    rank = array("B", bytes(self.state_count()))
-                    cw, rw, rank, _first = _propagate(self.pg, self._level, self._nbhd, rank)
-                    self._won = (cw, rw)
-                    self._rank = rank
-        return self._rank
+                if not self._run.done:
+                    self._run = _propagate(self.pg, self._level, self._nbhd, self._run)
+                run = self._run
+        return run
 
-    def _region(self):
-        if self._won is None:
-            self._ranks()
-        return self._won
+    def _settled(self, side, key, robber):
+        """A run that has won the state, or the finished run."""
+        run = self._run
+        if run.done or (run.won[side][key] >> robber) & 1:
+            return run
+        return self._finished()
+
+    def _lanes(self, run):
+        lanes = run.lanes
+        if lanes is None:
+            with self._lock:  # the fold drops the history it folds
+                if run.lanes is None:
+                    run.lanes = _fold(run, self.pg.n, len(self._level.cfgs))
+                    run.base = None
+                lanes = run.lanes
+        return lanes
 
     def _key(self, t, cops, robber):
         lv, n = self._level, self.pg.n
@@ -272,18 +350,51 @@ class SolveResult:
     def is_cop_win(self, t, cops, robber, side=COPS_TO_MOVE):
         _check_side(side)
         key = self._key(t, cops, robber)
-        return (self._region()[side][key] >> robber) & 1 == 1
+        return (self._settled(side, key, robber).won[side][key] >> robber) & 1 == 1
 
     def rank_of(self, t, cops, robber, side=COPS_TO_MOVE):
         """Cop moves to capture from a cop-winning state; None outside the region."""
         _check_side(side)
         key = self._key(t, cops, robber)
-        if not (self._region()[side][key] >> robber) & 1:
+        run = self._settled(side, key, robber)
+        if not (run.won[side][key] >> robber) & 1:
             return None
-        return self._ranks()[((key * self.pg.n + robber) << 1) | side]
+        lv = self._level
+        ci = key % len(lv.cfgs)
+        if side == ROBBER_TO_MOVE:
+            return self._least(run, key - ci, (ci,), robber)[0]
+        # the cops move to the robber state of least rank: a capture (rank
+        # 0) within N_t[mask(c)], the closed form of level 1, else a state
+        # the run has won, since every one it has not ranks higher
+        us = self.pg.usnap[t % self.pg.period]
+        y, m = lv.masks[ci], 0
+        for table in self._nbhd[us]:
+            m |= table[y & 255]
+            y >>= 8
+        if (m >> robber) & 1:
+            return 1 - ((lv.masks[ci] >> robber) & 1)
+        return 1 + self._least(run, key - ci, lv.succ[us][ci], robber)[0]
+
+    def _least(self, run, base, moves, robber):
+        """(rank, cj) of the least-ranked robber state base + cj, then the
+        least cj (the lexicographic order of configurations), over the moves
+        cj whose state the run has won; None if it has won none."""
+        rw = run.won[ROBBER_TO_MOVE]
+        w, lanes = self._lanes(run)
+        shift, lane = robber * w, (1 << w) - 1
+        masks = self._level.masks
+        best = None
+        for cj in moves:
+            key = base + cj
+            if (rw[key] >> robber) & 1:
+                # the lanes hold the levels from 2; below, a capture is level 0
+                move = ((lanes[key] >> shift) & lane or 1 - ((masks[cj] >> robber) & 1), cj)
+                if best is None or move < best:
+                    best = move
+        return best
 
     def win_count(self):
-        return sum(m.bit_count() for masks in self._region() for m in masks)
+        return sum(m.bit_count() for masks in self._finished().won for m in masks)
 
     def state_count(self):
         return self.pg.period * len(self._level.cfgs) * self.pg.n * 2
@@ -293,20 +404,15 @@ class SolveResult:
         pg, lv = self.pg, self._level
         ci = self._key(t, cops, robber) % len(lv.cfgs)
         t %= pg.period
-        base = t * len(lv.cfgs)
-        rank = self._ranks()
-        rw = self._won[ROBBER_TO_MOVE]
-        best = None
-        for cj in lv.succ[pg.usnap[t]][ci]:
-            key = base + cj
-            if (rw[key] >> robber) & 1:  # a capture is a won state of rank 0
-                move = (rank[((key * pg.n + robber) << 1) | ROBBER_TO_MOVE],
-                        lv.cfgs[cj])
-                if best is None or move < best:
-                    best = move
+        moves = lv.succ[pg.usnap[t]][ci]
+        # a move the run has not won ranks above every move it has won
+        run = self._run
+        best = self._least(run, t * len(lv.cfgs), moves, robber)
+        if best is None and not run.done:
+            best = self._least(self._finished(), t * len(lv.cfgs), moves, robber)
         if best is None:
             raise ValueError("no winning cop move from this state")
-        return best[1]
+        return lv.cfgs[best[1]]
 
     def policy(self):
         """Memoryless optimal policy over the win region."""
@@ -321,58 +427,73 @@ class SolveResult:
         )
 
 
-def _propagate(pg, lv, nbhd, rank):
-    """Grow the win region of the k-cop level lv, by the decision pass (rank
-    None) or the rank pass (a rank array).
+def _propagate(pg, lv, nbhd, run=None):
+    """Grow the win region of the k-cop level lv: the decision pass (run
+    None), or the rest of run's induction, to the fixpoint.
 
-    Returns (cw, rw, rank, first).  first is the least (level, ci) over the
-    layer-0 configurations ci whose cw mask filled at that level, the worst
-    rank over the robber's starts; None if none fills.  The decision pass
-    ends after the robber sweep of the first level at which one fills, short
-    of the fixpoint; a pass that never fills, and the rank pass, reach it.
-    The rank pass is given a zeroed array("B") of p * nc * n * 2 entries and
-    writes each state's level to it, widened to "H" at level 256 and to "I"
-    at level 65536; the returned rank is the widened one.
+    Returns a new _Run.  Its first is the least (level, ci) over the layer-0
+    configurations ci whose cw mask filled at that level, the worst rank over
+    the robber's starts; None if none fills.  The decision pass ends after the
+    robber sweep of the first level at which one fills, short of the
+    fixpoint; a pass that never fills, and a resumed one, reach it.  The
+    robber sweep of each level lists (t, ci, new) for the rw bits new there,
+    for the next cop step.  The run keeps the lists of levels 2 and up in its
+    history, which ranks every robber state won there with no write per
+    state, in O(states): each entry adds a state.
     """
     n, p = pg.n, pg.period
     nc = len(lv.cfgs)
     us = pg.usnap
     full = (1 << n) - 1
     masks = lv.masks
-    ranked = rank is not None
-    # level 0 (see the module docstring): rw[t][c] = mask(c)
-    rw = masks * p  # a copy: lv.masks is shared with later solves
-    filled = [(0, ci) for ci, m in enumerate(masks) if m == full]
-    if filled and not ranked:
-        return masks * p, rw, rank, filled[0]
-    # level 1: cw[t][c] = N_t[mask(c)]; stale[key]: the layer of a grown key
-    level = 1
-    cw, stale = [], {}
-    grown = [None] * len(nbhd)
-    for t in range(p):
-        if grown[us[t]] is None:
-            nb = []
-            for y in masks:
-                m = 0
-                for table in nbhd[us[t]]:
-                    m |= table[y & 255]
-                    y >>= 8
-                nb.append(m)
-            grown[us[t]] = nb, [(ci, m ^ masks[ci]) for ci, m in enumerate(nb)
-                                if m != masks[ci]]
-        nb, news = grown[us[t]]
-        cw += nb
-        base = t * nc
-        for ci, new in news:
-            key = base + ci
-            stale[key] = t
-            if ranked:
-                b = key * n
-                while new:
-                    low = new & -new
-                    rank[(b + low.bit_length() - 1) << 1] = 1
-                    new ^= low
+    decide = run is None
+    if decide:
+        # level 0 (see the module docstring): rw[t][c] = mask(c)
+        rw = masks * p  # a copy: lv.masks is shared with later solves
+        filled = [(0, ci) for ci, m in enumerate(masks) if m == full]
+        if filled:
+            return _Run((rw, rw), 0, None, [], None, filled[0], False)
+        level, history, folded = 0, [], None
+    else:  # copies: the run a result holds stays as it was
+        cw, rw = run.won[0][:], run.won[1][:]
+        level, drw, filled = run.level, run.drw, []
+        # a folded run is the base of this one; else its history goes on
+        history, folded = (run.history[:], run.base) if run.lanes is None else ([], run.lanes)
+    if level == 0:
+        # level 1: cw[t][c] = N_t[mask(c)]; stale[key]: the layer of a grown key
+        level = 1
+        cw, stale = [], {}
+        grown = [None] * len(nbhd)
+        for t in range(p):
+            if grown[us[t]] is None:
+                nb = []
+                for y in masks:
+                    m = 0
+                    for table in nbhd[us[t]]:
+                        m |= table[y & 255]
+                        y >>= 8
+                    nb.append(m)
+                grown[us[t]] = nb, [ci for ci, m in enumerate(nb) if m != masks[ci]]
+            nb, news = grown[us[t]]
+            cw += nb
+            base = t * nc
+            for ci in news:
+                stale[base + ci] = t
+        drw = None
     while True:
+        if drw is not None:
+            level += 1
+            # cop step: a move into a robber state won at the last level
+            stale = {}
+            succ = lv.succ
+            for t, ci, bits in drw:
+                base = t * nc
+                for cj in succ[us[t]][ci]:
+                    key = base + cj
+                    new = bits & ~cw[key]
+                    if new:
+                        cw[key] |= new
+                        stale[key] = t
         # robber step: rw[t0][c] for the layer t0 before each stale key
         drw = []
         for key1, t1 in stale.items():
@@ -390,37 +511,12 @@ def _propagate(pg, lv, nbhd, rank):
             if new:
                 rw[key] |= new
                 drw.append((t0, ci, new))
-                if ranked:
-                    b = key * n
-                    while new:
-                        low = new & -new
-                        rank[((b + low.bit_length() - 1) << 1) | 1] = level
-                        new ^= low
-        if not drw or (filled and not ranked):
+        if level > 1:  # level 1 needs no lane: its rw bits are the won non-captures
+            history.append(drw)
+        if not drw or (filled and decide):
             break
-        level += 1
-        if ranked and level == 256:
-            rank = array("H", rank)
-        elif ranked and level == 65536:
-            rank = array("I", rank)
-        # cop step: a move into a robber state won at the last level
-        stale = {}
-        succ = lv.succ
-        for t, ci, bits in drw:
-            base = t * nc
-            for cj in succ[us[t]][ci]:
-                key = base + cj
-                new = bits & ~cw[key]
-                if new:
-                    cw[key] |= new
-                    stale[key] = t
-                    if ranked:
-                        b = key * n
-                        while new:
-                            low = new & -new
-                            rank[(b + low.bit_length() - 1) << 1] = level
-                            new ^= low
-    return cw, rw, rank, min(filled, default=None)
+    first = min(filled, default=None) if decide else run.first
+    return _Run((cw, rw), level, drw, history, folded, first, not drw)
 
 
 def is_k_copwin(pg, k):
@@ -428,7 +524,9 @@ def is_k_copwin(pg, k):
 
     copwin means: some initial cop placement beats every robber placement.
     The placement is the one whose worst robber start is captured soonest,
-    the lexicographically least on ties.
+    the lexicographically least on ties.  The thread keeps the results of
+    the last graph it solved, so asking again, within the state budget,
+    returns the same result and decides nothing.
     """
     if type(k) is not int or k < 1:
         raise ValueError("k must be an int >= 1: %r" % (k,))
@@ -440,11 +538,14 @@ def is_k_copwin(pg, k):
         raise BudgetError(estimate, budget)
 
     tables = _move_tables(pg)
-    lv = tables.level(k)
-    cw, rw, _rank, first = _propagate(pg, lv, tables.nbhd, None)
-    if first is None:  # a losing pass reached the fixpoint
-        return SolveResult(pg, k, False, None, lv, tables.nbhd, (cw, rw))
-    return SolveResult(pg, k, True, lv.cfgs[first[1]], lv, tables.nbhd, None)
+    res = tables.results.get(k)
+    if res is None:
+        lv = tables.level(k)
+        run = _propagate(pg, lv, tables.nbhd)
+        placement = None if run.first is None else lv.cfgs[run.first[1]]
+        res = tables.results[k] = SolveResult(pg, k, run.first is not None, placement,
+                                              lv, tables.nbhd, run)
+    return res
 
 
 def cop_number_cap(pg):

@@ -419,6 +419,8 @@ class TestSpecFileChecks:
         {**C4_FILE, "hints": {"edge_layers": [{"edge": [0, 2], "require": [0]}]}},
         {"name": "x", "n": 5, "p": 2, "family": "girth_snapshots",
          "snapshot_constraint": {"kind": "girth", "girth": 5}},
+        {"name": "x", "n": 5, "p": 2, "family": "girth_snapshots",
+         "snapshot_constraint": {"kind": "hamiltonian_path"}},
         {**get_spec("search_321").as_dict(), "snapshot_constraint": {
             **get_spec("search_321").snapshot_constraint, "cycle_length": 4}},
     ])

@@ -996,15 +996,20 @@ class TestSpecEdgesAndCirculant:
     @pytest.mark.parametrize("name, field, value", [
         ("lem122", "girth", 5), ("lem122", "girth", 3),
         ("search_321", "cycle_length", 4), ("search_321", "cycle_length", 6),
+        ("lem122", "kind", "hamiltonian_path"),
     ])
     def test_family_refuses_a_constraint_its_snapshots_never_meet(self, name,
                                                                   field, value):
         # girth_snapshots draws girth-4 snapshots and petersen_blocks builds
         # around 5-cycles, so such a search could only run to its budget
         spec = get_spec(name)
-        spec.snapshot_constraint[field] = value
+        if field == "kind":  # a constraint of another kind, whole
+            spec.snapshot_constraint = {"kind": value}
+        else:
+            spec.snapshot_constraint[field] = value
         with pytest.raises(ValueError, match=r"^search family %s needs snapshot "
-                           r"constraint %s = \d: %d$" % (spec.family, field, value)):
+                           r"constraint %s = \S+: %s$"
+                           % (spec.family, field, re.escape(repr(value)))):
             search(spec)
 
     def test_circulant_123_still_found_at_try_5(self):

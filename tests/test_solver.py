@@ -7,8 +7,8 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
-from array import array
 from collections import deque
 
 import pytest
@@ -225,8 +225,9 @@ class TestSolveResult:
         assert res.initial_placement == (0,)
         for t in range(300):
             assert res.rank_of(t, (0,), 1) == 300 - t
-        # the rank pass widened its array past level 255
-        assert res._rank.typecode == "H"
+        # the cop waits 300 levels, so the rank lanes are wider than a byte
+        width, _lanes = res._run.lanes
+        assert width > 8
 
     @pytest.mark.parametrize("k", [0, -1, 2.0, "2", True])
     def test_k_must_be_an_int(self, k):
@@ -362,14 +363,15 @@ class TestMoveTableSlot:
 
 
 def _spy_passes(monkeypatch):
-    """Record the kind of every _propagate call, with its returns: "decide"
-    for the decision pass (no rank array), "rank" for the rank pass."""
+    """Record the kind of every _propagate call, with the run it returns:
+    "decide" for the decision pass, "resume" for running a result's
+    induction on to its fixpoint."""
     passes = []
     inner = solver._propagate
 
-    def spy(pg, lv, nbhd, rank):
-        out = inner(pg, lv, nbhd, rank)
-        passes.append(("decide" if rank is None else "rank", out))
+    def spy(pg, lv, nbhd, run=None):
+        out = inner(pg, lv, nbhd, run)
+        passes.append(("decide" if run is None else "resume", out))
         return out
 
     monkeypatch.setattr(solver, "_propagate", spy)
@@ -380,17 +382,22 @@ def _kinds(passes):
     return [kind for kind, _out in passes]
 
 
+def _region_bits(region):
+    return sum(m.bit_count() for masks in region for m in masks)
+
+
 class TestLazyRanks:
     """The decision pass writes no rank and stops at the first filled
-    layer-0 configuration; a winning result's first read of its region or a
-    rank runs the rank pass once, on the result's own tables."""
+    layer-0 configuration; a result reads ranks from the levels it kept,
+    folded once, and only a read those levels cannot settle runs the
+    induction on, once, on the result's own tables."""
 
     def test_verdict_reads_build_no_ranks(self, monkeypatch):
         passes = _spy_passes(monkeypatch)
         res = is_k_copwin(q3_rotation().instance, 3)
         assert res.copwin and res.initial_placement == (0, 0, 4)
         assert res.state_count() == 3 * 120 * 8 * 2
-        assert res._rank is None and _kinds(passes) == ["decide"]
+        assert res._run.lanes is None and _kinds(passes) == ["decide"]
 
     @pytest.mark.parametrize("first", ["rank_of", "optimal_cop_move"])
     def test_first_read_builds_once(self, monkeypatch, first):
@@ -402,23 +409,30 @@ class TestLazyRanks:
             res.rank_of(0, cops, robber)
         else:
             res.optimal_cop_move(0, cops, robber)
-        assert _kinds(passes) == ["decide", "rank"]
-        built = res._rank
+        # the decision's levels settle the placement: nothing runs further
+        assert _kinds(passes) == ["decide"]
+        run = res._run
         extract_trace(res)
+        built = run.lanes  # folded once, emptying the kept levels
+        assert built is not None and run.history == []
         verify_policy(res.pg, res.policy())
         res.rank_of(0, cops, robber, ROBBER_TO_MOVE)
-        assert _kinds(passes) == ["decide", "rank"] and res._rank is built
+        assert _kinds(passes) == ["decide"]
+        assert res._run is run and run.lanes is built
 
     def test_rank_pass_reaches_the_same_fixpoint(self, rng, monkeypatch):
+        # a result's induction, run on past the decision, ends where one
+        # uninterrupted pass does, with the decision's placement
         passes = _spy_passes(monkeypatch)
         for _ in range(20):
             pg = random_periodic(rng, rng.randint(1, 5), rng.randint(1, 3), 0.4)
             for k in (1, 2):
                 res = is_k_copwin(pg, k)
-                res.rank_of(0, (0,) * k, 0)
-                kind, (cw, rw, rank, first) = passes.pop()
-                assert kind == "rank"
-                assert (cw, rw) == res._won and rank is res._rank
+                decided = res._run
+                res.win_count()
+                cw, rw, _rank, first = reference_propagate(pg, k, True)
+                assert res._run.won == (cw, rw) and res._run.first == first
+                assert _kinds(passes)[-1] == ("decide" if decided.done else "resume")
                 placement = res._level.cfgs[first[1]] if first else None
                 assert placement == res.initial_placement
 
@@ -429,7 +443,9 @@ class TestLazyRanks:
         is_k_copwin(pg2, 1)
         slot = solver._LAST.tables
         trace = extract_trace(res)
+        res.win_count()  # runs pg1's induction on to its fixpoint
         # reading pg1's ranks neither evicted pg2's tables nor rebuilt pg1's
+        assert res._run.done
         assert solver._LAST.tables is slot and len(built) == 2
         assert trace == extract_trace(is_k_copwin(pg1, 3))
 
@@ -444,9 +460,9 @@ class TestLazyRanks:
 
         monkeypatch.setattr(solver, "_propagate", stalled)
         pg = random_periodic(rng, 6, 3, 0.4)
-        serial = _answers(is_k_copwin(pg, 2))
+        serial = _answers(is_k_copwin(PeriodicGraph(pg.snapshots), 2))
         shared = is_k_copwin(pg, 2)
-        assert shared.copwin and shared._won is None
+        assert shared.copwin and not shared._run.done and shared._run.lanes is None
         passes.clear()
         got = [None] * 4
         start = threading.Barrier(4, timeout=60)
@@ -469,60 +485,70 @@ class TestLazyRanks:
             sys.setswitchinterval(switch)
         assert not any(th.is_alive() for th in threads)
         assert got == [serial] * 4
-        assert _kinds(passes) == ["rank"]
+        assert _kinds(passes) == ["resume"]
 
     def test_winner_holds_no_region(self, monkeypatch):
+        # a winner holds the decision's region and levels, but no ranks:
+        # robber levels from 2 only, one entry per state they add
         passes = _spy_passes(monkeypatch)
         res = is_k_copwin(q3_rotation().instance, 3)
         assert res.copwin and res.initial_placement == (0, 0, 4)
         assert res.state_count() == 3 * 120 * 8 * 2
-        assert res._won is None and res._rank is None
+        run = res._run
+        assert run.lanes is None and not run.done
+        assert len(run.history) == run.level - 1
+        assert sum(len(drw) for drw in run.history) <= _region_bits(run.won)
         assert _kinds(passes) == ["decide"]
 
     @pytest.mark.parametrize("first", ["win_count", "is_cop_win"])
     def test_first_region_read_settles_once(self, monkeypatch, first):
         passes = _spy_passes(monkeypatch)
         res = is_k_copwin(q3_rotation().instance, 3)
+        decided = res._run
         if first == "win_count":
             res.win_count()
+            assert _kinds(passes) == ["decide", "resume"]
+            assert res._run.won != decided.won and res._run.done
         else:
-            res.is_cop_win(0, (0, 0, 4), 6)
-        assert _kinds(passes) == ["decide", "rank"]
-        region, built = res._won, res._rank
-        cw, rw, rank, _first = passes[-1][1]
-        assert region == (cw, rw) != passes[0][1][:2] and built is rank
+            # the decision's levels settle a placement state
+            assert res.is_cop_win(0, (0, 0, 4), 6)
+            assert _kinds(passes) == ["decide"] and res._run is decided
         count = res.win_count()
+        settled = res._run
         assert res.is_cop_win(0, (0, 0, 4), 6)
         assert res.rank_of(0, (0, 0, 4), 6) is not None
         extract_trace(res)
         res.optimal_cop_move(0, (0, 0, 4), 6)
         verify_policy(res.pg, res.policy())
-        assert res.win_count() == count
-        assert res._won is region and res._rank is built
-        assert _kinds(passes) == ["decide", "rank"]
+        assert res.win_count() == count == _region_bits(settled.won)
+        assert res._run is settled
+        assert _kinds(passes) == ["decide", "resume"]
 
     def test_first_rank_read_settles_the_region(self, monkeypatch):
         passes = _spy_passes(monkeypatch)
         res = is_k_copwin(bowtie_221().instance, 1)
-        res.rank_of(0, res.initial_placement, 0)
-        assert _kinds(passes) == ["decide", "rank"]
-        assert res._won == passes[-1][1][:2] and res._rank is passes[-1][1][2]
+        decided = res._run
+        assert res.rank_of(0, res.initial_placement, 0) is not None
+        assert _kinds(passes) == ["decide"] and res._run is decided
         res.win_count()
-        assert _kinds(passes) == ["decide", "rank"]
+        assert _kinds(passes) == ["decide", "resume"]
+        assert res._run.won == reference_propagate(res.pg, 1, True)[:2]
+        res.win_count()
+        res.rank_of(0, res.initial_placement, 0)
+        assert _kinds(passes) == ["decide", "resume"]
 
     def test_loser_keeps_its_region(self, monkeypatch):
         passes = _spy_passes(monkeypatch)
         pg = q3_rotation().instance
         res = is_k_copwin(pg, 2)
         assert not res.copwin and res.initial_placement is None
-        assert res._won is not None
+        assert res._run.done
         count = res.win_count()
         assert not res.is_cop_win(0, (0, 1), 6)
-        assert _kinds(passes) == ["decide"] and res._rank is None
-        rank = array("B", bytes(res.state_count()))
-        full = solver._propagate(pg, res._level, res._nbhd, rank)
-        assert res._won == full[:2] and full[3] is None
-        assert count == sum(m.bit_count() for masks in full[:2] for m in masks)
+        assert _kinds(passes) == ["decide"] and res._run.lanes is None
+        full = reference_propagate(pg, 2, True)
+        assert res._run.won == full[:2] and full[3] is None
+        assert count == _region_bits(full[:2])
 
     def test_early_stop_matches_the_full_pass(self, rng):
         early = 0
@@ -531,17 +557,135 @@ class TestLazyRanks:
                                  rng.choice((0.3, 0.5, 0.7)))
             for k in (1, 2, 3):
                 res = is_k_copwin(pg, k)
-                lv, nbhd = res._level, res._nbhd
-                rank = array("B", bytes(res.state_count()))
-                cw, rw, _rank, first = solver._propagate(pg, lv, nbhd, rank)
+                cw, rw, _rank, first = reference_propagate(pg, k, True)
                 assert res.copwin == (first is not None)
-                assert res.initial_placement == (lv.cfgs[first[1]] if first else None)
-                stopped = solver._propagate(pg, lv, nbhd, None)
-                assert stopped[3] == first
-                early += stopped[:2] != (cw, rw)
+                assert res.initial_placement == (res._level.cfgs[first[1]] if first else None)
+                assert res._run.first == first
+                early += res._run.won != (cw, rw)
                 res.win_count()
-                assert res._won == (cw, rw)
+                assert res._run.won == (cw, rw)
         assert early >= 40  # the stop cut many passes short
+
+
+def _wait_for_the_edge(p):
+    """p layers on two vertices whose only edge is in the last: one cop on 0
+    waits for it, so the rank at layer t is p - t."""
+    return PeriodicGraph([Graph(2)] * (p - 1) + [Graph(2, [(0, 1)])])
+
+
+class TestKeptLevels:
+    """Ranks come from the levels the decision pass ran, in O(states) memory
+    and O(1) per lookup; a trace from the placement and a repeated decision
+    run no level."""
+
+    def test_three_thousand_levels(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pg = _wait_for_the_edge(3000)
+            res = is_k_copwin(pg, 1)
+            trace = extract_trace(res)
+            assert [res.rank_of(t, (0,), 1) for t in range(3000)] == [3000 - t for t in range(3000)]
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace["cop_moves"] == 3000
+        # graph, result and trace: 1.15 MB with one rank byte a state written
+        # by a second pass, and at most twice that with the kept levels
+        assert held <= 2 * 1.15 * 2**20
+        # that second pass traced in 0.86 s under tracemalloc, and a lookup
+        # that scans the levels in 10.8 s; untraced this takes about 0.03 s
+        res = is_k_copwin(_wait_for_the_edge(3000), 1)
+        start = time.perf_counter()
+        assert extract_trace(res) == trace
+        assert time.perf_counter() - start < 0.86
+
+    def test_ranks_beyond_sixteen_bits(self):
+        # 16-bit lanes would read 70000 - 65536 = 4464
+        res = is_k_copwin(_wait_for_the_edge(70000), 1)
+        assert res.rank_of(0, (0,), 1) == 70000
+        assert res.rank_of(69999, (0,), 1) == 1
+
+    def test_ranks_read_before_and_after_going_on(self):
+        # a path on 10 vertices whose edges appear one a layer: the decision
+        # ends at level 9, the fixpoint at 82, so the lanes folded for the
+        # trace (4 bits, one uint64 a key) widen to 7 bits (70 bits a key)
+        pg = PeriodicGraph([Graph(10, [(i % 9, i % 9 + 1)]) for i in range(40)])
+        res = is_k_copwin(pg, 1)
+        assert res._run.level == 9
+        extract_trace(res)
+        assert res._run.lanes[0] == 4
+        ranks = [res.rank_of(t, c, r, side) or 0 for t in range(40)
+                 for c in res._level.cfgs for r in range(10) for side in (0, 1)]
+        run = res._run
+        assert run.level == 82 and run.lanes[0] == 7 and isinstance(run.lanes[1], list)
+        assert (*run.won, ranks, run.first) == reference_propagate(pg, 1, True)
+
+    def test_cop_move_beyond_the_decision(self, monkeypatch):
+        # bowtie_221's decision ends at level 5; from a state first won at
+        # level 7 no move reaches a robber state won by then, so the best
+        # move runs the induction on, once, and drops the rank by one
+        pg = bowtie_221().instance
+        full = is_k_copwin(PeriodicGraph(pg.snapshots), 1)
+        assert full.win_count() and full.rank_of(1, (5,), 0) == 7
+        res = is_k_copwin(pg, 1)
+        assert res._run.level == 5
+        passes = _spy_passes(monkeypatch)
+        move = res.optimal_cop_move(1, (5,), 0)
+        assert _kinds(passes) == ["resume"] and res._run.done
+        assert move == full.optimal_cop_move(1, (5,), 0)
+        assert res.rank_of(1, move, 0, ROBBER_TO_MOVE) == 6
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS) + ["circulant_123", "lem122",
+                                                           "prop3_retract", "search_321",
+                                                           "thm112"])
+    def test_trace_from_the_placement_runs_no_further_level(self, monkeypatch, name):
+        passes = _spy_passes(monkeypatch)
+        pg = GENERATORS[name]().instance if name in GENERATORS else load_witness(name)[0]
+        k, res = solve_cop_number(pg)
+        decided = res._run
+        trace = extract_trace(res)
+        assert verify_policy(pg, res.policy()).wins
+        placement = res.initial_placement
+        worst = max((res.rank_of(0, placement, r) for r in range(pg.n) if r not in placement),
+                    default=0)
+        assert trace["cop_moves"] <= worst == decided.first[0]
+        assert _kinds(passes) == ["decide"] * k and res._run is decided
+
+    def test_random_traces_run_no_further_level(self, rng, monkeypatch):
+        passes = _spy_passes(monkeypatch)
+        for _ in range(40):
+            pg = random_periodic(rng, rng.randint(2, 7), rng.randint(1, 4), 0.5)
+            res = is_k_copwin(pg, 2)
+            if res.copwin:
+                passes.clear()
+                extract_trace(res)
+                verify_policy(pg, res.policy())
+                assert passes == []
+
+    def test_repeated_decision_runs_no_level(self, monkeypatch):
+        passes = _spy_passes(monkeypatch)
+        pg = q3_rotation().instance
+        ascent = [is_k_copwin(pg, k) for k in (1, 2, 3)]
+        assert _kinds(passes) == ["decide"] * 3
+        assert all(is_k_copwin(pg, k) is ascent[k - 1] for k in (3, 1, 2))
+        assert solve_cop_number(pg) == (3, ascent[2])
+        assert _kinds(passes) == ["decide"] * 3
+        # the budget is checked before the kept result is returned
+        monkeypatch.setenv("PERCOP_STATE_BUDGET", "100")
+        with pytest.raises(BudgetError):
+            is_k_copwin(pg, 3)
+
+    def test_second_ascent_costs_nothing(self, monkeypatch):
+        # triple's ascent is the last the thread ran, so the pipeline's
+        # solve_cop_number and trace that follow run no level
+        passes = _spy_passes(monkeypatch)
+        pg = bowtie_221().instance
+        triple(pg)
+        passes.clear()
+        _k, res = solve_cop_number(pg)
+        extract_trace(res)
+        assert passes == []
 
 
 def _spy_relations(monkeypatch):
@@ -568,11 +712,17 @@ class TestClosedFormLevels:
             for k in (1, 2, 3):
                 tables = solver._move_tables(pg)
                 lv, nbhd = tables.level(k), tables.nbhd
-                decided = solver._propagate(pg, lv, nbhd, None)
-                assert decided == reference_propagate(pg, k, False)
-                rank = array("B", bytes(pg.period * len(lv.cfgs) * pg.n * 2))
-                cw, rw, rank, first = solver._propagate(pg, lv, nbhd, rank)
-                assert (cw, rw, list(rank), first) == reference_propagate(pg, k, True)
+                decided = solver._propagate(pg, lv, nbhd)
+                assert (*decided.won, None, decided.first) == reference_propagate(pg, k, False)
+                full = solver._propagate(pg, lv, nbhd, decided)
+                res = is_k_copwin(pg, k)
+                # every rank, in the reference's layout, and both regions
+                ranks = [res.rank_of(t, c, r, side) or 0
+                         for t in range(pg.period) for c in lv.cfgs
+                         for r in range(pg.n) for side in (0, 1)]
+                want = reference_propagate(pg, k, True)
+                assert (*res._run.won, ranks, res._run.first) == want
+                assert full.won == want[:2] and full.first == want[3] and full.done
 
     @pytest.mark.parametrize("name, k", [("diagonal_222", 2), ("lem122", 2),
                                          ("diagonal_333", 3)])
@@ -581,8 +731,8 @@ class TestClosedFormLevels:
         passes = _spy_passes(monkeypatch)
         pg = GENERATORS[name]().instance if name in GENERATORS else load_witness(name)[0]
         res = is_k_copwin(pg, k)
-        assert res.copwin and passes[-1][1][3][0] == 1 and built == []
-        res.win_count()  # the rank pass reaches level 2 and builds 2 to k
+        assert res.copwin and passes[-1][1].first[0] == 1 and built == []
+        res.win_count()  # the induction goes on to level 2 and builds 2 to k
         assert sorted(built) == list(range(2, k + 1))
         extract_trace(res)
         verify_policy(pg, res.policy())
@@ -598,7 +748,7 @@ class TestClosedFormLevels:
             for k in (2, 3):
                 built.clear()
                 is_k_copwin(pg, k)
-                first = passes[-1][1][3]
+                first = passes[-1][1].first
                 if first is not None and first[0] <= 1:
                     early += 1
                     assert built == []
@@ -629,7 +779,7 @@ class TestClosedFormLevels:
         pg = GENERATORS["diagonal_333"]().instance
         res = is_k_copwin(pg, 2)
         robber = pg.snapshots[0].closed_nbrs(0)[1]
-        res.rank_of(0, (0, 0), robber)  # a rank pass that reads no relation
+        res.rank_of(0, (0, 0), robber)  # a rank read that reads no relation
         got = [None] * 4
         start = threading.Barrier(4, timeout=60)
 
@@ -747,7 +897,7 @@ class TestConfigurationSpaces:
             for k in (1, 2, 3):
                 fresh = PeriodicGraph(pg.snapshots)  # tables of its own
                 is_k_copwin(fresh, k)
-                first = passes[-1][1][3]
+                first = passes[-1][1].first
                 one = solver._LAST.tables.levels[1]
                 if first is not None and first[0] <= 1:
                     early += 1
@@ -801,7 +951,7 @@ class TestConfigurationSpaces:
 
         def work(i):
             start.wait()
-            got[i] = _answers(shared[i % 2])  # the rank pass reaches level 2
+            got[i] = _answers(shared[i % 2])  # the rank reads reach level 2
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
         switch = sys.getswitchinterval()
@@ -820,7 +970,10 @@ class TestConfigurationSpaces:
 
 def _pinned_digests(pg):
     """SHA-256 of a cop-number ascent's verdicts and placements, of the trace
-    of its winning result, and of that result's rank array and win region."""
+    of its winning result, and of that result's ranks and win region.  The
+    ranks are listed at ((key * n + robber) << 1) | side, key = t * nc + ci,
+    0 outside the region, under the typecode of the smallest array("B", "H",
+    "I") that holds them; the region is (cw, rw), by key, at the fixpoint."""
     ascent = []
     for k in itertools.count(1):
         res = is_k_copwin(pg, k)
@@ -828,11 +981,23 @@ def _pinned_digests(pg):
         ascent.append([k, res.copwin, list(placement) if placement else None])
         if res.copwin:
             break
-    rank = res._ranks()
+    trace = dump_json(extract_trace(res))
+    rank, region = [], ([], [])
+    for t in range(pg.period):
+        for c in res._level.cfgs:
+            masks = [0, 0]
+            for r in range(pg.n):
+                for side in (0, 1):
+                    rank.append(res.rank_of(t, c, r, side) or 0)
+                    masks[side] |= res.is_cop_win(t, c, r, side) << r
+            region[0].append(masks[0])
+            region[1].append(masks[1])
+    top = max(rank)
+    typecode = "B" if top < 256 else "H" if top < 65536 else "I"
     parts = (
         json.dumps(ascent),
-        dump_json(extract_trace(res)),
-        "%s:%s|%s" % (rank.typecode, ",".join(map(str, rank)), res._won),
+        trace,
+        "%s:%s|%s" % (typecode, ",".join(map(str, rank)), region),
     )
     return [hashlib.sha256(part.encode()).hexdigest() for part in parts]
 
