@@ -6,21 +6,13 @@ in the union of the closed neighborhoods of the y_i at time t+1.  Every
 k-copwin arena contains one, so an empty report rules k-copwin out; the
 converse does not hold, so presence proves nothing.
 
-One pruned scan, `layer_corners`, serves every k.  Repeating a cover never
-enlarges the union, so covers are distinct sets of min(k, n-1) vertices.
-For each layer t, each prefix of all covers but the last, in lexicographic
-order and leaving a vertex above it, and each u outside the prefix, the
-last cover lies above the prefix and must hold every vertex of N_t[u] the
-prefix leaves uncovered, so it is a neighbor in G_{t+1} of each such
-vertex: of u when u is left, else of the lowest one.  At k = 1 the prefix
-is empty and the candidates are u's neighbors in G_{t+1}.  Each u's covers
-are kept in their own list, so witnesses come out sorted by (t, u, covers)
-without a sort.  Prefixes are drawn one at a time, so the scan holds O(n)
-beyond its output.  Every candidate is a distinct cover set, so
-p*n*C(n-1, min(k, n-1)) bounds them; that count is checked against
-CORNER_CANDIDATE_LIMIT for every k, k = 1 included, before anything is
-enumerated.  No more prefixes than candidates are made, and the scan's work
-is within a constant factor of checking the union of every candidate.
+`layer_corners` serves every k by the definition itself.  Repeating a cover
+never enlarges the union, so covers are distinct sets of min(k, n-1)
+vertices, walked in lexicographic order.  A corner u of cover set Y lies
+outside Y and, as u is in N_t[u], inside N_{t+1}[Y], so only those vertices
+are tested.  The scan tests at most n*C(n-1, min(k, n-1)) (Y, u) pairs per
+layer, the count that find_k_temporal_corners checks against
+CORNER_CANDIDATE_LIMIT for every k before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -53,37 +45,24 @@ def layer_corners(gt, gn, k=1):
     covers, each a sorted tuple of min(k, n-1) vertices other than u whose
     closed neighborhoods in gn together hold u's closed neighborhood in gt.
     """
-    n, nbr = gt.n, gn.masks
-    size = min(k, n - 1)
+    n, nbr, masks = gt.n, gn.masks, gt.masks
     found = [[] for _ in range(n)]
-    if size < 1:
+    if n < 2:
         return found
-    # drawn from range(n-1), a prefix leaves a vertex above it for the last
-    # cover; its union is made once and serves every u outside it
-    for ys in combinations(range(n - 1), size - 1):
-        used = union = 0
+    # cover sets come in lexicographic order, so each list is born sorted
+    for ys in combinations(range(n), min(k, n - 1)):
+        used = cover = 0
         for y in ys:
             used |= 1 << y
-            union |= nbr[y]
-        start = ys[-1] + 1 if ys else 0
-        for u, mu in enumerate(gt.masks):
-            bit = 1 << u
-            if used & bit:
-                continue
-            left = mu & ~union
-            if left & bit:
-                vs = nbr[u]
-            elif left:
-                vs = nbr[(left & -left).bit_length() - 1]
-            else:
-                vs = (1 << n) - 1
-            vs = (vs >> start << start) & ~bit
-            while vs:
-                low = vs & -vs
-                v = low.bit_length() - 1
-                if left & ~nbr[v] == 0:
-                    found[u].append(ys + (v,))
-                vs ^= low
+            cover |= nbr[y]
+        # u is in N_t[u], so a corner of ys lies in its cover
+        cands = cover & ~used
+        while cands:
+            low = cands & -cands
+            u = low.bit_length() - 1
+            if masks[u] & ~cover == 0:
+                found[u].append(ys)
+            cands ^= low
     return found
 
 
@@ -118,11 +97,15 @@ def find_k_temporal_corners(pg, k):
 
 
 def validate_witness(pg, w):
-    """Re-check a witness against the raw snapshot neighborhoods."""
+    """Re-check a witness against the raw snapshot neighborhoods.  False
+    unless t is an int and the corner vertex and its covers are distinct
+    vertices: ints in 0..n-1, bool excluded."""
+    vs = (w.corner_vertex,) + tuple(w.covers)
+    if type(w.t) is not int or len(set(vs)) != len(vs) or not all(
+            type(v) is int and 0 <= v < pg.n for v in vs):
+        return False
     gt = pg.snapshots[w.t % pg.period]
     gn = pg.snapshots[(w.t + 1) % pg.period]
-    if w.corner_vertex in w.covers:
-        return False
     need = set(gt.closed_nbrs(w.corner_vertex))
     have = set()
     for y in w.covers:

@@ -13,9 +13,10 @@ its fields and its test, and each rule a spec's values obey is one row of the
 `_RULES` table, which `SearchSpec` walks when it is built and `search` and
 `certify` walk again on entry; a target, hint or `edge_layers` key is known
 exactly when it has a row.  Only the rules that compare fields are named
-checks.  Witnesses ship as data files and regenerate from (spec, seed).  `verify_table` checks the paper's 27-row (a, b, c) table:
-each row comes from the generator or named spec that states its triple, and a
-named spec's shipped witness is checked by `certify`.
+checks.  Witnesses ship as data files and regenerate from (spec, seed).
+`verify_table` checks the paper's 27-row (a, b, c) table: each row comes from
+the generator or named spec that states its triple, and a named spec's
+shipped witness is checked by `certify`.
 """
 
 from __future__ import annotations

@@ -80,6 +80,18 @@ class TestKTemporalCorners:
                 assert w.corner_vertex not in w.covers
                 assert validate_witness(pg, w)
 
+    def test_witness_vertices_must_exist(self):
+        # negative indices must not wrap round to the last vertices
+        pg = PeriodicGraph([path_graph(3)])
+        assert validate_witness(pg, CornerWitness(0, 0, (1,)))
+        for w in (CornerWitness(0, -1, (1,)), CornerWitness(0, 2, (-2,)),
+                  CornerWitness(0, 3, (1,)), CornerWitness(0, 0, (3,)),
+                  CornerWitness(0, 0, (True,)), CornerWitness(0, False, (1,)),
+                  CornerWitness(0, 0, (1.0,)), CornerWitness(0.0, 0, (1,)),
+                  CornerWitness(True, 0, (1,)), CornerWitness(0, 0, (1, 1)),
+                  CornerWitness(0, 0, (0,))):
+            assert not validate_witness(pg, w), w
+
     def test_budget_error(self):
         # 24 * C(23, 12) candidate tuples, over the 10^7 limit
         pg = constant(complete_graph(24), 1)
@@ -126,9 +138,9 @@ class TestCompleteness:
 
     @pytest.mark.parametrize("k", [27, 28, 29, 40])
     def test_thirty_vertices_k_near_n(self, k):
-        # at most 30 * C(29, 27) = 12,180 candidates per layer, but a scan
-        # whose prefixes of all covers but the last need not leave room for
-        # the last one makes every subset of up to k - 1 vertices on the way
+        # at most 30 * C(29, 27) = 12,180 (cover set, u) pairs per layer; the
+        # scan walks the C(30, min(k, 29)) cover sets and tests only the
+        # vertices inside each union, so k near n stays cheap
         self.assert_matches(constant(cycle_graph(30), 1), k)
         self.assert_matches(PeriodicGraph([cycle_graph(30), path_graph(30),
                                            Graph(30)]), k)
@@ -187,8 +199,9 @@ class TestNecessityBoundary:
 
 class TestWitnessOrder:
     def test_enumeration_is_already_sorted(self):
-        # both scans enumerate t, then u, then covers in lexicographic order,
-        # so their lists come out sorted without a sort
+        # the scan walks cover sets in lexicographic order and appends each
+        # to its corner's own list, and the lists are read out by t, then u,
+        # so witnesses come out sorted without a sort
         rng = random.Random(11)
         nonempty = 0
         for n in range(1, 7):
