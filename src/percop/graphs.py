@@ -52,7 +52,10 @@ class Graph:
     __slots__ = ("n", "edges", "_masks")
 
     def __init__(self, n, edges=()):
-        self.n = int(n)
+        # bool is not an int here, and no float or str is converted
+        if type(n) is not int or n < 0:
+            raise ValueError("n must be an int >= 0: %r" % (n,))
+        self.n = n
         norm = set()
         masks = [1 << v for v in range(self.n)]
         for u, v in edges:

@@ -35,9 +35,9 @@ N_t[mask(c)] (level 1 in closed form), and otherwise one more than the least
 rank of a robber state its moves reach.  A state the levels run so far have
 won is settled: every state they have not won ranks higher.  Only a read of
 a state they have not won (a win count, a trace from another start) runs
-the induction on, to the fixpoint, once per result; a trace or policy from
-the placement never does, since every state its play reaches ranks below
-the placement.  The state count comes from the sizes.
+one whole pass from level 0 to the fixpoint, once per result; a trace or
+policy from the placement never does, since every state its play reaches
+ranks below the placement.  The state count comes from the sizes.
 
 Cop configurations are sorted multisets; they depend on n and k alone.  The
 k-cop move relation of a snapshot is built from the (k-1)-cop one on first
@@ -239,17 +239,14 @@ def _move_tables(pg):
 
 class _Run:
     """The induction after its last level run: the win region (cw, rw) so
-    far; the robber sweep's list of that level (drw), where going on starts;
-    and the robber ranks, as the lanes of the run it went on from (base, or
-    None) plus the lists of the levels since (history), until the first rank
-    read folds both into lanes of its own.  The region never changes once a
-    result holds the run: going on makes a new run."""
+    far, and the robber ranks as the lists of levels 2 and up (history),
+    until the first rank read folds them into lanes.  The region never
+    changes once a result holds the run: finishing makes a new run."""
 
-    __slots__ = ("won", "level", "drw", "history", "base", "lanes", "first", "done")
+    __slots__ = ("won", "level", "history", "lanes", "first", "done")
 
-    def __init__(self, won, level, drw, history, base, first, done):
-        self.won, self.level, self.drw = won, level, drw
-        self.history, self.base = history, base
+    def __init__(self, won, level, history, first, done):
+        self.won, self.level, self.history = won, level, history
         self.lanes = None  # (w, rw lanes), folded on first read
         self.first, self.done = first, done  # done: at the fixpoint
 
@@ -257,21 +254,11 @@ class _Run:
 def _fold(run, n, nc):
     """(w, lanes): bits r * w .. r * w + w - 1 of lanes[key] hold the rank of
     robber vertex r, with the robber to move, where won at level 2 or later,
-    else 0.  Adds the history's drw lists, which it empties, to the base
-    lanes, widened if the run's last level needs it; one uint64 per key where
-    the lanes fit in one."""
+    else 0.  Folds the history's drw lists, which it empties; one uint64 per
+    key where the lanes fit in one."""
     w = run.level.bit_length() or 1  # no rank exceeds the last level
     keys = len(run.won[1])
     lanes = array("Q", bytes(8 * keys)) if n * w <= 64 else [0] * keys
-    if run.base is not None:
-        w0, old = run.base
-        if w0 == w:
-            lanes = old[:]
-        else:
-            lane = (1 << w0) - 1
-            for key, v in enumerate(old):
-                if v:
-                    lanes[key] = sum(((v >> r * w0) & lane) << r * w for r in range(n))
     spread8 = [0]  # spread8[b]: bit i of the byte b moved to bit i * w
     for i in range(8):
         spread8 += [s | 1 << i * w for s in spread8]
@@ -285,9 +272,9 @@ def _fold(run, n, nc):
         return s
 
     history = run.history
-    level = run.level - len(history)
+    level = 1
     history.reverse()
-    while history:  # from the oldest level, each freed once folded
+    while history:  # from level 2, each freed once folded
         level += 1
         for t, ci, new in history.pop():
             lanes[t * nc + ci] |= spread(new) * level
@@ -309,15 +296,15 @@ class SolveResult:
         self._lock = threading.Lock()
 
     def _finished(self):
-        # Runs the induction on to its fixpoint on this result's own tables,
-        # so it never touches the thread's move-table slot; the lock makes
-        # threads sharing the result run it at most once, and a reader of the
-        # old run keeps a consistent region.
+        # Runs one whole pass from level 0 to the fixpoint on this result's
+        # own tables, so it never touches the thread's move-table slot; the
+        # lock makes threads sharing the result run it at most once, and a
+        # reader of the old run keeps a consistent region.
         run = self._run
         if not run.done:
             with self._lock:
                 if not self._run.done:
-                    self._run = _propagate(self.pg, self._level, self._nbhd, self._run)
+                    self._run = _propagate(self.pg, self._level, self._nbhd, False)
                 run = self._run
         return run
 
@@ -334,12 +321,14 @@ class SolveResult:
             with self._lock:  # the fold drops the history it folds
                 if run.lanes is None:
                     run.lanes = _fold(run, self.pg.n, len(self._level.cfgs))
-                    run.base = None
                 lanes = run.lanes
         return lanes
 
     def _key(self, t, cops, robber):
         lv, n = self._level, self.pg.n
+        # bool is not an int here; a float cop would pass the lookup by equality
+        if any(type(v) is not int for v in (t, robber, *cops)):
+            raise ValueError("t, cops and robber must be ints: %r, %r, %r" % (t, cops, robber))
         ci = lv.index.get(tuple(sorted(cops)))
         if ci is None:
             raise ValueError("cops must be %d vertices of 0..%d: %r" % (self.k, n - 1, cops))
@@ -415,7 +404,10 @@ class SolveResult:
         return lv.cfgs[best[1]]
 
     def policy(self):
-        """Memoryless optimal policy over the win region."""
+        """Memoryless optimal policy over the win region, from the placement."""
+        if not self.copwin:
+            raise ValueError("policy requires a copwin result")
+
         def step(memory, t, cops, robber):
             return self.optimal_cop_move(t, cops, robber), memory
 
@@ -427,15 +419,15 @@ class SolveResult:
         )
 
 
-def _propagate(pg, lv, nbhd, run=None):
-    """Grow the win region of the k-cop level lv: the decision pass (run
-    None), or the rest of run's induction, to the fixpoint.
+def _propagate(pg, lv, nbhd, decide):
+    """Grow the win region of the k-cop level lv from level 0: to the first
+    filled placement if decide, else to the fixpoint.
 
-    Returns a new _Run.  Its first is the least (level, ci) over the layer-0
+    Returns a _Run.  Its first is the least (level, ci) over the layer-0
     configurations ci whose cw mask filled at that level, the worst rank over
     the robber's starts; None if none fills.  The decision pass ends after the
     robber sweep of the first level at which one fills, short of the
-    fixpoint; a pass that never fills, and a resumed one, reach it.  The
+    fixpoint; a pass that never fills, and a finishing one, reach it.  The
     robber sweep of each level lists (t, ci, new) for the rw bits new there,
     for the next cop step.  The run keeps the lists of levels 2 and up in its
     history, which ranks every robber state won there with no write per
@@ -446,54 +438,31 @@ def _propagate(pg, lv, nbhd, run=None):
     us = pg.usnap
     full = (1 << n) - 1
     masks = lv.masks
-    decide = run is None
-    if decide:
-        # level 0 (see the module docstring): rw[t][c] = mask(c)
-        rw = masks * p  # a copy: lv.masks is shared with later solves
-        filled = [(0, ci) for ci, m in enumerate(masks) if m == full]
-        if filled:
-            return _Run((rw, rw), 0, None, [], None, filled[0], False)
-        level, history, folded = 0, [], None
-    else:  # copies: the run a result holds stays as it was
-        cw, rw = run.won[0][:], run.won[1][:]
-        level, drw, filled = run.level, run.drw, []
-        # a folded run is the base of this one; else its history goes on
-        history, folded = (run.history[:], run.base) if run.lanes is None else ([], run.lanes)
-    if level == 0:
-        # level 1: cw[t][c] = N_t[mask(c)]; stale[key]: the layer of a grown key
-        level = 1
-        cw, stale = [], {}
-        grown = [None] * len(nbhd)
-        for t in range(p):
-            if grown[us[t]] is None:
-                nb = []
-                for y in masks:
-                    m = 0
-                    for table in nbhd[us[t]]:
-                        m |= table[y & 255]
-                        y >>= 8
-                    nb.append(m)
-                grown[us[t]] = nb, [ci for ci, m in enumerate(nb) if m != masks[ci]]
-            nb, news = grown[us[t]]
-            cw += nb
-            base = t * nc
-            for ci in news:
-                stale[base + ci] = t
-        drw = None
+    # level 0 (see the module docstring): rw[t][c] = mask(c)
+    rw = masks * p  # a copy: lv.masks is shared with later solves
+    filled = [(0, ci) for ci, m in enumerate(masks) if m == full]
+    if filled and decide:
+        return _Run((rw, rw), 0, [], filled[0], False)
+    # level 1: cw[t][c] = N_t[mask(c)]; stale[key]: the layer of a grown key
+    level, history = 1, []
+    cw, stale = [], {}
+    grown = [None] * len(nbhd)
+    for t in range(p):
+        if grown[us[t]] is None:
+            nb = []
+            for y in masks:
+                m = 0
+                for table in nbhd[us[t]]:
+                    m |= table[y & 255]
+                    y >>= 8
+                nb.append(m)
+            grown[us[t]] = nb, [ci for ci, m in enumerate(nb) if m != masks[ci]]
+        nb, news = grown[us[t]]
+        cw += nb
+        base = t * nc
+        for ci in news:
+            stale[base + ci] = t
     while True:
-        if drw is not None:
-            level += 1
-            # cop step: a move into a robber state won at the last level
-            stale = {}
-            succ = lv.succ
-            for t, ci, bits in drw:
-                base = t * nc
-                for cj in succ[us[t]][ci]:
-                    key = base + cj
-                    new = bits & ~cw[key]
-                    if new:
-                        cw[key] |= new
-                        stale[key] = t
         # robber step: rw[t0][c] for the layer t0 before each stale key
         drw = []
         for key1, t1 in stale.items():
@@ -515,8 +484,19 @@ def _propagate(pg, lv, nbhd, run=None):
             history.append(drw)
         if not drw or (filled and decide):
             break
-    first = min(filled, default=None) if decide else run.first
-    return _Run((cw, rw), level, drw, history, folded, first, not drw)
+        level += 1
+        # cop step: a move into a robber state won at the last level
+        stale = {}
+        succ = lv.succ
+        for t, ci, bits in drw:
+            base = t * nc
+            for cj in succ[us[t]][ci]:
+                key = base + cj
+                new = bits & ~cw[key]
+                if new:
+                    cw[key] |= new
+                    stale[key] = t
+    return _Run((cw, rw), level, history, min(filled, default=None), not drw)
 
 
 def is_k_copwin(pg, k):
@@ -541,7 +521,7 @@ def is_k_copwin(pg, k):
     res = tables.results.get(k)
     if res is None:
         lv = tables.level(k)
-        run = _propagate(pg, lv, tables.nbhd)
+        run = _propagate(pg, lv, tables.nbhd, True)
         placement = None if run.first is None else lv.cfgs[run.first[1]]
         res = tables.results[k] = SolveResult(pg, k, run.first is not None, placement,
                                               lv, tables.nbhd, run)
@@ -641,8 +621,11 @@ def extract_trace(result, cops_start=None):
         raise ValueError("extract_trace requires a copwin result")
     pg = result.pg
     p, n = pg.period, pg.n
-    cops = (result.initial_placement if cops_start is None
-            else tuple(sorted(cops_start)))
+    cops = result.initial_placement
+    if cops_start is not None:
+        cops = tuple(cops_start)
+        result._key(0, cops, 0)  # checked even where the cops cover every start
+        cops = tuple(sorted(cops))
     occupied = set(cops)
 
     # robber picks the worst start for the cops

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import deque
 
 import networkx as nx
@@ -73,6 +74,13 @@ class TestGraphBasics:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("n", [2.7, "3", -1, True, None])
+    def test_n_must_be_an_int(self, n):
+        # int() once truncated 2.7 to 2 vertices and read "3" as 3, and -1
+        # built a graph with n = -1; bool is not an int here
+        with pytest.raises(ValueError, match=r"^n must be an int >= 0: %s$" % re.escape(repr(n))):
+            Graph(n)
 
     def test_is_connected_against_networkx(self, rng):
         for _ in range(300):

@@ -248,6 +248,36 @@ class TestSolveResult:
         with pytest.raises(ValueError, match=want):
             getattr(res, query)(0, cops, robber)
 
+    @pytest.mark.parametrize("query, name, k, t, cops, robber", [
+        *[(query, "q3_rotation", 3, *args)
+          for query in ("is_cop_win", "rank_of", "optimal_cop_move")
+          for args in [(0, (0, 0, 4.0), 6), (0, (False, False, 4), 6), (0, ("0", 0, 4), 6),
+                       (0, (0, 0, 4), 1.0), (0, (0, 0, 4), True),
+                       (0.5, (0, 0, 4), 6), ("0", (0, 0, 4), 6), (True, (0, 0, 4), 6)]],
+        ("extract_trace", "q3_rotation", 3, None, (0, 0, 4.0), None),
+        ("extract_trace", "q3_rotation", 3, None, (False, False, 4), None),
+        ("extract_trace", "q3_rotation", 3, None, ("0", 0, 4), None),
+        # two cops on both vertices: no robber start is left to read a rank of
+        ("extract_trace", "diagonal_111", 2, None, (0, 1.0), None),
+    ])
+    def test_queries_refuse_what_is_not_an_int(self, query, name, k, t, cops, robber):
+        # a float or bool cop once passed the configuration lookup by
+        # equality, and a float or str t or robber raised a TypeError
+        res = is_k_copwin(GENERATORS[name]().instance, k)
+        with pytest.raises(ValueError, match=r"^t, cops and robber must be ints: "):
+            if query == "extract_trace":
+                extract_trace(res, cops_start=cops)
+            else:
+                getattr(res, query)(t, cops, robber)
+
+    def test_policy_of_a_loser_is_refused(self):
+        # it once returned a policy with no placement, which verify_policy
+        # failed on with a TypeError
+        res = is_k_copwin(q3_rotation().instance, 2)
+        assert not res.copwin
+        with pytest.raises(ValueError, match=r"^policy requires a copwin result$"):
+            res.policy()
+
     @pytest.mark.parametrize("query", ["rank_of", "is_cop_win"])
     @pytest.mark.parametrize("side", [-1, 2, True, "0"])
     def test_queries_refuse_a_side_that_is_not_0_or_1(self, query, side):
@@ -364,14 +394,14 @@ class TestMoveTableSlot:
 
 def _spy_passes(monkeypatch):
     """Record the kind of every _propagate call, with the run it returns:
-    "decide" for the decision pass, "resume" for running a result's
-    induction on to its fixpoint."""
+    "decide" for the decision pass, "finish" for a result's one whole pass
+    from level 0 to the fixpoint."""
     passes = []
     inner = solver._propagate
 
-    def spy(pg, lv, nbhd, run=None):
-        out = inner(pg, lv, nbhd, run)
-        passes.append(("decide" if run is None else "resume", out))
+    def spy(pg, lv, nbhd, decide):
+        out = inner(pg, lv, nbhd, decide)
+        passes.append(("decide" if decide else "finish", out))
         return out
 
     monkeypatch.setattr(solver, "_propagate", spy)
@@ -389,8 +419,8 @@ def _region_bits(region):
 class TestLazyRanks:
     """The decision pass writes no rank and stops at the first filled
     layer-0 configuration; a result reads ranks from the levels it kept,
-    folded once, and only a read those levels cannot settle runs the
-    induction on, once, on the result's own tables."""
+    folded once, and only a read those levels cannot settle runs one whole
+    pass from level 0, once, on the result's own tables."""
 
     def test_verdict_reads_build_no_ranks(self, monkeypatch):
         passes = _spy_passes(monkeypatch)
@@ -421,8 +451,8 @@ class TestLazyRanks:
         assert res._run is run and run.lanes is built
 
     def test_rank_pass_reaches_the_same_fixpoint(self, rng, monkeypatch):
-        # a result's induction, run on past the decision, ends where one
-        # uninterrupted pass does, with the decision's placement
+        # a result's finishing pass ends where the reference's does, with
+        # the decision's placement
         passes = _spy_passes(monkeypatch)
         for _ in range(20):
             pg = random_periodic(rng, rng.randint(1, 5), rng.randint(1, 3), 0.4)
@@ -432,7 +462,7 @@ class TestLazyRanks:
                 res.win_count()
                 cw, rw, _rank, first = reference_propagate(pg, k, True)
                 assert res._run.won == (cw, rw) and res._run.first == first
-                assert _kinds(passes)[-1] == ("decide" if decided.done else "resume")
+                assert _kinds(passes)[-1] == ("decide" if decided.done else "finish")
                 placement = res._level.cfgs[first[1]] if first else None
                 assert placement == res.initial_placement
 
@@ -443,7 +473,7 @@ class TestLazyRanks:
         is_k_copwin(pg2, 1)
         slot = solver._LAST.tables
         trace = extract_trace(res)
-        res.win_count()  # runs pg1's induction on to its fixpoint
+        res.win_count()  # runs pg1's induction from level 0 to its fixpoint
         # reading pg1's ranks neither evicted pg2's tables nor rebuilt pg1's
         assert res._run.done
         assert solver._LAST.tables is slot and len(built) == 2
@@ -485,7 +515,7 @@ class TestLazyRanks:
             sys.setswitchinterval(switch)
         assert not any(th.is_alive() for th in threads)
         assert got == [serial] * 4
-        assert _kinds(passes) == ["resume"]
+        assert _kinds(passes) == ["finish"]
 
     def test_winner_holds_no_region(self, monkeypatch):
         # a winner holds the decision's region and levels, but no ranks:
@@ -507,7 +537,7 @@ class TestLazyRanks:
         decided = res._run
         if first == "win_count":
             res.win_count()
-            assert _kinds(passes) == ["decide", "resume"]
+            assert _kinds(passes) == ["decide", "finish"]
             assert res._run.won != decided.won and res._run.done
         else:
             # the decision's levels settle a placement state
@@ -522,7 +552,7 @@ class TestLazyRanks:
         verify_policy(res.pg, res.policy())
         assert res.win_count() == count == _region_bits(settled.won)
         assert res._run is settled
-        assert _kinds(passes) == ["decide", "resume"]
+        assert _kinds(passes) == ["decide", "finish"]
 
     def test_first_rank_read_settles_the_region(self, monkeypatch):
         passes = _spy_passes(monkeypatch)
@@ -531,11 +561,11 @@ class TestLazyRanks:
         assert res.rank_of(0, res.initial_placement, 0) is not None
         assert _kinds(passes) == ["decide"] and res._run is decided
         res.win_count()
-        assert _kinds(passes) == ["decide", "resume"]
+        assert _kinds(passes) == ["decide", "finish"]
         assert res._run.won == reference_propagate(res.pg, 1, True)[:2]
         res.win_count()
         res.rank_of(0, res.initial_placement, 0)
-        assert _kinds(passes) == ["decide", "resume"]
+        assert _kinds(passes) == ["decide", "finish"]
 
     def test_loser_keeps_its_region(self, monkeypatch):
         passes = _spy_passes(monkeypatch)
@@ -608,8 +638,9 @@ class TestKeptLevels:
 
     def test_ranks_read_before_and_after_going_on(self):
         # a path on 10 vertices whose edges appear one a layer: the decision
-        # ends at level 9, the fixpoint at 82, so the lanes folded for the
-        # trace (4 bits, one uint64 a key) widen to 7 bits (70 bits a key)
+        # ends at level 9, the fixpoint at 82, so the trace folds the
+        # decision's lanes (4 bits, one uint64 a key) and the finished run
+        # folds lanes of its own (7 bits, 70 bits a key)
         pg = PeriodicGraph([Graph(10, [(i % 9, i % 9 + 1)]) for i in range(40)])
         res = is_k_copwin(pg, 1)
         assert res._run.level == 9
@@ -624,7 +655,7 @@ class TestKeptLevels:
     def test_cop_move_beyond_the_decision(self, monkeypatch):
         # bowtie_221's decision ends at level 5; from a state first won at
         # level 7 no move reaches a robber state won by then, so the best
-        # move runs the induction on, once, and drops the rank by one
+        # move runs the finishing pass, once, and drops the rank by one
         pg = bowtie_221().instance
         full = is_k_copwin(PeriodicGraph(pg.snapshots), 1)
         assert full.win_count() and full.rank_of(1, (5,), 0) == 7
@@ -632,7 +663,7 @@ class TestKeptLevels:
         assert res._run.level == 5
         passes = _spy_passes(monkeypatch)
         move = res.optimal_cop_move(1, (5,), 0)
-        assert _kinds(passes) == ["resume"] and res._run.done
+        assert _kinds(passes) == ["finish"] and res._run.done
         assert move == full.optimal_cop_move(1, (5,), 0)
         assert res.rank_of(1, move, 0, ROBBER_TO_MOVE) == 6
 
@@ -712,9 +743,9 @@ class TestClosedFormLevels:
             for k in (1, 2, 3):
                 tables = solver._move_tables(pg)
                 lv, nbhd = tables.level(k), tables.nbhd
-                decided = solver._propagate(pg, lv, nbhd)
+                decided = solver._propagate(pg, lv, nbhd, True)
                 assert (*decided.won, None, decided.first) == reference_propagate(pg, k, False)
-                full = solver._propagate(pg, lv, nbhd, decided)
+                full = solver._propagate(pg, lv, nbhd, False)
                 res = is_k_copwin(pg, k)
                 # every rank, in the reference's layout, and both regions
                 ranks = [res.rank_of(t, c, r, side) or 0
@@ -732,7 +763,7 @@ class TestClosedFormLevels:
         pg = GENERATORS[name]().instance if name in GENERATORS else load_witness(name)[0]
         res = is_k_copwin(pg, k)
         assert res.copwin and passes[-1][1].first[0] == 1 and built == []
-        res.win_count()  # the induction goes on to level 2 and builds 2 to k
+        res.win_count()  # the finishing pass reaches level 2 and builds 2 to k
         assert sorted(built) == list(range(2, k + 1))
         extract_trace(res)
         verify_policy(pg, res.policy())
