@@ -11,8 +11,14 @@ never enlarges the union, so covers are distinct sets of min(k, n-1)
 vertices, walked in lexicographic order.  A corner u of cover set Y lies
 outside Y and, as u is in N_t[u], inside N_{t+1}[Y], so only those vertices
 are tested.  The scan tests at most n*C(n-1, min(k, n-1)) (Y, u) pairs per
-layer, the count that find_k_temporal_corners checks against
-CORNER_CANDIDATE_LIMIT for every k before anything is enumerated.
+layer, the count that find_k_temporal_corners and has_k_temporal_corner
+check against CORNER_CANDIDATE_LIMIT for every k before anything is scanned.
+
+Most consumers only ask whether a corner exists: the `no_corner_k` screen of
+the reconstruction search (see `search._predicates`) and the corner-free
+snapshot pairs that `search._gen_hamiltonian` chains.  `layer_corners(...,
+first=True)` serves them from the same scan, returned at the first corner
+found, and `has_k_temporal_corner` is its whole-period form.
 """
 
 from __future__ import annotations
@@ -40,10 +46,12 @@ class CornerWitness(NamedTuple):
         }
 
 
-def layer_corners(gt, gn, k=1):
+def layer_corners(gt, gn, k=1, first=False):
     """The k-corners of gt into gn: for each vertex u, the sorted list of its
     covers, each a sorted tuple of min(k, n-1) vertices other than u whose
     closed neighborhoods in gn together hold u's closed neighborhood in gt.
+    With `first`, the scan returns at the first corner found, so the lists
+    hold at most that one and `any` of them tells whether a corner exists.
     """
     n, nbr, masks = gt.n, gn.masks, gt.masks
     found = [[] for _ in range(n)]
@@ -62,6 +70,8 @@ def layer_corners(gt, gn, k=1):
             u = low.bit_length() - 1
             if masks[u] & ~cover == 0:
                 found[u].append(ys)
+                if first:
+                    return found
             cands ^= low
     return found
 
@@ -71,22 +81,30 @@ def find_temporal_corners(pg):
     return find_k_temporal_corners(pg, 1)
 
 
-def find_k_temporal_corners(pg, k):
-    """All k-temporal corner witnesses, covers as sorted distinct k-sets
-    (all of V - u when k >= n), sorted by (t, u, covers)."""
+def _cover_size(pg, k):
+    """The size min(k, n-1) of a cover set, once k is checked and the scan is
+    within CORNER_CANDIDATE_LIMIT; 0 when pg has under two vertices."""
     if type(k) is not int or k < 1:
         raise ValueError("k must be an int >= 1: %r" % (k,))
-    n, p = pg.n, pg.period
+    n = pg.n
     size = min(k, n - 1)
     if size <= 0:
-        return []
-    candidates = p * n * comb(n - 1, size)
+        return 0
+    candidates = pg.period * n * comb(n - 1, size)
     if candidates > CORNER_CANDIDATE_LIMIT:
         raise LimitError(
             "corner search budget exceeded: %d candidate tuples > %d"
             % (candidates, CORNER_CANDIDATE_LIMIT)
         )
-    snaps = pg.snapshots
+    return size
+
+
+def find_k_temporal_corners(pg, k):
+    """All k-temporal corner witnesses, covers as sorted distinct k-sets
+    (all of V - u when k >= n), sorted by (t, u, covers)."""
+    if not _cover_size(pg, k):
+        return []
+    snaps, p = pg.snapshots, pg.period
     return [
         CornerWitness(t, u, ys)
         for t in range(p)
@@ -94,6 +112,18 @@ def find_k_temporal_corners(pg, k):
             layer_corners(snaps[t], snaps[(t + 1) % p], k))
         for ys in covers
     ]
+
+
+def has_k_temporal_corner(pg, k):
+    """Whether pg has a k-temporal corner: find_k_temporal_corners(pg, k) is
+    non-empty, with the same checks, but the scan stops at the first one."""
+    if not _cover_size(pg, k):
+        return False
+    snaps, p = pg.snapshots, pg.period
+    return any(
+        any(layer_corners(snaps[t], snaps[(t + 1) % p], k, first=True))
+        for t in range(p)
+    )
 
 
 def validate_witness(pg, w):

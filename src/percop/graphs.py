@@ -242,7 +242,7 @@ def domination_number(g):
             "exact domination limit exceeded: n=%d > %d" % (g.n, DOMINATION_LIMIT)
         )
     full = (1 << g.n) - 1
-    masks = [g.nbr_mask(u) for u in range(g.n)]
+    masks = g.masks
     # greedy upper bound to prime the branch-and-bound
     best = 0
     covered = 0
@@ -252,18 +252,19 @@ def domination_number(g):
         best += 1
 
     def branch(covered, size):
+        # called only with size < best
         nonlocal best
-        if size >= best:
-            return
         if covered == full:
             best = size
             return
-        # cover the lowest uncovered vertex: one of its closed neighbors is in D
-        v = ((~covered) & full)
-        v = (v & -v).bit_length() - 1
-        for u in range(g.n):
-            if (masks[v] >> u) & 1:
-                branch(covered | masks[u], size + 1)
+        # cover the lowest uncovered vertex: one of its closed neighbors is in
+        # D; stop once one more vertex could no longer beat best
+        v = ~covered & full
+        cands = masks[(v & -v).bit_length() - 1]
+        while cands and size + 1 < best:
+            low = cands & -cands
+            branch(covered | masks[low.bit_length() - 1], size + 1)
+            cands ^= low
 
     branch(0, 0)
     return best

@@ -43,7 +43,12 @@ from .graphs import (
 )
 from .periodic import PeriodicGraph, footprint, induced
 # find_temporal_corners is unused here; perfbench/probes.py wraps it
-from .corners import find_k_temporal_corners, find_temporal_corners, layer_corners
+from .corners import (
+    find_k_temporal_corners,
+    find_temporal_corners,
+    has_k_temporal_corner,
+    layer_corners,
+)
 from .constructions import GENERATORS, ConstructionSpecimen, circulant_123
 from .instancefile import parse
 from . import solver as _solver
@@ -363,7 +368,9 @@ def _predicates(pg, spec):
     """Yield (passed, certificate entries) once per target, cheapest first.
 
     Nothing is computed before its predicate is reached, so a caller that
-    stops at the first failure pays only for the predicates up to it.  A
+    stops at the first failure pays only for the predicates up to it.  An
+    entry may be a zero-argument callable, computed only if read: a failing
+    `no_corner_k` counts its corners only for `certify`, which calls it.  A
     `copnum` target needs only the periodic ascent, so it is decided before
     `triple()`, which serves every other cop-number target; the instance
     keeps its decided cop number, so the triple does not solve it again.
@@ -372,8 +379,11 @@ def _predicates(pg, spec):
     ok = _holds(pg, spec.footprint_constraint, _FOOTPRINT_KINDS)
     yield ok, {"footprint_ok": ok}
     for k in t.get("no_corner_k", ()):
-        found = find_k_temporal_corners(pg, k)
-        yield not found, {"corners_k%d" % k: len(found)}
+        if not has_k_temporal_corner(pg, k):
+            yield True, {"corners_k%d" % k: 0}
+        else:
+            yield False, {"corners_k%d" % k:
+                          lambda k=k: len(find_k_temporal_corners(pg, k))}
     if "gamma_g0" in t:
         gamma = domination_number(pg.snapshots[0])
         yield gamma == t["gamma_g0"], {"gamma_g0": gamma}
@@ -420,7 +430,7 @@ def certify(pg, spec):
     ok = True
     for passed, entries in _predicates(pg, spec):
         ok = ok and passed
-        certs.update(entries)
+        certs.update((key, v() if callable(v) else v) for key, v in entries.items())
     certs["verified"] = ok
     return certs
 
@@ -480,9 +490,9 @@ def _gen_hamiltonian(spec, rng):
                     perm = list(range(n))
                     rng.shuffle(perm)
                 g = _path_from_perm(n, perm)
-                if any(layer_corners(graphs[-1], g)):
+                if any(layer_corners(graphs[-1], g, first=True)):
                     continue
-                if t == p - 1 and any(layer_corners(g, graphs[0])):
+                if t == p - 1 and any(layer_corners(g, graphs[0], first=True)):
                     continue
                 if hub is not None:
                     nbrs = hub_nbrs(perm)

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from percop.graphs import Graph, complete_graph, cycle_graph, path_graph
+from percop import corners
+from percop.graphs import Graph, LimitError, complete_graph, cycle_graph, path_graph
 from percop.periodic import PeriodicGraph, constant
 from percop.corners import (
     CornerWitness,
     find_k_temporal_corners,
     find_temporal_corners,
+    has_k_temporal_corner,
     validate_witness,
 )
 from percop.constructions import GENERATORS, circulant_123
@@ -114,6 +116,66 @@ class TestKTemporalCorners:
         for k in (-1, 2.0, "2", True, False, None):
             with pytest.raises(ValueError, match=r"^k must be an int >= 1: "):
                 find_k_temporal_corners(pg, k)
+
+
+class TestCornerExistence:
+    """has_k_temporal_corner answers whether find_k_temporal_corners would
+    list anything, with the same checks on k and the same budget."""
+
+    def test_random_instances_every_k(self):
+        rng = random.Random(28)
+        both = set()
+        for _ in range(400):
+            pg = random_periodic(rng, rng.randint(1, 9), rng.randint(1, 4),
+                                 rng.random())
+            for k in (1, 2, 3):
+                found = bool(find_k_temporal_corners(pg, k))
+                assert has_k_temporal_corner(pg, k) == found, (pg.snapshots, k)
+                both.add(found)
+        assert both == {False, True}
+
+    def test_one_vertex(self):
+        for k in (1, 2):
+            assert not has_k_temporal_corner(constant(Graph(1), 2), k)
+
+    def test_k_at_least_n(self):
+        # the one cover set is V - u: every vertex of a complete layer is a
+        # corner, and no vertex of an edgeless one
+        rng = random.Random(29)
+        for n in (2, 3, 4):
+            for k in (n - 1, n, n + 3):
+                assert has_k_temporal_corner(constant(complete_graph(n), 1), k)
+                assert not has_k_temporal_corner(constant(Graph(n), 2), k)
+                for _ in range(10):
+                    pg = random_periodic(rng, n, rng.randint(1, 3), rng.random())
+                    assert has_k_temporal_corner(pg, k) == bool(
+                        find_k_temporal_corners(pg, k)), (pg.snapshots, k)
+
+    @pytest.mark.parametrize("k", [True, 0, 1.0])
+    def test_same_value_error(self, k):
+        pg = random_periodic(random.Random(3), 4, 2)
+        with pytest.raises(ValueError) as listed:
+            find_k_temporal_corners(pg, k)
+        with pytest.raises(ValueError) as asked:
+            has_k_temporal_corner(pg, k)
+        assert str(asked.value) == str(listed.value)
+        assert str(asked.value).startswith("k must be an int >= 1: ")
+
+    @pytest.mark.parametrize("pg, k", [
+        (constant(complete_graph(24), 1), 12),  # 24 * C(23, 12) tuples
+        (constant(Graph(3163), 1), 1),          # 3163 * 3162 tuples
+    ])
+    def test_same_limit_error_before_any_scan(self, pg, k, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned past the budget")
+
+        monkeypatch.setattr(corners, "layer_corners", no_scan)
+        with pytest.raises(LimitError) as listed:
+            find_k_temporal_corners(pg, k)
+        with pytest.raises(LimitError) as asked:
+            has_k_temporal_corner(pg, k)
+        assert str(asked.value) == str(listed.value)
+        assert "budget" in str(asked.value)
 
 
 class TestCompleteness:

@@ -22,7 +22,7 @@ from percop.graphs import (
     radius,
     spanning_tree_cover,
 )
-from conftest import random_connected_graph, random_graph
+from conftest import all_graphs, random_connected_graph, random_graph
 
 
 def to_nx(g):
@@ -219,6 +219,17 @@ class TestDomination:
         for _ in range(25):
             g = random_graph(rng, rng.randint(1, 8), 0.4)
             assert domination_number(g) == brute_force_domination(g)
+        # up to n = 10, from the edgeless graph (answer n) to dense ones
+        for n in range(1, 11):
+            for p_edge in (0.0, 0.15, 0.3, 0.5, 0.8):
+                for _ in range(6):
+                    g = random_graph(rng, n, p_edge)
+                    assert domination_number(g) == brute_force_domination(g), g.edges
+
+    def test_every_small_graph_against_brute_force(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                assert domination_number(g) == brute_force_domination(g), g.edges
 
     def test_prop4_footprint_domination(self):
         # Petersen with x joined over the outer cycle, y over the inner one

@@ -823,6 +823,22 @@ class TestSinglePass:
         bad = circulant_123([2, 3, 5, 1, 4]).instance  # has 2-corners
         assert check_targets(bad, get_spec("circulant_123")) is None
 
+    def test_screen_builds_no_corner_list(self, monkeypatch):
+        # the screen asks only whether a 2-corner exists; certify still
+        # counts them all
+        bad = circulant_123([2, 3, 5, 1, 4]).instance
+        spec = get_spec("circulant_123")
+
+        def no_list(pg, k):
+            raise AssertionError("the screen built a corner list")
+
+        with monkeypatch.context() as m:
+            m.setattr(search_module, "find_k_temporal_corners", no_list)
+            assert check_targets(bad, spec) is None
+        certs = certify(bad, spec)
+        assert certs["corners_k2"] == 143
+        assert certs["verified"] is False
+
     @pytest.mark.parametrize("name", WITNESS_NAMES)
     def test_screen_of_shipped_witness(self, name):
         pg, _meta = load_witness(name)
