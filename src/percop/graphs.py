@@ -247,8 +247,11 @@ def domination_number(g):
     best = 0
     covered = 0
     while covered != full:
-        u = max(range(g.n), key=lambda w: (masks[w] & ~covered).bit_count())
-        covered |= masks[u]
+        left, gain = full & ~covered, 0
+        for m in masks:  # the first vertex that covers the most
+            if (m & left).bit_count() > gain:
+                gain, pick = (m & left).bit_count(), m
+        covered |= pick
         best += 1
 
     def branch(covered, size):

@@ -2,53 +2,61 @@
 
 States are C((t,c_1..c_k),(t',r)) with a side-to-move bit: the cops move first
 in G_t, then the robber moves in G_t, then the layer advances.  The solver
-keys the game by (t, cop configuration) and carries the robber as an n-bit
-vertex mask, as in the Nowakowski-Winkler relation iteration (extended to k
-cops by Clarke & MacGillivray): cw[t][c] holds the robber vertices won with
-the cops to move, rw[t][c] those won with the robber to move.  Both start as
-the capture set mask(c), and each level applies
+keys the game by (t, robber vertex) and carries the cops as a bitset over
+configurations, as in the Nowakowski-Winkler relation iteration (extended to
+k cops by Clarke & MacGillivray): cw[t][r] holds the configurations won with
+the cops to move, rw[t][r] those won with the robber to move, bit ci for
+configuration ci.  Both start as occ[r], the configurations with a cop on r,
+and each level applies
 
-    cw[t][c] |= rw[t][c'] bits new at the last level, for c' in succ_t(c)
-    rw[t][c] |= V \\ N_t[V \\ cw[t+1][c]]
+    cw[t][r] |= OR of row_t[c'] over the c' new in rw[t][r] at the last level
+    rw[t][r] |= AND of cw[t+1][v] over v in N_t[r]
 
-to the keys whose inputs changed, where N_t[Y] is the closed neighbourhood of
-a vertex set, read from per-snapshot tables of 8-vertex chunks.  A state first
-won at level i has rank i, the number of cop moves to capture under optimal
-play (min over cop moves, max over robber escapes).
+to the entries whose inputs changed: the cop step to the (t, r) the last
+robber step grew, the robber step to the r next to a vertex v whose
+cw[t+1][v] grew.  row_t[c'] holds the configurations one cop move from c' in
+G_t; a move can be undone, so it also holds those that move to c'.  A state
+first won at level i has rank i, the number of cop moves to capture under
+optimal play (min over cop moves, max over robber escapes).
 
-Levels 0 and 1 need no move relation.  A robber's closed neighbourhood holds
-the robber, so level 0 leaves rw[t][c] = mask(c), and a layer-0 key fills when
-its cops cover every vertex.  Every cop move then ends on a state won at
-level 0, so level 1 gives cw[t][c] = N_t[mask(c)], once per unique snapshot.
+Levels 0 and 1 need no move row.  A robber's closed neighbourhood holds the
+robber, so level 0 leaves rw[t][r] = occ[r].  Every cop move then ends on a
+state won at level 0, so level 1 gives cw[t][r] = OR of occ[v] over v in
+N_t[r], once per unique snapshot.  A configuration fills when it is in
+cw[0][r] for every r, so the fill test is the AND of cw[0][r] over all r; its
+lowest bit is the least configuration that fills.  At level 0 that is the
+least configuration whose cops cover every vertex.
 
-`is_k_copwin` runs the decision pass, which stops after the first level at
-which some layer-0 configuration's cw mask fills; every configuration that
-fills there is stale there, so the verdict and the placement (least worst
-rank, then lexicographic) come from it alone.  A losing pass never fills and
-reaches the fixpoint.  Each level keeps the robber sweep's list of the rw
-bits new there, which its next cop step reads anyway, so a robber-to-move
-state's rank is the level whose list holds it: 0 on a capture, 1 for any
-other state of level 1 (whose list is not kept), and from level 2 read from
-the lists, folded on first read into one int per key with a lane per robber
-vertex.  A cops-to-move state's rank is 0 on a capture, 1 within
-N_t[mask(c)] (level 1 in closed form), and otherwise one more than the least
-rank of a robber state its moves reach.  A state the levels run so far have
-won is settled: every state they have not won ranks higher.  Only a read of
-a state they have not won (a win count, a trace from another start) runs
-one whole pass from level 0 to the fixpoint, once per result; a trace or
-policy from the placement never does, since every state its play reaches
-ranks below the placement.  The state count comes from the sizes.
+`is_k_copwin` runs the decision pass, which stops after the robber sweep of
+the first level at which some layer-0 configuration fills; every
+configuration that fills there is stale there, so the verdict and the
+placement (least worst rank, then lexicographic) come from it alone.  A
+losing pass never fills and reaches the fixpoint.  Each level keeps the
+robber sweep's list of (t, r, the configurations new in rw[t][r]), which its
+next cop step reads anyway, so a robber-to-move state's rank is the level
+whose list holds it: 0 on a capture, 1 for any other state of level 1 (whose
+list is not kept), and from level 2 read from the lists, folded on first read
+into one int per (t, r) with a lane per configuration.  A cops-to-move
+state's rank is 0 on a capture, 1 within level 1's closed form, and otherwise
+one more than the least rank of a robber state its moves reach.  A state the
+levels run so far have won is settled: every state they have not won ranks
+higher.  Only a read of a state they have not won (a win count, a trace from
+another start) runs one whole pass from level 0 to the fixpoint, once per
+result; a trace or policy from the placement never does, since every state
+its play reaches ranks below the placement.  The state count comes from the
+sizes.
 
-Cop configurations are sorted multisets; they depend on n and k alone.  The
-k-cop move relation of a snapshot is built from the (k-1)-cop one on first
-read, at the first cop step of level 2 or the first optimal_cop_move, so a
-decision that ends at level 1 builds none, the closed neighbour lists (k = 1)
-included: a configuration moves by moving its (k-1)-prefix and then adding a
-neighbour of its last cop.  Each thread keeps the configurations of the last
-n, and the relations and results of the last periodic graph it solved, so
-graphs on n vertices share the first, an ascent builds each relation once,
-and a repeated is_k_copwin on that graph returns its kept result; another
-graph drops the second, another n the first.
+Cop configurations are sorted multisets; they and occ depend on n and k
+alone.  At k = 1 a move row is the cop's closed neighbourhood in the
+snapshot, so no row is built.  At k >= 2 a row is built on its first read,
+at a cop step from level 2 or an optimal_cop_move, so a decision that ends
+at level 1 builds none: a configuration moves by moving its (k-1)-prefix and
+then adding a closed neighbour of its last cop, so its row joins the
+(k-1)-cop row of its prefix with that neighbourhood.  Each thread keeps the
+configurations of the last n, and the rows and results of the last periodic
+graph it solved, so graphs on n vertices share the first, an ascent builds
+each row once, and a repeated is_k_copwin on that graph returns its kept
+result; another graph drops the second, another n the first.
 
 Capture convention: any co-location ends the game for the cops, including the
 robber stepping onto a cop.  The stricter rule (only a cop moving onto the
@@ -74,7 +82,9 @@ import os
 import threading
 from array import array
 from dataclasses import asdict, dataclass
+from functools import reduce
 from math import comb
+from operator import or_, xor
 
 from . import periodic as _periodic
 from .graphs import DOMINATION_LIMIT, domination_number
@@ -114,6 +124,23 @@ def _state_budget():
     return budget
 
 
+# _BYTE_BITS[b]: the positions of the set bits of the byte b
+_BYTE_BITS = [[i for i in range(8) if (b >> i) & 1] for b in range(256)]
+
+
+def _bits(m):
+    """The positions of the set bits of m, ascending: a list that is shared,
+    so never mutated, where m < 256."""
+    if m < 256:
+        return _BYTE_BITS[m]
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
 class _Space:
     """The k-cop configurations on n vertices, built from the (k-1)-cop ones.
     Every graph on n vertices shares them, so nothing may mutate them."""
@@ -127,6 +154,14 @@ class _Space:
                 self.cfgs.append(d + (x,))
                 self.masks.append(m | 1 << x)  # the vertices it occupies
         self.index = {c: ci for ci, c in enumerate(self.cfgs)}  # c -> position
+        # occ[r]: the configurations with a cop on r, as bits
+        self.occ = [0] * n
+        for ci, m in enumerate(self.masks):
+            for x in _bits(m):
+                self.occ[x] |= 1 << ci
+        # the least configuration whose cops cover every vertex, if any
+        full = (1 << n) - 1
+        self.cover = next((ci for ci, m in enumerate(self.masks) if m == full), None)
 
     @property
     def joins(self):
@@ -145,65 +180,69 @@ class _Space:
         return insert, [prev.index[c[:-1]] for c in self.cfgs]
 
 
+class _Rows(dict):
+    """rows[ci]: the configurations one cop move from configuration ci in one
+    snapshot, as bits, built on first read from the (k-1)-cop moves: ci
+    moves by moving its prefix and adding a closed neighbour of its last
+    cop.  A move can be undone, so a row also holds the configurations that
+    move to ci."""
+
+    def __init__(self, space, nbrs, prev):
+        self._space, self._nbrs, self._prev = space, nbrs, prev
+        self._lock = threading.Lock()  # threads sharing a result build a row once
+
+    def __missing__(self, ci):
+        with self._lock:
+            row = self.get(ci)
+            if row is None:
+                row = self[ci] = self._build(ci)
+        return row
+
+    def _build(self, ci):
+        insert, prefix = self._space.joins
+        moved = _bits(self._prev[prefix[ci]])
+        row = 0
+        for x in self._nbrs[self._space.cfgs[ci][-1]]:
+            at = insert[x]
+            for cj in moved:
+                row |= 1 << at[cj]
+        return row
+
+
 class _Level:
-    """One periodic graph's move relation on the configurations of a k-cop
-    space, in each unique snapshot, built on first read: the closed neighbour
-    lists at k = 1, and from the (k-1)-cop level above that."""
+    """One periodic graph's game with the configurations of a k-cop space,
+    per unique snapshot: its closed neighbourhoods (masks, and nbrs as
+    lists), its move rows (the closed neighbourhoods themselves at k = 1,
+    else built on first read from the (k-1)-cop moves), and level 1 in
+    closed form, cw1[s][r].  grown1[s] holds the vertices r with a
+    neighbour, those where cw1[s][r] exceeds level 0's occ[r]."""
 
     def __init__(self, space, snaps, prev=None):
         self.space = space
         self.cfgs, self.index, self.masks = space.cfgs, space.index, space.masks
-        self._snaps, self._prev, self._succ = snaps, prev, None
-        self._one = prev and (prev._one or prev)  # the 1-cop level
-        self._lock = threading.Lock()
-
-    @property
-    def succ(self):
-        """succ[unique snapshot][ci]: configurations one cop move away."""
-        if self._succ is None:
-            with self._lock:  # threads sharing a result build it once
-                if self._succ is None:
-                    self._succ = self._moves() if self._prev else [
-                        [g.closed_nbrs(v) for v in range(self.space.n)]
-                        for g in self._snaps]
-        return self._succ
-
-    def _moves(self):
-        insert, prefix = self.space.joins
-        succ = []
-        for nbrs, prev_succ in zip(self._one.succ, self._prev.succ):
-            rel = []
-            for c, j in zip(self.cfgs, prefix):
-                moved = prev_succ[j]
-                out = set()
-                for x in nbrs[c[-1]]:
-                    out.update(map(insert[x].__getitem__, moved))
-                rel.append(list(out))
-            succ.append(rel)
-        return succ
+        if prev is None:
+            self.closed = [g.masks for g in snaps]
+            self.nbrs = [[_bits(m) for m in ms] for ms in self.closed]
+            # occ[v] is bit v: a configuration's closed neighbourhood
+            self.rows = self.cw1 = self.closed
+            self.grown1 = [reduce(or_, map(xor, ms, space.masks)) for ms in self.closed]
+            return
+        self.closed, self.nbrs, self.grown1 = prev.closed, prev.nbrs, prev.grown1
+        self.rows = [_Rows(space, nbrs, rows) for nbrs, rows in zip(prev.nbrs, prev.rows)]
+        occ = space.occ
+        self.cw1 = [[reduce(or_, map(occ.__getitem__, nb)) for nb in nbrs]
+                    for nbrs in self.nbrs]
 
 
 class _MoveTables:
-    """What one periodic graph decides: its neighbourhood tables, and its
-    level on the thread's space of each k, built on first read and kept, as is
-    each move relation read, so an ascent builds each once; and the result of
-    each k decided.  Levels and results never refer to the tables, nor spaces
-    to levels: no cycle."""
+    """What one periodic graph decides: its level on the thread's space of
+    each k, built on first read and kept, as is each move row read, so an
+    ascent builds each once; and the result of each k decided.  Levels and
+    results never refer to the tables, nor spaces to levels: no cycle."""
 
     def __init__(self, pg):
-        self.pg, n = pg, pg.n
-        # nbhd[s][j][b]: N[Y] for the vertex set Y = b << 8j in snapshot s
-        self.nbhd = []
-        for g in pg.unique_snapshots:
-            chunks = []
-            for lo in range(0, n, 8):
-                table = [0]
-                for v in range(lo, min(lo + 8, n)):
-                    m = g.nbr_mask(v)
-                    table += [y | m for y in table]
-                chunks.append(table)
-            self.nbhd.append(chunks)
-        self.levels = [None, _Level(_space(n, 1), pg.unique_snapshots)]
+        self.pg = pg
+        self.levels = [None, _Level(_space(pg.n, 1), pg.unique_snapshots)]
         self.results = {}  # k -> SolveResult
 
     def level(self, k):
@@ -252,23 +291,23 @@ class _Run:
 
 
 def _fold(run, n, nc):
-    """(w, lanes): bits r * w .. r * w + w - 1 of lanes[key] hold the rank of
-    robber vertex r, with the robber to move, where won at level 2 or later,
-    else 0.  Folds the history's drw lists, which it empties; one uint64 per
-    key where the lanes fit in one."""
+    """(w, lanes): bits ci * w .. ci * w + w - 1 of lanes[t * n + r] hold the
+    rank of the state (t, configuration ci, robber on r), with the robber to
+    move, where won at level 2 or later, else 0.  Folds the history's drw
+    lists, which it empties; one uint64 per (t, r) where the lanes fit in
+    one."""
     w = run.level.bit_length() or 1  # no rank exceeds the last level
     keys = len(run.won[1])
-    lanes = array("Q", bytes(8 * keys)) if n * w <= 64 else [0] * keys
+    lanes = array("Q", bytes(8 * keys)) if nc * w <= 64 else [0] * keys
     spread8 = [0]  # spread8[b]: bit i of the byte b moved to bit i * w
     for i in range(8):
         spread8 += [s | 1 << i * w for s in spread8]
 
-    def spread(m):  # bit r of the vertex set m moved to bit r * w
-        s = shift = 0
-        while m:
-            s |= spread8[m & 255] << shift
-            m >>= 8
-            shift += 8 * w
+    def spread(m):  # bit ci of the configuration set m moved to bit ci * w
+        s = 0
+        for j, b in enumerate(m.to_bytes((m.bit_length() + 7) >> 3, "little")):
+            if b:
+                s |= spread8[b] << j * 8 * w
         return s
 
     history = run.history
@@ -276,8 +315,8 @@ def _fold(run, n, nc):
     history.reverse()
     while history:  # from level 2, each freed once folded
         level += 1
-        for t, ci, new in history.pop():
-            lanes[t * nc + ci] |= spread(new) * level
+        for t, r, new in history.pop():
+            lanes[t * n + r] |= spread(new) * level
     return w, lanes
 
 
@@ -285,33 +324,32 @@ class SolveResult:
     """Outcome of one is_k_copwin run: the verdict and placement, and the
     decision pass's run, from which the win region and ranks are read."""
 
-    def __init__(self, pg, k, copwin, initial_placement, level, nbhd, run):
+    def __init__(self, pg, k, copwin, initial_placement, level, run):
         self.pg = pg
         self.k = k
         self.copwin = copwin
         self.initial_placement = initial_placement
         self._level = level
-        self._nbhd = nbhd
         self._run = run
         self._lock = threading.Lock()
 
     def _finished(self):
         # Runs one whole pass from level 0 to the fixpoint on this result's
-        # own tables, so it never touches the thread's move-table slot; the
+        # own level, so it never touches the thread's move-table slot; the
         # lock makes threads sharing the result run it at most once, and a
         # reader of the old run keeps a consistent region.
         run = self._run
         if not run.done:
             with self._lock:
                 if not self._run.done:
-                    self._run = _propagate(self.pg, self._level, self._nbhd, False)
+                    self._run = _propagate(self.pg, self._level, False)
                 run = self._run
         return run
 
-    def _settled(self, side, key, robber):
+    def _settled(self, side, key, ci):
         """A run that has won the state, or the finished run."""
         run = self._run
-        if run.done or (run.won[side][key] >> robber) & 1:
+        if run.done or (run.won[side][key] >> ci) & 1:
             return run
         return self._finished()
 
@@ -325,6 +363,7 @@ class SolveResult:
         return lanes
 
     def _key(self, t, cops, robber):
+        """(t mod p, ci), the layer and configuration of a state."""
         lv, n = self._level, self.pg.n
         # bool is not an int here; a float cop would pass the lookup by equality
         if any(type(v) is not int for v in (t, robber, *cops)):
@@ -334,52 +373,50 @@ class SolveResult:
             raise ValueError("cops must be %d vertices of 0..%d: %r" % (self.k, n - 1, cops))
         if not 0 <= robber < n:
             raise ValueError("robber must be a vertex of 0..%d: %r" % (n - 1, robber))
-        return (t % self.pg.period) * len(lv.cfgs) + ci
+        return t % self.pg.period, ci
 
     def is_cop_win(self, t, cops, robber, side=COPS_TO_MOVE):
         _check_side(side)
-        key = self._key(t, cops, robber)
-        return (self._settled(side, key, robber).won[side][key] >> robber) & 1 == 1
+        t, ci = self._key(t, cops, robber)
+        key = t * self.pg.n + robber
+        return (self._settled(side, key, ci).won[side][key] >> ci) & 1 == 1
 
     def rank_of(self, t, cops, robber, side=COPS_TO_MOVE):
         """Cop moves to capture from a cop-winning state; None outside the region."""
         _check_side(side)
-        key = self._key(t, cops, robber)
-        run = self._settled(side, key, robber)
-        if not (run.won[side][key] >> robber) & 1:
+        t, ci = self._key(t, cops, robber)
+        key = t * self.pg.n + robber
+        run = self._settled(side, key, ci)
+        if not (run.won[side][key] >> ci) & 1:
             return None
-        lv = self._level
-        ci = key % len(lv.cfgs)
         if side == ROBBER_TO_MOVE:
-            return self._least(run, key - ci, (ci,), robber)[0]
+            return self._least(run, key, 1 << ci, robber)[0]
         # the cops move to the robber state of least rank: a capture (rank
         # 0) within N_t[mask(c)], the closed form of level 1, else a state
         # the run has won, since every one it has not ranks higher
-        us = self.pg.usnap[t % self.pg.period]
-        y, m = lv.masks[ci], 0
-        for table in self._nbhd[us]:
-            m |= table[y & 255]
-            y >>= 8
-        if (m >> robber) & 1:
+        lv, us = self._level, self.pg.usnap[t]
+        if (lv.cw1[us][robber] >> ci) & 1:
             return 1 - ((lv.masks[ci] >> robber) & 1)
-        return 1 + self._least(run, key - ci, lv.succ[us][ci], robber)[0]
+        return 1 + self._least(run, key, lv.rows[us][ci], robber)[0]
 
-    def _least(self, run, base, moves, robber):
-        """(rank, cj) of the least-ranked robber state base + cj, then the
-        least cj (the lexicographic order of configurations), over the moves
-        cj whose state the run has won; None if it has won none."""
-        rw = run.won[ROBBER_TO_MOVE]
+    def _least(self, run, key, moves, robber):
+        """(rank, cj) of the least-ranked robber state (t, cj, robber), key
+        = t * n + robber, then the least cj (the lexicographic order of
+        configurations), over the configurations cj in the bits moves whose
+        state the run has won; None if it has won none."""
         w, lanes = self._lanes(run)
-        shift, lane = robber * w, (1 << w) - 1
+        lane, width = lanes[key], (1 << w) - 1
         masks = self._level.masks
+        moves &= run.won[ROBBER_TO_MOVE][key]
         best = None
-        for cj in moves:
-            key = base + cj
-            if (rw[key] >> robber) & 1:
-                # the lanes hold the levels from 2; below, a capture is level 0
-                move = ((lanes[key] >> shift) & lane or 1 - ((masks[cj] >> robber) & 1), cj)
-                if best is None or move < best:
-                    best = move
+        while moves:
+            low = moves & -moves
+            cj = low.bit_length() - 1
+            moves ^= low
+            # the lanes hold the levels from 2; below, a capture is level 0
+            rank = (lane >> cj * w) & width or 1 - ((masks[cj] >> robber) & 1)
+            if best is None or rank < best[0]:
+                best = (rank, cj)
         return best
 
     def win_count(self):
@@ -391,14 +428,14 @@ class SolveResult:
     def optimal_cop_move(self, t, cops, robber):
         """Rank-minimizing feasible cop move, capture first, lex tie-break."""
         pg, lv = self.pg, self._level
-        ci = self._key(t, cops, robber) % len(lv.cfgs)
-        t %= pg.period
-        moves = lv.succ[pg.usnap[t]][ci]
+        t, ci = self._key(t, cops, robber)
+        key = t * pg.n + robber
+        moves = lv.rows[pg.usnap[t]][ci]
         # a move the run has not won ranks above every move it has won
         run = self._run
-        best = self._least(run, t * len(lv.cfgs), moves, robber)
+        best = self._least(run, key, moves, robber)
         if best is None and not run.done:
-            best = self._least(self._finished(), t * len(lv.cfgs), moves, robber)
+            best = self._least(self._finished(), key, moves, robber)
         if best is None:
             raise ValueError("no winning cop move from this state")
         return lv.cfgs[best[1]]
@@ -419,84 +456,79 @@ class SolveResult:
         )
 
 
-def _propagate(pg, lv, nbhd, decide):
+def _propagate(pg, lv, decide):
     """Grow the win region of the k-cop level lv from level 0: to the first
     filled placement if decide, else to the fixpoint.
 
-    Returns a _Run.  Its first is the least (level, ci) over the layer-0
-    configurations ci whose cw mask filled at that level, the worst rank over
-    the robber's starts; None if none fills.  The decision pass ends after the
-    robber sweep of the first level at which one fills, short of the
-    fixpoint; a pass that never fills, and a finishing one, reach it.  The
-    robber sweep of each level lists (t, ci, new) for the rw bits new there,
-    for the next cop step.  The run keeps the lists of levels 2 and up in its
-    history, which ranks every robber state won there with no write per
-    state, in O(states): each entry adds a state.
+    Returns a _Run, whose region is cw[t * n + r] and rw[t * n + r], the
+    configurations won with the robber on r at layer t.  Its first is the
+    least (level, ci) over the configurations ci in cw[r] for every r at
+    layer 0, the worst rank over the robber's starts; None if none fills.
+    The decision pass ends after the robber sweep of the first level at
+    which one fills, short of the fixpoint; a pass that never fills, and a
+    finishing one, reach it.  The robber sweep of each level lists (t, r,
+    new) for the rw bits new there, for the next cop step.  The run keeps
+    the lists of levels 2 and up in its history, which ranks every robber
+    state won there with no write per state, in O(states): each entry adds
+    a state.
     """
-    n, p = pg.n, pg.period
-    nc = len(lv.cfgs)
-    us = pg.usnap
-    full = (1 << n) - 1
-    masks = lv.masks
-    # level 0 (see the module docstring): rw[t][c] = mask(c)
-    rw = masks * p  # a copy: lv.masks is shared with later solves
-    filled = [(0, ci) for ci, m in enumerate(masks) if m == full]
-    if filled and decide:
-        return _Run((rw, rw), 0, [], filled[0], False)
-    # level 1: cw[t][c] = N_t[mask(c)]; stale[key]: the layer of a grown key
+    n, p, us = pg.n, pg.period, pg.usnap
+    space = lv.space
+    # level 0 (see the module docstring): rw[t][r] = occ[r]
+    rw = space.occ * p  # a copy: the space's occ is shared with later solves
+    first = None if space.cover is None else (0, space.cover)
+    if first is not None and decide:
+        return _Run((rw, rw), 0, [], first, False)
+    # level 1: cw[t][r] = cw1[s][r]; stale[t]: the r whose cw[t][r] grew
     level, history = 1, []
     cw, stale = [], {}
-    grown = [None] * len(nbhd)
-    for t in range(p):
-        if grown[us[t]] is None:
-            nb = []
-            for y in masks:
-                m = 0
-                for table in nbhd[us[t]]:
-                    m |= table[y & 255]
-                    y >>= 8
-                nb.append(m)
-            grown[us[t]] = nb, [ci for ci, m in enumerate(nb) if m != masks[ci]]
-        nb, news = grown[us[t]]
-        cw += nb
-        base = t * nc
-        for ci in news:
-            stale[base + ci] = t
+    for t, s in enumerate(us):
+        cw += lv.cw1[s]
+        if lv.grown1[s]:
+            stale[t] = lv.grown1[s]
+    nbrs, closed, rows = lv.nbrs, lv.closed, lv.rows
     while True:
-        # robber step: rw[t0][c] for the layer t0 before each stale key
+        if first is None and 0 in stale:  # the fill test
+            filled = cw[0]
+            for r in range(1, n):
+                filled &= cw[r]
+            if filled:
+                first = (level, (filled & -filled).bit_length() - 1)
+        # robber step: rw[t0][r] for the r next to a vertex whose cw[t1] grew
         drw = []
-        for key1, t1 in stale.items():
-            ci = key1 - t1 * nc
+        for t1, grown in stale.items():
             t0 = t1 - 1 if t1 else p - 1
-            key = t0 * nc + ci
-            y = full & ~cw[key1]
-            if not (y or t1):
-                filled.append((level, ci))
-            m = 0
-            for table in nbhd[us[t0]]:
-                m |= table[y & 255]
-                y >>= 8
-            new = ((full & ~m) | masks[ci]) & ~rw[key]
-            if new:
-                rw[key] |= new
-                drw.append((t0, ci, new))
+            adj, nb = nbrs[us[t0]], closed[us[t0]]
+            near = 0
+            for v in _bits(grown):
+                near |= nb[v]
+            base0, after = t0 * n, cw[t1 * n:t1 * n + n]
+            for r in _bits(near):
+                won = -1
+                for v in adj[r]:
+                    won &= after[v]
+                new = won & ~rw[base0 + r]
+                if new:
+                    rw[base0 + r] |= new
+                    drw.append((t0, r, new))
         if level > 1:  # level 1 needs no lane: its rw bits are the won non-captures
             history.append(drw)
-        if not drw or (filled and decide):
+        if not drw or (first is not None and decide):
             break
         level += 1
         # cop step: a move into a robber state won at the last level
         stale = {}
-        succ = lv.succ
-        for t, ci, bits in drw:
-            base = t * nc
-            for cj in succ[us[t]][ci]:
-                key = base + cj
-                new = bits & ~cw[key]
-                if new:
-                    cw[key] |= new
-                    stale[key] = t
-    return _Run((cw, rw), level, history, min(filled, default=None), not drw)
+        for t, r, bits in drw:
+            row = rows[us[t]]
+            moved = 0
+            for c in _bits(bits):
+                moved |= row[c]
+            key = t * n + r
+            new = moved & ~cw[key]
+            if new:
+                cw[key] |= new
+                stale[t] = stale.get(t, 0) | 1 << r
+    return _Run((cw, rw), level, history, first, not drw)
 
 
 def is_k_copwin(pg, k):
@@ -521,10 +553,10 @@ def is_k_copwin(pg, k):
     res = tables.results.get(k)
     if res is None:
         lv = tables.level(k)
-        run = _propagate(pg, lv, tables.nbhd, True)
+        run = _propagate(pg, lv, True)
         placement = None if run.first is None else lv.cfgs[run.first[1]]
         res = tables.results[k] = SolveResult(pg, k, run.first is not None, placement,
-                                              lv, tables.nbhd, run)
+                                              lv, run)
     return res
 
 

@@ -160,9 +160,11 @@ def reference_propagate(pg, k, ranked):
     succ-driven cop step like every later level.
 
     Configurations, masks, moves and neighbourhoods are rebuilt here from the
-    snapshots.  Returns (cw, rw, rank, first) in the solver's layout: key
-    t * nc + ci, rank index ((key * n + robber) << 1) | side, rank a list (None
-    when not ranked), first the least (level, ci) of a filled layer-0 cw mask.
+    snapshots.  Returns (cw, rw, rank, first): cw and rw hold one mask of
+    robber vertices per key t * nc + ci (the solver keeps one configuration
+    set per t * n + r instead), rank index ((key * n + robber) << 1) | side,
+    rank a list (None when not ranked), first the least (level, ci) of a
+    filled layer-0 cw mask.
     Unranked, the loop ends after the robber sweep of the first level at
     which a layer-0 mask fills; ranked, or when none fills, at the fixpoint.
     """

@@ -122,6 +122,27 @@ class TestRankOracle:
             for k in (1, 2):
                 self.check(pg, k)
 
+    def test_three_cops(self, rng):
+        # a 3-cop move row is built from 2-cop rows, which are built from
+        # the closed neighbourhoods: two joins
+        built = 0
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            pg = random_periodic(rng, n, rng.randint(1, 2), rng.choice((0.3, 0.5, 0.7)))
+            self.check(pg, 3)
+            built += any(is_k_copwin(pg, 3)._level.rows)
+        assert built >= 10  # the reads reached rows on that many instances
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_a_cop_on_every_vertex(self, rng, extra):
+        # with k >= n cops some placement covers every vertex: it fills at
+        # level 0, where the decision pass stops
+        for _ in range(8):
+            n = rng.randint(1, 4)
+            pg = random_periodic(rng, n, rng.randint(1, 3), rng.choice((0.3, 0.6)))
+            assert is_k_copwin(pg, n + extra)._run.first[0] == 0
+            self.check(pg, n + extra)
+
     @pytest.mark.parametrize("name", ["diagonal_222", "lem122", "prop3_retract"])
     def test_at_cop_number(self, name):
         if name in GENERATORS:
@@ -399,8 +420,8 @@ def _spy_passes(monkeypatch):
     passes = []
     inner = solver._propagate
 
-    def spy(pg, lv, nbhd, decide):
-        out = inner(pg, lv, nbhd, decide)
+    def spy(pg, lv, decide):
+        out = inner(pg, lv, decide)
         passes.append(("decide" if decide else "finish", out))
         return out
 
@@ -414,6 +435,25 @@ def _kinds(passes):
 
 def _region_bits(region):
     return sum(m.bit_count() for masks in region for m in masks)
+
+
+def _reference_propagate(pg, k, ranked):
+    """reference_propagate with its regions in the solver's layout.  The
+    reference keeps one robber-vertex mask per key t * nc + ci; the solver
+    keeps one configuration set per t * n + r, bit ci for configuration ci."""
+    cw, rw, rank, first = reference_propagate(pg, k, ranked)
+    n, nc = pg.n, len(cw) // pg.period
+
+    def transpose(masks):
+        out = [0] * (pg.period * n)
+        for key, m in enumerate(masks):
+            t, ci = divmod(key, nc)
+            for r in range(n):
+                if (m >> r) & 1:
+                    out[t * n + r] |= 1 << ci
+        return out
+
+    return transpose(cw), transpose(rw), rank, first
 
 
 class TestLazyRanks:
@@ -460,7 +500,7 @@ class TestLazyRanks:
                 res = is_k_copwin(pg, k)
                 decided = res._run
                 res.win_count()
-                cw, rw, _rank, first = reference_propagate(pg, k, True)
+                cw, rw, _rank, first = _reference_propagate(pg, k, True)
                 assert res._run.won == (cw, rw) and res._run.first == first
                 assert _kinds(passes)[-1] == ("decide" if decided.done else "finish")
                 placement = res._level.cfgs[first[1]] if first else None
@@ -562,7 +602,7 @@ class TestLazyRanks:
         assert _kinds(passes) == ["decide"] and res._run is decided
         res.win_count()
         assert _kinds(passes) == ["decide", "finish"]
-        assert res._run.won == reference_propagate(res.pg, 1, True)[:2]
+        assert res._run.won == _reference_propagate(res.pg, 1, True)[:2]
         res.win_count()
         res.rank_of(0, res.initial_placement, 0)
         assert _kinds(passes) == ["decide", "finish"]
@@ -576,7 +616,7 @@ class TestLazyRanks:
         count = res.win_count()
         assert not res.is_cop_win(0, (0, 1), 6)
         assert _kinds(passes) == ["decide"] and res._run.lanes is None
-        full = reference_propagate(pg, 2, True)
+        full = _reference_propagate(pg, 2, True)
         assert res._run.won == full[:2] and full[3] is None
         assert count == _region_bits(full[:2])
 
@@ -587,7 +627,7 @@ class TestLazyRanks:
                                  rng.choice((0.3, 0.5, 0.7)))
             for k in (1, 2, 3):
                 res = is_k_copwin(pg, k)
-                cw, rw, _rank, first = reference_propagate(pg, k, True)
+                cw, rw, _rank, first = _reference_propagate(pg, k, True)
                 assert res.copwin == (first is not None)
                 assert res.initial_placement == (res._level.cfgs[first[1]] if first else None)
                 assert res._run.first == first
@@ -650,7 +690,7 @@ class TestKeptLevels:
                  for c in res._level.cfgs for r in range(10) for side in (0, 1)]
         run = res._run
         assert run.level == 82 and run.lanes[0] == 7 and isinstance(run.lanes[1], list)
-        assert (*run.won, ranks, run.first) == reference_propagate(pg, 1, True)
+        assert (*run.won, ranks, run.first) == _reference_propagate(pg, 1, True)
 
     def test_cop_move_beyond_the_decision(self, monkeypatch):
         # bowtie_221's decision ends at level 5; from a state first won at
@@ -720,21 +760,28 @@ class TestKeptLevels:
 
 
 def _spy_relations(monkeypatch):
-    """Record the k of every move relation the solver builds."""
+    """Record (k, the snapshot's rows, ci) for every move row the solver
+    builds."""
     built = []
-    inner = solver._Level._moves
+    inner = solver._Rows._build
 
-    def spy(lv):
-        built.append(len(lv.cfgs[0]))
-        return inner(lv)
+    def spy(rows, ci):
+        built.append((len(rows._space.cfgs[0]), id(rows), ci))
+        return inner(rows, ci)
 
-    monkeypatch.setattr(solver._Level, "_moves", spy)
+    monkeypatch.setattr(solver._Rows, "_build", spy)
     return built
 
 
+def _built_once(built):
+    """The k of the rows built, once each is known to be built only once."""
+    assert len(set(built)) == len(built)
+    return sorted({k for k, _rows, _ci in built})
+
+
 class TestClosedFormLevels:
-    """Levels 0 and 1 come in closed form; the k-cop move relation is built
-    when a pass first reaches level 2 or a cop move is read, once per graph."""
+    """Levels 0 and 1 come in closed form; a k-cop move row is built when a
+    pass first reaches level 2 or a cop move is read, once per graph."""
 
     def test_against_the_succ_driven_loop(self, rng):
         for _ in range(60):
@@ -742,16 +789,16 @@ class TestClosedFormLevels:
                                  rng.choice((0.2, 0.5, 0.8)))
             for k in (1, 2, 3):
                 tables = solver._move_tables(pg)
-                lv, nbhd = tables.level(k), tables.nbhd
-                decided = solver._propagate(pg, lv, nbhd, True)
-                assert (*decided.won, None, decided.first) == reference_propagate(pg, k, False)
-                full = solver._propagate(pg, lv, nbhd, False)
+                lv = tables.level(k)
+                decided = solver._propagate(pg, lv, True)
+                assert (*decided.won, None, decided.first) == _reference_propagate(pg, k, False)
+                full = solver._propagate(pg, lv, False)
                 res = is_k_copwin(pg, k)
                 # every rank, in the reference's layout, and both regions
                 ranks = [res.rank_of(t, c, r, side) or 0
                          for t in range(pg.period) for c in lv.cfgs
                          for r in range(pg.n) for side in (0, 1)]
-                want = reference_propagate(pg, k, True)
+                want = _reference_propagate(pg, k, True)
                 assert (*res._run.won, ranks, res._run.first) == want
                 assert full.won == want[:2] and full.first == want[3] and full.done
 
@@ -763,12 +810,12 @@ class TestClosedFormLevels:
         pg = GENERATORS[name]().instance if name in GENERATORS else load_witness(name)[0]
         res = is_k_copwin(pg, k)
         assert res.copwin and passes[-1][1].first[0] == 1 and built == []
-        res.win_count()  # the finishing pass reaches level 2 and builds 2 to k
-        assert sorted(built) == list(range(2, k + 1))
+        res.win_count()  # the finishing pass reaches level 2 and builds rows of 2 to k
+        assert _built_once(built) == list(range(2, k + 1))
         extract_trace(res)
         verify_policy(pg, res.policy())
         extract_trace(is_k_copwin(pg, k))
-        assert sorted(built) == list(range(2, k + 1))
+        assert _built_once(built) == list(range(2, k + 1))
 
     def test_random_early_fills_build_nothing(self, rng, monkeypatch):
         built = _spy_relations(monkeypatch)
@@ -793,20 +840,21 @@ class TestClosedFormLevels:
         # a loser whose pass reached its fixpoint at level 1
         assert not res.copwin and res.rank_of(0, (0, 0), robber) == 1
         assert built == []
+        # the one row read, of the configuration (0, 0), index 0
         assert robber in res.optimal_cop_move(0, (0, 0), robber)
-        assert built == [2]
+        assert [(k, ci) for k, _rows, ci in built] == [(2, 0)]
         res.optimal_cop_move(0, (0, 0), robber)
-        assert built == [2]
+        assert [(k, ci) for k, _rows, ci in built] == [(2, 0)]
 
     def test_threads_build_the_relation_once(self, monkeypatch):
         built = _spy_relations(monkeypatch)
-        spy = solver._Level._moves
+        spy = solver._Rows._build
 
-        def stalled(lv):
+        def stalled(rows, ci):
             time.sleep(0.05)  # hold the build open, so every thread reaches it
-            return spy(lv)
+            return spy(rows, ci)
 
-        monkeypatch.setattr(solver._Level, "_moves", stalled)
+        monkeypatch.setattr(solver._Rows, "_build", stalled)
         pg = GENERATORS["diagonal_333"]().instance
         res = is_k_copwin(pg, 2)
         robber = pg.snapshots[0].closed_nbrs(0)[1]
@@ -830,7 +878,7 @@ class TestClosedFormLevels:
             sys.setswitchinterval(switch)
         assert not any(th.is_alive() for th in threads)
         assert len(set(got)) == 1 and robber in got[0]
-        assert built == [2]
+        assert [(k, ci) for k, _rows, ci in built] == [(2, 0)]
 
     def test_ascent_builds_each_level_once(self, monkeypatch):
         built = _spy_relations(monkeypatch)
@@ -842,21 +890,22 @@ class TestClosedFormLevels:
             extract_trace(res)
             verify_policy(pg, res.policy())
         # k = 1 moves are the neighbourhoods themselves, never built
-        assert built == [2, 3]
+        assert _built_once(built) == [2, 3]
 
     def test_dropped_result_and_slot_free_the_tables(self):
         gc.collect()
         gc.disable()
         try:
             res = is_k_copwin(q3_rotation().instance, 3)
-            extract_trace(res)  # reads the level-3 move relation
+            extract_trace(res)  # reads level-3 move rows
             tables = weakref.ref(solver._LAST.tables)
             levels = [weakref.ref(lv) for lv in solver._LAST.tables.levels[1:]]
-            assert res._level._succ is not None
+            rows = [weakref.ref(r) for lv in solver._LAST.tables.levels[2:] for r in lv.rows]
+            assert any(res._level.rows)
             del res
             solver._LAST.tables = None
             # reference counting alone frees them: nothing is a cycle
-            assert tables() is None and all(ref() is None for ref in levels)
+            assert tables() is None and all(ref() is None for ref in levels + rows)
         finally:
             gc.enable()
 
@@ -893,7 +942,7 @@ class TestConfigurationSpaces:
             for k in (1, 2, 3):
                 res = is_k_copwin(pg, k)
                 res.win_count()
-                res._level.succ  # every graph builds its own relations
+                res._level.rows[0][0]  # every graph builds its own rows
         assert built == [(6, 1), (6, 2), (6, 3)]
         assert joined == [(6, 2), (6, 3)]
         assert res._level.space is solver._LAST.spaces[2]
@@ -930,19 +979,22 @@ class TestConfigurationSpaces:
                 is_k_copwin(fresh, k)
                 first = passes[-1][1].first
                 one = solver._LAST.tables.levels[1]
+                # k = 1 moves are the closed neighbourhoods, never built
+                assert one.rows is one.closed
+                rows = solver._LAST.tables.levels[k].rows
                 if first is not None and first[0] <= 1:
                     early += 1
-                    assert one._succ is None
+                    assert k == 1 or not any(rows)
                 elif first is not None:
                     late += 1
-                    assert one._succ is not None
+                    assert k == 1 or any(rows)
         assert early >= 20 and late >= 5
         # a loser whose pass reached its fixpoint at level 1
         res = is_k_copwin(GENERATORS["diagonal_333"]().instance, 2)
-        assert not res.copwin and solver._LAST.tables.levels[1]._succ is None
+        assert not res.copwin and not any(res._level.rows)
         robber = res.pg.snapshots[0].closed_nbrs(0)[1]
         res.optimal_cop_move(0, (0, 0), robber)
-        assert solver._LAST.tables.levels[1]._succ is not None
+        assert list(map(len, res._level.rows)) == [1] + [0] * (len(res._level.rows) - 1)
 
     @pytest.mark.parametrize("period", [1, 3])
     def test_interleaved_graphs_match_a_cleared_slot(self, rng, period):
