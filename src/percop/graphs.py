@@ -52,13 +52,16 @@ class Graph:
     __slots__ = ("n", "edges", "_masks")
 
     def __init__(self, n, edges=()):
-        # bool is not an int here, and no float or str is converted
+        # bool is not an int here, and no float or str is converted, for n
+        # and for every edge endpoint
         if type(n) is not int or n < 0:
             raise ValueError("n must be an int >= 0: %r" % (n,))
         self.n = n
         norm = set()
         masks = [1 << v for v in range(self.n)]
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError("edge endpoints must be ints: (%r, %r)" % (u, v))
             if u == v:
                 raise ValueError("self-loop forbidden: (%d,%d)" % (u, v))
             if not (0 <= u < self.n and 0 <= v < self.n):

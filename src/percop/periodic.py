@@ -77,11 +77,13 @@ def foremost_journey(pg, t_start, u, v):
     Step i of the returned vertex list uses an edge of (or waits in) the
     snapshot at time t_start+i.  The search horizon is n*p steps: in a
     temporally connected periodic graph every vertex is reached within that
-    bound, so None only occurs for unreachable targets.  u and v outside
-    0..n-1 are a ValueError.
+    bound, so None only occurs for unreachable targets.  u and v other than
+    ints in 0..n-1, and a t_start that is no int, are a ValueError.
     """
+    if type(t_start) is not int:
+        raise ValueError("t_start must be an int: %r" % (t_start,))
     for name, x in (("u", u), ("v", v)):
-        if not 0 <= x < pg.n:
+        if type(x) is not int or not 0 <= x < pg.n:
             raise ValueError("%s must be a vertex of 0..%d: %r" % (name, pg.n - 1, x))
     if u == v:
         return [u]
@@ -126,6 +128,9 @@ def induced(pg, vertices):
 
     Returns (subgraph, mapping) where mapping sends old vertex -> new index.
     """
+    vertices = list(vertices)
+    if any(type(v) is not int for v in vertices):  # before True and 1 merge
+        raise ValueError("induced: vertices must be ints: %r" % (vertices,))
     vs = sorted(set(vertices))
     if not vs:
         raise ValueError("induced: empty vertex subset")
@@ -139,6 +144,16 @@ def induced(pg, vertices):
     return PeriodicGraph(snaps), remap
 
 
+def _check_pad(pg, target_n, attach):
+    if type(target_n) is not int or type(attach) is not int:
+        raise ValueError("pad: target_n and attach must be ints: %r, %r"
+                         % (target_n, attach))
+    if target_n < pg.n:
+        raise ValueError("pad: target_n %d < n %d" % (target_n, pg.n))
+    if not (0 <= attach < pg.n):
+        raise ValueError("pad: attach vertex out of range")
+
+
 def pad(pg, target_n, attach):
     """Append a path of target_n - n fresh vertices, hung at ``attach``.
 
@@ -148,10 +163,7 @@ def pad(pg, target_n, attach):
     """
     if pg.period < 2:
         raise ValueError("padding requires period >= 2")
-    if target_n < pg.n:
-        raise ValueError("pad: target_n %d < n %d" % (target_n, pg.n))
-    if not (0 <= attach < pg.n):
-        raise ValueError("pad: attach vertex out of range")
+    _check_pad(pg, target_n, attach)
     extra = target_n - pg.n
     if extra == 0:
         return pg
@@ -164,7 +176,9 @@ def pad(pg, target_n, attach):
 
 
 def pad_collapse_map(pg, target_n, attach):
-    """The retraction map sending every padded-path vertex back to ``attach``."""
+    """The retraction map sending every padded-path vertex back to ``attach``;
+    it refuses the arguments `pad` refuses, whatever the period."""
+    _check_pad(pg, target_n, attach)
     m = {u: u for u in range(pg.n)}
     for w in range(pg.n, target_n):
         m[w] = attach
@@ -173,6 +187,6 @@ def pad_collapse_map(pg, target_n, attach):
 
 def constant(g, p):
     """The period-p periodic graph whose every snapshot is g."""
-    if p < 1:
-        raise ValueError("period must be >= 1")
+    if type(p) is not int or p < 1:
+        raise ValueError("period must be an int >= 1: %r" % (p,))
     return PeriodicGraph([g] * p)

@@ -2,18 +2,21 @@
 
 Some target instances have no explicit edge lists, only constraints: snapshot
 shape, footprint facts, corner-freeness and the solver-verified triple.  Each
-search family is a stream of candidates, and one loop in `search` drives
-every stream under the same `max_tries` and deadline.  One list of target
-predicates, cheapest first, decides the candidates.  `check_targets` screens
-a candidate in one pass: it stops at the first failure, and for a candidate
-that passes it returns the certificate, what each predicate computed.
-`certify` re-evaluates the whole list on a given instance, such as a shipped
-witness.  Each snapshot and footprint constraint kind is declared once, with
-its fields and its test, and each rule a spec's values obey is one row of the
-`_RULES` table, which `SearchSpec` walks when it is built and `search` and
-`certify` walk again on entry; a target, hint or `edge_layers` key is known
-exactly when it has a row.  Only the rules that compare fields are named
-checks.  Witnesses ship as data files and regenerate from (spec, seed).
+search family is a stream of candidates, each (instance, witness params) or
+None, and one loop in `search` drives every stream under the same
+`max_tries` and deadline.  One list of target predicates, cheapest first,
+decides the candidates.  `check_targets` screens a candidate in one pass: it
+stops at the first failure, and for a candidate that passes it returns the
+certificate, what each predicate computed.  `certify` re-evaluates the whole
+list on a given instance, such as a shipped witness.  Each snapshot and
+footprint constraint kind is declared once, with its fields and its test,
+and each rule a spec's values obey is one row of the `_RULES` table, which
+`SearchSpec` walks when it is built and `search` and `certify` walk again on
+entry; a target, hint or `edge_layers` key is known exactly when it has a
+row.  Only the rules that compare fields are named checks.  What each family
+needs of its spec is stated once, in `_check_family`, which runs after the
+rows, so `search` refuses no spec that `SearchSpec` accepts.
+Witnesses ship as data files and regenerate from (spec, seed).
 `verify_table` checks the paper's 27-row (a, b, c) table: each row comes from
 the generator or named spec that states its triple, and a named spec's
 shipped witness is checked by `certify`.
@@ -56,14 +59,8 @@ from . import solver as _solver
 
 # the circulant strides when a spec lists none
 _STRIDES = (1, 2, 3, 4, 5)
-# family -> the snapshot constraint field its candidate stream reads
-_FAMILIES = {
-    "subgraph_assignment": "edges",
-    "hamiltonian_path": None,
-    "girth_snapshots": None,
-    "circulant": None,
-    "petersen_blocks": "pattern",
-}
+_FAMILIES = ("subgraph_assignment", "hamiltonian_path", "girth_snapshots",
+             "circulant", "petersen_blocks")
 
 
 def _check_constraint(what, constraint, kinds):
@@ -186,6 +183,48 @@ def _given(spec):
             yield place, {"edge": e}
 
 
+def _check_family(spec):
+    """Raise ValueError at the first thing the spec's family needs: a field
+    its stream reads, or values its candidates can meet (a search that could
+    never meet them would only run to its budget).  Every value read here
+    has passed its `_RULES` rows and the `edge_layers` checks."""
+    f, n, p, c = spec.family, spec.n, spec.p, spec.snapshot_constraint
+    if f == "subgraph_assignment":
+        needs = [("edges" in c, "snapshot constraint field edges")]
+    elif f == "hamiltonian_path":
+        # a path gives the hub at most two neighbours a snapshot
+        needs = [(spec.footprint_constraint.get("kind") != "universal_vertex"
+                  or 2 * p >= n - 1, "2p >= n - 1 with a universal_vertex "
+                  "footprint: n = %d, p = %d" % (n, p))]
+    elif f == "girth_snapshots":
+        # girth-4 snapshots, so at least a 4-cycle's vertices
+        needs = [(c.get("kind", "girth") == "girth",
+                  "snapshot constraint kind = 'girth': %r" % c.get("kind")),
+                 (c.get("girth", 4) == 4,
+                  "snapshot constraint girth = 4: %r" % c.get("girth")),
+                 (n >= 4, "n >= 4: %d" % n)]
+    elif f == "circulant":
+        # circulant_123 instances: Z_11, one stride a step, an odd number of
+        # strides covering 1..5 exactly, and some order with no two
+        # cyclically consecutive strides equal, which exists iff no stride
+        # fills more than half of the steps
+        strides = c.get("strides", _STRIDES)
+        needs = [((n, p) == (11, len(strides)) and len(strides) % 2 == 1
+                  and set(strides) == set(_STRIDES)
+                  and max(map(strides.count, _STRIDES)) <= len(strides) // 2,
+                  "n = 11 and p = the number of strides, an odd number >= 5 of "
+                  "strides covering 1..5, none in more than half the steps: "
+                  "n = %d, p = %d, strides %r" % (n, p, strides))]
+    else:  # petersen_blocks: Petersen's 5-cycles, grown to spanning subgraphs
+        needs = [("pattern" in c, "snapshot constraint field pattern"),
+                 (n == 10, "n = 10: %d" % n),
+                 (c.get("cycle_length", 5) == 5,
+                  "snapshot constraint cycle_length = 5: %r" % c.get("cycle_length"))]
+    for ok, need in needs:
+        if not ok:
+            raise ValueError("search family %s needs %s" % (f, need))
+
+
 @dataclass
 class SearchSpec:
     name: str
@@ -206,13 +245,6 @@ class SearchSpec:
             raise ValueError("unknown search family: %s" % self.family)
         _check_constraint("snapshot", self.snapshot_constraint, _SNAPSHOT_KINDS)
         _check_constraint("footprint", self.footprint_constraint, _FOOTPRINT_KINDS)
-        need = _FAMILIES[self.family]
-        if need is not None and need not in self.snapshot_constraint:
-            raise ValueError("search family %s needs snapshot constraint field %s"
-                             % (self.family, need))
-        if self.family == "petersen_blocks" and self.n != 10:
-            raise ValueError("search family petersen_blocks needs n = 10: %d"
-                             % self.n)
         for place, given in _given(self):
             self._check(place, given)
         # the hints steer the layers of the snapshot constraint's edges only
@@ -227,6 +259,7 @@ class SearchSpec:
                 raise ValueError("edge_layers hints name one edge twice: %r"
                                  % (h["edge"],))
             hinted.add(e)
+        _check_family(self)
 
     def _check(self, place, given):
         """Raise ValueError at the first unknown key or failing row of
@@ -512,7 +545,7 @@ def _gen_hamiltonian(spec, rng):
         if hub is not None and len(cover) != n - 1:
             yield None
             continue
-        yield PeriodicGraph(graphs)
+        yield PeriodicGraph(graphs), {}
 
 
 # the largest n whose draws keep a verdict table: 2^n sides, each with one
@@ -576,38 +609,32 @@ def _sample_girth4(rng, n):
     For n <= 7 a draw is one of few: 2^n sides, each with at most 2^12
     subsets of its cross pairs (18,306 draws in all at n = 6).  A search
     samples far more draws than that (lem122's makes 555,197 at n = 6), so
-    most draws repeat.  A verdict table per n, one byte per draw, runs the
-    connectivity and girth tests once per draw; a rejected draw seen before
-    costs one read, and an accepted one only its Graph.  For n >= 8 the
-    table would take 16 MB or more, and the plain loop runs.
+    most draws repeat.  The verdict table of n, one byte per draw, is a
+    cache that the loop reads before it builds a draw's edges: the
+    connectivity and girth tests run once per draw, a rejected draw seen
+    before costs one read, and an accepted one only its Graph.  For n >= 8
+    the table would take 16 MB or more, so every draw is tested.
     """
-    if n > _GIRTH4_TABLE_MAX_N:
-        for _ in range(200):
-            side = [rng.random() < 0.5 for _ in range(n)]
-            if all(side) or not any(side):
-                continue
-            g = _connected_girth4(
-                n, [e for e in _cross_pairs(side) if rng.random() < 0.5])
-            if g is not None:
-                return g
-        return None
-    pairs_by_side, offsets, verdicts = _girth4_table(n)
+    pairs_by_side, offsets, verdicts = (
+        _girth4_table(n) if n <= _GIRTH4_TABLE_MAX_N else (None, None, None))
     everyone = (1 << n) - 1
     for _ in range(200):
-        s = int(_coin_flips(rng, n), 2)
+        side = _coin_flips(rng, n)
+        s = int(side, 2)
         if s == 0 or s == everyone:
             continue
-        pairs = pairs_by_side[s]
+        pairs = _cross_pairs(side) if verdicts is None else pairs_by_side[s]
         cross = _coin_flips(rng, len(pairs))
-        at = offsets[s] + int(cross, 2)
-        verdict = verdicts[at]
+        at = None if verdicts is None else offsets[s] + int(cross, 2)
+        verdict = 0 if at is None else verdicts[at]
         if verdict == _REJECTED:
             continue
         edges = [e for e, c in zip(pairs, cross) if c == 49]  # b"1"
         if verdict == _ACCEPTED:
             return Graph(n, edges)
         g = _connected_girth4(n, edges)
-        verdicts[at] = _REJECTED if g is None else _ACCEPTED
+        if at is not None:
+            verdicts[at] = _REJECTED if g is None else _ACCEPTED
         if g is not None:
             return g
     return None
@@ -632,7 +659,7 @@ def _gen_girth(spec, rng):
         if any(g is None for g in rest):
             yield None
             continue
-        yield PeriodicGraph([g0] + rest)
+        yield PeriodicGraph([g0] + rest), {}
 
 
 def _petersen_five_cycles():
@@ -682,7 +709,7 @@ def _gen_petersen_blocks(spec, rng):
         if want:
             yield None
             continue
-        yield PeriodicGraph([per_group[gid] for gid in pattern])
+        yield PeriodicGraph([per_group[gid] for gid in pattern]), {}
 
 
 def _pg_from_assignment(n, p, edges, assign):
@@ -783,39 +810,11 @@ def _candidates(spec, rng):
             return _iter_subgraph_assignments(spec)
         return _local_moves(spec, rng)
     if spec.family == "circulant":
-        # its stream builds circulant_123 instances: Z_11, one stride a step,
-        # an odd number of strides covering 1..5 exactly, and some order with
-        # no two cyclically consecutive strides equal, which exists iff no
-        # stride fills more than half of the steps
-        strides = spec.snapshot_constraint.get("strides", _STRIDES)
-        if not ((spec.n, spec.p) == (11, len(strides))
-                and len(strides) % 2
-                and set(strides) == set(_STRIDES)
-                and max(map(strides.count, _STRIDES)) <= len(strides) // 2):
-            raise ValueError("search family circulant needs n = 11 and p = the "
-                             "number of strides, an odd number >= 5 of strides "
-                             "covering 1..5, none in more than half the steps: "
-                             "n = %d, p = %d, strides %r"
-                             % (spec.n, spec.p, strides))
         return _iter_circulant(spec)
-    # girth_snapshots draws girth-4 snapshots and petersen_blocks builds its
-    # snapshots around Petersen's 5-cycles, so no other kind or value can be met
-    for family, key, value in (("girth_snapshots", "kind", "girth"),
-                               ("girth_snapshots", "girth", 4),
-                               ("petersen_blocks", "cycle_length", 5)):
-        if spec.family == family and spec.snapshot_constraint.get(key, value) != value:
-            raise ValueError("search family %s needs snapshot constraint %s = %r: %r"
-                             % (family, key, value, spec.snapshot_constraint[key]))
     # looked up per call: the benchmark wraps the module-level _gen_girth
-    generators = {
-        "hamiltonian_path": _gen_hamiltonian,
-        "girth_snapshots": _gen_girth,
-        "petersen_blocks": _gen_petersen_blocks,
-    }
-    return (
-        None if pg is None else (pg, {})
-        for pg in generators[spec.family](spec, rng)
-    )
+    stream = {"hamiltonian_path": _gen_hamiltonian, "girth_snapshots": _gen_girth,
+              "petersen_blocks": _gen_petersen_blocks}[spec.family]
+    return stream(spec, rng)
 
 
 def search(spec):

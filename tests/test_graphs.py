@@ -82,6 +82,14 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match=r"^n must be an int >= 0: %s$" % re.escape(repr(n))):
             Graph(n)
 
+    @pytest.mark.parametrize("edge", [(False, True), (0, True), (0, 1.0), (0.0, 2),
+                                      ("0", 1), (None, 1)])
+    def test_endpoints_must_be_ints(self, edge):
+        # (False, True) was stored and serialized as [false, true], which
+        # parse refuses; (0, 1.0) raised TypeError
+        with pytest.raises(ValueError, match=r"^edge endpoints must be ints: "):
+            Graph(3, [edge])
+
     def test_is_connected_against_networkx(self, rng):
         for _ in range(300):
             g = random_graph(rng, rng.randint(1, 11), rng.choice([0.1, 0.25, 0.5]))

@@ -25,6 +25,34 @@ class TestPeriodicGraph:
             constant(Graph(0), 3)
 
 
+PG = bowtie_221().instance  # n = 7, p = 6
+
+
+class TestIntArguments:
+    """Vertices and counts are ints, and bool is not one."""
+
+    @pytest.mark.parametrize("fn, args, match", [
+        (induced, (PG, [True, 2]), "induced: vertices must be ints"),
+        (induced, (PG, [1, True]), "induced: vertices must be ints"),
+        (induced, (PG, [0, 2.0]), "induced: vertices must be ints"),
+        (pad, (PG, 9, True), "pad: target_n and attach must be ints"),
+        (pad, (PG, 9.0, 0), "pad: target_n and attach must be ints"),
+        (pad, (PG, 9, 1.0), "pad: target_n and attach must be ints"),
+        (pad_collapse_map, (PG, 9, True), "pad: target_n and attach must be ints"),
+        (pad_collapse_map, (PG, 9.0, 0), "pad: target_n and attach must be ints"),
+        (pad_collapse_map, (PG, 9, 99), "pad: attach vertex out of range"),
+        (pad_collapse_map, (PG, 3, 0), "pad: target_n 3 < n 7"),
+        (constant, (path_graph(3), True), "period must be an int >= 1: True"),
+        (constant, (path_graph(3), 2.0), r"period must be an int >= 1: 2\.0"),
+        (foremost_journey, (PG, 0, True, 3), "u must be a vertex of 0..6: True"),
+        (foremost_journey, (PG, 0, 0, 3.0), r"v must be a vertex of 0..6: 3\.0"),
+        (foremost_journey, (PG, 0.5, 0, 3), r"t_start must be an int: 0\.5"),
+    ])
+    def test_refused(self, fn, args, match):
+        with pytest.raises(ValueError, match=match):
+            fn(*args)
+
+
 class TestFootprint:
     def test_q3(self):
         foot = footprint(q3_rotation().instance)

@@ -204,7 +204,9 @@ class TestSpecValues:
         (_named_with("search_321", snapshot_constraint={
             **get_spec("search_321").snapshot_constraint, "pattern": 20}),
          "pattern must be a list of length p = 20: 20"),
-        (_named_with("search_321", n=6), "petersen_blocks needs n = 10: 6"),
+        # the edge rows come before the family's n = 10
+        (_named_with("search_321", n=6),
+         r"snapshot constraint edge must be two distinct ints in \[0, 6\): \[1, 6\]"),
         # each target, hint and constraint value a predicate or a stream reads
         (_c4_with(targets={"copnum": "2"}), r"search target copnum must be an int >= 1: '2'"),
         (_c4_with(targets={"copnum": True}), "search target copnum must be an int >= 1: True"),
@@ -564,29 +566,29 @@ class TestGirthSampler:
 
     def test_cold_and_warm_tables_agree(self, monkeypatch):
         monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
+        judged = []
+        judge = search_module._connected_girth4
+        monkeypatch.setattr(search_module, "_connected_girth4",
+                            lambda n, edges: judged.append(n) or judge(n, edges))
         for n in range(4, 8):
             runs = []
             for _ in ("cold", "warm"):
+                judged.clear()
                 run = []
                 for seed in range(200):
                     rng = random.Random(seed)
                     run.append((_sample_girth4(rng, n), rng.getstate()))
                 runs.append(run)
-                verdicts = bytes(search_module._GIRTH4_TABLES[n][2])
             cold, warm = runs
             assert cold == warm, n
             # the warm pass judged nothing anew: every draw was read
-            assert bytes(search_module._GIRTH4_TABLES[n][2]) == verdicts
+            assert judged == [], n
+            verdicts = search_module._GIRTH4_TABLES[n][2]
             assert search_module._ACCEPTED in verdicts
             assert search_module._REJECTED in verdicts
 
-    def test_n8_takes_the_plain_loop(self, monkeypatch):
+    def test_n8_keeps_no_table(self, monkeypatch):
         monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
-
-        def no_decoding(rng, m):
-            raise AssertionError("n = 8 decoded a draw")
-
-        monkeypatch.setattr(search_module, "_coin_flips", no_decoding)
         found = [_sample_girth4(random.Random(seed), 8) for seed in range(20)]
         assert any(g is not None for g in found)
         assert search_module._GIRTH4_TABLES == {}
@@ -923,7 +925,8 @@ class TestConstraintKinds:
     @pytest.mark.parametrize("side, constraint, good, bad", KIND_CASES,
                              ids=[c["kind"] for _, c, _, _ in KIND_CASES])
     def test_kind(self, side, constraint, good, bad):
-        spec = SearchSpec(name="kind", n=good[0].n, p=len(good), family="circulant",
+        spec = SearchSpec(name="kind", n=good[0].n, p=len(good),
+                          family="hamiltonian_path",
                           **{"%s_constraint" % side: constraint})
         key = "snapshots_ok" if side == "snapshot" else "footprint_ok"
         assert certify(PeriodicGraph(good), spec)[key] is True
@@ -957,8 +960,8 @@ class TestPetersenFiveCycles:
 
 
 class TestSpecEdgesAndCirculant:
-    """Every edge a spec names is checked where the spec is built; the
-    circulant family's n and p are checked before its first candidate."""
+    """Every edge a spec names, and the circulant family's n, p and strides,
+    are checked where the spec is built."""
 
     @pytest.mark.parametrize("fields, match", [
         ({"footprint_constraint": {"kind": "equals", "edges": [[0, 9]]}},
@@ -1004,10 +1007,9 @@ class TestSpecEdgesAndCirculant:
                                                   "strides": [1, 2, 3, 4, 5, 1, 4]}},
     ])
     def test_circulant_needs_z11_and_one_stride_a_step(self, fields):
-        spec = SearchSpec(name="x", family="circulant", **fields)
         with pytest.raises(ValueError, match="circulant needs n = 11 and p = the "
                                              "number of strides"):
-            search(spec)
+            SearchSpec(name="x", family="circulant", **fields)
 
     @pytest.mark.parametrize("name, field, value", [
         ("lem122", "girth", 5), ("lem122", "girth", 3),
@@ -1113,6 +1115,83 @@ class TestSpecEdgesAndCirculant:
                                             "edges": [[0, 1], [1, 2]]},
                        hints={"edge_layers": [
                            {"edge": [0, 2], "require": [0], "forbid": [1]}]})
+
+
+# (a valid spec, fields that break one family rule, the message), one case
+# per rule in the order `_check_family` states them
+FAMILY_RULE_CASES = [
+    (C4_SPEC, {"snapshot_constraint": {"kind": "hamiltonian_path"}},
+     "search family subgraph_assignment needs snapshot constraint field edges"),
+    # a Hamiltonian path gives the hub at most two neighbours a snapshot
+    (get_spec("thm112").as_dict(), {"p": 3},
+     "search family hamiltonian_path needs 2p >= n - 1 with a universal_vertex "
+     "footprint: n = 9, p = 3"),
+    (get_spec("lem122").as_dict(), {"snapshot_constraint": {"kind": "hamiltonian_path"}},
+     "search family girth_snapshots needs snapshot constraint kind = 'girth': "
+     "'hamiltonian_path'"),
+    (get_spec("lem122").as_dict(), {"snapshot_constraint": {"kind": "girth", "girth": 5}},
+     "search family girth_snapshots needs snapshot constraint girth = 4: 5"),
+    # a girth-4 graph has a 4-cycle
+    (get_spec("lem122").as_dict(), {"n": 3},
+     "search family girth_snapshots needs n >= 4: 3"),
+    (get_spec("circulant_123").as_dict(), {"p": 3},
+     "search family circulant needs n = 11 and p = the number of strides, an odd "
+     "number >= 5 of strides covering 1..5, none in more than half the steps: "
+     "n = 11, p = 3, strides [1, 2, 3, 4, 5]"),
+    (get_spec("search_321").as_dict(), {"snapshot_constraint": {
+        "kind": "spanning_subgraph_with_cycle", "edges": [[0, 1]], "cycle_length": 5}},
+     "search family petersen_blocks needs snapshot constraint field pattern"),
+    (get_spec("search_321").as_dict(), {"n": 6, "footprint_constraint": {},
+                                        "snapshot_constraint": {
+        "kind": "spanning_subgraph_with_cycle", "edges": [[0, 1]], "cycle_length": 5,
+        "pattern": [0] * 20}},
+     "search family petersen_blocks needs n = 10: 6"),
+    (get_spec("search_321").as_dict(), {"snapshot_constraint": {
+        **get_spec("search_321").snapshot_constraint, "cycle_length": 4}},
+     "search family petersen_blocks needs snapshot constraint cycle_length = 5: 4"),
+]
+
+
+class TestFamilyRules:
+    """What a family needs of its spec is checked where the spec is built, and
+    again by `search` and `certify`, with one message."""
+
+    @pytest.mark.parametrize("base, fields, message", FAMILY_RULE_CASES,
+                             ids=[m.split(" needs ")[0].split()[-1] + "-" + str(i)
+                                  for i, (_, _, m) in enumerate(FAMILY_RULE_CASES)])
+    def test_rule_refused_everywhere(self, base, fields, message):
+        SearchSpec(**base)  # the base is valid
+        d = {**base, **fields}
+        pg = PeriodicGraph([Graph(base["n"])])
+        got = []
+        for build in (lambda: SearchSpec(**d), lambda: spec_from_dict(d)):
+            with pytest.raises(ValueError) as e:
+                build()
+            got.append(str(e.value))
+        for run in (search, lambda spec: certify(pg, spec)):
+            spec = SearchSpec(**{**base, "max_tries": 0})
+            for key, value in fields.items():
+                setattr(spec, key, value)
+            with pytest.raises(ValueError) as e:
+                run(spec)
+            got.append(str(e.value))
+        assert got == [message] * 4
+
+    def test_every_family_has_a_case(self):
+        from percop.search import _FAMILIES
+
+        assert {base["family"] for base, _, _ in FAMILY_RULE_CASES} == set(_FAMILIES)
+
+    @pytest.mark.parametrize("name, fields", [
+        ("thm112", {"p": 4}), ("thm112", {"n": 3, "p": 1, "hints": {},
+                                          "footprint_constraint": {
+                                              "kind": "universal_vertex", "vertex": 0}}),
+        ("lem122", {"n": 4}),
+    ])
+    def test_boundary_accepted(self, name, fields):
+        # 2p = n - 1 and n = 4 can be met: a hub in the middle of each path,
+        # and the 4-cycle
+        spec_from_dict(_named_with(name, **fields))
 
 
 def _cases(test):
