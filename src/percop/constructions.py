@@ -16,6 +16,7 @@ from .graphs import (
     Graph,
     PETERSEN_EDGES,
     PETERSEN_LABELS,
+    cycle_graph,
     petersen_graph,
     radius,
     spanning_tree_cover,
@@ -89,9 +90,7 @@ def petersen_132():
     """
     n = 11
     x = 10
-    outer = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
-    spokes = [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
-    h = Graph(n, outer + spokes + [(0, x)])
+    h = Graph(n, PETERSEN_EDGES[:10] + ((0, x),))  # outer cycle and spokes
     snaps = []
     for t in range(50):
         if t % 5 == 0:
@@ -179,16 +178,9 @@ def circulant_123(steps):
         raise ValueError("circulant_123 forbids equal consecutive strides")
     if set(steps) != {1, 2, 3, 4, 5}:
         raise ValueError("circulant_123 strides must cover {1,2,3,4,5}")
-    snaps = []
-    for s in steps:
-        edges = set()
-        for u in range(11):
-            v = (u + s) % 11
-            edges.add((min(u, v), max(u, v)))
-        snaps.append(Graph(11, sorted(edges)))
     return ConstructionSpecimen(
         name="circulant_123",
-        instance=PeriodicGraph(snaps),
+        instance=PeriodicGraph(cycle_graph(11, s) for s in steps),
         expected_triple=(1, 2, 3),
         provenance="reconstruction-required",
         params={"steps": steps},
@@ -210,8 +202,6 @@ def diagonal_111():
 
 
 def diagonal_222():
-    from .graphs import cycle_graph
-
     return constant_specimen("diagonal_222", cycle_graph(4), 2, (2, 2, 2))
 
 

@@ -365,8 +365,9 @@ def path_graph(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+def cycle_graph(n, stride=1):
+    """The stride-s cycle on Z_n: u ~ u + s mod n (the n-cycle at s = 1)."""
+    return Graph(n, [(i, (i + stride) % n) for i in range(n)])
 
 
 def complete_graph(n):

@@ -11,11 +11,10 @@ class PeriodicGraph:
     Snapshot indices are read modulo p everywhere.  ``usnap`` maps each layer
     to an index into ``unique_snapshots`` so that solvers can cache per-snapshot
     work when the sequence repeats graphs (the shipped constructions repeat
-    heavily).  ``_copnum`` is the cop number once ``solver.cop_number`` has
-    decided it, None before; it is derived, so equality ignores it.
+    heavily).
     """
 
-    __slots__ = ("n", "snapshots", "usnap", "unique_snapshots", "_copnum")
+    __slots__ = ("n", "snapshots", "usnap", "unique_snapshots")
 
     def __init__(self, snapshots):
         snapshots = tuple(snapshots)
@@ -39,7 +38,6 @@ class PeriodicGraph:
             us.append(idx[key])
         self.unique_snapshots = tuple(uniq)
         self.usnap = tuple(us)
-        self._copnum = None
 
     @property
     def period(self):

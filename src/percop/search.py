@@ -38,6 +38,7 @@ from .graphs import (
     PETERSEN_EDGES,
     Retraction,
     check_retraction,
+    cycle_graph,
     dismantle,  # unused here; perfbench/probes.py wraps search.dismantle
     domination_number,
     girth,
@@ -192,17 +193,27 @@ def _check_family(spec):
     if f == "subgraph_assignment":
         needs = [("edges" in c, "snapshot constraint field edges")]
     elif f == "hamiltonian_path":
-        # a path gives the hub at most two neighbours a snapshot
-        needs = [(spec.footprint_constraint.get("kind") != "universal_vertex"
+        # a path has no cycle, and gives the hub at most two neighbours a
+        # snapshot
+        needs = [(c.get("kind") not in ("girth", "circulant",
+                                        "spanning_subgraph_with_cycle"),
+                  "a snapshot constraint kind that a path can meet: %r"
+                  % c.get("kind")),
+                 (spec.footprint_constraint.get("kind") != "universal_vertex"
                   or 2 * p >= n - 1, "2p >= n - 1 with a universal_vertex "
                   "footprint: n = %d, p = %d" % (n, p))]
     elif f == "girth_snapshots":
-        # girth-4 snapshots, so at least a 4-cycle's vertices
+        # connected girth-4 snapshots, so at least a 4-cycle's vertices and a
+        # connected footprint
+        fc = spec.footprint_constraint
         needs = [(c.get("kind", "girth") == "girth",
                   "snapshot constraint kind = 'girth': %r" % c.get("kind")),
                  (c.get("girth", 4) == 4,
                   "snapshot constraint girth = 4: %r" % c.get("girth")),
-                 (n >= 4, "n >= 4: %d" % n)]
+                 (n >= 4, "n >= 4: %d" % n),
+                 (fc.get("kind") != "equals"
+                  or Graph(n, _edge_list(fc["edges"])).is_connected(),
+                  "a connected footprint: equals %r" % (fc.get("edges"),))]
     elif f == "circulant":
         # circulant_123 instances: Z_11, one stride a step, an odd number of
         # strides covering 1..5 exactly, and some order with no two
@@ -351,10 +362,10 @@ def _subgraphs_of(pg, c):
 
 
 def _stride_cycles(pg, c):
-    """Every snapshot is the stride-s cycle on Z_n for a listed stride s."""
-    n = pg.n
-    cycles = [frozenset(_edge_list((u, (u + s) % n) for u in range(n)))
-              for s in c.get("strides", _STRIDES)]
+    """Every snapshot is the stride-s cycle on Z_n for a listed stride s; a
+    stride that n divides (`certify` may get another n) gives no cycle."""
+    cycles = [cycle_graph(pg.n, s).edges for s in c.get("strides", _STRIDES)
+              if s % pg.n]
     return all(g.edges in cycles for g in pg.unique_snapshots)
 
 
@@ -405,8 +416,8 @@ def _predicates(pg, spec):
     entry may be a zero-argument callable, computed only if read: a failing
     `no_corner_k` counts its corners only for `certify`, which calls it.  A
     `copnum` target needs only the periodic ascent, so it is decided before
-    `triple()`, which serves every other cop-number target; the instance
-    keeps its decided cop number, so the triple does not solve it again.
+    `triple()`, which serves every other cop-number target: most candidates
+    fail it, and the few that pass ascend once more inside the triple.
     """
     t = spec.targets
     ok = _holds(pg, spec.footprint_constraint, _FOOTPRINT_KINDS)

@@ -599,17 +599,12 @@ def cop_number(pg):
     picks the component to hide in: c(G) = sum of c(C_i) (Bonato & Nowakowski,
     The Game of Cops and Robbers on Graphs, 2011; Erlebach & Spooner, SOFSEM
     2020, for periodic graphs).  A connected footprint is one ascent on pg,
-    any other one ascent per induced component.  pg keeps the answer, so a
-    second call on the same instance solves nothing.
+    any other one ascent per induced component.
     """
-    if pg._copnum is None:
-        comps = _periodic.footprint(pg).components()
-        if len(comps) < 2:
-            pg._copnum = solve_cop_number(pg)[0]
-        else:
-            pg._copnum = sum(solve_cop_number(_periodic.induced(pg, c)[0])[0]
-                            for c in comps)
-    return pg._copnum
+    comps = _periodic.footprint(pg).components()
+    if len(comps) < 2:
+        return solve_cop_number(pg)[0]
+    return sum(solve_cop_number(_periodic.induced(pg, c)[0])[0] for c in comps)
 
 
 def static_cop_number(g):

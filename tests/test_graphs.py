@@ -300,6 +300,22 @@ class TestRetraction:
         with pytest.raises(ValueError, match="not total"):
             check_retraction(Retraction(g, [0], {0: 0, 1: 0}))
 
+    @pytest.mark.parametrize("image", [3, -1])
+    def test_image_out_of_range_errors(self, image):
+        g = Graph(3, [(0, 1)])
+        with pytest.raises(ValueError, match="image out of range: 2 -> %d" % image):
+            check_retraction(Retraction(g, [0, 1], {0: 0, 1: 1, 2: image}))
+
+    def test_target_vertex_not_fixed_rejected(self):
+        # every vertex to 1: a homomorphism into the target, but 0 moves
+        g = path_graph(3)
+        assert not check_retraction(Retraction(g, [0, 1], {0: 1, 1: 1, 2: 1}))
+
+    def test_image_outside_target_rejected(self):
+        # the identity fixes the target, but sends 2 outside it
+        g = path_graph(3)
+        assert not check_retraction(Retraction(g, [0, 1], {0: 0, 1: 1, 2: 2}))
+
     def test_edge_preservation_property(self, rng):
         for _ in range(20):
             g = random_connected_graph(rng, 6)

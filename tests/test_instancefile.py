@@ -190,6 +190,24 @@ class TestErrors:
         obj["labels"] = {"0": 5}
         self.expect(obj, "field-type")
 
+    def test_top_level_not_an_object(self):
+        with pytest.raises(InstanceError, match="top level must be an object") as err:
+            parse("[1, 2]")
+        assert err.value.code == "syntax"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("snapshots", [[[0, 1]], 5], "snapshots must be a list of edge lists"),
+        ("snapshots", {"0": []}, "snapshots must be a list of edge lists"),
+        ("labels", ["a"], "labels must be an object"),
+        ("expected", [3], "expected must be an object"),
+    ])
+    def test_wrong_container(self, field, value, message):
+        obj = base_obj()
+        obj[field] = value
+        with pytest.raises(InstanceError, match=message) as err:
+            parse_obj(obj)
+        assert err.value.code == "field-type"
+
 
 class TestSizeLimit:
     def test_huge_n_refused_before_allocating(self):

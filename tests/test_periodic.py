@@ -24,6 +24,14 @@ class TestPeriodicGraph:
         with pytest.raises(ValueError, match="n must be >= 1"):
             constant(Graph(0), 3)
 
+    def test_no_snapshot_refused(self):
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            PeriodicGraph([])
+
+    def test_snapshots_disagreeing_on_n_refused(self):
+        with pytest.raises(ValueError, match="snapshots disagree on vertex count"):
+            PeriodicGraph([Graph(3), Graph(4)])
+
 
 PG = bowtie_221().instance  # n = 7, p = 6
 
@@ -186,6 +194,11 @@ class TestInduced:
     def test_empty_errors(self, rng):
         with pytest.raises(ValueError):
             induced(random_periodic(rng, 4, 2), [])
+
+    @pytest.mark.parametrize("vertices", [[0, 4], [-1, 0]])
+    def test_vertex_out_of_range_errors(self, rng, vertices):
+        with pytest.raises(ValueError, match="induced: vertex out of range"):
+            induced(random_periodic(rng, 4, 2), vertices)
 
     def test_commutes_with_footprint(self, rng):
         for _ in range(20):

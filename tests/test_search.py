@@ -522,6 +522,21 @@ class TestRandomizedMode:
         assert a.witness.instance == b.witness.instance
         assert a.tried == b.tried
 
+    def test_hamiltonian_paths_without_an_opening_hint(self):
+        # with no g0_path hint every round shuffles its opening path
+        spec = SearchSpec(name="paths", n=5, p=2, family="hamiltonian_path",
+                          snapshot_constraint={"kind": "hamiltonian_path"},
+                          targets={"no_corner_k": [1]}, max_tries=200)
+        openings = set()
+        for seed in range(4):
+            spec.seed = seed
+            out = search(spec)
+            assert out.status == "found" and out.certificates["snapshots_ok"]
+            assert out.certificates["corners_k1"] == 0
+            assert search(spec).witness.instance == out.witness.instance
+            openings.add(out.witness.instance.snapshots[0])
+        assert len(openings) > 1
+
 
 def _old_sample_girth4(rng, n):
     """The sampler as first written: a Graph per draw, then the two tests."""
@@ -662,6 +677,15 @@ class TestCertify:
         bad = circulant_123([2, 3, 5, 1, 4]).instance  # has 2-corners
         certs = certify(bad, spec)
         assert not certs["verified"]
+
+    @pytest.mark.parametrize("value, passed", [(2, True), (1, False)])
+    def test_footprint_copnum_target(self, value, passed):
+        # the footprint C4 needs two cops, whatever the periodic game needs
+        spec = SearchSpec(**_c4_with(targets={"footprint_copnum": value}))
+        pg = PeriodicGraph([cycle_graph(4), Graph(4, [(0, 1), (2, 3)])])
+        certs = certify(pg, spec)
+        assert certs["triple"][0] == 2 and certs["verified"] is passed
+        assert (check_targets(pg, spec) is not None) is passed
 
 
 def _footprint_spec(g, p, c):
@@ -882,10 +906,6 @@ class TestSinglePass:
         assert ("girth" in calls) == (name in ("lem122", "search_321"))
 
 
-def _cycle(n, stride=1):
-    return Graph(n, [(u, (u + stride) % n) for u in range(n)])
-
-
 PATH3 = Graph(3, [(0, 1), (1, 2)])
 PATH4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -899,12 +919,15 @@ KIND_CASES = [
     ("snapshot", {"kind": "girth", "girth": 4},
      [cycle_graph(4), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])],
      [cycle_graph(4), complete_graph(4)]),
-    ("snapshot", {"kind": "circulant", "strides": [1, 2]},
-     [_cycle(5, 1), _cycle(5, 2)], [_cycle(5, 1), path_graph(5)]),
+    ("snapshot", {"kind": "circulant", "strides": [1, 2, 3, 4, 5]},
+     [cycle_graph(11, s) for s in (1, 2, 3, 4, 5)],
+     [cycle_graph(11, s) for s in (1, 2, 3, 4)] + [path_graph(11)]),
+    # Petersen less an edge keeps girth 5, but breaks the pattern
     ("snapshot", {"kind": "spanning_subgraph_with_cycle",
-                  "edges": [list(e) for e in complete_graph(5).sorted_edges()],
+                  "edges": [list(e) for e in PETERSEN_EDGES],
                   "cycle_length": 5, "pattern": [0, 0]},
-     [_cycle(5, 2), _cycle(5, 2)], [_cycle(5, 1), _cycle(5, 2)]),
+     [petersen_graph(), petersen_graph()],
+     [petersen_graph(), Graph(10, PETERSEN_EDGES[1:])]),
     ("footprint", {"kind": "equals", "edges": [[0, 1], [2, 1]]},
      [Graph(3, [(0, 1)]), Graph(3, [(1, 2)])], [Graph(3, [(0, 1)]), Graph(3)]),
     ("footprint", {"kind": "universal_vertex", "vertex": 1},
@@ -913,6 +936,12 @@ KIND_CASES = [
     ("footprint", {"kind": "connected"},
      [Graph(3, [(0, 1)]), Graph(3, [(1, 2)])], [Graph(3, [(0, 1)]), Graph(3)]),
 ]
+
+
+# the family each cyclic snapshot kind is tested under; a Hamiltonian path
+# has no cycle, and every other kind is tested under hamiltonian_path
+_CYCLIC_KIND_FAMILY = {"girth": "girth_snapshots", "circulant": "circulant",
+                       "spanning_subgraph_with_cycle": "petersen_blocks"}
 
 
 class TestConstraintKinds:
@@ -926,7 +955,8 @@ class TestConstraintKinds:
                              ids=[c["kind"] for _, c, _, _ in KIND_CASES])
     def test_kind(self, side, constraint, good, bad):
         spec = SearchSpec(name="kind", n=good[0].n, p=len(good),
-                          family="hamiltonian_path",
+                          family=_CYCLIC_KIND_FAMILY.get(constraint["kind"],
+                                                         "hamiltonian_path"),
                           **{"%s_constraint" % side: constraint})
         key = "snapshots_ok" if side == "snapshot" else "footprint_ok"
         assert certify(PeriodicGraph(good), spec)[key] is True
@@ -1149,6 +1179,18 @@ FAMILY_RULE_CASES = [
     (get_spec("search_321").as_dict(), {"snapshot_constraint": {
         **get_spec("search_321").snapshot_constraint, "cycle_length": 4}},
      "search family petersen_blocks needs snapshot constraint cycle_length = 5: 4"),
+    # a Hamiltonian path has no cycle
+    *((get_spec("thm112").as_dict(), {"snapshot_constraint": constraint},
+       "search family hamiltonian_path needs a snapshot constraint kind that a "
+       "path can meet: %r" % constraint["kind"])
+      for constraint in ({"kind": "girth", "girth": 4}, {"kind": "circulant"},
+                         {"kind": "spanning_subgraph_with_cycle", "edges": [[0, 1]],
+                          "cycle_length": 4})),
+    # connected snapshots have a connected footprint
+    (get_spec("lem122").as_dict(), {"footprint_constraint": {
+        "kind": "equals", "edges": [[0, 1], [1, 2]]}},
+     "search family girth_snapshots needs a connected footprint: equals "
+     "[[0, 1], [1, 2]]"),
 ]
 
 
@@ -1261,21 +1303,3 @@ class TestSpecRules:
         places = "|".join(dict.fromkeys(place for place, *_ in _RULES))
         named = re.findall(r"^- (%s) `(\w+)`" % places, readme, re.M)
         assert named == [(place, key) for place, key, _test, _rule in _RULES]
-
-
-class TestCopnumDecidedOnce:
-    def test_prop3_witness_ascended_once(self, monkeypatch):
-        # the `copnum` target decides c, and the triple reuses it
-        from percop import solver
-
-        pg, _ = load_witness("prop3_retract")
-        ascents, solves = [], []
-        ascend, solve = solver.solve_cop_number, solver.is_k_copwin
-        monkeypatch.setattr(solver, "solve_cop_number",
-                            lambda g: ascents.append(g is pg) or ascend(g))
-        monkeypatch.setattr(solver, "is_k_copwin",
-                            lambda g, k: solves.append((g is pg, k)) or solve(g, k))
-        certs = check_targets(pg, get_spec("prop3_retract"))
-        assert certs["verified"] and certs["triple"] == [2, 4, 1]
-        assert ascents.count(True) == 1
-        assert [k for on_pg, k in solves if on_pg] == [1]

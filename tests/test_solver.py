@@ -14,6 +14,7 @@ from collections import deque
 import pytest
 
 from percop.graphs import (
+    DOMINATION_LIMIT,
     Graph,
     complete_graph,
     cycle_graph,
@@ -1537,6 +1538,14 @@ class TestDisconnectedConvention:
         assert cop_number_cap(constant(g, 1)) >= static_cop_number(g)
 
 
+class TestCap:
+    def test_cap_above_the_domination_limit(self):
+        # past the limit no dominating set is computed: a cop on every vertex
+        pg = constant(path_graph(DOMINATION_LIMIT + 1), 1)
+        assert cop_number_cap(pg) == DOMINATION_LIMIT + 1
+        assert solve_cop_number(pg)[0] == 1
+
+
 class TestComponentSum:
     """cop_number sums over the footprint's components: c(G) = sum c(C_i)."""
 
@@ -1572,12 +1581,3 @@ class TestComponentSum:
             for g in pg.unique_snapshots:
                 assert static_cop_number(g) == 4
         assert calls and all(k == 1 and n < 14 for n, k in calls)
-
-    def test_decided_once_per_instance(self, monkeypatch):
-        calls = []
-        inner = solver.solve_cop_number
-        monkeypatch.setattr(solver, "solve_cop_number",
-                            lambda pg: calls.append(pg) or inner(pg))
-        pg = q3_rotation().instance
-        assert cop_number(pg) == cop_number(pg) == 3
-        assert calls == [pg]

@@ -83,6 +83,10 @@ class TestExactTreewidth:
         with pytest.raises(ValueError):
             exact_treewidth(Graph(14))
 
+    def test_empty_graph_refused(self):
+        with pytest.raises(ValueError, match="treewidth undefined for the empty graph"):
+            exact_treewidth(Graph(0))
+
     def test_random_matches_decision_oracle(self, rng):
         for _ in range(15):
             g = random_connected_graph(rng, rng.randint(3, 7), 0.45)
