@@ -468,8 +468,12 @@ def check_targets(pg, spec):
 
 def certify(pg, spec):
     """Re-evaluate a given instance: every target predicate, what each one
-    computed, and whether all passed."""
+    computed, and whether all passed.  The instance must have the spec's n;
+    its period may differ from the spec's p."""
     spec.__post_init__()  # a field may have been assigned since construction
+    if pg.n != spec.n:
+        raise ValueError("certify: the instance has n=%d, spec %r has n=%d"
+                         % (pg.n, spec.name, spec.n))
     certs = {}
     ok = True
     for passed, entries in _predicates(pg, spec):

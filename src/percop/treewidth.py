@@ -5,6 +5,9 @@ the decomposition its bags.  Every reachability question here is one
 bitmask closure (`graphs.mask_closure`): a back set is the closure from v
 through S, the tree check asks whether the tree edges connect the bags, and
 the side of a bag-tree edge (x, y) is the closure from y with x cut out.
+The DP starts every minimum just above a greedy min-fill width UB >= tw,
+which changes no value or choice on its optimal walk, since every cost there
+is at most tw.
 The width bound transfers to periodic play:
 width+1 cops holding a bag of the footprint, with one cop at a time walking
 stubbornly to the next bag, capture the robber on any temporally connected
@@ -73,6 +76,8 @@ def validate_decomposition(td, g):
     covered = set()
     for b in td.bags:
         covered |= set(b)
+    if not covered <= set(range(g.n)):
+        return "a bag holds a vertex outside the graph"
     if covered != set(range(g.n)):
         return "some vertex appears in no bag"
     for u, v in g.edges:
@@ -97,6 +102,47 @@ def _back_set(open_adj, S, v):
     return mask_closure(open_adj, 1 << v, inner) & ~inner
 
 
+def _min_fill_width(open_adj):
+    """Width of a greedy min-fill elimination ordering, an upper bound on tw.
+
+    Each step eliminates the remaining vertex whose neighbours miss the
+    fewest edges among themselves, the lowest on ties, and joins those
+    neighbours into a clique (Bodlaender & Koster 2010).
+    """
+    adj = list(open_adj)
+    alive = (1 << len(adj)) - 1
+    width = 0
+    while alive:
+        best_v, best_fill = -1, -1
+        m = alive
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            nb = adj[v]
+            fill = 0  # each missing edge among nb, counted from both ends
+            rest = nb
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                fill += (nb & ~adj[u.bit_length() - 1] & ~u).bit_count()
+            if best_fill < 0 or fill < best_fill:
+                best_v, best_fill = v, fill
+                if not fill:
+                    break
+        nb = adj[best_v]
+        width = max(width, nb.bit_count())
+        bit = 1 << best_v
+        alive ^= bit
+        rest = nb
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            adj[u] = (adj[u] | nb) & ~low & ~bit
+    return width
+
+
 def exact_treewidth(g, limit=13):
     """(treewidth, minimal TreeDecomposition) by DP over elimination prefixes.
 
@@ -104,6 +150,9 @@ def exact_treewidth(g, limit=13):
     last[S] is the lowest v reaching it.  Walking `last` down from the full
     set gives an optimal ordering; bag i is order[i] plus its back set
     Q(order[:i], order[i]), joined to the bag of its earliest back-set member.
+    Each minimum starts at the min-fill width UB + 1, which skips the options
+    costing more than UB >= tw and so keeps f and the lowest v on the walk,
+    where every cost is at most tw.
     """
     if g.n == 0:
         raise ValueError("treewidth undefined for the empty graph")
@@ -115,9 +164,10 @@ def exact_treewidth(g, limit=13):
     f = [0] * (1 << n)
     last = [0] * (1 << n)
     f[0] = -1
+    cap = _min_fill_width(open_adj) + 1
     # S - v < S, so increasing S sees every f it reads
     for S in range(1, full + 1):
-        best = n + 1
+        best = cap
         m = S
         while m:
             low = m & -m

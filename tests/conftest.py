@@ -51,6 +51,8 @@ def all_graphs(n):
     ]
 
 
+WITNESS_NAMES = ("thm112", "lem122", "circulant_123", "prop3_retract", "search_321")
+
 GOLDEN_NAMES = (
     "q3_rotation",
     "bowtie_221",

@@ -249,3 +249,72 @@ def reference_graph_classes(n):
                for q in perms):
             masks.append(mask)
     return pairs, masks
+
+
+def reference_exact_treewidth(g):
+    """(treewidth, decomposition dict) by the elimination-prefix DP, uncapped.
+
+    f(S) is the cheapest max back-set size over orderings that eliminate S
+    first, every minimum starting above any width (n + 1); last[S] is the
+    lowest v reaching it.  The back set Q(S, v) is the set of vertices
+    outside S reachable from v through S.  The decomposition is read off the
+    optimal ordering as in the production DP, in the shape of
+    `TreeDecomposition.as_dict`.
+    """
+    n = g.n
+    open_adj = [g.nbr_mask(v) & ~(1 << v) for v in range(n)]
+
+    def back_set(S, v):
+        inner = S | 1 << v
+        seen = todo = 1 << v
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = open_adj[low.bit_length() - 1] & ~seen
+            seen |= new
+            todo |= new & inner
+        return seen & ~inner
+
+    full = (1 << n) - 1
+    f = [0] * (1 << n)
+    last = [0] * (1 << n)
+    f[0] = -1
+    for S in range(1, full + 1):
+        best = n + 1
+        for v in range(n):
+            if not S >> v & 1:
+                continue
+            Sv = S ^ 1 << v
+            if f[Sv] >= best:
+                continue  # v cannot lower the minimum
+            cost = max(f[Sv], back_set(Sv, v).bit_count())
+            if cost < best:
+                best = cost
+                last[S] = v
+        f[S] = best
+
+    order = []
+    S = full
+    while S:
+        order.append(last[S])
+        S ^= 1 << last[S]
+    order.reverse()
+    pos_of = {v: i for i, v in enumerate(order)}
+    bags, tree_edges, roots = [], [], []
+    S = 0
+    for i, v in enumerate(order):
+        back = back_set(S, v)
+        S |= 1 << v
+        later = [u for u in range(n) if back >> u & 1]
+        bags.append(sorted([v] + later))
+        if later:
+            tree_edges.append((i, min(pos_of[u] for u in later)))
+        else:
+            roots.append(i)
+    tree_edges += zip(roots, roots[1:])
+    width = f[full]
+    return width, {
+        "width": max(len(b) for b in bags) - 1,
+        "bags": bags,
+        "tree_edges": [list(e) for e in sorted(tree_edges)],
+    }

@@ -13,7 +13,7 @@ from percop.graphs import (
     Graph, complete_graph, cycle_graph, dismantle, domination_number, girth,
     path_graph, petersen_graph, PETERSEN_EDGES,
 )
-from percop.periodic import PeriodicGraph, footprint, induced
+from percop.periodic import PeriodicGraph, constant, footprint, induced
 from percop.instancefile import serialize_specimen
 from percop.constructions import circulant_123
 from percop.corners import find_k_temporal_corners, find_temporal_corners
@@ -37,6 +37,7 @@ from percop.search import (
     spec_from_dict,
 )
 from percop.treewidth import exact_treewidth
+from conftest import WITNESS_NAMES
 from reference import reference_graph_classes
 
 
@@ -678,6 +679,18 @@ class TestCertify:
         certs = certify(bad, spec)
         assert not certs["verified"]
 
+    def test_refuses_another_n(self):
+        # the universal_vertex test would read vertex 8 of a 5-vertex footprint
+        spec = get_spec("thm112")
+        with pytest.raises(ValueError, match=r"the instance has n=5, spec 'thm112' has n=9"):
+            certify(constant(path_graph(5), 9), spec)
+
+    def test_another_period_is_allowed(self):
+        pg, _meta = load_witness("thm112")
+        doubled = PeriodicGraph(list(pg.snapshots) * 2)
+        assert doubled.period == 2 * get_spec("thm112").p
+        assert certify(doubled, get_spec("thm112"))["verified"] is True
+
     @pytest.mark.parametrize("value, passed", [(2, True), (1, False)])
     def test_footprint_copnum_target(self, value, passed):
         # the footprint C4 needs two cops, whatever the periodic game needs
@@ -826,9 +839,6 @@ class TestShippedWitnesses:
     def test_missing_witness_raises(self):
         with pytest.raises(FileNotFoundError):
             load_witness("never_shipped")
-
-
-WITNESS_NAMES = ("thm112", "lem122", "circulant_123", "prop3_retract", "search_321")
 
 
 class TestSinglePass:

@@ -9,10 +9,13 @@ from percop.graphs import (
     path_graph,
     petersen_graph,
 )
-from percop.periodic import constant, footprint
+from percop.periodic import constant, footprint, pad
+from percop.search import load_witness
 from percop.solver import cop_number, verify_policy
+from percop import treewidth
 from percop.treewidth import (
     TreeDecomposition,
+    _min_fill_width,
     _side_vertices,
     bag_strategy,
     exact_treewidth,
@@ -21,7 +24,13 @@ from percop.treewidth import (
     validate_decomposition,
 )
 from percop.constructions import GENERATORS, bowtie_221, q3_rotation
-from conftest import random_connected_graph, random_graph, random_temporally_connected
+from conftest import (
+    WITNESS_NAMES,
+    random_connected_graph,
+    random_graph,
+    random_temporally_connected,
+)
+from reference import reference_exact_treewidth
 
 
 def width_at_most(g, k):
@@ -104,6 +113,74 @@ class TestExactTreewidth:
         assert validate_decomposition(td, g) is None
 
 
+def _open_adj(g):
+    return [g.nbr_mask(v) & ~(1 << v) for v in range(g.n)]
+
+
+# min-fill eliminates to width 6 on this graph; its treewidth is 5
+LOOSE_MIN_FILL = Graph(9, [
+    (0, 3), (0, 5), (0, 6), (0, 8), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 8),
+    (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5), (4, 5), (4, 6), (4, 8),
+    (5, 8), (6, 7), (7, 8),
+])
+
+
+class TestAgainstReference:
+    """The DP capped by the min-fill width gives the uncapped DP's width and
+    decomposition, kept in tests/reference.py."""
+
+    @staticmethod
+    def check(g):
+        w, td = exact_treewidth(g)
+        assert (w, td.as_dict()) == reference_exact_treewidth(g)
+        assert w <= _min_fill_width(_open_adj(g))
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_generator_footprints(self, name):
+        self.check(footprint(GENERATORS[name]().instance))
+
+    @pytest.mark.parametrize("name", WITNESS_NAMES)
+    def test_witness_footprints(self, name):
+        self.check(footprint(load_witness(name)[0]))
+
+    @pytest.mark.parametrize("n", (12, 13))
+    def test_padded_q3(self, n):
+        self.check(footprint(pad(q3_rotation().instance, n, 0)))
+
+    def test_random_graphs(self, rng):
+        for _ in range(60):
+            self.check(random_graph(rng, rng.randint(1, 10), rng.uniform(0.15, 0.7)))
+
+    def test_loose_min_fill(self):
+        assert _min_fill_width(_open_adj(LOOSE_MIN_FILL)) == 6
+        assert exact_treewidth(LOOSE_MIN_FILL)[0] == 5
+        self.check(LOOSE_MIN_FILL)
+
+    def test_every_cap_from_tw_up(self, rng, monkeypatch):
+        # any bound >= tw gives the same decomposition
+        for _ in range(10):
+            g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.15, 0.7))
+            want = reference_exact_treewidth(g)
+            for ub in range(want[0], g.n):
+                monkeypatch.setattr(treewidth, "_min_fill_width", lambda adj, ub=ub: ub)
+                w, td = exact_treewidth(g)
+                assert (w, td.as_dict()) == want
+
+
+class TestMinFillWidth:
+    def test_known_widths(self):
+        assert _min_fill_width(_open_adj(path_graph(9))) == 1
+        assert _min_fill_width(_open_adj(cycle_graph(7))) == 2
+        assert _min_fill_width(_open_adj(complete_graph(6))) == 5
+        assert _min_fill_width(_open_adj(Graph(4))) == 0
+
+    def test_leaves_its_input_unchanged(self):
+        adj = _open_adj(petersen_graph())
+        before = list(adj)
+        assert _min_fill_width(adj) == 4
+        assert adj == before
+
+
 def _fill_bags(g, order):
     """Bags of a fill-edge elimination along `order`: v plus its later neighbours."""
     adj = [set(g.open_nbrs(v)) for v in range(g.n)]
@@ -145,12 +222,13 @@ class TestValidateDecomposition:
          "bag graph is not a tree (cycle)"),
         (path_graph(3), [{0, 1}, {1, 2}, {2}], [(0, 1), (1, 1)],
          "bag graph is not a tree (cycle)"),
+        (path_graph(2), [{0, 1}, {5}], [(0, 1)], "a bag holds a vertex outside the graph"),
         (path_graph(3), [{0, 1}], [], "some vertex appears in no bag"),
         (path_graph(3), [{0, 1}, {2}], [(0, 1)], "some edge has no common bag"),
         (path_graph(3), [{0, 1}, {2}, {1, 2}], [(0, 1), (1, 2)],
          "bags of vertex 1 do not induce a subtree"),
-    ], ids=["missing-bag", "edge-count", "cycle", "self-loop", "uncovered-vertex",
-            "uncovered-edge", "subtree"])
+    ], ids=["missing-bag", "edge-count", "cycle", "self-loop", "foreign-vertex",
+            "uncovered-vertex", "uncovered-edge", "subtree"])
     def test_each_violation_is_named(self, g, bags, tree_edges, message):
         td = TreeDecomposition([frozenset(b) for b in bags], tree_edges)
         assert validate_decomposition(td, g) == message
