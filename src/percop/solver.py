@@ -35,16 +35,16 @@ losing pass never fills and reaches the fixpoint.  Each level keeps the
 robber sweep's list of (t, r, the configurations new in rw[t][r]), which its
 next cop step reads anyway, so a robber-to-move state's rank is the level
 whose list holds it: 0 on a capture, 1 for any other state of level 1 (whose
-list is not kept), and from level 2 read from the lists, folded on first read
-into one int per (t, r) with a lane per configuration.  A cops-to-move
-state's rank is 0 on a capture, 1 within level 1's closed form, and otherwise
-one more than the least rank of a robber state its moves reach.  A state the
-levels run so far have won is settled: every state they have not won ranks
-higher.  Only a read of a state they have not won (a win count, a trace from
-another start) runs one whole pass from level 0 to the fixpoint, once per
-result; a trace or policy from the placement never does, since every state
-its play reaches ranks below the placement.  The state count comes from the
-sizes.
+list is not kept), and from level 2 read from the lists, regrouped on first
+read into one flat tuple per (t, r) of (level, new configurations) for each
+level at which rw[t][r] grew.  A cops-to-move state's rank is 0 on a
+capture, 1 within level 1's closed form, and otherwise one more than the
+least rank of a robber state its moves reach.  A state the levels run so far
+have won is settled: every state they have not won ranks higher.  Only a
+read of a state they have not won (a win count, a trace from another start)
+runs one whole pass from level 0 to the fixpoint, once per result; a trace
+or policy from the placement never does, since every state its play reaches
+ranks below the placement.  The state count comes from the sizes.
 
 Cop configurations are sorted multisets; they and occ depend on n and k
 alone.  At k = 1 a move row is the cop's closed neighbourhood in the
@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import os
 import threading
-from array import array
 from dataclasses import asdict, dataclass
 from functools import reduce
 from math import comb
@@ -279,45 +278,32 @@ def _move_tables(pg):
 class _Run:
     """The induction after its last level run: the win region (cw, rw) so
     far, and the robber ranks as the lists of levels 2 and up (history),
-    until the first rank read folds them into lanes.  The region never
-    changes once a result holds the run: finishing makes a new run."""
+    until the first rank read regroups them by (t, r) into levels.  The
+    region never changes once a result holds the run: finishing makes a new
+    run."""
 
-    __slots__ = ("won", "level", "history", "lanes", "first", "done")
+    __slots__ = ("won", "level", "history", "levels", "first", "done")
 
     def __init__(self, won, level, history, first, done):
         self.won, self.level, self.history = won, level, history
-        self.lanes = None  # (w, rw lanes), folded on first read
+        self.levels = None  # regrouped on first read
         self.first, self.done = first, done  # done: at the fixpoint
 
 
-def _fold(run, n, nc):
-    """(w, lanes): bits ci * w .. ci * w + w - 1 of lanes[t * n + r] hold the
-    rank of the state (t, configuration ci, robber on r), with the robber to
-    move, where won at level 2 or later, else 0.  Folds the history's drw
-    lists, which it empties; one uint64 per (t, r) where the lanes fit in
-    one."""
-    w = run.level.bit_length() or 1  # no rank exceeds the last level
-    keys = len(run.won[1])
-    lanes = array("Q", bytes(8 * keys)) if nc * w <= 64 else [0] * keys
-    spread8 = [0]  # spread8[b]: bit i of the byte b moved to bit i * w
-    for i in range(8):
-        spread8 += [s | 1 << i * w for s in spread8]
-
-    def spread(m):  # bit ci of the configuration set m moved to bit ci * w
-        s = 0
-        for j, b in enumerate(m.to_bytes((m.bit_length() + 7) >> 3, "little")):
-            if b:
-                s |= spread8[b] << j * 8 * w
-        return s
-
+def _regroup(run, n):
+    """levels[t * n + r]: the flat tuple (level, new, level, new, ...) over
+    the levels from 2 at which rw[t][r] grew, ascending, new holding the
+    configurations first won there with the robber on r to move at layer t.
+    Reads the history's drw lists, which it empties."""
+    levels = [()] * len(run.won[1])
     history = run.history
     level = 1
     history.reverse()
-    while history:  # from level 2, each freed once folded
+    while history:  # from level 2, each freed once read
         level += 1
         for t, r, new in history.pop():
-            lanes[t * n + r] |= spread(new) * level
-    return w, lanes
+            levels[t * n + r] += (level, new)
+    return levels
 
 
 class SolveResult:
@@ -353,14 +339,14 @@ class SolveResult:
             return run
         return self._finished()
 
-    def _lanes(self, run):
-        lanes = run.lanes
-        if lanes is None:
-            with self._lock:  # the fold drops the history it folds
-                if run.lanes is None:
-                    run.lanes = _fold(run, self.pg.n, len(self._level.cfgs))
-                lanes = run.lanes
-        return lanes
+    def _levels(self, run):
+        levels = run.levels
+        if levels is None:
+            with self._lock:  # the regroup drops the history it reads
+                if run.levels is None:
+                    run.levels = _regroup(run, self.pg.n)
+                levels = run.levels
+        return levels
 
     def _key(self, t, cops, robber):
         """(t mod p, ci), the layer and configuration of a state."""
@@ -404,20 +390,20 @@ class SolveResult:
         = t * n + robber, then the least cj (the lexicographic order of
         configurations), over the configurations cj in the bits moves whose
         state the run has won; None if it has won none."""
-        w, lanes = self._lanes(run)
-        lane, width = lanes[key], (1 << w) - 1
-        masks = self._level.masks
-        moves &= run.won[ROBBER_TO_MOVE][key]
-        best = None
-        while moves:
-            low = moves & -moves
-            cj = low.bit_length() - 1
-            moves ^= low
-            # the lanes hold the levels from 2; below, a capture is level 0
-            rank = (lane >> cj * w) & width or 1 - ((masks[cj] >> robber) & 1)
-            if best is None or rank < best[0]:
-                best = (rank, cj)
-        return best
+        won = moves & run.won[ROBBER_TO_MOVE][key]
+        if not won:
+            return None
+        rank, hit = 0, won & self._level.space.occ[robber]  # the captures
+        if not hit:
+            # a won state in none of the kept levels, those from 2, is of level 1
+            levels = self._levels(run)[key]
+            rank, hit, i = 1, won, 0
+            for bits in levels[1::2]:
+                hit &= ~bits
+            while not hit:
+                rank, hit = levels[i], won & levels[i + 1]
+                i += 2
+        return rank, (hit & -hit).bit_length() - 1
 
     def win_count(self):
         return sum(m.bit_count() for masks in self._finished().won for m in masks)
@@ -756,10 +742,20 @@ def verify_policy(pg, policy):
     wins=False, that cycle as the counterexample, and states_explored counting
     the nodes entered so far.  Otherwise wins=True reports the worst start's
     value as max_capture_moves and every reachable node as states_explored.
-    Infeasible policy moves raise ValueError naming the state.
+    Infeasible policy moves raise ValueError naming the state, as do cops,
+    initial or moved to, that are not vertices of pg.
     """
-    p = pg.period
-    start_cops = tuple(sorted(policy.initial_cops))
+    p, n = pg.period, pg.n
+
+    def vertices(cops, where, *args):
+        # bool is not an int here, as in the SolveResult queries
+        for v in cops:
+            if type(v) is not int or not 0 <= v < n:
+                raise ValueError("%s: cop %r is not a vertex of 0..%d"
+                                 % (where % args, v, n - 1))
+        return tuple(sorted(cops))
+
+    start_cops = vertices(policy.initial_cops, "policy initial placement")
     if len(start_cops) != policy.k:
         raise ValueError("policy initial placement has wrong size")
 
@@ -767,7 +763,8 @@ def verify_policy(pg, policy):
         t, cops, robber, memory = node
         g = pg.snapshots[t]
         new_cops, new_mem = policy.step(memory, t, cops, robber)
-        new_cops = tuple(sorted(new_cops))
+        new_cops = vertices(new_cops, "policy move at t=%d cops=%s robber=%d",
+                            t, list(cops), robber)
         if not _multiset_move_feasible(g, cops, new_cops):
             raise ValueError(
                 "infeasible policy move at t=%d cops=%s robber=%d: %s"

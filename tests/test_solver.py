@@ -102,7 +102,8 @@ class TestReferenceAgreement:
 
 
 class TestRankOracle:
-    """Every state's win bit and rank, and the placement, against value iteration."""
+    """Every state's win bit and rank, the best cop move from each state won
+    with the cops to move, and the placement, against value iteration."""
 
     @staticmethod
     def check(pg, k):
@@ -112,6 +113,14 @@ class TestRankOracle:
         for (t, c, r, side), want in ranks.items():
             assert res.rank_of(t, c, r, side) == want, (t, c, r, side)
             assert res.is_cop_win(t, c, r, side) == (want is not None)
+            if side == 0 and want is not None:
+                # the least (robber-to-move rank, configuration) over the
+                # feasible moves into a won robber state
+                nbrs = [pg.snapshots[t].closed_nbrs(v) for v in c]
+                moves = {tuple(sorted(m)) for m in itertools.product(*nbrs)}
+                best = min((ranks[(t, m, r, 1)], m) for m in moves
+                           if ranks[(t, m, r, 1)] is not None)
+                assert res.optimal_cop_move(t, c, r) == best[1], (t, c, r)
         assert res.win_count() == sum(v is not None for v in ranks.values())
         assert res.initial_placement == placement
         assert res.copwin == (placement is not None)
@@ -247,9 +256,6 @@ class TestSolveResult:
         assert res.initial_placement == (0,)
         for t in range(300):
             assert res.rank_of(t, (0,), 1) == 300 - t
-        # the cop waits 300 levels, so the rank lanes are wider than a byte
-        width, _lanes = res._run.lanes
-        assert width > 8
 
     @pytest.mark.parametrize("k", [0, -1, 2.0, "2", True])
     def test_k_must_be_an_int(self, k):
@@ -460,15 +466,15 @@ def _reference_propagate(pg, k, ranked):
 class TestLazyRanks:
     """The decision pass writes no rank and stops at the first filled
     layer-0 configuration; a result reads ranks from the levels it kept,
-    folded once, and only a read those levels cannot settle runs one whole
-    pass from level 0, once, on the result's own tables."""
+    regrouped once, and only a read those levels cannot settle runs one
+    whole pass from level 0, once, on the result's own tables."""
 
     def test_verdict_reads_build_no_ranks(self, monkeypatch):
         passes = _spy_passes(monkeypatch)
         res = is_k_copwin(q3_rotation().instance, 3)
         assert res.copwin and res.initial_placement == (0, 0, 4)
         assert res.state_count() == 3 * 120 * 8 * 2
-        assert res._run.lanes is None and _kinds(passes) == ["decide"]
+        assert res._run.levels is None and _kinds(passes) == ["decide"]
 
     @pytest.mark.parametrize("first", ["rank_of", "optimal_cop_move"])
     def test_first_read_builds_once(self, monkeypatch, first):
@@ -484,12 +490,12 @@ class TestLazyRanks:
         assert _kinds(passes) == ["decide"]
         run = res._run
         extract_trace(res)
-        built = run.lanes  # folded once, emptying the kept levels
+        built = run.levels  # regrouped once, emptying the kept levels
         assert built is not None and run.history == []
         verify_policy(res.pg, res.policy())
         res.rank_of(0, cops, robber, ROBBER_TO_MOVE)
         assert _kinds(passes) == ["decide"]
-        assert res._run is run and run.lanes is built
+        assert res._run is run and run.levels is built
 
     def test_rank_pass_reaches_the_same_fixpoint(self, rng, monkeypatch):
         # a result's finishing pass ends where the reference's does, with
@@ -533,7 +539,7 @@ class TestLazyRanks:
         pg = random_periodic(rng, 6, 3, 0.4)
         serial = _answers(is_k_copwin(PeriodicGraph(pg.snapshots), 2))
         shared = is_k_copwin(pg, 2)
-        assert shared.copwin and not shared._run.done and shared._run.lanes is None
+        assert shared.copwin and not shared._run.done and shared._run.levels is None
         passes.clear()
         got = [None] * 4
         start = threading.Barrier(4, timeout=60)
@@ -566,7 +572,7 @@ class TestLazyRanks:
         assert res.copwin and res.initial_placement == (0, 0, 4)
         assert res.state_count() == 3 * 120 * 8 * 2
         run = res._run
-        assert run.lanes is None and not run.done
+        assert run.levels is None and not run.done
         assert len(run.history) == run.level - 1
         assert sum(len(drw) for drw in run.history) <= _region_bits(run.won)
         assert _kinds(passes) == ["decide"]
@@ -616,7 +622,7 @@ class TestLazyRanks:
         assert res._run.done
         count = res.win_count()
         assert not res.is_cop_win(0, (0, 1), 6)
-        assert _kinds(passes) == ["decide"] and res._run.lanes is None
+        assert _kinds(passes) == ["decide"] and res._run.levels is None
         full = _reference_propagate(pg, 2, True)
         assert res._run.won == full[:2] and full[3] is None
         assert count == _region_bits(full[:2])
@@ -645,9 +651,9 @@ def _wait_for_the_edge(p):
 
 
 class TestKeptLevels:
-    """Ranks come from the levels the decision pass ran, in O(states) memory
-    and O(1) per lookup; a trace from the placement and a repeated decision
-    run no level."""
+    """Ranks come from the levels the decision pass ran, in O(states) memory,
+    a lookup reading the levels at which its (t, r) grew; a trace from the
+    placement and a repeated decision run no level."""
 
     def test_three_thousand_levels(self):
         gc.collect()
@@ -679,18 +685,16 @@ class TestKeptLevels:
 
     def test_ranks_read_before_and_after_going_on(self):
         # a path on 10 vertices whose edges appear one a layer: the decision
-        # ends at level 9, the fixpoint at 82, so the trace folds the
-        # decision's lanes (4 bits, one uint64 a key) and the finished run
-        # folds lanes of its own (7 bits, 70 bits a key)
+        # ends at level 9, the fixpoint at 82, so the trace reads the
+        # decision's kept levels and the finished run regroups its own
         pg = PeriodicGraph([Graph(10, [(i % 9, i % 9 + 1)]) for i in range(40)])
         res = is_k_copwin(pg, 1)
         assert res._run.level == 9
         extract_trace(res)
-        assert res._run.lanes[0] == 4
         ranks = [res.rank_of(t, c, r, side) or 0 for t in range(40)
                  for c in res._level.cfgs for r in range(10) for side in (0, 1)]
         run = res._run
-        assert run.level == 82 and run.lanes[0] == 7 and isinstance(run.lanes[1], list)
+        assert run.level == 82
         assert (*run.won, ranks, run.first) == _reference_propagate(pg, 1, True)
 
     def test_cop_move_beyond_the_decision(self, monkeypatch):
@@ -1273,6 +1277,24 @@ class TestVerifyPolicy:
         )
         with pytest.raises(ValueError, match="infeasible"):
             verify_policy(pg, pol)
+
+    @pytest.mark.parametrize("cop", [99, 3, -1, 1.0, True, None])
+    def test_initial_cop_must_be_a_vertex(self, cop):
+        # 99 once raised a bare IndexError, -1 "negative shift count", 1.0 a
+        # TypeError, and True was accepted and reported as a cop
+        pol = CopPolicy(k=1, initial_cops=(cop,), step=lambda m, t, c, r: (c, m))
+        with pytest.raises(ValueError, match=r"^policy initial placement: cop %s is not "
+                                             r"a vertex of 0\.\.2$" % re.escape(repr(cop))):
+            verify_policy(constant(path_graph(3), 2), pol)
+
+    @pytest.mark.parametrize("cop", [-1, 3, 2.0, False])
+    def test_step_cop_must_be_a_vertex(self, cop):
+        # -1 once raised "negative shift count"
+        pol = CopPolicy(k=2, initial_cops=(1, 0), step=lambda m, t, c, r: ((1, cop), m))
+        with pytest.raises(ValueError, match=r"^policy move at t=0 cops=\[0, 1\] robber=2: "
+                                             r"cop %s is not a vertex of 0\.\.2$"
+                                             % re.escape(repr(cop))):
+            verify_policy(constant(path_graph(3), 2), pol)
 
 
 def parent_multiset_move_feasible(g, old, new):
