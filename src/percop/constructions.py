@@ -172,8 +172,8 @@ def circulant_123(steps):
     p = len(steps)
     if p < 5 or p % 2 == 0:
         raise ValueError("circulant_123 requires odd period >= 5")
-    if any(not (1 <= s <= 5) for s in steps):
-        raise ValueError("circulant_123 strides must lie in 1..5")
+    if any(type(s) is not int or not 1 <= s <= 5 for s in steps):
+        raise ValueError("circulant_123 strides must be ints in 1..5: %r" % (steps,))
     if any(steps[t] == steps[(t + 1) % p] for t in range(p)):
         raise ValueError("circulant_123 forbids equal consecutive strides")
     if set(steps) != {1, 2, 3, 4, 5}:

@@ -34,7 +34,6 @@ from importlib import resources
 
 from .graphs import (
     Graph,
-    LimitError,
     PETERSEN_EDGES,
     Retraction,
     check_retraction,
@@ -55,6 +54,8 @@ from .corners import (
 )
 from .constructions import GENERATORS, ConstructionSpecimen, circulant_123
 from .instancefile import parse
+# for perfbench/workloads.py (corpus), tests/test_acceptance.py (criteria 4, 8, 10)
+from .census import _canonical_graph_masks, smallest_3copwin_scan
 from . import solver as _solver
 
 
@@ -1035,108 +1036,6 @@ def verify_table(skip_search=False):
             continue
         row.update(computed=computed, status="PASS" if passed else "FAIL")
     return rows
-
-
-# ---------------------------------------------------------------------------
-# canonical forms and the bounded smallest-3-copwin scan
-
-
-def _canonical_graph_masks(n):
-    """The least edge mask of each isomorphism class of graphs on n vertices.
-
-    Bit i of a mask is the edge pairs[i].  One pass visits the masks in
-    increasing order and marks the images of each listed mask under all n!
-    relabellings, which is its whole class.  So a mask is marked exactly when
-    its class is already listed, and the first unmarked mask of a class is its
-    least: reps lists each class once, by its least mask, ascending.
-    """
-    pairs = list(itertools.combinations(range(n), 2))
-    idx = {e: i for i, e in enumerate(pairs)}
-    tables = [[idx[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
-              for perm in itertools.permutations(range(n))]
-    marked = bytearray(1 << len(pairs))
-    reps = []
-    for mask in range(len(marked)):
-        if marked[mask]:
-            continue
-        reps.append(mask)
-        bits = [i for i in range(len(pairs)) if mask >> i & 1]
-        for t in tables:
-            marked[sum(1 << t[i] for i in bits)] = 1
-    return pairs, reps
-
-
-def smallest_3copwin_scan(max_n, max_p):
-    """Exhaustively scan small temporally connected instances for cop number 3.
-
-    The first snapshot ranges over canonical representatives only (every
-    instance is isomorphic to one whose G_0 is canonical), the rest over all
-    subgraphs.  An instance whose G_0 has domination number at most 2 is
-    certified, not solved: two cops on a dominating set of G_0 capture on
-    their first move.  Only the rest reach the k = 2 solver.  This is bounded
-    evidence about the smallest 3-copwin order, reported with full
-    enumeration counts: per (n, p), the instances enumerated, those
-    temporally connected and those solved.
-    """
-    if max_n > 5 or max_p > 4:
-        raise LimitError("scan limits exceeded: need max_n <= 5, max_p <= 4")
-    report = {
-        "max_n": max_n,
-        "max_p": max_p,
-        "counts": [],
-        "witnesses": [],
-    }
-    for n in range(1, max_n + 1):
-        pairs, reps = _canonical_graph_masks(n)
-        m = len(pairs)
-        by_mask = [
-            Graph(n, [pairs[i] for i in range(m) if (mk >> i) & 1])
-            for mk in range(1 << m)
-        ]
-        connected = [g.is_connected() for g in by_mask]
-        certified = {g0m for g0m in reps if domination_number(by_mask[g0m]) <= 2}
-        for p in range(1, max_p + 1):
-            enumerated = 0
-            temporally_connected = 0
-            solved = 0
-            for g0m in reps:
-                for rest in itertools.product(range(1 << m), repeat=p - 1):
-                    enumerated += 1
-                    union = g0m
-                    for mk in rest:
-                        union |= mk
-                    if not connected[union]:
-                        continue
-                    temporally_connected += 1
-                    if g0m in certified:
-                        continue
-                    solved += 1
-                    pg = PeriodicGraph(
-                        [by_mask[g0m]] + [by_mask[mk] for mk in rest]
-                    )
-                    if not _solver.is_k_copwin(pg, 2).copwin:
-                        report["witnesses"].append(
-                            {
-                                "n": n,
-                                "p": p,
-                                "snapshots": [
-                                    sorted(by_mask[mk].sorted_edges())
-                                    for mk in (g0m,) + rest
-                                ],
-                            }
-                        )
-            report["counts"].append(
-                {
-                    "n": n,
-                    "p": p,
-                    "canonical_g0": len(reps),
-                    "enumerated": enumerated,
-                    "temporally_connected": temporally_connected,
-                    "solved": solved,
-                }
-            )
-    report["three_copwin_found"] = len(report["witnesses"])
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ class TestErrorSurface:
         from percop.corners import find_k_temporal_corners
         from percop.graphs import Graph, LimitError, complete_graph, domination_number
         from percop.periodic import constant
-        from percop.search import smallest_3copwin_scan
+        from percop.census import smallest_3copwin_scan
         from percop.treewidth import exact_treewidth
 
         limited = [

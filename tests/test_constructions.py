@@ -164,6 +164,13 @@ class TestCirculant:
         with pytest.raises(ValueError, match="strides"):
             circulant_123([1, 2, 3, 4, 6])
 
+    @pytest.mark.parametrize("steps", [
+        [True, 2, 3, 4, 5], [1, 2, 3, 4, 5.0], [1, 2, 3, 4, "5"], [1, 2, 3, 4, None],
+    ])
+    def test_strides_must_be_ints(self, steps):
+        with pytest.raises(ValueError, match="strides must be ints in 1..5"):
+            circulant_123(steps)
+
     def test_extend_odd_grows_period(self):
         bigger = circulant_123(self.STEPS + self.STEPS[-2:] * 2)
         assert bigger.instance.period == 9

@@ -22,7 +22,6 @@ from percop import search as search_module
 from percop.search import (
     SearchSpec,
     _candidates,
-    _canonical_graph_masks,
     _coin_flips,
     _petersen_five_cycles,
     _sample_girth4,
@@ -33,12 +32,10 @@ from percop.search import (
     load_witness_certificate,
     named_specs,
     search,
-    smallest_3copwin_scan,
     spec_from_dict,
 )
 from percop.treewidth import exact_treewidth
 from conftest import WITNESS_NAMES
-from reference import reference_graph_classes
 
 
 class TestSpecPlumbing:
@@ -761,53 +758,6 @@ class TestFootprintSearch:
             if search(_footprint_spec(g, p, c)).status == "found"
         }
         assert max(found) == best
-
-
-class TestScan:
-    def test_tiny_scan_finds_nothing(self):
-        report = smallest_3copwin_scan(3, 2)
-        assert report["three_copwin_found"] == 0
-        total = sum(c["enumerated"] for c in report["counts"])
-        assert total > 0
-
-    def test_solved_counts(self):
-        report = smallest_3copwin_scan(3, 2)
-        assert [c["solved"] for c in report["counts"]] == [0, 0, 0, 0, 0, 4]
-        for row in smallest_3copwin_scan(4, 2)["counts"]:
-            assert row["solved"] <= row["temporally_connected"]
-
-    def test_dominated_first_snapshot_is_two_copwin(self):
-        # the scan certifies these without solving; the solver must agree
-        pairs, reps = _canonical_graph_masks(4)
-        graphs = [
-            Graph(4, [e for i, e in enumerate(pairs) if (mk >> i) & 1])
-            for mk in range(1 << len(pairs))
-        ]
-        checked = 0
-        for g0m in reps:
-            if domination_number(graphs[g0m]) > 2:
-                continue
-            for g1 in graphs:
-                pg = PeriodicGraph([graphs[g0m], g1])
-                if footprint(pg).is_connected():
-                    assert is_k_copwin(pg, 2).copwin
-                    checked += 1
-        assert checked > 0
-
-    @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 4), (4, 11),
-                                            (5, 34), (6, 156)])
-    def test_graph_classes_match_the_reference(self, n, classes):
-        # one class per graph on n vertices up to isomorphism (OEIS A000088),
-        # each by its least mask, ascending
-        got = _canonical_graph_masks(n)
-        assert got == reference_graph_classes(n)
-        assert len(got[1]) == classes
-
-    def test_limits(self):
-        with pytest.raises(ValueError):
-            smallest_3copwin_scan(6, 2)
-        with pytest.raises(ValueError):
-            smallest_3copwin_scan(3, 5)
 
 
 class TestShippedWitnesses:
