@@ -1,11 +1,16 @@
 """Exact tree decompositions for small graphs and the bag-based cop strategy.
 
 One primitive, the back set Q(S, v), gives the elimination DP its costs and
-the decomposition its bags.  Every reachability question here is one
-bitmask closure (`graphs.mask_closure`): a back set is the closure from v
-through S, the tree check asks whether the tree edges connect the bags, and
-the side of a bag-tree edge (x, y) is the closure from y with x cut out.
-The DP starts every minimum just above a greedy min-fill width UB >= tw,
+the decomposition its bags.  Q(S - v, v) is the closure from v through S,
+minus S, so the DP prices a whole component of G[S] at once: a connected S
+costs |N(S) - S|, read off a table nb[S] = N[S] that grows by one vertex per
+subset, and a disconnected S costs the max over its lowest vertex's
+component and the rest.  Back sets proper are taken only for the bags of the
+optimal ordering.  Every other reachability question is also one bitmask
+closure (`graphs.mask_closure`): the tree check asks whether the tree edges
+connect the bags, and the side of a bag-tree edge (x, y) is the closure from
+y with x cut out.
+The DP caps every value just above a greedy min-fill width UB >= tw,
 which changes no value or choice on its optimal walk, since every cost there
 is at most tw.
 The width bound transfers to periodic play:
@@ -63,16 +68,22 @@ def _tree_masks(td):
 def validate_decomposition(td, g):
     """Return None if valid, else a string naming the violated condition."""
     nb = len(td.bags)
+    if not nb:
+        return "decomposition has no bags"
+    # bool is not an int here, and no float is compared as one
+    if any(type(u) is not int for b in td.bags for u in b):
+        return "a bag holds a vertex that is not an int"
     for a, b in td.tree_edges:
+        if type(a) is not int or type(b) is not int:
+            return "a tree edge end is not an int"
         if not (0 <= a < nb and 0 <= b < nb):
             return "tree edge references a missing bag"
     # the tree must be a tree: nb - 1 edges close a cycle iff they leave
     # the nb bags disconnected
-    if nb > 0:
-        if len(td.tree_edges) != nb - 1:
-            return "bag graph is not a tree (edge count)"
-        if not masks_connected(_tree_masks(td)):
-            return "bag graph is not a tree (cycle)"
+    if len(td.tree_edges) != nb - 1:
+        return "bag graph is not a tree (edge count)"
+    if not masks_connected(_tree_masks(td)):
+        return "bag graph is not a tree (cycle)"
     covered = set()
     for b in td.bags:
         covered |= set(b)
@@ -146,14 +157,28 @@ def _min_fill_width(open_adj):
 def exact_treewidth(g, limit=13):
     """(treewidth, minimal TreeDecomposition) by DP over elimination prefixes.
 
-    f(S) = cheapest max |Q(S - v, v)| over orderings eliminating S first, and
-    last[S] is the lowest v reaching it.  Walking `last` down from the full
-    set gives an optimal ordering; bag i is order[i] plus its back set
-    Q(order[:i], order[i]), joined to the bag of its earliest back-set member.
-    Each minimum starts at the min-fill width UB + 1, which skips the options
-    costing more than UB >= tw and so keeps f and the lowest v on the walk,
-    where every cost is at most tw.
+    f(S) = cheapest max |Q(S - v, v)| over orderings eliminating S first.
+    Q(S - v, v) is the closure from v through S, minus S, so it is the same
+    for every v in one component of G[S].  A connected S costs
+    max(min_v f(S - v), |N(S) - S|), read off the table nb[S] = N[S], which
+    grows by one vertex per subset.  A disconnected S is eliminated one
+    component at a time, so f(S) = max(f(C), f(S - C)) for the component C
+    of its lowest vertex, grown by nb from that vertex.  Walking down from
+    the full set, removing the lowest v with f(S - v) <= f(S), gives an
+    optimal ordering; bag i is order[i] plus its back set
+    Q(order[:i], order[i]), joined to the bag of its earliest back-set
+    member.  Every f is capped at the min-fill width UB + 1: the cap keeps
+    f(S) whenever f(S) <= UB, min(cap, max(a, b)) = max(min(cap, a),
+    min(cap, b)), and every cost on the walk is at most tw <= UB.
+
+    The walk needs no back set: |Q(S - v, v)| = |N(C) - S| for v's component
+    C, and every ordering of S pays that much for the last vertex of C it
+    eliminates, so it is at most f(S).  The lowest v whose cost reaches
+    f(S), the one a per-v minimum with a strict < keeps, is therefore the
+    lowest v with f(S - v) <= f(S).
     """
+    if type(limit) is not int or limit < 1:
+        raise ValueError("limit must be an int >= 1, got %r" % (limit,))
     if g.n == 0:
         raise ValueError("treewidth undefined for the empty graph")
     if g.n > limit:
@@ -162,35 +187,46 @@ def exact_treewidth(g, limit=13):
     open_adj = [g.nbr_mask(v) & ~(1 << v) for v in range(n)]
     full = (1 << n) - 1
     f = [0] * (1 << n)
-    last = [0] * (1 << n)
+    nb = [0] * (1 << n)
     f[0] = -1
     cap = _min_fill_width(open_adj) + 1
-    # S - v < S, so increasing S sees every f it reads
+    # a proper subset of S is a smaller int, so its f and nb are set
     for S in range(1, full + 1):
+        low = S & -S
+        nbS = nb[S] = nb[S ^ low] | open_adj[low.bit_length() - 1] | low
+        comp = low
+        while True:
+            grown = nb[comp] & S
+            if grown == comp:
+                break
+            comp = grown
+        if comp != S:
+            a, b = f[comp], f[S ^ comp]
+            f[S] = a if a > b else b
+            continue
+        q = (nbS ^ S).bit_count()
+        if q >= cap:
+            f[S] = cap
+            continue
         best = cap
         m = S
         while m:
             low = m & -m
             m ^= low
-            Sv = S ^ low
-            cost = f[Sv]
-            if cost >= best:
-                continue  # v cannot lower the minimum, so skip its back set
-            v = low.bit_length() - 1
-            bd = _back_set(open_adj, Sv, v).bit_count()
-            if bd > cost:
-                cost = bd
+            cost = f[S ^ low]
             if cost < best:
                 best = cost
-                last[S] = v
-        f[S] = best
+                if best <= q:
+                    break
+        f[S] = best if best > q else q
     width = f[full]
 
     order = []
     S = full
     while S:
-        order.append(last[S])
-        S ^= 1 << last[S]
+        v = next(v for v in range(n) if S >> v & 1 and f[S ^ 1 << v] <= f[S])
+        order.append(v)
+        S ^= 1 << v
     order.reverse()
 
     pos_of = {v: i for i, v in enumerate(order)}
@@ -276,7 +312,7 @@ def smooth(td, g):
         bags[x] = bags[x] | frozenset(gain)
 
     # subdivide low-overlap tree edges
-    next_id = max(bags) + 1 if bags else 0
+    next_id = max(bags) + 1
     edges = sorted(
         (x, y) for x in bags for y in adj[x] if x < y
     )
@@ -341,12 +377,12 @@ def bag_strategy(pg, td):
     vertex; everyone else holds.  Any robber vertex adjacent to a cop in the
     current snapshot is captured greedily.
     """
-    if not is_smooth(td):
-        raise ValueError("bag_strategy requires a smooth decomposition")
     foot = footprint(pg)
     bad = validate_decomposition(td, foot)
     if bad is not None:
         raise ValueError("decomposition does not fit the footprint: " + bad)
+    if not is_smooth(td):
+        raise ValueError("bag_strategy requires a smooth decomposition")
     if not is_temporally_connected(pg):
         raise ValueError("bag_strategy requires a temporally connected instance")
     sides = _side_vertices(td)

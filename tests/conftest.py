@@ -31,6 +31,23 @@ def random_connected_graph(rng, n, p_edge=0.4, attempts=500):
     raise AssertionError("could not sample a connected graph")
 
 
+def shuffled_union(rng, g, h):
+    """The disjoint union of g and h, relabelled by a random permutation so
+    that neither part is a block of consecutive vertices."""
+    perm = list(range(g.n + h.n))
+    rng.shuffle(perm)
+    edges = list(g.edges) + [(g.n + u, g.n + v) for u, v in h.edges]
+    return Graph(g.n + h.n, edges).relabel(perm)
+
+
+def random_disjoint_union(rng, n_max):
+    """The shuffled union of two random graphs, n_max vertices at most in all."""
+    a = rng.randint(1, n_max - 1)
+    b = rng.randint(1, n_max - a)
+    return shuffled_union(rng, random_graph(rng, a, rng.uniform(0.15, 0.8)),
+                          random_graph(rng, b, rng.uniform(0.15, 0.8)))
+
+
 def random_periodic(rng, n, p, p_edge=0.4):
     return PeriodicGraph([random_graph(rng, n, p_edge) for _ in range(p)])
 

@@ -27,8 +27,10 @@ from percop.constructions import GENERATORS, bowtie_221, q3_rotation
 from conftest import (
     WITNESS_NAMES,
     random_connected_graph,
+    random_disjoint_union,
     random_graph,
     random_temporally_connected,
+    shuffled_union,
 )
 from reference import reference_exact_treewidth
 
@@ -92,6 +94,16 @@ class TestExactTreewidth:
         with pytest.raises(ValueError):
             exact_treewidth(Graph(14))
 
+    @pytest.mark.parametrize("limit", [True, False, 2.5, 13.0, None, "13", 0, -1])
+    def test_limit_must_be_an_int_of_at_least_one(self, limit):
+        # refused before any work, even on a graph with no treewidth
+        for g in (path_graph(3), Graph(0)):
+            with pytest.raises(ValueError, match="limit must be an int >= 1"):
+                exact_treewidth(g, limit=limit)
+
+    def test_limit_one_allows_one_vertex(self):
+        assert exact_treewidth(Graph(1), limit=1)[0] == 0
+
     def test_empty_graph_refused(self):
         with pytest.raises(ValueError, match="treewidth undefined for the empty graph"):
             exact_treewidth(Graph(0))
@@ -151,20 +163,47 @@ class TestAgainstReference:
         for _ in range(60):
             self.check(random_graph(rng, rng.randint(1, 10), rng.uniform(0.15, 0.7)))
 
+    # disconnected graphs take the DP's component rule, and the walk down
+    # to the ordering passes disconnected subsets
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_edgeless(self, n):
+        self.check(Graph(n))
+
+    def test_disjoint_unions(self, rng):
+        for _ in range(40):
+            g = random_disjoint_union(rng, 10)
+            assert not g.is_connected()
+            self.check(g)
+
+    def test_isolated_vertices(self, rng):
+        for _ in range(30):
+            g = random_connected_graph(rng, rng.randint(2, 8), rng.uniform(0.3, 0.8))
+            self.check(shuffled_union(rng, g, Graph(rng.randint(1, 3))))
+
     def test_loose_min_fill(self):
         assert _min_fill_width(_open_adj(LOOSE_MIN_FILL)) == 6
         assert exact_treewidth(LOOSE_MIN_FILL)[0] == 5
         self.check(LOOSE_MIN_FILL)
 
-    def test_every_cap_from_tw_up(self, rng, monkeypatch):
+    @staticmethod
+    def check_every_cap(g, monkeypatch):
         # any bound >= tw gives the same decomposition
+        want = reference_exact_treewidth(g)
+        for ub in range(want[0], g.n):
+            monkeypatch.setattr(treewidth, "_min_fill_width", lambda adj, ub=ub: ub)
+            w, td = exact_treewidth(g)
+            assert (w, td.as_dict()) == want
+
+    def test_every_cap_from_tw_up(self, rng, monkeypatch):
         for _ in range(10):
             g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.15, 0.7))
-            want = reference_exact_treewidth(g)
-            for ub in range(want[0], g.n):
-                monkeypatch.setattr(treewidth, "_min_fill_width", lambda adj, ub=ub: ub)
-                w, td = exact_treewidth(g)
-                assert (w, td.as_dict()) == want
+            self.check_every_cap(g, monkeypatch)
+
+    def test_every_cap_from_tw_up_disconnected(self, rng, monkeypatch):
+        for _ in range(10):
+            self.check_every_cap(random_disjoint_union(rng, 9), monkeypatch)
+        self.check_every_cap(Graph(6), monkeypatch)
 
 
 class TestMinFillWidth:
@@ -227,8 +266,19 @@ class TestValidateDecomposition:
         (path_graph(3), [{0, 1}, {2}], [(0, 1)], "some edge has no common bag"),
         (path_graph(3), [{0, 1}, {2}, {1, 2}], [(0, 1), (1, 2)],
          "bags of vertex 1 do not induce a subtree"),
+        # compares equal to a valid decomposition of the 3-path
+        (path_graph(3), [{0, True}, {1.0, 2}], [(False, True)],
+         "a bag holds a vertex that is not an int"),
+        (path_graph(3), [{0, 1}, {1.0, 2}], [(0, 1)],
+         "a bag holds a vertex that is not an int"),
+        (path_graph(3), [{0, 1}, {1, 2}], [(False, True)], "a tree edge end is not an int"),
+        (path_graph(3), [{0, 1}, {1, 2}], [(0, 1.0)], "a tree edge end is not an int"),
+        (Graph(0), [], [], "decomposition has no bags"),
+        (path_graph(3), [], [], "decomposition has no bags"),
     ], ids=["missing-bag", "edge-count", "cycle", "self-loop", "foreign-vertex",
-            "uncovered-vertex", "uncovered-edge", "subtree"])
+            "uncovered-vertex", "uncovered-edge", "subtree", "bool-member",
+            "float-member", "bool-edge-ends", "float-edge-end", "no-bags-empty-graph",
+            "no-bags"])
     def test_each_violation_is_named(self, g, bags, tree_edges, message):
         td = TreeDecomposition([frozenset(b) for b in bags], tree_edges)
         assert validate_decomposition(td, g) == message
@@ -329,6 +379,18 @@ class TestSmooth:
         with pytest.raises(ValueError, match="invalid input decomposition"):
             smooth(bad, g)
 
+    @pytest.mark.parametrize("g, td, message", [
+        (Graph(0), TreeDecomposition([], []), "decomposition has no bags"),
+        (path_graph(3), TreeDecomposition([frozenset({0, True}), frozenset({1, 2})], [(0, 1)]),
+         "a bag holds a vertex that is not an int"),
+        (path_graph(3), TreeDecomposition([frozenset({0, 1}), frozenset({1, 2})],
+                                          [(False, True)]),
+         "a tree edge end is not an int"),
+    ], ids=["no-bags", "bool-member", "bool-edge-ends"])
+    def test_wrong_types_and_no_bags_rejected(self, g, td, message):
+        with pytest.raises(ValueError, match="invalid input decomposition: " + message):
+            smooth(td, g)
+
     def test_cutset_separation(self, rng):
         # shared vertices of adjacent bags separate the two sides
         for _ in range(10):
@@ -414,6 +476,16 @@ class TestBagStrategy:
         if not is_smooth(td):
             with pytest.raises(ValueError, match="smooth"):
                 bag_strategy(pg, td)
+
+    @pytest.mark.parametrize("td, message", [
+        (TreeDecomposition([], []), "decomposition has no bags"),
+        (TreeDecomposition([frozenset({0, 1, 2}), frozenset({1.0, 2, 3})], [(0, 1)]),
+         "a bag holds a vertex that is not an int"),
+    ], ids=["no-bags", "float-member"])
+    def test_invalid_decomposition_rejected(self, td, message):
+        pg = bowtie_221().instance
+        with pytest.raises(ValueError, match="does not fit the footprint: " + message):
+            bag_strategy(pg, td)
 
     def test_random_corpus(self, rng):
         for _ in range(10):
