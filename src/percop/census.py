@@ -44,11 +44,20 @@ def _mask_graphs(n, pairs):
             for mk in range(1 << len(pairs))]
 
 
+def _check_positive_ints(**named):
+    """Refuse any value that is not an int >= 1; bool is not an int here."""
+    for name, value in named.items():
+        if type(value) is not int or value < 1:
+            raise ValueError("%s must be an int >= 1: %r" % (name, value))
+
+
 def instances(n, p):
     """Yield (G_0 mask, later masks) per temporally connected instance on n vertices
     with period p.  G_0 runs over each class's least mask, ascending (every instance
     is isomorphic to one whose G_0 is), and the p - 1 later masks over all tuples,
-    in lexicographic order."""
+    in lexicographic order.  n and p must be ints >= 1, checked before the first
+    instance."""
+    _check_positive_ints(n=n, p=p)
     pairs, reps = _canonical_graph_masks(n)
     connected = [g.is_connected() for g in _mask_graphs(n, pairs)]
     for g0m in reps:
@@ -67,9 +76,7 @@ def smallest_3copwin_scan(max_n, max_p):
     the ones whose G_0 has domination number >= 3 (two cops on a dominating set of
     G_0 capture at once).  Its rows count the instances enumerated (connected or
     not), temporally connected and solved: bounded evidence, not a proof."""
-    for name, value in (("max_n", max_n), ("max_p", max_p)):
-        if type(value) is not int or value < 1:
-            raise ValueError("%s must be an int >= 1: %r" % (name, value))
+    _check_positive_ints(max_n=max_n, max_p=max_p)
     if max_n > 5 or max_p > 4:
         raise LimitError("scan limits exceeded: need max_n <= 5, max_p <= 4")
     classes = [_canonical_graph_masks(n) for n in range(1, max_n + 1)]

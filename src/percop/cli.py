@@ -142,7 +142,11 @@ def cmd_search(args):
     if Path(args.spec).is_file():
         import json
 
-        spec = spec_from_dict(json.loads(Path(args.spec).read_text()))
+        try:
+            obj = json.loads(Path(args.spec).read_text())
+        except RecursionError as e:
+            raise ValueError("spec file: JSON nested too deeply") from e
+        spec = spec_from_dict(obj)
     else:
         spec = get_spec(args.spec)
     # rebuilt through the dataclass, so the overrides are checked like the file

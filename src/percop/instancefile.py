@@ -52,13 +52,20 @@ def parse(data):
     the graph carries neither.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise InstanceError(
+                "syntax", "not UTF-8 text", "byte %d" % e.start
+            ) from e
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as e:
         raise InstanceError(
             "syntax", "invalid JSON: %s" % e.msg, "line %d" % e.lineno
         ) from e
+    except RecursionError as e:
+        raise InstanceError("syntax", "JSON nested too deeply") from e
     if not isinstance(obj, dict):
         raise InstanceError("syntax", "top level must be an object")
     unknown = set(obj) - _TOP_FIELDS

@@ -1,18 +1,16 @@
 """Exact tree decompositions for small graphs and the bag-based cop strategy.
 
-One primitive, the back set Q(S, v), gives the elimination DP its costs and
-the decomposition its bags.  Q(S - v, v) is the closure from v through S,
-minus S, so the DP prices a whole component of G[S] at once: a connected S
-costs |N(S) - S|, read off a table nb[S] = N[S] that grows by one vertex per
-subset, and a disconnected S costs the max over its lowest vertex's
-component and the rest.  Back sets proper are taken only for the bags of the
-optimal ordering.  Every other reachability question is also one bitmask
-closure (`graphs.mask_closure`): the tree check asks whether the tree edges
-connect the bags, and the side of a bag-tree edge (x, y) is the closure from
-y with x cut out.
-The DP caps every value just above a greedy min-fill width UB >= tw,
-which changes no value or choice on its optimal walk, since every cost there
-is at most tw.
+One table, nb[S] = N[S] over every vertex subset S, gives the elimination
+DP its costs and the decomposition its bags.  The back set Q(S, v) of
+Rose, Tarjan & Lueker (1976), the vertices outside S + v reachable from v
+through S, is N(C) minus S + v for v's component C of G[S + v], so the DP
+prices a whole component at once: a connected S costs |N(S) - S|, and a
+disconnected S costs the max over its lowest vertex's component and the
+rest.  Components are grown through nb too, and each bag is read from nb
+in the same way.  No upper bound caps the DP.  Every other reachability
+question is one bitmask closure (`graphs.mask_closure`): the tree check
+asks whether the tree edges connect the bags, and the side of a bag-tree
+edge (x, y) is the closure from y with x cut out.
 The width bound transfers to periodic play:
 width+1 cops holding a bag of the footprint, with one cop at a time walking
 stubbornly to the next bag, capture the robber on any temporally connected
@@ -103,57 +101,6 @@ def validate_decomposition(td, g):
     return None
 
 
-def _back_set(open_adj, S, v):
-    """Q(S, v): vertices outside S reachable from v by paths with interior in S.
-
-    This is v's neighbourhood in the graph left after eliminating S (Rose,
-    Tarjan & Lueker 1976), so it is both v's elimination cost and its bag.
-    """
-    inner = S | 1 << v
-    return mask_closure(open_adj, 1 << v, inner) & ~inner
-
-
-def _min_fill_width(open_adj):
-    """Width of a greedy min-fill elimination ordering, an upper bound on tw.
-
-    Each step eliminates the remaining vertex whose neighbours miss the
-    fewest edges among themselves, the lowest on ties, and joins those
-    neighbours into a clique (Bodlaender & Koster 2010).
-    """
-    adj = list(open_adj)
-    alive = (1 << len(adj)) - 1
-    width = 0
-    while alive:
-        best_v, best_fill = -1, -1
-        m = alive
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            nb = adj[v]
-            fill = 0  # each missing edge among nb, counted from both ends
-            rest = nb
-            while rest:
-                u = rest & -rest
-                rest ^= u
-                fill += (nb & ~adj[u.bit_length() - 1] & ~u).bit_count()
-            if best_fill < 0 or fill < best_fill:
-                best_v, best_fill = v, fill
-                if not fill:
-                    break
-        nb = adj[best_v]
-        width = max(width, nb.bit_count())
-        bit = 1 << best_v
-        alive ^= bit
-        rest = nb
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            adj[u] = (adj[u] | nb) & ~low & ~bit
-    return width
-
-
 def exact_treewidth(g, limit=13):
     """(treewidth, minimal TreeDecomposition) by DP over elimination prefixes.
 
@@ -163,13 +110,12 @@ def exact_treewidth(g, limit=13):
     max(min_v f(S - v), |N(S) - S|), read off the table nb[S] = N[S], which
     grows by one vertex per subset.  A disconnected S is eliminated one
     component at a time, so f(S) = max(f(C), f(S - C)) for the component C
-    of its lowest vertex, grown by nb from that vertex.  Walking down from
-    the full set, removing the lowest v with f(S - v) <= f(S), gives an
-    optimal ordering; bag i is order[i] plus its back set
-    Q(order[:i], order[i]), joined to the bag of its earliest back-set
-    member.  Every f is capped at the min-fill width UB + 1: the cap keeps
-    f(S) whenever f(S) <= UB, min(cap, max(a, b)) = max(min(cap, a),
-    min(cap, b)), and every cost on the walk is at most tw <= UB.
+    of its lowest vertex, grown by nb from that vertex.  No bound caps f.
+    Walking down from the full set, removing the lowest v with
+    f(S - v) <= f(S), gives an optimal ordering.  Bag i is order[i] plus
+    its back set Q(order[:i], order[i]), read from the same table: grow
+    v's component C of G[order[:i + 1]] by nb, and take N(C) minus it.
+    The bag is joined to the bag of its earliest back-set member.
 
     The walk needs no back set: |Q(S - v, v)| = |N(C) - S| for v's component
     C, and every ordering of S pays that much for the last vertex of C it
@@ -189,7 +135,6 @@ def exact_treewidth(g, limit=13):
     f = [0] * (1 << n)
     nb = [0] * (1 << n)
     f[0] = -1
-    cap = _min_fill_width(open_adj) + 1
     # a proper subset of S is a smaller int, so its f and nb are set
     for S in range(1, full + 1):
         low = S & -S
@@ -205,10 +150,7 @@ def exact_treewidth(g, limit=13):
             f[S] = a if a > b else b
             continue
         q = (nbS ^ S).bit_count()
-        if q >= cap:
-            f[S] = cap
-            continue
-        best = cap
+        best = n
         m = S
         while m:
             low = m & -m
@@ -235,8 +177,14 @@ def exact_treewidth(g, limit=13):
     roots = []
     S = 0
     for i, v in enumerate(order):
-        back = _back_set(open_adj, S, v)
         S |= 1 << v
+        comp = 1 << v
+        while True:
+            grown = nb[comp] & S
+            if grown == comp:
+                break
+            comp = grown
+        back = nb[comp] & ~S
         later = [u for u in range(n) if (back >> u) & 1]
         bags.append(frozenset([v] + later))
         if later:

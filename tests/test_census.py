@@ -40,6 +40,14 @@ class TestInstances:
             assert row["enumerated"] == tried
             assert row["temporally_connected"] == len(found)
 
+    @pytest.mark.parametrize("n, p, name", [
+        (2.0, 1, "n"), (3, 0, "p"), (0, 2, "n"), (True, 2, "n"),
+    ])
+    def test_arguments_must_be_positive_ints(self, n, p, name):
+        stream = instances(n, p)
+        with pytest.raises(ValueError, match="^%s must be an int >= 1: " % name):
+            next(stream)
+
 
 class TestScan:
     def test_tiny_scan_finds_nothing(self):

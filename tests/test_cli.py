@@ -201,6 +201,25 @@ class TestErrorSurface:
         code, out = run_json(capsys, "search", "--spec", str(spec_path))
         assert code == 2 and out["error"] == "invalid"
 
+    def test_spec_file_nested_too_deeply(self, capsys, tmp_path):
+        spec_path = tmp_path / "deep.json"
+        spec_path.write_text("[" * 10**5)
+        code, out = run_json(capsys, "search", "--spec", str(spec_path))
+        assert code == 2 and out["error"] == "invalid"
+        assert "nested too deeply" in out["detail"]
+
+    @pytest.mark.parametrize("data, detail", [
+        (b"[" * 10**5, "nested too deeply"),
+        (b'{"version": 1, "n": "\xe9"}', "not UTF-8 text"),
+    ])
+    def test_unreadable_instance_file_is_a_syntax_error(self, capsys, tmp_path,
+                                                         data, detail):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, out = run_json(capsys, "solve", str(path))
+        assert code == 2 and out["error"] == "syntax"
+        assert detail in out["detail"]
+
     @pytest.mark.parametrize("command", ["solve", "triple", "corners"])
     def test_missing_instance_file_exits_2(self, capsys, tmp_path, command):
         path = tmp_path / "missing.json"

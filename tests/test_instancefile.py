@@ -86,6 +86,18 @@ class TestErrors:
         assert err.value.code == "syntax"
         assert "line" in str(err.value)
 
+    def test_bytes_not_utf8(self):
+        with pytest.raises(InstanceError, match="not UTF-8 text") as err:
+            parse(b'{"version": 1, "labels": {"0": "\xff"}}')
+        assert err.value.code == "syntax"
+        assert "byte 32" in str(err.value)
+
+    @pytest.mark.parametrize("data", ["[" * 10**5, b"[" * 10**5, '{"a": ' * 10**5])
+    def test_nested_deeper_than_the_recursion_limit(self, data):
+        with pytest.raises(InstanceError, match="nested too deeply") as err:
+            parse(data)
+        assert err.value.code == "syntax"
+
     def test_self_loop(self):
         obj = base_obj()
         obj["snapshots"][0].append([3, 3])

@@ -688,6 +688,43 @@ class TestCertify:
         assert doubled.period == 2 * get_spec("thm112").p
         assert certify(doubled, get_spec("thm112"))["verified"] is True
 
+    @staticmethod
+    def retract_premise(pg, images):
+        spec = get_spec("prop3_retract")
+        target = dict(spec.targets["retract_premise_fails"], images=images)
+        spec.targets = dict(spec.targets, retract_premise_fails=target)
+        certs = certify(pg, spec)
+        assert certs["verified"] is certs["retract_premise_fails"]
+        return certs["retract_premise_fails"]
+
+    def test_retract_premise_fails_on_the_witness(self):
+        pg, _meta = load_witness("prop3_retract")
+        assert self.retract_premise(pg, [1, 2]) is True
+
+    @pytest.mark.parametrize("images", [[0], [3], [1, 0]])
+    def test_retract_premise_not_a_retraction_of_the_footprint(self, images):
+        # 4 -> 0 sends the edge 24 onto 20 and 4 -> 3 sends 14 onto 13,
+        # neither an edge of the footprint
+        pg, _meta = load_witness("prop3_retract")
+        assert self.retract_premise(pg, images) is False
+
+    def test_retract_premise_holds_on_every_snapshot(self):
+        # every snapshot is the footprint, so each retraction of it holds on all
+        pg, _meta = load_witness("prop3_retract")
+        assert self.retract_premise(constant(footprint(pg), 3), [1, 2]) is False
+
+    @pytest.mark.parametrize("snapshot", [
+        cycle_graph(9),                                   # n edges
+        Graph(9, [(i, 8) for i in range(8)]),             # a star: a tree, not a path
+        Graph(9, [(i, i + 1) for i in range(7)] + [(0, 7)]),  # n - 1 edges, 8 isolated
+    ], ids=["cycle", "star", "disconnected"])
+    def test_hamiltonian_path_snapshot_refused(self, snapshot):
+        pg, _meta = load_witness("thm112")
+        assert certify(pg, get_spec("thm112"))["snapshots_ok"] is True
+        changed = PeriodicGraph([snapshot] + list(pg.snapshots[1:]))
+        certs = certify(changed, get_spec("thm112"))
+        assert certs["snapshots_ok"] is False and certs["verified"] is False
+
     @pytest.mark.parametrize("value, passed", [(2, True), (1, False)])
     def test_footprint_copnum_target(self, value, passed):
         # the footprint C4 needs two cops, whatever the periodic game needs

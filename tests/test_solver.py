@@ -263,6 +263,14 @@ class TestSolveResult:
         with pytest.raises(ValueError, match=r"^k must be an int >= 1: %s$" % repr(k)):
             is_k_copwin(q3_rotation().instance, k)
 
+    def test_no_winning_cop_move_from_a_lost_state(self):
+        # one cop on C4 catches an adjacent robber and never the opposite one
+        res = is_k_copwin(constant(cycle_graph(4), 1), 1)
+        assert not res.copwin
+        assert res.optimal_cop_move(0, (0,), 1) == (1,)
+        with pytest.raises(ValueError, match="^no winning cop move from this state$"):
+            res.optimal_cop_move(0, (0,), 2)
+
     @pytest.mark.parametrize("query", ["rank_of", "is_cop_win", "optimal_cop_move"])
     @pytest.mark.parametrize("cops, robber, bad", [
         ((0, 1, 2), 99, "robber"), ((0, 1, 2), 8, "robber"), ((0, 1, 2), -1, "robber"),
@@ -1277,6 +1285,12 @@ class TestVerifyPolicy:
         )
         with pytest.raises(ValueError, match="infeasible"):
             verify_policy(pg, pol)
+
+    @pytest.mark.parametrize("start", [(0,), (0, 1, 2)])
+    def test_initial_placement_of_the_wrong_size(self, start):
+        pol = CopPolicy(k=2, initial_cops=start, step=lambda m, t, c, r: (c, m))
+        with pytest.raises(ValueError, match="^policy initial placement has wrong size$"):
+            verify_policy(constant(path_graph(3), 2), pol)
 
     @pytest.mark.parametrize("cop", [99, 3, -1, 1.0, True, None])
     def test_initial_cop_must_be_a_vertex(self, cop):

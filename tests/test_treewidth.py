@@ -12,10 +12,8 @@ from percop.graphs import (
 from percop.periodic import constant, footprint, pad
 from percop.search import load_witness
 from percop.solver import cop_number, verify_policy
-from percop import treewidth
 from percop.treewidth import (
     TreeDecomposition,
-    _min_fill_width,
     _side_vertices,
     bag_strategy,
     exact_treewidth,
@@ -125,11 +123,7 @@ class TestExactTreewidth:
         assert validate_decomposition(td, g) is None
 
 
-def _open_adj(g):
-    return [g.nbr_mask(v) & ~(1 << v) for v in range(g.n)]
-
-
-# min-fill eliminates to width 6 on this graph; its treewidth is 5
+# a graph of treewidth 5 on which greedy min-fill eliminates to width 6
 LOOSE_MIN_FILL = Graph(9, [
     (0, 3), (0, 5), (0, 6), (0, 8), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 8),
     (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5), (4, 5), (4, 6), (4, 8),
@@ -138,14 +132,13 @@ LOOSE_MIN_FILL = Graph(9, [
 
 
 class TestAgainstReference:
-    """The DP capped by the min-fill width gives the uncapped DP's width and
-    decomposition, kept in tests/reference.py."""
+    """The DP gives the width and decomposition of the independent back-set
+    DP kept in tests/reference.py."""
 
     @staticmethod
     def check(g):
         w, td = exact_treewidth(g)
         assert (w, td.as_dict()) == reference_exact_treewidth(g)
-        assert w <= _min_fill_width(_open_adj(g))
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_generator_footprints(self, name):
@@ -182,42 +175,8 @@ class TestAgainstReference:
             self.check(shuffled_union(rng, g, Graph(rng.randint(1, 3))))
 
     def test_loose_min_fill(self):
-        assert _min_fill_width(_open_adj(LOOSE_MIN_FILL)) == 6
         assert exact_treewidth(LOOSE_MIN_FILL)[0] == 5
         self.check(LOOSE_MIN_FILL)
-
-    @staticmethod
-    def check_every_cap(g, monkeypatch):
-        # any bound >= tw gives the same decomposition
-        want = reference_exact_treewidth(g)
-        for ub in range(want[0], g.n):
-            monkeypatch.setattr(treewidth, "_min_fill_width", lambda adj, ub=ub: ub)
-            w, td = exact_treewidth(g)
-            assert (w, td.as_dict()) == want
-
-    def test_every_cap_from_tw_up(self, rng, monkeypatch):
-        for _ in range(10):
-            g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.15, 0.7))
-            self.check_every_cap(g, monkeypatch)
-
-    def test_every_cap_from_tw_up_disconnected(self, rng, monkeypatch):
-        for _ in range(10):
-            self.check_every_cap(random_disjoint_union(rng, 9), monkeypatch)
-        self.check_every_cap(Graph(6), monkeypatch)
-
-
-class TestMinFillWidth:
-    def test_known_widths(self):
-        assert _min_fill_width(_open_adj(path_graph(9))) == 1
-        assert _min_fill_width(_open_adj(cycle_graph(7))) == 2
-        assert _min_fill_width(_open_adj(complete_graph(6))) == 5
-        assert _min_fill_width(_open_adj(Graph(4))) == 0
-
-    def test_leaves_its_input_unchanged(self):
-        adj = _open_adj(petersen_graph())
-        before = list(adj)
-        assert _min_fill_width(adj) == 4
-        assert adj == before
 
 
 def _fill_bags(g, order):
@@ -372,6 +331,13 @@ class TestSmooth:
     def test_random(self, rng):
         for _ in range(15):
             self.check(random_connected_graph(rng, rng.randint(2, 8), 0.4))
+
+    def test_overlap_below_width_is_not_smooth(self):
+        # every bag has k + 1 = 3 vertices, but the tree edge shares only one
+        full = TreeDecomposition([frozenset({0, 1, 2}), frozenset({1, 2, 3})], [(0, 1)])
+        thin = TreeDecomposition([frozenset({0, 1, 2}), frozenset({2, 3, 4})], [(0, 1)])
+        assert is_smooth(full)
+        assert not is_smooth(thin)
 
     def test_invalid_input_rejected(self):
         g = path_graph(3)
