@@ -1,8 +1,9 @@
 """Static simple graphs and the classical subroutines the game analysis leans on.
 
-Vertices are always 0..n-1.  Graphs are stored without self-loops; every
-game-related routine works with closed neighborhoods N[u] (u is always its own
-neighbor), so reflexivity is a rule of the game, not data.
+Vertices are always 0..n-1.  A graph is its closed neighborhoods N[u], one
+bitmask per vertex (u is always its own neighbor, so reflexivity is a rule of
+the game, not data); edge sets, without self-loops, are derived from the
+masks when asked for.
 """
 
 from __future__ import annotations
@@ -45,11 +46,13 @@ def masks_connected(masks):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Adjacency is kept as one bitmask per vertex; ``nbr_mask(u)`` is the closed
-    neighborhood N[u] (bit u always set).
+    The closed neighborhoods are the data: one bitmask per vertex, and
+    ``nbr_mask(u)`` is N[u] (bit u always set).  ``edges``, the (u, v)
+    pairs with u < v, is derived from the masks on first read and kept.
+    Equality and hashing compare the masks.
     """
 
-    __slots__ = ("n", "edges", "_masks")
+    __slots__ = ("n", "_masks", "_edges")
 
     def __init__(self, n, edges=()):
         # bool is not an int here, and no float or str is converted, for n
@@ -57,7 +60,6 @@ class Graph:
         if type(n) is not int or n < 0:
             raise ValueError("n must be an int >= 0: %r" % (n,))
         self.n = n
-        norm = set()
         masks = [1 << v for v in range(self.n)]
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
@@ -66,12 +68,30 @@ class Graph:
                 raise ValueError("self-loop forbidden: (%d,%d)" % (u, v))
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError("edge endpoint out of range: (%d,%d)" % (u, v))
-            a, b = (u, v) if u < v else (v, u)
-            norm.add((a, b))
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        self.edges = frozenset(norm)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self._masks = tuple(masks)
+        self._edges = None
+
+    @classmethod
+    def _of(cls, masks):
+        """The graph whose closed neighborhoods are ``masks``, unchecked: for
+        callers whose masks are symmetric, with bit u of masks[u] set and no
+        bit at n or above, by construction."""
+        g = object.__new__(cls)
+        g.n = len(masks)
+        g._masks = tuple(masks)
+        g._edges = None
+        return g
+
+    @property
+    def edges(self):
+        """The edges as a frozenset of (u, v) pairs with u < v.  Threads that
+        race on the first read each store the same value."""
+        edges = self._edges
+        if edges is None:
+            edges = self._edges = frozenset(self.sorted_edges())
+        return edges
 
     def nbr_mask(self, u):
         """Closed neighborhood N[u] as a bitmask."""
@@ -99,7 +119,15 @@ class Graph:
         return u != v and (self._masks[u] >> v) & 1 == 1
 
     def sorted_edges(self):
-        return sorted(self.edges)
+        """The edges (u, v), u < v, in increasing order."""
+        out = []
+        for u, m in enumerate(self._masks):
+            m &= -2 << u  # the neighbors above u
+            while m:
+                low = m & -m
+                out.append((u, low.bit_length() - 1))
+                m ^= low
+        return out
 
     def is_connected(self):
         return masks_connected(self._masks)
@@ -137,17 +165,14 @@ class Graph:
         return Graph(self.n, [(perm[u], perm[v]) for (u, v) in self.edges])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self._masks == other._masks
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self._masks)
 
     def __repr__(self):
-        return "Graph(n=%d, m=%d)" % (self.n, len(self.edges))
+        m = (sum(mask.bit_count() for mask in self._masks) - self.n) // 2
+        return "Graph(n=%d, m=%d)" % (self.n, m)
 
 
 class Retraction:

@@ -66,6 +66,10 @@ def parse(data):
         ) from e
     except RecursionError as e:
         raise InstanceError("syntax", "JSON nested too deeply") from e
+    except ValueError as e:
+        # int() refuses a literal of more than sys.get_int_max_str_digits()
+        # digits; its message differs between Python versions
+        raise InstanceError("syntax", "invalid JSON: an integer literal is too long") from e
     if not isinstance(obj, dict):
         raise InstanceError("syntax", "top level must be an object")
     unknown = set(obj) - _TOP_FIELDS

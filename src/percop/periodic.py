@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 from .graphs import Graph
 
 
@@ -31,7 +33,7 @@ class PeriodicGraph:
         idx = {}
         us = []
         for g in snapshots:
-            key = g.edges
+            key = g.masks
             if key not in idx:
                 idx[key] = len(uniq)
                 uniq.append(g)
@@ -58,10 +60,11 @@ class PeriodicGraph:
 
 
 def footprint(pg):
-    edges = set()
+    """The graph of every edge that some snapshot has: the OR of their masks."""
+    masks = [0] * pg.n
     for g in pg.unique_snapshots:
-        edges |= g.edges
-    return Graph(pg.n, edges)
+        masks = list(map(operator.or_, masks, g.masks))
+    return Graph._of(masks)
 
 
 def is_temporally_connected(pg):

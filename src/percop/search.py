@@ -584,6 +584,32 @@ def _coin_flips(rng, m):
     return rng.getrandbits(64 * m).to_bytes(8 * m, "little")[3::8].translate(_BELOW_HALF)
 
 
+# coins `_Coins` reads ahead from its RNG at a time
+_COIN_BLOCK = 4096
+
+
+class _Coins:
+    """One search's stream of `random() < 0.5` coins, read from its RNG
+    `_COIN_BLOCK` coins ahead by `_coin_flips`.  ``take(m)`` gives the next
+    m coins, the ones m random() calls would give; only the RNG's state
+    runs ahead, so nothing else may read the RNG."""
+
+    __slots__ = ("rng", "buf", "at")
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.buf = b""
+        self.at = 0
+
+    def take(self, m):
+        at, end = self.at, self.at + m
+        if end > len(self.buf):
+            self.buf = self.buf[at:] + _coin_flips(self.rng, max(_COIN_BLOCK, m))
+            at, end = 0, m
+        self.at = end
+        return self.buf[at:end]
+
+
 def _cross_pairs(side):
     """The pairs u < v that ``side`` (one entry per vertex) puts apart."""
     return [(u, v) for u, v in itertools.combinations(range(len(side)), 2)
@@ -600,55 +626,57 @@ def _girth4_table(n):
     return table
 
 
-def _connected_girth4(n, edges):
-    """Graph(n, edges) if it is connected with girth 4, else None."""
-    # masks first: most draws are disconnected and never become a Graph
-    masks = [0] * n
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+def _connected_girth4(masks):
+    """Graph._of(masks) if it is connected with girth 4, else None."""
     if masks_connected(masks):
-        g = Graph(n, edges)
+        g = Graph._of(masks)
         if girth(g) == 4:
             return g
     return None
 
 
-def _sample_girth4(rng, n):
+def _sample_girth4(coins, n):
     """A connected girth-4 graph on n vertices, or None after 200 draws.
 
-    A draw splits the vertices by one `random() < 0.5` each (both sides
-    non-empty) and keeps each pair across the split by another; lem122's
-    witness depends on exactly these draws.  `_coin_flips` makes each batch
-    one getrandbits call that leaves the RNG where the random() calls would.
+    A draw splits the vertices by one coin of ``coins`` (a `_Coins`) each,
+    both sides non-empty, and keeps each pair across the split by another:
+    the coins of `random() < 0.5` calls, on which lem122's witness depends.
+    The coins are read ahead per search, so the RNG runs ahead of them.  A
+    draw's closed-neighborhood masks are built from its kept pairs, and an
+    accepted draw is the Graph of those masks.
 
     For n <= 7 a draw is one of few: 2^n sides, each with at most 2^12
     subsets of its cross pairs (18,306 draws in all at n = 6).  A search
     samples far more draws than that (lem122's makes 555,197 at n = 6), so
     most draws repeat.  The verdict table of n, one byte per draw, is a
-    cache that the loop reads before it builds a draw's edges: the
+    cache that the loop reads before it builds a draw's masks: the
     connectivity and girth tests run once per draw, a rejected draw seen
-    before costs one read, and an accepted one only its Graph.  For n >= 8
+    before costs one read, and an accepted one only its masks.  For n >= 8
     the table would take 16 MB or more, so every draw is tested.
     """
     pairs_by_side, offsets, verdicts = (
         _girth4_table(n) if n <= _GIRTH4_TABLE_MAX_N else (None, None, None))
     everyone = (1 << n) - 1
+    take = coins.take
     for _ in range(200):
-        side = _coin_flips(rng, n)
+        side = take(n)
         s = int(side, 2)
         if s == 0 or s == everyone:
             continue
         pairs = _cross_pairs(side) if verdicts is None else pairs_by_side[s]
-        cross = _coin_flips(rng, len(pairs))
+        cross = take(len(pairs))
         at = None if verdicts is None else offsets[s] + int(cross, 2)
         verdict = 0 if at is None else verdicts[at]
         if verdict == _REJECTED:
             continue
-        edges = [e for e, c in zip(pairs, cross) if c == 49]  # b"1"
+        masks = [1 << v for v in range(n)]
+        for (u, v), c in zip(pairs, cross):
+            if c == 49:  # b"1"
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
         if verdict == _ACCEPTED:
-            return Graph(n, edges)
-        g = _connected_girth4(n, edges)
+            return Graph._of(masks)
+        g = _connected_girth4(masks)
         if at is not None:
             verdicts[at] = _REJECTED if g is None else _ACCEPTED
         if g is not None:
@@ -657,12 +685,16 @@ def _sample_girth4(rng, n):
 
 
 def _gen_girth(spec, rng):
+    """Candidates of connected girth-4 snapshots, drawn by `_sample_girth4`
+    from one `_Coins` of ``rng``: the coins are read ahead, so the RNG is
+    this stream's alone and is left ahead of the last coin used."""
     n, p = spec.n, spec.p
     gamma0 = spec.targets.get("gamma_g0")
+    coins = _Coins(rng)
     while True:
         g0 = None
         for _ in range(200):
-            g = _sample_girth4(rng, n)
+            g = _sample_girth4(coins, n)
             if g is not None and (
                 gamma0 is None or domination_number(g) == gamma0
             ):
@@ -671,7 +703,7 @@ def _gen_girth(spec, rng):
         if g0 is None:
             yield None
             continue
-        rest = [_sample_girth4(rng, n) for _ in range(p - 1)]
+        rest = [_sample_girth4(coins, n) for _ in range(p - 1)]
         if any(g is None for g in rest):
             yield None
             continue

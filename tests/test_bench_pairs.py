@@ -1,8 +1,10 @@
 """tools/bench_pairs.py without running the benchmark: seed ranges, and the
-pairing and summary of compare() over a stubbed run_once."""
+pairing and summary of compare() over a stubbed run_once, and the copy of
+the working tree."""
 
 import argparse
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,7 @@ class TestParseSeeds:
             raise AssertionError("ran before the seeds were checked")
 
         monkeypatch.setattr(bench_pairs, "export", never)
+        monkeypatch.setattr(bench_pairs, "copy_worktree", never)
         monkeypatch.setattr(bench_pairs, "run_once", never)
         out = tmp_path / "bench.json"
         with pytest.raises(SystemExit) as exc:
@@ -46,7 +49,7 @@ def _stub(monkeypatch, table):
     calls = []
 
     def run_once(tree, workload, seed, seconds):
-        side = "change" if tree == bench_pairs.ROOT else "base"
+        side = {"BASE": "base", "CHANGE": "change"}[tree]
         assert workload == "corpus" and seconds == 25
         calls.append((side, seed))
         wall, ops, digest, failed = table[side, seed]
@@ -67,7 +70,7 @@ class TestCompare:
 
     def test_summary(self, monkeypatch):
         calls = _stub(monkeypatch, self.table())
-        out = bench_pairs.compare("corpus", [1, 2, 3, 4], 25, "BASE", DECLARED)
+        out = bench_pairs.compare("corpus", [1, 2, 3, 4], 25, "BASE", "CHANGE", DECLARED)
         # the order flips from one seed to the next
         assert calls == [("base", 1), ("change", 1), ("change", 2), ("base", 2),
                          ("base", 3), ("change", 3), ("change", 4), ("base", 4)]
@@ -90,6 +93,25 @@ class TestCompare:
         table["change", 3] = (27.0, 1.0, "other", 2)
         table["base", 4] = (40.0, 1.0, "d4", 1)
         _stub(monkeypatch, table)
-        out = bench_pairs.compare("corpus", [1, 2, 3, 4], 25, "BASE", DECLARED)
+        out = bench_pairs.compare("corpus", [1, 2, 3, 4], 25, "BASE", "CHANGE", DECLARED)
         assert out["answers_equal"] is False
         assert out["failed"] == {"base": 1, "change": 2}
+
+
+def test_copy_worktree_skips_ignored_files(monkeypatch, tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / ".gitignore").write_text("out/\n")
+    (repo / "src" / "tracked.py").write_text("a = 1\n")
+    (repo / "src" / "gone.py").write_text("")
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "."], cwd=repo, check=True)
+    (repo / "src" / "gone.py").unlink()  # tracked, deleted in the tree
+    (repo / "src" / "new.py").write_text("b = 2\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "log.txt").write_text("ignored\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    tree = bench_pairs.copy_worktree(tmp_path / "copy")
+    got = sorted(str(p.relative_to(tree)) for p in tree.rglob("*") if p.is_file())
+    assert got == [".gitignore", "src/new.py", "src/tracked.py"]
+    assert (tree / "src" / "tracked.py").read_text() == "a = 1\n"

@@ -211,6 +211,7 @@ class TestErrorSurface:
     @pytest.mark.parametrize("data, detail", [
         (b"[" * 10**5, "nested too deeply"),
         (b'{"version": 1, "n": "\xe9"}', "not UTF-8 text"),
+        (b'{"version": 1, "n": ' + b"9" * 5000 + b"}", "invalid JSON"),
     ])
     def test_unreadable_instance_file_is_a_syntax_error(self, capsys, tmp_path,
                                                          data, detail):

@@ -105,6 +105,50 @@ class TestGraphBasics:
             assert g.components() == want
 
 
+class TestMaskRepresentation:
+    """The masks are a Graph's data; edges, order, equality, hash and repr
+    read the same whether a graph was built from edges or from masks."""
+
+    def test_masks_rebuild_the_same_graph(self, rng):
+        for n in list(range(11)) * 8:
+            want = {(u, v) for u, v in itertools.combinations(range(n), 2)
+                    if rng.random() < rng.choice((0.1, 0.4, 0.8))}
+            # either orientation, and some edges twice
+            given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in want]
+            given += rng.sample(given, len(given) // 3)
+            g = Graph(n, given)
+            h = Graph._of(g.masks)
+            assert g.edges == h.edges == frozenset(want)
+            assert g.sorted_edges() == h.sorted_edges() == sorted(want)
+            assert g == h and hash(g) == hash(h)
+            assert repr(g) == repr(h) == "Graph(n=%d, m=%d)" % (n, len(want))
+            assert g.n == h.n == n
+            if n >= 2:  # one edge more or less
+                assert g != Graph(n, set(want) ^ {(0, 1)})
+
+    def test_edges_are_derived_once(self):
+        g = Graph(4, [(2, 1), (0, 3)])
+        assert g.edges is g.edges
+        assert Graph(3) != Graph(4) and Graph(0) == Graph._of(())
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (2.7, (), "n must be an int >= 0: 2.7"),
+        (-1, (), "n must be an int >= 0: -1"),
+        (3, [(0, True)], "edge endpoints must be ints: (0, True)"),
+        (3, [(1, 1)], "self-loop forbidden: (1,1)"),
+        (3, [(0, 3)], "edge endpoint out of range: (0,3)"),
+        (3, [(-1, 2)], "edge endpoint out of range: (-1,2)"),
+        # the first bad edge decides, and the checks run in this order
+        (3, [(0, 1), (2, 2), (0, 5)], "self-loop forbidden: (2,2)"),
+        (3, [(0, 5), (1.0, 1)], "edge endpoint out of range: (0,5)"),
+        (3, [(True, True)], "edge endpoints must be ints: (True, True)"),
+        (3, [(4, 4)], "self-loop forbidden: (4,4)"),
+    ])
+    def test_error_messages(self, n, edges, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            Graph(n, edges)
+
+
 def reference_closure(g, seen, through):
     """Queue BFS from the set `seen`: every vertex it reaches is kept, but
     only those in `through` are expanded."""

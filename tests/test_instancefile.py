@@ -98,6 +98,15 @@ class TestErrors:
             parse(data)
         assert err.value.code == "syntax"
 
+    @pytest.mark.parametrize("data", [
+        '{"version": 1, "n": ' + "9" * 5000 + "}",
+        b'{"version": 1, "n": 4, "period": 1, "snapshots": [[[0, -' + b"1" * 5000 + b"]]]}",
+    ])
+    def test_integer_literal_too_long_for_int(self, data):
+        with pytest.raises(InstanceError, match="invalid JSON") as err:
+            parse(data)
+        assert err.value.code == "syntax"
+
     def test_self_loop(self):
         obj = base_obj()
         obj["snapshots"][0].append([3, 3])

@@ -79,6 +79,38 @@ class TestFootprint:
         assert len(foot.edges) == 55  # complete graph on 11 vertices
 
 
+class TestMaskFootprint:
+    """The footprint ORs the snapshots' masks; snapshots are told apart by
+    their masks."""
+
+    def test_footprint_is_the_union_of_edges(self, rng):
+        disconnected = 0
+        for _ in range(200):
+            pg = random_periodic(rng, rng.randint(1, 10), rng.randint(1, 4),
+                                 rng.choice((0.05, 0.15, 0.4)))
+            union = set().union(*(g.edges for g in pg.snapshots))
+            foot = footprint(pg)
+            assert foot == Graph(pg.n, union)
+            assert foot.edges == union and foot.sorted_edges() == sorted(union)
+            disconnected += not foot.is_connected()
+        assert disconnected > 20
+
+    def test_repeated_snapshots(self, rng):
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            pool = [[(u, v) for u, v in itertools.combinations(range(n), 2)
+                     if rng.random() < 0.4] for _ in range(3)]
+            picks = [rng.randrange(3) for _ in range(rng.randint(1, 8))]
+            pg = PeriodicGraph([Graph(n, pool[i]) for i in picks])
+            # the first snapshot of each edge set, and each layer's index
+            keys = [frozenset(pool[i]) for i in picks]
+            first = list(dict.fromkeys(keys))
+            assert pg.usnap == tuple(first.index(k) for k in keys)
+            assert len(pg.unique_snapshots) == len(first)
+            assert all(g is pg.snapshots[keys.index(k)]
+                       for g, k in zip(pg.unique_snapshots, first))
+
+
 class TestTemporalConnectivity:
     def test_q3_rotation_connected_despite_matchings(self):
         pg = q3_rotation().instance

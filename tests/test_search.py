@@ -21,6 +21,7 @@ from percop.solver import cop_number, is_k_copwin, static_cop_number
 from percop import search as search_module
 from percop.search import (
     SearchSpec,
+    _Coins,
     _candidates,
     _coin_flips,
     _petersen_five_cycles,
@@ -557,15 +558,41 @@ def _old_sample_girth4(rng, n):
     return None
 
 
+class _CountingRandom(random.Random):
+    """A Random that counts its random() calls and the coins its
+    getrandbits calls pack, 64 bits a coin as `_coin_flips` asks."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = self.coins = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.coins += k // 64
+        return super().getrandbits(k)
+
+
+def _coins_used(rng, coins):
+    """The coins a `_Coins` on a `_CountingRandom` has handed out."""
+    return rng.coins - (len(coins.buf) - coins.at)
+
+
 class TestGirthSampler:
     def test_same_draws_as_graph_first_sampler(self):
-        # lem122's witness depends on the exact RNG draw order
+        # lem122's witness depends on the exact coin order: draws chained on
+        # one coin stream are the first sampler's draws chained on a twin
+        # RNG, and use as many coins as the twin makes random() calls
         for n in range(4, 9):
             for seed in range(200):
-                new_rng, old_rng = random.Random(seed), random.Random(seed)
-                got = _sample_girth4(new_rng, n)
-                assert got == _old_sample_girth4(old_rng, n), (n, seed)
-                assert new_rng.getstate() == old_rng.getstate(), (n, seed)
+                rng, twin = _CountingRandom(seed), _CountingRandom(seed)
+                coins = _Coins(rng)
+                for _ in range(3):
+                    got = _sample_girth4(coins, n)
+                    assert got == _old_sample_girth4(twin, n), (n, seed)
+                    assert _coins_used(rng, coins) == twin.calls, (n, seed)
 
     def test_coin_flips_are_random_calls(self):
         # the identity the sampler's decoding rests on: if CPython changes
@@ -577,20 +604,30 @@ class TestGirthSampler:
                 assert _coin_flips(flips, m) == want, (m, seed)
                 assert flips.getstate() == twin.getstate(), (m, seed)
 
+    def test_coin_stream_crosses_blocks(self, monkeypatch):
+        # takes that end on, straddle and outgrow a block read the same coins
+        monkeypatch.setattr(search_module, "_COIN_BLOCK", 8)
+        for seed in range(20):
+            coins, twin = _Coins(random.Random(seed)), random.Random(seed)
+            for m in (1, 7, 3, 8, 20, 0, 5, 9):
+                want = b"".join(b"1" if twin.random() < 0.5 else b"0" for _ in range(m))
+                assert coins.take(m) == want, (m, seed)
+
     def test_cold_and_warm_tables_agree(self, monkeypatch):
         monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
         judged = []
         judge = search_module._connected_girth4
         monkeypatch.setattr(search_module, "_connected_girth4",
-                            lambda n, edges: judged.append(n) or judge(n, edges))
+                            lambda masks: judged.append(masks) or judge(masks))
         for n in range(4, 8):
             runs = []
             for _ in ("cold", "warm"):
                 judged.clear()
                 run = []
                 for seed in range(200):
-                    rng = random.Random(seed)
-                    run.append((_sample_girth4(rng, n), rng.getstate()))
+                    coins = _Coins(random.Random(seed))
+                    # the coins after the draw show how many it used
+                    run.append((_sample_girth4(coins, n), coins.take(64)))
                 runs.append(run)
             cold, warm = runs
             assert cold == warm, n
@@ -602,14 +639,14 @@ class TestGirthSampler:
 
     def test_n8_keeps_no_table(self, monkeypatch):
         monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
-        found = [_sample_girth4(random.Random(seed), 8) for seed in range(20)]
+        found = [_sample_girth4(_Coins(random.Random(seed)), 8) for seed in range(20)]
         assert any(g is not None for g in found)
         assert search_module._GIRTH4_TABLES == {}
 
     def test_tables_stay_within_512_kb(self, monkeypatch):
         monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
         for n in range(1, search_module._GIRTH4_TABLE_MAX_N + 1):
-            _sample_girth4(random.Random(0), n)
+            _sample_girth4(_Coins(random.Random(0)), n)
         tables = search_module._GIRTH4_TABLES
         assert sorted(tables) == list(range(1, 8))
         assert sum(len(verdicts) for _p, _o, verdicts in tables.values()) <= 512 * 1024

@@ -5,9 +5,14 @@ From the root of a checkout:
     python3 tools/bench_pairs.py --out BENCH_22.json --seeds 41-50
 
 The base revision (default HEAD) is exported with ``git archive`` into a
-temporary directory.  For each workload of ``BENCHMARK.json`` and each seed,
-``perfbench/run.py`` runs at the benchmark's ``run_seconds`` size once on the
-base and once on the working tree, one after the other, and the
+temporary directory, and the working tree's files, tracked or untracked but
+not ignored, are copied beside it, so that both sides run from fresh
+directories with no bytecode cache: run from the checkout itself, the
+working tree's ``peak_rss_mb`` read up to about 0.5 MB away from its own
+fresh copy's.  For each
+workload of ``BENCHMARK.json`` and each seed, ``perfbench/run.py`` runs at
+the benchmark's ``run_seconds`` size once on the base and once on the
+working tree, one after the other, and the
 order flips from one seed to the next, so that a drift in machine speed
 favours neither side.  Each such pair of runs is one pair.  The output file
 holds, for every end-to-end metric of ``BENCHMARK.json``, the median and
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -60,6 +66,21 @@ def export(rev, dest):
     return commit, tree
 
 
+def copy_worktree(dest):
+    """Copy the working tree's tracked and untracked files, never the
+    ignored ones, into a new directory under dest; return it."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True).stdout.decode().split("\0")
+    tree = Path(dest) / "change"
+    for name in names:
+        src = ROOT / name
+        if name and src.is_file():  # a tracked file may be deleted
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, tree / name)
+    return tree
+
+
 def run_once(tree, workload, seed, seconds):
     """One perfbench run: (metrics by name, answers digest, failed ops, meta)."""
     proc = subprocess.run(
@@ -80,11 +101,11 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def compare(workload, seeds, seconds, base_tree, declared):
+def compare(workload, seeds, seconds, base_tree, change_tree, declared):
     runs = {"base": [], "change": []}
     answers_equal, failed = True, {"base": 0, "change": 0}
     for i, seed in enumerate(seeds):
-        order = [("base", base_tree), ("change", ROOT)]
+        order = [("base", base_tree), ("change", change_tree)]
         if i % 2:
             order.reverse()
         digests = {}
@@ -131,6 +152,7 @@ def main(argv=None):
     seeds = args.seeds
     with tempfile.TemporaryDirectory() as tmp:
         commit, base_tree = export(args.base, tmp)
+        change_tree = copy_worktree(tmp)
         report = {
             "base": commit,
             "change": "working tree",
@@ -141,7 +163,8 @@ def main(argv=None):
         }
         for workload in bench["workloads"]:
             report["workloads"][workload["name"]] = compare(
-                workload["name"], seeds, seconds, base_tree, bench["end_to_end"])
+                workload["name"], seeds, seconds, base_tree, change_tree,
+                bench["end_to_end"])
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     ok = all(w["answers_equal"] and not any(w["failed"].values())
              for w in report["workloads"].values())
