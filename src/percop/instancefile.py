@@ -173,24 +173,37 @@ def parse(data):
     return PeriodicGraph(graphs), {"labels": labels, "expected": expected}
 
 
+# one edge [u, v] of a snapshot, as json.dumps writes it at indent 2
+_EDGE = "      [\n        %d,\n        %d\n      ]"
+
+
+def _block(name, items):
+    """The top-level field name holding the object of the (key, value)
+    items, in sort_keys order, as json.dumps writes it at indent 2."""
+    return '  "%s": {\n%s\n  },\n' % (name, ",\n".join(
+        "    %s: %s" % (json.dumps(k), json.dumps(v)) for k, v in sorted(items)))
+
+
 def serialize(pg, labels=None, expected=None):
     """Canonical text form: sorted edges, sorted keys, two-space indent.
 
-    Labels and the expected block are written only when given.
+    Labels and the expected block are written only when given.  The text is
+    `dump_json` of the instance object, written by string formatting since
+    json's indenting encoder is pure Python; label strings and expected
+    values go through json.dumps for their escapes, and labels are ordered
+    by their string keys, as sort_keys orders them ("10" before "2").
     """
-    obj = {
-        "version": FORMAT_VERSION,
-        "n": pg.n,
-        "period": pg.period,
-        "snapshots": [
-            [[u, v] for (u, v) in g.sorted_edges()] for g in pg.snapshots
-        ],
-    }
-    if labels:
-        obj["labels"] = {str(k): labels[k] for k in sorted(labels)}
+    out = ["{\n"]
     if expected:
-        obj["expected"] = dict(expected)
-    return dump_json(obj)
+        out.append(_block("expected", expected.items()))
+    if labels:
+        out.append(_block("labels", [(str(k), v) for k, v in labels.items()]))
+    snaps = ",\n".join(
+        "    [\n%s\n    ]" % ",\n".join(_EDGE % e for e in edges) if edges else "    []"
+        for edges in (g.sorted_edges() for g in pg.snapshots))
+    out.append('  "n": %d,\n  "period": %d,\n  "snapshots": [\n%s\n  ],\n'
+               '  "version": %d\n}\n' % (pg.n, pg.period, snaps, FORMAT_VERSION))
+    return "".join(out)
 
 
 def serialize_specimen(specimen):

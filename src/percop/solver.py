@@ -22,29 +22,34 @@ optimal play (min over cop moves, max over robber escapes).
 Levels 0 and 1 need no move row.  A robber's closed neighbourhood holds the
 robber, so level 0 leaves rw[t][r] = occ[r].  Every cop move then ends on a
 state won at level 0, so level 1 gives cw[t][r] = OR of occ[v] over v in
-N_t[r], once per unique snapshot.  A configuration fills when it is in
-cw[0][r] for every r, so the fill test is the AND of cw[0][r] over all r; its
-lowest bit is the least configuration that fills.  At level 0 that is the
-least configuration whose cops cover every vertex.
+N_t[r], once per unique snapshot, read from the space's covering table with
+one lookup per nibble of the mask N_t[r].  A configuration fills when it is
+in cw[0][r] for every r, so the fill test is the AND of cw[0][r] over all r;
+its lowest bit is the least configuration that fills.  At level 0 that is
+the least configuration whose cops cover every vertex.
 
-`is_k_copwin` runs the decision pass, which stops after the robber sweep of
-the first level at which some layer-0 configuration fills; every
-configuration that fills there is stale there, so the verdict and the
-placement (least worst rank, then lexicographic) come from it alone.  A
-losing pass never fills and reaches the fixpoint.  Each level keeps the
-robber sweep's list of (t, r, the configurations new in rw[t][r]), which its
-next cop step reads anyway, so a robber-to-move state's rank is the level
-whose list holds it: 0 on a capture, 1 for any other state of level 1 (whose
-list is not kept), and from level 2 read from the lists, regrouped on first
-read into one flat tuple per (t, r) of (level, new configurations) for each
-level at which rw[t][r] grew.  A cops-to-move state's rank is 0 on a
-capture, 1 within level 1's closed form, and otherwise one more than the
-least rank of a robber state its moves reach.  A state the levels run so far
-have won is settled: every state they have not won ranks higher.  Only a
-read of a state they have not won (a win count, a trace from another start)
-runs one whole pass from level 0 to the fixpoint, once per result; a trace
-or policy from the placement never does, since every state its play reaches
-ranks below the placement.  The state count comes from the sizes.
+`is_k_copwin` runs the decision pass, which stops at the fill test of the
+first level L at which some layer-0 configuration fills, before that level's
+robber sweep; every configuration that fills there is stale there, so the
+verdict and the placement (least worst rank, then lexicographic) come from
+the fill test alone.  The run then holds the cops-to-move states of rank
+<= L and the robber-to-move states of rank <= L - 1.  A losing pass never
+fills and reaches the fixpoint.  Each level keeps the robber sweep's list of
+(t, r, the configurations new in rw[t][r]), which its next cop step reads
+anyway, so a robber-to-move state's rank is the level whose list holds it: 0
+on a capture, 1 for any other state of level 1 (whose list is not kept), and
+from level 2 read from the lists, regrouped on first read into one flat
+tuple per (t, r) of (level, new configurations) for each level at which
+rw[t][r] grew.  A cops-to-move state's rank is 0 on a capture, 1 within
+level 1's closed form, and otherwise one more than the least rank of a
+robber state its moves reach.  A state the levels run so far have won is
+settled: every state they have not won ranks higher.  Only a read of a state
+they have not won (a win count, a robber-to-move state of rank L, a trace
+from another start) runs one whole pass from level 0 to the fixpoint, once
+per result; a trace or policy from the placement never does, since its play
+reads only cops-to-move states of rank <= L and the robber-to-move states of
+rank <= L - 1 that their best moves reach.  The state count comes from the
+sizes.
 
 Cop configurations are sorted multisets; they and occ depend on n and k
 alone.  At k = 1 a move row is the cop's closed neighbourhood in the
@@ -141,8 +146,9 @@ def _bits(m):
 
 
 class _Space:
-    """The k-cop configurations on n vertices, built from the (k-1)-cop ones.
-    Every graph on n vertices shares them, so nothing may mutate them."""
+    """The k-cop configurations on n vertices, built from the (k-1)-cop ones,
+    with occ and its covering table hit.  Every graph on n vertices shares
+    them, so nothing may mutate them."""
 
     def __init__(self, n, prev):
         self.n, self._prev, self._joins = n, prev, None
@@ -158,6 +164,16 @@ class _Space:
         for ci, m in enumerate(self.masks):
             for x in _bits(m):
                 self.occ[x] |= 1 << ci
+        # hit[j][b]: the OR of occ[4j + i] over the bits i of the nibble b,
+        # so the configurations with a cop in a vertex set take one read per
+        # nibble of its mask; at most four times the size of occ
+        self.hit = []
+        for lo in range(0, n, 4):
+            h = [0]
+            for b in range(1, 1 << min(4, n - lo)):
+                low = b & -b
+                h.append(h[b ^ low] | self.occ[lo + low.bit_length() - 1])
+            self.hit.append(h)
         # the least configuration whose cops cover every vertex, if any
         full = (1 << n) - 1
         self.cover = next((ci for ci, m in enumerate(self.masks) if m == full), None)
@@ -213,8 +229,9 @@ class _Level:
     per unique snapshot: its closed neighbourhoods (masks, and nbrs as
     lists), its move rows (the closed neighbourhoods themselves at k = 1,
     else built on first read from the (k-1)-cop moves), and level 1 in
-    closed form, cw1[s][r].  grown1[s] holds the vertices r with a
-    neighbour, those where cw1[s][r] exceeds level 0's occ[r]."""
+    closed form, cw1[s][r], read from the space's covering table at k >= 2.
+    grown1[s] holds the vertices r with a neighbour, those where cw1[s][r]
+    exceeds level 0's occ[r]."""
 
     def __init__(self, space, snaps, prev=None):
         self.space = space
@@ -228,9 +245,20 @@ class _Level:
             return
         self.closed, self.nbrs, self.grown1 = prev.closed, prev.nbrs, prev.grown1
         self.rows = [_Rows(space, nbrs, rows) for nbrs, rows in zip(prev.nbrs, prev.rows)]
-        occ = space.occ
-        self.cw1 = [[reduce(or_, map(occ.__getitem__, nb)) for nb in nbrs]
-                    for nbrs in self.nbrs]
+        self.cw1 = [_covered(space.hit, ms) for ms in self.closed]
+
+
+def _covered(hit, masks):
+    """For each vertex mask m of masks, the configurations with a cop in m,
+    read from the space's covering table hit."""
+    out = []
+    for m in masks:
+        c = 0
+        for h in hit:
+            c |= h[m & 15]
+            m >>= 4
+        out.append(c)
+    return out
 
 
 class _MoveTables:
@@ -450,11 +478,14 @@ def _propagate(pg, lv, decide):
     configurations won with the robber on r at layer t.  Its first is the
     least (level, ci) over the configurations ci in cw[r] for every r at
     layer 0, the worst rank over the robber's starts; None if none fills.
-    The decision pass ends after the robber sweep of the first level at
-    which one fills, short of the fixpoint; a pass that never fills, and a
-    finishing one, reach it.  The robber sweep of each level lists (t, r,
-    new) for the rw bits new there, for the next cop step.  The run keeps
-    the lists of levels 2 and up in its history, which ranks every robber
+    Each level runs its fill test before its robber sweep.  The decision
+    pass returns at the fill test of the first level L at which one fills,
+    short of the fixpoint: its region holds the cops-to-move states of rank
+    <= L and the robber-to-move states of rank <= L - 1 (none at L = 0).  A
+    pass that never fills, and a finishing one, reach the fixpoint.  The
+    robber sweep of each level lists (t, r, new) for the rw bits new there,
+    for the next cop step.  The run keeps the lists of levels 2 and up in
+    its history (2 to L - 1 in a decision's run), which ranks every robber
     state won there with no write per state, in O(states): each entry adds
     a state.
     """
@@ -464,7 +495,8 @@ def _propagate(pg, lv, decide):
     rw = space.occ * p  # a copy: the space's occ is shared with later solves
     first = None if space.cover is None else (0, space.cover)
     if first is not None and decide:
-        return _Run((rw, rw), 0, [], first, False)
+        # filled before level 0's robber sweep, which would give rw = occ
+        return _Run((rw, [0] * len(rw)), 0, [], first, False)
     # level 1: cw[t][r] = cw1[s][r]; stale[t]: the r whose cw[t][r] grew
     level, history = 1, []
     cw, stale = [], {}
@@ -480,6 +512,8 @@ def _propagate(pg, lv, decide):
                 filled &= cw[r]
             if filled:
                 first = (level, (filled & -filled).bit_length() - 1)
+                if decide:
+                    return _Run((cw, rw), level, history, first, False)
         # robber step: rw[t0][r] for the r next to a vertex whose cw[t1] grew
         drw = []
         for t1, grown in stale.items():
@@ -499,8 +533,8 @@ def _propagate(pg, lv, decide):
                     drw.append((t0, r, new))
         if level > 1:  # level 1 needs no lane: its rw bits are the won non-captures
             history.append(drw)
-        if not drw or (first is not None and decide):
-            break
+        if not drw:
+            return _Run((cw, rw), level, history, first, True)
         level += 1
         # cop step: a move into a robber state won at the last level
         stale = {}
@@ -514,7 +548,6 @@ def _propagate(pg, lv, decide):
             if new:
                 cw[key] |= new
                 stale[t] = stale.get(t, 0) | 1 << r
-    return _Run((cw, rw), level, history, first, not drw)
 
 
 def is_k_copwin(pg, k):

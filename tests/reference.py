@@ -165,8 +165,10 @@ def reference_propagate(pg, k, ranked):
     set per t * n + r instead), rank index ((key * n + robber) << 1) | side,
     rank a list (None when not ranked), first the least (level, ci) of a
     filled layer-0 cw mask.
-    Unranked, the loop ends after the robber sweep of the first level at
-    which a layer-0 mask fills; ranked, or when none fills, at the fixpoint.
+    Each level runs its fill test before its robber sweep.  Unranked, the
+    loop ends at the fill test of the first level at which a layer-0 mask
+    fills, so its rw holds the robber states of lower levels only; ranked,
+    or when none fills, at the fixpoint.
     """
     n, p = pg.n, pg.period
     nbrs = [
@@ -202,13 +204,16 @@ def reference_propagate(pg, k, ranked):
     level = 0
     stale = {t * nc + ci: t for t in range(p) for ci in range(nc)}
     while True:
+        for key1, t1 in stale.items():  # the fill test: at t1 = 0, key1 = ci
+            if t1 == 0 and cw[key1] == full:
+                filled.append((level, key1))
+        if filled and not ranked:
+            break
         drw = []
         for key1, t1 in stale.items():
             ci = key1 - t1 * nc
             t0 = (t1 - 1) % p
             key = t0 * nc + ci
-            if t1 == 0 and cw[key1] == full:
-                filled.append((level, ci))
             won = (full & ~closed(t0, full & ~cw[key1])) | masks[ci]
             new = won & ~rw[key]
             if new:
@@ -216,7 +221,7 @@ def reference_propagate(pg, k, ranked):
                 drw.append((t0, ci, new))
                 if ranked:
                     write(key, new, 1, level)
-        if not drw or (filled and not ranked):
+        if not drw:
             break
         level += 1
         stale = {}

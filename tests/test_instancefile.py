@@ -7,10 +7,16 @@ import pytest
 
 from percop.graphs import Graph, LimitError
 from percop.periodic import PeriodicGraph
-from percop.instancefile import MAX_ADJACENCY_BITS, InstanceError, parse, serialize
+from percop.instancefile import (
+    _EXPECTED_FIELDS,
+    MAX_ADJACENCY_BITS,
+    InstanceError,
+    parse,
+    serialize,
+)
 from percop.solver import DEFAULT_STATE_BUDGET
 from percop.constructions import q3_rotation, petersen_132
-from conftest import random_periodic
+from conftest import random_graph, random_periodic
 
 
 def roundtrip(pg, **kw):
@@ -59,6 +65,43 @@ class TestRoundTrip:
             pg, meta = parse(raw)
             assert serialize(pg, labels=meta["labels"],
                              expected=meta["expected"]) == raw
+
+
+class TestRoundTripFuzz:
+    """serialize against json.dumps at indent 2 of the instance object, and
+    parse back to the same graph and meta, on seeded random instances."""
+
+    # quotes, backslashes, control characters, non-ASCII text, an astral
+    # character, a line separator and a lone surrogate
+    CHARS = 'aZ7 "\\/\n\t\x00\x1f\x7fé中\U0001f600\u2028\ud800'
+
+    def test_seeded_instances(self, rng):
+        wide = empty = 0
+        for _ in range(300):
+            n, p = rng.randint(1, 12), rng.randint(1, 4)
+            pg = PeriodicGraph([random_graph(rng, n, rng.choice((0.0, 0.2, 0.5, 0.9)))
+                                for _ in range(p)])
+            labels = {v: "".join(rng.choice(self.CHARS) for _ in range(rng.randint(0, 6)))
+                      for v in rng.sample(range(n), rng.randint(0, n))}
+            expected = {f: rng.randint(1, 12) for f in _EXPECTED_FIELDS if rng.random() < 0.5}
+            obj = {
+                "version": 1,
+                "n": n,
+                "period": p,
+                "snapshots": [[list(e) for e in g.sorted_edges()] for g in pg.snapshots],
+            }
+            if labels:
+                obj["labels"] = {str(v): s for v, s in labels.items()}
+            if expected:
+                obj["expected"] = expected
+            text = serialize(pg, labels=labels, expected=expected)
+            assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+            back, meta = parse(text)
+            assert back == pg
+            assert meta == {"labels": labels, "expected": expected or None}
+            wide += any(v >= 10 for v in labels)
+            empty += any(not g.sorted_edges() for g in pg.snapshots)
+        assert wide >= 20 and empty >= 50
 
 
 def base_obj():

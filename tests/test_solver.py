@@ -574,14 +574,16 @@ class TestLazyRanks:
 
     def test_winner_holds_no_region(self, monkeypatch):
         # a winner holds the decision's region and levels, but no ranks:
-        # robber levels from 2 only, one entry per state they add
+        # robber levels from 2 only, one entry per state they add, and none
+        # of level L, whose fill test ends the pass before its robber sweep
         passes = _spy_passes(monkeypatch)
         res = is_k_copwin(q3_rotation().instance, 3)
         assert res.copwin and res.initial_placement == (0, 0, 4)
         assert res.state_count() == 3 * 120 * 8 * 2
         run = res._run
         assert run.levels is None and not run.done
-        assert len(run.history) == run.level - 1
+        assert run.level == run.first[0] == 3
+        assert len(run.history) == run.level - 2
         assert sum(len(drw) for drw in run.history) <= _region_bits(run.won)
         assert _kinds(passes) == ["decide"]
 
@@ -921,6 +923,122 @@ class TestClosedFormLevels:
             assert tables() is None and all(ref() is None for ref in levels + rows)
         finally:
             gc.enable()
+
+
+def _set_bits(m):
+    return [i for i in range(m.bit_length()) if (m >> i) & 1]
+
+
+class TestFillStop:
+    """The decision pass returns at the fill test of its level L, before
+    that level's robber sweep: it holds the cops-to-move states of rank <= L
+    and the robber-to-move states of rank <= L - 1, and play from the
+    placement reads no other.  Level 1 at k >= 2 comes from the space's
+    covering table."""
+
+    @staticmethod
+    def check(pg, k):
+        """The decision's region, level, placement and kept robber lists
+        against the ranked reference_propagate."""
+        cw, rw, rank, first = reference_propagate(pg, k, True)
+        lv = solver._move_tables(pg).level(k)
+        run = solver._propagate(pg, lv, True)
+        n, p, nc = pg.n, pg.period, len(lv.cfgs)
+        assert run.first == first
+        top = first[0] if first else None
+        want = ([0] * (p * n), [0] * (p * n))
+        lists = {}  # level -> the robber-to-move states first won there
+        for key in range(p * nc):
+            t, ci = divmod(key, nc)
+            for side, region in enumerate((cw, rw)):
+                for r in _set_bits(region[key]):
+                    level = rank[((key * n + r) << 1) | side]
+                    if top is None or level <= top - side:
+                        want[side][t * n + r] |= 1 << ci
+                        if side:
+                            lists.setdefault(level, set()).add((t, r, ci))
+        assert run.won == want
+        if top is None:  # a loser reaches the fixpoint
+            assert run.done and len(run.history) == run.level - 1
+        else:
+            assert not run.done and run.level == top
+            assert len(run.history) == max(top - 2, 0)
+        kept = [{(t, r, ci) for t, r, new in drw for ci in _set_bits(new)}
+                for drw in run.history]
+        assert kept == [lists.get(level, set()) for level in range(2, len(kept) + 2)]
+
+    def test_seeded_region(self, rng):
+        stopped = 0
+        for _ in range(40):
+            pg = random_periodic(rng, rng.randint(1, 6), rng.randint(1, 3),
+                                 rng.choice((0.2, 0.4, 0.6, 0.8)))
+            for k in (1, 2, 3):
+                self.check(pg, k)
+                stopped += is_k_copwin(pg, k)._run.level >= 2
+        assert stopped >= 20  # decisions that stop at level 2 or later
+
+    def test_rank_l_robber_read_finishes_once(self, rng, monkeypatch):
+        passes = _spy_passes(monkeypatch)
+        read = 0
+        for _ in range(60):
+            pg = random_periodic(rng, rng.randint(2, 6), rng.randint(1, 3),
+                                 rng.choice((0.3, 0.5, 0.7)))
+            for k in (1, 2):
+                ranks, _placement = reference_ranks(pg, k)
+                res = is_k_copwin(pg, k)
+                top = res._run.first[0] if res.copwin else 0
+                robber = [s for s, v in ranks.items() if s[3] == 1 and v == top]
+                if top == 0 or not robber:
+                    continue
+                passes.clear()
+                # the states the run holds read no pass
+                settled = [s for s, v in ranks.items() if v is not None and v <= top - s[3]]
+                assert all(res.rank_of(*s) == ranks[s] for s in settled)
+                assert passes == []
+                assert res.rank_of(*robber[0]) == top
+                assert _kinds(passes) == ["finish"]
+                assert all(res.rank_of(*s) == top for s in robber)
+                assert _kinds(passes) == ["finish"]
+                read += 1
+        assert read >= 40
+
+    def test_placement_play_runs_no_finishing_pass(self, rng, monkeypatch):
+        passes = _spy_passes(monkeypatch)
+        played = 0
+        for _ in range(40):
+            pg = random_periodic(rng, rng.randint(1, 6), rng.randint(1, 3),
+                                 rng.choice((0.3, 0.5, 0.7)))
+            for k in (1, 2, 3):
+                _ranks, placement = reference_ranks(pg, k)
+                res = is_k_copwin(pg, k)
+                assert res.initial_placement == placement
+                if not res.copwin:
+                    continue
+                passes.clear()
+                trace = extract_trace(res)
+                verdict = verify_policy(pg, res.policy())
+                assert _kinds(passes) == []
+                worst = res._run.first[0]
+                assert trace["cop_moves"] == verdict.max_capture_moves == worst
+                # the same play as from the finished run
+                full = is_k_copwin(PeriodicGraph(pg.snapshots), k)
+                full.win_count()
+                assert trace == extract_trace(full)
+                assert verdict == verify_policy(pg, full.policy())
+                played += 1
+        assert played >= 80
+
+    def test_covering_table(self):
+        for n in range(1, 10):
+            space = None
+            for k in (1, 2, 3):
+                space = solver._Space(n, space)
+                assert sum(map(len, space.hit)) <= 4 * len(space.occ)
+                want = [0] * (1 << n)
+                for m in range(1 << n):
+                    for v in _set_bits(m):
+                        want[m] |= space.occ[v]
+                assert solver._covered(space.hit, range(1 << n)) == want
 
 
 def _spy_spaces(monkeypatch):
