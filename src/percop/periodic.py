@@ -22,22 +22,26 @@ class PeriodicGraph:
         snapshots = tuple(snapshots)
         if not snapshots:
             raise ValueError("period must be >= 1")
-        n = snapshots[0].n
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if any(g.n != n for g in snapshots):
-            raise ValueError("snapshots disagree on vertex count")
-        self.n = n
-        self.snapshots = snapshots
         uniq = []
         idx = {}
         us = []
         for g in snapshots:
+            if type(g) is not Graph:
+                raise ValueError("snapshot %d is not a Graph: %r"
+                                 % (snapshots.index(g), g))
             key = g.masks
             if key not in idx:
                 idx[key] = len(uniq)
                 uniq.append(g)
             us.append(idx[key])
+        n = snapshots[0].n
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        # snapshots with equal masks have equal n
+        if any(g.n != n for g in uniq):
+            raise ValueError("snapshots disagree on vertex count")
+        self.n = n
+        self.snapshots = snapshots
         self.unique_snapshots = tuple(uniq)
         self.usnap = tuple(us)
 
@@ -129,7 +133,11 @@ def induced(pg, vertices):
 
     Returns (subgraph, mapping) where mapping sends old vertex -> new index.
     """
-    vertices = list(vertices)
+    try:
+        vertices = list(vertices)
+    except TypeError:
+        raise ValueError("induced: vertices must be ints in an iterable: %r"
+                         % (vertices,)) from None
     if any(type(v) is not int for v in vertices):  # before True and 1 merge
         raise ValueError("induced: vertices must be ints: %r" % (vertices,))
     vs = sorted(set(vertices))

@@ -24,6 +24,7 @@ shipped witness is checked by `certify`.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -568,9 +569,11 @@ def _gen_hamiltonian(spec, rng):
 # byte per subset of its at most 12 cross pairs, 343 KB for n <= 7 together;
 # at n = 8 it would be 16 MB
 _GIRTH4_TABLE_MAX_N = 7
-_REJECTED, _ACCEPTED = 1, 2  # a draw not judged yet reads 0
-# n -> (cross pairs per side, offset per side, verdict per draw), built on
-# the first draw at that n
+# a draw's verdict: 0 not judged yet, 1 rejected, or 2 + gamma accepted
+# with domination number gamma
+_REJECTED, _ACCEPTED = 1, 2
+# n -> (a `_SideRows` row per side, a verdict per draw), built on the first
+# draw at that n
 _GIRTH4_TABLES = {}
 # a random() call's first 32-bit word's top byte -> b"1" iff random() < 0.5
 _BELOW_HALF = bytes.maketrans(bytes(range(256)), b"1" * 128 + b"0" * 128)
@@ -584,15 +587,17 @@ def _coin_flips(rng, m):
     return rng.getrandbits(64 * m).to_bytes(8 * m, "little")[3::8].translate(_BELOW_HALF)
 
 
-# coins `_Coins` reads ahead from its RNG at a time
+# coins a refill reads ahead from the RNG, or as many as one read needs
 _COIN_BLOCK = 4096
 
 
 class _Coins:
-    """One search's stream of `random() < 0.5` coins, read from its RNG
-    `_COIN_BLOCK` coins ahead by `_coin_flips`.  ``take(m)`` gives the next
-    m coins, the ones m random() calls would give; only the RNG's state
-    runs ahead, so nothing else may read the RNG."""
+    """One search's stream of `random() < 0.5` coins: ``buf[at:]`` holds
+    the coins not used yet, read ahead from the RNG by `_coin_flips`, at
+    least `_COIN_BLOCK` a refill.  ``take(m)`` gives the next m coins, the
+    ones m random() calls would give; `_sample_girth4` reads and refills
+    ``buf`` and ``at`` in place.  Only the RNG's state runs ahead, so
+    nothing else may read the RNG."""
 
     __slots__ = ("rng", "buf", "at")
 
@@ -616,13 +621,33 @@ def _cross_pairs(side):
             if side[u] != side[v]]
 
 
+class _SideRows(dict):
+    """Side s -> (its cross pairs, their count, the verdict index of its
+    first draw), or None for the two one-sided splits, built on first
+    read; s reads vertex 0 as its top bit, as int(coins, 2) does.  Each
+    side's draws take the next 2^count indices, and ``size`` counts them."""
+
+    def __init__(self, n):
+        self.n, self.size = n, 0
+
+    def __missing__(self, s):
+        pairs = _cross_pairs(format(s, "0%db" % self.n))
+        row = self[s] = (pairs, len(pairs), self.size) if pairs else None
+        self.size += 1 << len(pairs)
+        return row
+
+
 def _girth4_table(n):
+    """(rows, verdicts) of the draws on n vertices: a list and a bytearray
+    kept across searches up to `_GIRTH4_TABLE_MAX_N`, and past it a fresh
+    `_SideRows` and dict for one `_sample_girth4` call."""
+    if n > _GIRTH4_TABLE_MAX_N:
+        return _SideRows(n), collections.defaultdict(int)
     table = _GIRTH4_TABLES.get(n)
     if table is None:
-        # int(pattern, 2) reads vertex 0 as the top bit
-        pairs = [_cross_pairs(format(s, "0%db" % n)) for s in range(1 << n)]
-        offsets = list(itertools.accumulate((1 << len(p) for p in pairs), initial=0))
-        table = _GIRTH4_TABLES[n] = (pairs, offsets, bytearray(offsets.pop()))
+        rows = _SideRows(n)
+        table = _GIRTH4_TABLES[n] = ([rows[s] for s in range(1 << n)],
+                                     bytearray(rows.size))
     return table
 
 
@@ -636,13 +661,15 @@ def _connected_girth4(masks):
 
 
 def _sample_girth4(coins, n):
-    """A connected girth-4 graph on n vertices, or None after 200 draws.
+    """(A connected girth-4 graph on n vertices, its domination number),
+    or (None, None) after 200 draws.
 
     A draw splits the vertices by one coin of ``coins`` (a `_Coins`) each,
     both sides non-empty, and keeps each pair across the split by another:
     the coins of `random() < 0.5` calls, on which lem122's witness depends.
-    The coins are read ahead per search, so the RNG runs ahead of them.  A
-    draw's closed-neighborhood masks are built from its kept pairs, and an
+    The loop reads ``coins.buf`` in place, with no call per draw, and
+    refills it before a draw that might run past its end.  A draw's
+    closed-neighborhood masks are built from its kept pairs, and an
     accepted draw is the Graph of those masks.
 
     For n <= 7 a draw is one of few: 2^n sides, each with at most 2^12
@@ -650,60 +677,74 @@ def _sample_girth4(coins, n):
     samples far more draws than that (lem122's makes 555,197 at n = 6), so
     most draws repeat.  The verdict table of n, one byte per draw, is a
     cache that the loop reads before it builds a draw's masks: the
-    connectivity and girth tests run once per draw, a rejected draw seen
-    before costs one read, and an accepted one only its masks.  For n >= 8
-    the table would take 16 MB or more, so every draw is tested.
+    connectivity, girth and domination tests run once per draw, a rejected
+    draw seen before costs one read, and an accepted one only its masks.
+    For n >= 8 the table would take 16 MB or more, so every draw is tested,
+    and the domination number is None, left to a caller that needs it.
     """
-    pairs_by_side, offsets, verdicts = (
-        _girth4_table(n) if n <= _GIRTH4_TABLE_MAX_N else (None, None, None))
-    everyone = (1 << n) - 1
-    take = coins.take
+    rows, verdicts = _girth4_table(n)
+    ones = [1 << v for v in range(n)]
+    # a draw reads at most n coins for its side and n^2/4 for its pairs
+    need = n + n * n // 4
+    rng, buf, at = coins.rng, coins.buf, coins.at
+    end = len(buf)
+    g = gamma = None
     for _ in range(200):
-        side = take(n)
-        s = int(side, 2)
-        if s == 0 or s == everyone:
+        if at + need > end:
+            buf = buf[at:] + _coin_flips(rng, max(_COIN_BLOCK, need))
+            at, end = 0, len(buf)
+        row = rows[int(buf[at:at + n], 2)]
+        at += n
+        if row is None:
             continue
-        pairs = _cross_pairs(side) if verdicts is None else pairs_by_side[s]
-        cross = take(len(pairs))
-        at = None if verdicts is None else offsets[s] + int(cross, 2)
-        verdict = 0 if at is None else verdicts[at]
+        pairs, m, base = row
+        cross = buf[at:at + m]
+        at += m
+        i = base + int(cross, 2)
+        verdict = verdicts[i]
         if verdict == _REJECTED:
             continue
-        masks = [1 << v for v in range(n)]
+        masks = ones[:]
         for (u, v), c in zip(pairs, cross):
             if c == 49:  # b"1"
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-        if verdict == _ACCEPTED:
-            return Graph._of(masks)
+        if verdict:
+            g, gamma = Graph._of(masks), verdict - _ACCEPTED
+            break
         g = _connected_girth4(masks)
-        if at is not None:
-            verdicts[at] = _REJECTED if g is None else _ACCEPTED
-        if g is not None:
-            return g
-    return None
+        if g is None:
+            verdicts[i] = _REJECTED
+            continue
+        if n <= _GIRTH4_TABLE_MAX_N:
+            gamma = domination_number(g)
+            verdicts[i] = _ACCEPTED + gamma
+        break
+    coins.buf, coins.at = buf, at
+    return g, gamma
 
 
 def _gen_girth(spec, rng):
     """Candidates of connected girth-4 snapshots, drawn by `_sample_girth4`
     from one `_Coins` of ``rng``: the coins are read ahead, so the RNG is
-    this stream's alone and is left ahead of the last coin used."""
+    this stream's alone and is left ahead of the last coin used.  A
+    ``gamma_g0`` target reads G_0's domination number from the sampler,
+    and computes it only past the verdict tables."""
     n, p = spec.n, spec.p
     gamma0 = spec.targets.get("gamma_g0")
     coins = _Coins(rng)
     while True:
-        g0 = None
         for _ in range(200):
-            g = _sample_girth4(coins, n)
-            if g is not None and (
-                gamma0 is None or domination_number(g) == gamma0
+            g0, gamma = _sample_girth4(coins, n)
+            # gamma is None past the verdict tables, and never 0
+            if g0 is not None and (
+                gamma0 is None or gamma0 == (gamma or domination_number(g0))
             ):
-                g0 = g
                 break
-        if g0 is None:
+        else:
             yield None
             continue
-        rest = [_sample_girth4(coins, n) for _ in range(p - 1)]
+        rest = [_sample_girth4(coins, n)[0] for _ in range(p - 1)]
         if any(g is None for g in rest):
             yield None
             continue

@@ -32,6 +32,14 @@ class TestPeriodicGraph:
         with pytest.raises(ValueError, match="snapshots disagree on vertex count"):
             PeriodicGraph([Graph(3), Graph(4)])
 
+    def test_snapshot_that_is_no_graph_refused(self):
+        with pytest.raises(ValueError, match="snapshot 0 is not a Graph: 1"):
+            PeriodicGraph([1, 2])
+        with pytest.raises(ValueError, match="snapshot 1 is not a Graph: None"):
+            PeriodicGraph([Graph(3), None])
+        with pytest.raises(ValueError, match="snapshot 0 is not a Graph: 'g'"):
+            constant("g", 2)
+
 
 PG = bowtie_221().instance  # n = 7, p = 6
 
@@ -43,6 +51,7 @@ class TestIntArguments:
         (induced, (PG, [True, 2]), "induced: vertices must be ints"),
         (induced, (PG, [1, True]), "induced: vertices must be ints"),
         (induced, (PG, [0, 2.0]), "induced: vertices must be ints"),
+        (induced, (PG, 5), "induced: vertices must be ints in an iterable: 5"),
         (pad, (PG, 9, True), "pad: target_n and attach must be ints"),
         (pad, (PG, 9.0, 0), "pad: target_n and attach must be ints"),
         (pad, (PG, 9, 1.0), "pad: target_n and attach must be ints"),

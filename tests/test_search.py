@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -590,7 +591,7 @@ class TestGirthSampler:
                 rng, twin = _CountingRandom(seed), _CountingRandom(seed)
                 coins = _Coins(rng)
                 for _ in range(3):
-                    got = _sample_girth4(coins, n)
+                    got, _gamma = _sample_girth4(coins, n)
                     assert got == _old_sample_girth4(twin, n), (n, seed)
                     assert _coins_used(rng, coins) == twin.calls, (n, seed)
 
@@ -613,12 +614,61 @@ class TestGirthSampler:
                 want = b"".join(b"1" if twin.random() < 0.5 else b"0" for _ in range(m))
                 assert coins.take(m) == want, (m, seed)
 
+    def test_in_place_refills_cross_blocks(self, monkeypatch):
+        # with 8-coin blocks a draw's reads end on, straddle and outgrow a
+        # block, and every refill must still read as many coins as the draw
+        # may need: draws and the coins after them are the first sampler's
+        monkeypatch.setattr(search_module, "_COIN_BLOCK", 8)
+        asked = []
+        flips = search_module._coin_flips
+        monkeypatch.setattr(search_module, "_coin_flips",
+                            lambda rng, m: asked.append(m) or flips(rng, m))
+        for n in range(4, 9):
+            for seed in range(40):
+                coins, twin = _Coins(random.Random(seed)), random.Random(seed)
+                for _ in range(3):
+                    got, _gamma = _sample_girth4(coins, n)
+                    assert got == _old_sample_girth4(twin, n), (n, seed)
+                    want = b"".join(b"1" if twin.random() < 0.5 else b"0"
+                                    for _ in range(64))
+                    assert coins.take(64) == want, (n, seed)
+        assert 8 in asked and max(asked) > 8
+
+    def test_accepted_bytes_hold_domination_numbers(self, monkeypatch):
+        monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
+        for n in range(4, 8):
+            coins = _Coins(random.Random(n))
+            for _ in range(500):
+                _sample_girth4(coins, n)
+            rows, verdicts = search_module._GIRTH4_TABLES[n]
+            seen = set()
+            for row in rows:
+                if row is None:
+                    continue
+                pairs, m, base = row
+                for c in range(1 << m):
+                    verdict = verdicts[base + c]
+                    if not verdict:
+                        continue
+                    seen.add(min(verdict, search_module._ACCEPTED))
+                    # int(coins, 2) reads a draw's first pair as its top bit
+                    g = Graph(n, [e for j, e in enumerate(pairs)
+                                  if c >> (m - 1 - j) & 1])
+                    if verdict == search_module._REJECTED:
+                        assert not (g.is_connected() and girth(g) == 4), n
+                    else:
+                        assert g.is_connected() and girth(g) == 4, n
+                        assert verdict - search_module._ACCEPTED == domination_number(g), n
+            assert {search_module._REJECTED, search_module._ACCEPTED} <= seen, n
+
     def test_cold_and_warm_tables_agree(self, monkeypatch):
         monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
         judged = []
-        judge = search_module._connected_girth4
+        judge, dominate = search_module._connected_girth4, search_module.domination_number
         monkeypatch.setattr(search_module, "_connected_girth4",
                             lambda masks: judged.append(masks) or judge(masks))
+        monkeypatch.setattr(search_module, "domination_number",
+                            lambda g: judged.append(g) or dominate(g))
         for n in range(4, 8):
             runs = []
             for _ in ("cold", "warm"):
@@ -631,16 +681,19 @@ class TestGirthSampler:
                 runs.append(run)
             cold, warm = runs
             assert cold == warm, n
-            # the warm pass judged nothing anew: every draw was read
+            # the warm pass judged nothing anew: every draw, and every
+            # domination number, was read from the table
             assert judged == [], n
-            verdicts = search_module._GIRTH4_TABLES[n][2]
-            assert search_module._ACCEPTED in verdicts
+            verdicts = search_module._GIRTH4_TABLES[n][1]
+            assert max(verdicts) >= search_module._ACCEPTED
             assert search_module._REJECTED in verdicts
 
     def test_n8_keeps_no_table(self, monkeypatch):
         monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
         found = [_sample_girth4(_Coins(random.Random(seed)), 8) for seed in range(20)]
-        assert any(g is not None for g in found)
+        assert any(g is not None for g, _gamma in found)
+        # the domination number is left to a caller that needs it
+        assert all(gamma is None for _g, gamma in found)
         assert search_module._GIRTH4_TABLES == {}
 
     def test_tables_stay_within_512_kb(self, monkeypatch):
@@ -649,7 +702,54 @@ class TestGirthSampler:
             _sample_girth4(_Coins(random.Random(0)), n)
         tables = search_module._GIRTH4_TABLES
         assert sorted(tables) == list(range(1, 8))
-        assert sum(len(verdicts) for _p, _o, verdicts in tables.values()) <= 512 * 1024
+        assert sum(len(verdicts) for _rows, verdicts in tables.values()) <= 512 * 1024
+
+
+def _girth_stream_spec(stream, seed):
+    """lem122's spec, or at n = 7 with no gamma_g0 target ("n7"), or at
+    n = 8, past the verdict tables ("n8")."""
+    spec = get_spec("lem122")
+    if stream == "n7":
+        spec.n = 7
+        del spec.targets["gamma_g0"]
+    elif stream == "n8":
+        spec.n = 8
+    spec.seed = seed
+    return spec
+
+
+class TestGirthStreams:
+    """The first candidates of `_gen_girth`, each None or its snapshots'
+    masks, hashed and compared with digests written from the sampler that
+    called `_Coins.take` per draw and `domination_number` per G_0."""
+
+    PINNED = {
+        ("lem122", 0, 2000): "cba849c9bc6229bea10bb68c6d4b60daade8a192f0519cc9ab80466944c401c8",
+        ("lem122", 7, 2000): "ceb0b64d35c4409edfd5b76d981015cba46e1b462a9be6c648d2561772001262",
+        ("lem122", 123, 2000): "ff8e0f4a5fa2be197e7aff80cdc2ba2d85de66d853ebd8ea2bd8599fedb2d030",
+        ("n7", 0, 2000): "b9b0a54dd1c0945407d279dfc651d7abf3c2776f234225cedc95575da4dae86d",
+        ("n8", 0, 2000): "de010282ad765d26504e37d666c8bf70e08a231d7a8c95f236c0a0bf630db002",
+        # checked in CI, too slow for tier-1
+        ("lem122", 0, 30000): "610e4782d52ae4d12c53f06d0be4692e78545c1af025cd9e57845b2e5809b6b4",
+        ("lem122", 7, 30000): "0bbc57cf2d306d68eebbf89be55720ca22f8f30573f905c2212e570c734258a9",
+        ("lem122", 123, 30000): "a1a76d923302fae5416f048fd7dd3803fd3329b716b63e8dc85df7b2a0acbfdd",
+    }
+
+    @staticmethod
+    def check(stream, seed, count):
+        spec = _girth_stream_spec(stream, seed)
+        h = hashlib.sha256()
+        for cand in itertools.islice(
+                search_module._gen_girth(spec, random.Random(seed)), count):
+            h.update(b"-\n" if cand is None else
+                     ("%r\n" % [g.masks for g in cand[0].snapshots]).encode())
+        assert h.hexdigest() == TestGirthStreams.PINNED[stream, seed, count], (
+            stream, seed, count)
+
+    @pytest.mark.parametrize("stream, seed", [
+        ("lem122", 0), ("lem122", 7), ("lem122", 123), ("n7", 0), ("n8", 0)])
+    def test_candidates_match_pinned_digests(self, stream, seed):
+        self.check(stream, seed, 2000)
 
 
 class TestTruncation:
