@@ -25,10 +25,9 @@ class PeriodicGraph:
         uniq = []
         idx = {}
         us = []
-        for g in snapshots:
+        for i, g in enumerate(snapshots):
             if type(g) is not Graph:
-                raise ValueError("snapshot %d is not a Graph: %r"
-                                 % (snapshots.index(g), g))
+                raise ValueError("snapshot %d is not a Graph: %r" % (i, g))
             key = g.masks
             if key not in idx:
                 idx[key] = len(uniq)

@@ -105,6 +105,7 @@ def _is_edge(value, spec):
 # later rows read only what its earlier ones passed.  Each edge a constraint
 # lists is checked as that place's `edge`, after the constraint's own keys.
 _RULES = (
+    ("search spec", "name", lambda v, s: isinstance(v, str), "be a string"),
     ("search spec", "n", lambda v, s: _ints([v], 1), "be an int >= 1"),
     ("search spec", "p", lambda v, s: _ints([v], 1), "be an int >= 1"),
     ("search spec", "seed", lambda v, s: _ints([v]), "be an int"),
@@ -506,6 +507,11 @@ def _gen_hamiltonian(spec, rng):
     g1_frags = spec.hints.get("g1_fragments")
     hint_rounds = 10_000
     tries_per_slot = 300
+
+    def hub_nbrs(perm):
+        i = perm.index(hub)
+        return {perm[j] for j in (i - 1, i + 1) if 0 <= j < n}
+
     round_no = 0
     while True:
         round_no += 1
@@ -516,17 +522,8 @@ def _gen_hamiltonian(spec, rng):
             perm0 = list(range(n))
             rng.shuffle(perm0)
         graphs = [_path_from_perm(n, perm0)]
-        cover = set()
-
-        def hub_nbrs(perm):
-            i = perm.index(hub)
-            return {perm[j] for j in (i - 1, i + 1) if 0 <= j < n}
-
-        if hub is not None:
-            cover |= hub_nbrs(perm0)
-        ok = True
+        cover = set() if hub is None else hub_nbrs(perm0)
         for t in range(1, p):
-            placed = False
             for _ in range(tries_per_slot):
                 if use_hint and t == 1 and g1_frags:
                     frags = [list(f) for f in g1_frags]
@@ -551,15 +548,10 @@ def _gen_hamiltonian(spec, rng):
                         continue
                     cover |= nbrs
                 graphs.append(g)
-                placed = True
                 break
-            if not placed:
-                ok = False
+            else:
                 break
-        if not ok:
-            yield None
-            continue
-        if hub is not None and len(cover) != n - 1:
+        if len(graphs) < p or hub is not None and len(cover) != n - 1:
             yield None
             continue
         yield PeriodicGraph(graphs), {}
@@ -587,38 +579,8 @@ def _coin_flips(rng, m):
     return rng.getrandbits(64 * m).to_bytes(8 * m, "little")[3::8].translate(_BELOW_HALF)
 
 
-# coins a refill reads ahead from the RNG, or as many as one read needs
+# coins a refill reads ahead from the RNG, or as many as one draw needs
 _COIN_BLOCK = 4096
-
-
-class _Coins:
-    """One search's stream of `random() < 0.5` coins: ``buf[at:]`` holds
-    the coins not used yet, read ahead from the RNG by `_coin_flips`, at
-    least `_COIN_BLOCK` a refill.  ``take(m)`` gives the next m coins, the
-    ones m random() calls would give; `_sample_girth4` reads and refills
-    ``buf`` and ``at`` in place.  Only the RNG's state runs ahead, so
-    nothing else may read the RNG."""
-
-    __slots__ = ("rng", "buf", "at")
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.buf = b""
-        self.at = 0
-
-    def take(self, m):
-        at, end = self.at, self.at + m
-        if end > len(self.buf):
-            self.buf = self.buf[at:] + _coin_flips(self.rng, max(_COIN_BLOCK, m))
-            at, end = 0, m
-        self.at = end
-        return self.buf[at:end]
-
-
-def _cross_pairs(side):
-    """The pairs u < v that ``side`` (one entry per vertex) puts apart."""
-    return [(u, v) for u, v in itertools.combinations(range(len(side)), 2)
-            if side[u] != side[v]]
 
 
 class _SideRows(dict):
@@ -631,7 +593,10 @@ class _SideRows(dict):
         self.n, self.size = n, 0
 
     def __missing__(self, s):
-        pairs = _cross_pairs(format(s, "0%db" % self.n))
+        side = format(s, "0%db" % self.n)
+        # the pairs u < v that the side puts apart
+        pairs = [(u, v) for u, v in itertools.combinations(range(self.n), 2)
+                 if side[u] != side[v]]
         row = self[s] = (pairs, len(pairs), self.size) if pairs else None
         self.size += 1 << len(pairs)
         return row
@@ -640,7 +605,7 @@ class _SideRows(dict):
 def _girth4_table(n):
     """(rows, verdicts) of the draws on n vertices: a list and a bytearray
     kept across searches up to `_GIRTH4_TABLE_MAX_N`, and past it a fresh
-    `_SideRows` and dict for one `_sample_girth4` call."""
+    `_SideRows` and dict for one window of `_girth4_draws`."""
     if n > _GIRTH4_TABLE_MAX_N:
         return _SideRows(n), collections.defaultdict(int)
     table = _GIRTH4_TABLES.get(n)
@@ -660,17 +625,19 @@ def _connected_girth4(masks):
     return None
 
 
-def _sample_girth4(coins, n):
-    """(A connected girth-4 graph on n vertices, its domination number),
-    or (None, None) after 200 draws.
+def _girth4_draws(rng, n):
+    """Yield (a connected girth-4 graph on n vertices, its domination
+    number) per window of at most 200 draws, or (None, None) if the
+    window accepted none.
 
-    A draw splits the vertices by one coin of ``coins`` (a `_Coins`) each,
-    both sides non-empty, and keeps each pair across the split by another:
-    the coins of `random() < 0.5` calls, on which lem122's witness depends.
-    The loop reads ``coins.buf`` in place, with no call per draw, and
-    refills it before a draw that might run past its end.  A draw's
-    closed-neighborhood masks are built from its kept pairs, and an
-    accepted draw is the Graph of those masks.
+    A draw splits the vertices by one coin each, both sides non-empty,
+    and keeps each pair across the split by another: the coins of
+    `random() < 0.5` calls, on which lem122's witness depends.  The coins
+    come from ``rng`` through `_coin_flips` into ``buf``, read in place
+    from ``at``, and one refill, at least `_COIN_BLOCK` coins, runs
+    before a draw that might run past the end.  So the RNG runs ahead of
+    the last coin used.  A draw's closed-neighborhood masks are built
+    from its kept pairs, and an accepted draw is the Graph of those masks.
 
     For n <= 7 a draw is one of few: 2^n sides, each with at most 2^12
     subsets of its cross pairs (18,306 draws in all at n = 6).  A search
@@ -682,60 +649,58 @@ def _sample_girth4(coins, n):
     For n >= 8 the table would take 16 MB or more, so every draw is tested,
     and the domination number is None, left to a caller that needs it.
     """
-    rows, verdicts = _girth4_table(n)
     ones = [1 << v for v in range(n)]
     # a draw reads at most n coins for its side and n^2/4 for its pairs
     need = n + n * n // 4
-    rng, buf, at = coins.rng, coins.buf, coins.at
-    end = len(buf)
-    g = gamma = None
-    for _ in range(200):
-        if at + need > end:
-            buf = buf[at:] + _coin_flips(rng, max(_COIN_BLOCK, need))
-            at, end = 0, len(buf)
-        row = rows[int(buf[at:at + n], 2)]
-        at += n
-        if row is None:
-            continue
-        pairs, m, base = row
-        cross = buf[at:at + m]
-        at += m
-        i = base + int(cross, 2)
-        verdict = verdicts[i]
-        if verdict == _REJECTED:
-            continue
-        masks = ones[:]
-        for (u, v), c in zip(pairs, cross):
-            if c == 49:  # b"1"
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-        if verdict:
-            g, gamma = Graph._of(masks), verdict - _ACCEPTED
+    buf, at = b"", 0
+    while True:
+        rows, verdicts = _girth4_table(n)
+        g = gamma = None
+        for _ in range(200):
+            if at + need > len(buf):
+                buf = buf[at:] + _coin_flips(rng, max(_COIN_BLOCK, need))
+                at = 0
+            row = rows[int(buf[at:at + n], 2)]
+            at += n
+            if row is None:
+                continue
+            pairs, m, base = row
+            cross = buf[at:at + m]
+            at += m
+            i = base + int(cross, 2)
+            verdict = verdicts[i]
+            if verdict == _REJECTED:
+                continue
+            masks = ones[:]
+            for (u, v), c in zip(pairs, cross):
+                if c == 49:  # b"1"
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+            if verdict:
+                g, gamma = Graph._of(masks), verdict - _ACCEPTED
+                break
+            g = _connected_girth4(masks)
+            if g is None:
+                verdicts[i] = _REJECTED
+                continue
+            if n <= _GIRTH4_TABLE_MAX_N:
+                gamma = domination_number(g)
+                verdicts[i] = _ACCEPTED + gamma
             break
-        g = _connected_girth4(masks)
-        if g is None:
-            verdicts[i] = _REJECTED
-            continue
-        if n <= _GIRTH4_TABLE_MAX_N:
-            gamma = domination_number(g)
-            verdicts[i] = _ACCEPTED + gamma
-        break
-    coins.buf, coins.at = buf, at
-    return g, gamma
+        yield g, gamma
 
 
 def _gen_girth(spec, rng):
-    """Candidates of connected girth-4 snapshots, drawn by `_sample_girth4`
-    from one `_Coins` of ``rng``: the coins are read ahead, so the RNG is
-    this stream's alone and is left ahead of the last coin used.  A
-    ``gamma_g0`` target reads G_0's domination number from the sampler,
-    and computes it only past the verdict tables."""
+    """Candidates of connected girth-4 snapshots, the windows of one
+    `_girth4_draws` stream of ``rng``.  A ``gamma_g0`` target reads G_0's
+    domination number from the draws, and computes it only past the
+    verdict tables."""
     n, p = spec.n, spec.p
     gamma0 = spec.targets.get("gamma_g0")
-    coins = _Coins(rng)
+    draws = _girth4_draws(rng, n)
     while True:
         for _ in range(200):
-            g0, gamma = _sample_girth4(coins, n)
+            g0, gamma = next(draws)
             # gamma is None past the verdict tables, and never 0
             if g0 is not None and (
                 gamma0 is None or gamma0 == (gamma or domination_number(g0))
@@ -744,7 +709,7 @@ def _gen_girth(spec, rng):
         else:
             yield None
             continue
-        rest = [_sample_girth4(coins, n)[0] for _ in range(p - 1)]
+        rest = [next(draws)[0] for _ in range(p - 1)]
         if any(g is None for g in rest):
             yield None
             continue

@@ -40,6 +40,17 @@ class TestPeriodicGraph:
         with pytest.raises(ValueError, match="snapshot 0 is not a Graph: 'g'"):
             constant("g", 2)
 
+    def test_refused_snapshot_named_by_its_own_index(self):
+        # a Graph subclass equal to snapshot 0 is named by where it stands
+        class Sub(Graph):
+            pass
+
+        g = path_graph(3)
+        twin = Sub(3, g.sorted_edges())
+        assert twin == g
+        with pytest.raises(ValueError, match="snapshot 2 is not a Graph"):
+            PeriodicGraph([g, Graph(3), twin])
+
 
 PG = bowtie_221().instance  # n = 7, p = 6
 

@@ -22,11 +22,10 @@ from percop.solver import cop_number, is_k_copwin, static_cop_number
 from percop import search as search_module
 from percop.search import (
     SearchSpec,
-    _Coins,
     _candidates,
     _coin_flips,
+    _girth4_draws,
     _petersen_five_cycles,
-    _sample_girth4,
     certify,
     check_targets,
     get_spec,
@@ -139,6 +138,7 @@ class TestSpecValidation:
             spec_from_dict(d)
 
     @pytest.mark.parametrize("fields, match", [
+        ({"name": 3}, "search spec name must be a string: 3"),
         ({"n": 0}, "n must be an int >= 1: 0"),
         ({"n": True}, "n must be an int >= 1: True"),
         ({"p": 2.0}, "p must be an int >= 1: 2.0"),
@@ -178,6 +178,8 @@ class TestSpecValues:
     when the spec is built, not where they are first used."""
 
     @pytest.mark.parametrize("d, match", [
+        # the report prints the name, and a NaN one is not JSON
+        (_c4_with(name=float("nan")), "search spec name must be a string: nan"),
         (_c4_with(seed="1"), r"seed must be an int: '1'"),
         (_c4_with(seed=True), "seed must be an int: True"),
         (_c4_with(max_tries="10"), r"max_tries must be an int >= 0: '10'"),
@@ -576,24 +578,31 @@ class _CountingRandom(random.Random):
         return super().getrandbits(k)
 
 
-def _coins_used(rng, coins):
-    """The coins a `_Coins` on a `_CountingRandom` has handed out."""
-    return rng.coins - (len(coins.buf) - coins.at)
+def _held_coins(draws):
+    """The coins a suspended `_girth4_draws` has read from its RNG but not
+    used yet: its ``buf`` from ``at`` on."""
+    local = draws.gi_frame.f_locals
+    return local["buf"][local["at"]:]
+
+
+def _coins_used(rng, draws):
+    """The coins a `_girth4_draws` on a `_CountingRandom` has used."""
+    return rng.coins - len(_held_coins(draws))
 
 
 class TestGirthSampler:
     def test_same_draws_as_graph_first_sampler(self):
-        # lem122's witness depends on the exact coin order: draws chained on
-        # one coin stream are the first sampler's draws chained on a twin
+        # lem122's witness depends on the exact coin order: windows drawn
+        # from one stream are the first sampler's draws chained on a twin
         # RNG, and use as many coins as the twin makes random() calls
         for n in range(4, 9):
             for seed in range(200):
                 rng, twin = _CountingRandom(seed), _CountingRandom(seed)
-                coins = _Coins(rng)
+                draws = _girth4_draws(rng, n)
                 for _ in range(3):
-                    got, _gamma = _sample_girth4(coins, n)
+                    got, _gamma = next(draws)
                     assert got == _old_sample_girth4(twin, n), (n, seed)
-                    assert _coins_used(rng, coins) == twin.calls, (n, seed)
+                    assert _coins_used(rng, draws) == twin.calls, (n, seed)
 
     def test_coin_flips_are_random_calls(self):
         # the identity the sampler's decoding rests on: if CPython changes
@@ -605,19 +614,11 @@ class TestGirthSampler:
                 assert _coin_flips(flips, m) == want, (m, seed)
                 assert flips.getstate() == twin.getstate(), (m, seed)
 
-    def test_coin_stream_crosses_blocks(self, monkeypatch):
-        # takes that end on, straddle and outgrow a block read the same coins
-        monkeypatch.setattr(search_module, "_COIN_BLOCK", 8)
-        for seed in range(20):
-            coins, twin = _Coins(random.Random(seed)), random.Random(seed)
-            for m in (1, 7, 3, 8, 20, 0, 5, 9):
-                want = b"".join(b"1" if twin.random() < 0.5 else b"0" for _ in range(m))
-                assert coins.take(m) == want, (m, seed)
-
     def test_in_place_refills_cross_blocks(self, monkeypatch):
         # with 8-coin blocks a draw's reads end on, straddle and outgrow a
         # block, and every refill must still read as many coins as the draw
-        # may need: draws and the coins after them are the first sampler's
+        # may need: draws are the first sampler's, the held coins are the
+        # twin's next ones, and the RNG stands where the twin would after them
         monkeypatch.setattr(search_module, "_COIN_BLOCK", 8)
         asked = []
         flips = search_module._coin_flips
@@ -625,21 +626,38 @@ class TestGirthSampler:
                             lambda rng, m: asked.append(m) or flips(rng, m))
         for n in range(4, 9):
             for seed in range(40):
-                coins, twin = _Coins(random.Random(seed)), random.Random(seed)
+                rng, twin = random.Random(seed), random.Random(seed)
+                draws = _girth4_draws(rng, n)
                 for _ in range(3):
-                    got, _gamma = _sample_girth4(coins, n)
+                    got, _gamma = next(draws)
                     assert got == _old_sample_girth4(twin, n), (n, seed)
-                    want = b"".join(b"1" if twin.random() < 0.5 else b"0"
-                                    for _ in range(64))
-                    assert coins.take(64) == want, (n, seed)
+                    held = _held_coins(draws)
+                    ahead = random.Random()
+                    ahead.setstate(twin.getstate())
+                    want = b"".join(b"1" if ahead.random() < 0.5 else b"0"
+                                    for _ in held)
+                    assert held == want, (n, seed)
+                    assert rng.getstate() == ahead.getstate(), (n, seed)
         assert 8 in asked and max(asked) > 8
+
+    def test_one_table_read_per_window(self, monkeypatch):
+        # n = 8 keeps no table, so each window reads a fresh one
+        tables = []
+        table = search_module._girth4_table
+        monkeypatch.setattr(search_module, "_girth4_table",
+                            lambda n: tables.append(table(n)) or tables[-1])
+        draws = _girth4_draws(random.Random(0), 8)
+        for windows in range(1, 4):
+            next(draws)
+            assert len(tables) == windows
+        assert tables[0][0] is not tables[1][0]
 
     def test_accepted_bytes_hold_domination_numbers(self, monkeypatch):
         monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
         for n in range(4, 8):
-            coins = _Coins(random.Random(n))
+            draws = _girth4_draws(random.Random(n), n)
             for _ in range(500):
-                _sample_girth4(coins, n)
+                next(draws)
             rows, verdicts = search_module._GIRTH4_TABLES[n]
             seen = set()
             for row in rows:
@@ -675,9 +693,9 @@ class TestGirthSampler:
                 judged.clear()
                 run = []
                 for seed in range(200):
-                    coins = _Coins(random.Random(seed))
-                    # the coins after the draw show how many it used
-                    run.append((_sample_girth4(coins, n), coins.take(64)))
+                    rng = _CountingRandom(seed)
+                    draws = _girth4_draws(rng, n)
+                    run.append((next(draws), _coins_used(rng, draws)))
                 runs.append(run)
             cold, warm = runs
             assert cold == warm, n
@@ -690,7 +708,7 @@ class TestGirthSampler:
 
     def test_n8_keeps_no_table(self, monkeypatch):
         monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
-        found = [_sample_girth4(_Coins(random.Random(seed)), 8) for seed in range(20)]
+        found = [next(_girth4_draws(random.Random(seed), 8)) for seed in range(20)]
         assert any(g is not None for g, _gamma in found)
         # the domination number is left to a caller that needs it
         assert all(gamma is None for _g, gamma in found)
@@ -699,7 +717,7 @@ class TestGirthSampler:
     def test_tables_stay_within_512_kb(self, monkeypatch):
         monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
         for n in range(1, search_module._GIRTH4_TABLE_MAX_N + 1):
-            _sample_girth4(_Coins(random.Random(0)), n)
+            next(_girth4_draws(random.Random(0), n))
         tables = search_module._GIRTH4_TABLES
         assert sorted(tables) == list(range(1, 8))
         assert sum(len(verdicts) for _rows, verdicts in tables.values()) <= 512 * 1024
@@ -721,7 +739,8 @@ def _girth_stream_spec(stream, seed):
 class TestGirthStreams:
     """The first candidates of `_gen_girth`, each None or its snapshots'
     masks, hashed and compared with digests written from the sampler that
-    called `_Coins.take` per draw and `domination_number` per G_0."""
+    took each draw's coins through a buffer object and called
+    `domination_number` per G_0."""
 
     PINNED = {
         ("lem122", 0, 2000): "cba849c9bc6229bea10bb68c6d4b60daade8a192f0519cc9ab80466944c401c8",
