@@ -61,7 +61,15 @@ class Graph:
             raise ValueError("n must be an int >= 0: %r" % (n,))
         self.n = n
         masks = [1 << v for v in range(self.n)]
-        for u, v in edges:
+        try:
+            pairs = iter(edges)
+        except TypeError:
+            raise ValueError("edges must be an iterable of pairs: %r" % (edges,)) from None
+        for e in pairs:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError("an edge must be a pair (u, v): %r" % (e,)) from None
             if type(u) is not int or type(v) is not int:
                 raise ValueError("edge endpoints must be ints: (%r, %r)" % (u, v))
             if u == v:

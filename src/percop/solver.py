@@ -57,11 +57,17 @@ snapshot, so no row is built.  At k >= 2 a row is built on its first read,
 at a cop step from level 2 or an optimal_cop_move, so a decision that ends
 at level 1 builds none: a configuration moves by moving its (k-1)-prefix and
 then adding a closed neighbour of its last cop, so its row joins the
-(k-1)-cop row of its prefix with that neighbourhood.  Each thread keeps the
-configurations of the last n, and the rows and results of the last periodic
-graph it solved, so graphs on n vertices share the first, an ascent builds
-each row once, and a repeated is_k_copwin on that graph returns its kept
-result; another graph drops the second, another n the first.
+(k-1)-cop row of its prefix with that neighbourhood.  The prefix's moves are
+read as a list: level 1's neighbour list at k = 2, and at k >= 3 one made
+from the prefix's row on first read and kept, so the rows that share a
+prefix make it once.  Each thread keeps a chain of configuration spaces,
+joins included, for each n it has solved, and the rows and results of the
+last periodic graph it solved.  Graphs on n vertices share the first, so a
+pipeline that switches n builds each space once; an ascent builds each row
+once, and a repeated is_k_copwin on that graph returns its kept result.
+Another graph drops the second.  Once the kept chains hold more than
+_KEPT_CONFIGURATIONS configurations, those of other n are dropped, least
+recently used first; the chain of the n being solved never is.
 
 Capture convention: any co-location ends the game for the cops, including the
 robber stepping onto a cop.  The stricter rule (only a cop moving onto the
@@ -195,15 +201,31 @@ class _Space:
         return insert, [prev.index[c[:-1]] for c in self.cfgs]
 
 
+class _Moves(dict):
+    """moves[j]: the configurations one cop move from (k-1)-cop configuration
+    j in one snapshot, as the ascending list _bits(rows[j]) of its (k-1)-cop
+    row, made on first read and kept, so the k-cop rows that share the
+    prefix j read one list.  Only the k-cop rows refer to it: kept on the
+    (k-1)-cop rows, whose row it reads, it would be a cycle."""
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __missing__(self, j):
+        moved = self[j] = _bits(self._rows[j])
+        return moved
+
+
 class _Rows(dict):
     """rows[ci]: the configurations one cop move from configuration ci in one
     snapshot, as bits, built on first read from the (k-1)-cop moves: ci
     moves by moving its prefix and adding a closed neighbour of its last
     cop.  A move can be undone, so a row also holds the configurations that
-    move to ci."""
+    move to ci.  moves[j] lists the (k-1)-cop moves of prefix j: level 1's
+    neighbour lists at k = 2, a _Moves at k >= 3."""
 
-    def __init__(self, space, nbrs, prev):
-        self._space, self._nbrs, self._prev = space, nbrs, prev
+    def __init__(self, space, nbrs, moves):
+        self._space, self._nbrs, self._moves = space, nbrs, moves
         self._lock = threading.Lock()  # threads sharing a result build a row once
 
     def __missing__(self, ci):
@@ -215,7 +237,7 @@ class _Rows(dict):
 
     def _build(self, ci):
         insert, prefix = self._space.joins
-        moved = _bits(self._prev[prefix[ci]])
+        moved = self._moves[prefix[ci]]
         row = 0
         for x in self._nbrs[self._space.cfgs[ci][-1]]:
             at = insert[x]
@@ -244,7 +266,10 @@ class _Level:
             self.grown1 = [reduce(or_, map(xor, ms, space.masks)) for ms in self.closed]
             return
         self.closed, self.nbrs, self.grown1 = prev.closed, prev.nbrs, prev.grown1
-        self.rows = [_Rows(space, nbrs, rows) for nbrs, rows in zip(prev.nbrs, prev.rows)]
+        # the 1-cop configuration j is the vertex j, so at k = 2 a prefix's
+        # moves are its neighbour list
+        self.rows = [_Rows(space, nbrs, nbrs if prev.rows is prev.closed else _Moves(rows))
+                     for nbrs, rows in zip(prev.nbrs, prev.rows)]
         self.cw1 = [_covered(space.hit, ms) for ms in self.closed]
 
 
@@ -279,20 +304,38 @@ class _MoveTables:
         return self.levels[k]
 
 
-# The thread's slot: the move tables of the last periodic graph it solved
-# and the configuration spaces of its n, never shared between threads.
-# Thread-local rather than a ContextVar, whose value the thread's context
-# keeps alive even after this module is re-imported.
+# The thread's slot: the move tables of the last periodic graph it solved,
+# and spaces[n], the chain of configuration spaces of each n it kept (the
+# k-cop space at k - 1), least recently used first; never shared between
+# threads.  Thread-local rather than a ContextVar, whose value the thread's
+# context keeps alive even after this module is re-imported.
 _LAST = threading.local()
+
+# The configurations the kept chains may hold in all before those of other
+# n are dropped: 2.1-3.8 MB with their occ bitsets, covering tables and
+# joins, at 130-230 bytes a configuration (tracemalloc, whole chains of
+# n = 4 to 30 and k up to 3 to 5).
+_KEPT_CONFIGURATIONS = 1 << 14
 
 
 def _space(n, k):
-    spaces = getattr(_LAST, "spaces", None)
-    if spaces is None or spaces[0].n != n:
-        spaces = _LAST.spaces = [_Space(n, None)]
-    while len(spaces) < k:
-        spaces.append(_Space(n, spaces[-1]))
-    return spaces[k - 1]
+    """The k-cop space on n vertices, from the thread's chain for n.  A build
+    then drops the least recently used chains of other n while the kept
+    chains hold more than _KEPT_CONFIGURATIONS configurations; n's own is
+    never dropped."""
+    chains = getattr(_LAST, "spaces", None)
+    if chains is None:
+        chains = _LAST.spaces = {}
+    chain = chains[n] = chains.pop(n, [])  # now the most recently used
+    if len(chain) < k:
+        while len(chain) < k:
+            chain.append(_Space(n, chain[-1] if chain else None))
+        total = sum(len(sp.cfgs) for c in chains.values() for sp in c)
+        for m in list(chains)[:-1]:
+            if total <= _KEPT_CONFIGURATIONS:
+                break
+            total -= sum(len(sp.cfgs) for sp in chains.pop(m))
+    return chain[k - 1]
 
 
 def _move_tables(pg):
@@ -379,10 +422,14 @@ class SolveResult:
     def _key(self, t, cops, robber):
         """(t mod p, ci), the layer and configuration of a state."""
         lv, n = self._level, self.pg.n
+        try:
+            vals = (t, robber, *cops)
+        except TypeError:
+            raise ValueError("cops must be an iterable of ints: %r" % (cops,)) from None
         # bool is not an int here; a float cop would pass the lookup by equality
-        if any(type(v) is not int for v in (t, robber, *cops)):
+        if any(type(v) is not int for v in vals):
             raise ValueError("t, cops and robber must be ints: %r, %r, %r" % (t, cops, robber))
-        ci = lv.index.get(tuple(sorted(cops)))
+        ci = lv.index.get(tuple(sorted(vals[2:])))  # cops may be a one-shot iterator
         if ci is None:
             raise ValueError("cops must be %d vertices of 0..%d: %r" % (self.k, n - 1, cops))
         if not 0 <= robber < n:
@@ -669,7 +716,11 @@ def extract_trace(result, cops_start=None):
     p, n = pg.period, pg.n
     cops = result.initial_placement
     if cops_start is not None:
-        cops = tuple(cops_start)
+        try:
+            cops = tuple(cops_start)
+        except TypeError:
+            raise ValueError("cops_start must be an iterable of ints: %r"
+                             % (cops_start,)) from None
         result._key(0, cops, 0)  # checked even where the cops cover every start
         cops = tuple(sorted(cops))
     occupied = set(cops)
@@ -782,10 +833,14 @@ def verify_policy(pg, policy):
 
     def vertices(cops, where, *args):
         # bool is not an int here, as in the SolveResult queries
-        for v in cops:
-            if type(v) is not int or not 0 <= v < n:
-                raise ValueError("%s: cop %r is not a vertex of 0..%d"
-                                 % (where % args, v, n - 1))
+        try:
+            for v in cops:
+                if type(v) is not int or not 0 <= v < n:
+                    raise ValueError("%s: cop %r is not a vertex of 0..%d"
+                                     % (where % args, v, n - 1))
+        except TypeError:
+            raise ValueError("%s is not an iterable of vertices: %r"
+                             % (where % args, cops)) from None
         return tuple(sorted(cops))
 
     start_cops = vertices(policy.initial_cops, "policy initial placement")

@@ -143,6 +143,15 @@ class TestMaskRepresentation:
         (3, [(0, 5), (1.0, 1)], "edge endpoint out of range: (0,5)"),
         (3, [(True, True)], "edge endpoints must be ints: (True, True)"),
         (3, [(4, 4)], "self-loop forbidden: (4,4)"),
+        # an edges argument that is not iterable, or an edge that is not a
+        # pair, once raised a bare TypeError
+        (3, 5, "edges must be an iterable of pairs: 5"),
+        (3, None, "edges must be an iterable of pairs: None"),
+        (3, [1], "an edge must be a pair (u, v): 1"),
+        (3, [(0, 1), None], "an edge must be a pair (u, v): None"),
+        (3, [(0, 1, 2)], "an edge must be a pair (u, v): (0, 1, 2)"),
+        (3, [(0,)], "an edge must be a pair (u, v): (0,)"),
+        (3, "ab", "an edge must be a pair (u, v): 'a'"),
     ])
     def test_error_messages(self, n, edges, message):
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):

@@ -306,6 +306,27 @@ class TestSolveResult:
             else:
                 getattr(res, query)(t, cops, robber)
 
+    @pytest.mark.parametrize("query", ["is_cop_win", "rank_of", "optimal_cop_move",
+                                       "extract_trace"])
+    @pytest.mark.parametrize("cops", [3, 2.5])
+    def test_queries_refuse_cops_that_are_not_iterable(self, query, cops):
+        # each once raised a bare TypeError
+        res = is_k_copwin(q3_rotation().instance, 3)
+        if query == "extract_trace":
+            with pytest.raises(ValueError, match=r"^cops_start must be an iterable of "
+                                                 r"ints: %s$" % re.escape(repr(cops))):
+                extract_trace(res, cops_start=cops)
+        else:
+            with pytest.raises(ValueError, match=r"^cops must be an iterable of ints: "
+                                                 r"%s$" % re.escape(repr(cops))):
+                getattr(res, query)(0, cops, 6)
+
+    @pytest.mark.parametrize("query", ["is_cop_win", "rank_of", "optimal_cop_move"])
+    def test_queries_read_cops_from_an_iterator(self, query):
+        # an iterator was read by the int check and then looked up empty
+        res = is_k_copwin(q3_rotation().instance, 3)
+        assert getattr(res, query)(0, iter((4, 0, 0)), 6) == getattr(res, query)(0, (0, 0, 4), 6)
+
     def test_policy_of_a_loser_is_refused(self):
         # it once returned a policy with no placement, which verify_policy
         # failed on with a TypeError
@@ -925,6 +946,74 @@ class TestClosedFormLevels:
             gc.enable()
 
 
+class TestMoveRows:
+    """Each k-cop move row against its definition, the sorted multisets in
+    the product of the cops' closed neighbourhoods in the snapshot, however
+    the rows are read; a k-cop row reads its prefix's (k-1)-cop moves from a
+    list made once per prefix."""
+
+    @staticmethod
+    def check(pg, k, rng):
+        """Read every k-cop row of a fresh copy of pg in a shuffled order and
+        compare each with the definition."""
+        fresh = PeriodicGraph(pg.snapshots)  # rows of its own
+        lv = solver._move_tables(fresh).level(k)
+        order = [(s, ci) for s in range(len(lv.rows)) for ci in range(len(lv.cfgs))]
+        rng.shuffle(order)
+        for s, ci in order:
+            g = fresh.unique_snapshots[s]
+            want = 0
+            for moved in itertools.product(*map(g.closed_nbrs, lv.cfgs[ci])):
+                want |= 1 << lv.index[tuple(sorted(moved))]
+            assert lv.rows[s][ci] == want, (s, lv.cfgs[ci])
+
+    def test_seeded_rows(self, rng):
+        for _ in range(30):
+            pg = random_periodic(rng, rng.randint(1, 6), rng.randint(1, 3),
+                                 rng.choice((0.2, 0.5, 0.8)))
+            for k in (1, 2, 3, 4):
+                self.check(pg, k, rng)
+
+    def test_each_prefix_list_made_once(self, rng, monkeypatch):
+        made, calls = [], []
+        inner_missing, inner_bits = solver._Moves.__missing__, solver._bits
+
+        def spy(moves, j):
+            made.append((id(moves), j))
+            return inner_missing(moves, j)
+
+        def bits(m):
+            calls.append(m)
+            return inner_bits(m)
+
+        monkeypatch.setattr(solver._Moves, "__missing__", spy)
+        for _ in range(12):
+            pg = random_periodic(rng, rng.randint(2, 6), rng.randint(1, 3), 0.5)
+            tables = solver._move_tables(pg)
+            for k in (2, 3, 4):
+                lv = tables.level(k)
+                order = [(s, ci) for s in range(len(lv.rows)) for ci in range(len(lv.cfgs))]
+                rng.shuffle(order)
+                made.clear()
+                calls.clear()
+                monkeypatch.setattr(solver, "_bits", bits)
+                for s, ci in order:  # the (k-1)-cop rows were all read at k - 1
+                    lv.rows[s][ci]
+                monkeypatch.setattr(solver, "_bits", inner_bits)
+                if k == 2:  # level 1's neighbour lists: nothing made
+                    assert made == [] and calls == []
+                    assert all(rows._moves is nbrs for rows, nbrs in zip(lv.rows, lv.nbrs))
+                    continue
+                # one list per prefix and snapshot, each made once by one _bits
+                prev = tables.level(k - 1)
+                assert sorted(made) == sorted((id(rows._moves), j) for rows in lv.rows
+                                              for j in range(len(prev.cfgs)))
+                assert len(calls) == len(made)
+                for rows, prev_rows in zip(lv.rows, prev.rows):
+                    assert all(rows._moves[j] == inner_bits(prev_rows[j])
+                               for j in range(len(prev.cfgs)))
+
+
 def _set_bits(m):
     return [i for i in range(m.bit_length()) if (m >> i) & 1]
 
@@ -1064,41 +1153,68 @@ def _spy_spaces(monkeypatch):
 
 class TestConfigurationSpaces:
     """The configurations of each (n, k) are built once per thread and shared
-    by every graph on n vertices; a graph owns only its tables and relations."""
+    by every graph on n vertices; a graph owns only its tables and relations.
+    The thread keeps a chain of spaces per n, and drops those of other n,
+    least recently used first, once they hold more than
+    _KEPT_CONFIGURATIONS configurations."""
 
-    def test_same_n_builds_each_space_once(self, rng, monkeypatch):
+    def test_each_n_builds_each_space_once(self, rng, monkeypatch):
         built, joined = _spy_spaces(monkeypatch)
-        instances = [random_periodic(rng, 6, rng.randint(1, 3), 0.5) for _ in range(8)]
+        # n alternates from one graph to the next
+        instances = [random_periodic(rng, n, rng.randint(1, 3), 0.5)
+                     for _ in range(4) for n in (6, 3, 5)]
         for pg in instances:
             for k in (1, 2, 3):
                 res = is_k_copwin(pg, k)
                 res.win_count()
                 res._level.rows[0][0]  # every graph builds its own rows
-        assert built == [(6, 1), (6, 2), (6, 3)]
-        assert joined == [(6, 2), (6, 3)]
-        assert res._level.space is solver._LAST.spaces[2]
+        assert built == [(n, k) for n in (6, 3, 5) for k in (1, 2, 3)]
+        assert sorted(joined) == [(n, k) for n in (3, 5, 6) for k in (2, 3)]
+        assert list(solver._LAST.spaces) == [6, 3, 5]  # least recently used first
+        assert res._level.space is solver._LAST.spaces[5][2]
 
-    def test_other_n_frees_the_old_chain(self, monkeypatch):
+    def test_chain_past_the_bound_is_freed(self, monkeypatch):
         built, _joined = _spy_spaces(monkeypatch)
+        # q3_rotation's chain (n = 8, k <= 3) holds 8 + 36 + 120 configurations
+        # and bowtie_221's 7 at k = 1: together at the bound, not past it
+        monkeypatch.setattr(solver, "_KEPT_CONFIGURATIONS", 171)
         gc.collect()
         gc.disable()
         try:
             res = is_k_copwin(q3_rotation().instance, 3)
             extract_trace(res)  # reads the joins of the 2- and 3-cop spaces
-            spaces = solver._LAST.spaces
+            spaces = solver._LAST.spaces[8]
             assert res._level.space is spaces[2] and len(spaces) == 3
             refs = [weakref.ref(sp) for sp in spaces]
             del res, spaces
-            twin = is_k_copwin(q3_rotation().instance, 1)  # same n: kept
+            is_k_copwin(bowtie_221().instance, 1)  # another n, under the bound: kept
+            assert all(ref() is not None for ref in refs)
+            twin = is_k_copwin(q3_rotation().instance, 2)  # n = 8 again: no build
             assert all(ref() is not None for ref in refs)
             del twin
-            is_k_copwin(bowtie_221().instance, 1)  # another n: replaced
+            is_k_copwin(bowtie_221().instance, 2)  # 28 more: past the bound
             # reference counting alone frees them: nothing is a cycle
             assert all(ref() is None for ref in refs)
-            assert [sp.n for sp in solver._LAST.spaces] == [7]
+            assert list(solver._LAST.spaces) == [7]
         finally:
             gc.enable()
-        assert built == [(8, 1), (8, 2), (8, 3), (7, 1)]
+        assert built == [(8, 1), (8, 2), (8, 3), (7, 1), (7, 2)]
+
+    def test_current_n_is_never_dropped(self, monkeypatch):
+        built, _joined = _spy_spaces(monkeypatch)
+        monkeypatch.setattr(solver, "_KEPT_CONFIGURATIONS", 1)
+        q3, bowtie = q3_rotation().instance, bowtie_221().instance
+        for k in (1, 2, 3):
+            # each build is past the bound, and drops no space of n = 8
+            assert is_k_copwin(q3, k)._level.space is solver._LAST.spaces[8][k - 1]
+        assert is_k_copwin(PeriodicGraph(q3.snapshots), 3)._level.space \
+            is solver._LAST.spaces[8][2]
+        assert built == [(8, 1), (8, 2), (8, 3)]
+        is_k_copwin(bowtie, 1)  # the first build of n = 7 drops n = 8
+        assert list(solver._LAST.spaces) == [7]
+        is_k_copwin(q3, 2)  # and its next solve builds them again
+        assert list(solver._LAST.spaces) == [8]
+        assert built == [(8, 1), (8, 2), (8, 3), (7, 1), (8, 1), (8, 2)]
 
     def test_early_decisions_build_no_neighbour_lists(self, rng, monkeypatch):
         passes = _spy_passes(monkeypatch)
@@ -1129,20 +1245,25 @@ class TestConfigurationSpaces:
 
     @pytest.mark.parametrize("period", [1, 3])
     def test_interleaved_graphs_match_a_cleared_slot(self, rng, period):
-        pair = [random_periodic(rng, 6, period, 0.4) for _ in range(2)]
-        while pair[0] == pair[1]:
-            pair[1] = random_periodic(rng, 6, period, 0.4)
-        got = []
-        for pg in pair + pair:
-            for k in (1, 2, 3):
-                got.append(_answers(is_k_copwin(pg, k)))
-        assert is_k_copwin(pair[0], 2)._level.space is is_k_copwin(pair[1], 2)._level.space
-        fresh = []
-        for pg in pair + pair:
-            for k in (1, 2, 3):
-                solver._LAST.tables = solver._LAST.spaces = None
-                fresh.append(_answers(is_k_copwin(pg, k)))
-        assert got == fresh
+        for sizes in ((6, 6), (6, 4)):
+            pair = [random_periodic(rng, n, period, 0.4) for n in sizes]
+            while pair[0] == pair[1]:
+                pair[1] = random_periodic(rng, sizes[1], period, 0.4)
+            got, spaces = [], []
+            for pg in pair + pair:
+                for k in (1, 2, 3):
+                    res = is_k_copwin(pg, k)
+                    got.append(_answers(res))
+                    spaces.append(res._level.space)
+            # the second round reads the first round's spaces, of either n
+            assert all(a is b for a, b in zip(spaces[6:], spaces[:6]))
+            assert (spaces[1] is spaces[4]) == (sizes[0] == sizes[1])
+            fresh = []
+            for pg in pair + pair:
+                for k in (1, 2, 3):
+                    solver._LAST.tables = solver._LAST.spaces = None
+                    fresh.append(_answers(is_k_copwin(pg, k)))
+            assert got == fresh
 
     def test_threads_build_shared_joins_once(self, monkeypatch):
         pg = GENERATORS["diagonal_222"]().instance
@@ -1417,6 +1538,19 @@ class TestVerifyPolicy:
         pol = CopPolicy(k=1, initial_cops=(cop,), step=lambda m, t, c, r: (c, m))
         with pytest.raises(ValueError, match=r"^policy initial placement: cop %s is not "
                                              r"a vertex of 0\.\.2$" % re.escape(repr(cop))):
+            verify_policy(constant(path_graph(3), 2), pol)
+
+    @pytest.mark.parametrize("cops", [3, None])
+    def test_cops_must_be_iterable(self, cops):
+        # both once raised a bare TypeError
+        pol = CopPolicy(k=1, initial_cops=cops, step=lambda m, t, c, r: (c, m))
+        with pytest.raises(ValueError, match=r"^policy initial placement is not an iterable "
+                                             r"of vertices: %s$" % re.escape(repr(cops))):
+            verify_policy(constant(path_graph(3), 2), pol)
+        pol = CopPolicy(k=2, initial_cops=(1, 0), step=lambda m, t, c, r: (cops, m))
+        with pytest.raises(ValueError, match=r"^policy move at t=0 cops=\[0, 1\] robber=2 is "
+                                             r"not an iterable of vertices: %s$"
+                                             % re.escape(repr(cops))):
             verify_policy(constant(path_graph(3), 2), pol)
 
     @pytest.mark.parametrize("cop", [-1, 3, 2.0, False])
