@@ -19,7 +19,11 @@ class PeriodicGraph:
     __slots__ = ("n", "snapshots", "usnap", "unique_snapshots")
 
     def __init__(self, snapshots):
-        snapshots = tuple(snapshots)
+        try:
+            snapshots = tuple(snapshots)
+        except TypeError:
+            raise ValueError("snapshots must be an iterable of Graphs: %r"
+                             % (snapshots,)) from None
         if not snapshots:
             raise ValueError("period must be >= 1")
         uniq = []

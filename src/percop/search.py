@@ -585,9 +585,10 @@ _COIN_BLOCK = 4096
 
 class _SideRows(dict):
     """Side s -> (its cross pairs, their count, the verdict index of its
-    first draw), or None for the two one-sided splits, built on first
-    read; s reads vertex 0 as its top bit, as int(coins, 2) does.  Each
-    side's draws take the next 2^count indices, and ``size`` counts them."""
+    first draw), built on first read; s reads vertex 0 as its top bit, as
+    int(coins, 2) does.  Each side's draws take the next 2^count indices,
+    and ``size`` counts them.  The two one-sided splits have no cross
+    pairs and one draw each, the edgeless graph, rejected on first sight."""
 
     def __init__(self, n):
         self.n, self.size = n, 0
@@ -597,7 +598,7 @@ class _SideRows(dict):
         # the pairs u < v that the side puts apart
         pairs = [(u, v) for u, v in itertools.combinations(range(self.n), 2)
                  if side[u] != side[v]]
-        row = self[s] = (pairs, len(pairs), self.size) if pairs else None
+        row = self[s] = (pairs, len(pairs), self.size)
         self.size += 1 << len(pairs)
         return row
 
@@ -630,14 +631,18 @@ def _girth4_draws(rng, n):
     number) per window of at most 200 draws, or (None, None) if the
     window accepted none.
 
-    A draw splits the vertices by one coin each, both sides non-empty,
-    and keeps each pair across the split by another: the coins of
-    `random() < 0.5` calls, on which lem122's witness depends.  The coins
-    come from ``rng`` through `_coin_flips` into ``buf``, read in place
-    from ``at``, and one refill, at least `_COIN_BLOCK` coins, runs
-    before a draw that might run past the end.  So the RNG runs ahead of
-    the last coin used.  A draw's closed-neighborhood masks are built
-    from its kept pairs, and an accepted draw is the Graph of those masks.
+    A draw splits the vertices by one coin each and keeps each of the m
+    pairs across the split by another: n + m coins of `random() < 0.5`
+    calls, on which lem122's witness depends.  A one-sided split (m = 0)
+    is the edgeless graph, never accepted.  The coins come from ``rng``
+    through `_coin_flips` into ``buf``, and a draw parses the n + n^2/4
+    coins from ``at`` as one int, which holds its side and, below it, its
+    cross coins; it then moves ``at`` past the n + m it used.  One refill,
+    at least `_COIN_BLOCK` coins, runs before a draw whose parse would run
+    past the end, so the RNG runs ahead of the last coin used.  Only a
+    draw not rejected before slices its cross coins and builds its
+    closed-neighborhood masks from its kept pairs; an accepted draw is
+    the Graph of those masks.
 
     For n <= 7 a draw is one of few: 2^n sides, each with at most 2^12
     subsets of its cross pairs (18,306 draws in all at n = 6).  A search
@@ -650,29 +655,28 @@ def _girth4_draws(rng, n):
     and the domination number is None, left to a caller that needs it.
     """
     ones = [1 << v for v in range(n)]
-    # a draw reads at most n coins for its side and n^2/4 for its pairs
-    need = n + n * n // 4
-    buf, at = b"", 0
+    # a draw reads n coins for its side and m <= most = n^2/4 for its pairs;
+    # w holds need = n + most coins, its side in the top n bits and its
+    # pairs' coins in the next m
+    most = n * n // 4
+    need, low = n + most, (1 << most) - 1
+    buf, at, end = b"", 0, -1
     while True:
         rows, verdicts = _girth4_table(n)
         g = gamma = None
         for _ in range(200):
-            if at + need > len(buf):
+            if at > end:
                 buf = buf[at:] + _coin_flips(rng, max(_COIN_BLOCK, need))
-                at = 0
-            row = rows[int(buf[at:at + n], 2)]
-            at += n
-            if row is None:
-                continue
-            pairs, m, base = row
-            cross = buf[at:at + m]
-            at += m
-            i = base + int(cross, 2)
+                at, end = 0, len(buf) - need
+            w = int(buf[at:at + need], 2)
+            pairs, m, base = rows[w >> most]
+            i = base + ((w & low) >> most - m)
+            at += n + m
             verdict = verdicts[i]
             if verdict == _REJECTED:
                 continue
             masks = ones[:]
-            for (u, v), c in zip(pairs, cross):
+            for (u, v), c in zip(pairs, buf[at - m:at]):
                 if c == 49:  # b"1"
                     masks[u] |= 1 << v
                     masks[v] |= 1 << u

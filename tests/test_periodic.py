@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -39,6 +40,12 @@ class TestPeriodicGraph:
             PeriodicGraph([Graph(3), None])
         with pytest.raises(ValueError, match="snapshot 0 is not a Graph: 'g'"):
             constant("g", 2)
+
+    @pytest.mark.parametrize("snapshots", [None, 2.5, -1, 3, True])
+    def test_snapshots_that_are_not_iterable_refused(self, snapshots):
+        with pytest.raises(ValueError, match=r"^snapshots must be an iterable "
+                           r"of Graphs: %s$" % re.escape(repr(snapshots))):
+            PeriodicGraph(snapshots)
 
     def test_refused_snapshot_named_by_its_own_index(self):
         # a Graph subclass equal to snapshot 0 is named by where it stands
