@@ -323,31 +323,41 @@ def radius(g):
     return min(eccentricity(g, u) for u in range(g.n))
 
 
-def dismantle(g):
-    """Iteratively delete dominated vertices; True iff one vertex remains.
+def core(g):
+    """The vertices left once dominated vertices are deleted one at a time,
+    ascending.
 
-    A vertex u is dominated when N[u] <= N[v] for some other surviving v.
+    Each round deletes the lowest survivor u whose closed neighbourhood among
+    the survivors lies inside N[v] for some other survivor v; such a v is in
+    N[u], so only u's neighbours are tested.  A graph is copwin exactly when
+    its core is one vertex (Nowakowski & Winkler, Discrete Math. 43, 1983).
+    """
+    if type(g) is not Graph:
+        raise ValueError("core: g must be a Graph: %r" % (g,))
+    masks = g.masks
+    alive = left = (1 << g.n) - 1
+    while left:
+        low = left & -left
+        left ^= low
+        nu = masks[low.bit_length() - 1] & alive
+        others = nu ^ low
+        while others:
+            v = others & -others
+            others ^= v
+            if nu & ~masks[v.bit_length() - 1] == 0:
+                alive ^= low
+                left = alive  # the next round starts at the lowest survivor
+                break
+    return [u for u in range(g.n) if alive >> u & 1]
+
+
+def dismantle(g):
+    """True iff deleting dominated vertices leaves one vertex (`core`).
+
     This is the classical static copwin test, used as an oracle independent of
     the game solver.  The empty graph yields False; K1 yields True.
     """
-    alive = list(range(g.n))
-    masks = {u: g.nbr_mask(u) for u in alive}
-    changed = True
-    while changed and len(alive) > 1:
-        changed = False
-        for u in list(alive):
-            mu = masks[u]
-            for v in alive:
-                if v != u and mu & ~masks[v] == 0:
-                    alive.remove(u)
-                    bit = ~(1 << u)
-                    for w in alive:
-                        masks[w] &= bit
-                    changed = True
-                    break
-            if changed:
-                break
-    return len(alive) == 1
+    return len(core(g)) == 1
 
 
 def spanning_tree_cover(g):

@@ -68,6 +68,8 @@ class PeriodicGraph:
 
 def footprint(pg):
     """The graph of every edge that some snapshot has: the OR of their masks."""
+    if type(pg) is not PeriodicGraph:
+        raise ValueError("pg must be a PeriodicGraph: %r" % (pg,))
     masks = [0] * pg.n
     for g in pg.unique_snapshots:
         masks = list(map(operator.or_, masks, g.masks))

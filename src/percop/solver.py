@@ -80,7 +80,9 @@ cannot leave their component, each component needs a cop, and the robber
 picks the component, so its cop number is the sum of theirs.  `cop_number`
 solves each component on its own and sums; `solve_cop_number` and
 `is_k_copwin` solve the whole graph, since traces and policies read the ranks
-of their results.
+of their results.  `static_cop_number` decides one cop on each component of a
+static graph, and ascends past k = 1 on the component's core, what is left
+once dominated vertices are deleted (`graphs.core`).
 
 The one resource limit is the state budget: PERCOP_STATE_BUDGET in the
 environment (default 1e8 states, else an int >= 1 or a ValueError), checked
@@ -97,7 +99,8 @@ from math import comb
 from operator import or_, xor
 
 from . import periodic as _periodic
-from .graphs import DOMINATION_LIMIT, domination_number
+from .graphs import DOMINATION_LIMIT, core, domination_number
+from .periodic import PeriodicGraph
 
 DEFAULT_STATE_BUDGET = 10**8
 
@@ -606,6 +609,8 @@ def is_k_copwin(pg, k):
     the last graph it solved, so asking again, within the state budget,
     returns the same result and decides nothing.
     """
+    if type(pg) is not PeriodicGraph:
+        raise ValueError("pg must be a PeriodicGraph: %r" % (pg,))
     if type(k) is not int or k < 1:
         raise ValueError("k must be an int >= 1: %r" % (k,))
     budget = _state_budget()
@@ -628,6 +633,8 @@ def is_k_copwin(pg, k):
 
 def cop_number_cap(pg):
     """Safe upper bound for the ascent: cops on a dominating set of G_0 win."""
+    if type(pg) is not PeriodicGraph:
+        raise ValueError("pg must be a PeriodicGraph: %r" % (pg,))
     g0 = pg.snapshots[0]
     if g0.n <= DOMINATION_LIMIT:
         return domination_number(g0)
@@ -675,8 +682,35 @@ def cop_number(pg):
 
 def static_cop_number(g):
     """Cop number of a static graph (period-1 periodic graph), summed over
-    its components."""
-    return cop_number(_periodic.constant(g, 1))
+    its components.
+
+    One cop's game is decided on each component as it is; a component that
+    one cop loses ascends on its core (`graphs.core`), which has the same
+    cop number.  With u dominated by v, folding u onto v retracts G onto
+    G - u, so c(G - u) <= c(G) (Berarducci & Intrigila, "On the cop number
+    of a graph", Adv. Appl. Math. 14, 1993); cops who win on G - u chase the
+    robber's image under that retraction and catch the robber one move
+    after catching the image, so c(G) <= c(G - u) (the shadow strategy,
+    Bonato & Nowakowski, The Game of Cops and Robbers on Graphs, 2011).
+    """
+    pg = _periodic.constant(g, 1)
+    comps = g.components()
+    total = 0
+    for comp in comps:
+        h = pg if len(comps) == 1 else _periodic.induced(pg, comp)[0]
+        if is_k_copwin(h, 1).copwin:
+            total += 1
+            continue
+        kept = core(h.snapshots[0])
+        if len(kept) < h.n:
+            h = _periodic.induced(h, kept)[0]
+        c = solve_cop_number(h)[0]
+        if c == 1:
+            raise AssertionError(
+                "one cop wins on the core of a component that one cop loses; "
+                "this contradicts the retract and shadow arguments")
+        total += c
+    return total
 
 
 @dataclass(frozen=True)

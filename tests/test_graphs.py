@@ -11,6 +11,7 @@ from percop.graphs import (
     Retraction,
     check_retraction,
     complete_graph,
+    core,
     cycle_graph,
     dismantle,
     domination_number,
@@ -399,6 +400,32 @@ class TestDismantle:
 
     def test_q3(self):
         assert not dismantle(hypercube_q3())
+
+
+class TestCore:
+    def test_a_path_leaves_one_vertex(self):
+        assert len(core(path_graph(7))) == 1
+
+    @pytest.mark.parametrize("g", [cycle_graph(4), hypercube_q3(), petersen_graph()],
+                             ids=["C4", "Q3", "Petersen"])
+    def test_no_dominated_vertex_keeps_every_vertex(self, g):
+        assert core(g) == list(range(g.n))
+
+    def test_petersen_with_a_pendant_keeps_the_ten(self):
+        g = Graph(11, list(petersen_graph().edges) + [(3, 10)])
+        assert core(g) == list(range(10))
+
+    def test_k1_and_the_empty_graph(self):
+        assert core(Graph(1)) == [0]
+        assert core(Graph(0)) == []
+
+    @pytest.mark.parametrize("fn", [core, dismantle])
+    @pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
+    def test_what_is_no_graph_is_refused(self, fn, bad):
+        # dismantle(None) once ended in an AttributeError
+        with pytest.raises(ValueError, match=r"^core: g must be a Graph: %s$"
+                           % re.escape(repr(bad))):
+            fn(bad)
 
 
 class TestSpanningTreeCover:

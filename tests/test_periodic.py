@@ -88,6 +88,15 @@ class TestIntArguments:
             fn(*args)
 
 
+@pytest.mark.parametrize("fn", [footprint, is_temporally_connected])
+@pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
+def test_what_is_no_periodic_graph_is_refused(fn, bad):
+    # footprint(None) once ended in an AttributeError
+    with pytest.raises(ValueError, match=r"^pg must be a PeriodicGraph: %s$"
+                       % re.escape(repr(bad))):
+        fn(bad)
+
+
 class TestFootprint:
     def test_q3(self):
         foot = footprint(q3_rotation().instance)

@@ -15,9 +15,11 @@ import pytest
 
 from percop.graphs import (
     DOMINATION_LIMIT,
+    PETERSEN_EDGES,
     Graph,
     complete_graph,
     cycle_graph,
+    core,
     dismantle,
     domination_number,
     hypercube_q3,
@@ -25,6 +27,7 @@ from percop.graphs import (
     petersen_graph,
 )
 from percop import solver
+from percop.census import _canonical_graph_masks
 from percop.periodic import PeriodicGraph, constant, footprint, pad
 from percop.solver import (
     ROBBER_TO_MOVE,
@@ -45,10 +48,12 @@ from percop.instancefile import dump_json
 from percop.search import load_witness
 from percop.treewidth import exact_treewidth
 from conftest import (
+    random_disjoint_union,
     random_graph,
     random_connected_graph,
     random_periodic,
     random_temporally_connected,
+    shuffled_union,
 )
 from reference import (
     reference_cop_number,
@@ -175,6 +180,85 @@ class TestDismantleEquivalence:
         assert not dismantle(petersen_graph())
 
 
+def class_graphs(max_n):
+    """One graph per isomorphism class on 1..max_n vertices, by least mask."""
+    for n in range(1, max_n + 1):
+        pairs, reps = _canonical_graph_masks(n)
+        for mask in reps:
+            yield Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def petersen_plus(rng, extra):
+    """Petersen with ``extra`` added vertices, relabelled at random.  Each new
+    vertex is joined either to some earlier v and part of N(v), so that v
+    dominates it when it is added, or to a random set of earlier vertices."""
+    nbrs = {u: {u} for u in range(10)}
+    for u, v in PETERSEN_EDGES:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for x in range(10, 10 + extra):
+        v = rng.randrange(x)
+        if rng.random() < 0.5:
+            joined = {v} | {w for w in nbrs[v] if rng.random() < 0.5}
+        else:
+            joined = {w for w in range(x) if rng.random() < 0.3} or {v}
+        nbrs[x] = joined | {x}
+        for w in joined:
+            nbrs[w].add(x)
+    n = 10 + extra
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(u, v) for u in nbrs for v in nbrs[u] if u < v]).relabel(perm)
+
+
+class TestStaticCore:
+    """static_cop_number ascends past k = 1 on each component's core; it must
+    give the whole-graph ascent's number."""
+
+    @staticmethod
+    def check(g):
+        want = cop_number(constant(g, 1))
+        assert static_cop_number(g) == want, g.sorted_edges()
+        return want
+
+    def test_every_class_to_six_vertices(self):
+        graphs = list(class_graphs(6))
+        assert len(graphs) == 208
+        for g in graphs:
+            self.check(g)
+
+    def test_petersen_with_added_vertices(self, rng):
+        found, trimmed = set(), 0
+        for _ in range(60):
+            g = petersen_plus(rng, rng.randint(1, 3))
+            found.add(self.check(g))
+            trimmed += len(core(g)) < g.n
+        assert 3 in found and trimmed >= 10
+
+    def test_shuffled_disjoint_unions(self, rng):
+        for _ in range(40):
+            self.check(random_disjoint_union(rng, 9))
+        for _ in range(10):
+            g = shuffled_union(rng, petersen_plus(rng, 1), random_graph(rng, 4, 0.5))
+            self.check(g)
+
+    def test_core_within_budget_where_the_whole_graph_is_not(self, monkeypatch):
+        # Petersen with a 10-vertex path hung at vertex 0: three cops on all
+        # 20 vertices exceed the budget, three on the 10 of the core do not
+        g = Graph(20, list(PETERSEN_EDGES) + [(i, i + 1) for i in range(10, 19)]
+                  + [(0, 10)])
+        monkeypatch.setenv("PERCOP_STATE_BUDGET", "20000")
+        assert core(g) == list(range(10))
+        assert static_cop_number(g) == 3
+        with pytest.raises(BudgetError):
+            cop_number(constant(g, 1))
+
+    def test_a_core_won_by_one_cop_is_a_contradiction(self, monkeypatch):
+        monkeypatch.setattr(solver, "core", lambda g: [0])
+        with pytest.raises(AssertionError, match="contradicts"):
+            static_cop_number(cycle_graph(5))
+
+
 class TestMonotonicityAndBounds:
     def test_k_monotone(self, rng):
         for _ in range(25):
@@ -256,6 +340,17 @@ class TestSolveResult:
         assert res.initial_placement == (0,)
         for t in range(300):
             assert res.rank_of(t, (0,), 1) == 300 - t
+
+    @pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
+    @pytest.mark.parametrize("call", [
+        lambda pg: is_k_copwin(pg, 1), solve_cop_number, cop_number, cop_number_cap,
+        triple,
+    ], ids=["is_k_copwin", "solve_cop_number", "cop_number", "cop_number_cap", "triple"])
+    def test_what_is_no_periodic_graph_is_refused(self, call, bad):
+        # each of these once ended in an AttributeError on its first read of pg
+        with pytest.raises(ValueError, match=r"^pg must be a PeriodicGraph: %s$"
+                           % re.escape(repr(bad))):
+            call(bad)
 
     @pytest.mark.parametrize("k", [0, -1, 2.0, "2", True])
     def test_k_must_be_an_int(self, k):
