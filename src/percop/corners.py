@@ -28,6 +28,7 @@ from math import comb
 from typing import NamedTuple
 
 from .graphs import LimitError
+from .periodic import PeriodicGraph
 
 # candidate (t, u, cover set) tuples find_k_temporal_corners may enumerate
 CORNER_CANDIDATE_LIMIT = 10**7
@@ -84,6 +85,8 @@ def find_temporal_corners(pg):
 def _cover_size(pg, k):
     """The size min(k, n-1) of a cover set, once k is checked and the scan is
     within CORNER_CANDIDATE_LIMIT; 0 when pg has under two vertices."""
+    if type(pg) is not PeriodicGraph:
+        raise ValueError("pg must be a PeriodicGraph: %r" % (pg,))
     if type(k) is not int or k < 1:
         raise ValueError("k must be an int >= 1: %r" % (k,))
     n = pg.n

@@ -67,7 +67,13 @@ pipeline that switches n builds each space once; an ascent builds each row
 once, and a repeated is_k_copwin on that graph returns its kept result.
 Another graph drops the second.  Once the kept chains hold more than
 _KEPT_CONFIGURATIONS configurations, those of other n are dropped, least
-recently used first; the chain of the n being solved never is.
+recently used first; the chain of the n being solved never is.  Winning is
+monotone in k: if k - 1 cops win from a placement, k cops win from it plus
+a cop that copies one of them, since cops may share a vertex.  So once the
+kept k - 1 result has won, and the kept levels end at k - 1, the k-cop
+result is created already answered, copwin with no level of its own; its
+decision pass runs, once, on the first read of its placement, ranks, moves,
+win count, trace or policy.
 
 Capture convention: any co-location ends the game for the cops, including the
 robber stepping onto a cop.  The stricter rule (only a cop moving onto the
@@ -382,16 +388,41 @@ def _regroup(run, n):
 
 class SolveResult:
     """Outcome of one is_k_copwin run: the verdict and placement, and the
-    decision pass's run, from which the win region and ranks are read."""
+    decision pass's run, from which the win region and ranks are read.
 
-    def __init__(self, pg, k, copwin, initial_placement, level, run):
+    A result implied by k - 1 cops' win holds only the verdict and the
+    (k-1)-cop level, below; its placement, level and run are unset until
+    the first read of one decides them (see is_k_copwin)."""
+
+    def __init__(self, pg, k, copwin, initial_placement=None, level=None, run=None,
+                 below=None):
         self.pg = pg
         self.k = k
         self.copwin = copwin
+        self._lock = threading.Lock()
+        if below is not None:
+            self._below = below
+            return
         self.initial_placement = initial_placement
         self._level = level
         self._run = run
-        self._lock = threading.Lock()
+
+    def __getattr__(self, name):
+        # only an implied result misses these; a decided one never gets here
+        if name not in ("initial_placement", "_level", "_run"):
+            raise AttributeError(name)
+        with self._lock:  # threads sharing the result decide it once
+            if "_run" not in self.__dict__:
+                lv = _Level(_space(self.pg.n, self.k), self.pg.unique_snapshots,
+                            self._below)
+                run = _propagate(self.pg, lv, True)
+                if run.first is None:
+                    raise AssertionError(
+                        "%d cops lose where %d win; this contradicts monotonicity"
+                        % (self.k, self.k - 1))
+                self.initial_placement, self._level = lv.cfgs[run.first[1]], lv
+                self._run = run  # last: its presence marks the result decided
+        return self.__dict__[name]
 
     def _finished(self):
         # Runs one whole pass from level 0 to the fixpoint on this result's
@@ -487,7 +518,8 @@ class SolveResult:
         return sum(m.bit_count() for masks in self._finished().won for m in masks)
 
     def state_count(self):
-        return self.pg.period * len(self._level.cfgs) * self.pg.n * 2
+        n, k = self.pg.n, self.k
+        return self.pg.period * comb(n + k - 1, k) * n * 2
 
     def optimal_cop_move(self, t, cops, robber):
         """Rank-minimizing feasible cop move, capture first, lex tie-break."""
@@ -607,7 +639,10 @@ def is_k_copwin(pg, k):
     The placement is the one whose worst robber start is captured soonest,
     the lexicographically least on ties.  The thread keeps the results of
     the last graph it solved, so asking again, within the state budget,
-    returns the same result and decides nothing.
+    returns the same result and decides nothing.  Where the kept k - 1
+    result has won, k cops win too (a k-th cop copies one of them), so the
+    result is created with copwin True and decided only when something
+    beyond the verdict and state count is first read.
     """
     if type(pg) is not PeriodicGraph:
         raise ValueError("pg must be a PeriodicGraph: %r" % (pg,))
@@ -623,11 +658,15 @@ def is_k_copwin(pg, k):
     tables = _move_tables(pg)
     res = tables.results.get(k)
     if res is None:
-        lv = tables.level(k)
-        run = _propagate(pg, lv, True)
-        placement = None if run.first is None else lv.cfgs[run.first[1]]
-        res = tables.results[k] = SolveResult(pg, k, run.first is not None, placement,
-                                              lv, run)
+        won = tables.results.get(k - 1)
+        if won is not None and won.copwin and len(tables.levels) == k:
+            res = SolveResult(pg, k, True, below=tables.levels[k - 1])
+        else:
+            lv = tables.level(k)
+            run = _propagate(pg, lv, True)
+            placement = None if run.first is None else lv.cfgs[run.first[1]]
+            res = SolveResult(pg, k, run.first is not None, placement, lv, run)
+        tables.results[k] = res
     return res
 
 
@@ -744,6 +783,8 @@ def extract_trace(result, cops_start=None):
     placement); the robber starts where the cops' rank is highest and plays
     rank-maximizing replies, the lowest vertex on ties.
     """
+    if type(result) is not SolveResult:
+        raise ValueError("result must be a SolveResult: %r" % (result,))
     if not result.copwin and cops_start is None:
         raise ValueError("extract_trace requires a copwin result")
     pg = result.pg
@@ -863,6 +904,10 @@ def verify_policy(pg, policy):
     Infeasible policy moves raise ValueError naming the state, as do cops,
     initial or moved to, that are not vertices of pg.
     """
+    if type(pg) is not PeriodicGraph:
+        raise ValueError("pg must be a PeriodicGraph: %r" % (pg,))
+    if type(policy) is not CopPolicy:
+        raise ValueError("policy must be a CopPolicy: %r" % (policy,))
     p, n = pg.period, pg.n
 
     def vertices(cops, where, *args):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -46,6 +47,18 @@ class TestTemporalCorners:
             pg = random_periodic(rng, rng.randint(2, 6), rng.randint(1, 3))
             for w in find_temporal_corners(pg):
                 assert validate_witness(pg, w)
+
+
+    @pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
+    @pytest.mark.parametrize("call", [
+        find_temporal_corners, lambda pg: find_k_temporal_corners(pg, 1),
+        lambda pg: has_k_temporal_corner(pg, 1),
+    ], ids=["find_temporal_corners", "find_k_temporal_corners", "has_k_temporal_corner"])
+    def test_what_is_no_periodic_graph_is_refused(self, call, bad):
+        # each of these once ended in an AttributeError on its first read of pg
+        with pytest.raises(ValueError, match=r"^pg must be a PeriodicGraph: %s$"
+                           % re.escape(repr(bad))):
+            call(bad)
 
 
 CIRC_STEPS = [5, 2, 3, 1, 4]

@@ -48,6 +48,7 @@ from percop.instancefile import dump_json
 from percop.search import load_witness
 from percop.treewidth import exact_treewidth
 from conftest import (
+    all_graphs,
     random_disjoint_union,
     random_graph,
     random_connected_graph,
@@ -351,6 +352,22 @@ class TestSolveResult:
         with pytest.raises(ValueError, match=r"^pg must be a PeriodicGraph: %s$"
                            % re.escape(repr(bad))):
             call(bad)
+
+    @pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
+    def test_what_is_no_result_has_no_trace(self, bad):
+        with pytest.raises(ValueError, match=r"^result must be a SolveResult: %s$"
+                           % re.escape(repr(bad))):
+            extract_trace(bad)
+
+    @pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
+    def test_verify_policy_refuses_what_is_no_graph_or_policy(self, bad):
+        res = is_k_copwin(bowtie_221().instance, 1)
+        with pytest.raises(ValueError, match=r"^pg must be a PeriodicGraph: %s$"
+                           % re.escape(repr(bad))):
+            verify_policy(bad, res.policy())
+        with pytest.raises(ValueError, match=r"^policy must be a CopPolicy: %s$"
+                           % re.escape(repr(bad))):
+            verify_policy(res.pg, bad)
 
     @pytest.mark.parametrize("k", [0, -1, 2.0, "2", True])
     def test_k_must_be_an_int(self, k):
@@ -768,6 +785,136 @@ class TestLazyRanks:
                 res.win_count()
                 assert res._run.won == (cw, rw)
         assert early >= 40  # the stop cut many passes short
+
+
+def connected_instances(n_max):
+    """Every periodic graph on 2 to n_max vertices of period 1 or 2 whose
+    footprint is connected."""
+    for n in range(2, n_max + 1):
+        gs = all_graphs(n)
+        for p in (1, 2):
+            for snaps in itertools.product(gs, repeat=p):
+                pg = PeriodicGraph(list(snaps))
+                if footprint(pg).is_connected():
+                    yield pg
+
+
+def _implied(res):
+    """Whether res is an implied result not yet decided."""
+    return "_run" not in vars(res)
+
+
+class TestImpliedResults:
+    """Once k - 1 cops have won on a graph, is_k_copwin(pg, k) returns a
+    result that holds the verdict alone, and decides the rest, once, on
+    the first read that needs it; its answers are a fresh decision's."""
+
+    @staticmethod
+    def check(pg, k):
+        """Ask k - 1 and then k cops of a copy of pg; where k - 1 win,
+        compare the implied k-cop result with a fresh decision on another
+        copy, state by state.  Returns whether k - 1 cops won."""
+        pg = PeriodicGraph(pg.snapshots)
+        if not is_k_copwin(pg, k - 1).copwin:
+            return False
+        res = is_k_copwin(pg, k)
+        fresh = is_k_copwin(PeriodicGraph(pg.snapshots), k)
+        assert _implied(res) and res.copwin and fresh.copwin
+        assert res.state_count() == fresh.state_count() and _implied(res)
+        assert res.initial_placement == fresh.initial_placement
+        for t in range(pg.period):
+            for c in fresh._level.cfgs:
+                for r in range(pg.n):
+                    for side in (0, 1):
+                        rank = fresh.rank_of(t, c, r, side)
+                        assert res.rank_of(t, c, r, side) == rank, (t, c, r, side)
+                        assert res.is_cop_win(t, c, r, side) == (rank is not None)
+                    if fresh.is_cop_win(t, c, r):
+                        assert res.optimal_cop_move(t, c, r) == fresh.optimal_cop_move(t, c, r)
+        assert extract_trace(res) == extract_trace(fresh)
+        assert res.win_count() == fresh.win_count()
+        assert verify_policy(pg, res.policy()).wins
+        return True
+
+    def test_seeded_corpus(self, rng):
+        won = {2: 0, 3: 0}
+        for _ in range(40):
+            pg = random_periodic(rng, rng.randint(2, 6), rng.randint(1, 3),
+                                 rng.choice((0.3, 0.5, 0.7)))
+            for k in won:
+                won[k] += self.check(pg, k)
+        assert min(won.values()) >= 20, won
+
+    def test_small_connected_instances(self):
+        # CI checks every one on at most 4 vertices
+        assert sum(self.check(pg, 2) for pg in connected_instances(3)) == 62
+
+    def test_verdict_reads_run_no_pass(self, monkeypatch):
+        pg = bowtie_221().instance
+        assert is_k_copwin(pg, 1).copwin
+        passes = _spy_passes(monkeypatch)
+        res = is_k_copwin(pg, 2)
+        assert res.copwin and res.state_count() == 6 * 28 * 7 * 2
+        assert is_k_copwin(pg, 2) is res
+        assert _implied(res) and passes == []
+        placement = res.initial_placement
+        assert _kinds(passes) == ["decide"] and not _implied(res)
+        assert placement == is_k_copwin(PeriodicGraph(pg.snapshots), 2).initial_placement
+        passes.clear()
+        extract_trace(res)
+        assert passes == []
+
+    def test_threads_share_one_decision(self, monkeypatch):
+        pg = bowtie_221().instance
+        assert is_k_copwin(pg, 1).copwin
+        shared = is_k_copwin(pg, 2)
+        serial = _answers(is_k_copwin(PeriodicGraph(pg.snapshots), 2))
+        passes = _spy_passes(monkeypatch)
+        spy = solver._propagate
+
+        def stalled(*args):
+            time.sleep(0.05)  # hold the pass open, so both threads reach it
+            return spy(*args)
+
+        monkeypatch.setattr(solver, "_propagate", stalled)
+        got = [None] * 2
+        start = threading.Barrier(2, timeout=60)
+
+        def work(i):
+            start.wait()
+            got[i] = shared.initial_placement
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+        assert got == [serial[1]] * 2 and _kinds(passes) == ["decide"]
+        assert _answers(shared) == serial
+
+    def test_no_implication_after_a_loss(self, monkeypatch):
+        passes = _spy_passes(monkeypatch)
+        pg = q3_rotation().instance
+        assert not is_k_copwin(pg, 1).copwin
+        res = is_k_copwin(pg, 2)
+        assert not _implied(res) and not res.copwin
+        assert _kinds(passes) == ["decide", "decide"]
+
+    def test_no_implication_on_another_graph(self, monkeypatch):
+        passes = _spy_passes(monkeypatch)
+        pg = bowtie_221().instance
+        assert is_k_copwin(pg, 1).copwin
+        res = is_k_copwin(PeriodicGraph(pg.snapshots), 2)
+        assert not _implied(res) and res.copwin
+        assert _kinds(passes) == ["decide", "decide"]
+
+    def test_implied_result_checks_the_budget(self, monkeypatch):
+        pg = bowtie_221().instance
+        assert is_k_copwin(pg, 1).copwin
+        monkeypatch.setenv("PERCOP_STATE_BUDGET", "100")
+        with pytest.raises(BudgetError):
+            is_k_copwin(pg, 2)
 
 
 def _wait_for_the_edge(p):
