@@ -10,9 +10,12 @@ converse does not hold, so presence proves nothing.
 never enlarges the union, so covers are distinct sets of min(k, n-1)
 vertices, walked in lexicographic order.  A corner u of cover set Y lies
 outside Y and, as u is in N_t[u], inside N_{t+1}[Y], so only those vertices
-are tested.  The scan tests at most n*C(n-1, min(k, n-1)) (Y, u) pairs per
-layer, the count that find_k_temporal_corners and has_k_temporal_corner
-check against CORNER_CANDIDATE_LIMIT for every k before anything is scanned.
+are tested, walked by the byte table of `graphs._bits`.  The scan tests at
+most n*C(n-1, min(k, n-1)) (Y, u) pairs per layer, the count that
+find_k_temporal_corners and has_k_temporal_corner check against
+CORNER_CANDIDATE_LIMIT for every k before anything is scanned.  Its lists
+hold the CornerWitness values themselves, each built once by the scan, and
+find_k_temporal_corners only concatenates them, layer by layer.
 
 Most consumers only ask whether a corner exists: the `no_corner_k` screen of
 the reconstruction search (see `search._predicates`) and the corner-free
@@ -27,7 +30,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .graphs import LimitError
+from .graphs import LimitError, _bits
 from .periodic import PeriodicGraph
 
 # candidate (t, u, cover set) tuples find_k_temporal_corners may enumerate
@@ -47,17 +50,21 @@ class CornerWitness(NamedTuple):
         }
 
 
-def layer_corners(gt, gn, k=1, first=False):
-    """The k-corners of gt into gn: for each vertex u, the sorted list of its
-    covers, each a sorted tuple of min(k, n-1) vertices other than u whose
-    closed neighborhoods in gn together hold u's closed neighborhood in gt.
-    With `first`, the scan returns at the first corner found, so the lists
-    hold at most that one and `any` of them tells whether a corner exists.
+def layer_corners(gt, gn, k=1, first=False, t=0):
+    """The k-corners of gt into gn, taken as layer t: for each vertex u, the
+    list of its CornerWitness(t, u, covers), covers ascending, each cover a
+    sorted tuple of min(k, n-1) vertices other than u whose closed
+    neighborhoods in gn together hold u's closed neighborhood in gt.  Each
+    witness is built once, here.  With `first`, the scan returns at the
+    first corner found, so the lists hold at most that one and `any` of them
+    tells whether a corner exists.
     """
     n, nbr, masks = gt.n, gn.masks, gt.masks
     found = [[] for _ in range(n)]
     if n < 2:
         return found
+    # CornerWitness(t, u, ys) is this call behind a Python-level __new__
+    new = tuple.__new__
     # cover sets come in lexicographic order, so each list is born sorted
     for ys in combinations(range(n), min(k, n - 1)):
         used = cover = 0
@@ -65,15 +72,11 @@ def layer_corners(gt, gn, k=1, first=False):
             used |= 1 << y
             cover |= nbr[y]
         # u is in N_t[u], so a corner of ys lies in its cover
-        cands = cover & ~used
-        while cands:
-            low = cands & -cands
-            u = low.bit_length() - 1
+        for u in _bits(cover & ~used):
             if masks[u] & ~cover == 0:
-                found[u].append(ys)
+                found[u].append(new(CornerWitness, (t, u, ys)))
                 if first:
                     return found
-            cands ^= low
     return found
 
 
@@ -108,13 +111,11 @@ def find_k_temporal_corners(pg, k):
     if not _cover_size(pg, k):
         return []
     snaps, p = pg.snapshots, pg.period
-    return [
-        CornerWitness(t, u, ys)
-        for t in range(p)
-        for u, covers in enumerate(
-            layer_corners(snaps[t], snaps[(t + 1) % p], k))
-        for ys in covers
-    ]
+    out = []
+    for t in range(p):
+        for ws in layer_corners(snaps[t], snaps[(t + 1) % p], k, t=t):
+            out += ws
+    return out
 
 
 def has_k_temporal_corner(pg, k):
@@ -131,16 +132,24 @@ def has_k_temporal_corner(pg, k):
 
 def validate_witness(pg, w):
     """Re-check a witness against the raw snapshot neighborhoods.  False
-    unless t is an int and the corner vertex and its covers are distinct
-    vertices: ints in 0..n-1, bool excluded."""
-    vs = (w.corner_vertex,) + tuple(w.covers)
-    if type(w.t) is not int or len(set(vs)) != len(vs) or not all(
+    unless w is a 3-tuple (t, u, covers) with covers a tuple, t an int, and
+    the corner vertex and its covers distinct vertices: ints in 0..n-1, bool
+    excluded."""
+    if type(pg) is not PeriodicGraph:
+        raise ValueError("pg must be a PeriodicGraph: %r" % (pg,))
+    if not isinstance(w, tuple) or len(w) != 3 or type(w[2]) is not tuple:
+        return False
+    t, u, covers = w
+    vs = (u,) + covers
+    if type(t) is not int or not all(
             type(v) is int and 0 <= v < pg.n for v in vs):
         return False
-    gt = pg.snapshots[w.t % pg.period]
-    gn = pg.snapshots[(w.t + 1) % pg.period]
-    need = set(gt.closed_nbrs(w.corner_vertex))
+    if len(set(vs)) != len(vs):
+        return False
+    gt = pg.snapshots[t % pg.period]
+    gn = pg.snapshots[(t + 1) % pg.period]
+    need = set(gt.closed_nbrs(u))
     have = set()
-    for y in w.covers:
+    for y in covers:
         have.update(gn.closed_nbrs(y))
     return need <= have

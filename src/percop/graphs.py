@@ -35,6 +35,23 @@ def mask_closure(masks, seen, through=-1):
     return seen
 
 
+# _BYTE_BITS[b]: the positions of the set bits of the byte b
+_BYTE_BITS = [[i for i in range(8) if (b >> i) & 1] for b in range(256)]
+
+
+def _bits(m):
+    """The positions of the set bits of m, ascending: a list that is shared,
+    so never mutated, where m < 256."""
+    if m < 256:
+        return _BYTE_BITS[m]
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
 def masks_connected(masks):
     """True iff the graph with adjacency masks ``masks`` (as in
     `mask_closure`) is connected; the graph on no vertices is not."""
@@ -239,6 +256,8 @@ def girth(g):
     once 2d + 1 reaches the best cycle found, since no deeper level can
     beat it.
     """
+    if type(g) is not Graph:
+        raise ValueError("girth: g must be a Graph: %r" % (g,))
     nbrs = [g.nbr_mask(u) & ~(1 << u) for u in range(g.n)]
     best = float("inf")
     for root in range(g.n):
@@ -271,6 +290,8 @@ DOMINATION_LIMIT = 20
 
 def domination_number(g):
     """Exact minimum dominating set size (closed neighborhoods cover V)."""
+    if type(g) is not Graph:
+        raise ValueError("domination_number: g must be a Graph: %r" % (g,))
     if g.n == 0:
         return 0
     if g.n > DOMINATION_LIMIT:
@@ -318,6 +339,8 @@ def eccentricity(g, u):
 
 def radius(g):
     """min over x of max over y of d(x,y); errors on disconnected graphs."""
+    if type(g) is not Graph:
+        raise ValueError("radius: g must be a Graph: %r" % (g,))
     if g.n == 0:
         raise ValueError("radius undefined: empty graph")
     return min(eccentricity(g, u) for u in range(g.n))

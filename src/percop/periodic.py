@@ -87,9 +87,12 @@ def foremost_journey(pg, t_start, u, v):
     Step i of the returned vertex list uses an edge of (or waits in) the
     snapshot at time t_start+i.  The search horizon is n*p steps: in a
     temporally connected periodic graph every vertex is reached within that
-    bound, so None only occurs for unreachable targets.  u and v other than
-    ints in 0..n-1, and a t_start that is no int, are a ValueError.
+    bound, so None only occurs for unreachable targets.  A pg that is no
+    PeriodicGraph, u and v other than ints in 0..n-1, and a t_start that is
+    no int, are a ValueError.
     """
+    if type(pg) is not PeriodicGraph:
+        raise ValueError("pg must be a PeriodicGraph: %r" % (pg,))
     if type(t_start) is not int:
         raise ValueError("t_start must be an int: %r" % (t_start,))
     for name, x in (("u", u), ("v", v)):
@@ -175,6 +178,8 @@ def pad(pg, target_n, attach):
     (path -> attach) a retraction of the footprint and of each snapshot.
     Requires period >= 2.
     """
+    if type(pg) is not PeriodicGraph:
+        raise ValueError("pad: pg must be a PeriodicGraph: %r" % (pg,))
     if pg.period < 2:
         raise ValueError("padding requires period >= 2")
     _check_pad(pg, target_n, attach)

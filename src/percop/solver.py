@@ -105,7 +105,7 @@ from math import comb
 from operator import or_, xor
 
 from . import periodic as _periodic
-from .graphs import DOMINATION_LIMIT, core, domination_number
+from .graphs import DOMINATION_LIMIT, _bits, core, domination_number
 from .periodic import PeriodicGraph
 
 DEFAULT_STATE_BUDGET = 10**8
@@ -141,23 +141,6 @@ def _state_budget():
     if budget < 1:
         raise ValueError("PERCOP_STATE_BUDGET must be an int >= 1: %r" % env)
     return budget
-
-
-# _BYTE_BITS[b]: the positions of the set bits of the byte b
-_BYTE_BITS = [[i for i in range(8) if (b >> i) & 1] for b in range(256)]
-
-
-def _bits(m):
-    """The positions of the set bits of m, ascending: a list that is shared,
-    so never mutated, where m < 256."""
-    if m < 256:
-        return _BYTE_BITS[m]
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return out
 
 
 class _Space:

@@ -1,6 +1,8 @@
 import itertools
 import random
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from percop.graphs import Graph
-from percop.periodic import PeriodicGraph
+from percop.periodic import PeriodicGraph, footprint
 from percop.solver import triple
 from percop import constructions
 
@@ -68,6 +70,18 @@ def all_graphs(n):
     ]
 
 
+def connected_instances(n_max):
+    """Every periodic graph on 2 to n_max vertices of period 1 or 2 whose
+    footprint is connected."""
+    for n in range(2, n_max + 1):
+        gs = all_graphs(n)
+        for p in (1, 2):
+            for snaps in itertools.product(gs, repeat=p):
+                pg = PeriodicGraph(list(snaps))
+                if footprint(pg).is_connected():
+                    yield pg
+
+
 WITNESS_NAMES = ("thm112", "lem122", "circulant_123", "prop3_retract", "search_321")
 
 GOLDEN_NAMES = (
@@ -95,3 +109,35 @@ def golden_triples(golden_specimens):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+# seconds a test may run before it fails; the slowest passing test takes
+# about 5 s, so a test past this is stuck, such as a search that no
+# candidate can end once a solver misreports cop numbers
+TEST_TIME_LIMIT = 120
+
+
+class TimeLimitExceeded(Exception):
+    """A test ran past TEST_TIME_LIMIT seconds."""
+
+
+def _time_limit_exceeded(signum, frame):
+    raise TimeLimitExceeded(
+        "test ran past its time limit of %d s" % TEST_TIME_LIMIT)
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TEST_TIME_LIMIT seconds, where a real-time
+    alarm can be armed: on POSIX, in the main thread."""
+    if (not hasattr(signal, "setitimer")
+            or threading.current_thread() is not threading.main_thread()):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _time_limit_exceeded)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -11,11 +11,12 @@ from percop.corners import (
     find_k_temporal_corners,
     find_temporal_corners,
     has_k_temporal_corner,
+    layer_corners,
     validate_witness,
 )
 from percop.constructions import GENERATORS, circulant_123
 from percop.search import load_witness
-from conftest import random_periodic
+from conftest import connected_instances, random_periodic
 from reference import reference_corners
 
 SHIPPED_WITNESSES = ["thm112", "lem122", "circulant_123", "search_321",
@@ -106,6 +107,25 @@ class TestKTemporalCorners:
                   CornerWitness(True, 0, (1,)), CornerWitness(0, 0, (1, 1)),
                   CornerWitness(0, 0, (0,))):
             assert not validate_witness(pg, w), w
+
+    @pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
+    def test_validate_refuses_what_is_no_periodic_graph(self, bad):
+        # this once ended in an AttributeError on its first read of pg
+        with pytest.raises(ValueError, match=r"^pg must be a PeriodicGraph: %s$"
+                           % re.escape(repr(bad))):
+            validate_witness(bad, CornerWitness(0, 0, (1,)))
+
+    @pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2),
+                                     (0, 0, [1]), (0, 0, 1), (0, 0, (1,), 0),
+                                     (0, 0, ([1],))])
+    def test_malformed_witness_is_false(self, bad):
+        # each of the first six once ended in an AttributeError
+        assert validate_witness(PeriodicGraph([path_graph(3)]), bad) is False
+
+    def test_plain_tuple_witness_is_checked(self):
+        pg = PeriodicGraph([path_graph(3)])
+        assert validate_witness(pg, (0, 0, (1,)))
+        assert not validate_witness(pg, (0, 1, (0,)))
 
     def test_budget_error(self):
         # 24 * C(23, 12) candidate tuples, over the 10^7 limit
@@ -289,3 +309,78 @@ class TestWitnessOrder:
                     assert got == sorted(got), (n, pg)
                     nonempty += len(got) > 1
         assert nonempty > 100
+
+
+class TestWitnessesFromTheScan:
+    """layer_corners builds each CornerWitness itself, with the layer's t,
+    and find_k_temporal_corners only concatenates its lists."""
+
+    @staticmethod
+    def check(pg, k):
+        """The list against the brute-force reference, every element a
+        CornerWitness, and has_k_temporal_corner against its emptiness."""
+        ws = find_k_temporal_corners(pg, k)
+        assert ws == reference_corners(pg, k), (pg.snapshots, k)
+        assert all(type(w) is CornerWitness for w in ws), (pg.snapshots, k)
+        assert has_k_temporal_corner(pg, k) == bool(ws), (pg.snapshots, k)
+
+    def test_small_connected_instances(self):
+        # CI checks the 3,934 of at most 4 vertices
+        pgs = list(connected_instances(3))
+        assert len(pgs) == 62
+        for pg in pgs:
+            for k in (1, 2, 3):
+                self.check(pg, k)
+
+    def test_every_element_is_a_corner_witness(self):
+        rng = random.Random(46)
+        seen = 0
+        for _ in range(60):
+            pg = random_periodic(rng, rng.randint(1, 7), rng.randint(1, 3),
+                                 rng.random())
+            for k in (1, 2, 3, 4):
+                for w in find_k_temporal_corners(pg, k):
+                    assert type(w) is CornerWitness, w
+                    assert w == CornerWitness(w.t, w.corner_vertex, w.covers)
+                    assert w.as_dict() == {"t": w.t,
+                                           "corner_vertex": w.corner_vertex,
+                                           "covers": list(w.covers)}
+                    seen += 1
+        assert seen > 500
+
+    def test_each_list_carries_its_layer(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            pg = random_periodic(rng, rng.randint(2, 6), rng.randint(2, 4),
+                                 rng.random())
+            snaps, p = pg.snapshots, pg.period
+            for k in (1, 2, 3):
+                for t in range(p):
+                    lists = layer_corners(snaps[t], snaps[(t + 1) % p], k, t=t)
+                    assert len(lists) == pg.n
+                    for u, ws in enumerate(lists):
+                        assert all(type(w) is CornerWitness for w in ws)
+                        assert all(w.t == t and w.corner_vertex == u
+                                   for w in ws), (t, u, ws)
+
+    def test_first_holds_one_witness_when_a_corner_exists(self):
+        rng = random.Random(48)
+        both = set()
+        for _ in range(80):
+            pg = random_periodic(rng, rng.randint(1, 6), rng.randint(1, 3),
+                                 rng.random())
+            snaps, p = pg.snapshots, pg.period
+            for k in (1, 2, 3):
+                for t in range(p):
+                    gt, gn = snaps[t], snaps[(t + 1) % p]
+                    full = [w for ws in layer_corners(gt, gn, k, t=t)
+                            for w in ws]
+                    first = [w for ws in layer_corners(gt, gn, k, True, t)
+                             for w in ws]
+                    assert len(first) == (1 if full else 0)
+                    # the scan's first corner, in cover order
+                    if full:
+                        assert first[0] in full
+                        assert first[0].covers == min(w.covers for w in full)
+                    both.add(bool(full))
+        assert both == {False, True}

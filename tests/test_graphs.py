@@ -428,6 +428,15 @@ class TestCore:
             fn(bad)
 
 
+@pytest.mark.parametrize("fn", [girth, domination_number, radius])
+@pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
+def test_what_is_no_graph_is_refused(fn, bad):
+    # each of these once ended in an AttributeError on its first read of g
+    with pytest.raises(ValueError, match=r"^%s: g must be a Graph: %s$"
+                       % (fn.__name__, re.escape(repr(bad)))):
+        fn(bad)
+
+
 class TestSpanningTreeCover:
     def check_cover(self, g):
         cover = spanning_tree_cover(g)

@@ -88,12 +88,17 @@ class TestIntArguments:
             fn(*args)
 
 
-@pytest.mark.parametrize("fn", [footprint, is_temporally_connected])
+@pytest.mark.parametrize("fn, prefix", [
+    (footprint, ""), (is_temporally_connected, ""),
+    (lambda pg: foremost_journey(pg, 0, 0, 1), ""),
+    (lambda pg: pad(pg, 9, 0), "pad: "),
+], ids=["footprint", "is_temporally_connected", "foremost_journey", "pad"])
 @pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
-def test_what_is_no_periodic_graph_is_refused(fn, bad):
-    # footprint(None) once ended in an AttributeError
-    with pytest.raises(ValueError, match=r"^pg must be a PeriodicGraph: %s$"
-                       % re.escape(repr(bad))):
+def test_what_is_no_periodic_graph_is_refused(fn, prefix, bad):
+    # footprint(None), foremost_journey(None, ...) and pad(None, ...) once
+    # ended in an AttributeError
+    with pytest.raises(ValueError, match=r"^%spg must be a PeriodicGraph: %s$"
+                       % (prefix, re.escape(repr(bad)))):
         fn(bad)
 
 

@@ -49,6 +49,7 @@ from percop.search import load_witness
 from percop.treewidth import exact_treewidth
 from conftest import (
     all_graphs,
+    connected_instances,
     random_disjoint_union,
     random_graph,
     random_connected_graph,
@@ -785,18 +786,6 @@ class TestLazyRanks:
                 res.win_count()
                 assert res._run.won == (cw, rw)
         assert early >= 40  # the stop cut many passes short
-
-
-def connected_instances(n_max):
-    """Every periodic graph on 2 to n_max vertices of period 1 or 2 whose
-    footprint is connected."""
-    for n in range(2, n_max + 1):
-        gs = all_graphs(n)
-        for p in (1, 2):
-            for snaps in itertools.product(gs, repeat=p):
-                pg = PeriodicGraph(list(snaps))
-                if footprint(pg).is_connected():
-                    yield pg
 
 
 def _implied(res):
