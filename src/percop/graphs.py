@@ -206,9 +206,20 @@ class Retraction:
     __slots__ = ("source", "target_vertices", "map")
 
     def __init__(self, source, target_vertices, mapping):
+        if type(source) is not Graph:
+            raise ValueError("Retraction: source must be a Graph: %r" % (source,))
+        try:
+            self.target_vertices = frozenset(target_vertices)
+            self.map = dict(mapping)
+        except (TypeError, ValueError):
+            raise ValueError("Retraction: target_vertices must be an iterable and "
+                             "mapping a dict: %r, %r" % (target_vertices, mapping)) from None
+        # bool is not an int here, as for Graph's edge ends
+        if any(type(v) is not int for v in itertools.chain(
+                self.target_vertices, self.map, self.map.values())):
+            raise ValueError("Retraction: vertices must be ints: %r, %r"
+                             % (target_vertices, mapping))
         self.source = source
-        self.target_vertices = frozenset(target_vertices)
-        self.map = dict(mapping)
 
 
 def check_retraction(r):
@@ -216,6 +227,8 @@ def check_retraction(r):
 
     Raises ValueError when the map is not total on V or leaves the vertex set.
     """
+    if type(r) is not Retraction:
+        raise ValueError("check_retraction: r must be a Retraction: %r" % (r,))
     g = r.source
     h = r.target_vertices
     for u in range(g.n):
@@ -225,7 +238,7 @@ def check_retraction(r):
         if not (0 <= img < g.n):
             raise ValueError("retraction image out of range: %d -> %d" % (u, img))
     for u in h:
-        if r.map[u] != u:
+        if r.map.get(u) != u:  # a target vertex outside the graph is unmapped
             return False
     if any(r.map[u] not in h for u in range(g.n)):
         return False
@@ -390,6 +403,8 @@ def spanning_tree_cover(g):
     (smallest index on ties); later trees greedily prefer still-uncovered
     edges, so every round covers at least one new edge.
     """
+    if type(g) is not Graph:
+        raise ValueError("spanning_tree_cover: g must be a Graph: %r" % (g,))
     if not g.is_connected():
         raise ValueError("spanning_tree_cover: graph disconnected")
     if g.n == 1:

@@ -141,6 +141,8 @@ def induced(pg, vertices):
 
     Returns (subgraph, mapping) where mapping sends old vertex -> new index.
     """
+    if type(pg) is not PeriodicGraph:
+        raise ValueError("induced: pg must be a PeriodicGraph: %r" % (pg,))
     try:
         vertices = list(vertices)
     except TypeError:

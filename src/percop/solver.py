@@ -87,8 +87,9 @@ picks the component, so its cop number is the sum of theirs.  `cop_number`
 solves each component on its own and sums; `solve_cop_number` and
 `is_k_copwin` solve the whole graph, since traces and policies read the ranks
 of their results.  `static_cop_number` decides one cop on each component of a
-static graph, and ascends past k = 1 on the component's core, what is left
-once dominated vertices are deleted (`graphs.core`).
+static graph as it is; one that one cop loses climbs from two cops, in the
+same loop, on its core (`graphs.core`), which must keep two or more vertices
+(Nowakowski & Winkler: one cop wins iff the graph dismantles to one vertex).
 
 The one resource limit is the state budget: PERCOP_STATE_BUDGET in the
 environment (default 1e8 states, else an int >= 1 or a ValueError), checked
@@ -672,9 +673,14 @@ def solve_cop_number(pg, max_cops=None):
     """
     if max_cops is not None and (type(max_cops) is not int or max_cops < 1):
         raise ValueError("max_cops must be >= 1: %r" % (max_cops,))
+    return _ascend(pg, 1, max_cops)
+
+
+def _ascend(pg, k, max_cops=None):
+    """solve_cop_number's ascent from k cops, where k - 1 cops lose."""
     cap = cop_number_cap(pg)
     stop = cap if max_cops is None else min(cap, max_cops)
-    for k in range(1, stop + 1):
+    for k in range(k, stop + 1):
         res = is_k_copwin(pg, k)
         if res.copwin:
             return k, res
@@ -707,13 +713,16 @@ def static_cop_number(g):
     its components.
 
     One cop's game is decided on each component as it is; a component that
-    one cop loses ascends on its core (`graphs.core`), which has the same
-    cop number.  With u dominated by v, folding u onto v retracts G onto
-    G - u, so c(G - u) <= c(G) (Berarducci & Intrigila, "On the cop number
-    of a graph", Adv. Appl. Math. 14, 1993); cops who win on G - u chase the
-    robber's image under that retraction and catch the robber one move
-    after catching the image, so c(G) <= c(G - u) (the shadow strategy,
-    Bonato & Nowakowski, The Game of Cops and Robbers on Graphs, 2011).
+    one cop loses climbs from two cops, in solve_cop_number's loop, on its
+    core (`graphs.core`), which has the same cop number and keeps two or
+    more vertices, since one cop wins a connected graph iff it dismantles to
+    one vertex (Nowakowski & Winkler, Discrete Math. 43, 1983).  With u
+    dominated by v, folding u onto v retracts G onto G - u, so c(G - u) <=
+    c(G) (Berarducci & Intrigila, "On the cop number of a graph", Adv. Appl.
+    Math. 14, 1993); cops who win on G - u chase the robber's image under
+    that retraction and catch the robber one move after catching the image,
+    so c(G) <= c(G - u) (the shadow strategy, Bonato & Nowakowski, The Game
+    of Cops and Robbers on Graphs, 2011).
     """
     pg = _periodic.constant(g, 1)
     comps = g.components()
@@ -724,14 +733,13 @@ def static_cop_number(g):
             total += 1
             continue
         kept = core(h.snapshots[0])
+        if len(kept) < 2:
+            raise AssertionError(
+                "a component that one cop loses dismantles to one vertex; "
+                "this contradicts Nowakowski & Winkler")
         if len(kept) < h.n:
             h = _periodic.induced(h, kept)[0]
-        c = solve_cop_number(h)[0]
-        if c == 1:
-            raise AssertionError(
-                "one cop wins on the core of a component that one cop loses; "
-                "this contradicts the retract and shadow arguments")
-        total += c
+        total += _ascend(h, 2)[0]
     return total
 
 

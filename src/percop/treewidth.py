@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import LimitError, mask_closure, masks_connected
+from .graphs import Graph, LimitError, mask_closure, masks_connected
 from .periodic import footprint, foremost_journey, is_temporally_connected
 from .solver import CopPolicy
 
@@ -123,6 +123,8 @@ def exact_treewidth(g, limit=13):
     f(S), the one a per-v minimum with a strict < keeps, is therefore the
     lowest v with f(S - v) <= f(S).
     """
+    if type(g) is not Graph:
+        raise ValueError("exact_treewidth: g must be a Graph: %r" % (g,))
     if type(limit) is not int or limit < 1:
         raise ValueError("limit must be an int >= 1, got %r" % (limit,))
     if g.n == 0:
@@ -219,6 +221,10 @@ def smooth(td, g):
     Contract subset bags, pad small bags from a neighbor, then subdivide tree
     edges whose overlap is still below k by swapping one vertex at a time.
     """
+    if type(td) is not TreeDecomposition:
+        raise ValueError("smooth: td must be a TreeDecomposition: %r" % (td,))
+    if type(g) is not Graph:
+        raise ValueError("smooth: g must be a Graph: %r" % (g,))
     bad = validate_decomposition(td, g)
     if bad is not None:
         raise ValueError("invalid input decomposition: " + bad)
@@ -326,6 +332,8 @@ def bag_strategy(pg, td):
     current snapshot is captured greedily.
     """
     foot = footprint(pg)
+    if type(td) is not TreeDecomposition:
+        raise ValueError("bag_strategy: td must be a TreeDecomposition: %r" % (td,))
     bad = validate_decomposition(td, foot)
     if bad is not None:
         raise ValueError("decomposition does not fit the footprint: " + bad)

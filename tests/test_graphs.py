@@ -370,6 +370,35 @@ class TestRetraction:
         g = path_graph(3)
         assert not check_retraction(Retraction(g, [0, 1], {0: 0, 1: 1, 2: 2}))
 
+    def test_target_vertex_outside_the_graph_rejected(self):
+        # once a KeyError: vertex 7 is in no map of a 3-vertex graph
+        g = path_graph(3)
+        assert not check_retraction(Retraction(g, [7], {0: 0, 1: 1, 2: 2}))
+
+    @pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
+    def test_what_is_no_retraction_is_refused(self, bad):
+        # each of these once ended in an AttributeError, a TypeError or a
+        # KeyError; [1] and (1, 2) are target lists, but no graph or map
+        g = path_graph(3)
+        with pytest.raises(ValueError, match=r"^check_retraction: r must be a "
+                           r"Retraction: %s$" % re.escape(repr(bad))):
+            check_retraction(bad)
+        with pytest.raises(ValueError, match=r"^Retraction: source must be a "
+                           r"Graph: %s$" % re.escape(repr(bad))):
+            Retraction(bad, [0], {0: 0})
+        with pytest.raises(ValueError, match=r"^Retraction: .*%s$" % re.escape(repr(bad))):
+            Retraction(g, [0, 1, 2], bad)
+        if type(bad) not in (list, tuple):
+            with pytest.raises(ValueError, match=r"^Retraction: .*%s, \{" % re.escape(repr(bad))):
+                Retraction(g, bad, {0: 0, 1: 1, 2: 2})
+
+    @pytest.mark.parametrize("kept, mapping", [
+        ([True], {0: 0}), ([0], {0: 1.0}), ([0], {"0": 0}),
+    ], ids=["bool-target", "float-image", "str-vertex"])
+    def test_vertices_must_be_ints(self, kept, mapping):
+        with pytest.raises(ValueError, match="^Retraction: vertices must be ints"):
+            Retraction(Graph(1), kept, mapping)
+
     def test_edge_preservation_property(self, rng):
         for _ in range(20):
             g = random_connected_graph(rng, 6)
@@ -428,7 +457,7 @@ class TestCore:
             fn(bad)
 
 
-@pytest.mark.parametrize("fn", [girth, domination_number, radius])
+@pytest.mark.parametrize("fn", [girth, domination_number, radius, spanning_tree_cover])
 @pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
 def test_what_is_no_graph_is_refused(fn, bad):
     # each of these once ended in an AttributeError on its first read of g

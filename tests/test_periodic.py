@@ -91,12 +91,12 @@ class TestIntArguments:
 @pytest.mark.parametrize("fn, prefix", [
     (footprint, ""), (is_temporally_connected, ""),
     (lambda pg: foremost_journey(pg, 0, 0, 1), ""),
-    (lambda pg: pad(pg, 9, 0), "pad: "),
-], ids=["footprint", "is_temporally_connected", "foremost_journey", "pad"])
+    (lambda pg: pad(pg, 9, 0), "pad: "), (lambda pg: induced(pg, [0]), "induced: "),
+], ids=["footprint", "is_temporally_connected", "foremost_journey", "pad", "induced"])
 @pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
 def test_what_is_no_periodic_graph_is_refused(fn, prefix, bad):
-    # footprint(None), foremost_journey(None, ...) and pad(None, ...) once
-    # ended in an AttributeError
+    # footprint(None), foremost_journey(None, ...), pad(None, ...) and
+    # induced(None, ...) once ended in an AttributeError
     with pytest.raises(ValueError, match=r"^%spg must be a PeriodicGraph: %s$"
                        % (prefix, re.escape(repr(bad)))):
         fn(bad)

@@ -28,7 +28,7 @@ from percop.graphs import (
 )
 from percop import solver
 from percop.census import _canonical_graph_masks
-from percop.periodic import PeriodicGraph, constant, footprint, pad
+from percop.periodic import PeriodicGraph, constant, footprint, induced, pad
 from percop.solver import (
     ROBBER_TO_MOVE,
     BudgetError,
@@ -259,6 +259,32 @@ class TestStaticCore:
         monkeypatch.setattr(solver, "core", lambda g: [0])
         with pytest.raises(AssertionError, match="contradicts"):
             static_cop_number(cycle_graph(5))
+
+    def test_one_cop_is_asked_once_per_component_and_never_of_a_core(self, monkeypatch, rng):
+        # a component that one cop loses settles k = 1 for its core, whose
+        # ascent starts at two cops
+        calls = []
+        inner = solver.is_k_copwin
+        monkeypatch.setattr(solver, "is_k_copwin",
+                            lambda pg, k: calls.append((pg, k)) or inner(pg, k))
+
+        def asked(g):
+            calls.clear()
+            c = static_cop_number(g)
+            return c, [(pg.n, k) for pg, k in calls]
+
+        pendant = Graph(11, list(PETERSEN_EDGES) + [(3, 10)])
+        assert asked(pendant) == (3, [(11, 1), (10, 2), (10, 3)])
+        assert asked(cycle_graph(5)) == (2, [(5, 1), (5, 2)])
+        for _ in range(10):
+            g = shuffled_union(rng, petersen_plus(rng, 1), random_graph(rng, 4, 0.5))
+            c = asked(g)[0]
+            comps = [induced(constant(g, 1), comp)[0].snapshots[0]
+                     for comp in g.components()]
+            assert [pg.snapshots[0] for pg, k in calls if k == 1] == comps
+            ks = [k for _pg, k in calls]
+            assert all(k == 1 or k == prev + 1 for prev, k in zip([0] + ks, ks)), ks
+            assert c == cop_number(constant(g, 1))
 
 
 class TestMonotonicityAndBounds:
@@ -2074,6 +2100,19 @@ class TestComponentSum:
             pg = random_periodic(rng, n, p, p_edge)
             if 2 <= len(footprint(pg).components()) <= max_components:
                 return pg
+
+    @staticmethod
+    def check(pg):
+        """cop_number and the first snapshot's static_cop_number against the
+        reference; a snapshot of a disconnected footprint is disconnected."""
+        assert cop_number(pg) == reference_cop_number(pg), pg.snapshots
+        g = pg.snapshots[0]
+        assert static_cop_number(g) == reference_cop_number(constant(g, 1)), g.sorted_edges()
+
+    def test_sums_against_the_reference(self, rng):
+        # CI runs this check on 1,000 instances
+        for _ in range(20):
+            self.check(self.disconnected(rng, rng.randint(2, 6), rng.randint(1, 2), 0.3, 4))
 
     def test_static_disconnected_matches_reference(self, rng):
         for _ in range(100):

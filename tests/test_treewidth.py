@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -476,3 +477,17 @@ class TestBagStrategy:
         w, verdict = self.run_bag_strategy(pg)
         assert w == 4 and verdict.wins
         assert is_k_copwin(pg, 5).copwin
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda bad: exact_treewidth(bad), "exact_treewidth: g must be a Graph"),
+    (lambda bad: smooth(bad, path_graph(3)), "smooth: td must be a TreeDecomposition"),
+    (lambda bad: smooth(exact_treewidth(path_graph(3))[1], bad), "smooth: g must be a Graph"),
+    (lambda bad: bag_strategy(bowtie_221().instance, bad),
+     "bag_strategy: td must be a TreeDecomposition"),
+], ids=["exact_treewidth", "smooth-td", "smooth-g", "bag_strategy-td"])
+@pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
+def test_wrong_types_are_refused(call, message, bad):
+    # each of these once ended in an AttributeError or a TypeError
+    with pytest.raises(ValueError, match=r"^%s: %s$" % (message, re.escape(repr(bad)))):
+        call(bad)
