@@ -19,7 +19,7 @@ find_k_temporal_corners only concatenates them, layer by layer.
 
 Most consumers only ask whether a corner exists: the `no_corner_k` screen of
 the reconstruction search (see `search._predicates`) and the corner-free
-snapshot pairs that `search._gen_hamiltonian` chains.  `layer_corners(...,
+snapshot pairs that `families._gen_hamiltonian` chains.  `layer_corners(...,
 first=True)` serves them from the same scan, returned at the first corner
 found, and `has_k_temporal_corner` is its whole-period form.
 """

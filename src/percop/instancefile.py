@@ -17,6 +17,7 @@ import json
 
 from .graphs import Graph, LimitError
 from .periodic import PeriodicGraph
+from .constructions import ConstructionSpecimen
 
 FORMAT_VERSION = 1
 
@@ -51,7 +52,9 @@ def parse(data):
     meta carries 'labels' (dict vertex->str) and 'expected' (dict or None);
     the graph carries neither.
     """
-    if isinstance(data, bytes):
+    if type(data) not in (bytes, str):
+        raise InstanceError("syntax", "data must be bytes or str: %r" % (data,))
+    if type(data) is bytes:
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as e:
@@ -193,6 +196,11 @@ def serialize(pg, labels=None, expected=None):
     values go through json.dumps for their escapes, and labels are ordered
     by their string keys, as sort_keys orders them ("10" before "2").
     """
+    if type(pg) is not PeriodicGraph:
+        raise ValueError("serialize: pg must be a PeriodicGraph: %r" % (pg,))
+    for what, block in (("labels", labels), ("expected", expected)):
+        if block is not None and type(block) is not dict:
+            raise ValueError("serialize: %s must be a dict or None: %r" % (what, block))
     out = ["{\n"]
     if expected:
         out.append(_block("expected", expected.items()))
@@ -209,6 +217,9 @@ def serialize(pg, labels=None, expected=None):
 def serialize_specimen(specimen):
     """The instance file of a construction or found witness: its instance,
     its labels and the entries of its expected triple that are not None."""
+    if type(specimen) is not ConstructionSpecimen:
+        raise ValueError("serialize_specimen: specimen must be a "
+                         "ConstructionSpecimen: %r" % (specimen,))
     expected = {
         k: v for k, v in zip(_EXPECTED_FIELDS, specimen.expected_triple)
         if v is not None

@@ -164,6 +164,8 @@ def induced(pg, vertices):
 
 
 def _check_pad(pg, target_n, attach):
+    if type(pg) is not PeriodicGraph:
+        raise ValueError("pad: pg must be a PeriodicGraph: %r" % (pg,))
     if type(target_n) is not int or type(attach) is not int:
         raise ValueError("pad: target_n and attach must be ints: %r, %r"
                          % (target_n, attach))
@@ -180,11 +182,9 @@ def pad(pg, target_n, attach):
     (path -> attach) a retraction of the footprint and of each snapshot.
     Requires period >= 2.
     """
-    if type(pg) is not PeriodicGraph:
-        raise ValueError("pad: pg must be a PeriodicGraph: %r" % (pg,))
+    _check_pad(pg, target_n, attach)
     if pg.period < 2:
         raise ValueError("padding requires period >= 2")
-    _check_pad(pg, target_n, attach)
     extra = target_n - pg.n
     if extra == 0:
         return pg

@@ -65,6 +65,11 @@ def _tree_masks(td):
 
 def validate_decomposition(td, g):
     """Return None if valid, else a string naming the violated condition."""
+    if type(td) is not TreeDecomposition:
+        raise ValueError("validate_decomposition: td must be a TreeDecomposition: %r"
+                         % (td,))
+    if type(g) is not Graph:
+        raise ValueError("validate_decomposition: g must be a Graph: %r" % (g,))
     nb = len(td.bags)
     if not nb:
         return "decomposition has no bags"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 import tracemalloc
 
@@ -13,6 +14,7 @@ from percop.instancefile import (
     InstanceError,
     parse,
     serialize,
+    serialize_specimen,
 )
 from percop.solver import DEFAULT_STATE_BUDGET
 from percop.constructions import q3_rotation, petersen_132
@@ -271,6 +273,29 @@ class TestErrors:
         with pytest.raises(InstanceError, match=message) as err:
             parse_obj(obj)
         assert err.value.code == "field-type"
+
+
+# besides a str, which serialize refuses and parse reads as text
+WRONG_TYPES = [None, 1.5, math.nan, True, [1], (1, 2), {1: None}]
+NOT_A_DICT = [1.5, math.nan, "x", True, [1], (1, 2)]
+
+
+@pytest.mark.parametrize("call, message, bads", [
+    (parse, "syntax: data must be bytes or str", WRONG_TYPES),
+    (serialize, "serialize: pg must be a PeriodicGraph", WRONG_TYPES + ["x"]),
+    (lambda bad: serialize(q3_rotation().instance, labels=bad),
+     "serialize: labels must be a dict or None", NOT_A_DICT),
+    (lambda bad: serialize(q3_rotation().instance, expected=bad),
+     "serialize: expected must be a dict or None", NOT_A_DICT),
+    (serialize_specimen, "serialize_specimen: specimen must be a ConstructionSpecimen",
+     WRONG_TYPES + ["x"]),
+], ids=["parse", "serialize-pg", "serialize-labels", "serialize-expected",
+        "serialize_specimen"])
+def test_wrong_types_are_refused(call, message, bads):
+    # each of these once ended in an AttributeError or a TypeError
+    for bad in bads:
+        with pytest.raises(ValueError, match=r"^%s: %s$" % (message, re.escape(repr(bad)))):
+            call(bad)
 
 
 class TestSizeLimit:

@@ -92,11 +92,15 @@ class TestIntArguments:
     (footprint, ""), (is_temporally_connected, ""),
     (lambda pg: foremost_journey(pg, 0, 0, 1), ""),
     (lambda pg: pad(pg, 9, 0), "pad: "), (lambda pg: induced(pg, [0]), "induced: "),
-], ids=["footprint", "is_temporally_connected", "foremost_journey", "pad", "induced"])
-@pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
+    (lambda pg: pad_collapse_map(pg, 9, 0), "pad: "),
+], ids=["footprint", "is_temporally_connected", "foremost_journey", "pad", "induced",
+        "pad_collapse_map"])
+@pytest.mark.parametrize("bad", [None, 1.5, float("nan"), "x", True, [1], (1, 2),
+                                 {1: None}])
 def test_what_is_no_periodic_graph_is_refused(fn, prefix, bad):
-    # footprint(None), foremost_journey(None, ...), pad(None, ...) and
-    # induced(None, ...) once ended in an AttributeError
+    # footprint(None), foremost_journey(None, ...), pad(None, ...),
+    # induced(None, ...) and pad_collapse_map(None, ...) once ended in an
+    # AttributeError
     with pytest.raises(ValueError, match=r"^%spg must be a PeriodicGraph: %s$"
                        % (prefix, re.escape(repr(bad)))):
         fn(bad)

@@ -1,8 +1,12 @@
+import ast
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -19,13 +23,12 @@ from percop.instancefile import serialize_specimen
 from percop.constructions import circulant_123
 from percop.corners import find_k_temporal_corners, find_temporal_corners
 from percop.solver import cop_number, is_k_copwin, static_cop_number
+from percop import families as families_module
 from percop import search as search_module
+from percop.families import _coin_flips, _girth4_draws, _petersen_five_cycles
 from percop.search import (
     SearchSpec,
     _candidates,
-    _coin_flips,
-    _girth4_draws,
-    _petersen_five_cycles,
     certify,
     check_targets,
     get_spec,
@@ -90,6 +93,30 @@ class TestSpecPlumbing:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown spec"):
             get_spec("nope")
+
+    @pytest.mark.parametrize("bad", [None, 1.5, float("nan"), True, [1], (1, 2),
+                                     {1: None}])
+    def test_name_of_wrong_type(self, bad):
+        # get_spec([1]) and get_spec({1: None}) once ended in a TypeError
+        with pytest.raises(ValueError, match=r"^unknown spec %s; known: "
+                           % re.escape(repr(bad))):
+            get_spec(bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (search, "search: spec must be a SearchSpec"),
+    (lambda bad: check_targets(load_witness("lem122")[0], bad),
+     "check_targets: spec must be a SearchSpec"),
+    (lambda bad: certify(load_witness("lem122")[0], bad),
+     "certify: spec must be a SearchSpec"),
+    (lambda bad: certify(bad, get_spec("lem122")), "certify: pg must be a PeriodicGraph"),
+], ids=["search", "check_targets-spec", "certify-spec", "certify-pg"])
+@pytest.mark.parametrize("bad", [None, 1.5, float("nan"), "x", True, [1], (1, 2),
+                                 {1: None}])
+def test_wrong_types_are_refused(call, message, bad):
+    # each of these once ended in an AttributeError
+    with pytest.raises(ValueError, match=r"^%s: %s$" % (message, re.escape(repr(bad)))):
+        call(bad)
 
 
 # the README's footprint question, as a spec file would hold it
@@ -590,6 +617,33 @@ def _coins_used(rng, draws):
     return rng.coins - len(_held_coins(draws))
 
 
+class TestFamiliesModule:
+    """The candidate streams live in `percop.families`, beneath `search`."""
+
+    def test_families_import_no_search(self):
+        # a fresh interpreter, so that no other test's import counts
+        src = str(Path(families_module.__file__).resolve().parents[1])
+        code = ("import sys, percop.families; "
+                "assert 'percop.search' not in sys.modules, 'percop.search imported'")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+
+    def test_no_name_defined_in_both(self):
+        def defined(module):
+            tree = ast.parse(Path(module.__file__).read_text())
+            names = set()
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Assign):
+                    names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            return names
+
+        assert defined(families_module)
+        assert defined(search_module) & defined(families_module) == set()
+
+
 class TestGirthSampler:
     def test_same_draws_as_graph_first_sampler(self):
         # lem122's witness depends on the exact coin order: windows drawn
@@ -622,10 +676,10 @@ class TestGirthSampler:
         # block, and every refill must still read as many coins as the draw
         # may need: draws are the first sampler's, the held coins are the
         # twin's next ones, and the RNG stands where the twin would after them
-        monkeypatch.setattr(search_module, "_COIN_BLOCK", 8)
+        monkeypatch.setattr(families_module, "_COIN_BLOCK", 8)
         asked = []
-        flips = search_module._coin_flips
-        monkeypatch.setattr(search_module, "_coin_flips",
+        flips = families_module._coin_flips
+        monkeypatch.setattr(families_module, "_coin_flips",
                             lambda rng, m: asked.append(m) or flips(rng, m))
         for n in range(1, 9):
             for seed in range(40 if n >= 4 else 10):
@@ -646,8 +700,8 @@ class TestGirthSampler:
     def test_one_table_read_per_window(self, monkeypatch):
         # n = 8 keeps no table, so each window reads a fresh one
         tables = []
-        table = search_module._girth4_table
-        monkeypatch.setattr(search_module, "_girth4_table",
+        table = families_module._girth4_table
+        monkeypatch.setattr(families_module, "_girth4_table",
                             lambda n: tables.append(table(n)) or tables[-1])
         draws = _girth4_draws(random.Random(0), 8)
         for windows in range(1, 4):
@@ -656,41 +710,41 @@ class TestGirthSampler:
         assert tables[0][0] is not tables[1][0]
 
     def test_accepted_bytes_hold_domination_numbers(self, monkeypatch):
-        monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
+        monkeypatch.setattr(families_module, "_GIRTH4_TABLES", {})
         for n in range(4, 8):
             draws = _girth4_draws(random.Random(n), n)
             for _ in range(500):
                 next(draws)
-            rows, verdicts = search_module._GIRTH4_TABLES[n]
+            rows, verdicts = families_module._GIRTH4_TABLES[n]
             # the two one-sided splits, each one draw, the edgeless graph,
             # rejected once it has come up (500 windows draw both)
             for s in (0, (1 << n) - 1):
                 assert rows[s][:2] == ([], 0), n
-                assert verdicts[rows[s][2]] == search_module._REJECTED, n
+                assert verdicts[rows[s][2]] == families_module._REJECTED, n
             seen = set()
             for pairs, m, base in rows:
                 for c in range(1 << m):
                     verdict = verdicts[base + c]
                     if not verdict:
                         continue
-                    seen.add(min(verdict, search_module._ACCEPTED))
+                    seen.add(min(verdict, families_module._ACCEPTED))
                     # int(coins, 2) reads a draw's first pair as its top bit
                     g = Graph(n, [e for j, e in enumerate(pairs)
                                   if c >> (m - 1 - j) & 1])
-                    if verdict == search_module._REJECTED:
+                    if verdict == families_module._REJECTED:
                         assert not (g.is_connected() and girth(g) == 4), n
                     else:
                         assert g.is_connected() and girth(g) == 4, n
-                        assert verdict - search_module._ACCEPTED == domination_number(g), n
-            assert {search_module._REJECTED, search_module._ACCEPTED} <= seen, n
+                        assert verdict - families_module._ACCEPTED == domination_number(g), n
+            assert {families_module._REJECTED, families_module._ACCEPTED} <= seen, n
 
     def test_cold_and_warm_tables_agree(self, monkeypatch):
-        monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
+        monkeypatch.setattr(families_module, "_GIRTH4_TABLES", {})
         judged = []
-        judge, dominate = search_module._connected_girth4, search_module.domination_number
-        monkeypatch.setattr(search_module, "_connected_girth4",
+        judge, dominate = families_module._connected_girth4, families_module.domination_number
+        monkeypatch.setattr(families_module, "_connected_girth4",
                             lambda masks: judged.append(masks) or judge(masks))
-        monkeypatch.setattr(search_module, "domination_number",
+        monkeypatch.setattr(families_module, "domination_number",
                             lambda g: judged.append(g) or dominate(g))
         for n in range(4, 8):
             runs = []
@@ -707,23 +761,23 @@ class TestGirthSampler:
             # the warm pass judged nothing anew: every draw, and every
             # domination number, was read from the table
             assert judged == [], n
-            verdicts = search_module._GIRTH4_TABLES[n][1]
-            assert max(verdicts) >= search_module._ACCEPTED
-            assert search_module._REJECTED in verdicts
+            verdicts = families_module._GIRTH4_TABLES[n][1]
+            assert max(verdicts) >= families_module._ACCEPTED
+            assert families_module._REJECTED in verdicts
 
     def test_n8_keeps_no_table(self, monkeypatch):
-        monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
+        monkeypatch.setattr(families_module, "_GIRTH4_TABLES", {})
         found = [next(_girth4_draws(random.Random(seed), 8)) for seed in range(20)]
         assert any(g is not None for g, _gamma in found)
         # the domination number is left to a caller that needs it
         assert all(gamma is None for _g, gamma in found)
-        assert search_module._GIRTH4_TABLES == {}
+        assert families_module._GIRTH4_TABLES == {}
 
     def test_tables_stay_within_512_kb(self, monkeypatch):
-        monkeypatch.setattr(search_module, "_GIRTH4_TABLES", {})
-        for n in range(1, search_module._GIRTH4_TABLE_MAX_N + 1):
+        monkeypatch.setattr(families_module, "_GIRTH4_TABLES", {})
+        for n in range(1, families_module._GIRTH4_TABLE_MAX_N + 1):
             next(_girth4_draws(random.Random(0), n))
-        tables = search_module._GIRTH4_TABLES
+        tables = families_module._GIRTH4_TABLES
         assert sorted(tables) == list(range(1, 8))
         assert sum(len(verdicts) for _rows, verdicts in tables.values()) <= 512 * 1024
 
@@ -1276,8 +1330,6 @@ class TestSpecEdgesAndCirculant:
     def test_circulant_orders_each_tried_once(self, strides, suffix, monkeypatch):
         # every order once, in the order of sorting all permutations with the
         # hinted suffix first
-        from percop import search as search_module
-
         def key(q):
             return q[len(q) - len(suffix):] != tuple(suffix), q
 
@@ -1288,7 +1340,7 @@ class TestSpecEdgesAndCirculant:
             tried.append(tuple(steps))
             raise ValueError("recorded")
 
-        monkeypatch.setattr(search_module, "circulant_123", record)
+        monkeypatch.setattr(families_module, "circulant_123", record)
         spec = self._circulant(strides)
         spec.hints = {"suffix": suffix}
         assert list(_candidates(spec, None)) == [None] * len(want)

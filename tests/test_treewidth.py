@@ -485,8 +485,14 @@ class TestBagStrategy:
     (lambda bad: smooth(exact_treewidth(path_graph(3))[1], bad), "smooth: g must be a Graph"),
     (lambda bad: bag_strategy(bowtie_221().instance, bad),
      "bag_strategy: td must be a TreeDecomposition"),
-], ids=["exact_treewidth", "smooth-td", "smooth-g", "bag_strategy-td"])
-@pytest.mark.parametrize("bad", [None, 1.5, "x", True, [1], (1, 2)])
+    (lambda bad: validate_decomposition(bad, path_graph(3)),
+     "validate_decomposition: td must be a TreeDecomposition"),
+    (lambda bad: validate_decomposition(exact_treewidth(path_graph(3))[1], bad),
+     "validate_decomposition: g must be a Graph"),
+], ids=["exact_treewidth", "smooth-td", "smooth-g", "bag_strategy-td",
+        "validate_decomposition-td", "validate_decomposition-g"])
+@pytest.mark.parametrize("bad", [None, 1.5, float("nan"), "x", True, [1], (1, 2),
+                                 {1: None}])
 def test_wrong_types_are_refused(call, message, bad):
     # each of these once ended in an AttributeError or a TypeError
     with pytest.raises(ValueError, match=r"^%s: %s$" % (message, re.escape(repr(bad)))):
