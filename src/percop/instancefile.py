@@ -9,6 +9,10 @@ fixed spacing so that parse/serialize round-trips are byte-identical on
 canonical files.  A file whose snapshots would need more than
 `MAX_ADJACENCY_BITS` bits of adjacency masks is refused before any graph
 is built.
+
+`serialize_specimen` refuses anything but a `ConstructionSpecimen`, so this
+module imports `constructions` and sits above it (and `corners`) in the
+package's layers; `constructions` imports nothing from here.
 """
 
 from __future__ import annotations
@@ -52,9 +56,10 @@ def parse(data):
     meta carries 'labels' (dict vertex->str) and 'expected' (dict or None);
     the graph carries neither.
     """
-    if type(data) not in (bytes, str):
-        raise InstanceError("syntax", "data must be bytes or str: %r" % (data,))
-    if type(data) is bytes:
+    # what json.loads reads: str, bytes or bytearray, subclasses included
+    if not isinstance(data, (str, bytes, bytearray)):
+        raise InstanceError("syntax", "data must be str, bytes or bytearray: %r" % (data,))
+    if not isinstance(data, str):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as e:

@@ -449,16 +449,11 @@ def _predicates(pg, spec):
         yield ok, {"retract_premise_fails": ok}
 
 
-def _is(value, cls, what):
-    """Raise ValueError naming ``value`` unless its type is exactly ``cls``."""
-    if type(value) is not cls:
-        raise ValueError("%s must be a %s: %r" % (what, cls.__name__, value))
-
-
 def check_targets(pg, spec):
     """Screen cheap-first: None at the first target predicate that fails,
     else the certificate, every predicate's entries and `verified`."""
-    _is(spec, SearchSpec, "check_targets: spec")
+    if type(spec) is not SearchSpec:
+        raise ValueError("check_targets: spec must be a SearchSpec: %r" % (spec,))
     certs = {}
     for passed, entries in _predicates(pg, spec):
         if not passed:
@@ -472,8 +467,10 @@ def certify(pg, spec):
     """Re-evaluate a given instance: every target predicate, what each one
     computed, and whether all passed.  The instance must have the spec's n;
     its period may differ from the spec's p."""
-    _is(pg, PeriodicGraph, "certify: pg")
-    _is(spec, SearchSpec, "certify: spec")
+    if type(pg) is not PeriodicGraph:
+        raise ValueError("certify: pg must be a PeriodicGraph: %r" % (pg,))
+    if type(spec) is not SearchSpec:
+        raise ValueError("certify: spec must be a SearchSpec: %r" % (spec,))
     spec.__post_init__()  # a field may have been assigned since construction
     if pg.n != spec.n:
         raise ValueError("certify: the instance has n=%d, spec %r has n=%d"
@@ -518,7 +515,8 @@ def search(spec):
     out is "exhausted".  The spec's rules are checked again first, since a
     field may have been assigned since construction.
     """
-    _is(spec, SearchSpec, "search: spec")
+    if type(spec) is not SearchSpec:
+        raise ValueError("search: spec must be a SearchSpec: %r" % (spec,))
     spec.__post_init__()
     rng = random.Random(spec.seed)
     deadline = time.monotonic() + spec.budget_seconds

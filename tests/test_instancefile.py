@@ -45,6 +45,14 @@ class TestRoundTrip:
         text, _back, meta = roundtrip(pg, expected={"copnum": 3})
         assert meta["expected"] == {"copnum": 3}
 
+    def test_every_text_type_json_reads(self):
+        # parse reads what json.loads reads: str, bytes and bytearray, and
+        # their subclasses
+        text = serialize(q3_rotation().instance, expected={"copnum": 3})
+        want = parse(text)
+        for data in (text.encode(), bytearray(text.encode()), type("S", (str,), {})(text)):
+            assert parse(data) == want
+
     def test_random_instances(self, rng):
         for _ in range(15):
             pg = random_periodic(rng, rng.randint(1, 6), rng.randint(1, 4))
@@ -281,7 +289,7 @@ NOT_A_DICT = [1.5, math.nan, "x", True, [1], (1, 2)]
 
 
 @pytest.mark.parametrize("call, message, bads", [
-    (parse, "syntax: data must be bytes or str", WRONG_TYPES),
+    (parse, "syntax: data must be str, bytes or bytearray", WRONG_TYPES),
     (serialize, "serialize: pg must be a PeriodicGraph", WRONG_TYPES + ["x"]),
     (lambda bad: serialize(q3_rotation().instance, labels=bad),
      "serialize: labels must be a dict or None", NOT_A_DICT),

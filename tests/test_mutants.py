@@ -75,14 +75,7 @@ def test_stale_row_fails_before_any_test_runs(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(mutants, "copy_worktree", never)
     monkeypatch.setattr(mutants, "run_tests", never)
-    assert mutants.main([]) == 1
+    assert mutants.main() == 1
     out = capsys.readouterr().out
     assert "twice: its old text occurs 2 times in m.py, not once" in out
     assert "never: its old text occurs 0 times in m.py, not once" in out
-
-
-def test_unknown_name_is_refused(capsys):
-    with pytest.raises(SystemExit) as exc:
-        mutants.main(["--only", "no-such-mutant"])
-    assert exc.value.code == 2
-    assert "unknown mutants: ['no-such-mutant']" in capsys.readouterr().err

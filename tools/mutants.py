@@ -3,7 +3,6 @@
 From the root of a checkout:
 
     python3 tools/mutants.py
-    python3 tools/mutants.py --only corner-t-dropped,core-from-three
 
 Each row of ``MUTANTS`` is one mutation of the library: (name, file, exact
 old text, new text, the tests that must fail).  Every old text must occur
@@ -23,7 +22,6 @@ standard library is used.
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -170,25 +168,14 @@ def run_tests(tree, tests):
     return proc.returncode, proc.stdout + proc.stderr
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--only", type=lambda s: s.split(","), default=None,
-                    help="comma-separated names of the rows to run")
-    args = ap.parse_args(argv)
-    rows = MUTANTS
-    if args.only is not None:
-        unknown = set(args.only) - {row[0] for row in MUTANTS}
-        if unknown:
-            ap.error("unknown mutants: %s" % sorted(unknown))
-        rows = [row for row in MUTANTS if row[0] in args.only]
-
-    stale = stale_rows(ROOT, rows)
+def main():
+    stale = stale_rows(ROOT, MUTANTS)
     for name, path, count in stale:
         print("%s: its old text occurs %d times in %s, not once" % (name, count, path))
     if stale:
         return 1
     ok = True
-    for name, path, old, new, tests in rows:
+    for name, path, old, new, tests in MUTANTS:
         t0 = time.monotonic()
         with tempfile.TemporaryDirectory() as tmp:
             tree = copy_worktree(tmp)
