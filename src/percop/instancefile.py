@@ -195,7 +195,11 @@ def _block(name, items):
 def serialize(pg, labels=None, expected=None):
     """Canonical text form: sorted edges, sorted keys, two-space indent.
 
-    Labels and the expected block are written only when given.  The text is
+    Labels and the expected block are written only when given, and only what
+    `parse` reads back is written: a label maps a vertex, an int in
+    0..n-1, to a str, and the expected block maps the fields of
+    _EXPECTED_FIELDS to positive ints; anything else raises ValueError
+    before a line is written.  The text is
     `dump_json` of the instance object, written by string formatting since
     json's indenting encoder is pure Python; label strings and expected
     values go through json.dumps for their escapes, and labels are ordered
@@ -206,6 +210,19 @@ def serialize(pg, labels=None, expected=None):
     for what, block in (("labels", labels), ("expected", expected)):
         if block is not None and type(block) is not dict:
             raise ValueError("serialize: %s must be a dict or None: %r" % (what, block))
+    for k, v in (labels or {}).items():
+        # str(k) is written as the key, so an int subclass could misspell it
+        if type(k) is not int or not 0 <= k < pg.n:
+            raise ValueError("serialize: label key %r is not a vertex of 0..%d"
+                             % (k, pg.n - 1))
+        if not isinstance(v, str):
+            raise ValueError("serialize: label %d must be a string: %r" % (k, v))
+    for k, v in (expected or {}).items():
+        if k not in _EXPECTED_FIELDS:
+            raise ValueError("serialize: unknown expected field %r" % (k,))
+        if not _is_int(v) or v < 1:
+            raise ValueError("serialize: expected.%s must be a positive integer: %r"
+                             % (k, v))
     out = ["{\n"]
     if expected:
         out.append(_block("expected", expected.items()))

@@ -1,5 +1,8 @@
+import itertools
 import random
 import re
+import sys
+import threading
 
 import pytest
 
@@ -14,13 +17,22 @@ from percop.corners import (
     layer_corners,
     validate_witness,
 )
-from percop.constructions import GENERATORS, circulant_123
+from percop.constructions import GENERATORS, circulant_123, petersen_231
 from percop.search import load_witness
 from conftest import connected_instances, random_periodic
 from reference import reference_corners
 
 SHIPPED_WITNESSES = ["thm112", "lem122", "circulant_123", "search_321",
                      "prop3_retract"]
+
+
+@pytest.fixture(autouse=True)
+def fresh_tables(monkeypatch):
+    """No kept cover tables, as in a new process, so that no test reads the
+    tables that the tests before it kept; the module's own tables come back
+    after the test."""
+    monkeypatch.setattr(corners, "_TABLES", {})
+    monkeypatch.setattr(corners, "_kept_rows", 0)
 
 
 def fig2_instance():
@@ -384,3 +396,114 @@ class TestWitnessesFromTheScan:
                         assert first[0].covers == min(w.covers for w in full)
                     both.add(bool(full))
         assert both == {False, True}
+
+
+class TestKeptTables:
+    """The cover tables kept per (n, size, t), and the witnesses kept in
+    their slots, against the brute force of tests/reference.py."""
+
+    @staticmethod
+    def instances(seed=49):
+        rng = random.Random(seed)
+        return [random_periodic(rng, rng.randint(2, 6), rng.randint(1, 3),
+                                rng.random()) for _ in range(60)]
+
+    @staticmethod
+    def check_kept():
+        """The row count, and every kept row and witness, against the key."""
+        assert corners._kept_rows == sum(
+            len(table) for table in corners._TABLES.values())
+        assert corners._kept_rows <= corners._KEPT_ROWS
+        for (n, size, t), table in corners._TABLES.items():
+            assert [ys for ys, _rest, _slots in table] == list(
+                itertools.combinations(range(n), size))
+            for ys, rest, slots in table:
+                assert rest == sum(1 << v for v in range(n) if v not in ys)
+                assert len(slots) == n
+                for u, w in enumerate(slots):
+                    assert w is None or (type(w) is CornerWitness
+                                         and w == (t, u, ys)), (t, u, ys, w)
+
+    @pytest.mark.parametrize("limit", [0, 20, corners._KEPT_ROWS])
+    def test_lists_match_whatever_was_kept_first(self, monkeypatch, limit):
+        # limit 0 keeps nothing; at 20 some layers read tables and others not
+        monkeypatch.setattr(corners, "_KEPT_ROWS", limit)
+        pgs = self.instances()
+        for pg in reversed(pgs):  # other keys first, in another order
+            for k in (3, 1, 2):
+                find_k_temporal_corners(pg, k)
+        assert bool(corners._TABLES) == (limit > 0)
+        for pg in pgs:
+            for k in (1, 2, 3):
+                TestWitnessesFromTheScan.check(pg, k)
+        self.check_kept()
+
+    def test_long_period_stays_within_the_limit(self):
+        # 55 layers of 12 vertices: 660 rows at k = 1 and 3,630 at k = 2
+        pg = petersen_231().instance
+        assert (pg.n, pg.period) == (12, 55)
+        for k in (1, 2):
+            TestWitnessesFromTheScan.check(pg, k)
+        self.check_kept()
+        assert len(corners._TABLES) < 2 * pg.period  # some were not kept
+        for later in self.instances(50):
+            for k in (1, 2, 3):
+                TestWitnessesFromTheScan.check(later, k)
+        self.check_kept()
+        for k in (1, 2):
+            TestWitnessesFromTheScan.check(pg, k)
+
+    def test_first_returns_a_kept_witness(self):
+        rng = random.Random(51)
+        found = 0
+        for i in range(60):
+            pg = random_periodic(rng, rng.randint(2, 6), rng.randint(1, 3),
+                                 rng.random())
+            snaps, p = pg.snapshots, pg.period
+            for k in (1, 2):
+                for t in range(p):
+                    gt, gn = snaps[t], snaps[(t + 1) % p]
+                    # the first corner is kept whichever scan comes first
+                    if i % 2:
+                        full = layer_corners(gt, gn, k, t=t)
+                    first = [w for ws in layer_corners(gt, gn, k, True, t)
+                             for w in ws]
+                    if not i % 2:
+                        full = layer_corners(gt, gn, k, t=t)
+                    if not first:
+                        continue
+                    w, = first
+                    assert any(w is v for v in full[w.corner_vertex])
+                    table = corners._TABLES[pg.n, min(k, pg.n - 1), t]
+                    assert any(slots[w.corner_vertex] is w
+                               for _ys, _rest, slots in table)
+                    found += 1
+        assert found > 100
+
+    def test_threads_get_equal_lists(self):
+        # more threads than cores, and a short switch interval, so that the
+        # threads race to fill the same slots and to keep the same tables
+        pgs = self.instances(52)
+        lists = [None] * 4
+        start = threading.Barrier(len(lists), timeout=60)
+
+        def scan(i):
+            start.wait()
+            lists[i] = [find_k_temporal_corners(pg, k)
+                        for pg in pgs for k in (1, 2, 3)]
+
+        threads = [threading.Thread(target=scan, args=(i,))
+                   for i in range(len(lists))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        want = [reference_corners(pg, k) for pg in pgs for k in (1, 2, 3)]
+        assert all(got == want for got in lists)
+        self.check_kept()

@@ -77,6 +77,82 @@ class TestRoundTrip:
                              expected=meta["expected"]) == raw
 
 
+class TestSerializeWritesOnlyWhatParseReads:
+    """serialize refuses labels and expected blocks that parse would refuse
+    in the file it wrote, and every value it accepts parses back."""
+
+    class Name(str):
+        pass
+
+    @pytest.mark.parametrize("labels", [
+        {0: "a"}, {7: ""}, {0: "x", 3: "y", 7: "z"}, {5: 'q"\\\n\u2028'},
+        {2: Name("s")}, {v: format(v, "03b") for v in range(8)},
+    ])
+    def test_accepted_labels_round_trip(self, labels):
+        pg = q3_rotation().instance
+        text, back, meta = roundtrip(pg, labels=labels)
+        assert back == pg and meta == {"labels": labels, "expected": None}
+        assert serialize(back, labels=meta["labels"]) == text
+
+    @pytest.mark.parametrize("field", _EXPECTED_FIELDS)
+    @pytest.mark.parametrize("value", [1, 2, 3, 10**30])
+    def test_accepted_expected_round_trip(self, field, value):
+        pg = q3_rotation().instance
+        text, back, meta = roundtrip(pg, expected={field: value})
+        assert back == pg and meta == {"labels": {}, "expected": {field: value}}
+        assert serialize(back, expected=meta["expected"]) == text
+
+    def test_every_field_at_once_round_trips(self):
+        pg = q3_rotation().instance
+        expected = dict(zip(_EXPECTED_FIELDS, (2, 3, 4)))
+        text, _back, meta = roundtrip(pg, labels={1: "b"}, expected=expected)
+        assert meta == {"labels": {1: "b"}, "expected": expected}
+        assert serialize(pg, **meta) == text
+
+    @pytest.mark.parametrize("labels, message", [
+        ({1: None}, "label 1 must be a string: None"),
+        ({1: 1}, "label 1 must be a string: 1"),
+        ({1: b"x"}, "label 1 must be a string: b'x'"),
+        ({8: "x"}, "label key 8 is not a vertex of 0..7"),
+        ({-1: "x"}, "label key -1 is not a vertex of 0..7"),
+        ({"1": "x"}, "label key '1' is not a vertex of 0..7"),
+        ({True: "x"}, "label key True is not a vertex of 0..7"),
+        ({1.0: "x"}, "label key 1.0 is not a vertex of 0..7"),
+        ({None: "x"}, "label key None is not a vertex of 0..7"),
+    ])
+    def test_refused_labels(self, labels, message):
+        # the first once wrote "1": null, which parse refuses
+        with pytest.raises(ValueError, match=r"^serialize: %s$" % re.escape(message)):
+            serialize(q3_rotation().instance, labels=labels)
+
+    @pytest.mark.parametrize("expected, message", [
+        ({"copnum": "x"}, "expected.copnum must be a positive integer: 'x'"),
+        ({"copnum": 0}, "expected.copnum must be a positive integer: 0"),
+        ({"copnum": -2}, "expected.copnum must be a positive integer: -2"),
+        ({"copnum": True}, "expected.copnum must be a positive integer: True"),
+        ({"copnum": 3.0}, "expected.copnum must be a positive integer: 3.0"),
+        ({"copnum": math.nan}, "expected.copnum must be a positive integer: nan"),
+        ({"copnum": None}, "expected.copnum must be a positive integer: None"),
+        ({"footprint_copnum": 1, "cop_number": 1}, "unknown expected field 'cop_number'"),
+        ({1: 1}, "unknown expected field 1"),
+    ])
+    def test_refused_expected(self, expected, message):
+        # the first once wrote "copnum": "x", which parse refuses
+        with pytest.raises(ValueError, match=r"^serialize: %s$" % re.escape(message)):
+            serialize(q3_rotation().instance, expected=expected)
+
+    @pytest.mark.parametrize("block", [{"labels": {1: None}},
+                                       {"expected": {"copnum": "x"}}])
+    def test_parse_refuses_what_was_refused(self, block):
+        # the same block, written past serialize, is refused by parse
+        obj = json.loads(serialize(q3_rotation().instance))
+        obj.update({k: {str(f): v for f, v in b.items()} for k, b in block.items()})
+        with pytest.raises(InstanceError, match="field-type"):
+            parse(json.dumps(obj))
+        with pytest.raises(ValueError, match="^serialize: "):
+            serialize(q3_rotation().instance, **block)
+
+
 class TestRoundTripFuzz:
     """serialize against json.dumps at indent 2 of the instance object, and
     parse back to the same graph and meta, on seeded random instances."""

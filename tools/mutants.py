@@ -44,6 +44,7 @@ SCAN = ["tests/test_corners.py::TestWitnessesFromTheScan::test_small_connected_i
         "tests/test_corners.py::TestTemporalCorners::test_witnesses_revalidate",
         "tests/test_corners.py::TestWitnessOrder::test_enumeration_is_already_sorted",
         "tests/test_corners.py::TestCompleteness::test_generators"]
+KEPT = "tests/test_corners.py::TestKeptTables::"
 STATIC = "tests/test_solver.py::TestStaticCore::"
 CORE = "tests/test_graphs.py::TestCore::"
 
@@ -72,10 +73,33 @@ MUTANTS = [
      SCAN + ["tests/test_corners.py::TestKTemporalCorners::"
              "test_circulant_3_corner_matches_strategy"]),
     ("corner-fields-swapped", CORNERS,
-     "new(CornerWitness, (t, u, ys))", "new(CornerWitness, (u, t, ys))",
+     "w = slots[u] = new(CornerWitness, (t, u, ys))",
+     "w = slots[u] = new(CornerWitness, (u, t, ys))",
      SCAN + ["tests/test_corners.py::TestWitnessesFromTheScan::"
              "test_each_list_carries_its_layer",
              "tests/test_corners.py::TestTemporalCorners::test_fig2_witness"]),
+    # the same, in the scan of a layer whose table is not kept
+    ("corner-fields-swapped-untabled", CORNERS,
+     "found[u].append(new(CornerWitness, (t, u, ys)))",
+     "found[u].append(new(CornerWitness, (u, t, ys)))",
+     [KEPT + "test_lists_match_whatever_was_kept_first",
+      KEPT + "test_long_period_stays_within_the_limit"]),
+    # the kept cover tables: one per layer, and their rows' candidates lie
+    # outside the cover set
+    ("corner-table-keyed-without-t", CORNERS,
+     "key = n, size, t", "key = n, size, 0",
+     SCAN + [KEPT + "test_lists_match_whatever_was_kept_first",
+             "tests/test_corners.py::TestWitnessesFromTheScan::"
+             "test_each_list_carries_its_layer"]),
+    ("corner-rest-keeps-cover-vertices", CORNERS,
+     "table.append((ys, full & ~used, [None] * n))",
+     "table.append((ys, full, [None] * n))",
+     # a vertex may cover itself, but the lists stay sorted
+     [KEPT + "test_lists_match_whatever_was_kept_first",
+      "tests/test_corners.py::TestWitnessesFromTheScan::test_small_connected_instances",
+      "tests/test_corners.py::TestTemporalCorners::test_witnesses_revalidate",
+      "tests/test_corners.py::TestTemporalCorners::test_complete_graph_every_pair",
+      "tests/test_corners.py::TestKTemporalCorners::test_corner_vertex_never_in_cover"]),
     # the static core: its ascent starts at two cops, and it keeps two vertices
     ("core-from-three", SOLVER,
      "total += _ascend(h, 2)[0]", "total += _ascend(h, 3)[0]",
