@@ -40,9 +40,9 @@ witness, so it takes every layer as layer 0, and its scans share one table.
 from __future__ import annotations
 
 import threading
+from collections import namedtuple
 from itertools import combinations
 from math import comb
-from typing import NamedTuple
 
 from .graphs import LimitError, _bits
 from .periodic import PeriodicGraph
@@ -65,10 +65,19 @@ _kept_rows = 0
 _KEEP_LOCK = threading.Lock()
 
 
-class CornerWitness(NamedTuple):
-    t: int
-    corner_vertex: int
-    covers: tuple
+class CornerWitness(namedtuple("CornerWitness", "t corner_vertex covers")):
+    """(t, u, Y): u is a temporal corner at time t of the cover set Y at
+    time t + 1.  The constructor checks types only, bool excluded;
+    `validate_witness` checks a witness against a graph."""
+
+    __slots__ = ()
+
+    def __new__(cls, t, corner_vertex, covers):
+        if (type(t) is not int or type(corner_vertex) is not int
+                or type(covers) is not tuple or any(type(y) is not int for y in covers)):
+            raise ValueError("CornerWitness: t and corner_vertex must be ints and covers "
+                             "a tuple of ints: %r, %r, %r" % (t, corner_vertex, covers))
+        return tuple.__new__(cls, (t, corner_vertex, covers))
 
     def as_dict(self):
         return {

@@ -108,18 +108,21 @@ def _gen_hamiltonian(spec, rng):
         yield PeriodicGraph(graphs), {}
 
 
-# the largest n whose draws keep a verdict table: 2^n sides, each with one
-# byte per subset of its at most 12 cross pairs, 343 KB for n <= 7 together;
-# at n = 8 it would be 16 MB
-_GIRTH4_TABLE_MAX_N = 7
-# a draw's verdict: 0 not judged yet, 1 rejected, or 2 + gamma accepted
-# with domination number gamma
-_REJECTED, _ACCEPTED = 1, 2
-# n -> (a `_SideRows` row per side, a verdict per draw), built on the first
+# the largest n whose draws keep a verdict table: one byte per word of
+# n + n^2/4 coins, so 2^(n + n^2/4) bytes at n (32 KB at n = 6, 34 KB for
+# n <= 6 together); at n = 7 it would be 512 KB and at n = 8 16 MB
+_GIRTH4_TABLE_MAX_N = 6
+# a word's verdict: 0 if its draw is not judged yet, n + m if it is
+# rejected (the coins the draw consumes, at most 15 for n <= 6), and
+# _ACCEPTED + gamma if it is accepted with domination number gamma
+_ACCEPTED = 16
+# n -> (a `_SideRows` row per side, a verdict per word), built on the first
 # draw at that n
 _GIRTH4_TABLES = {}
 # a random() call's first 32-bit word's top byte -> b"1" iff random() < 0.5
 _BELOW_HALF = bytes.maketrans(bytes(range(256)), b"1" * 128 + b"0" * 128)
+# a coin b"0" or b"1" -> a byte that is false or true, to select its pair
+_KEEPS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _coin_flips(rng, m):
@@ -132,39 +135,40 @@ def _coin_flips(rng, m):
 
 # coins a refill reads ahead from the RNG, or as many as one draw needs
 _COIN_BLOCK = 4096
+# coins one int(., 2) parse reads, or as many as one draw needs
+_SPAN = 64
 
 
 class _SideRows(dict):
-    """Side s -> (its cross pairs, their count, the verdict index of its
-    first draw), built on first read; s reads vertex 0 as its top bit, as
-    int(coins, 2) does.  Each side's draws take the next 2^count indices,
-    and ``size`` counts them.  The two one-sided splits have no cross
-    pairs and one draw each, the edgeless graph, rejected on first sight."""
+    """Side s -> (its cross pairs, their count), built on first read; s
+    reads vertex 0 as its top bit, as int(coins, 2) does.  The two
+    one-sided splits have no cross pairs: their one draw is the edgeless
+    graph, rejected on first sight."""
 
     def __init__(self, n):
-        self.n, self.size = n, 0
+        self.n = n
 
     def __missing__(self, s):
         side = format(s, "0%db" % self.n)
         # the pairs u < v that the side puts apart
         pairs = [(u, v) for u, v in itertools.combinations(range(self.n), 2)
                  if side[u] != side[v]]
-        row = self[s] = (pairs, len(pairs), self.size)
-        self.size += 1 << len(pairs)
+        row = self[s] = (pairs, len(pairs))
         return row
 
 
 def _girth4_table(n):
     """(rows, verdicts) of the draws on n vertices: a list and a bytearray
     kept across searches up to `_GIRTH4_TABLE_MAX_N`, and past it a fresh
-    `_SideRows` and dict for one window of `_girth4_draws`."""
+    `_SideRows` and a dict that reads 0 for every word, for one window of
+    `_girth4_draws`."""
     if n > _GIRTH4_TABLE_MAX_N:
         return _SideRows(n), collections.defaultdict(int)
     table = _GIRTH4_TABLES.get(n)
     if table is None:
         rows = _SideRows(n)
         table = _GIRTH4_TABLES[n] = ([rows[s] for s in range(1 << n)],
-                                     bytearray(rows.size))
+                                     bytearray(1 << n + n * n // 4))
     return table
 
 
@@ -186,62 +190,82 @@ def _girth4_draws(rng, n):
     pairs across the split by another: n + m coins of `random() < 0.5`
     calls, on which lem122's witness depends.  A one-sided split (m = 0)
     is the edgeless graph, never accepted.  The coins come from ``rng``
-    through `_coin_flips` into ``buf``, and a draw parses the n + n^2/4
-    coins from ``at`` as one int, which holds its side and, below it, its
-    cross coins; it then moves ``at`` past the n + m it used.  One refill,
-    at least `_COIN_BLOCK` coins, runs before a draw whose parse would run
-    past the end, so the RNG runs ahead of the last coin used.  Only a
-    draw not rejected before slices its cross coins and builds its
-    closed-neighborhood masks from its kept pairs; an accepted draw is
-    the Graph of those masks.
+    through `_coin_flips` into ``buf``, and ``at`` is the first one not
+    used yet.  One int(., 2) parse reads a span of `_SPAN` coins from
+    ``at`` into ``bits``, and each draw takes its word, the next n + n^2/4
+    coins, from the span by shift and mask: the word holds its side in the
+    top n bits and, below it, its cross coins.  A draw moves ``at`` past
+    the n + m coins it used; once the span holds no whole word, the next
+    parse starts at ``at``.  One refill, at least `_COIN_BLOCK` coins, runs
+    before a parse whose word would run past the end of ``buf``, so the
+    RNG runs ahead of the last coin used.  Only a draw not rejected before
+    reads its side's row and builds its closed-neighborhood masks from its
+    kept pairs; an accepted draw is the Graph of those masks.
 
-    For n <= 7 a draw is one of few: 2^n sides, each with at most 2^12
+    For n <= 6 a draw is one of few: 2^n sides, each with at most 2^9
     subsets of its cross pairs (18,306 draws in all at n = 6).  A search
     samples far more draws than that (lem122's makes 555,197 at n = 6), so
-    most draws repeat.  The verdict table of n, one byte per draw, is a
-    cache that the loop reads before it builds a draw's masks: the
-    connectivity, girth and domination tests run once per draw, a rejected
-    draw seen before costs one read, and an accepted one only its masks.
-    For n >= 8 the table would take 16 MB or more, so every draw is tested,
-    and the domination number is None, left to a caller that needs it.
+    most draws repeat.  The verdict table of n, one byte per word, is a
+    cache that the loop reads before anything else: a draw's words are
+    those that share its top n + m bits, and judging it writes its verdict
+    to all 2^(n^2/4 - m) of them in one slice, so the connectivity, girth
+    and domination tests run once per draw, a rejected draw seen before
+    costs one read and one add, and an accepted one its row and masks.
+    For n >= 7 the table would take 512 KB or more, so every draw is
+    tested, and the domination number is None, left to a caller that
+    needs it.
     """
     ones = [1 << v for v in range(n)]
-    # a draw reads n coins for its side and m <= most = n^2/4 for its pairs;
-    # w holds need = n + most coins, its side in the top n bits and its
-    # pairs' coins in the next m
+    # a draw reads n coins for its side and m <= most = n^2/4 for its
+    # pairs; its word is the next need = n + most coins
     most = n * n // 4
-    need, low = n + most, (1 << most) - 1
-    buf, at, end = b"", 0, -1
+    need, full = n + most, (1 << n + most) - 1
+    width = max(_SPAN, need)
+    kept = n <= _GIRTH4_TABLE_MAX_N
+    # bits holds the last span parsed, which ends need coins past last, so
+    # the word of a draw at at <= last is bits >> last - at & full
+    buf, at, end, last, bits = b"", 0, -1, -1, 0
+    # a kept table is read once; past them each window reads a fresh one
+    table = _girth4_table(n) if kept else None
     while True:
-        rows, verdicts = _girth4_table(n)
+        rows, verdicts = table or _girth4_table(n)
         g = gamma = None
         for _ in range(200):
-            if at > end:
-                buf = buf[at:] + _coin_flips(rng, max(_COIN_BLOCK, need))
-                at, end = 0, len(buf) - need
-            w = int(buf[at:at + need], 2)
-            pairs, m, base = rows[w >> most]
-            i = base + ((w & low) >> most - m)
-            at += n + m
-            verdict = verdicts[i]
-            if verdict == _REJECTED:
+            if at > last:
+                if at > end:
+                    buf = buf[at:] + _coin_flips(rng, max(_COIN_BLOCK, need))
+                    at, end = 0, len(buf) - need
+                span = buf[at:at + width]
+                bits, last = int(span, 2), at + len(span) - need
+            w = bits >> last - at & full
+            verdict = verdicts[w]
+            if 0 < verdict < _ACCEPTED:
+                at += verdict
                 continue
+            pairs, m = rows[w >> most]
+            # the coins the draw consumes, its verdict if it is rejected
+            used = n + m
+            at += used
             masks = ones[:]
-            for (u, v), c in zip(pairs, buf[at - m:at]):
-                if c == 49:  # b"1"
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
+            for u, v in itertools.compress(pairs, buf[at - m:at].translate(_KEEPS)):
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
             if verdict:
                 g, gamma = Graph._of(masks), verdict - _ACCEPTED
                 break
             g = _connected_girth4(masks)
-            if g is None:
-                verdicts[i] = _REJECTED
-                continue
-            if n <= _GIRTH4_TABLE_MAX_N:
-                gamma = domination_number(g)
-                verdicts[i] = _ACCEPTED + gamma
-            break
+            if kept:
+                if g is None:
+                    verdict = used
+                else:
+                    gamma = domination_number(g)
+                    verdict = _ACCEPTED + gamma
+                # the draw's words: w's top n + m bits, any coins below
+                low = most - m
+                lo, hi = w >> low << low, (w >> low) + 1 << low
+                verdicts[lo:hi] = bytes((verdict,)) * (hi - lo)
+            if g is not None:
+                break
         yield g, gamma
 
 

@@ -124,6 +124,9 @@ def _check_side(side):
 
 class BudgetError(RuntimeError):
     def __init__(self, estimate, budget):
+        if type(estimate) is not int or type(budget) is not int:
+            raise ValueError("BudgetError: estimate and budget must be ints: %r, %r"
+                             % (estimate, budget))
         super().__init__(
             "solver state budget exceeded: %d states > %d" % (estimate, budget)
         )
@@ -380,6 +383,10 @@ class SolveResult:
 
     def __init__(self, pg, k, copwin, initial_placement=None, level=None, run=None,
                  below=None):
+        if (type(pg) is not PeriodicGraph or type(k) is not int or k < 1
+                or type(copwin) is not bool):
+            raise ValueError("SolveResult: pg must be a PeriodicGraph, k an int >= 1 and "
+                             "copwin a bool: %r, %r, %r" % (pg, k, copwin))
         self.pg = pg
         self.k = k
         self.copwin = copwin
@@ -754,6 +761,12 @@ class TripleResult:
     def abc(self):
         return (self.footprint_copnum, self.max_snapshot_copnum, self.copnum)
 
+    def __post_init__(self):
+        if any(type(c) is not int or c < 0 for c in (
+                self.footprint_copnum, self.max_snapshot_copnum, self.copnum,
+                self.min_snapshot_copnum)):
+            raise ValueError("TripleResult: cop numbers must be ints >= 0: %r" % (self,))
+
     def as_dict(self):
         return asdict(self)
 
@@ -857,6 +870,21 @@ class CopPolicy:
     initial_cops: tuple
     step: object
     initial_memory: object = None
+
+    def __post_init__(self):
+        # types only: verify_policy checks the cops against a graph
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError("CopPolicy: k must be an int >= 1: %r" % (self.k,))
+        if type(self.initial_cops) is not tuple:
+            raise ValueError("CopPolicy: initial_cops must be a tuple: %r"
+                             % (self.initial_cops,))
+        if not callable(self.step):
+            raise ValueError("CopPolicy: step must be callable: %r" % (self.step,))
+        try:
+            hash(self.initial_memory)
+        except TypeError:
+            raise ValueError("CopPolicy: initial_memory must be hashable: %r"
+                             % (self.initial_memory,)) from None
 
 
 @dataclass

@@ -33,6 +33,16 @@ class TreeDecomposition:
     bags: list          # list of frozensets of footprint vertices
     tree_edges: list    # list of (i, j) bag index pairs
 
+    def __post_init__(self):
+        # the containers only: validate_decomposition checks what they hold
+        if type(self.bags) is not list or any(type(b) is not frozenset for b in self.bags):
+            raise ValueError("TreeDecomposition: bags must be a list of frozensets: %r"
+                             % (self.bags,))
+        if type(self.tree_edges) is not list or any(
+                type(e) is not tuple or len(e) != 2 for e in self.tree_edges):
+            raise ValueError("TreeDecomposition: tree_edges must be a list of pairs: %r"
+                             % (self.tree_edges,))
+
     @property
     def width(self):
         return max(len(b) for b in self.bags) - 1

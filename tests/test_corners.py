@@ -112,11 +112,13 @@ class TestKTemporalCorners:
         # negative indices must not wrap round to the last vertices
         pg = PeriodicGraph([path_graph(3)])
         assert validate_witness(pg, CornerWitness(0, 0, (1,)))
+        # the constructor refuses bools and floats, so those witnesses are
+        # plain tuples, which validate_witness reads too
         for w in (CornerWitness(0, -1, (1,)), CornerWitness(0, 2, (-2,)),
                   CornerWitness(0, 3, (1,)), CornerWitness(0, 0, (3,)),
-                  CornerWitness(0, 0, (True,)), CornerWitness(0, False, (1,)),
-                  CornerWitness(0, 0, (1.0,)), CornerWitness(0.0, 0, (1,)),
-                  CornerWitness(True, 0, (1,)), CornerWitness(0, 0, (1, 1)),
+                  (0, 0, (True,)), (0, False, (1,)),
+                  (0, 0, (1.0,)), (0.0, 0, (1,)),
+                  (True, 0, (1,)), CornerWitness(0, 0, (1, 1)),
                   CornerWitness(0, 0, (0,))):
             assert not validate_witness(pg, w), w
 

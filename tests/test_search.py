@@ -687,6 +687,9 @@ class TestGirthSampler:
         # may need: draws are the first sampler's, the held coins are the
         # twin's next ones, and the RNG stands where the twin would after them
         monkeypatch.setattr(families_module, "_COIN_BLOCK", 8)
+        # and 8-coin spans, so that a parse is never longer than one draw's
+        # word from n = 4 on, and below it holds at most one more word
+        monkeypatch.setattr(families_module, "_SPAN", 8)
         asked = []
         flips = families_module._coin_flips
         monkeypatch.setattr(families_module, "_coin_flips",
@@ -719,34 +722,71 @@ class TestGirthSampler:
             assert len(tables) == windows
         assert tables[0][0] is not tables[1][0]
 
+    @staticmethod
+    def draw_verdict(n, pairs, c):
+        """The verdict byte of the draw whose m = len(pairs) cross coins
+        read c, int(coins, 2) reading its first pair as the top bit."""
+        m = len(pairs)
+        g = Graph(n, [e for j, e in enumerate(pairs) if c >> (m - 1 - j) & 1])
+        if g.is_connected() and girth(g) == 4:
+            return families_module._ACCEPTED + domination_number(g)
+        return n + m
+
     def test_accepted_bytes_hold_domination_numbers(self, monkeypatch):
+        # every word of a judged draw, those that share its side and cross
+        # coins, holds the draw's verdict, and no other word holds one
         monkeypatch.setattr(families_module, "_GIRTH4_TABLES", {})
-        for n in range(4, 8):
+        accepted = families_module._ACCEPTED
+        for n in range(4, 7):
             draws = _girth4_draws(random.Random(n), n)
             for _ in range(500):
                 next(draws)
             rows, verdicts = families_module._GIRTH4_TABLES[n]
-            # the two one-sided splits, each one draw, the edgeless graph,
-            # rejected once it has come up (500 windows draw both)
-            for s in (0, (1 << n) - 1):
-                assert rows[s][:2] == ([], 0), n
-                assert verdicts[rows[s][2]] == families_module._REJECTED, n
+            most = n * n // 4
+            assert len(rows) == 1 << n and len(verdicts) == 1 << n + most, n
             seen = set()
-            for pairs, m, base in rows:
+            for s, (pairs, m) in enumerate(rows):
+                assert (m == 0) == (s in (0, (1 << n) - 1)), (n, s)
                 for c in range(1 << m):
-                    verdict = verdicts[base + c]
-                    if not verdict:
+                    lo = (s << m | c) << most - m
+                    words = verdicts[lo:lo + (1 << most - m)]
+                    if not any(words):
+                        # the two one-sided splits, each one draw, the
+                        # edgeless graph, are judged once it has come up
+                        # (500 windows draw both)
+                        assert m, (n, s)
                         continue
-                    seen.add(min(verdict, families_module._ACCEPTED))
-                    # int(coins, 2) reads a draw's first pair as its top bit
-                    g = Graph(n, [e for j, e in enumerate(pairs)
-                                  if c >> (m - 1 - j) & 1])
-                    if verdict == families_module._REJECTED:
-                        assert not (g.is_connected() and girth(g) == 4), n
-                    else:
-                        assert g.is_connected() and girth(g) == 4, n
-                        assert verdict - families_module._ACCEPTED == domination_number(g), n
-            assert {families_module._REJECTED, families_module._ACCEPTED} <= seen, n
+                    want = self.draw_verdict(n, pairs, c)
+                    assert words == bytes((want,)) * len(words), (n, s, c)
+                    seen.add(want >= accepted)
+            assert seen == {False, True}, n
+
+    def test_each_draw_is_judged_once(self, monkeypatch):
+        # a cold run tests as many draws as it meets distinct ones, which a
+        # twin RNG replays coin by coin up to the coins the run used
+        monkeypatch.setattr(families_module, "_GIRTH4_TABLES", {})
+        judged = []
+        judge = families_module._connected_girth4
+        monkeypatch.setattr(families_module, "_connected_girth4",
+                            lambda masks: judged.append(masks) or judge(masks))
+        for n in range(4, 7):
+            judged.clear()
+            met = set()
+            for seed in range(20):
+                rng = _CountingRandom(seed)
+                draws = _girth4_draws(rng, n)
+                for _ in range(20):
+                    next(draws)
+                twin, used = random.Random(seed), 0
+                while used < _coins_used(rng, draws):
+                    side = [twin.random() < 0.5 for _ in range(n)]
+                    cross = tuple(twin.random() < 0.5 for u, v in
+                                  itertools.combinations(range(n), 2)
+                                  if side[u] != side[v])
+                    met.add((tuple(side), cross))
+                    used += n + len(cross)
+                assert used == _coins_used(rng, draws), (n, seed)
+            assert len(judged) == len(met), n
 
     def test_cold_and_warm_tables_agree(self, monkeypatch):
         monkeypatch.setattr(families_module, "_GIRTH4_TABLES", {})
@@ -756,7 +796,7 @@ class TestGirthSampler:
                             lambda masks: judged.append(masks) or judge(masks))
         monkeypatch.setattr(families_module, "domination_number",
                             lambda g: judged.append(g) or dominate(g))
-        for n in range(4, 8):
+        for n in range(4, 7):
             runs = []
             for _ in ("cold", "warm"):
                 judged.clear()
@@ -772,24 +812,27 @@ class TestGirthSampler:
             # domination number, was read from the table
             assert judged == [], n
             verdicts = families_module._GIRTH4_TABLES[n][1]
-            assert max(verdicts) >= families_module._ACCEPTED
-            assert families_module._REJECTED in verdicts
+            assert max(verdicts) > families_module._ACCEPTED
+            assert any(0 < v < families_module._ACCEPTED for v in verdicts)
 
     def test_n8_keeps_no_table(self, monkeypatch):
+        # nor does n = 7, whose table would take 512 KB
         monkeypatch.setattr(families_module, "_GIRTH4_TABLES", {})
-        found = [next(_girth4_draws(random.Random(seed), 8)) for seed in range(20)]
-        assert any(g is not None for g, _gamma in found)
-        # the domination number is left to a caller that needs it
-        assert all(gamma is None for _g, gamma in found)
+        for n in (7, 8):
+            found = [next(_girth4_draws(random.Random(seed), n)) for seed in range(20)]
+            assert any(g is not None for g, _gamma in found), n
+            # the domination number is left to a caller that needs it
+            assert all(gamma is None for _g, gamma in found), n
         assert families_module._GIRTH4_TABLES == {}
 
     def test_tables_stay_within_512_kb(self, monkeypatch):
+        # and within their n <= 6 total: 2^(n + n^2/4) bytes at n, 35,114
         monkeypatch.setattr(families_module, "_GIRTH4_TABLES", {})
         for n in range(1, families_module._GIRTH4_TABLE_MAX_N + 1):
             next(_girth4_draws(random.Random(0), n))
         tables = families_module._GIRTH4_TABLES
-        assert sorted(tables) == list(range(1, 8))
-        assert sum(len(verdicts) for _rows, verdicts in tables.values()) <= 512 * 1024
+        assert sorted(tables) == list(range(1, 7))
+        assert sum(len(verdicts) for _rows, verdicts in tables.values()) <= 35_114
 
 
 def _girth_stream_spec(stream, seed):
@@ -809,7 +852,8 @@ class TestGirthStreams:
     """The first candidates of `_gen_girth`, each None or its snapshots'
     masks, hashed and compared with digests written from the sampler that
     took each draw's coins through a buffer object and called
-    `domination_number` per G_0."""
+    `domination_number` per G_0; the 30,000-candidate digests of n7 and n8
+    from the sampler that still kept a table at n = 7, indexed by draw."""
 
     PINNED = {
         ("lem122", 0, 2000): "cba849c9bc6229bea10bb68c6d4b60daade8a192f0519cc9ab80466944c401c8",
@@ -821,6 +865,8 @@ class TestGirthStreams:
         ("lem122", 0, 30000): "610e4782d52ae4d12c53f06d0be4692e78545c1af025cd9e57845b2e5809b6b4",
         ("lem122", 7, 30000): "0bbc57cf2d306d68eebbf89be55720ca22f8f30573f905c2212e570c734258a9",
         ("lem122", 123, 30000): "a1a76d923302fae5416f048fd7dd3803fd3329b716b63e8dc85df7b2a0acbfdd",
+        ("n7", 0, 30000): "ae922cae1caec80869981c869d0040ce162ff1ba99870ffaf08477bbf64c9798",
+        ("n8", 0, 30000): "4703e3e30df304316fb33978f9cfb5e4559b14e98cc260c453ddd5c7ec7f4115",
     }
 
     @staticmethod

@@ -1799,8 +1799,10 @@ class TestVerifyPolicy:
 
     @pytest.mark.parametrize("cops", [3, None])
     def test_cops_must_be_iterable(self, cops):
-        # both once raised a bare TypeError
-        pol = CopPolicy(k=1, initial_cops=cops, step=lambda m, t, c, r: (c, m))
+        # both once raised a bare TypeError; CopPolicy refuses them, so they
+        # reach verify_policy only when set after construction
+        pol = CopPolicy(k=1, initial_cops=(0,), step=lambda m, t, c, r: (c, m))
+        pol.initial_cops = cops
         with pytest.raises(ValueError, match=r"^policy initial placement is not an iterable "
                                              r"of vertices: %s$" % re.escape(repr(cops))):
             verify_policy(constant(path_graph(3), 2), pol)

@@ -46,19 +46,27 @@ SCAN = ["tests/test_corners.py::TestWitnessesFromTheScan::test_small_connected_i
         "tests/test_corners.py::TestCompleteness::test_generators"]
 KEPT = "tests/test_corners.py::TestKeptTables::"
 STATIC = "tests/test_solver.py::TestStaticCore::"
+IMPLIED = "tests/test_solver.py::TestImpliedResults::"
 CORE = "tests/test_graphs.py::TestCore::"
 
 # (name, file, old text, new text, the tests that must fail)
 MUTANTS = [
-    # the girth-4 sampler: where a draw's cross coins sit, and how many
-    # coins it consumes
+    # the girth-4 sampler: which words are a draw's, how many coins it
+    # consumes, and how far its judgement writes
     ("sampler-cross-coins-unshifted", FAMILIES,
-     "i = base + ((w & low) >> most - m)", "i = base + ((w & low) >> most)",
+     "low = most - m\n", "low = most\n",
      DRAWS + [SAMPLER + "test_accepted_bytes_hold_domination_numbers"]),
-    ("sampler-consumes-need", FAMILIES, "at += n + m\n", "at += need\n",
+    ("sampler-consumes-need", FAMILIES, "used = n + m\n", "used = need\n",
      DRAWS + [SAMPLER + "test_accepted_bytes_hold_domination_numbers"]),
     ("sampler-one-sided-consumes-need", FAMILIES,
-     "at += n + m\n", "at += n + m if m else need\n", DRAWS),
+     "used = n + m\n", "used = n + m if m else need\n",
+     DRAWS + [SAMPLER + "test_accepted_bytes_hold_domination_numbers"]),
+    ("sampler-judgement-past-its-words", FAMILIES,
+     "verdicts[lo:hi] = bytes((verdict,)) * (hi - lo)",
+     "verdicts[lo:hi + 1] = bytes((verdict,)) * (hi + 1 - lo)",
+     [SAMPLER + "test_accepted_bytes_hold_domination_numbers",
+      SAMPLER + "test_each_draw_is_judged_once",
+      SAMPLER + "test_tables_stay_within_512_kb"]),
     # the layering: the streams never read the search module
     # (at the end, where the import closes no cycle and only the layering
     # test sees it)
@@ -100,6 +108,18 @@ MUTANTS = [
       "tests/test_corners.py::TestTemporalCorners::test_witnesses_revalidate",
       "tests/test_corners.py::TestTemporalCorners::test_complete_graph_every_pair",
       "tests/test_corners.py::TestKTemporalCorners::test_corner_vertex_never_in_cover"]),
+    # implied results: only a won k - 1 implies k cops, and the implied
+    # result decides on the k-cop space
+    ("implied-after-a-loss", SOLVER,
+     "if won is not None and won.copwin and len(tables.levels) == k:",
+     "if won is not None and not won.copwin and len(tables.levels) == k:",
+     [IMPLIED + "test_no_implication_after_a_loss",
+      IMPLIED + "test_small_connected_instances"]),
+    ("implied-level-on-fewer-cops", SOLVER,
+     "lv = _Level(_space(self.pg.n, self.k), self.pg.unique_snapshots,",
+     "lv = _Level(_space(self.pg.n, self.k - 1), self.pg.unique_snapshots,",
+     [IMPLIED + "test_small_connected_instances",
+      IMPLIED + "test_seeded_corpus"]),
     # the static core: its ascent starts at two cops, and it keeps two vertices
     ("core-from-three", SOLVER,
      "total += _ascend(h, 2)[0]", "total += _ascend(h, 3)[0]",
@@ -114,6 +134,32 @@ MUTANTS = [
      "total += _ascend(h, 2)[0]", "total = max(total, _ascend(h, 2)[0])",
      [STATIC + "test_shuffled_disjoint_unions",
       STATIC + "test_one_cop_is_asked_once_per_component_and_never_of_a_core"]),
+    # the static cop number sums its components, on both paths
+    ("static-max-over-all-components", SOLVER,
+     "            total += 1\n"
+     "            continue\n"
+     "        kept = core(h.snapshots[0])\n"
+     "        if len(kept) < 2:\n"
+     "            raise AssertionError(\n"
+     "                \"a component that one cop loses dismantles to one vertex; \"\n"
+     "                \"this contradicts Nowakowski & Winkler\")\n"
+     "        if len(kept) < h.n:\n"
+     "            h = _periodic.induced(h, kept)[0]\n"
+     "        total += _ascend(h, 2)[0]\n",
+     "            total = max(total, 1)\n"
+     "            continue\n"
+     "        kept = core(h.snapshots[0])\n"
+     "        if len(kept) < 2:\n"
+     "            raise AssertionError(\n"
+     "                \"a component that one cop loses dismantles to one vertex; \"\n"
+     "                \"this contradicts Nowakowski & Winkler\")\n"
+     "        if len(kept) < h.n:\n"
+     "            h = _periodic.induced(h, kept)[0]\n"
+     "        total = max(total, _ascend(h, 2)[0])\n",
+     [STATIC + "test_shuffled_disjoint_unions",
+      "tests/test_solver.py::TestComponentSum::test_static_disconnected_matches_reference",
+      "tests/test_reference_numbers.py::TestShippedNumbers::"
+      "test_cheap_instances_agree_with_the_reference"]),
     # the dismantled core: closed neighbourhoods of a survivor's neighbours,
     # each wholly covered
     ("core-open-neighbourhoods", GRAPHS,
