@@ -21,9 +21,9 @@ from .periodic import (
     pad,
 )
 from .corners import CornerWitness, find_k_temporal_corners, find_temporal_corners
+from .check import CopPolicy, verify_policy
 from .solver import (
     BudgetError,
-    CopPolicy,
     SolveResult,
     TripleResult,
     cop_number,
@@ -32,7 +32,6 @@ from .solver import (
     solve_cop_number,
     static_cop_number,
     triple,
-    verify_policy,
 )
 from .treewidth import TreeDecomposition, bag_strategy, exact_treewidth, smooth
 

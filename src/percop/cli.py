@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from . import solver as _solver
+from . import check, solver as _solver
 from .constructions import GENERATORS, circulant_123
 from .corners import find_k_temporal_corners
 from .graphs import LimitError
@@ -181,7 +181,7 @@ def cmd_tw_bound(args):
     # the bag strategy refuses an instance it cannot play before any solve
     policy = bag_strategy(pg, smooth(td, foot))
     copnum = _solver.cop_number(pg)
-    verdict = _solver.verify_policy(pg, policy)
+    verdict = check.verify_policy(pg, policy)
     out = {
         "file": str(args.file),
         "treewidth": width,

@@ -15,7 +15,9 @@ most n*C(n-1, min(k, n-1)) (Y, u) pairs per layer, the count that
 find_k_temporal_corners and has_k_temporal_corner check against
 CORNER_CANDIDATE_LIMIT for every k before anything is scanned.  Its lists
 hold the CornerWitness values themselves, each built once by the scan, and
-find_k_temporal_corners only concatenates them, layer by layer.
+find_k_temporal_corners only concatenates them, layer by layer.  The
+checker of a witness, `check.validate_witness`, reads the raw closed
+neighbourhoods instead, and none of this module.
 
 The cover sets of a layer depend only on (n, size, t), size = min(k, n-1),
 so they are read from a table kept per key.  Each row of a table holds a
@@ -68,7 +70,7 @@ _KEEP_LOCK = threading.Lock()
 class CornerWitness(namedtuple("CornerWitness", "t corner_vertex covers")):
     """(t, u, Y): u is a temporal corner at time t of the cover set Y at
     time t + 1.  The constructor checks types only, bool excluded;
-    `validate_witness` checks a witness against a graph."""
+    `check.validate_witness` checks a witness against a graph."""
 
     __slots__ = ()
 
@@ -210,28 +212,3 @@ def has_k_temporal_corner(pg, k):
         any(layer_corners(snaps[t], snaps[(t + 1) % p], k, first=True))
         for t in range(p)
     )
-
-
-def validate_witness(pg, w):
-    """Re-check a witness against the raw snapshot neighborhoods.  False
-    unless w is a 3-tuple (t, u, covers) with covers a tuple, t an int, and
-    the corner vertex and its covers distinct vertices: ints in 0..n-1, bool
-    excluded."""
-    if type(pg) is not PeriodicGraph:
-        raise ValueError("pg must be a PeriodicGraph: %r" % (pg,))
-    if not isinstance(w, tuple) or len(w) != 3 or type(w[2]) is not tuple:
-        return False
-    t, u, covers = w
-    vs = (u,) + covers
-    if type(t) is not int or not all(
-            type(v) is int and 0 <= v < pg.n for v in vs):
-        return False
-    if len(set(vs)) != len(vs):
-        return False
-    gt = pg.snapshots[t % pg.period]
-    gn = pg.snapshots[(t + 1) % pg.period]
-    need = set(gt.closed_nbrs(u))
-    have = set()
-    for y in covers:
-        have.update(gn.closed_nbrs(y))
-    return need <= have

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, LimitError, mask_closure, masks_connected
 from .periodic import footprint, foremost_journey, is_temporally_connected
-from .solver import CopPolicy
+from .check import CopPolicy
 
 
 @dataclass

@@ -221,6 +221,38 @@ class TestErrorSurface:
         assert code == 2 and out["error"] == "syntax"
         assert detail in out["detail"]
 
+    def test_malformed_arguments_exit_2(self, capsys, tmp_path, rng, q3_file):
+        # an int option given a word or a float is argparse's error; a bad
+        # value it lets through, a bad label and a cut file are JSON errors
+        word = rng.choice(["two", "three", "one"])
+        real = "%.1f" % rng.uniform(0.5, 4)
+        refused = [["solve", str(q3_file), "--max-cops", v] for v in (word, real)]
+        refused += [["corners", str(q3_file), "--k", v] for v in (word, real)]
+        refused += [["search", "--spec", "prop3_retract", "--seed", v] for v in (word, real)]
+        refused.append(["search", "--spec", "prop3_retract", "--budget", word])
+        for argv in refused:
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            err = capsys.readouterr().err
+            assert exit_.value.code == 2, argv
+            assert "error: argument" in err and "Traceback" not in err, (argv, err)
+        text = q3_file.read_text()
+        labelled = tmp_path / "label.json"
+        labelled.write_text(json.dumps({**json.loads(text), "labels": {1: None}}))
+        invalid = [["corners", str(q3_file), "--k", "0"], ["solve", str(labelled)]]
+        invalid += [["generate", "circulant_123", "--steps", s]
+                    for s in ("a,b", "1,,2", real, ",")]
+        # every cut before the closing brace leaves the object open
+        for i, cut in enumerate(sorted(rng.sample(range(1, text.rindex("}")), 8))):
+            path = tmp_path / ("cut%d.json" % i)
+            path.write_text(text[:cut])
+            invalid.append(["triple", str(path)])
+        for argv in invalid:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert code == 2 and "Traceback" not in err, (argv, err)
+            assert json.loads(out)["error"] in ("invalid", "syntax", "field-type"), (argv, out)
+
     @pytest.mark.parametrize("command", ["solve", "triple", "corners"])
     def test_missing_instance_file_exits_2(self, capsys, tmp_path, command):
         path = tmp_path / "missing.json"

@@ -15,8 +15,8 @@ from percop.corners import (
     find_temporal_corners,
     has_k_temporal_corner,
     layer_corners,
-    validate_witness,
 )
+from percop.check import validate_witness
 from percop.constructions import GENERATORS, circulant_123, petersen_231
 from percop.search import load_witness
 from conftest import connected_instances, random_periodic

@@ -26,14 +26,12 @@ from percop.graphs import (
     path_graph,
     petersen_graph,
 )
-from percop import solver
+from percop import check, solver
 from percop.census import _canonical_graph_masks
 from percop.periodic import PeriodicGraph, constant, footprint, induced, pad
 from percop.solver import (
     ROBBER_TO_MOVE,
     BudgetError,
-    CopPolicy,
-    PolicyVerification,
     cop_number,
     cop_number_cap,
     extract_trace,
@@ -41,8 +39,8 @@ from percop.solver import (
     solve_cop_number,
     static_cop_number,
     triple,
-    verify_policy,
 )
+from percop.check import CopPolicy, PolicyVerification, verify_policy
 from percop.constructions import GENERATORS, q3_rotation, bowtie_221, circulant_123
 from percop.instancefile import dump_json
 from percop.search import load_witness
@@ -2065,14 +2063,14 @@ class TestVerifyPolicyAgainstParent:
                 new = rng.choices(range(g.n), k=k)
             new = tuple(sorted(new))
             want = parent_multiset_move_feasible(g, old, new)
-            assert solver._multiset_move_feasible(g, old, new) == want, (g, old, new)
+            assert check._multiset_move_feasible(g, old, new) == want, (g, old, new)
             feasible += want
         assert 10_000 < feasible < 50_000  # both answers well represented
 
     def test_matcher_refuses_a_changed_cop_count(self):
         g = path_graph(3)
-        assert not solver._multiset_move_feasible(g, (0, 1), (0, 1, 2))
-        assert not solver._multiset_move_feasible(g, (0, 1), (1,))
+        assert not check._multiset_move_feasible(g, (0, 1), (0, 1, 2))
+        assert not check._multiset_move_feasible(g, (0, 1), (1,))
 
 
 class TestDisconnectedConvention:

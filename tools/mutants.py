@@ -36,6 +36,8 @@ FAMILIES = "src/percop/families.py"
 CORNERS = "src/percop/corners.py"
 SOLVER = "src/percop/solver.py"
 GRAPHS = "src/percop/graphs.py"
+CHECK = "src/percop/check.py"
+TREEWIDTH = "src/percop/treewidth.py"
 SAMPLER = "tests/test_search.py::TestGirthSampler::"
 DRAWS = [SAMPLER + "test_same_draws_as_graph_first_sampler",
          SAMPLER + "test_in_place_refills_cross_blocks",
@@ -48,6 +50,11 @@ KEPT = "tests/test_corners.py::TestKeptTables::"
 STATIC = "tests/test_solver.py::TestStaticCore::"
 IMPLIED = "tests/test_solver.py::TestImpliedResults::"
 CORE = "tests/test_graphs.py::TestCore::"
+ROWS = "tests/test_solver.py::TestMoveRows::"
+SPACES = "tests/test_solver.py::TestConfigurationSpaces::"
+ORACLE = "tests/test_solver.py::TestRankOracle::test_seeded_corpus"
+POLICIES = "tests/test_solver.py::TestVerifyPolicyAgainstParent::"
+LAYERING = "tests/test_check.py::TestLayering::test_checks_run_with_solver_and_search_blocked"
 
 # (name, file, old text, new text, the tests that must fail)
 MUTANTS = [
@@ -184,6 +191,49 @@ MUTANTS = [
       "tests/test_graphs.py::TestDismantle::test_c4",
       "tests/test_graphs.py::TestDismantle::test_bowtie_snapshots",
       STATIC + "test_every_class_to_six_vertices"]),
+    # the move rows: a k-cop row joins its own snapshot's moves of its own
+    # prefix, and a prefix's move list is made once
+    ("rows-k2-prefix-from-snapshot-0", SOLVER,
+     "self.rows = [_Rows(space, nbrs, nbrs if prev.rows is prev.closed else _Moves(rows))",
+     "self.rows = [_Rows(space, nbrs, prev.nbrs[0] if prev.rows is prev.closed "
+     "else _Moves(rows))",
+     [ROWS + "test_seeded_rows", ORACLE]),
+    ("rows-wrong-prefix", SOLVER,
+     "moved = self._moves[prefix[ci]]", "moved = self._moves[prefix[ci - 1]]",
+     [ROWS + "test_seeded_rows", ORACLE]),
+    ("moves-keep-nothing", SOLVER,
+     "moved = self[j] = _bits(self._rows[j])", "moved = _bits(self._rows[j])",
+     [ROWS + "test_each_prefix_list_made_once"]),
+    # the kept space chains: those of other n are dropped past the bound,
+    # and only then, and the chain of the n being solved never is
+    ("space-never-drops", SOLVER,
+     "        for m in list(chains)[:-1]:\n", "        for m in []:\n",
+     [SPACES + "test_chain_past_the_bound_is_freed",
+      SPACES + "test_current_n_is_never_dropped"]),
+    ("space-drops-current-chain", SOLVER,
+     "for m in list(chains)[:-1]:", "for m in list(chains):",
+     [SPACES + "test_current_n_is_never_dropped"]),
+    ("space-keeps-one-n", SOLVER,
+     "if total <= _KEPT_CONFIGURATIONS:", "if False:",
+     [SPACES + "test_each_n_builds_each_space_once",
+      SPACES + "test_chain_past_the_bound_is_freed"]),
+    # the policy checker: a cop moves within its closed neighbourhood, and
+    # a position's value counts the cop move made there
+    ("check-cop-may-jump", CHECK,
+     "if (m >> v) & 1 and (j == 0 or v != new[j - 1]):",
+     "if j == 0 or v != new[j - 1]:",
+     [POLICIES + "test_infeasible_policies", POLICIES + "test_matcher_agrees_with_parent"]),
+    ("check-value-off-by-one", CHECK,
+     "value[node] = 1 + worst", "value[node] = worst",
+     [POLICIES + "test_optimal_policies", POLICIES + "test_generator_policies",
+      POLICIES + "test_bag_strategies"]),
+    # the layering: neither the checker nor the bag strategy reads the
+    # solver (at the end of check.py, where the import closes no cycle)
+    ("check-imports-solver", CHECK,
+     "    return need <= have\n", "    return need <= have\n\n\nfrom . import solver\n",
+     [LAYERING]),
+    ("treewidth-imports-solver", TREEWIDTH,
+     "from .check import CopPolicy", "from .solver import CopPolicy", [LAYERING]),
     # the triple: a is the footprint's cop number, not the first snapshot's
     ("triple-footprint-is-snapshot-0", SOLVER,
      "foot = _periodic.footprint(pg)\n    a = static_cop_number(foot)",
