@@ -14,6 +14,14 @@ class PeriodicGraph:
     to an index into ``unique_snapshots`` so that solvers can cache per-snapshot
     work when the sequence repeats graphs (the shipped constructions repeat
     heavily).
+
+    The constructor makes one pass over the snapshots.  Each step checks that
+    the snapshot is a Graph, looks its masks tuple up once in the index of
+    the distinct snapshots, and, for a new distinct snapshot only, compares
+    its n with snapshot 0's.  The errors still come in this order: snapshots
+    that are not iterable, an empty sequence (``period must be >= 1``), the
+    first snapshot that is no Graph, ``n must be >= 1`` and then
+    ``snapshots disagree on vertex count``.
     """
 
     __slots__ = ("n", "snapshots", "usnap", "unique_snapshots")
@@ -29,19 +37,24 @@ class PeriodicGraph:
         uniq = []
         idx = {}
         us = []
+        n = None
+        agree = True
         for i, g in enumerate(snapshots):
             if type(g) is not Graph:
                 raise ValueError("snapshot %d is not a Graph: %r" % (i, g))
-            key = g.masks
-            if key not in idx:
-                idx[key] = len(uniq)
+            new = len(uniq)
+            j = idx.setdefault(g.masks, new)
+            if j == new:
+                # snapshots with equal masks have equal n
+                if n is None:
+                    n = g.n
+                elif g.n != n:
+                    agree = False
                 uniq.append(g)
-            us.append(idx[key])
-        n = snapshots[0].n
+            us.append(j)
         if n < 1:
             raise ValueError("n must be >= 1")
-        # snapshots with equal masks have equal n
-        if any(g.n != n for g in uniq):
+        if not agree:
             raise ValueError("snapshots disagree on vertex count")
         self.n = n
         self.snapshots = snapshots
@@ -67,12 +80,17 @@ class PeriodicGraph:
 
 
 def footprint(pg):
-    """The graph of every edge that some snapshot has: the OR of their masks."""
+    """The graph of every edge that some snapshot has: the OR of their masks.
+
+    It starts from the first distinct snapshot's masks tuple and ORs each
+    further distinct snapshot into a new tuple, so a period-1 graph's
+    footprint shares its snapshot's masks."""
     if type(pg) is not PeriodicGraph:
         raise ValueError("pg must be a PeriodicGraph: %r" % (pg,))
-    masks = [0] * pg.n
-    for g in pg.unique_snapshots:
-        masks = list(map(operator.or_, masks, g.masks))
+    first, *rest = pg.unique_snapshots
+    masks = first.masks
+    for g in rest:
+        masks = tuple(map(operator.or_, masks, g.masks))
     return Graph._of(masks)
 
 

@@ -136,16 +136,29 @@ class BudgetError(RuntimeError):
         self.budget = budget
 
 
+# the last raw value of PERCOP_STATE_BUDGET that parsed, and its budget
+_parsed_budget = (None, DEFAULT_STATE_BUDGET)
+
+
 def _state_budget():
+    """The state budget that PERCOP_STATE_BUDGET sets now.  The variable is
+    read on every call and parsed only when its raw value differs from the
+    last one that parsed; an invalid value raises on every call."""
+    global _parsed_budget
     env = os.environ.get("PERCOP_STATE_BUDGET")
+    raw, budget = _parsed_budget
+    if env == raw:
+        return budget
     if not env:
-        return DEFAULT_STATE_BUDGET
-    try:
-        budget = int(env)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ValueError("PERCOP_STATE_BUDGET must be an int >= 1: %r" % env)
+        budget = DEFAULT_STATE_BUDGET
+    else:
+        try:
+            budget = int(env)
+        except ValueError:
+            budget = 0
+        if budget < 1:
+            raise ValueError("PERCOP_STATE_BUDGET must be an int >= 1: %r" % env)
+    _parsed_budget = env, budget
     return budget
 
 

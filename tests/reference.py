@@ -154,6 +154,43 @@ def reference_corners(pg, k):
     return out
 
 
+def reference_periodic(snapshots):
+    """What PeriodicGraph and footprint make of valid snapshots, from their
+    edge sets: (n, the masks of the distinct snapshots in order of first
+    appearance, usnap, the footprint's masks, temporal connectivity).
+
+    Snapshots are told apart by a linear scan of edge sets, the footprint is
+    the union of the edge sets, and connectivity is a plain search over it,
+    so no dict, OR loop or connectivity test is shared with the library.
+    """
+    n = snapshots[0].n
+    seen, usnap = [], []
+    for g in snapshots:
+        edges = set(g.edges)
+        if edges not in seen:
+            seen.append(edges)
+        usnap.append(seen.index(edges))
+
+    def masks(edges):
+        out = [1 << v for v in range(n)]
+        for a, b in edges:
+            out[a] |= 1 << b
+            out[b] |= 1 << a
+        return tuple(out)
+
+    union = set().union(*seen)
+    reached, todo = {0}, [0]
+    while todo:
+        u = todo.pop()
+        for a, b in union:
+            for x, y in ((a, b), (b, a)):
+                if x == u and y not in reached:
+                    reached.add(y)
+                    todo.append(y)
+    return (n, [masks(e) for e in seen], usnap, masks(union),
+            len(reached) == n)
+
+
 def reference_propagate(pg, k, ranked):
     """The solver's induction loop as it ran before its first two levels were
     computed in closed form: levels 0 and 1 run the robber sweep and the

@@ -79,3 +79,24 @@ def test_stale_row_fails_before_any_test_runs(monkeypatch, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "twice: its old text occurs 2 times in m.py, not once" in out
     assert "never: its old text occurs 0 times in m.py, not once" in out
+
+
+def test_each_verdict_is_flushed_as_it_is_printed(monkeypatch, tmp_path):
+    # a CI log shows each row when it finishes, not in buffered blocks
+    (tmp_path / "m.py").write_text("x = 1\n")
+    monkeypatch.setattr(mutants, "ROOT", tmp_path)
+    monkeypatch.setattr(mutants, "MUTANTS", [
+        ("one", "m.py", "x = 1", "x = 2", ["tests/t.py::test_a"]),
+        ("two", "m.py", "x = 1", "x = 3", ["tests/t.py::test_b"]),
+    ])
+    monkeypatch.setattr(mutants, "copy_worktree", lambda tmp: tmp)
+    monkeypatch.setattr(mutants, "mutate", lambda *args: None)
+    monkeypatch.setattr(mutants, "run_tests", lambda tree, tests: (
+        1, "FAILED tests/t.py::test_a - AssertionError\n"))
+    printed = []
+    monkeypatch.setattr(mutants, "print", lambda *args, **kw: printed.append(
+        (args, kw)), raising=False)
+    assert mutants.main() == 1
+    assert [args[0].split(" (")[0] for args, _kw in printed] == [
+        "one: killed", "two: survived ['tests/t.py::test_b']"]
+    assert all(kw.get("flush") is True for _args, kw in printed)

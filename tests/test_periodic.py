@@ -15,7 +15,9 @@ from percop.periodic import (
     pad_collapse_map,
 )
 from percop.constructions import q3_rotation, petersen_132, bowtie_221
-from conftest import random_periodic, random_temporally_connected
+from conftest import (all_graphs, random_graph, random_periodic,
+                      random_temporally_connected)
+from reference import reference_periodic
 
 
 class TestPeriodicGraph:
@@ -32,6 +34,14 @@ class TestPeriodicGraph:
     def test_snapshots_disagreeing_on_n_refused(self):
         with pytest.raises(ValueError, match="snapshots disagree on vertex count"):
             PeriodicGraph([Graph(3), Graph(4)])
+
+    def test_zero_vertices_before_disagreeing_counts(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            PeriodicGraph([Graph(0), Graph(1)])
+
+    def test_no_graph_before_zero_vertices(self):
+        with pytest.raises(ValueError, match="snapshot 1 is not a Graph: 'x'"):
+            PeriodicGraph([Graph(0), "x"])
 
     def test_snapshot_that_is_no_graph_refused(self):
         with pytest.raises(ValueError, match="snapshot 0 is not a Graph: 1"):
@@ -154,6 +164,56 @@ class TestMaskFootprint:
             assert len(pg.unique_snapshots) == len(first)
             assert all(g is pg.snapshots[keys.index(k)]
                        for g, k in zip(pg.unique_snapshots, first))
+
+
+def every_instance(n_max, p_max):
+    """Every snapshot list on 1 to n_max vertices of period 1 to p_max."""
+    for n in range(1, n_max + 1):
+        gs = all_graphs(n)
+        for p in range(1, p_max + 1):
+            yield from (list(snaps) for snaps in itertools.product(gs, repeat=p))
+
+
+class TestAgainstReference:
+    """The one pass of PeriodicGraph, and footprint's OR of the distinct
+    snapshots, against the edge sets of tests/reference.py."""
+
+    @staticmethod
+    def check(snapshots):
+        """Compare one valid snapshot list; return its connectivity."""
+        n, uniq, usnap, foot, connected = reference_periodic(snapshots)
+        pg = PeriodicGraph(snapshots)
+        assert pg.n == n and pg.snapshots == tuple(snapshots)
+        assert [g.masks for g in pg.unique_snapshots] == uniq
+        assert pg.usnap == tuple(usnap)
+        # each distinct snapshot is the first of its masks
+        assert all(g is snapshots[usnap.index(i)]
+                   for i, g in enumerate(pg.unique_snapshots))
+        f = footprint(pg)
+        assert type(f) is Graph and f.n == n and f.masks == foot
+        assert is_temporally_connected(pg) is connected
+        return connected
+
+    def test_every_small_instance(self):
+        # 1 to 3 vertices, period 1 to 3
+        results = [self.check(snaps) for snaps in every_instance(3, 3)]
+        assert len(results) == 601 and sum(results) == 562
+
+    def test_seeded_repeats_and_relabellings(self, rng):
+        # a few graphs and relabelled copies, each layer a fresh Graph with
+        # the masks of one of them, in a shuffled order
+        for _ in range(200):
+            n = rng.randint(5, 8)
+            pool = [random_graph(rng, n, rng.choice((0.2, 0.4, 0.6)))
+                    for _ in range(rng.randint(1, 3))]
+            for g in list(pool):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                pool.append(g.relabel(perm))
+            snaps = [Graph(n, rng.choice(pool).edges)
+                     for _ in range(rng.randint(2, 9))]
+            rng.shuffle(snaps)
+            self.check(snaps)
 
 
 class TestTemporalConnectivity:

@@ -510,6 +510,30 @@ class TestSolveResult:
         with pytest.raises(BudgetError):
             is_k_copwin(pg, 3)
 
+    def test_each_budget_change_takes_effect_on_the_next_call(self, monkeypatch):
+        # the budget is parsed once per raw value, and an invalid value is
+        # refused on every call, never kept
+        pg = constant(complete_graph(10), 1)  # 3 cops: 4,400 states
+        monkeypatch.setenv("PERCOP_STATE_BUDGET", "100")
+        with pytest.raises(BudgetError) as err:
+            is_k_copwin(pg, 3)
+        assert err.value.budget == 100
+        monkeypatch.setenv("PERCOP_STATE_BUDGET", "1e9")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="PERCOP_STATE_BUDGET must be "
+                               "an int >= 1: '1e9'"):
+                is_k_copwin(pg, 3)
+        monkeypatch.setenv("PERCOP_STATE_BUDGET", "200")
+        with pytest.raises(BudgetError) as err:
+            is_k_copwin(pg, 3)
+        assert err.value.budget == 200
+        monkeypatch.setenv("PERCOP_STATE_BUDGET", "100")
+        with pytest.raises(BudgetError) as err:
+            is_k_copwin(pg, 3)
+        assert err.value.budget == 100
+        monkeypatch.delenv("PERCOP_STATE_BUDGET")
+        assert is_k_copwin(pg, 3).copwin
+
 
 def _counting_tables(monkeypatch):
     """Record a weak reference to every _MoveTables the solver builds."""

@@ -16,3 +16,12 @@ def test_each_test_runs_under_the_alarm():
     assert 0 < left <= conftest.TEST_TIME_LIMIT
     assert signal.getsignal(signal.SIGALRM) is conftest._time_limit_exceeded
 
+
+
+def test_the_alarm_fails_the_test_without_a_traceback():
+    # pytest reports the failure and goes on with the next test
+    with pytest.raises(pytest.fail.Exception,
+                       match="^test ran past its time limit of %d s$"
+                       % conftest.TEST_TIME_LIMIT) as failed:
+        conftest._time_limit_exceeded(signal.SIGALRM, None)
+    assert failed.value.pytrace is False

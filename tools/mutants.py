@@ -38,6 +38,7 @@ SOLVER = "src/percop/solver.py"
 GRAPHS = "src/percop/graphs.py"
 CHECK = "src/percop/check.py"
 TREEWIDTH = "src/percop/treewidth.py"
+PERIODIC = "src/percop/periodic.py"
 SAMPLER = "tests/test_search.py::TestGirthSampler::"
 DRAWS = [SAMPLER + "test_same_draws_as_graph_first_sampler",
          SAMPLER + "test_in_place_refills_cross_blocks",
@@ -55,9 +56,24 @@ SPACES = "tests/test_solver.py::TestConfigurationSpaces::"
 ORACLE = "tests/test_solver.py::TestRankOracle::test_seeded_corpus"
 POLICIES = "tests/test_solver.py::TestVerifyPolicyAgainstParent::"
 LAYERING = "tests/test_check.py::TestLayering::test_checks_run_with_solver_and_search_blocked"
+BUILT = "tests/test_periodic.py::TestAgainstReference::"
 
 # (name, file, old text, new text, the tests that must fail)
 MUTANTS = [
+    # the one pass of PeriodicGraph: a repeated snapshot keeps its first
+    # index, and every distinct snapshot's n is compared with snapshot 0's
+    ("periodic-repeat-gets-new-index", PERIODIC,
+     "j = idx.setdefault(g.masks, new)", "j = idx[g.masks] = new",
+     [BUILT + "test_every_small_instance", BUILT + "test_seeded_repeats_and_relabellings",
+      "tests/test_periodic.py::TestMaskFootprint::test_repeated_snapshots"]),
+    ("periodic-vertex-counts-uncompared", PERIODIC,
+     "elif g.n != n:", "elif False:",
+     ["tests/test_periodic.py::TestPeriodicGraph::test_snapshots_disagreeing_on_n_refused"]),
+    # the footprint ORs every distinct snapshot, the last one too
+    ("footprint-drops-last-snapshot", PERIODIC,
+     "for g in rest:", "for g in rest[:-1]:",
+     [BUILT + "test_every_small_instance", BUILT + "test_seeded_repeats_and_relabellings",
+      "tests/test_periodic.py::TestMaskFootprint::test_footprint_is_the_union_of_edges"]),
     # the girth-4 sampler: which words are a draw's, how many coins it
     # consumes, and how far its judgement writes
     ("sampler-cross-coins-unshifted", FAMILIES,
@@ -291,7 +307,8 @@ def run_tests(tree, tests):
 def main():
     stale = stale_rows(ROOT, MUTANTS)
     for name, path, count in stale:
-        print("%s: its old text occurs %d times in %s, not once" % (name, count, path))
+        print("%s: its old text occurs %d times in %s, not once" % (name, count, path),
+              flush=True)
     if stale:
         return 1
     ok = True
@@ -307,7 +324,7 @@ def main():
             alive = survivors(tests, failing_ids(report))
             verdict = "survived %s" % alive if alive else "killed"
         ok &= verdict == "killed"
-        print("%s: %s (%.1f s)" % (name, verdict, time.monotonic() - t0))
+        print("%s: %s (%.1f s)" % (name, verdict, time.monotonic() - t0), flush=True)
     return 0 if ok else 1
 
 
