@@ -5,11 +5,15 @@ arguments but one, and with one wrong value in that one: None, 1.5, "x",
 True, [1], NaN or {1: None}.  A value that is valid in an argument (None
 where it is the default, [1] and {1: None} where any iterable of vertices
 is read, True as a verdict, any hashable value as a policy's memory) is
-not tried there.
+not tried there.  The package itself binds each public name, on first use,
+to the object its home module defines.
 """
 
+import importlib
 import math
 import random
+
+import pytest
 
 import percop
 from percop import (Graph, PeriodicGraph, Retraction, exact_treewidth, is_k_copwin,
@@ -95,3 +99,18 @@ def test_every_public_name_refuses_wrong_types():
         failures.append((name, i, bad, "no error"))
     assert failures == []
     assert len(cases) > 400
+
+
+def test_star_import_binds_each_name_from_its_home():
+    names = {}
+    exec("from percop import *", names)
+    del names["__builtins__"]
+    assert percop.__all__ == sorted(names)
+    for name, obj in names.items():
+        assert obj.__module__.startswith("percop."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'nope'"):
+        percop.nope
