@@ -65,11 +65,13 @@ class Graph:
 
     The closed neighborhoods are the data: one bitmask per vertex, and
     ``nbr_mask(u)`` is N[u] (bit u always set).  ``edges``, the (u, v)
-    pairs with u < v, is derived from the masks on first read and kept.
-    Equality and hashing compare the masks.
+    pairs with u < v, is derived from the masks on first read and kept, and
+    so are ``nbr_lists``, every N[u] as a list, and ``nonisolated``, the
+    mask of the vertices with a neighbour, which every game solved on the
+    graph reads.  Equality and hashing compare the masks.
     """
 
-    __slots__ = ("n", "_masks", "_edges")
+    __slots__ = ("n", "_masks", "_edges", "_lists", "_linked")
 
     def __init__(self, n, edges=()):
         # bool is not an int here, and no float or str is converted, for n
@@ -96,7 +98,7 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         self._masks = tuple(masks)
-        self._edges = None
+        self._edges = self._lists = self._linked = None
 
     @classmethod
     def _of(cls, masks):
@@ -106,7 +108,7 @@ class Graph:
         g = object.__new__(cls)
         g.n = len(masks)
         g._masks = tuple(masks)
-        g._edges = None
+        g._edges = g._lists = g._linked = None
         return g
 
     @property
@@ -117,6 +119,27 @@ class Graph:
         if edges is None:
             edges = self._edges = frozenset(self.sorted_edges())
         return edges
+
+    @property
+    def nbr_lists(self):
+        """Every closed neighborhood, N[0] to N[n-1], as an ascending list of
+        vertices, in a tuple; the lists may be shared, so never mutate them.
+        Kept like ``edges``."""
+        lists = self._lists
+        if lists is None:
+            lists = self._lists = tuple(map(_bits, self._masks))
+        return lists
+
+    @property
+    def nonisolated(self):
+        """The vertices with a neighbour, as a mask.  Kept like ``edges``."""
+        linked = self._linked
+        if linked is None:
+            linked = 0
+            for u, m in enumerate(self._masks):
+                linked |= m ^ 1 << u
+            self._linked = linked
+        return linked
 
     def nbr_mask(self, u):
         """Closed neighborhood N[u] as a bitmask."""

@@ -7,6 +7,12 @@ import operator
 from .graphs import Graph
 
 
+# _IDENTITY[p]: the usnap (0, ..., p-1) that every graph of period p <=
+# _KEPT_PERIODS with no repeated snapshot shares, made on first use
+_KEPT_PERIODS = 64
+_IDENTITY = {}
+
+
 class PeriodicGraph:
     """A period-p sequence of snapshots sharing the vertex set 0..n-1.
 
@@ -14,6 +20,13 @@ class PeriodicGraph:
     to an index into ``unique_snapshots`` so that solvers can cache per-snapshot
     work when the sequence repeats graphs (the shipped constructions repeat
     heavily).
+
+    A graph holds only what it does not share.  When no two snapshots have
+    equal masks, ``unique_snapshots`` is the ``snapshots`` tuple itself, and
+    ``usnap`` is (0, ..., p-1), one tuple kept per period p and shared by
+    every such graph of that period, for p <= _KEPT_PERIODS (64); a longer
+    period builds its own.  A graph with a repeated snapshot builds both
+    tuples of its own.
 
     The constructor makes one pass over the snapshots.  Each step checks that
     the snapshot is a Graph, looks its masks tuple up once in the index of
@@ -58,8 +71,13 @@ class PeriodicGraph:
             raise ValueError("snapshots disagree on vertex count")
         self.n = n
         self.snapshots = snapshots
-        self.unique_snapshots = tuple(uniq)
-        self.usnap = tuple(us)
+        p = len(snapshots)
+        if len(uniq) == p:  # no repeat: share what the graph would copy
+            self.unique_snapshots = snapshots
+            self.usnap = ((_IDENTITY.get(p) or _IDENTITY.setdefault(p, tuple(us)))
+                          if p <= _KEPT_PERIODS else tuple(us))
+        else:
+            self.unique_snapshots, self.usnap = tuple(uniq), tuple(us)
 
     @property
     def period(self):

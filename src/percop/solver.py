@@ -53,7 +53,11 @@ sizes.
 
 Cop configurations are sorted multisets; they and occ depend on n and k
 alone.  At k = 1 a move row is the cop's closed neighbourhood in the
-snapshot, so no row is built.  At k >= 2 a row is built on its first read,
+snapshot, so no row is built, and the level reads each unique snapshot's
+neighbour lists and the mask of its vertices with a neighbour from the
+snapshot itself (Graph.nbr_lists and Graph.nonisolated), which keeps them
+once read: periodic graphs that share a snapshot, and every decision on
+one, derive them once.  At k >= 2 a row is built on its first read,
 at a cop step from level 2 or an optimal_cop_move, so a decision that ends
 at level 1 builds none: a configuration moves by moving its (k-1)-prefix and
 then adding a closed neighbour of its last cop, so its row joins the
@@ -101,9 +105,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import asdict, dataclass
-from functools import reduce
 from math import comb
-from operator import or_, xor
 
 from . import periodic as _periodic
 # verify_policy stays bound here: perfbench's paper workload and criterion 6 read it
@@ -264,17 +266,18 @@ class _Level:
     else built on first read from the (k-1)-cop moves), and level 1 in
     closed form, cw1[s][r], read from the space's covering table at k >= 2.
     grown1[s] holds the vertices r with a neighbour, those where cw1[s][r]
-    exceeds level 0's occ[r]."""
+    exceeds level 0's occ[r].  The lists and grown1 are the snapshots' own
+    nbr_lists and nonisolated, which each snapshot keeps once read."""
 
     def __init__(self, space, snaps, prev=None):
         self.space = space
         self.cfgs, self.index, self.masks = space.cfgs, space.index, space.masks
         if prev is None:
             self.closed = [g.masks for g in snaps]
-            self.nbrs = [[_bits(m) for m in ms] for ms in self.closed]
+            self.nbrs = [g.nbr_lists for g in snaps]
             # occ[v] is bit v: a configuration's closed neighbourhood
             self.rows = self.cw1 = self.closed
-            self.grown1 = [reduce(or_, map(xor, ms, space.masks)) for ms in self.closed]
+            self.grown1 = [g.nonisolated for g in snaps]
             return
         self.closed, self.nbrs, self.grown1 = prev.closed, prev.nbrs, prev.grown1
         # the 1-cop configuration j is the vertex j, so at k = 2 a prefix's

@@ -1,6 +1,8 @@
 import itertools
 import random
 import re
+import sys
+import threading
 from collections import deque
 
 import networkx as nx
@@ -157,6 +159,62 @@ class TestMaskRepresentation:
     def test_error_messages(self, n, edges, message):
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             Graph(n, edges)
+
+
+class TestKeptLists:
+    """nbr_lists and nonisolated are derived from the masks on first read and
+    kept, as edges is, whichever way the graph was built."""
+
+    @staticmethod
+    def graphs(rng, count):
+        for _ in range(count):
+            g = random_graph(rng, rng.randint(0, 12), rng.choice((0.05, 0.2, 0.5, 0.9)))
+            yield g
+            yield Graph._of(g.masks)
+
+    def test_lists_and_mask_match_the_neighbourhoods(self, rng):
+        isolated = linked = 0
+        for g in self.graphs(rng, 150):
+            lists = g.nbr_lists
+            assert type(lists) is tuple and len(lists) == g.n
+            assert all(lists[u] == g.closed_nbrs(u) for u in range(g.n))
+            assert g.nonisolated == sum(1 << u for u in range(g.n) if g.degree(u) > 0)
+            assert g.nbr_lists is lists
+            isolated += g.nonisolated != (1 << g.n) - 1
+            linked += g.nonisolated != 0
+        assert isolated > 50 and linked > 50
+
+    def test_equality_and_hash_ignore_what_was_read(self, rng):
+        for g in self.graphs(rng, 50):
+            twin = Graph._of(g.masks)
+            g.nbr_lists, g.nonisolated, g.edges
+            assert g == twin and twin == g and hash(g) == hash(twin) == hash(g.masks)
+            assert {g: 1}[twin] == 1
+
+    def test_threads_racing_on_the_first_read_agree(self, rng):
+        # a short switch interval, so that the threads race to store each value
+        gs = list(self.graphs(rng, 200))
+        got = [None] * 4
+        start = threading.Barrier(len(got), timeout=60)
+
+        def read(i):
+            start.wait()
+            got[i] = [(g.nbr_lists, g.nonisolated) for g in gs]
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        want = [(tuple(map(g.closed_nbrs, range(g.n))),
+                 sum(1 << u for u in range(g.n) if g.degree(u))) for g in gs]
+        assert all(values == want for values in got)
 
 
 def reference_closure(g, seen, through):

@@ -1,8 +1,13 @@
+import gc
 import itertools
 import re
+import sys
+import threading
+import tracemalloc
 
 import pytest
 
+from percop import periodic
 from percop.graphs import Graph, check_retraction, Retraction, path_graph
 from percop.periodic import (
     PeriodicGraph,
@@ -189,6 +194,12 @@ class TestAgainstReference:
         # each distinct snapshot is the first of its masks
         assert all(g is snapshots[usnap.index(i)]
                    for i, g in enumerate(pg.unique_snapshots))
+        # with no repeat, the graph shares its snapshots tuple, and its usnap
+        # with every other graph of its period
+        distinct = len(uniq) == len(snapshots)
+        assert (pg.unique_snapshots is pg.snapshots) is distinct
+        if distinct:
+            assert pg.usnap is PeriodicGraph(snapshots[::-1]).usnap
         f = footprint(pg)
         assert type(f) is Graph and f.n == n and f.masks == foot
         assert is_temporally_connected(pg) is connected
@@ -214,6 +225,75 @@ class TestAgainstReference:
                      for _ in range(rng.randint(2, 9))]
             rng.shuffle(snaps)
             self.check(snaps)
+
+
+class TestSharing:
+    """What a periodic graph shares: its snapshots tuple as its distinct
+    snapshots, and one usnap per period, when no snapshot repeats."""
+
+    def test_a_repeated_snapshot_owns_fresh_tuples(self):
+        a, b = path_graph(3), Graph(3, [(0, 2)])
+        for snaps in ([a, a], [a, b, a], [b, a, a, b]):
+            pg, twin = PeriodicGraph(snaps), PeriodicGraph(snaps)
+            assert pg.unique_snapshots == tuple(dict.fromkeys(snaps))
+            assert pg.unique_snapshots is not pg.snapshots
+            assert pg.unique_snapshots is not twin.unique_snapshots
+            assert pg.usnap == twin.usnap and pg.usnap is not twin.usnap
+            distinct = PeriodicGraph(all_graphs(3)[:len(snaps)])
+            assert pg.usnap is not distinct.usnap
+
+    @pytest.mark.parametrize("p", [1, 2, 63, 64, 65, 70])
+    def test_periods_past_the_bound_build_their_own(self, p):
+        gs = all_graphs(5)  # 1,024 distinct graphs
+        one, other = PeriodicGraph(gs[:p]), PeriodicGraph(gs[p:2 * p])
+        assert one.usnap == other.usnap == tuple(range(p))
+        assert one.unique_snapshots is one.snapshots
+        assert (one.usnap is other.usnap) is (p <= 64)
+
+    def test_threads_racing_on_a_new_period_share_one_usnap(self, monkeypatch):
+        # a fresh table and a short switch interval, so that the threads race
+        # to make each period's tuple
+        monkeypatch.setattr(periodic, "_IDENTITY", {})
+        gs = all_graphs(4)
+        got = [None] * 4
+        start = threading.Barrier(len(got), timeout=60)
+
+        def build(i):
+            start.wait()
+            got[i] = [PeriodicGraph(gs[i:i + p]).usnap for p in range(1, 30)]
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for p, usnaps in enumerate(zip(*got), 1):
+            assert usnaps[0] == tuple(range(p))
+            assert all(u is periodic._IDENTITY[p] for u in usnaps)
+
+    def test_period_two_graphs_retain_little(self):
+        # 2,000 graphs on two shared snapshots: each holds its own object and
+        # snapshots tuple, 128 bytes with its slot in the list under CPython
+        # 3.11, and no tuple of distinct snapshots or usnap, which made 240
+        a, b = path_graph(4), Graph(4, [(0, 3)])
+        PeriodicGraph([a, b])  # the period's usnap, made once
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pgs = [PeriodicGraph([a, b]) for _ in range(2000)]
+            gc.collect()
+            per_graph = (tracemalloc.get_traced_memory()[0] - before) / len(pgs)
+        finally:
+            tracemalloc.stop()
+        assert all(pg.usnap is pgs[0].usnap for pg in pgs)
+        assert per_graph < 160, per_graph
 
 
 class TestTemporalConnectivity:

@@ -70,6 +70,11 @@ MUTANTS = [
     ("periodic-vertex-counts-uncompared", PERIODIC,
      "elif g.n != n:", "elif False:",
      ["tests/test_periodic.py::TestPeriodicGraph::test_snapshots_disagreeing_on_n_refused"]),
+    # a graph shares its snapshots tuple as its distinct snapshots only
+    # when no snapshot repeats
+    ("periodic-shares-a-repeated-layer", PERIODIC,
+     "if len(uniq) == p:", "if True:",
+     [BUILT + "test_every_small_instance", BUILT + "test_seeded_repeats_and_relabellings"]),
     # the footprint ORs every distinct snapshot, the last one too
     ("footprint-drops-last-snapshot", PERIODIC,
      "for g in rest:", "for g in rest[:-1]:",
@@ -208,6 +213,15 @@ MUTANTS = [
       "tests/test_graphs.py::TestDismantle::test_c4",
       "tests/test_graphs.py::TestDismantle::test_bowtie_snapshots",
       STATIC + "test_every_class_to_six_vertices"]),
+    # a snapshot's kept lists are its closed neighbourhoods: dropping u
+    # itself, the robber can no longer stay put (nor a cop at k >= 2)
+    ("kept-lists-open-neighbourhoods", GRAPHS,
+     "lists = self._lists = tuple(map(_bits, self._masks))",
+     "lists = self._lists = tuple(_bits(m ^ 1 << u) for u, m in enumerate(self._masks))",
+     ["tests/test_solver.py::TestStaticBasics::test_cycles_need_two",
+      "tests/test_solver.py::TestReferenceAgreement::test_small_corpus",
+      "tests/test_solver.py::TestDismantleEquivalence::test_connected_corpus",
+      ORACLE]),
     # the move rows: a k-cop row joins its own snapshot's moves of its own
     # prefix, and a prefix's move list is made once
     ("rows-k2-prefix-from-snapshot-0", SOLVER,
