@@ -86,7 +86,8 @@ def verify_policy(pg, policy):
     the nodes entered so far.  Otherwise wins=True reports the worst start's
     value as max_capture_moves and every reachable node as states_explored.
     Infeasible policy moves raise ValueError naming the state, as do cops,
-    initial or moved to, that are not vertices of pg.
+    initial or moved to, that are not vertices of pg, and a step that does
+    not return a pair (cops, memory) with a hashable memory.
     """
     if type(pg) is not PeriodicGraph:
         raise ValueError("pg must be a PeriodicGraph: %r" % (pg,))
@@ -113,7 +114,14 @@ def verify_policy(pg, policy):
     def replies(node):
         t, cops, robber, memory = node
         g = pg.snapshots[t]
-        new_cops, new_mem = policy.step(memory, t, cops, robber)
+        step = policy.step(memory, t, cops, robber)
+        try:
+            new_cops, new_mem = step
+            hash(new_mem)
+        except (TypeError, ValueError):
+            raise ValueError("policy step at t=%d cops=%s robber=%d is not a pair "
+                             "(cops, hashable memory): %r"
+                             % (t, list(cops), robber, step)) from None
         new_cops = vertices(new_cops, "policy move at t=%d cops=%s robber=%d",
                             t, list(cops), robber)
         if not _multiset_move_feasible(g, cops, new_cops):

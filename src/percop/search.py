@@ -54,8 +54,8 @@ from .families import (_STRIDES, _edge_list, _gen_girth, _gen_hamiltonian,
                        _gen_petersen_blocks, _iter_circulant,
                        _iter_subgraph_assignments, _local_moves)
 from .instancefile import parse
-# for perfbench/workloads.py (corpus), tests/test_acceptance.py (criteria 4, 8, 10)
-from .census import _canonical_graph_masks, smallest_3copwin_scan
+# read only by perfbench/workloads.py, in the corpus workload's set-up
+from .census import _canonical_graph_masks
 from . import solver as _solver
 
 

@@ -22,11 +22,12 @@ optimal play (min over cop moves, max over robber escapes).
 Levels 0 and 1 need no move row.  A robber's closed neighbourhood holds the
 robber, so level 0 leaves rw[t][r] = occ[r].  Every cop move then ends on a
 state won at level 0, so level 1 gives cw[t][r] = OR of occ[v] over v in
-N_t[r], once per unique snapshot, read from the space's covering table with
-one lookup per nibble of the mask N_t[r].  A configuration fills when it is
-in cw[0][r] for every r, so the fill test is the AND of cw[0][r] over all r;
-its lowest bit is the least configuration that fills.  At level 0 that is
-the least configuration whose cops cover every vertex.
+N_t[r], once per unique snapshot, from the snapshot's neighbour list of r;
+at k = 1 occ[v] is bit v, so that is the mask N_t[r] itself.  A
+configuration fills when it is in cw[0][r] for every r, so the fill test is
+the AND of cw[0][r] over all r; its lowest bit is the least configuration
+that fills.  At level 0 that is the least configuration whose cops cover
+every vertex.
 
 `is_k_copwin` runs the decision pass, which stops at the fill test of the
 first level L at which some layer-0 configuration fills, before that level's
@@ -166,8 +167,8 @@ def _state_budget():
 
 class _Space:
     """The k-cop configurations on n vertices, built from the (k-1)-cop ones,
-    with occ and its covering table hit.  Every graph on n vertices shares
-    them, so nothing may mutate them."""
+    with occ.  Every graph on n vertices shares them, so nothing may mutate
+    them."""
 
     def __init__(self, n, prev):
         self.n, self._prev, self._joins = n, prev, None
@@ -183,16 +184,6 @@ class _Space:
         for ci, m in enumerate(self.masks):
             for x in _bits(m):
                 self.occ[x] |= 1 << ci
-        # hit[j][b]: the OR of occ[4j + i] over the bits i of the nibble b,
-        # so the configurations with a cop in a vertex set take one read per
-        # nibble of its mask; at most four times the size of occ
-        self.hit = []
-        for lo in range(0, n, 4):
-            h = [0]
-            for b in range(1, 1 << min(4, n - lo)):
-                low = b & -b
-                h.append(h[b ^ low] | self.occ[lo + low.bit_length() - 1])
-            self.hit.append(h)
         # the least configuration whose cops cover every vertex, if any
         full = (1 << n) - 1
         self.cover = next((ci for ci, m in enumerate(self.masks) if m == full), None)
@@ -264,10 +255,11 @@ class _Level:
     per unique snapshot: its closed neighbourhoods (masks, and nbrs as
     lists), its move rows (the closed neighbourhoods themselves at k = 1,
     else built on first read from the (k-1)-cop moves), and level 1 in
-    closed form, cw1[s][r], read from the space's covering table at k >= 2.
-    grown1[s] holds the vertices r with a neighbour, those where cw1[s][r]
-    exceeds level 0's occ[r].  The lists and grown1 are the snapshots' own
-    nbr_lists and nonisolated, which each snapshot keeps once read."""
+    closed form, cw1[s][r], the OR of occ[v] over the list nbrs[s][r] (the
+    masks themselves at k = 1).  grown1[s] holds the vertices r with a
+    neighbour, those where cw1[s][r] exceeds level 0's occ[r].  The lists
+    and grown1 are the snapshots' own nbr_lists and nonisolated, which each
+    snapshot keeps once read."""
 
     def __init__(self, space, snaps, prev=None):
         self.space = space
@@ -284,20 +276,15 @@ class _Level:
         # moves are its neighbour list
         self.rows = [_Rows(space, nbrs, nbrs if prev.rows is prev.closed else _Moves(rows))
                      for nbrs, rows in zip(prev.nbrs, prev.rows)]
-        self.cw1 = [_covered(space.hit, ms) for ms in self.closed]
-
-
-def _covered(hit, masks):
-    """For each vertex mask m of masks, the configurations with a cop in m,
-    read from the space's covering table hit."""
-    out = []
-    for m in masks:
-        c = 0
-        for h in hit:
-            c |= h[m & 15]
-            m >>= 4
-        out.append(c)
-    return out
+        occ, self.cw1 = space.occ, []
+        for lists in prev.nbrs:
+            cw1 = []
+            for adj in lists:
+                c = 0
+                for v in adj:
+                    c |= occ[v]
+                cw1.append(c)
+            self.cw1.append(cw1)
 
 
 class _MoveTables:
@@ -326,9 +313,9 @@ class _MoveTables:
 _LAST = threading.local()
 
 # The configurations the kept chains may hold in all before those of other
-# n are dropped: 2.1-3.8 MB with their occ bitsets, covering tables and
-# joins, at 130-230 bytes a configuration (tracemalloc, whole chains of
-# n = 4 to 30 and k up to 3 to 5).
+# n are dropped: 2.0-3.6 MB with their occ bitsets and joins, at 122-218
+# bytes a configuration (tracemalloc, whole chains of n = 4 to 30 and k up
+# to 3 to 5, the largest k <= 5 whose chain fits the bound).
 _KEPT_CONFIGURATIONS = 1 << 14
 
 

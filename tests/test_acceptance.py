@@ -29,8 +29,8 @@ from percop.search import (
     load_witness,
     load_witness_certificate,
     search,
-    smallest_3copwin_scan,
 )
+from percop.census import _canonical_graph_masks, smallest_3copwin_scan
 from percop.instancefile import dump_json, serialize
 from percop.cli import main as cli_main
 
@@ -147,8 +147,6 @@ def test_criterion_4_corner_necessity():
     gs5 = all_graphs(5)
     for g in gs5:
         run(constant(g, 1))
-    from percop.search import _canonical_graph_masks
-
     pairs, reps = _canonical_graph_masks(5)
     by_mask = {mk: gs5[mk] for mk in range(len(gs5))}
     for g0m in reps:

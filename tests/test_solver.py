@@ -1301,8 +1301,8 @@ class TestFillStop:
     """The decision pass returns at the fill test of its level L, before
     that level's robber sweep: it holds the cops-to-move states of rank <= L
     and the robber-to-move states of rank <= L - 1, and play from the
-    placement reads no other.  Level 1 at k >= 2 comes from the space's
-    covering table."""
+    placement reads no other.  Level 1 comes in closed form from each
+    snapshot's kept neighbour lists."""
 
     @staticmethod
     def check(pg, k):
@@ -1396,17 +1396,26 @@ class TestFillStop:
                 played += 1
         assert played >= 80
 
-    def test_covering_table(self):
+    def test_level_one_closed_form(self, rng):
+        # cw1[s][r], the configurations with a cop in N_s[r], against
+        # closed_nbrs, which reads the masks and not the kept lists; the
+        # snapshots include one with an isolated vertex and a complete graph
         for n in range(1, 10):
-            space = None
+            rest = random_graph(rng, n - 1, 0.5)  # vertex n - 1 stays isolated
+            pg = PeriodicGraph([random_graph(rng, n, 0.3), random_graph(rng, n, 0.6),
+                                Graph(n, rest.edges), complete_graph(n)])
+            tables = solver._move_tables(pg)
             for k in (1, 2, 3):
-                space = solver._Space(n, space)
-                assert sum(map(len, space.hit)) <= 4 * len(space.occ)
-                want = [0] * (1 << n)
-                for m in range(1 << n):
-                    for v in _set_bits(m):
-                        want[m] |= space.occ[v]
-                assert solver._covered(space.hit, range(1 << n)) == want
+                lv = tables.level(k)
+                assert len(lv.cw1) == len(pg.unique_snapshots)
+                for g, cw1 in zip(pg.unique_snapshots, lv.cw1):
+                    if k == 1:
+                        assert cw1 == g.masks
+                    want = [0] * n
+                    for r in range(n):
+                        for v in g.closed_nbrs(r):
+                            want[r] |= lv.space.occ[v]
+                    assert list(cw1) == want
 
 
 def _spy_spaces(monkeypatch):
@@ -1841,6 +1850,16 @@ class TestVerifyPolicy:
         with pytest.raises(ValueError, match=r"^policy move at t=0 cops=\[0, 1\] robber=2: "
                                              r"cop %s is not a vertex of 0\.\.2$"
                                              % re.escape(repr(cop))):
+            verify_policy(constant(path_graph(3), 2), pol)
+
+    @pytest.mark.parametrize("step", [((0, 1), [0]), None, ((0, 1),)])
+    def test_step_must_return_cops_and_hashable_memory(self, step):
+        # a list memory once raised "unhashable type: 'list'", None a
+        # TypeError on unpacking and a 1-tuple a bare unpacking ValueError
+        pol = CopPolicy(k=2, initial_cops=(1, 0), step=lambda m, t, c, r: step)
+        with pytest.raises(ValueError, match=r"^policy step at t=0 cops=\[0, 1\] robber=2 is "
+                                             r"not a pair \(cops, hashable memory\): %s$"
+                                             % re.escape(repr(step))):
             verify_policy(constant(path_graph(3), 2), pol)
 
 

@@ -222,6 +222,11 @@ MUTANTS = [
       "tests/test_solver.py::TestReferenceAgreement::test_small_corpus",
       "tests/test_solver.py::TestDismantleEquivalence::test_connected_corpus",
       ORACLE]),
+    # level 1 at k >= 2 reads each snapshot's own neighbour lists
+    ("level-one-from-snapshot-0", SOLVER,
+     "for lists in prev.nbrs:", "for lists in prev.nbrs[:1] * len(prev.nbrs):",
+     ["tests/test_solver.py::TestClosedFormLevels::test_against_the_succ_driven_loop",
+      "tests/test_solver.py::TestFillStop::test_level_one_closed_form", ORACLE]),
     # the move rows: a k-cop row joins its own snapshot's moves of its own
     # prefix, and a prefix's move list is made once
     ("rows-k2-prefix-from-snapshot-0", SOLVER,
